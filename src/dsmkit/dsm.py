@@ -16,6 +16,7 @@ minimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,6 +183,29 @@ def _structural_condition(family: StructureFamily, p: DsmProblem, cfg: Tolerance
     raise ValueError(f"no condition for {family}")  # pragma: no cover
 
 
+def _rank_one_rightmost(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """Rightmost real part of the spectrum and of the numerical range of ``a x*``.
+
+    The spectrum of the rank-one matrix is {x*a, 0, ..., 0}.  Its Hermitian
+    part (a x* + x a*)/2 is zero off span{a, x} and acts on it as a 2 x 2
+    matrix with trace Re(x*a) and determinant -(||a||^2 ||x||^2 - |x*a|^2)/4,
+    so its largest eigenvalue is (Re(x*a) + sqrt(||a||^2 ||x||^2 - Im(x*a)^2))/2.
+    The vectors are normalised first and 1 - |cos|^2 is taken as a residual
+    norm, so neither overflow nor cancellation enters.
+    """
+    na, nx = fro(a), fro(x)
+    if na == 0.0 or nx == 0.0:
+        return 0.0, 0.0
+    ah, xh = a / na, x / nx
+    s = np.vdot(xh, ah)
+    if x.shape[0] == 1:  # no complement: the only eigenvalue is x*a
+        return s.real * na * nx, s.real * na * nx
+    r2 = fro(ah - s * xh) ** 2  # = 1 - |s|^2
+    h = math.sqrt(s.real**2 + r2)
+    top = (s.real + h) / 2.0 if s.real >= 0.0 else r2 / (2.0 * (h - s.real))
+    return max(s.real, 0.0) * na * nx, top * na * nx
+
+
 def _check_degenerate(family: StructureFamily, p: DsmProblem) -> None:
     if fro(p.z) == 0.0:
         raise DegenerateInputError("z must be nonzero")
@@ -250,15 +274,15 @@ def dsm_solve(
         note = "x1 colinear with conj(z)"
     if family is StructureFamily.PSD:
         zw1 = np.vdot(p.z, p.w1)
-        mdiag = np.outer(p.y - (np.vdot(p.w1, p.x1) / zw1) * p.w1, p.x1.conj())
-        rightmost = float(np.max(np.linalg.eigvals(mdiag).real)) if p.n else 0.0
+        a = p.y - (np.vdot(p.w1, p.x1) / zw1) * p.w1
+        mdiag = np.outer(a, p.x1.conj())
+        rightmost, herm_right = _rank_one_rightmost(a, p.x1)
         diagnostics["left_spectrum_matrix"] = mdiag
         diagnostics["rightmost_real_part"] = rightmost
         floor = cfg.psd_tol * max(1.0, fro(mdiag))
         # The certifiable condition is the Hermitian part of the diagnostic
         # matrix in the left half-plane (equivalently its numerical range):
         # the trace-sign argument needs it, the spectrum alone is not enough.
-        herm_right = -min_eig_herm(-mdiag) if p.n else 0.0
         diagnostics["rightmost_numerical_range"] = herm_right
         if not exact and herm_right <= floor:
             exact = True

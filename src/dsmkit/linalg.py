@@ -3,7 +3,8 @@
 All matrices are plain ``numpy`` arrays of dtype complex128.  Vectors are
 1-d arrays; a vector ``x`` used as a matrix is the column ``x[:, None]``.
 The Moore-Penrose pseudoinverse of a column vector x is the row
-``x* / ||x||^2``, so ``pinv`` covers both cases uniformly.
+``x* / ||x||^2``, so ``pinv`` covers both cases uniformly (vectors
+without an SVD).
 """
 
 from __future__ import annotations
@@ -50,14 +51,22 @@ def _as_column(x: np.ndarray) -> np.ndarray:
 
 
 def pinv(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
+    """Moore-Penrose pseudoinverse.
 
     Singular values below ``rank_tol * sigma_max`` are treated as zero.
-    The zero matrix maps to the zero matrix of transposed shape.
+    The zero matrix maps to the zero matrix of transposed shape.  A single
+    row or column has the one singular value ||a||, so its pseudoinverse
+    is ``a* / ||a||^2`` without an SVD; it is evaluated as
+    ``(a / ||a||)* / ||a||``, which neither overflows nor underflows where
+    ``||a||^2`` would.
     """
-    a = as_complex(a)
-    a = _as_column(a)
-    return np.linalg.pinv(a, rcond=cfg.rank_tol)
+    a = _as_column(as_complex(a))
+    if 1 not in a.shape:
+        return np.linalg.pinv(a, rcond=cfg.rank_tol)
+    na = fro(a)
+    if na == 0.0:
+        return np.zeros(a.shape[::-1], dtype=complex)
+    return (a / na).conj().T / na
 
 
 def null_projector(x, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .dsm import DsmProblem, Type1Problem
@@ -372,6 +371,8 @@ def _oracle_type2(p: DsmProblem, budget: OracleBudget, cfg: ToleranceConfig, ant
     starts.append(t0)
     for _ in range(budget.restarts - 1):
         starts.append(rng.standard_normal(dim) * 0.5)
+    import scipy.optimize  # deferred: the import costs more than most CLI calls
+
     best_theta, best_v = None, math.inf
     for s in starts:
         res = scipy.optimize.minimize(
@@ -600,6 +601,8 @@ def oracle_eta(
     starts = [g_seed]
     for _ in range(budget.restarts - 1):
         starts.append(_crandn(rng, n, n) * 0.3)
+
+    import scipy.optimize  # deferred: the import costs more than most CLI calls
 
     best = None
     for g0 in starts:

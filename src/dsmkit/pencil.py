@@ -17,6 +17,17 @@ Two perturbation classes are supported: variant "s" keeps only the
 symmetry structures (dJ skew-Hermitian, dR and dE Hermitian), variant
 "sd" additionally keeps dR positive semidefinite.  Combinations without
 an R perturbation make the variants coincide and "sd" delegates to "s".
+
+Evaluation keeps the rank structure.  All mapping data are vectors, so
+the square block is H1 = F C F* with F of at most six columns (the
+rank-one factors of the formula; projectors act as vector updates
+P_x v = v - x (x+ v)) and the column block is H2 = u1 (u1+ B).  Their
+norms come from a thin QR of F and a core of at most 6 x 6, without
+forming any n x n matrix.  The blocks are applied to an eigenvector
+once (J u1, R u1, E u1, J u2, R u2, E u2, B* u1); after that one lambda
+costs O(n), which is how ``experiment_table`` sweeps a fixed
+eigenvector.  ``eta_sd``/``eta_s`` go through the same core and then
+form the dense H1 and H2 in O(n^2).
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
     DegenerateInputError,
+    DsmkitError,
     DimensionMismatchError,
     GenerationError,
     HypothesisViolationError,
@@ -173,7 +185,9 @@ VALID_BLOCK_COMBOS = frozenset(
 )
 ETA_SD_COMBOS = frozenset(frozenset(s) for s in ("JR", "RB", "RE", "JRE", "JRB", "REB", "JREB"))
 ETA_S_COMBOS = frozenset(frozenset(s) for s in ("JB", "RB", "EB", "JEB"))
-_DELEGATED = frozenset(frozenset(s) for s in ("JB", "EB", "JEB"))
+_DELEGATED = frozenset(frozenset(s) for s in ("JB", "EB", "JEB"))  # no R block: u1 in ker R
+_KERNEL_B = frozenset(frozenset(s) for s in ("JR", "RE", "JRE"))  # no B block: u1 in ker B*
+_EXACT_SD = frozenset(frozenset(s) for s in ("JR", "JRB", "RB"))
 
 
 def parse_blocks(text: str) -> frozenset[str]:
@@ -248,97 +262,261 @@ def mapping_data(P: PHPencil, ep: EigenPair):
     return x, y, z, w
 
 
-def _tilde_y_w1(P: PHPencil, ep: EigenPair) -> tuple[np.ndarray, np.ndarray]:
-    lam = ep.lam
-    return (P.J - P.R + lam * P.E) @ ep.u2, -(P.J + P.R + lam * P.E) @ ep.u1
+@dataclass
+class _Products:
+    """The pencil's blocks applied to one eigenvector: all that eta needs of u.
+
+    u is scaled by a power of two to a norm in [0.5, 1).  That is exact in
+    floating point and changes no result, because H1 and H2 are homogeneous
+    of degree zero in u, and it keeps every inner product of two vectors
+    far from overflow and underflow.  Nothing here depends on lambda, so a
+    sweep with a fixed eigenvector computes it once.
+    """
+
+    u1: np.ndarray
+    u2: np.ndarray
+    Ju1: np.ndarray
+    Ru1: np.ndarray
+    Eu1: np.ndarray
+    Ju2: np.ndarray
+    Ru2: np.ndarray
+    Eu2: np.ndarray
+    Bu1: np.ndarray  # B* u1
+    u3_zero: bool
+    nJ: float
+    nR: float
+    nE: float
+    nB: float
 
 
-def _rel_zero(v, scale: float, cfg: ToleranceConfig) -> bool:
-    return fro(v) <= cfg.residual_tol * max(1.0, scale)
+def _products(P: PHPencil, ep: EigenPair, cfg: ToleranceConfig) -> _Products:
+    if ep.u1.shape[0] != P.n or ep.u3.shape[0] != P.m:
+        raise DimensionMismatchError(
+            f"eigenpair dims ({ep.u1.shape[0]}, {ep.u3.shape[0]}) do not match pencil ({P.n}, {P.m})"
+        )
+    unorm = math.hypot(fro(ep.u1), fro(ep.u2), fro(ep.u3))
+    s = 2.0 ** -math.frexp(unorm)[1]
+    u1, u2 = s * ep.u1, s * ep.u2
+    return _Products(
+        u1=u1,
+        u2=u2,
+        Ju1=P.J @ u1,
+        Ru1=P.R @ u1,
+        Eu1=P.E @ u1,
+        Ju2=P.J @ u2,
+        Ru2=P.R @ u2,
+        Eu2=P.E @ u2,
+        Bu1=P.B.conj().T @ u1,
+        u3_zero=fro(ep.u3) <= cfg.residual_tol * unorm,
+        nJ=fro(P.J),
+        nR=fro(P.R),
+        nE=fro(P.E),
+        nB=fro(P.B),
+    )
 
 
-def _h2_block(P: PHPencil, ep: EigenPair, cfg: ToleranceConfig) -> np.ndarray:
-    u1d = pinv(ep.u1, cfg)
-    return np.outer(ep.u1, u1d) @ P.B
+def _pinv_col(x: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """The column (x+)* = x / ||x||^2 (zero for x = 0)."""
+    return pinv(x, cfg)[0].conj()
 
 
-def _anti_dissipative_h1(P: PHPencil, ep: EigenPair, cfg: ToleranceConfig, report: dict, warnings: list):
-    """Square-block minimizer for the semidefinite variant.
+def _factored_norms(F: np.ndarray, C: np.ndarray) -> tuple[float, float, float]:
+    """||K||, ||herm K||, ||skew K|| (Frobenius) of K = F C F*.
 
-    H1 = ty u2+ + (w1 u1+)* P_u2 + P_u2 Jg P_u2 with the Gram vector
-    ty + (alpha/|alpha|^2) w1 and denominator 4 Re(u2* ty).  The Gram
-    term needs R u2 != 0 (otherwise the denominator vanishes); in that
-    boundary case it is dropped, which keeps interpolation and
+    With a thin QR F = QR, Q has orthonormal columns, so K and both its
+    parts have the norms of R C R* and its parts: a core of at most 6 x 6.
+    Unlike a difference of Gram traces this keeps a small part accurate.
+    """
+    R = np.linalg.qr(F, mode="r")
+    K = R @ C @ R.conj().T
+    hh = (K + K.conj().T) / 2.0
+    return fro(K), fro(hh), fro(K - hh)
+
+
+def _range_factors(X: np.ndarray, Y: np.ndarray, cfg: ToleranceConfig):
+    """(U, V, G) with X = U S V* truncated at ``rank_tol`` and G = Y V S^-1.
+
+    Then pinv(X) = V S^-1 U*, so Y pinv(X) = G U* and X pinv(X) = U U*.
+    X has two columns, so this costs O(n).
+    """
+    W, sig, Vh = np.linalg.svd(X, full_matrices=False)
+    keep = sig > cfg.rank_tol * sig[0]
+    V = Vh[keep].conj().T
+    return W[:, keep], V, (Y @ V) / sig[keep]
+
+
+def _anti_dissipative_h1(v: _Products, ty, w1, alpha, cfg, report: dict, warnings: list):
+    """Factors (F, C), H1 = F C F*, of the square-block minimizer for the semidefinite variant.
+
+    H1 = ty u2+ + (u1+)* (P_u2 w1)* + P_u2 g (P_u2 g)* / (4 Re(u2* ty)) with
+    the Gram vector g = ty + (alpha/|alpha|^2) w1, where
+    P_u2 w = w - u2 (u2+ w) never forms the projector: F stacks the at
+    most three left and three right rank-one factors and C = [[0, I], [0, 0]].
+    The Gram term needs R u2 != 0 (otherwise the denominator vanishes); in
+    that boundary case it is dropped, which keeps interpolation and
     dissipativity but no longer certifies minimality.
     """
-    ty, w1 = _tilde_y_w1(P, ep)
-    u2 = ep.u2
-    denom = np.vdot(u2, u2)
-    alpha = (np.vdot(ep.u1, u2) / np.vdot(ep.u1, ep.u1)) if fro(ep.u1) > 0 else 0j
-    colin = fro(u2 - alpha * ep.u1) <= cfg.colinearity_tol * max(fro(u2), 1e-300)
-    report["u2_colinear_u1"] = bool(colin and alpha != 0)
-    ru2 = P.R @ u2
-    report["R_u2_nonzero"] = fro(ru2) > cfg.residual_tol * max(1.0, fro(P.R) * fro(u2))
+    u2 = v.u2
+    n2 = fro(u2)
+    report["R_u2_nonzero"] = fro(v.Ru2) > cfg.residual_tol * v.nR * n2
     if abs(abs(alpha) - 1.0) > 1e-8 and report["u2_colinear_u1"]:
         warnings.append(
             "colinearity factor is not unit-modulus; the Gram-vector weighting "
             "is only certified for |alpha| = 1"
         )
+    u2h = u2 / n2 if n2 > 0 else u2
 
-    pu2 = null_projector(u2, cfg)
-    h1 = np.outer(ty, pinv(u2, cfg)) + np.outer(w1, pinv(ep.u1, cfg)).conj().T @ pu2
+    def proj(w):
+        return w - u2h * np.vdot(u2h, w)
+
+    left, right = [ty, _pinv_col(v.u1, cfg)], [_pinv_col(u2, cfg), proj(w1)]
     rexy = np.vdot(u2, ty).real
     if report["R_u2_nonzero"] and report["u2_colinear_u1"] and rexy < 0:
-        v = ty + (alpha / abs(alpha) ** 2) * w1
-        gram = np.outer(v, v.conj()) / (4.0 * rexy)
-        h1 = h1 + pu2 @ gram @ pu2
+        g = proj(ty + (alpha / abs(alpha) ** 2) * w1)
+        left.append(g)
+        right.append(g / (4.0 * rexy))
     elif not report["R_u2_nonzero"]:
         warnings.append("R u2 = 0: Gram term dropped, minimality not certified")
-    return h1, alpha
+    k = len(left)
+    C = np.zeros((2 * k, 2 * k), dtype=complex)
+    C[:k, k:] = np.eye(k)
+    return np.column_stack(left + right), C
 
 
-def _bounds_from_h1(
-    blocks: frozenset[str], lam: complex, h1: np.ndarray, h2n: float
-) -> tuple[float, float]:
-    """Lower/upper bounds per block combination from the square-block solution."""
+def _bounds(blocks: frozenset[str], variant: str, lam: complex, h1n, hhn, hsn, h2n) -> tuple[float, float]:
+    """Lower/upper bounds per selection from the norms of the square and column blocks."""
     al2 = abs(lam) ** 2
-    h1n = fro(h1)
-    hh, hs = herm_skew_parts(h1)
-    hhn, hsn = fro(hh), fro(hs)
-    if blocks == frozenset("JR"):
-        return h1n, h1n
-    if blocks == frozenset("JRB"):
-        v = math.sqrt(h1n**2 + h2n**2)
-        return v, v
+    if variant == "s" or blocks in _EXACT_SD:
+        weight = {frozenset("EB"): 1.0 / al2, frozenset("JEB"): 1.0 / (1.0 + al2)}.get(blocks, 1.0)
+        val = math.sqrt(h1n**2 * weight + h2n**2)
+        return val, val
     if blocks == frozenset("RE"):
-        lo = h1n / max(1.0, abs(lam))
-        up = math.sqrt(hhn**2 + hsn**2 / al2)
-        return lo, up
+        return h1n / max(1.0, abs(lam)), math.sqrt(hhn**2 + hsn**2 / al2)
     if blocks == frozenset("JRE"):
-        lo = h1n / math.sqrt(1.0 + al2)
-        up = math.sqrt(hhn**2 + hsn**2 / (1.0 + al2))
-        return lo, up
+        return h1n / math.sqrt(1.0 + al2), math.sqrt(hhn**2 + hsn**2 / (1.0 + al2))
     if blocks == frozenset("REB"):
         lo = math.sqrt(h1n**2 / max(1.0, al2) + h2n**2)
-        up = math.sqrt(hhn**2 + hsn**2 / al2 + h2n**2)
-        return lo, up
+        return lo, math.sqrt(hhn**2 + hsn**2 / al2 + h2n**2)
     if blocks == frozenset("JREB"):
         lo = math.sqrt(h1n**2 / (1.0 + al2) + h2n**2)
-        up = math.sqrt(h1n**2 + h2n**2)
-        return lo, up
+        return lo, math.sqrt(h1n**2 + h2n**2)
     raise ValueError(f"no bound rule for {blocks_to_string(blocks)}")  # pragma: no cover
 
 
-def _infinite(blocks, variant, lam, report) -> BackwardErrorBounds:
-    return BackwardErrorBounds(
-        finite=False,
-        eta_lower=float("inf"),
-        eta_upper=float("inf"),
+def _solve(blocks: frozenset[str], variant: str, lam: complex, v: _Products, cfg: ToleranceConfig):
+    """Bounds, verdicts and the factors of H1 for one eigenvector at one lambda.
+
+    Returns ``(bounds, F, C)``: ``bounds`` has every field but H1 and H2,
+    and the square block is H1 = F C F* (F has at most six columns; both
+    are None when eta is infinite).  ty = J u2 - R u2 + lam E u2 and
+    w1 = -(J u1 + R u1 + lam E u1) are affine in lambda, so given ``v``
+    this is O(n) work: vector updates, an SVD of n x 2 and a thin QR of F.
+    ``variant`` is "s" for the symmetry-only formulas (also for the
+    selections that eta_sd delegates) and "sd" otherwise.
+    """
+    tol = cfg.residual_tol
+    n1, n2 = fro(v.u1), fro(v.u2)
+    rb = blocks == frozenset("RB")
+    report: dict[str, bool] = {"u3_zero": v.u3_zero}
+    if rb:
+        iso = np.vdot(v.u1, v.Ju1) + lam * np.vdot(v.u1, v.Eu1)
+        report["u1_isotropic"] = abs(iso) <= tol * (v.nJ + abs(lam) * v.nE) * n1**2
+        if variant == "sd":
+            report["R_u1_nonzero"] = fro(v.Ru1) > tol * v.nR * n1
+    elif variant == "s":
+        report["R_u1_zero"] = fro(v.Ru1) <= tol * v.nR * n1
+    elif blocks in _KERNEL_B:
+        report["B_adj_u1_zero"] = fro(v.Bu1) <= tol * v.nB * n1
+    if not all(report.values()):
+        inf = float("inf")
+        return BackwardErrorBounds(False, inf, inf, conditions_report=report, variant=variant,
+                                   blocks=blocks, lam=lam), None, None
+
+    ty = v.Ju2 - v.Ru2 + lam * v.Eu2
+    w1 = -(v.Ju1 + v.Ru1 + lam * v.Eu1)
+    h2n = fro(v.Bu1) / n1 if "B" in blocks and n1 > 0 else 0.0
+    warnings: list[str] = []
+    alpha = (np.vdot(v.u1, v.u2) / np.vdot(v.u1, v.u1)) if n1 > 0 else 0j
+    colinear = bool(alpha != 0 and fro(v.u2 - alpha * v.u1) <= cfg.colinearity_tol * n2)
+
+    if variant == "s" or rb:
+        X = np.column_stack([v.u2, v.u1])
+        Y = np.column_stack([ty, w1 if rb else -w1])
+        U, V, G = _range_factors(X, Y, cfg)
+        report["interp_YXdX"] = fro(Y - (Y @ V) @ V.conj().T) <= tol * fro(Y)
+        xy = X.conj().T @ Y
+    if variant == "s":
+        # H1 = Y X+ +- (Y X+)* - X X+ Y X+ = [U G] [[-U*G, +-I], [I, 0]] [U G]*
+        sign = 1.0 if rb else -1.0
+        report["cross_gram"] = fro(xy - sign * xy.conj().T) <= tol * fro(xy)
+        report["u2_colinear_u1"] = colinear
+        eye = np.eye(U.shape[1])
+        F = np.hstack([U, G])
+        C = np.block([[-(U.conj().T @ G), sign * eye], [eye, np.zeros_like(eye)]])
+        exact = report["interp_YXdX"] and report["cross_gram"]
+    elif rb:
+        herm_ok = fro(xy - xy.conj().T) <= tol * fro(xy)
+        negdef = herm_ok and min_eig_herm(-xy) > cfg.psd_tol * fro(xy)
+        report["XY_negative_definite"] = bool(negdef)
+        if not negdef:
+            raise HypothesisViolationError(
+                "X*Y must be Hermitian negative definite for the RB formula"
+            )
+        F, C = Y, np.linalg.inv(xy.conj().T)  # H1 = Y (Y*X)^-1 Y*
+        exact = report["interp_YXdX"]
+        alpha = None
+    else:
+        report["u2_colinear_u1"] = colinear
+        F, C = _anti_dissipative_h1(v, ty, w1, alpha, cfg, report, warnings)
+        exact = blocks in _EXACT_SD and colinear and report["R_u2_nonzero"]
+
+    lo, up = _bounds(blocks, variant, lam, *_factored_norms(F, C), h2n)
+    out = BackwardErrorBounds(
+        finite=True,
+        eta_lower=lo,
+        eta_upper=up,
+        alpha=alpha,
         conditions_report=report,
+        exact=exact,
         variant=variant,
         blocks=blocks,
         lam=lam,
+        warnings=warnings,
     )
+    return out, F, C
+
+
+_NOT_COVERED = {
+    "sd": "eta_sd({}) is not covered by this package",
+    "s": "eta_s({}) is classical prior work; not implemented",
+}
+
+
+def _formula_variant(blocks: frozenset[str], variant: str) -> str:
+    """The formulas a selection uses: eta_sd delegates the selections without R to eta_s."""
+    if variant == "sd" and blocks in _DELEGATED:
+        return "s"
+    if blocks not in (ETA_SD_COMBOS if variant == "sd" else ETA_S_COMBOS):
+        raise ValueError(_NOT_COVERED[variant].format(blocks_to_string(blocks)))
+    return variant
+
+
+def _eta(P: PHPencil, ep: EigenPair, blocks, variant: str, cfg: ToleranceConfig) -> BackwardErrorBounds:
+    """eta_s/eta_sd: the core's result plus the dense H1 and H2 (O(n^2) to form)."""
+    blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
+    formulas = _formula_variant(blocks, variant)
+    if ep.lam == 0:
+        raise DegenerateInputError("lambda must be nonzero imaginary")
+    v = _products(P, ep, cfg)
+    out, F, C = _solve(blocks, formulas, ep.lam, v, cfg)
+    out.variant = variant
+    if out.finite:
+        out.H1 = F @ C @ F.conj().T
+        if "B" in blocks:
+            out.H2 = np.outer(_pinv_col(v.u1, cfg), v.Bu1.conj())  # u1 u1+ B
+        else:
+            out.H2 = np.zeros((P.n, P.m), dtype=complex)
+    return out
 
 
 def eta_sd(
@@ -361,84 +539,7 @@ def eta_sd(
     bracket.  Infinite cases come back with ``finite=False`` and +inf
     sentinels rather than raising, so sweeps never abort.
     """
-    blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
-    if blocks in _DELEGATED:
-        out = eta_s(P, ep, blocks, cfg)
-        out.variant = "sd"
-        return out
-    if blocks not in ETA_SD_COMBOS:
-        raise ValueError(
-            f"eta_sd({blocks_to_string(blocks)}) is not covered by this package"
-        )
-    lam = ep.lam
-    if lam == 0:
-        raise DegenerateInputError("lambda must be nonzero imaginary")
-    report: dict[str, bool] = {}
-    uscale = fro(ep.u)
-    report["u3_zero"] = _rel_zero(ep.u3, uscale, cfg)
-
-    if blocks in (frozenset("JR"), frozenset("RE"), frozenset("JRE")):
-        report["B_adj_u1_zero"] = _rel_zero(P.B.conj().T @ ep.u1, fro(P.B) * fro(ep.u1), cfg)
-        finite = report["u3_zero"] and report["B_adj_u1_zero"]
-    elif blocks == frozenset("RB"):
-        iso = np.vdot(ep.u1, (P.J + lam * P.E) @ ep.u1)
-        report["u1_isotropic"] = abs(iso) <= cfg.residual_tol * max(
-            1.0, (fro(P.J) + abs(lam) * fro(P.E)) * fro(ep.u1) ** 2
-        )
-        report["R_u1_nonzero"] = fro(P.R @ ep.u1) > cfg.residual_tol * max(
-            1.0, fro(P.R) * fro(ep.u1)
-        )
-        finite = report["u3_zero"] and report["u1_isotropic"] and report["R_u1_nonzero"]
-    else:
-        finite = report["u3_zero"]
-    if not finite:
-        return _infinite(blocks, "sd", lam, report)
-
-    warnings: list[str] = []
-    h2 = _h2_block(P, ep, cfg) if "B" in blocks else np.zeros((P.n, P.m), dtype=complex)
-    alpha = None
-
-    if blocks == frozenset("RB"):
-        ty, w1 = _tilde_y_w1(P, ep)
-        X = np.column_stack([ep.u2, ep.u1])
-        Y = np.column_stack([ty, w1])
-        xd = pinv(X, cfg)
-        report["interp_YXdX"] = fro(Y @ xd @ X - Y) <= cfg.residual_tol * max(1.0, fro(Y))
-        xy = X.conj().T @ Y
-        herm_ok = fro(xy - xy.conj().T) <= cfg.residual_tol * max(1.0, fro(xy))
-        negdef = herm_ok and min_eig_herm(-xy) > cfg.psd_tol * max(1.0, fro(xy))
-        report["XY_negative_definite"] = bool(negdef)
-        if not negdef:
-            raise HypothesisViolationError(
-                "X*Y must be Hermitian negative definite for the RB formula"
-            )
-        h1 = Y @ np.linalg.inv(Y.conj().T @ X) @ Y.conj().T
-        val = math.sqrt(fro(h1) ** 2 + fro(h2) ** 2)
-        lo = up = val
-        exact = report["interp_YXdX"] and negdef
-    else:
-        h1, alpha = _anti_dissipative_h1(P, ep, cfg, report, warnings)
-        lo, up = _bounds_from_h1(blocks, lam, h1, fro(h2))
-        exact = (
-            blocks in (frozenset("JR"), frozenset("JRB"))
-            and report.get("u2_colinear_u1", False)
-            and report.get("R_u2_nonzero", False)
-        )
-
-    return BackwardErrorBounds(
-        finite=True,
-        eta_lower=lo,
-        eta_upper=up,
-        H1=h1,
-        H2=h2,
-        alpha=alpha,
-        conditions_report=report,
-        exact=exact,
-        variant="sd",
-        blocks=blocks,
-        lam=lam,
-        warnings=warnings,
-    )
+    return _eta(P, ep, blocks, "sd", cfg)
 
 
 def eta_s(
@@ -455,73 +556,7 @@ def eta_s(
     X = [u2 u1] and Y = [ty -w1] (JB, EB, JEB; skew-Hermitian square
     block) or Y = [ty w1] (RB; Hermitian square block).
     """
-    blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
-    if blocks not in ETA_S_COMBOS:
-        raise ValueError(
-            f"eta_s({blocks_to_string(blocks)}) is classical prior work; not implemented"
-        )
-    lam = ep.lam
-    if lam == 0:
-        raise DegenerateInputError("lambda must be nonzero imaginary")
-    report: dict[str, bool] = {}
-    uscale = fro(ep.u)
-    report["u3_zero"] = _rel_zero(ep.u3, uscale, cfg)
-    hermitian_block = blocks == frozenset("RB")
-    if hermitian_block:
-        iso = np.vdot(ep.u1, (P.J + lam * P.E) @ ep.u1)
-        report["u1_isotropic"] = abs(iso) <= cfg.residual_tol * max(
-            1.0, (fro(P.J) + abs(lam) * fro(P.E)) * fro(ep.u1) ** 2
-        )
-        finite = report["u3_zero"] and report["u1_isotropic"]
-    else:
-        report["R_u1_zero"] = _rel_zero(P.R @ ep.u1, fro(P.R) * fro(ep.u1), cfg)
-        finite = report["u3_zero"] and report["R_u1_zero"]
-    if not finite:
-        return _infinite(blocks, "s", lam, report)
-
-    ty, w1 = _tilde_y_w1(P, ep)
-    X = np.column_stack([ep.u2, ep.u1])
-    Y = np.column_stack([ty, w1]) if hermitian_block else np.column_stack([ty, -w1])
-    xd = pinv(X, cfg)
-    yxd = Y @ xd
-    xxd = X @ xd
-    report["interp_YXdX"] = fro(yxd @ X - Y) <= cfg.residual_tol * max(1.0, fro(Y))
-    xy = X.conj().T @ Y
-    if hermitian_block:
-        report["cross_gram"] = fro(xy - xy.conj().T) <= cfg.residual_tol * max(1.0, fro(xy))
-        h1 = yxd + yxd.conj().T - xxd @ yxd
-    else:
-        report["cross_gram"] = fro(xy + xy.conj().T) <= cfg.residual_tol * max(1.0, fro(xy))
-        h1 = yxd - yxd.conj().T - xxd @ yxd
-    alpha = (np.vdot(ep.u1, ep.u2) / np.vdot(ep.u1, ep.u1)) if fro(ep.u1) > 0 else 0j
-    report["u2_colinear_u1"] = bool(
-        alpha != 0
-        and fro(ep.u2 - alpha * ep.u1) <= cfg.colinearity_tol * max(fro(ep.u2), 1e-300)
-    )
-
-    h2 = _h2_block(P, ep, cfg)
-    h1n, h2n = fro(h1), fro(h2)
-    al2 = abs(lam) ** 2
-    if blocks == frozenset("JB") or blocks == frozenset("RB"):
-        val = math.sqrt(h1n**2 + h2n**2)
-    elif blocks == frozenset("EB"):
-        val = math.sqrt(h1n**2 / al2 + h2n**2)
-    else:  # JEB
-        val = math.sqrt(h1n**2 / (1.0 + al2) + h2n**2)
-    exact = report["interp_YXdX"] and report["cross_gram"]
-    return BackwardErrorBounds(
-        finite=True,
-        eta_lower=val,
-        eta_upper=val,
-        H1=h1,
-        H2=h2,
-        alpha=alpha,
-        conditions_report=report,
-        exact=exact,
-        variant="s",
-        blocks=blocks,
-        lam=lam,
-    )
+    return _eta(P, ep, blocks, "s", cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +599,8 @@ def gen_pencil(
     )
 
 
-def _isotropic_vector(h: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
-    """Random u with u* h u = 0 for Hermitian h, mixing +/- eigenspaces."""
-    eigs, vecs = np.linalg.eigh(h)
+def _isotropic_vector(h: np.ndarray, eigs: np.ndarray, vecs: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
+    """Random u with u* h u = 0 for Hermitian h = vecs diag(eigs) vecs*, mixing +/- eigenspaces."""
     scale = max(np.abs(eigs).max(), 1e-300)
     pos = eigs > 1e-12 * scale
     neg = eigs < -1e-12 * scale
@@ -594,17 +628,18 @@ def gen_eigpair(
     unit-modulus random phase alpha, except for the RB selection where
     u1 and u2 are drawn independently in the isotropic set of
     (J + lam E)/i and the definiteness condition is enforced by
-    rejection.  Unsatisfiable constraints (e.g. B with full row rank
-    when the kernel of B* is needed, or R nonsingular when ker R is
-    needed) raise ``GenerationError`` after ``max_tries``.
+    rejection; each lambda takes one eigendecomposition of (J + lam E)/i,
+    shared by u1, u2 and the retries.  Unsatisfiable constraints (e.g. B
+    with full row rank when the kernel of B* is needed, or R nonsingular
+    when ker R is needed) raise ``GenerationError`` after ``max_tries``.
     """
     blocks = parse_blocks(admissible_for) if isinstance(admissible_for, str) else frozenset(admissible_for)
     rng = np.random.default_rng(seed)
     n, m = P.n, P.m
     u3 = np.zeros(m, dtype=complex)
 
-    kernel_B = blocks in (frozenset("JR"), frozenset("RE"), frozenset("JRE"))
-    kernel_R = blocks in (frozenset("JB"), frozenset("EB"), frozenset("JEB"))
+    kernel_B = blocks in _KERNEL_B
+    kernel_R = blocks in _DELEGATED
     isotropic = blocks == frozenset("RB")
     needs_Ru2 = blocks in (
         frozenset("JR"),
@@ -624,12 +659,15 @@ def gen_eigpair(
         if split.U2.shape[1] == 0:
             raise GenerationError("R is nonsingular; ker(R) is trivial for this selection")
 
+    spectrum = None  # (h, eigs, vecs) of (J + lam E)/i, shared by u1, u2 and retries at one lam
     for attempt in range(max_tries):
         lam_t = lam if lam is not None else 1j * rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])
         if isotropic:
-            h = (P.J + lam_t * P.E) / 1j
-            u1 = _isotropic_vector(h, rng)
-            u2 = _isotropic_vector(h, rng)
+            if spectrum is None or lam is None:
+                h = (P.J + lam_t * P.E) / 1j
+                spectrum = (h, *np.linalg.eigh(h))
+            u1 = _isotropic_vector(*spectrum, rng)
+            u2 = _isotropic_vector(*spectrum, rng)
             if u1 is None or u2 is None:
                 if lam is not None:
                     raise GenerationError(
@@ -639,7 +677,7 @@ def gen_eigpair(
             if fro(P.R @ u1) <= 1e-8 * max(1.0, fro(P.R) * fro(u1)):
                 continue
             ep = EigenPair(lam_t, u1, u2, u3)
-            ty, w1 = _tilde_y_w1(P, ep)
+            ty, w1 = (P.J - P.R + ep.lam * P.E) @ u2, -(P.J + P.R + ep.lam * P.E) @ u1
             xy = np.column_stack([u2, u1]).conj().T @ np.column_stack([ty, w1])
             if fro(xy - xy.conj().T) > 1e-8 * max(1.0, fro(xy)):
                 continue
@@ -649,9 +687,8 @@ def gen_eigpair(
                 continue
             return ep
         if kernel_B:
-            u1 = null_projector(P.B, cfg) @ _crandn(rng, n)
+            u1 = pk @ _crandn(rng, n)
         elif kernel_R:
-            split = svd_split(P.R, cfg)
             u1 = split.U2 @ _crandn(rng, split.U2.shape[1])
         else:
             u1 = _crandn(rng, n)
@@ -677,14 +714,20 @@ def experiment_table(
 
     Keeps one eigenvector fixed across the sweep when the selection's
     side conditions do not depend on lambda; the RB selection regenerates
-    per row.  Row-level failures (lambda = 0, infinite eta, generation
-    failure) are recorded in the row, never raised.
+    per row.  For each eigenvector the blocks are applied to it once
+    (J u1, R u1, E u1, J u2, R u2, E u2, B* u1 and the block norms), and
+    each lambda then costs O(n): ty and w1 are affine in lambda and the
+    norms come from the rank-one factors of H1 (see ``_solve``).  The
+    rows equal ``eta_sd``/``eta_s`` on the same eigenpair bit for bit.
+    Row-level failures (lambda = 0, infinite eta, generation failure or
+    any other ``DsmkitError``) are recorded in the row, never raised; an
+    unsupported selection raises ``ValueError`` before the sweep.
     """
     blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
+    variant = variant if variant == "sd" else "s"
+    formulas = _formula_variant(blocks, variant)
     rows: list[dict] = []
-    fixed_ep: EigenPair | None = None
-    lam_dependent = blocks == frozenset("RB")
-    compute = eta_sd if variant == "sd" else eta_s
+    fixed: _Products | None = None
     for i, lam in enumerate(lambdas):
         lam = complex(lam)
         row: dict = {"lam": lam, "finite": False, "eta_lower": float("inf"),
@@ -692,18 +735,18 @@ def experiment_table(
         try:
             if lam == 0 or abs(lam.real) > 1e-10 * abs(lam):
                 raise DegenerateInputError("lambda must be nonzero purely imaginary")
-            if lam_dependent:
-                ep = gen_eigpair(P, ep_seed + i, blocks, cfg, lam=lam)
+            if blocks == frozenset("RB"):
+                vec = _products(P, gen_eigpair(P, ep_seed + i, blocks, cfg, lam=lam), cfg)
             else:
-                if fixed_ep is None:
-                    fixed_ep = gen_eigpair(P, ep_seed, blocks, cfg, lam=lam)
-                ep = EigenPair(lam, fixed_ep.u1, fixed_ep.u2, fixed_ep.u3)
-            res = compute(P, ep, blocks, cfg)
+                if fixed is None:
+                    fixed = _products(P, gen_eigpair(P, ep_seed, blocks, cfg, lam=lam), cfg)
+                vec = fixed
+            res, _, _ = _solve(blocks, formulas, 1j * lam.imag, vec, cfg)
             row["finite"] = res.finite
             row["eta_lower"] = res.eta_lower
             row["eta_upper"] = res.eta_upper
             row["conditions"] = ";".join(f"{k}={v}" for k, v in res.conditions_report.items())
-        except Exception as exc:  # row-level failures are data, not aborts
+        except DsmkitError as exc:  # row-level failures are data, not aborts
             row["error"] = str(exc)
         rows.append(row)
     return rows

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -207,3 +209,10 @@ def test_tolerance_overrides(capsys, tmp_path, herm_files):
         "--z", herm_files["z"], "--w", herm_files["w"],
     )
     assert code == 0
+
+
+def test_import_leaves_scipy_unloaded():
+    # the oracles import scipy.optimize when they run, not when the CLI starts
+    code = "import sys, dsmkit, dsmkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

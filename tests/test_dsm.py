@@ -115,6 +115,31 @@ def test_psd_numerical_range_exactness():
         assert sol.diagnostics["rightmost_real_part"] <= 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_psd_diagnostic_closed_forms_match_eigensolvers(n):
+    from dsmkit.dsm import _rank_one_rightmost
+
+    rng = np.random.default_rng(n)
+    x = crandn(rng, n)
+    for a in (crandn(rng, n), crandn(rng) * x, -x + 1e-9 * crandn(rng, n), np.zeros(n, complex)):
+        m = np.outer(a, x.conj())
+        rightmost, herm_right = _rank_one_rightmost(a, x)
+        scale = max(np.linalg.norm(a) * np.linalg.norm(x), 1e-300)
+        assert abs(rightmost - np.max(np.linalg.eigvals(m).real)) <= 1e-12 * scale
+        assert abs(herm_right - np.linalg.eigvalsh((m + m.conj().T) / 2)[-1]) <= 1e-12 * scale
+
+
+def test_psd_diagnostics_keep_their_keys():
+    rng = np.random.default_rng(23)
+    sol = dsm_solve(F.PSD, dsm_instance_psd_spectrum(rng, 16, 3))
+    for key in ("left_spectrum_matrix", "rightmost_real_part", "rightmost_numerical_range"):
+        assert key in sol.diagnostics
+    m = sol.diagnostics["left_spectrum_matrix"]
+    assert sol.diagnostics["rightmost_numerical_range"] == pytest.approx(
+        np.linalg.eigvalsh((m + m.conj().T) / 2)[-1], abs=1e-12 * np.linalg.norm(m)
+    )
+
+
 def test_nsd_reflection():
     rng = np.random.default_rng(29)
     p = dsm_instance(F.NSD, rng, 4, 2, exact=True)

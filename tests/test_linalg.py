@@ -31,6 +31,17 @@ def test_pinv_unit_vector():
     assert np.allclose(pinv(e1), np.array([[1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_vector_pinv_matches_svd_at_extreme_scales(scale):
+    rng = np.random.default_rng(3)
+    for x in (crandn(rng, 7), crandn(rng, 7, 1), crandn(rng, 1, 7)):
+        got = pinv(scale * x)
+        want = np.linalg.pinv(scale * (x[:, None] if x.ndim == 1 else x))
+        assert got.shape == want.shape
+        assert np.all(np.isfinite(got))
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
 def test_pinv_rejects_nan():
     with pytest.raises(NonFiniteEntriesError):
         pinv(np.array([[np.nan, 0.0]]))

@@ -13,7 +13,7 @@ from dsmkit import (
     parse_blocks,
     reconstruct_perturbation,
 )
-from dsmkit.errors import DegenerateInputError, GenerationError, StructureError
+from dsmkit.errors import DegenerateInputError, GenerationError, HypothesisViolationError, StructureError
 from dsmkit.pencil import ETA_S_COMBOS, ETA_SD_COMBOS, blocks_to_string
 from helpers import crandn
 
@@ -232,3 +232,287 @@ def test_experiment_table_fixed_u_across_lambdas():
     p = gen_pencil(4, 2, seed=3)
     rows = experiment_table(p, [0.5j, 1.5j], 7, "JR")
     assert all(r["finite"] for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# the factored core against a dense, projector-based reference
+
+ALL_SELECTIONS = [(b, "sd") for b in ("JR", "RB", "RE", "JRE", "JRB", "REB", "JREB", "JB", "EB", "JEB")] + [
+    (b, "s") for b in ("JB", "RB", "EB", "JEB")
+]
+
+
+def _dense_reference(p, ep, blocks, variant, tol=1e-10, rank_tol=1e-12):
+    """eta by dense n x n projectors and pseudoinverses; every predicate takes the data's own scale.
+
+    Returns (finite, lower, upper, H1, H2, report, exact).
+    """
+    blocks = parse_blocks(blocks)
+    if variant == "sd" and blocks in (parse_blocks("JB"), parse_blocks("EB"), parse_blocks("JEB")):
+        variant = "s"
+    fro = np.linalg.norm
+    lam, u1, u2, u3 = ep.lam, ep.u1, ep.u2, ep.u3
+    n, m = p.n, p.m
+    eye = np.eye(n)
+
+    def vpinv(x):  # the row x+ = x* / ||x||^2
+        nx = fro(x)
+        return np.zeros(n, complex) if nx == 0 else x.conj() / nx**2
+
+    def proj(x):
+        return eye - np.outer(x, vpinv(x))
+
+    rb = blocks == parse_blocks("RB")
+    report = {"u3_zero": fro(u3) <= tol * fro(ep.u)}
+    if rb:
+        iso = np.vdot(u1, (p.J + lam * p.E) @ u1)
+        report["u1_isotropic"] = abs(iso) <= tol * (fro(p.J) + abs(lam) * fro(p.E)) * fro(u1) ** 2
+        if variant == "sd":
+            report["R_u1_nonzero"] = fro(p.R @ u1) > tol * fro(p.R) * fro(u1)
+    elif variant == "s":
+        report["R_u1_zero"] = fro(p.R @ u1) <= tol * fro(p.R) * fro(u1)
+    elif blocks in (parse_blocks("JR"), parse_blocks("RE"), parse_blocks("JRE")):
+        report["B_adj_u1_zero"] = fro(p.B.conj().T @ u1) <= tol * fro(p.B) * fro(u1)
+    if not all(report.values()):
+        return False, np.inf, np.inf, None, None, report, False
+    ty = (p.J - p.R + lam * p.E) @ u2
+    w1 = -(p.J + p.R + lam * p.E) @ u1
+    h2 = np.outer(u1, vpinv(u1)) @ p.B if "B" in blocks else np.zeros((n, m), complex)
+    alpha = np.vdot(u1, u2) / np.vdot(u1, u1) if fro(u1) > 0 else 0
+    colinear = bool(alpha != 0 and fro(u2 - alpha * u1) <= tol * fro(u2))
+    X = np.column_stack([u2, u1])
+    if variant == "s":
+        Y = np.column_stack([ty, w1 if rb else -w1])
+        xd = np.linalg.pinv(X, rcond=rank_tol)
+        sign = 1 if rb else -1
+        report["interp_YXdX"] = fro(Y @ xd @ X - Y) <= tol * fro(Y)
+        xy = X.conj().T @ Y
+        report["cross_gram"] = fro(xy - sign * xy.conj().T) <= tol * fro(xy)
+        report["u2_colinear_u1"] = colinear
+        h1 = Y @ xd + sign * (Y @ xd).conj().T - X @ xd @ Y @ xd
+        exact = report["interp_YXdX"] and report["cross_gram"]
+    elif rb:
+        Y = np.column_stack([ty, w1])
+        xd = np.linalg.pinv(X, rcond=rank_tol)
+        report["interp_YXdX"] = fro(Y @ xd @ X - Y) <= tol * fro(Y)
+        xy = X.conj().T @ Y
+        herm = fro(xy - xy.conj().T) <= tol * fro(xy)
+        if not (herm and np.linalg.eigvalsh(-(xy + xy.conj().T) / 2)[0] > tol * fro(xy)):
+            raise HypothesisViolationError("X*Y is not Hermitian negative definite")
+        report["XY_negative_definite"] = True
+        h1 = Y @ np.linalg.inv(Y.conj().T @ X) @ Y.conj().T
+        exact = report["interp_YXdX"]
+    else:
+        report["u2_colinear_u1"] = colinear
+        report["R_u2_nonzero"] = fro(p.R @ u2) > tol * fro(p.R) * fro(u2)
+        pu2 = proj(u2)
+        h1 = np.outer(ty, vpinv(u2)) + np.outer(w1, vpinv(u1)).conj().T @ pu2
+        rexy = np.vdot(u2, ty).real
+        if report["R_u2_nonzero"] and colinear and rexy < 0:
+            v = ty + alpha / abs(alpha) ** 2 * w1
+            h1 = h1 + pu2 @ np.outer(v, v.conj()) @ pu2 / (4 * rexy)
+        exact = blocks in (parse_blocks("JR"), parse_blocks("JRB")) and colinear and report["R_u2_nonzero"]
+    al2 = abs(lam) ** 2
+    hh = (h1 + h1.conj().T) / 2
+    h1n, hhn, hsn, h2n = fro(h1), fro(hh), fro(h1 - hh), fro(h2)
+    name = blocks_to_string(blocks)
+    if variant == "s" or name in ("JR", "JRB", "RB"):
+        w = {"EB": 1 / al2, "JEB": 1 / (1 + al2)}.get(name, 1.0)
+        lo = up = np.sqrt(h1n**2 * w + h2n**2)
+    elif name == "RE":
+        lo, up = h1n / max(1.0, abs(lam)), np.sqrt(hhn**2 + hsn**2 / al2)
+    elif name == "JRE":
+        lo, up = h1n / np.sqrt(1 + al2), np.sqrt(hhn**2 + hsn**2 / (1 + al2))
+    elif name == "REB":
+        lo, up = np.sqrt(h1n**2 / max(1.0, al2) + h2n**2), np.sqrt(hhn**2 + hsn**2 / al2 + h2n**2)
+    else:  # JREB
+        lo, up = np.sqrt(h1n**2 / (1 + al2) + h2n**2), np.sqrt(h1n**2 + h2n**2)
+    return True, lo, up, h1, h2, report, exact
+
+
+def _equivalence_cases(blocks, n):
+    """(pencil, eigenpair, c) for one selection at size n: eta is evaluated at c u.
+
+    c is 1, 1e-100 and 1e100; the last case has u2 = 0.  Every output is
+    homogeneous of degree zero in u, so the reference is always evaluated
+    at u itself, where its squared norms cannot overflow.
+    """
+    m = 2
+    if blocks in ("JB", "EB", "JEB"):
+        p = gen_pencil(n, m, seed=40 + n, r_rank=n - 1)
+    elif blocks in ("JR", "RE", "JRE"):
+        p = gen_pencil(n, m, seed=40 + n, b_rank=min(n, m) - 1)
+    else:
+        p = gen_pencil(n, m, seed=40 + n)
+    if blocks == "RB" and n == 1:  # (J + lam E)/i is 1 x 1: no isotropic vector but u1 = 0
+        ep = EigenPair(0.8j, [0], [1 + 1j], [0, 0])
+    else:
+        ep = gen_eigpair(p, 3, blocks)
+    cases = [(p, ep, 1.0), (p, ep, 1e-100), (p, ep, 1e100)]
+    if np.linalg.norm(ep.u1) > 0:
+        cases.append((p, EigenPair(ep.lam, ep.u1, np.zeros(n), ep.u3), 1.0))
+    return cases
+
+
+def _assert_close(a, b, rel=1e-12):
+    assert np.linalg.norm(a - b) <= rel * np.linalg.norm(b), (np.linalg.norm(a - b), np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+@pytest.mark.parametrize("blocks,variant", ALL_SELECTIONS)
+def test_factored_eta_matches_dense_reference(blocks, variant, n):
+    compute = eta_sd if variant == "sd" else eta_s
+    finite_seen = 0
+    for p, ep, c in _equivalence_cases(blocks, n):
+        try:
+            finite, lo, up, h1, h2, report, exact = _dense_reference(p, ep, blocks, variant)
+        except HypothesisViolationError:  # e.g. RB with u2 = 0: X*Y is singular
+            with pytest.raises(HypothesisViolationError):
+                compute(p, ep.scaled(c), blocks)
+            continue
+        res = compute(p, ep.scaled(c), blocks)
+        assert {k: bool(v) for k, v in res.conditions_report.items()} == {k: bool(v) for k, v in report.items()}
+        assert res.finite == finite
+        if not finite:
+            assert res.eta_lower == res.eta_upper == np.inf and res.H1 is None
+            continue
+        finite_seen += 1
+        assert res.exact == exact
+        assert res.eta_lower == pytest.approx(lo, rel=1e-12, abs=0)
+        assert res.eta_upper == pytest.approx(up, rel=1e-12, abs=0)
+        _assert_close(res.H1, h1)
+        if np.linalg.norm(h2) > 0:
+            _assert_close(res.H2, h2)
+        else:
+            assert np.linalg.norm(res.H2) == 0
+    # the generated pair and both of its rescalings; at n = 1 the RB pair has
+    # u1 = 0, which the semidefinite variant rejects (R u1 = 0)
+    assert finite_seen >= (0 if (blocks, variant, n) == ("RB", "sd", 1) else 3)
+
+
+def _table_cases():
+    p = gen_pencil(16, 4, seed=8)
+    p_kernel_r = gen_pencil(16, 4, seed=8, r_rank=12)
+    p_kernel_b = gen_pencil(16, 4, seed=8, b_rank=2)
+    for blocks, variant in ALL_SELECTIONS:
+        if blocks in ("JB", "EB", "JEB"):
+            yield p_kernel_r, blocks, variant
+        elif blocks in ("JR", "RE", "JRE"):
+            yield p_kernel_b, blocks, variant
+        else:
+            yield p, blocks, variant
+
+
+@pytest.mark.parametrize("case", list(_table_cases()), ids=lambda c: f"{c[1]}-{c[2]}")
+def test_experiment_table_rows_equal_eta(case):
+    p, blocks, variant = case
+    lams = [0.45j, -1.2j, 0.9j, -0.35j, 1.7j]
+    rows = experiment_table(p, lams, 17, blocks, variant=variant)
+    compute = eta_sd if variant == "sd" else eta_s
+    first = None
+    for i, (lam, row) in enumerate(zip(lams, rows)):
+        assert row["error"] == ""
+        if blocks == "RB":
+            ep = gen_eigpair(p, 17 + i, blocks, lam=lam)
+        else:
+            first = first or gen_eigpair(p, 17, blocks, lam=lams[0])
+            ep = EigenPair(lam, first.u1, first.u2, first.u3)
+        res = compute(p, ep, blocks)
+        assert row["finite"] == res.finite and res.finite
+        assert row["eta_lower"] == res.eta_lower and row["eta_upper"] == res.eta_upper
+        assert row["conditions"] == ";".join(f"{k}={v}" for k, v in res.conditions_report.items())
+
+
+def test_experiment_table_raises_bugs_and_records_data_errors(monkeypatch):
+    import dsmkit.pencil as pencil_mod
+
+    p = gen_pencil(4, 2, seed=3)
+    rows = experiment_table(p, [0.0, 0.5j], 7, "JREB")
+    assert rows[0]["error"] and not rows[0]["finite"]
+    assert rows[1]["error"] == "" and rows[1]["finite"]
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a bug in the core")
+
+    monkeypatch.setattr(pencil_mod, "_solve", broken)
+    with pytest.raises(ZeroDivisionError):
+        experiment_table(p, [0.5j], 7, "JREB")
+    rows = experiment_table(p, [0.0], 7, "JREB")  # rejected before the core is reached
+    assert rows[0]["error"]
+
+
+def test_experiment_table_rejects_unsupported_selection():
+    with pytest.raises(ValueError):
+        experiment_table(gen_pencil(4, 2, seed=3), [0.5j], 7, "JR", variant="s")
+
+
+def test_rb_table_takes_one_eigh_per_row(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    p = gen_pencil(24, 4, seed=8)
+    lams = [0.45j, -1.2j, 0.9j, -0.35j, 1.7j, 0.6j]
+    rows = experiment_table(p, lams, 5, "RB")
+    assert all(r["error"] == "" for r in rows)
+    assert len(calls) == len(lams)
+
+
+@pytest.mark.parametrize("blocks,variant", ALL_SELECTIONS)
+def test_eta_makes_no_projector_and_no_square_lapack_call(blocks, variant, monkeypatch):
+    import dsmkit.linalg as linalg_mod
+    import dsmkit.pencil as pencil_mod
+
+    n = 64
+    p, ep, _ = _equivalence_cases(blocks, n)[0]
+    square = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("null_projector called")
+
+    def watch(name, fn):
+        def wrapped(*args, **kwargs):
+            for a in args:
+                if getattr(a, "ndim", 0) >= 2 and min(a.shape[-2:]) >= n:
+                    square.append((name, a.shape))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(pencil_mod, "null_projector", refuse)
+    monkeypatch.setattr(linalg_mod, "null_projector", refuse)
+    # every LAPACK-backed entry point; a norm is one pass over the data, not a factorization
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type) and "norm" not in name:
+            monkeypatch.setattr(np.linalg, name, watch(name, fn))
+    res = (eta_sd if variant == "sd" else eta_s)(p, ep, blocks)
+    assert res.finite
+    assert square == []
+
+
+def test_eta_s_rb_infinite_whatever_the_pencil_scale():
+    # u1 is not isotropic for (J + lam E)/i, so eta is infinite at every scale
+    rng = np.random.default_rng(0)
+    p = gen_pencil(8, 2, 1)
+    u1, u2 = crandn(rng, 8), crandn(rng, 8)
+    ep = EigenPair(0.7j, u1, u2, np.zeros(2))
+    for s in (1.0, 1e-12):
+        ps = PHPencil(s * p.J, s * p.R, s * p.E, s * p.B, s * p.S)
+        res = eta_s(ps, ep, "RB")
+        assert not res.finite and not res.conditions_report["u1_isotropic"]
+
+
+def test_eta_sd_jre_invariant_under_small_u():
+    p = gen_pencil(8, 2, 0, b_rank=1)
+    ep = gen_eigpair(p, 10, "JRE")
+    a = eta_sd(p, ep, "JRE")
+    assert a.eta_upper == pytest.approx(28.2469, rel=1e-5)
+    for c in (1e-12, 1e-150, 1e150):
+        b = eta_sd(p, ep.scaled(c), "JRE")
+        assert b.conditions_report == a.conditions_report
+        assert b.eta_lower == pytest.approx(a.eta_lower, rel=1e-12)
+        assert b.eta_upper == pytest.approx(a.eta_upper, rel=1e-12)
