@@ -12,6 +12,11 @@ Norm bracket convention: ``norm_lower`` is the provable lower bound
 ``norm_upper = ||[H1 H2]||_F`` is the norm of the returned feasible
 point.  When an exactness condition fires both ends collapse to the true
 minimum.
+
+The vector solvers build each block once from factors of at most three
+columns (H1 is map_min's Delta1 on (z, +-w1) or their conjugates; H2 is
+(y - H1 x1) x2+ + (z+)* (P_x2 w2)*), so they cost O(n(n + m)), the size of
+the output.  Only ``dsdm_type1`` takes SVDs, of its matrix data.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import (
     StructureError,
 )
 from .linalg import as_complex, fro, min_eig_herm, null_projector, pinv, svd_split
-from .maps import StructureFamily
+from .maps import StructureFamily, _min_factors, _outer_sum, _project, _require_structure, _sandwich
 
 __all__ = [
     "DsmProblem",
@@ -134,34 +139,28 @@ def _colinear_coeff(target: np.ndarray, v: np.ndarray, cfg: ToleranceConfig):
     return alpha, bool(ok)
 
 
-def _base_h1(family: StructureFamily, z: np.ndarray, w1: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """Structured minimal-norm Delta1 with ``Delta1* z = w1``."""
-    zd = pinv(z, cfg)
-    w1zd = np.outer(w1, zd)
-    zzd = np.outer(z, zd)
-    if family is StructureFamily.HERMITIAN:
-        return w1zd + w1zd.conj().T - (zd @ w1) * zzd
-    if family is StructureFamily.SKEW_HERMITIAN:
-        return -w1zd + w1zd.conj().T + (zd @ w1) * zzd
-    if family is StructureFamily.PSD:
-        return np.outer(w1, w1.conj()) / np.vdot(z, w1)
-    zb, w1b = z.conj(), w1.conj()
-    zbd = pinv(zb, cfg)
-    w1zbd = np.outer(w1b, zbd)
-    zzbd = np.outer(zb, zbd)
-    if family is StructureFamily.SYMMETRIC:
-        return w1zbd + w1zbd.T - zzbd.T @ w1zbd
-    if family is StructureFamily.SKEW_SYMMETRIC:
-        return -w1zbd + w1zbd.T + zzbd.T @ w1zbd
-    raise ValueError(f"no base formula for {family}")  # pragma: no cover
+def _h1_factors(family: StructureFamily, z: np.ndarray, w1: np.ndarray, cfg: ToleranceConfig):
+    """Factors of the structured minimal-norm Delta1 with ``Delta1* z = w1``.
+
+    That is map_min's Delta1 with Delta1 z = w1 (Hermitian, psd), Delta1 z = -w1
+    (skew-Hermitian), Delta1 conj(z) = conj(w1) (symmetric) or -conj(w1) (skew-symmetric).
+    """
+    if family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC):
+        z, w1 = z.conj(), w1.conj()
+    if family in (StructureFamily.SKEW_HERMITIAN, StructureFamily.SKEW_SYMMETRIC):
+        w1 = -w1
+    return _min_factors(family, z, w1, cfg)
 
 
-def _h2_from_h1(p: DsmProblem, h1: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """Column block H2 = (y - H1 x1) x2+ + (w2 z+)* P_x2."""
-    x2d = pinv(p.x2, cfg)
-    w2zd = np.outer(p.w2, pinv(p.z, cfg))
-    px2 = null_projector(p.x2, cfg)
-    return np.outer(p.y - h1 @ p.x1, x2d) + w2zd.conj().T @ px2
+def _h2(p: DsmProblem, h1x1: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """Column block H2 = (y - H1 x1) x2+ + (w2 z+)* P_x2 = (y - H1 x1) x2+ + (z+)* (P_x2 w2)*."""
+    f = [p.y - h1x1, pinv(p.z, cfg).ravel().conj()]
+    return _outer_sum(f, [pinv(p.x2, cfg).ravel(), _project(p.x2, p.w2).conj()])
+
+
+def _apply(f: list[np.ndarray], g: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """``(sum_i f_i g_i^T) v`` from the factors, in O(n)."""
+    return sum(fi * (gi @ v) for fi, gi in zip(f, g))
 
 
 def _structural_condition(family: StructureFamily, p: DsmProblem, cfg: ToleranceConfig):
@@ -243,7 +242,7 @@ def dsm_solve(
         inner = dsm_solve(StructureFamily.PSD, p.reflected(), cfg)
         inner.family = family
         if inner.feasible:
-            inner.H1 = -inner.H1
+            inner.H1 *= -1.0
         else:
             inner.reason = inner.reason.replace("positive", "negative")
         return inner
@@ -256,8 +255,9 @@ def dsm_solve(
     if not ok:
         return DsmSolution(family, False, reason=why)
 
-    h1 = _base_h1(family, p.z, p.w1, cfg)
-    h2 = _h2_from_h1(p, h1, cfg)
+    f, g = _h1_factors(family, p.z, p.w1, cfg)
+    h1 = _outer_sum(f, g)
+    h2 = _h2(p, _apply(f, g, p.x1), cfg)
 
     colin_target = p.z if family in (
         StructureFamily.HERMITIAN,
@@ -279,7 +279,7 @@ def dsm_solve(
         rightmost, herm_right = _rank_one_rightmost(a, p.x1)
         diagnostics["left_spectrum_matrix"] = mdiag
         diagnostics["rightmost_real_part"] = rightmost
-        floor = cfg.psd_tol * max(1.0, fro(mdiag))
+        floor = cfg.psd_tol * max(1.0, fro(a) * fro(p.x1))  # ||a x1*||_F
         # The certifiable condition is the Hermitian part of the diagnostic
         # matrix in the left half-plane (equivalently its numerical range):
         # the trace-sign argument needs it, the spectrum alone is not enough.
@@ -293,8 +293,9 @@ def dsm_solve(
                 "minimality of the returned point is not certified"
             )
 
-    upper = float(np.sqrt(fro(h1) ** 2 + fro(h2) ** 2))
-    lower = upper if exact else fro(h1)
+    h1_norm = fro(h1)
+    upper = float(np.sqrt(h1_norm**2 + fro(h2) ** 2))
+    lower = upper if exact else h1_norm
     return DsmSolution(
         family,
         True,
@@ -307,20 +308,6 @@ def dsm_solve(
         diagnostics=diagnostics,
         warnings=warnings,
     )
-
-
-def _check_k_structure(family: StructureFamily, k: np.ndarray, cfg: ToleranceConfig) -> None:
-    tol = cfg.residual_tol * max(1.0, fro(k))
-    if family is StructureFamily.HERMITIAN and fro(k - k.conj().T) > tol:
-        raise ConstraintViolationError("K_hermitian", "K must be Hermitian")
-    if family is StructureFamily.SKEW_HERMITIAN and fro(k + k.conj().T) > tol:
-        raise ConstraintViolationError("K_skew_hermitian", "K must be skew-Hermitian")
-    if family is StructureFamily.SYMMETRIC and fro(k - k.T) > tol:
-        raise ConstraintViolationError("K_symmetric", "K must be symmetric")
-    if family is StructureFamily.SKEW_SYMMETRIC and fro(k + k.T) > tol:
-        raise ConstraintViolationError("K_skew_symmetric", "K must be skew-symmetric")
-    if family is StructureFamily.PSD and min_eig_herm(k) < -cfg.psd_tol * max(1.0, fro(k)):
-        raise ConstraintViolationError("K_psd", "K must be positive semidefinite")
 
 
 def dsm_characterize(
@@ -348,26 +335,24 @@ def dsm_characterize(
         raise ConstraintViolationError("R_shape", f"R must be {p.n}x{p.m}, got {R.shape}")
 
     if family is StructureFamily.NSD:
-        _check_k_structure(StructureFamily.PSD, K, cfg)
+        _require_structure(StructureFamily.PSD, "K", K, cfg)
         refl = dsm_characterize(StructureFamily.PSD, p.reflected(), K, R, cfg)
-        h1 = -refl[:, : p.n]
-        return np.hstack([h1, refl[:, p.n:]])
+        refl[:, : p.n] *= -1.0
+        return refl
 
-    _check_k_structure(family, K, cfg)
+    _require_structure(family, "K", K, cfg)
     sol = dsm_solve(family, p, cfg)
     if not sol.feasible:
         raise DegenerateInputError(f"infeasible problem: {sol.reason}")
 
-    pz = null_projector(p.z, cfg)
-    px2 = null_projector(p.x2, cfg)
-    if family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC):
-        pzb = null_projector(p.z.conj(), cfg)
-        h1t = pzb.T @ K @ pzb
-    else:
-        h1t = pz @ K @ pz
-    x2d = pinv(p.x2, cfg)
-    h2t = pz @ R @ px2 - h1t @ np.outer(p.x1, x2d)
-    return np.hstack([sol.H1 + h1t, sol.H2 + h2t])
+    bilinear = family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC)
+    h1t = _sandwich(p.z, K, p.z.conj() if bilinear else p.z)  # P_conj(z)^T = P_z
+    return np.hstack([sol.H1 + h1t, sol.H2 + _h2_tilde(p, h1t, R, cfg)])
+
+
+def _h2_tilde(p: DsmProblem, h1t: np.ndarray, R: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """Column-block perturbation ``P_z R P_x2 - H1~ x1 x2+`` that keeps ``Delta x = y``."""
+    return _sandwich(p.z, R, p.x2) - np.outer(h1t @ p.x1, pinv(p.x2, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -557,46 +542,41 @@ def dsdm_type1_vec(
         bad = [k for k, v in conditions.items() if not v]
         return Type1Solution(False, reason=f"infeasible: {', '.join(bad)}", conditions=conditions)
 
-    px = null_projector(x, cfg)
+    # gram = v v* / (4 Re(x*y)); the minimizer y x+ + (w z+)* P_x + P_x gram P_x is
+    # y x+ + (z+)* (P_x w)* + (P_x v)(P_x v)* / (4 Re(x*y))
     v = y + (alpha.conjugate() / abs(alpha) ** 2) * w
-    gram = np.outer(v, v.conj()) / (4.0 * s.real)
-    wzd = np.outer(w, pinv(z, cfg))
-    mini = np.outer(y, pinv(x, cfg)) + wzd.conj().T @ px + px @ gram @ px
+    pv = _project(x, v)
+    pv_scaled = pv / (4.0 * s.real)
+    mini = _outer_sum(
+        [y, pinv(z, cfg).ravel().conj(), pv_scaled],
+        [pinv(x, cfg).ravel(), _project(x, w).conj(), pv.conj()],
+    )
     scalar_display = (
-        fro(y) ** 2 / fro(x) ** 2
-        - fro(w) ** 2 / fro(z) ** 2
-        - abs(np.vdot(w, x)) ** 2 / (fro(x) ** 2 * fro(z) ** 2)
-        + fro(gram) ** 2
+        (fro(y) / fro(x)) ** 2
+        - (fro(w) / fro(z)) ** 2
+        - (abs(np.vdot(w, x)) / (fro(x) * fro(z))) ** 2
+        + (fro(v) ** 2 / (4.0 * s.real)) ** 2  # ||gram||_F^2
     )
     return Type1Solution(
         True,
         minimizer=mini,
         min_norm=fro(mini),
-        gram=px @ gram @ px,
+        gram=np.outer(pv_scaled, pv.conj()),
         exact=True,
         conditions=conditions,
         diagnostics={"alpha": alpha, "scalar_display_sq": scalar_display},
     )
 
 
-def _type2_pieces(p: DsmProblem, cfg: ToleranceConfig):
-    zd = pinv(p.z, cfg)
-    pz = null_projector(p.z, cfg)
-    px2 = null_projector(p.x2, cfg)
-    x2d = pinv(p.x2, cfg)
-    w1zd = np.outer(p.w1, zd)
-    w2zd = np.outer(p.w2, zd)
-    ztx1 = (zd @ p.x1).item()  # scalar z+ x1
-    h1 = w1zd.conj().T + pz @ w1zd
-    h2 = (
-        np.outer(p.y, x2d)
-        - w1zd.conj().T @ np.outer(p.x1, x2d)
-        - ztx1 * (pz @ np.outer(p.w1, x2d))
-        + w2zd.conj().T @ px2
-    )
-    h1_hat = w1zd.conj().T - pz @ w1zd
-    h2_hat = h2 + 2.0 * ztx1 * (pz @ np.outer(p.w1, x2d))
-    return h1, h2, h1_hat, h2_hat
+def _type2_pieces(p: DsmProblem, sign: float, cfg: ToleranceConfig):
+    """The blocks (H1, H2) for sign = +1 and the feasible point (H1^, H2^) for sign = -1.
+
+    H1 = (w1 z+)* + sign P_z w1 z+, and H2 is dsm_solve's column block
+    (y - H1 x1) x2+ + (w2 z+)* P_x2.
+    """
+    zd = pinv(p.z, cfg).ravel()
+    f, g = [zd.conj(), sign * _project(p.z, p.w1)], [p.w1.conj(), zd]
+    return _outer_sum(f, g), _h2(p, _apply(f, g, p.x1), cfg)
 
 
 def dsdm_type2(
@@ -623,8 +603,8 @@ def dsdm_type2(
         inner = dsdm_type2(refl, cfg)
         inner.family = StructureFamily.ANTI_DISSIPATIVE
         if inner.feasible:
-            inner.H1 = -inner.H1
-            inner.H2 = -inner.H2
+            inner.H1 *= -1.0
+            inner.H2 *= -1.0
         return inner
 
     compat = np.vdot(p.x, p.w) - np.vdot(p.y, p.z)
@@ -640,7 +620,7 @@ def dsdm_type2(
             StructureFamily.DISSIPATIVE, False, reason=f"Re(z*w1) negative ({rew:.3e})"
         )
 
-    _, _, h1_hat, h2_hat = _type2_pieces(p, cfg)
+    h1_hat, h2_hat = _type2_pieces(p, -1.0, cfg)
     warnings = []
     if rew <= cfg.residual_tol * sscale:
         warnings.append("Re(z*w1) ~ 0: boundary case, characterization unavailable")
@@ -699,30 +679,23 @@ def dsm_characterize_type2(
     for name, mat, shape in (("Z", Z, (n, n)), ("K", K, (n, n)), ("G", G, (n, n)), ("R", R, (n, m))):
         if mat.shape != shape:
             raise ConstraintViolationError(f"{name}_shape", f"{name} must be {shape}, got {mat.shape}")
-    if fro(G + G.conj().T) > cfg.residual_tol * max(1.0, fro(G)):
-        raise ConstraintViolationError("G_skew_hermitian", "G must be skew-Hermitian")
-    if min_eig_herm(K) < -cfg.psd_tol * max(1.0, fro(K)):
-        raise ConstraintViolationError("K_psd", "K must be positive semidefinite")
+    _require_structure(StructureFamily.SKEW_HERMITIAN, "G", G, cfg)
+    _require_structure(StructureFamily.PSD, "K", K, cfg)
     rew = np.vdot(p.z, p.w1).real
     if rew <= 0:
         raise DegenerateInputError("characterization requires Re(z*w1) > 0")
-    q = 2.0 * p.w1 + Z.conj().T @ p.z
+    zsz = (p.z.conj() @ Z).conj()  # Z* z
+    q = 2.0 * p.w1 + zsz
     shifted = K - np.outer(q, q.conj()) / (4.0 * rew)
     if min_eig_herm(shifted) < -cfg.psd_tol * max(1.0, fro(shifted)):
         raise ConstraintViolationError(
             "K_shifted_psd", "K - (2w1+Z*z)(2w1+Z*z)*/(4Re(z*w1)) must be PSD"
         )
 
-    h1, h2, _, _ = _type2_pieces(p, cfg)
-    zd = pinv(p.z, cfg)
-    pz = null_projector(p.z, cfg)
-    px2 = null_projector(p.x2, cfg)
-    x2d = pinv(p.x2, cfg)
-    zzd = np.outer(p.z, zd)
-    x1x2d = np.outer(p.x1, x2d)
-    h1t = pz @ Z.conj().T @ zzd + pz @ K @ pz - pz @ G @ pz
-    h2t = -pz @ Z.conj().T @ zzd @ x1x2d - pz @ K @ pz @ x1x2d + pz @ G @ pz @ x1x2d + pz @ R @ px2
-    return np.hstack([h1 + h1t, h2 + h2t])
+    h1, h2 = _type2_pieces(p, 1.0, cfg)
+    # H1~ = P_z Z* z z+ + P_z (K - G) P_z, and H2~ = P_z R P_x2 - H1~ x1 x2+
+    h1t = np.outer(_project(p.z, zsz), pinv(p.z, cfg)) + _sandwich(p.z, K - G, p.z)
+    return np.hstack([h1 + h1t, h2 + _h2_tilde(p, h1t, R, cfg)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Dense complex linear-algebra primitives shared by every solver.
+"""Complex linear-algebra primitives shared by every solver.
 
 All matrices are plain ``numpy`` arrays of dtype complex128.  Vectors are
 1-d arrays; a vector ``x`` used as a matrix is the column ``x[:, None]``.
 The Moore-Penrose pseudoinverse of a column vector x is the row
 ``x* / ||x||^2``, so ``pinv`` covers both cases uniformly (vectors
-without an SVD).
+without an SVD).  ``null_projector`` forms I - x x+ densely, for matrix
+data; the mapping solvers keep vector data factored (see ``maps``).
 """
 
 from __future__ import annotations

@@ -6,6 +6,12 @@ like, and which member has minimal Frobenius norm.  Feasibility verdicts
 are returned on the solution object rather than raised, so callers can
 route infeasible problems without exception handling; genuinely malformed
 input (zero vectors, shape clashes) raises.
+
+Every minimal mapping is a sum of at most a few outer products of the data
+vectors, so the solvers work on factors F, G of at most four columns and
+form the dense answer once, as ``F G^T``.  A projector acts as a vector
+update, ``P_v a = a - v (v+ a)``; no n x n projector and no product of two
+n x n matrices is formed, so building Delta costs O(n^2), its size.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
 )
-from .linalg import as_complex, fro, min_eig_herm, null_projector, pinv
+from .linalg import as_complex, fro, min_eig_herm, pinv
 
 __all__ = ["StructureFamily", "MapSolution", "map_min", "map_two_sided", "map_characterize"]
 
@@ -74,6 +80,47 @@ def _reflected(family: StructureFamily) -> StructureFamily:
     }[family]
 
 
+def _project(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``P_v a = a - v (v+ a)`` for a nonzero vector v and a vector or matrix a, without P_v."""
+    vh = v / fro(v)
+    return a - np.multiply.outer(vh, vh.conj() @ a)
+
+
+def _sandwich(left: np.ndarray | None, k: np.ndarray, right: np.ndarray | None) -> np.ndarray:
+    """``P_left K P_right`` as two rank-one updates of K; a side given as None is the identity."""
+    if left is not None:
+        k = _project(left, k)
+    if right is not None:
+        k = _project(right.conj(), k.T).T  # K P_r = (P_r^T K^T)^T and P_r^T = P_conj(r)
+    return k
+
+
+def _outer_sum(f: list[np.ndarray], g: list[np.ndarray]) -> np.ndarray:
+    """The dense matrix ``sum_i f_i g_i^T``, formed in one product."""
+    return np.column_stack(f) @ np.column_stack(g).T
+
+
+def _min_factors(family: StructureFamily, x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig):
+    """Factors (F, G) of the minimal Delta with ``Delta x = y``: Delta = sum_i F_i G_i^T.
+
+    ``family`` is unstructured, one of the four symmetry families, psd or
+    dissipative; feasibility is the caller's to check.
+    """
+    xd = pinv(x, cfg).ravel()  # the row x+ as a vector
+    if family is StructureFamily.UNSTRUCTURED:
+        return [y], [xd]
+    if family is StructureFamily.PSD:  # y y* / (x*y)
+        return [y], [y.conj() / np.vdot(x, y)]
+    if family is StructureFamily.DISSIPATIVE:  # y x+ - (y x+)* P_x
+        return [y, -xd.conj()], [xd, _project(x, y).conj()]
+    sign = 1.0 if family in (StructureFamily.HERMITIAN, StructureFamily.SYMMETRIC) else -1.0
+    if family in (StructureFamily.HERMITIAN, StructureFamily.SKEW_HERMITIAN):
+        # y x+ +- (y x+)* - (x+ y) x x+ = (P_x y) x+ +- (x+)* y*
+        return [_project(x, y), sign * xd.conj()], [xd, y.conj()]
+    # y x+ +- (y x+)^T -+ (x^T y)(x+)^T x+ = (y -+ (x^T y)(x+)^T) x+ +- (x+)^T y^T
+    return [y - sign * (x @ y) * xd, sign * xd], [xd, y]
+
+
 def map_min(
     family: StructureFamily,
     x,
@@ -104,68 +151,51 @@ def map_min(
         inner = map_min(_reflected(family), x, -y, cfg)
         inner.family = family
         if inner.feasible:
-            inner.minimizer = -inner.minimizer
+            inner.minimizer *= -1.0
         else:
             inner.reason = inner.reason.replace("(x, -y)", "(x, y)")
         return inner
 
     n = x.shape[0]
     s = np.vdot(x, y)  # x*y
-    scale = fro(x) * fro(y)
-    tol = cfg.residual_tol * scale
-    xd = pinv(x, cfg)  # row vector, 1 x n
-    yxd = np.outer(y, xd)
-    xxd = np.outer(x, xd)
-    px = null_projector(x, cfg)
+    tol = cfg.residual_tol * (fro(x) * fro(y))
 
-    free: dict[str, str] = {}
     if family is StructureFamily.UNSTRUCTURED:
-        delta = yxd
         free = {"Z": f"any complex {n}x{n}"}
     elif family is StructureFamily.HERMITIAN:
         if abs(s.imag) > tol:
             return MapSolution(family, False, reason=f"x*y not real (Im = {s.imag:.3e})")
-        delta = yxd + yxd.conj().T - (xd @ y) * xxd
         free = {"H": f"Hermitian {n}x{n}"}
     elif family is StructureFamily.SKEW_HERMITIAN:
         if abs(s.real) > tol:
             return MapSolution(family, False, reason=f"x*y not imaginary (Re = {s.real:.3e})")
-        delta = yxd - yxd.conj().T - (xd @ y) * xxd
         free = {"H": f"skew-Hermitian {n}x{n}"}
     elif family is StructureFamily.SYMMETRIC:
-        delta = yxd + yxd.T - xxd.T @ yxd
         free = {"H": f"complex symmetric {n}x{n}"}
     elif family is StructureFamily.SKEW_SYMMETRIC:
         if abs(x @ y) > tol:
             return MapSolution(family, False, reason=f"x^T y != 0 ({x @ y:.3e})")
-        delta = yxd - yxd.T + xxd.T @ yxd
         free = {"H": f"complex skew-symmetric {n}x{n}"}
     elif family is StructureFamily.PSD:
         if abs(s.imag) > tol or s.real <= tol:
             return MapSolution(family, False, reason=f"x*y not real positive ({s:.3e})")
-        delta = np.outer(y, y.conj()) / s
         free = {"K": f"Hermitian PSD {n}x{n}"}
     elif family is StructureFamily.DISSIPATIVE:
         if s.real < -tol:
             return MapSolution(family, False, reason=f"Re(x*y) negative ({s.real:.3e})")
-        delta = yxd - yxd.conj().T @ px
-        boundary = abs(s.real) <= tol
-        return MapSolution(
-            family,
-            True,
-            minimizer=delta,
-            min_norm=fro(delta),
-            free_param_shapes={
-                "Z": f"any complex {n}x{n}",
-                "K": f"Hermitian PSD {n}x{n} with K - (2y+Z*x)(2y+Z*x)*/(4Re(x*y)) PSD",
-                "G": f"skew-Hermitian {n}x{n}",
-            },
-            boundary=boundary,
-        )
+        free = {
+            "Z": f"any complex {n}x{n}",
+            "K": f"Hermitian PSD {n}x{n} with K - (2y+Z*x)(2y+Z*x)*/(4Re(x*y)) PSD",
+            "G": f"skew-Hermitian {n}x{n}",
+        }
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unsupported family {family}")
 
-    return MapSolution(family, True, minimizer=delta, min_norm=fro(delta), free_param_shapes=free)
+    delta = _outer_sum(*_min_factors(family, x, y, cfg))
+    boundary = family is StructureFamily.DISSIPATIVE and abs(s.real) <= tol
+    return MapSolution(
+        family, True, minimizer=delta, min_norm=fro(delta), free_param_shapes=free, boundary=boundary
+    )
 
 
 def map_two_sided(x, y, z, w, cfg: ToleranceConfig = DEFAULT_TOL) -> MapSolution:
@@ -173,7 +203,7 @@ def map_two_sided(x, y, z, w, cfg: ToleranceConfig = DEFAULT_TOL) -> MapSolution
 
     x, w live in C^m and y, z in C^n; Delta is n x m.  Feasible iff
     x*w = y*z, in which case the minimizer is
-    ``y x+ + (w z+)* - (w z+)* x x+`` and the solution set adds
+    ``y x+ + (w z+)* - (w z+)* x x+ = y x+ + (z+)* (P_x w)*`` and the solution set adds
     ``P_z R P_x`` over arbitrary R.
     """
     x = _nonzero_vec(x, "x")
@@ -191,9 +221,8 @@ def map_two_sided(x, y, z, w, cfg: ToleranceConfig = DEFAULT_TOL) -> MapSolution
         return MapSolution(
             StructureFamily.UNSTRUCTURED, False, reason=f"x*w != y*z (gap {abs(gap):.3e})"
         )
-    xd = pinv(x, cfg)
-    wzd = np.outer(w, pinv(z, cfg))
-    delta = np.outer(y, xd) + wzd.conj().T - wzd.conj().T @ np.outer(x, xd)
+    # y x+ + (w z+)* P_x = y x+ + (z+)* (P_x w)*
+    delta = _outer_sum([y, pinv(z, cfg).ravel().conj()], [pinv(x, cfg).ravel(), _project(x, w).conj()])
     return MapSolution(
         StructureFamily.UNSTRUCTURED,
         True,
@@ -206,6 +235,22 @@ def map_two_sided(x, y, z, w, cfg: ToleranceConfig = DEFAULT_TOL) -> MapSolution
 def _require(cond: bool, name: str, message: str) -> None:
     if not cond:
         raise ConstraintViolationError(name, message)
+
+
+def _require_structure(family: StructureFamily, name: str, a: np.ndarray, cfg: ToleranceConfig) -> None:
+    """Raise ``ConstraintViolationError`` (e.g. ``K_skew_symmetric``) unless a is in the family.
+
+    ``family`` is one of the four symmetry families or psd.
+    """
+    if family is StructureFamily.PSD:
+        ok = min_eig_herm(a) >= -cfg.psd_tol * max(1.0, fro(a))
+        label = "positive semidefinite"
+    else:
+        bilinear = family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC)
+        sign = 1.0 if family in (StructureFamily.HERMITIAN, StructureFamily.SYMMETRIC) else -1.0
+        ok = fro(a - sign * (a.T if bilinear else a.conj().T)) <= cfg.residual_tol * max(1.0, fro(a))
+        label = family.value.replace("hermitian", "Hermitian")
+    _require(ok, f"{name}_{family.value.replace('-', '_')}", f"{name} must be {label}")
 
 
 def map_characterize(
@@ -235,8 +280,6 @@ def map_characterize(
     if family is StructureFamily.DISSIPATIVE and base.boundary:
         raise DegenerateInputError("characterization undefined on the boundary Re(x*y) ~ 0")
 
-    px = null_projector(x, cfg)
-    stol = cfg.residual_tol
     n = x.shape[0]
 
     def param(name: str) -> np.ndarray:
@@ -248,45 +291,27 @@ def map_characterize(
         return p
 
     if family is StructureFamily.UNSTRUCTURED:
-        z = param("Z")
-        return base.minimizer + z @ px
-    if family is StructureFamily.HERMITIAN:
-        h = param("H")
-        _require(fro(h - h.conj().T) <= stol * max(1.0, fro(h)), "H_hermitian", "H must be Hermitian")
-        return base.minimizer + px @ h @ px
-    if family is StructureFamily.SKEW_HERMITIAN:
-        h = param("H")
-        _require(fro(h + h.conj().T) <= stol * max(1.0, fro(h)), "H_skew_hermitian", "H must be skew-Hermitian")
-        return base.minimizer + px @ h @ px
-    if family is StructureFamily.SYMMETRIC:
-        h = param("H")
-        _require(fro(h - h.T) <= stol * max(1.0, fro(h)), "H_symmetric", "H must be symmetric")
-        return base.minimizer + px.T @ h @ px
-    if family is StructureFamily.SKEW_SYMMETRIC:
-        h = param("H")
-        _require(fro(h + h.T) <= stol * max(1.0, fro(h)), "H_skew_symmetric", "H must be skew-symmetric")
-        return base.minimizer + px.T @ h @ px
+        return base.minimizer + _sandwich(None, param("Z"), x)
     if family is StructureFamily.PSD:
         k = param("K")
-        _require(
-            min_eig_herm(k) >= -cfg.psd_tol * max(1.0, fro(k)),
-            "K_psd",
-            "K must be positive semidefinite",
-        )
-        return base.minimizer + px @ k @ px
-    if family is StructureFamily.DISSIPATIVE:
-        z, k, g = param("Z"), param("K"), param("G")
-        _require(fro(g + g.conj().T) <= stol * max(1.0, fro(g)), "G_skew_hermitian", "G must be skew-Hermitian")
-        _require(min_eig_herm(k) >= -cfg.psd_tol * max(1.0, fro(k)), "K_psd", "K must be PSD")
-        q = 2.0 * y + z.conj().T @ x
-        shifted = k - np.outer(q, q.conj()) / (4.0 * np.vdot(x, y).real)
-        _require(
-            min_eig_herm(shifted) >= -cfg.psd_tol * max(1.0, fro(shifted)),
-            "K_shifted_psd",
-            "K - (2y+Z*x)(2y+Z*x)*/(4Re(x*y)) must be PSD",
-        )
-        xd = pinv(x, cfg)
-        yxd = np.outer(y, xd)
-        xxd = np.outer(x, xd)
-        return yxd + yxd.conj().T @ px + xxd @ z @ px + px @ k @ px + px @ g @ px
-    raise ValueError(f"unsupported family {family}")  # pragma: no cover
+        _require_structure(family, "K", k, cfg)
+        return base.minimizer + _sandwich(x, k, x)
+    if family is not StructureFamily.DISSIPATIVE:  # the four symmetry families
+        h = param("H")
+        _require_structure(family, "H", h, cfg)
+        bilinear = family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC)
+        return base.minimizer + _sandwich(x.conj() if bilinear else x, h, x)  # P_x^T = P_conj(x)
+    z, k, g = param("Z"), param("K"), param("G")
+    _require_structure(StructureFamily.SKEW_HERMITIAN, "G", g, cfg)
+    _require_structure(StructureFamily.PSD, "K", k, cfg)
+    q = 2.0 * y + (x.conj() @ z).conj()  # 2y + Z*x
+    shifted = k - np.outer(q, q.conj()) / (4.0 * np.vdot(x, y).real)
+    _require(
+        min_eig_herm(shifted) >= -cfg.psd_tol * max(1.0, fro(shifted)),
+        "K_shifted_psd",
+        "K - (2y+Z*x)(2y+Z*x)*/(4Re(x*y)) must be PSD",
+    )
+    # y x+ + (y x+)* P_x + x x+ Z P_x + P_x (K + G) P_x, with (y x+)* P_x = (x+)* (P_x y)*
+    xd = pinv(x, cfg).ravel()
+    g_cols = [xd, _project(x, y).conj(), _project(x.conj(), xd @ z)]
+    return _outer_sum([y, xd.conj(), x], g_cols) + _sandwich(x, k + g, x)

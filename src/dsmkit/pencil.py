@@ -110,22 +110,21 @@ class PHPencil:
         return self.S.shape[0]
 
     def validate(self, cfg: ToleranceConfig = DEFAULT_TOL) -> dict[str, bool]:
-        """Per-invariant report: J skew-Hermitian, R PSD, E Hermitian, S PD."""
+        """Per-invariant report, scale-free: J skew-Hermitian, R PSD, E Hermitian, S PD."""
         def herm_dev(a):
-            return fro(a - a.conj().T) <= cfg.residual_tol * max(1.0, fro(a))
+            return fro(a - a.conj().T) <= cfg.residual_tol * fro(a)
 
         rep = {
-            "J_skew_hermitian": fro(self.J + self.J.conj().T)
-            <= cfg.residual_tol * max(1.0, fro(self.J)),
+            "J_skew_hermitian": fro(self.J + self.J.conj().T) <= cfg.residual_tol * fro(self.J),
             "R_hermitian": herm_dev(self.R),
             "E_hermitian": herm_dev(self.E),
             "S_hermitian": herm_dev(self.S),
         }
         rep["R_psd"] = rep["R_hermitian"] and (
-            min_eig_herm(self.R) >= -cfg.psd_tol * max(1.0, fro(self.R))
+            min_eig_herm(self.R) >= -cfg.psd_tol * fro(self.R)
         )
         rep["S_pd"] = rep["S_hermitian"] and (
-            min_eig_herm(self.S) > cfg.psd_tol * max(1.0, fro(self.S))
+            min_eig_herm(self.S) > cfg.psd_tol * fro(self.S)
         )
         return rep
 
@@ -783,7 +782,7 @@ def reconstruct_perturbation(
         skew = hs
     else:
         skew = h1  # square block is already skew-Hermitian (or lam * Hermitian)
-        if fro(hh) > cfg.residual_tol * max(1.0, fro(h1)):
+        if fro(hh) > cfg.residual_tol * fro(h1):
             raise ReconstructionError("square block has a Hermitian part but R is not selected")
     have_j, have_e = "J" in blocks, "E" in blocks
     if have_j and have_e:
@@ -794,19 +793,19 @@ def reconstruct_perturbation(
         dJ = skew
     elif have_e:
         dE = skew / lam
-    elif fro(skew) > cfg.residual_tol * max(1.0, fro(h1)):
+    elif fro(skew) > cfg.residual_tol * fro(h1):
         raise ReconstructionError("square block has a skew part but neither J nor E is selected")
     dB = solution.H2 if "B" in blocks else np.zeros((n, m), dtype=complex)
 
     out = PerturbationBlocks(dJ=dJ, dR=dR, dE=dE, dB=dB)
     # invariants
     checks = {
-        "dJ_skew": fro(dJ + dJ.conj().T) <= cfg.residual_tol * max(1.0, fro(dJ)),
-        "dR_herm": fro(dR - dR.conj().T) <= cfg.residual_tol * max(1.0, fro(dR)),
-        "dE_herm": fro(dE - dE.conj().T) <= cfg.residual_tol * max(1.0, fro(dE)),
+        "dJ_skew": fro(dJ + dJ.conj().T) <= cfg.residual_tol * fro(dJ),
+        "dR_herm": fro(dR - dR.conj().T) <= cfg.residual_tol * fro(dR),
+        "dE_herm": fro(dE - dE.conj().T) <= cfg.residual_tol * fro(dE),
     }
     if solution.variant == "sd":
-        checks["dR_psd"] = min_eig_herm(dR) >= -cfg.psd_tol * max(1.0, fro(dR))
+        checks["dR_psd"] = min_eig_herm(dR) >= -cfg.psd_tol * fro(dR)
     bad = [k for k, v in checks.items() if not v]
     if bad:
         raise ReconstructionError(f"perturbation invariants failed: {', '.join(bad)}")
@@ -814,8 +813,9 @@ def reconstruct_perturbation(
     M, N = P.assemble()
     dM, dN = out.delta_mn(n, m)
     resid = ((M - dM) + lam * (N - dN)) @ ep.u
-    scale = (fro(M) + abs(lam) * fro(N)) * fro(ep.u)
-    if fro(resid) > cfg.residual_tol * max(1.0, scale):
+    # the scale of the data, with no floor: a small pencil is held to the same relative residual
+    scale = (fro(M) + abs(lam) * fro(N) + fro(dM) + abs(lam) * fro(dN)) * fro(ep.u)
+    if fro(resid) > cfg.residual_tol * scale:
         raise ReconstructionError(
             f"(L - dL)(lambda) u residual too large: {fro(resid):.3e} (scale {scale:.3e})"
         )

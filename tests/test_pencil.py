@@ -13,7 +13,13 @@ from dsmkit import (
     parse_blocks,
     reconstruct_perturbation,
 )
-from dsmkit.errors import DegenerateInputError, GenerationError, HypothesisViolationError, StructureError
+from dsmkit.errors import (
+    DegenerateInputError,
+    GenerationError,
+    HypothesisViolationError,
+    ReconstructionError,
+    StructureError,
+)
 from dsmkit.pencil import ETA_S_COMBOS, ETA_SD_COMBOS, blocks_to_string
 from helpers import crandn
 
@@ -516,3 +522,20 @@ def test_eta_sd_jre_invariant_under_small_u():
         assert b.conditions_report == a.conditions_report
         assert b.eta_lower == pytest.approx(a.eta_lower, rel=1e-12)
         assert b.eta_upper == pytest.approx(a.eta_upper, rel=1e-12)
+
+
+def _scaled_pencil(p, s):
+    return PHPencil(s * p.J, s * p.R, s * p.E, s * p.B, s * p.S)
+
+
+def test_reconstruction_rejects_a_wrong_block_whatever_the_pencil_scale():
+    p = gen_pencil(6, 2, 4)
+    ep = gen_eigpair(p, 1, "JREB")
+    for s in (1.0, 1e-12, 1e12):
+        ps = _scaled_pencil(p, s)
+        assert all(ps.validate().values())
+        res = eta_sd(ps, ep, "JREB")
+        reconstruct_perturbation(ps, ep, "JREB", res)  # the correct block is accepted
+        res.H1 = 1.5 * res.H1
+        with pytest.raises(ReconstructionError, match="residual too large"):
+            reconstruct_perturbation(ps, ep, "JREB", res)
