@@ -369,8 +369,7 @@ def _cmd_verify(args, cfg: ToleranceConfig) -> int:
             report = oracle_mod.verify_solution(delta, p, family, cfg)
             ok = report.ok
             if ok and doc.get("norms", {}).get("exact"):
-                fam = family if kind == "dsm" else StructureFamily.DISSIPATIVE
-                _, oracle_norm = oracle_mod.oracle_min_structured(p, fam, cfg=cfg)
+                _, oracle_norm = oracle_mod.oracle_min_structured(p, family, cfg=cfg)
                 claimed = float(doc["norms"]["upper"])
                 extra["oracle_norm"] = oracle_norm
                 ok = ok and oracle_norm >= claimed * (1 - 1e-6) - 1e-9

@@ -14,6 +14,7 @@ from typing import Any
 
 import numpy as np
 
+from . import __version__
 from .errors import IoFormatError
 from .pencil import PHPencil
 
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 TOOL_NAME = "dsmkit"
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 
 def matrix_to_doc(a) -> dict:

@@ -6,7 +6,9 @@ Two regimes, matching the geometry of the feasible sets:
   real-vectorization: expand the unknown over an orthonormal real basis
   of the structure class and take the minimum-norm solution of the
   stacked linear constraints.  The result is a true global minimum up to
-  solver precision.
+  solver precision.  Each basis element has at most two nonzero entries
+  and is kept as those entries (``family_basis``), so the constraint
+  matrix is filled by fancy indexing in time and memory of its own size.
 * cone-constrained problems (semidefinite or dissipative blocks) are
   minimized by seeded multi-restart descent over the free parameters of
   the solution-set characterization, with semidefinite parameters kept
@@ -26,8 +28,8 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .dsm import DsmProblem, Type1Problem
 from .errors import DegenerateInputError, InconsistentConstraintsError
 from .linalg import as_complex, fro, herm_skew_parts, null_projector, pinv, svd_split
-from .maps import LINEAR_FAMILIES, StructureFamily
-from .pencil import EigenPair, PHPencil, PerturbationBlocks, parse_blocks
+from .maps import LINEAR_FAMILIES, StructureFamily, _reflected
+from .pencil import EigenPair, PHPencil, PerturbationBlocks, _crandn, mapping_data, parse_blocks
 
 __all__ = [
     "OracleBudget",
@@ -60,77 +62,104 @@ DEFAULT_BUDGET = OracleBudget()
 # real-vectorized exact least-norm solves
 
 
-def family_basis(family: StructureFamily, n: int) -> list[np.ndarray]:
-    """Orthonormal real basis of the family subspace of C^{n x n}.
+def _elements(first, second, coefs):
+    """Elements a E_first + b E_second, one per position pair and (a, b) in ``coefs``.
 
-    Orthonormal under the real inner product Re(trace(B* A)), so the
-    Euclidean norm of a coefficient vector equals the Frobenius norm of
-    the matrix it represents.
+    ``first`` and ``second`` are (row, column) index arrays; the elements of
+    one position pair are adjacent, in the order of ``coefs``.
+    """
+    nv = len(coefs)
+    r = np.repeat(np.stack([first[0], second[0]], axis=1), nv, axis=0)
+    k = np.repeat(np.stack([first[1], second[1]], axis=1), nv, axis=0)
+    c = np.tile(np.array(coefs, dtype=complex), (len(first[0]), 1))
+    return r, k, c
+
+
+def _full_basis(rows: int, cols: int):
+    """E_jk and i E_jk for every entry of C^{rows x cols}, row by row, in sparse form."""
+    pos = np.divmod(np.arange(rows * cols), cols)
+    return _elements(pos, pos, [(1.0, 0.0), (1j, 0.0)])
+
+
+def family_basis(family: StructureFamily, n: int):
+    """Orthonormal real basis of the family subspace of C^{n x n}, in sparse form.
+
+    Every element has at most two nonzero entries, so the basis is returned
+    as index arrays and coefficients ``(r, k, c)``, each of shape (d, 2):
+    element b is ``c[b, 0] E_{r[b, 0] k[b, 0]} + c[b, 1] E_{r[b, 1] k[b, 1]}``,
+    with ``c[b, 1] = 0`` for a one-entry element.  Orthonormal under the real
+    inner product Re(trace(B* A)), so the Euclidean norm of a coefficient
+    vector equals the Frobenius norm of the matrix it represents.  Order:
+    every entry row by row (unstructured), or the diagonal, then the pairs
+    (j, k), j < k, row by row; the real element of a position comes before
+    the imaginary one.
     """
     family = StructureFamily(family)
-    out: list[np.ndarray] = []
-    s = 1.0 / math.sqrt(2.0)
-
-    def e(j, k, val=1.0):
-        mat = np.zeros((n, n), dtype=complex)
-        mat[j, k] = val
-        return mat
-
     if family is StructureFamily.UNSTRUCTURED:
-        for j in range(n):
-            for k in range(n):
-                out.append(e(j, k))
-                out.append(e(j, k, 1j))
-    elif family in (StructureFamily.HERMITIAN, StructureFamily.SKEW_HERMITIAN):
-        for j in range(n):
-            out.append(e(j, j))
-        for j in range(n):
-            for k in range(j + 1, n):
-                out.append(s * (e(j, k) + e(k, j)))
-                out.append(s * (e(j, k, 1j) - e(k, j, 1j)))
-        if family is StructureFamily.SKEW_HERMITIAN:
-            out = [1j * b for b in out]
+        return _full_basis(n, n)
+    s = 1.0 / math.sqrt(2.0)
+    diag = (np.arange(n), np.arange(n))
+    upper = np.triu_indices(n, 1)
+    lower = upper[::-1]
+    if family in (StructureFamily.HERMITIAN, StructureFamily.SKEW_HERMITIAN):
+        parts = [_elements(diag, diag, [(1.0, 0.0)]), _elements(upper, lower, [(s, s), (1j * s, -1j * s)])]
     elif family is StructureFamily.SYMMETRIC:
-        for j in range(n):
-            out.append(e(j, j))
-            out.append(e(j, j, 1j))
-        for j in range(n):
-            for k in range(j + 1, n):
-                out.append(s * (e(j, k) + e(k, j)))
-                out.append(s * (e(j, k, 1j) + e(k, j, 1j)))
+        parts = [_elements(diag, diag, [(1.0, 0.0), (1j, 0.0)]), _elements(upper, lower, [(s, s), (1j * s, 1j * s)])]
     elif family is StructureFamily.SKEW_SYMMETRIC:
-        for j in range(n):
-            for k in range(j + 1, n):
-                out.append(s * (e(j, k) - e(k, j)))
-                out.append(s * (e(j, k, 1j) - e(k, j, 1j)))
+        parts = [_elements(upper, lower, [(s, -s), (1j * s, -1j * s)])]
     else:
         raise ValueError(f"{family.value} is not a linear class")
-    return out
+    r, k, c = (np.concatenate(a) for a in zip(*parts))
+    return r, k, 1j * c if family is StructureFamily.SKEW_HERMITIAN else c
 
 
-def _rect_basis(rows: int, cols: int) -> list[np.ndarray]:
-    out = []
-    for j in range(rows):
-        for k in range(cols):
-            mat = np.zeros((rows, cols), dtype=complex)
-            mat[j, k] = 1.0
-            out.append(mat)
-            out.append(1j * mat)
-    return out
+def _stacked(*parts):
+    """One basis from parts (basis, first column, factor), in order."""
+    return tuple(
+        np.concatenate(a) for a in zip(*((r, k + col0, factor * c) for (r, k, c), col0, factor in parts))
+    )
 
 
-def _embed(block: np.ndarray, shape: tuple[int, int], col0: int) -> np.ndarray:
+def _real(a: np.ndarray) -> np.ndarray:
+    return np.concatenate([a.real, a.imag])
+
+
+def _system(basis, constraints, shape):
+    """Real constraint matrix and right-hand side for sum_b theta_b B_b.
+
+    The complex rows are those of the constraints in order: B_b v for
+    ("mul", v, r) and B_b* v for ("adj", v, r), built by fancy indexing from
+    the (at most two) entries of each element.  All real parts come before
+    all imaginary parts.
+    """
+    r, k, c = basis
+    b = np.arange(c.shape[0])
+    if any(kind not in ("mul", "adj") for kind, *_ in constraints):
+        raise ValueError("constraint kinds are 'mul' and 'adj'")
+    sizes = [shape[0] if kind == "mul" else shape[1] for kind, *_ in constraints]
+    a = np.zeros((sum(sizes), b.shape[0]), dtype=complex)
+    row0 = 0
+    for (kind, v, _), size in zip(constraints, sizes):
+        out, at, coef = (r, k, c) if kind == "mul" else (k, r, c.conj())
+        a[row0 + out[:, 0], b] = coef[:, 0] * v[at[:, 0]]
+        a[row0 + out[:, 1], b] += coef[:, 1] * v[at[:, 1]]
+        row0 += size
+    return _real(a), _real(np.concatenate([rhs for *_, rhs in constraints]))
+
+
+def _assemble(basis, theta: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The matrix sum_b theta_b B_b."""
+    r, k, c = basis
     out = np.zeros(shape, dtype=complex)
-    out[:, col0 : col0 + block.shape[1]] = block
+    np.add.at(out, (r.ravel(), k.ravel()), (theta[:, None] * c).ravel())
     return out
 
 
-def _apply_constraint(delta: np.ndarray, kind: str, vec: np.ndarray) -> np.ndarray:
-    if kind == "mul":
-        return delta @ vec
-    if kind == "adj":
-        return delta.conj().T @ vec
-    raise ValueError(f"unknown constraint kind {kind!r}")
+def _least_norm(basis, constraints, shape):
+    """Least-norm real coefficients meeting the constraints, and the residual norm."""
+    a, b = _system(basis, constraints, shape)
+    theta = np.linalg.lstsq(a, b, rcond=None)[0]
+    return theta, fro(a @ theta - b)
 
 
 def oracle_least_norm(
@@ -158,7 +187,7 @@ def oracle_least_norm(
     rows, cols = shape
 
     if structure in (None, StructureFamily.UNSTRUCTURED) and split is None:
-        basis = _rect_basis(rows, cols)
+        basis = _full_basis(rows, cols)
     else:
         structure = StructureFamily(structure)
         if structure not in LINEAR_FAMILIES:
@@ -166,27 +195,12 @@ def oracle_least_norm(
         blk = split if split is not None else cols
         if blk != rows:
             raise ValueError("the structured block must be square")
-        basis = [_embed(b, shape, 0) for b in family_basis(structure, rows)]
-        if cols > blk:
-            basis += [_embed(b, shape, blk) for b in _rect_basis(rows, cols - blk)]
+        basis = _stacked((family_basis(structure, rows), 0, 1.0), (_full_basis(rows, cols - blk), blk, 1.0))
 
-    rows_a = []
-    rhs = []
-    for kind, v, r in constraints:
-        cols_c = [_apply_constraint(b, kind, v) for b in basis]
-        block = np.stack(cols_c, axis=1)  # len(r) x nbasis complex
-        rows_a.append(block.real)
-        rows_a.append(block.imag)
-        rhs.append(r.real)
-        rhs.append(r.imag)
-    a = np.vstack(rows_a)
-    b = np.concatenate(rhs)
-    theta, *_ = np.linalg.lstsq(a, b, rcond=None)
-    resid = fro(a @ theta - b)
-    if resid > cfg.residual_tol * max(1.0, fro(b)) * 100:
+    theta, resid = _least_norm(basis, constraints, shape)
+    if resid > cfg.residual_tol * max(1.0, fro(np.concatenate([r for *_, r in constraints]))) * 100:
         raise InconsistentConstraintsError(f"constraints inconsistent (residual {resid:.3e})")
-    delta = sum(t * mat for t, mat in zip(theta, basis))
-    return delta, float(np.linalg.norm(theta))
+    return _assemble(basis, theta, shape), float(np.linalg.norm(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +214,6 @@ def _herm(a: np.ndarray) -> np.ndarray:
 def _psd_clip(a: np.ndarray) -> np.ndarray:
     eigs, vecs = np.linalg.eigh(_herm(a))
     return (vecs * np.maximum(eigs, 0.0)) @ vecs.conj().T
-
-
-def _crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _oracle_dsm_psd(p: DsmProblem, budget: OracleBudget, cfg: ToleranceConfig):
@@ -254,11 +264,8 @@ def _oracle_dsm_psd(p: DsmProblem, budget: OracleBudget, cfg: ToleranceConfig):
     return np.hstack([d1, d2]), math.sqrt(best_v)
 
 
-def _oracle_type1(q: Type1Problem, budget: OracleBudget, cfg: ToleranceConfig, anti: bool):
+def _oracle_type1(q: Type1Problem, budget: OracleBudget, cfg: ToleranceConfig):
     """Descent over the free block of the square dissipative characterization."""
-    if anti:
-        delta, norm = _oracle_type1(Type1Problem(q.X, -q.Y, q.Z, -q.W), budget, cfg, False)
-        return -delta, norm
     n = q.X.shape[0]
     sx = svd_split(q.X, cfg)
     u1, u2 = sx.U1, sx.U2
@@ -307,17 +314,13 @@ def _skew(g: np.ndarray) -> np.ndarray:
     return (g - g.conj().T) / 2.0
 
 
-def _oracle_type2(p: DsmProblem, budget: OracleBudget, cfg: ToleranceConfig, anti: bool):
+def _oracle_type2(p: DsmProblem, budget: OracleBudget, cfg: ToleranceConfig):
     """L-BFGS over the rectangular dissipative characterization parameters.
 
     Parameters: t = Z* z (complex n-vector), a Gram factor for the PSD
     slack, and a skew generator; the arbitrary column parameter R is
     eliminated exactly at every evaluation.
     """
-    if anti:
-        refl = DsmProblem(p.x1, p.x2, -p.y, p.z, -p.w1, -p.w2)
-        delta, norm = _oracle_type2(refl, budget, cfg, False)
-        return -delta, norm
     n = p.n
     rho = np.vdot(p.z, p.w1).real
     if rho <= 0:
@@ -389,34 +392,38 @@ def oracle_min_structured(
     family: StructureFamily,
     budget: OracleBudget = DEFAULT_BUDGET,
     cfg: ToleranceConfig = DEFAULT_TOL,
-    *,
-    anti: bool = False,
 ):
     """Numerically minimize the Frobenius norm over the structured feasible set.
 
     Linear families get the exact vectorized solve; semidefinite and
     dissipative families run seeded multi-restart descent over the
-    characterization's free parameters.  Returns (Delta, norm); for the
-    descent families the norm is an upper bound on the true minimum.
+    characterization's free parameters.  NSD and anti-dissipative problems
+    are solved as the PSD and dissipative problems of the data
+    (x, -y, z, -w), whose minimizers are the negated ones.  A
+    ``Type1Problem`` (square matrix data) gets the (anti-)dissipative
+    oracle.  Returns (Delta, norm); for the descent families the norm is an
+    upper bound on the true minimum.
     """
-    if isinstance(problem, Type1Problem):
-        return _oracle_type1(problem, budget, cfg, anti)
-    if not isinstance(problem, DsmProblem):
+    if not isinstance(problem, (DsmProblem, Type1Problem)):
         raise TypeError("problem must be a DsmProblem or Type1Problem")
-    p = problem
     family = StructureFamily(family)
+    if family in (StructureFamily.NSD, StructureFamily.ANTI_DISSIPATIVE):
+        if isinstance(problem, Type1Problem):
+            negated = Type1Problem(problem.X, -problem.Y, problem.Z, -problem.W)
+        else:
+            negated = DsmProblem(problem.x1, problem.x2, -problem.y, problem.z, -problem.w1, -problem.w2)
+        delta, norm = oracle_min_structured(negated, _reflected(family), budget, cfg)
+        return -delta, norm
+    if isinstance(problem, Type1Problem):
+        return _oracle_type1(problem, budget, cfg)
+    p = problem
     if family in LINEAR_FAMILIES:
         constraints = [("mul", p.x, p.y), ("adj", p.z, p.w)]
         return oracle_least_norm(constraints, family, shape=(p.n, p.n + p.m), split=p.n, cfg=cfg)
     if family is StructureFamily.PSD:
         return _oracle_dsm_psd(p, budget, cfg)
-    if family is StructureFamily.NSD:
-        delta, norm = _oracle_dsm_psd(p.reflected(), budget, cfg)
-        return np.hstack([-delta[:, : p.n], delta[:, p.n :]]), norm
     if family is StructureFamily.DISSIPATIVE:
-        return _oracle_type2(p, budget, cfg, anti=False)
-    if family is StructureFamily.ANTI_DISSIPATIVE:
-        return _oracle_type2(p, budget, cfg, anti=True)
+        return _oracle_type2(p, budget, cfg)
     raise ValueError(f"unsupported family {family}")
 
 
@@ -432,74 +439,31 @@ class OracleEtaResult:
     constraint_residual: float
 
 
-def _block_parameterization(P: PHPencil, ep: EigenPair, blocks):
-    """Constraint matrix over the non-R block parameters.
+def _eta_system(P: PHPencil, ep: EigenPair, y: np.ndarray, w: np.ndarray, blocks, linear_r: bool):
+    """Sparse bases and constraints of the block equations of (L - dL)(lam) u = 0.
 
-    Unknowns: dJ (skew basis), dE (Hermitian basis), dB (full basis,
-    when selected).  Constraint rows: the square-block equations
-    (dJ - dR + lam dE) u2 = y1 + dR u2-side handled through the rhs, its
-    adjoint on u1, and the B-column equation dB* u1 = B* u1.
+    The square blocks enter as D = dJ - dR + lam dE, so with the mapping data
+    (x, y, z, w) of the eigenpair the equations read D u2 = y, D* u1 = w1 and,
+    when B is selected, dB* u1 = w2: constraints on [D dB] with x = [u2; 0]
+    and z = u1.  Returns the basis of each block solved linearly (dR only
+    when ``linear_r``), their stacked basis, the constraints and the shape.
     """
-    n, m = P.n, P.m
-    lam = ep.lam
-    bases = []
-    labels = []
-    if "J" in blocks:
-        for bmat in family_basis(StructureFamily.SKEW_HERMITIAN, n):
-            bases.append(("J", bmat))
-    if "E" in blocks:
-        for bmat in family_basis(StructureFamily.HERMITIAN, n):
-            bases.append(("E", bmat))
+    n = P.n
+    factor = {"J": 1.0, "R": -1.0, "E": ep.lam}
+    bases = {}
+    for name in "JRE":
+        if name in blocks and (name != "R" or linear_r):
+            fam = StructureFamily.SKEW_HERMITIAN if name == "J" else StructureFamily.HERMITIAN
+            bases[name] = family_basis(fam, n)
+    parts = [(basis, 0, factor[name]) for name, basis in bases.items()]
+    cols = n
     if "B" in blocks:
-        for bmat in _rect_basis(n, m):
-            bases.append(("B", bmat))
-    cols = []
-    for kind, bmat in bases:
-        if kind == "J":
-            r1 = bmat @ ep.u2
-            r2 = -(bmat @ ep.u1)  # (dJ)* u1
-            r3 = np.zeros(m, dtype=complex)
-        elif kind == "E":
-            r1 = lam * (bmat @ ep.u2)
-            r2 = -lam * (bmat @ ep.u1)  # (lam dE)* u1
-            r3 = np.zeros(m, dtype=complex)
-        else:
-            r1 = np.zeros(n, dtype=complex)
-            r2 = np.zeros(n, dtype=complex)
-            r3 = bmat.conj().T @ ep.u1
-        col = np.concatenate([r1, r2, r3]) if "B" in blocks else np.concatenate([r1, r2])
-        cols.append(col)
-    a_c = np.stack(cols, axis=1) if cols else np.zeros((2 * n + (m if "B" in blocks else 0), 0), dtype=complex)
-    a = np.vstack([a_c.real, a_c.imag])
-    return bases, a
-
-
-def _rhs(P: PHPencil, ep: EigenPair, blocks, dR: np.ndarray) -> np.ndarray:
-    """Right-hand side of the block constraints given the R perturbation."""
-    lam = ep.lam
-    y1 = (P.J - P.R + lam * P.E) @ ep.u2 + P.B @ ep.u3
-    w1 = -(P.J + P.R + lam * P.E) @ ep.u1
-    r1 = y1 + dR @ ep.u2
-    r2 = w1 + dR @ ep.u1
-    parts = [r1, r2]
-    if "B" in blocks:
-        parts.append(P.B.conj().T @ ep.u1 + P.S @ ep.u3)
-    b_c = np.concatenate(parts)
-    return np.concatenate([b_c.real, b_c.imag])
-
-
-def _assemble_blocks(bases, theta, n, m):
-    dJ = np.zeros((n, n), dtype=complex)
-    dE = np.zeros((n, n), dtype=complex)
-    dB = np.zeros((n, m), dtype=complex)
-    for t, (kind, bmat) in zip(theta, bases):
-        if kind == "J":
-            dJ += t * bmat
-        elif kind == "E":
-            dE += t * bmat
-        else:
-            dB += t * bmat
-    return dJ, dE, dB
+        bases["B"] = _full_basis(n, P.m)
+        parts.append((bases["B"], n, 1.0))
+        cols += P.m
+    x = np.concatenate([ep.u2, np.zeros(cols - n, dtype=complex)])
+    constraints = [("mul", x, y), ("adj", ep.u1, w[:cols])]
+    return bases, _stacked(*parts), constraints, (n, cols)
 
 
 def oracle_eta(
@@ -524,64 +488,72 @@ def oracle_eta(
     """
     blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
     n, m = P.n, P.m
-    lam = ep.lam
-    if lam == 0:
+    if ep.lam == 0:
         raise DegenerateInputError("lambda must be nonzero imaginary")
+    _, y, _, w = mapping_data(P, ep)
     bscale = max(1.0, fro(P.assemble()[0]) * fro(ep.u))
     # rows of (L - dL)(lam) u = 0 that no selected block can influence are
     # pure data conditions; reject inadmissible eigenpairs loudly
     if fro(ep.u3) > cfg.residual_tol * bscale * 100:
         raise InconsistentConstraintsError("u3 != 0: backward error is infinite")
-    if "B" not in blocks:
-        row3 = P.B.conj().T @ ep.u1 + P.S @ ep.u3
-        if fro(row3) > cfg.residual_tol * bscale * 100:
-            raise InconsistentConstraintsError(
-                f"B* u1 + S u3 != 0 with no B perturbation (residual {fro(row3):.3e})"
-            )
-    if "R" in blocks and variant == "s":
-        return _oracle_eta_linear_with_r(P, ep, blocks, cfg, bscale)
+    if "B" not in blocks and fro(w[n:]) > cfg.residual_tol * bscale * 100:
+        raise InconsistentConstraintsError(
+            f"B* u1 + S u3 != 0 with no B perturbation (residual {fro(w[n:]):.3e})"
+        )
+    linear = variant == "s" or "R" not in blocks
+    bases, basis, constraints, shape = _eta_system(P, ep, y, w, blocks, linear)
 
-    bases, a = _block_parameterization(P, ep, blocks)
-    a_pinv = np.linalg.pinv(a) if a.shape[1] else a.T
-    proj_out = np.eye(a.shape[0]) - a @ a_pinv
-    zero_r = np.zeros((n, n), dtype=complex)
+    def perturbation(theta, dR=None):
+        """The blocks of a coefficient vector; a given dR is not among them."""
+        out = {name: np.zeros((n, m if name == "B" else n), dtype=complex) for name in "JREB"}
+        if dR is not None:
+            out["R"] = dR
+        ends = np.cumsum([b[2].shape[0] for b in bases.values()])[:-1]
+        for (name, b), t in zip(bases.items(), np.split(theta, ends)):
+            out[name] = _assemble(b, t, out[name].shape)
+        return PerturbationBlocks(out["J"], out["R"], out["E"], out["B"])
 
-    if "R" not in blocks:
-        b = _rhs(P, ep, blocks, zero_r)
-        theta = a_pinv @ b
-        resid = fro(a @ theta - b)
+    if linear:
+        theta, resid = _least_norm(basis, constraints, shape)
         if resid > cfg.residual_tol * bscale * 100:
             raise InconsistentConstraintsError(
                 f"eigenpair not admissible for {''.join(sorted(blocks))} (residual {resid:.3e})"
             )
-        dJ, dE, dB = _assemble_blocks(bases, theta, n, m)
-        pert = PerturbationBlocks(dJ=dJ, dR=zero_r, dE=dE, dB=dB)
+        pert = perturbation(theta)
         return OracleEtaResult(pert.norm(), pert, True, float(resid))
 
     # semidefinite variant with an R block: outer search over the Gram factor.
     # f(G) = ||G G*||^2 + ||theta(G)||^2 + mu * ||(I - A A+) b(G)||^2 with the
     # non-R blocks eliminated exactly through the precomputed pseudoinverse;
     # the gradient is assembled analytically through W = G G*.
+    a, b0 = _system(basis, constraints, shape)
+    a_pinv = np.linalg.pinv(a) if a.shape[1] else a.T
+    proj_out = np.eye(a.shape[0]) - a @ a_pinv
     kc = a.shape[0] // 2  # complex constraint rows
+    pad = np.zeros(kc - 2 * n, dtype=complex)
+
+    def rhs(dr: np.ndarray) -> np.ndarray:
+        """b(dR): the rows D u2 = y and D* u1 = w1 gain dR u2 and dR u1."""
+        return b0 + _real(np.concatenate([dr @ ep.u2, dr @ ep.u1, pad]))
 
     def split_val(gvec):
         g = (gvec[: 2 * n * n : 2] + 1j * gvec[1 : 2 * n * n : 2]).reshape(n, n)
         dR = g @ g.conj().T
-        b = _rhs(P, ep, blocks, dR)
+        b = rhs(dR)
         theta = a_pinv @ b
         pen = fro(proj_out @ b)
         return g, dR, theta, pen
 
     def fun(gvec, mu):
         g = (gvec[: 2 * n * n : 2] + 1j * gvec[1 : 2 * n * n : 2]).reshape(n, n)
-        w = g @ g.conj().T
-        b = _rhs(P, ep, blocks, w)
+        dr = g @ g.conj().T
+        b = rhs(dr)
         theta = a_pinv @ b
         pvec = proj_out @ b
-        val = fro(w) ** 2 + float(theta @ theta) + mu * float(pvec @ pvec)
+        val = fro(dr) ** 2 + float(theta @ theta) + mu * float(pvec @ pvec)
         g_b = 2.0 * (a_pinv.T @ theta) + 2.0 * mu * pvec
         gc = g_b[:kc] + 1j * g_b[kc:]
-        grad_w = 2.0 * w + _herm(np.outer(gc[:n], ep.u2.conj()) + np.outer(gc[n : 2 * n], ep.u1.conj()))
+        grad_w = 2.0 * dr + _herm(np.outer(gc[:n], ep.u2.conj()) + np.outer(gc[n : 2 * n], ep.u1.conj()))
         grad_g = 2.0 * (grad_w @ g)
         out = np.empty_like(gvec)
         out[0::2] = grad_g.real.reshape(-1)
@@ -591,10 +563,8 @@ def oracle_eta(
     rng = np.random.default_rng(budget.seed)
     # warm start from the claimed solution when the caller has one: use the
     # Hermitian part of the forced square block as a generic PSD seed
-    y1 = (P.J - P.R + lam * P.E) @ ep.u2
-    w1v = -(P.J + P.R + lam * P.E) @ ep.u1
     seed_dr = _psd_clip(
-        -(herm_skew_parts(np.outer(y1, pinv(ep.u2, cfg)) + np.outer(w1v, pinv(ep.u1, cfg)).conj().T @ null_projector(ep.u2, cfg))[0])
+        -(herm_skew_parts(np.outer(y, pinv(ep.u2, cfg)) + np.outer(w[:n], pinv(ep.u1, cfg)).conj().T @ null_projector(ep.u2, cfg))[0])
     )
     eigs, vecs = np.linalg.eigh((seed_dr + seed_dr.conj().T) / 2.0)
     g_seed = (vecs * np.sqrt(np.maximum(eigs, 0.0))) @ vecs.conj().T
@@ -621,60 +591,9 @@ def oracle_eta(
             best = (val, gvec, theta, pen)
     val, gvec, theta, pen = best
     g, dR, theta, pen = split_val(gvec)
-    dJ, dE, dB = _assemble_blocks(bases, theta, n, m)
-    pert = PerturbationBlocks(dJ=dJ, dR=dR, dE=dE, dB=dB)
+    pert = perturbation(theta, dR)
     converged = pen <= 1e-7 * bscale
     return OracleEtaResult(pert.norm(), pert, bool(converged), float(pen))
-
-
-def _oracle_eta_linear_with_r(P, ep, blocks, cfg, bscale):
-    """Variant "s" with an R block: dR Hermitian enters linearly."""
-    n, m = P.n, P.m
-    lam = ep.lam
-    bases = []
-    if "J" in blocks:
-        bases += [("J", b) for b in family_basis(StructureFamily.SKEW_HERMITIAN, n)]
-    bases += [("R", b) for b in family_basis(StructureFamily.HERMITIAN, n)]
-    if "E" in blocks:
-        bases += [("E", b) for b in family_basis(StructureFamily.HERMITIAN, n)]
-    if "B" in blocks:
-        bases += [("B", b) for b in _rect_basis(n, m)]
-    cols = []
-    for kind, bmat in bases:
-        if kind == "J":
-            r1, r2 = bmat @ ep.u2, -(bmat @ ep.u1)
-        elif kind == "R":
-            r1, r2 = -(bmat @ ep.u2), -(bmat @ ep.u1)
-        elif kind == "E":
-            r1, r2 = lam * (bmat @ ep.u2), -lam * (bmat @ ep.u1)
-        else:
-            r1 = np.zeros(n, dtype=complex)
-            r2 = np.zeros(n, dtype=complex)
-        r3 = bmat.conj().T @ ep.u1 if kind == "B" else np.zeros(m, dtype=complex)
-        col = np.concatenate([r1, r2, r3]) if "B" in blocks else np.concatenate([r1, r2])
-        cols.append(col)
-    a_c = np.stack(cols, axis=1)
-    a = np.vstack([a_c.real, a_c.imag])
-    b = _rhs(P, ep, blocks, np.zeros((n, n), dtype=complex))
-    theta, *_ = np.linalg.lstsq(a, b, rcond=None)
-    resid = fro(a @ theta - b)
-    if resid > cfg.residual_tol * bscale * 100:
-        raise InconsistentConstraintsError(f"inconsistent constraints (residual {resid:.3e})")
-    dJ = np.zeros((n, n), dtype=complex)
-    dR = np.zeros((n, n), dtype=complex)
-    dE = np.zeros((n, n), dtype=complex)
-    dB = np.zeros((n, m), dtype=complex)
-    for t, (kind, bmat) in zip(theta, bases):
-        if kind == "J":
-            dJ += t * bmat
-        elif kind == "R":
-            dR += t * bmat
-        elif kind == "E":
-            dE += t * bmat
-        else:
-            dB += t * bmat
-    pert = PerturbationBlocks(dJ=dJ, dR=dR, dE=dE, dB=dB)
-    return OracleEtaResult(pert.norm(), pert, True, float(resid))
 
 
 # ---------------------------------------------------------------------------

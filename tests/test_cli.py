@@ -8,7 +8,7 @@ import pytest
 from dsmkit import gen_pencil
 from dsmkit.cli import main
 from dsmkit.io import load_json, pencil_to_doc, save_json, vector_to_doc
-from helpers import crandn
+from helpers import crandn, type2_instance
 
 
 def write_vec(path, v):
@@ -116,6 +116,50 @@ def test_map_solve_dissipative_type_routes(capsys, tmp_path):
         "--x", files[0], "--y", files[1], "--z", files[2], "--w", files[3],
     )
     assert code == 0 and json.loads(out)["kind"] == "dsdm-type1"
+
+
+def _solve_and_verify(capsys, tmp_path, family, x, y, z, w):
+    files = [write_vec(tmp_path / f"{k}.json", v) for k, v in zip("xyzw", [x, y, z, w])]
+    code, out, _ = run(
+        capsys, "map", "solve", "--family", family,
+        "--x", files[0], "--y", files[1], "--z", files[2], "--w", files[3],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["norms"]["exact"]
+    result = tmp_path / "result.json"
+    result.write_text(out)
+    code, out, err = run(capsys, "verify", "--result", str(result))
+    return doc, code, out, err
+
+
+def test_verify_accepts_exact_anti_dissipative_type1(capsys, tmp_path):
+    # the dissipative route's data reflected (y, w) -> (-y, -w); m = 0
+    rng = np.random.default_rng(0)
+    x = crandn(rng, 3)
+    yv = crandn(rng, 3)
+    if np.vdot(x, yv).real < 0.3:
+        yv = yv + (0.5 - np.vdot(x, yv).real) / np.vdot(x, x).real * x
+    z = crandn(rng) * x
+    w = crandn(rng, 3)
+    w = w + ((np.vdot(yv, z) - np.vdot(x, w)) / np.vdot(x, x)) * x
+    doc, code, out, err = _solve_and_verify(capsys, tmp_path, "anti-dissipative", x, -yv, z, -w)
+    assert doc["kind"] == "dsdm-type1"
+    assert code == 0, (out, err)
+    report = json.loads(out)
+    assert report["ok"]
+    assert report["oracle_norm"] == pytest.approx(doc["norms"]["upper"], rel=1e-6)
+
+
+def test_verify_accepts_exact_anti_dissipative_type2(capsys, tmp_path):
+    # exact dissipative data (y, w1 colinear with z, z orthogonal to x1), reflected
+    p = type2_instance(np.random.default_rng(4), 3, 2, exact=True)
+    doc, code, out, err = _solve_and_verify(
+        capsys, tmp_path, "anti-dissipative", p.x, -p.y, p.z, -p.w
+    )
+    assert doc["kind"] == "dsdm-type2"
+    assert code == 0, (out, err)
+    assert json.loads(out)["ok"]
 
 
 def test_pencil_gen_validate_round_trip(capsys, tmp_path):

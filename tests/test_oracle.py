@@ -39,6 +39,11 @@ def test_least_norm_hermitian_example():
 def test_least_norm_inconsistent():
     with pytest.raises(InconsistentConstraintsError):
         oracle_least_norm([("mul", E1, E1), ("mul", E1, 2 * E1)], None)
+    # 1 x 1 skew-symmetric matrices: the basis is empty and only y = 0 is met
+    delta, norm = oracle_least_norm([("mul", [1.0], [0.0])], F.SKEW_SYMMETRIC)
+    assert delta.shape == (1, 1) and not delta.any() and norm == 0.0
+    with pytest.raises(InconsistentConstraintsError):
+        oracle_least_norm([("mul", [1.0], [1.0])], F.SKEW_SYMMETRIC)
 
 
 def test_least_norm_rejects_cone_families():
