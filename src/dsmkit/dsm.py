@@ -279,7 +279,7 @@ def dsm_solve(
         rightmost, herm_right = _rank_one_rightmost(a, p.x1)
         diagnostics["left_spectrum_matrix"] = mdiag
         diagnostics["rightmost_real_part"] = rightmost
-        floor = cfg.psd_tol * max(1.0, fro(a) * fro(p.x1))  # ||a x1*||_F
+        floor = cfg.psd_tol * fro(a) * fro(p.x1)  # ||a x1*||_F, with no unit floor: the verdict is scale-free
         # The certifiable condition is the Hermitian part of the diagnostic
         # matrix in the left half-plane (equivalently its numerical range):
         # the trace-sign argument needs it, the spectrum alone is not enough.

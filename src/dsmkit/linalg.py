@@ -11,6 +11,7 @@ data; the mapping solvers keep vector data factored (see ``maps``).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,18 @@ def as_complex(a, name: str = "array") -> np.ndarray:
 
 
 def fro(a) -> float:
-    """Frobenius norm (2-norm for vectors)."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm (2-norm for vectors).
+
+    A contiguous complex array is read as its float64 view, one dot
+    product of twice the length; numpy's complex path reads the real and
+    imaginary parts as two strided views, which at 1024 x 1024 costs
+    about 2.5x, and its checks cost more than the sum on short vectors.
+    """
+    a = np.asarray(a)
+    if a.dtype.char == "D" and a.dtype.isnative and a.flags.c_contiguous:
+        x = a.reshape(-1).view(np.float64)
+        return math.sqrt(x.dot(x))
+    return float(np.linalg.norm(a))
 
 
 def _as_column(x: np.ndarray) -> np.ndarray:

@@ -491,7 +491,9 @@ def oracle_eta(
     if ep.lam == 0:
         raise DegenerateInputError("lambda must be nonzero imaginary")
     _, y, _, w = mapping_data(P, ep)
-    bscale = max(1.0, fro(P.assemble()[0]) * fro(ep.u))
+    # ||L|| ||u|| with ||L||^2 = ||M||^2 = 2 ||J - R||^2 + 2 ||B||^2 + ||S||^2, no unit floor
+    rt2 = math.sqrt(2.0)
+    bscale = math.hypot(rt2 * fro(P.J - P.R), rt2 * fro(P.B), fro(P.S)) * fro(ep.u)
     # rows of (L - dL)(lam) u = 0 that no selected block can influence are
     # pure data conditions; reject inadmissible eigenpairs loudly
     if fro(ep.u3) > cfg.residual_tol * bscale * 100:

@@ -288,7 +288,13 @@ class _Products:
     nB: float
 
 
-def _products(P: PHPencil, ep: EigenPair, cfg: ToleranceConfig) -> _Products:
+def _block_norms(P: PHPencil) -> tuple[float, float, float, float]:
+    """||J||, ||R||, ||E||, ||B||: what the predicates of eta take as the data's scale."""
+    return fro(P.J), fro(P.R), fro(P.E), fro(P.B)
+
+
+def _products(P: PHPencil, ep: EigenPair, cfg: ToleranceConfig, norms=None) -> _Products:
+    """The products of one eigenvector; ``norms`` (from ``_block_norms``) saves four n^2 passes."""
     if ep.u1.shape[0] != P.n or ep.u3.shape[0] != P.m:
         raise DimensionMismatchError(
             f"eigenpair dims ({ep.u1.shape[0]}, {ep.u3.shape[0]}) do not match pencil ({P.n}, {P.m})"
@@ -296,6 +302,7 @@ def _products(P: PHPencil, ep: EigenPair, cfg: ToleranceConfig) -> _Products:
     unorm = math.hypot(fro(ep.u1), fro(ep.u2), fro(ep.u3))
     s = 2.0 ** -math.frexp(unorm)[1]
     u1, u2 = s * ep.u1, s * ep.u2
+    nJ, nR, nE, nB = norms or _block_norms(P)
     return _Products(
         u1=u1,
         u2=u2,
@@ -307,10 +314,10 @@ def _products(P: PHPencil, ep: EigenPair, cfg: ToleranceConfig) -> _Products:
         Eu2=P.E @ u2,
         Bu1=P.B.conj().T @ u1,
         u3_zero=fro(ep.u3) <= cfg.residual_tol * unorm,
-        nJ=fro(P.J),
-        nR=fro(P.R),
-        nE=fro(P.E),
-        nB=fro(P.B),
+        nJ=nJ,
+        nR=nR,
+        nE=nE,
+        nB=nB,
     )
 
 
@@ -598,6 +605,48 @@ def gen_pencil(
     )
 
 
+def _random_lam(rng: np.random.Generator) -> complex:
+    """lambda of uniformly drawn modulus in [0.3, 2.0] on a random half of the imaginary axis."""
+    return 1j * rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])
+
+
+_PROBE_BLOCK = 8  # Gaussian probes drawn and applied to h together, as one matrix product
+_PROBES = 32  # probes at one lambda before the eigh fallback
+_MAX_TRIES = 500
+
+
+def _probe_isotropic(P: PHPencil, lam: complex, rng: np.random.Generator) -> list[np.ndarray] | None:
+    """Two independent random u with u* h u = 0 for h = (J + lam E)/i: O(n^2), no decomposition.
+
+    Gaussian probes g are drawn in blocks of ``_PROBE_BLOCK`` until
+    q(g) = g* h g has taken each sign twice.  For probes a and b with
+    q(a) > 0 > q(b), q(a + t b) = q(b) t^2 + 2 Re(a* h b) t + q(a) is a real
+    quadratic whose roots have opposite signs; one of them, picked at
+    random, makes a + t b isotropic.  The two vectors use disjoint probes.
+    Returns None when ``_PROBES`` probes give fewer than two of one sign:
+    h is semidefinite, or its inertia too lopsided for probing.
+    """
+    pos: list[tuple] = []
+    neg: list[tuple] = []
+    for _ in range(_PROBES // _PROBE_BLOCK):
+        g = _crandn(rng, P.n, _PROBE_BLOCK)
+        hg = (P.J @ g + lam * (P.E @ g)) / 1j
+        q = np.einsum("ij,ij->j", g.conj(), hg).real
+        for j in np.flatnonzero(q):
+            (pos if q[j] > 0.0 else neg).append((g[:, j], hg[:, j], q[j]))
+        if len(pos) >= 2 and len(neg) >= 2:
+            break
+    else:
+        return None
+    out = []
+    for (a, _, qa), (b, hb, qb) in zip(pos[:2], neg[:2]):
+        beta = np.vdot(a, hb).real
+        # the root of larger modulus, free of cancellation; the other is q(a) / (q(b) t)
+        big = -(beta + math.copysign(math.hypot(beta, math.sqrt(qa) * math.sqrt(-qb)), beta)) / qb
+        out.append(a + (big if rng.random() < 0.5 else qa / (qb * big)) * b)
+    return out
+
+
 def _isotropic_vector(h: np.ndarray, eigs: np.ndarray, vecs: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
     """Random u with u* h u = 0 for Hermitian h = vecs diag(eigs) vecs*, mixing +/- eigenspaces."""
     scale = max(np.abs(eigs).max(), 1e-300)
@@ -612,34 +661,83 @@ def _isotropic_vector(h: np.ndarray, eigs: np.ndarray, vecs: np.ndarray, rng: np
     return vp * math.sqrt(-qn / qp) + vn
 
 
+def _gen_rb(P: PHPencil, rng: np.random.Generator, cfg: ToleranceConfig, max_tries: int,
+            lam: complex | None, norms) -> tuple[EigenPair, _Products]:
+    """An RB eigenpair and its products, O(n^2) per try while probing succeeds.
+
+    u1 and u2 are drawn independently in the isotropic set of
+    h = (J + lam E)/i by ``_probe_isotropic``.  Only a lambda where probing
+    fails takes one ``eigh`` of h (``_isotropic_vector``), which the later
+    tries at a fixed lambda share.  A draw is kept when it is isotropic to
+    ``residual_tol`` (|u* h u| against ||h u|| ||u||), R u1 != 0, and X*Y,
+    with X = [u2 u1] and Y = [ty w1], is Hermitian and negative definite
+    with margin: the formula inverts X*Y, and near-singular instances have
+    near-infinite backward errors.  Every test reads the products that eta
+    takes (``_products``), so a sweep reuses them.
+    """
+    u3 = np.zeros(P.m, dtype=complex)
+    spectrum = None  # (h, eigs, vecs) of (J + lam E)/i once probing has failed at a fixed lam
+    for _ in range(max_tries):
+        lam_t = lam if lam is not None else _random_lam(rng)
+        lt = 1j * complex(lam_t).imag
+        pair = _probe_isotropic(P, lt, rng) if spectrum is None else None
+        if pair is None:
+            if spectrum is None:
+                h = (P.J + lt * P.E) / 1j
+                spectrum = (h, *np.linalg.eigh(h))
+            pair = (_isotropic_vector(*spectrum, rng), _isotropic_vector(*spectrum, rng))
+            if lam is None:
+                spectrum = None  # the next try draws another lambda
+            if pair[0] is None:
+                if lam is not None:
+                    raise GenerationError("(J + lam E)/i is semidefinite; no isotropic vectors exist")
+                continue  # another lambda may admit isotropic vectors
+        ep = EigenPair(lam_t, pair[0], pair[1], u3)
+        v = _products(P, ep, cfg, norms)
+        hu1, hu2 = v.Ju1 + lt * v.Eu1, v.Ju2 + lt * v.Eu2  # i h u1, i h u2
+        if any(abs(np.vdot(u, hu)) > cfg.residual_tol * fro(hu) * fro(u) for u, hu in ((v.u1, hu1), (v.u2, hu2))):
+            continue
+        if fro(v.Ru1) <= 1e-8 * v.nR * fro(v.u1):
+            continue
+        xy = np.column_stack([v.u2, v.u1]).conj().T @ np.column_stack([hu2 - v.Ru2, -(hu1 + v.Ru1)])
+        if fro(xy - xy.conj().T) > 1e-8 * fro(xy) or min_eig_herm(-xy) <= 5e-2 * fro(xy):
+            continue
+        return ep, v
+    raise GenerationError(f"no admissible eigenpair found in {max_tries} tries")
+
+
 def gen_eigpair(
     P: PHPencil,
     seed: int,
     admissible_for,
     cfg: ToleranceConfig = DEFAULT_TOL,
-    max_tries: int = 500,
+    max_tries: int = _MAX_TRIES,
     lam: complex | None = None,
 ) -> EigenPair:
     """Random eigenpair candidate satisfying the side conditions of a selection.
 
     lambda gets a uniformly drawn modulus in [0.3, 2.0] with random sign
     (or the caller's ``lam``).  u3 = 0 always.  u2 = alpha u1 with a
-    unit-modulus random phase alpha, except for the RB selection where
-    u1 and u2 are drawn independently in the isotropic set of
-    (J + lam E)/i and the definiteness condition is enforced by
-    rejection; each lambda takes one eigendecomposition of (J + lam E)/i,
-    shared by u1, u2 and the retries.  Unsatisfiable constraints (e.g. B
-    with full row rank when the kernel of B* is needed, or R nonsingular
-    when ker R is needed) raise ``GenerationError`` after ``max_tries``.
+    unit-modulus random phase alpha, except for the RB selection, where u1
+    and u2 are drawn independently in the isotropic set of (J + lam E)/i,
+    each from two Gaussian probes of opposite sign in O(n^2) with no
+    decomposition, and the definiteness condition is enforced by rejection
+    (see ``_gen_rb``).  A lambda where probing finds one sign only takes one
+    ``eigh`` of (J + lam E)/i instead; a semidefinite one raises
+    ``GenerationError`` when ``lam`` is fixed.  Unsatisfiable constraints
+    (e.g. B with full row rank when the kernel of B* is needed, or R
+    nonsingular when ker R is needed) raise ``GenerationError`` after
+    ``max_tries``.
     """
     blocks = parse_blocks(admissible_for) if isinstance(admissible_for, str) else frozenset(admissible_for)
     rng = np.random.default_rng(seed)
-    n, m = P.n, P.m
-    u3 = np.zeros(m, dtype=complex)
+    if blocks == frozenset("RB"):
+        return _gen_rb(P, rng, cfg, max_tries, lam, _block_norms(P))[0]
+    n = P.n
+    u3 = np.zeros(P.m, dtype=complex)
 
     kernel_B = blocks in _KERNEL_B
     kernel_R = blocks in _DELEGATED
-    isotropic = blocks == frozenset("RB")
     needs_Ru2 = blocks in (
         frozenset("JR"),
         frozenset("RE"),
@@ -658,33 +756,8 @@ def gen_eigpair(
         if split.U2.shape[1] == 0:
             raise GenerationError("R is nonsingular; ker(R) is trivial for this selection")
 
-    spectrum = None  # (h, eigs, vecs) of (J + lam E)/i, shared by u1, u2 and retries at one lam
     for attempt in range(max_tries):
-        lam_t = lam if lam is not None else 1j * rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])
-        if isotropic:
-            if spectrum is None or lam is None:
-                h = (P.J + lam_t * P.E) / 1j
-                spectrum = (h, *np.linalg.eigh(h))
-            u1 = _isotropic_vector(*spectrum, rng)
-            u2 = _isotropic_vector(*spectrum, rng)
-            if u1 is None or u2 is None:
-                if lam is not None:
-                    raise GenerationError(
-                        "(J + lam E)/i is semidefinite; no isotropic vectors exist"
-                    )
-                continue  # another lambda may admit isotropic vectors
-            if fro(P.R @ u1) <= 1e-8 * max(1.0, fro(P.R) * fro(u1)):
-                continue
-            ep = EigenPair(lam_t, u1, u2, u3)
-            ty, w1 = (P.J - P.R + ep.lam * P.E) @ u2, -(P.J + P.R + ep.lam * P.E) @ u1
-            xy = np.column_stack([u2, u1]).conj().T @ np.column_stack([ty, w1])
-            if fro(xy - xy.conj().T) > 1e-8 * max(1.0, fro(xy)):
-                continue
-            # reject near-singular X*Y: the formula inverts it, and
-            # ill-conditioned instances have near-infinite backward errors
-            if min_eig_herm(-xy) <= 5e-2 * max(1.0, fro(xy)):
-                continue
-            return ep
+        lam_t = lam if lam is not None else _random_lam(rng)
         if kernel_B:
             u1 = pk @ _crandn(rng, n)
         elif kernel_R:
@@ -712,19 +785,22 @@ def experiment_table(
     """Backward-error bounds over a sweep of imaginary lambda values.
 
     Keeps one eigenvector fixed across the sweep when the selection's
-    side conditions do not depend on lambda; the RB selection regenerates
-    per row.  For each eigenvector the blocks are applied to it once
-    (J u1, R u1, E u1, J u2, R u2, E u2, B* u1 and the block norms), and
-    each lambda then costs O(n): ty and w1 are affine in lambda and the
-    norms come from the rank-one factors of H1 (see ``_solve``).  The
-    rows equal ``eta_sd``/``eta_s`` on the same eigenpair bit for bit.
-    Row-level failures (lambda = 0, infinite eta, generation failure or
-    any other ``DsmkitError``) are recorded in the row, never raised; an
-    unsupported selection raises ``ValueError`` before the sweep.
+    side conditions do not depend on lambda; the RB selection draws a new
+    one per row (``gen_eigpair`` with seed ``ep_seed + i``), in O(n^2) with
+    no decomposition, and reuses the products its generator has formed.
+    The block norms are taken once per table.  For each eigenvector the
+    blocks are applied to it once (J u1, R u1, E u1, J u2, R u2, E u2,
+    B* u1), and each lambda then costs O(n): ty and w1 are affine in
+    lambda and the norms come from the rank-one factors of H1 (see
+    ``_solve``).  The rows equal ``eta_sd``/``eta_s`` on the same eigenpair
+    bit for bit.  Row-level failures (lambda = 0, infinite eta, generation
+    failure or any other ``DsmkitError``) are recorded in the row, never
+    raised; an unsupported selection raises ``ValueError`` before the sweep.
     """
     blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
     variant = variant if variant == "sd" else "s"
     formulas = _formula_variant(blocks, variant)
+    norms = _block_norms(P)
     rows: list[dict] = []
     fixed: _Products | None = None
     for i, lam in enumerate(lambdas):
@@ -735,10 +811,10 @@ def experiment_table(
             if lam == 0 or abs(lam.real) > 1e-10 * abs(lam):
                 raise DegenerateInputError("lambda must be nonzero purely imaginary")
             if blocks == frozenset("RB"):
-                vec = _products(P, gen_eigpair(P, ep_seed + i, blocks, cfg, lam=lam), cfg)
+                _, vec = _gen_rb(P, np.random.default_rng(ep_seed + i), cfg, _MAX_TRIES, lam, norms)
             else:
                 if fixed is None:
-                    fixed = _products(P, gen_eigpair(P, ep_seed, blocks, cfg, lam=lam), cfg)
+                    fixed = _products(P, gen_eigpair(P, ep_seed, blocks, cfg, lam=lam), cfg, norms)
                 vec = fixed
             res, _, _ = _solve(blocks, formulas, 1j * lam.imag, vec, cfg)
             row["finite"] = res.finite

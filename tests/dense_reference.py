@@ -9,8 +9,9 @@ every block to rounding.  Test code only; the O(n^3) products make it slow.
 
 Two scalars are evaluated as the solvers now do, because the earlier forms
 fail at the data scales the comparison runs: the psd exactness floor takes
-||a|| ||x1|| (fro of the diagnostic matrix a x1* overflows at data x 1e100 and
-turned the floor into inf, so any point passed as exact), and the type-1
+||a|| ||x1|| with no unit floor (fro of the diagnostic matrix a x1* overflows
+at data x 1e100 and turned the floor into inf, and a floor of 1 passed every
+point as exact at data x 1e-100), and the type-1
 ``scalar_display_sq`` divides before squaring (it was 0/0 at data x 1e-100).
 """
 
@@ -190,7 +191,7 @@ def dsm_solve(family, p):
         diagnostics["left_spectrum_matrix"] = mdiag
         diagnostics["rightmost_real_part"] = rightmost
         # ||a|| ||x1||, not fro(mdiag): the entries of mdiag overflow when squared at 1e100 scale
-        floor = TOL * max(1.0, fro(a) * fro(p.x1))
+        floor = TOL * fro(a) * fro(p.x1)
         diagnostics["rightmost_numerical_range"] = herm_right
         if not exact and herm_right <= floor:
             exact = True

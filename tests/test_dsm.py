@@ -450,3 +450,19 @@ def test_pseudo_hermitian_adjoint_identity_and_isometry():
     assert np.linalg.norm(sol.H) == pytest.approx(np.linalg.norm(direct.H), rel=1e-12)
     assert sol.min_norm if hasattr(sol, "min_norm") else True
     assert np.linalg.norm(sol.H) <= np.linalg.norm(member) + 1e-9
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+def test_psd_exactness_verdict_independent_of_data_scale(scale):
+    # generic psd points: the diagnostic's numerical range is not in the left
+    # half-plane, so none is exact, whatever the scale of (x, y, z, w)
+    flips = 0
+    for seed in range(40):
+        p = dsm_instance(F.PSD, np.random.default_rng(seed), 8, 2)
+        base = dsm_solve(F.PSD, p)
+        ps = DsmProblem(*(scale * v for v in (p.x1, p.x2, p.y, p.z, p.w1, p.w2)))
+        sol = dsm_solve(F.PSD, ps)
+        assert sol.feasible and base.feasible
+        flips += (sol.exact, sol.sufficiency_note, sol.warnings) != (base.exact, base.sufficiency_note, base.warnings)
+        assert sol.norm_upper == pytest.approx(base.norm_upper, rel=1e-12)  # H is homogeneous of degree 0
+    assert flips == 0

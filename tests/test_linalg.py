@@ -220,3 +220,22 @@ def test_psd_order_norm_monotonicity():
         b = g1 @ g1.conj().T
         a = b + g2 @ g2.conj().T
         assert np.linalg.norm(a) >= np.linalg.norm(b) - 1e-12
+
+
+def test_fro_matches_numpy_on_views_and_strided_input():
+    import math
+
+    from dsmkit.linalg import fro
+
+    rng = np.random.default_rng(21)
+    mat = crandn(rng, 256, 256)
+    cases = [crandn(rng, 7), crandn(rng, 4096), crandn(rng, 64, 64), mat, mat[:, ::3], mat.T,
+             mat[:8].astype(">c16"), rng.standard_normal(50), np.zeros((0, 3), complex), np.array(3 + 4j)]
+    assert not mat[:, ::3].flags.c_contiguous and not mat.T.flags.c_contiguous
+    for a in cases:
+        want = np.linalg.norm(a)
+        assert abs(fro(a) - want) <= 1e-15 * want
+        flat = np.asarray(a, complex).ravel()
+        exact = math.sqrt(math.fsum(np.concatenate([flat.real**2, flat.imag**2])))
+        assert abs(fro(a) - exact) <= 1e-15 * exact
+    assert fro([1.0, 2.0, 2.0]) == 3.0

@@ -5,6 +5,7 @@ from dsmkit import (
     DsmProblem,
     EigenPair,
     OracleBudget,
+    PHPencil,
     Type1Problem,
     dsdm_type1,
     dsm_solve,
@@ -114,3 +115,16 @@ def test_verify_solution_psd_mineig():
     assert rep.ok and rep.min_eig >= -1e-10
     report_dict = rep.as_dict()
     assert set(report_dict) >= {"interp_resid", "adjoint_resid", "structure_dev", "min_eig", "ok"}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+@pytest.mark.parametrize("blocks", ["JE", "JEB"])
+def test_oracle_eta_rejects_an_inadmissible_pair_whatever_the_pencil_scale(blocks, scale):
+    # u1, u2 are not an eigenvector for either selection: the residual rows
+    # that no selected block reaches stay nonzero at every scale of the pencil
+    p = gen_pencil(3, 2, seed=4)
+    ps = PHPencil(scale * p.J, scale * p.R, scale * p.E, scale * p.B, scale * p.S)
+    rng = np.random.default_rng(0)
+    ep = EigenPair(1j, crandn(rng, 3), crandn(rng, 3), np.zeros(2))
+    with pytest.raises(InconsistentConstraintsError):
+        oracle_eta(ps, ep, blocks, "s")

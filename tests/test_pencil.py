@@ -452,20 +452,103 @@ def test_experiment_table_rejects_unsupported_selection():
         experiment_table(gen_pencil(4, 2, seed=3), [0.5j], 7, "JR", variant="s")
 
 
-def test_rb_table_takes_one_eigh_per_row(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
+def _watch_linalg(monkeypatch):
+    """Record (name, operand shape) of every np.linalg call but the norms.
 
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
+    Every LAPACK-backed entry point is watched; a norm is one pass over the
+    data, not a factorization.
+    """
+    seen = []
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    def watch(name, fn):
+        def wrapped(*args, **kwargs):
+            seen.extend((name, a.shape) for a in args if getattr(a, "ndim", 0) >= 2)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type) and "norm" not in name:
+            monkeypatch.setattr(np.linalg, name, watch(name, fn))
+    return seen
+
+
+@pytest.mark.parametrize("variant", ["sd", "s"])
+def test_rb_table_takes_no_square_decomposition(variant, monkeypatch):
+    seen = _watch_linalg(monkeypatch)
     p = gen_pencil(24, 4, seed=8)
     lams = [0.45j, -1.2j, 0.9j, -0.35j, 1.7j, 0.6j]
-    rows = experiment_table(p, lams, 5, "RB")
-    assert all(r["error"] == "" for r in rows)
-    assert len(calls) == len(lams)
+    rows = experiment_table(p, lams, 5, "RB", variant=variant)
+    assert all(r["error"] == "" and r["finite"] for r in rows)
+    # thin factorizations of n x 2 (SVD) and n x k, k <= 6 (QR of the factors of H1), 2 x 2 cores
+    assert [c for c in seen if min(c[1][-2:]) > 6] == []
+    assert [c for c in seen if c[0] == "svd" and min(c[1][-2:]) > 2] == []
+    herm = [c for c in seen if c[0] in ("eigh", "eigvalsh")]
+    assert herm and all(shape == (2, 2) for _, shape in herm)  # min_eig_herm of X*Y
+
+
+def _hermitian_form(p, lam):
+    return (p.J + lam * p.E) / 1j
+
+
+@pytest.mark.parametrize("n", [3, 64, 256])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rb_generator_draws_isotropic_admissible_pairs(n, sign):
+    p = gen_pencil(n, 2, seed=n)
+    lam = sign * 0.8j
+    h = _hermitian_form(p, lam)
+    for seed in range(3):
+        ep = gen_eigpair(p, seed, "RB", lam=lam)
+        assert ep.lam == lam and np.all(ep.u3 == 0)
+        for u in (ep.u1, ep.u2):
+            hu = h @ u
+            assert abs(np.vdot(u, hu)) <= 1e-10 * np.linalg.norm(hu) * np.linalg.norm(u)
+        res = eta_sd(p, ep, "RB")
+        assert res.finite and np.isfinite(res.eta_upper)
+    # a random lambda keeps its sign rule and stays admissible
+    ep = gen_eigpair(p, 7, "RB")
+    assert 0.3 <= abs(ep.lam.imag) <= 2.0 and eta_sd(p, ep, "RB").finite
+
+
+def _pencil_with_e(e, seed=2):
+    n = e.shape[0]
+    base = gen_pencil(n, 3, seed=seed)
+    return PHPencil(np.zeros((n, n)), base.R, e, base.B, base.S)
+
+
+@pytest.mark.parametrize("lam", [0.7j, -0.7j])
+def test_rb_generator_falls_back_to_one_eigh_on_lopsided_inertia(lam, monkeypatch):
+    # (J + lam E)/i = Im(lam) E with one eigenvalue of one sign among 64:
+    # a Gaussian probe takes the other sign with probability about 2^-63
+    rng = np.random.default_rng(1)
+    n = 64
+    q, _ = np.linalg.qr(crandn(rng, n, n))
+    d = -np.ones(n)
+    d[0] = 1.0
+    e = (q * d) @ q.conj().T
+    p = _pencil_with_e((e + e.conj().T) / 2)
+    h = _hermitian_form(p, lam)
+    seen = _watch_linalg(monkeypatch)
+    ep = gen_eigpair(p, 3, "RB", lam=lam)
+    assert [c for c in seen if c[0] == "eigh"] == [("eigh", (n, n))]
+    for u in (ep.u1, ep.u2):
+        hu = h @ u
+        assert abs(np.vdot(u, hu)) <= 1e-10 * np.linalg.norm(hu) * np.linalg.norm(u)
+    assert eta_sd(p, ep, "RB").finite
+
+
+def test_rb_generator_rejects_a_semidefinite_form():
+    # J = 0 and E > 0: (J + lam E)/i is definite, no isotropic vector exists
+    rng = np.random.default_rng(4)
+    g = crandn(rng, 6, 6)
+    p = _pencil_with_e(g @ g.conj().T + np.eye(6))
+    for lam in (0.9j, -0.9j):
+        with pytest.raises(GenerationError, match="semidefinite"):
+            gen_eigpair(p, 0, "RB", lam=lam)
+    with pytest.raises(GenerationError, match="no admissible eigenpair"):
+        gen_eigpair(p, 0, "RB", max_tries=5)
+    rows = experiment_table(p, [0.9j], 0, "RB")
+    assert "semidefinite" in rows[0]["error"] and not rows[0]["finite"]
 
 
 @pytest.mark.parametrize("blocks,variant", ALL_SELECTIONS)
@@ -475,29 +558,16 @@ def test_eta_makes_no_projector_and_no_square_lapack_call(blocks, variant, monke
 
     n = 64
     p, ep, _ = _equivalence_cases(blocks, n)[0]
-    square = []
 
     def refuse(*args, **kwargs):
         raise AssertionError("null_projector called")
 
-    def watch(name, fn):
-        def wrapped(*args, **kwargs):
-            for a in args:
-                if getattr(a, "ndim", 0) >= 2 and min(a.shape[-2:]) >= n:
-                    square.append((name, a.shape))
-            return fn(*args, **kwargs)
-        return wrapped
-
     monkeypatch.setattr(pencil_mod, "null_projector", refuse)
     monkeypatch.setattr(linalg_mod, "null_projector", refuse)
-    # every LAPACK-backed entry point; a norm is one pass over the data, not a factorization
-    for name in np.linalg.__all__:
-        fn = getattr(np.linalg, name)
-        if callable(fn) and not isinstance(fn, type) and "norm" not in name:
-            monkeypatch.setattr(np.linalg, name, watch(name, fn))
+    seen = _watch_linalg(monkeypatch)
     res = (eta_sd if variant == "sd" else eta_s)(p, ep, blocks)
     assert res.finite
-    assert square == []
+    assert [c for c in seen if min(c[1][-2:]) >= n] == []
 
 
 def test_eta_s_rb_infinite_whatever_the_pencil_scale():
