@@ -27,7 +27,7 @@ from . import io as io_mod
 from . import oracle as oracle_mod
 from . import pencil as pencil_mod
 from .config import DEFAULT_TOL, ToleranceConfig
-from .dsm import DsmProblem, Type1Problem, dsdm_type1, dsdm_type2, dsm_solve
+from .dsm import DsmProblem, DsmSolution, Type1Problem, Type1Solution, dsdm_type1, dsdm_type2, dsm_solve
 from .errors import DsmkitError
 from .maps import StructureFamily, map_min, map_two_sided
 
@@ -94,15 +94,9 @@ def _build_parser() -> _Parser:
 
 
 def _tol_from_args(args) -> ToleranceConfig:
-    kw = {}
-    if args.tol_rank is not None:
-        kw["rank_tol"] = args.tol_rank
-    if args.tol_psd is not None:
-        kw["psd_tol"] = args.tol_psd
-    if args.tol_residual is not None:
-        kw["residual_tol"] = args.tol_residual
-    if args.tol_colinearity is not None:
-        kw["colinearity_tol"] = args.tol_colinearity
+    """--tol-NAME overrides the field NAME_tol of the default configuration."""
+    kw = {f"{name}_tol": getattr(args, f"tol_{name}") for name in ("rank", "psd", "residual", "colinearity")}
+    kw = {key: value for key, value in kw.items() if value is not None}
     return ToleranceConfig(**kw) if kw else DEFAULT_TOL
 
 
@@ -117,8 +111,12 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _residual_doc(report: oracle_mod.VerificationReport) -> dict:
-    return report.as_dict()
+def _problem(kind: str, x, y, z, w):
+    """The problem of a two-sided result: square data for dsdm-type1, else x and w split at n = dim(y)."""
+    if kind == "dsdm-type1":
+        return Type1Problem(x, y, z, w)
+    n = y.shape[0]
+    return DsmProblem(x[:n], x[n:], y, z, w[:n], w[n:])
 
 
 def _cmd_map_solve(args, cfg: ToleranceConfig) -> int:
@@ -128,80 +126,31 @@ def _cmd_map_solve(args, cfg: ToleranceConfig) -> int:
     if (args.z is None) != (args.w is None):
         print("error: --z and --w must be given together", file=sys.stderr)
         return 1
-    two_sided = args.z is not None
     problem_echo = {"family": family.value, "x": io_mod.vector_to_doc(x), "y": io_mod.vector_to_doc(y)}
 
-    if not two_sided:
+    if args.z is None:
+        kind, data = "map-min", (x, y)
         sol = map_min(family, x, y, cfg)
-        doc = _doc_header("map-min")
-        doc["problem"] = problem_echo
-        doc["feasible"] = sol.feasible
-        if not sol.feasible:
-            doc["reason"] = sol.reason
-            _emit(doc)
-            return 2
-        report = oracle_mod.verify_solution(sol.minimizer, (x, y), family, cfg)
-        doc["norms"] = {"lower": sol.min_norm, "upper": sol.min_norm, "exact": not sol.boundary}
-        doc["solution"] = {"delta": io_mod.matrix_to_doc(sol.minimizer)}
-        doc["boundary"] = sol.boundary
-        doc["residuals"] = _residual_doc(report)
-        _emit(doc)
-        return 0
-
-    z = io_mod.vector_from_doc(io_mod.load_json(args.z), "z")
-    w = io_mod.vector_from_doc(io_mod.load_json(args.w), "w")
-    problem_echo["z"] = io_mod.vector_to_doc(z)
-    problem_echo["w"] = io_mod.vector_to_doc(w)
-    n = y.shape[0]
-    m = x.shape[0] - n
-
-    if family is StructureFamily.UNSTRUCTURED:
-        sol = map_two_sided(x, y, z, w, cfg)
-        doc = _doc_header("map-two-sided")
-        doc["problem"] = problem_echo
-        doc["feasible"] = sol.feasible
-        if not sol.feasible:
-            doc["reason"] = sol.reason
-            _emit(doc)
-            return 2
-        report = oracle_mod.verify_solution(sol.minimizer, (x, y, z, w), family, cfg)
-        doc["norms"] = {"lower": sol.min_norm, "upper": sol.min_norm, "exact": True}
-        doc["solution"] = {"delta": io_mod.matrix_to_doc(sol.minimizer)}
-        doc["residuals"] = _residual_doc(report)
-        _emit(doc)
-        return 0
-
-    if family in (StructureFamily.DISSIPATIVE, StructureFamily.ANTI_DISSIPATIVE):
-        anti = family is StructureFamily.ANTI_DISSIPATIVE
-        if m == 0:
-            sol1 = dsdm_type1(Type1Problem(x, y, z, w), cfg, anti=anti)
-            doc = _doc_header("dsdm-type1")
-            doc["problem"] = problem_echo
-            doc["feasible"] = sol1.feasible
-            if not sol1.feasible:
-                doc["reason"] = sol1.reason
-                _emit(doc)
-                return 2
-            report = oracle_mod.verify_solution(sol1.minimizer, (x, y, z, w), family, cfg)
-            doc["norms"] = {"lower": sol1.min_norm, "upper": sol1.min_norm, "exact": sol1.exact}
-            doc["solution"] = {"delta": io_mod.matrix_to_doc(sol1.minimizer)}
-            doc["warnings"] = sol1.warnings
-            doc["residuals"] = _residual_doc(report)
-            _emit(doc)
-            return 0
-        if m < 1:
-            print("error: dim(x) must be >= dim(y)", file=sys.stderr)
-            return 1
-        p = DsmProblem(x[:n], x[n:], y, z, w[:n], w[n:])
-        sol = dsdm_type2(p, cfg, anti=anti)
-        kind = "dsdm-type2"
     else:
-        if m < 1:
-            print("error: the doubly structured families need dim(x) > dim(y)", file=sys.stderr)
+        z = io_mod.vector_from_doc(io_mod.load_json(args.z), "z")
+        w = io_mod.vector_from_doc(io_mod.load_json(args.w), "w")
+        problem_echo["z"] = io_mod.vector_to_doc(z)
+        problem_echo["w"] = io_mod.vector_to_doc(w)
+        data = (x, y, z, w)
+        m = x.shape[0] - y.shape[0]
+        dissipative = family in (StructureFamily.DISSIPATIVE, StructureFamily.ANTI_DISSIPATIVE)
+        if family is StructureFamily.UNSTRUCTURED:
+            kind, sol = "map-two-sided", map_two_sided(x, y, z, w, cfg)
+        elif m < 0 or (m == 0 and not dissipative):
+            need = "dim(x) must be >= dim(y)" if dissipative else "the doubly structured families need dim(x) > dim(y)"
+            print(f"error: {need}", file=sys.stderr)
             return 1
-        p = DsmProblem(x[:n], x[n:], y, z, w[:n], w[n:])
-        sol = dsm_solve(family, p, cfg)
-        kind = "dsm"
+        elif dissipative:
+            kind = "dsdm-type1" if m == 0 else "dsdm-type2"
+            solve = dsdm_type1 if m == 0 else dsdm_type2
+            sol = solve(_problem(kind, *data), cfg, anti=family is StructureFamily.ANTI_DISSIPATIVE)
+        else:
+            kind, sol = "dsm", dsm_solve(family, _problem("dsm", *data), cfg)
 
     doc = _doc_header(kind)
     doc["problem"] = problem_echo
@@ -210,12 +159,21 @@ def _cmd_map_solve(args, cfg: ToleranceConfig) -> int:
         doc["reason"] = sol.reason
         _emit(doc)
         return 2
-    report = oracle_mod.verify_solution(sol.H, p, sol.family, cfg)
-    doc["norms"] = {"lower": sol.norm_lower, "upper": sol.norm_upper, "exact": sol.exact}
-    doc["solution"] = {"H1": io_mod.matrix_to_doc(sol.H1), "H2": io_mod.matrix_to_doc(sol.H2)}
-    doc["sufficiency_note"] = sol.sufficiency_note
-    doc["warnings"] = sol.warnings
-    doc["residuals"] = _residual_doc(report)
+    if isinstance(sol, DsmSolution):
+        delta = sol.H
+        doc["norms"] = {"lower": sol.norm_lower, "upper": sol.norm_upper, "exact": sol.exact}
+        doc["solution"] = {"H1": io_mod.matrix_to_doc(sol.H1), "H2": io_mod.matrix_to_doc(sol.H2)}
+        doc["sufficiency_note"] = sol.sufficiency_note
+    else:
+        delta = sol.minimizer
+        exact = sol.exact if isinstance(sol, Type1Solution) else not sol.boundary
+        doc["norms"] = {"lower": sol.min_norm, "upper": sol.min_norm, "exact": exact}
+        doc["solution"] = {"delta": io_mod.matrix_to_doc(delta)}
+    if kind == "map-min":
+        doc["boundary"] = sol.boundary
+    if hasattr(sol, "warnings"):
+        doc["warnings"] = sol.warnings
+    doc["residuals"] = oracle_mod.verify_solution(delta, data, family, cfg).as_dict()
     _emit(doc)
     return 0
 
@@ -242,13 +200,17 @@ def _cmd_pencil_validate(args, cfg: ToleranceConfig) -> int:
     return 0 if all(rep.values()) else 1
 
 
+def _eigpair(p: pencil_mod.PHPencil, lam: complex, uvec: np.ndarray) -> pencil_mod.EigenPair:
+    """The eigenpair of a stacked vector u = [u1; u2; u3] of length 2n + m."""
+    n, m = p.n, p.m
+    if uvec.shape[0] != 2 * n + m:
+        raise DsmkitError(f"u must have length 2n+m = {2 * n + m}, got {uvec.shape[0]}")
+    return pencil_mod.EigenPair(lam, uvec[:n], uvec[n : 2 * n], uvec[2 * n :])
+
+
 def _load_eigpair(args, p: pencil_mod.PHPencil, lam: complex, blocks, cfg) -> pencil_mod.EigenPair:
     if args.u is not None:
-        uvec = io_mod.vector_from_doc(io_mod.load_json(args.u), "u")
-        n, m = p.n, p.m
-        if uvec.shape[0] != 2 * n + m:
-            raise DsmkitError(f"u must have length 2n+m = {2 * n + m}, got {uvec.shape[0]}")
-        return pencil_mod.EigenPair(lam, uvec[:n], uvec[n : 2 * n], uvec[2 * n :])
+        return _eigpair(p, lam, io_mod.vector_from_doc(io_mod.load_json(args.u), "u"))
     seed = args.seed if args.seed is not None else _env_seed()
     return pencil_mod.gen_eigpair(p, seed, blocks, cfg, lam=lam)
 
@@ -274,18 +236,7 @@ def _bounds_doc(res: pencil_mod.BackwardErrorBounds) -> dict:
 def _cmd_backerr(args, cfg: ToleranceConfig) -> int:
     p = io_mod.pencil_from_doc(io_mod.load_json(args.pencil))
     blocks = pencil_mod.parse_blocks(args.blocks)
-    if args.variant == "s" and blocks not in pencil_mod.ETA_S_COMBOS:
-        name = pencil_mod.blocks_to_string(blocks)
-        print(
-            f"error: the symmetry-only backward error for {name} is classical prior work; "
-            "not implemented here",
-            file=sys.stderr,
-        )
-        return 1
-    if args.variant == "sd" and blocks not in (pencil_mod.ETA_SD_COMBOS | pencil_mod.ETA_S_COMBOS):
-        name = pencil_mod.blocks_to_string(blocks)
-        print(f"error: eta_sd({name}) is classical prior work; not implemented here", file=sys.stderr)
-        return 1
+    pencil_mod._formula_variant(blocks, args.variant)  # an unsupported selection raises here
 
     if args.command == "backerr-sweep":
         lams = [io_mod.parse_imaginary(tok) for tok in args.lambdas.split(",") if tok.strip()]
@@ -330,56 +281,38 @@ def _cmd_verify(args, cfg: ToleranceConfig) -> int:
     extra: dict = {}
     try:
         problem = doc["problem"]
-        if kind in ("map-min", "map-two-sided", "dsdm-type1"):
+        if kind in ("map-min", "map-two-sided", "dsdm-type1", "dsm", "dsdm-type2"):
             family = StructureFamily(problem["family"])
             x = io_mod.vector_from_doc(problem["x"], "x")
             y = io_mod.vector_from_doc(problem["y"], "y")
-            delta = io_mod.matrix_from_doc(doc["solution"]["delta"], "delta")
+            solution = doc["solution"]
+            if "delta" in solution:
+                delta = io_mod.matrix_from_doc(solution["delta"], "delta")
+            else:
+                delta = np.hstack([io_mod.matrix_from_doc(solution[b], b) for b in ("H1", "H2")])
             if kind == "map-min":
-                z = np.zeros_like(y)
-                w = delta.conj().T @ z
+                data = (x, y)
             else:
                 z = io_mod.vector_from_doc(problem["z"], "z")
                 w = io_mod.vector_from_doc(problem["w"], "w")
-            report = oracle_mod.verify_solution(delta, (x, y, z, w), family, cfg)
+                data = (x, y, z, w)
+            report = oracle_mod.verify_solution(delta, data, family, cfg)
             ok = report.ok
-            if ok and doc.get("norms", {}).get("exact"):
-                claimed = float(doc["norms"]["upper"])
-                oracle_norm = None
-                if kind == "map-min" and family in oracle_mod.LINEAR_FAMILIES:
+            oracle_norm = None
+            if ok and doc.get("norms", {}).get("exact") and kind != "map-two-sided":
+                if kind != "map-min":
+                    _, oracle_norm = oracle_mod.oracle_min_structured(_problem(kind, *data), family, cfg=cfg)
+                elif family in oracle_mod.LINEAR_FAMILIES:
                     _, oracle_norm = oracle_mod.oracle_least_norm([("mul", x, y)], family, cfg=cfg)
-                elif kind == "dsdm-type1":
-                    _, oracle_norm = oracle_mod.oracle_min_structured(
-                        Type1Problem(x, y, z, w), family, cfg=cfg
-                    )
-                if oracle_norm is not None:
-                    extra["oracle_norm"] = oracle_norm
-                    ok = ok and oracle_norm >= claimed * (1 - 1e-6) - 1e-9
-        elif kind in ("dsm", "dsdm-type2"):
-            family = StructureFamily(problem["family"])
-            x = io_mod.vector_from_doc(problem["x"], "x")
-            y = io_mod.vector_from_doc(problem["y"], "y")
-            z = io_mod.vector_from_doc(problem["z"], "z")
-            w = io_mod.vector_from_doc(problem["w"], "w")
-            n = y.shape[0]
-            p = DsmProblem(x[:n], x[n:], y, z, w[:n], w[n:])
-            h1 = io_mod.matrix_from_doc(doc["solution"]["H1"], "H1")
-            h2 = io_mod.matrix_from_doc(doc["solution"]["H2"], "H2")
-            delta = np.hstack([h1, h2])
-            report = oracle_mod.verify_solution(delta, p, family, cfg)
-            ok = report.ok
-            if ok and doc.get("norms", {}).get("exact"):
-                _, oracle_norm = oracle_mod.oracle_min_structured(p, family, cfg=cfg)
-                claimed = float(doc["norms"]["upper"])
+            if oracle_norm is not None:
                 extra["oracle_norm"] = oracle_norm
-                ok = ok and oracle_norm >= claimed * (1 - 1e-6) - 1e-9
+                ok = ok and oracle_norm >= float(doc["norms"]["upper"]) * (1 - 1e-6) - 1e-9
         elif kind == "backerr":
             p = io_mod.pencil_from_doc(problem["pencil"])
             uvec = io_mod.vector_from_doc(problem["u"], "u")
             lam = io_mod.parse_imaginary(problem["lambda"])
             blocks = pencil_mod.parse_blocks(problem["blocks"])
-            n, m = p.n, p.m
-            ep = pencil_mod.EigenPair(lam, uvec[:n], uvec[n : 2 * n], uvec[2 * n :])
+            ep = _eigpair(p, lam, uvec)
             compute = pencil_mod.eta_sd if problem["variant"] == "sd" else pencil_mod.eta_s
             res = compute(p, ep, blocks, cfg)
             stored = doc["bounds"]
@@ -425,10 +358,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, cfg)
         parser.error(f"unknown command {args.command}")
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DsmkitError as exc:
+    except (FileNotFoundError, DsmkitError, ValueError) as exc:  # bad input: one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

@@ -17,12 +17,16 @@ The vector solvers build each block once from factors of at most three
 columns (H1 is map_min's Delta1 on (z, +-w1) or their conjugates; H2 is
 (y - H1 x1) x2+ + (z+)* (P_x2 w2)*), so they cost O(n(n + m)), the size of
 the output.  Only ``dsdm_type1`` takes SVDs, of its matrix data.
+
+The negated families go through the one reflection rule of ``maps``
+(``_reflect``): nsd is psd, and ``anti=True`` is the dissipative problem,
+on (x, -y, z, -w) with the result negated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +39,17 @@ from .errors import (
     StructureError,
 )
 from .linalg import as_complex, fro, min_eig_herm, null_projector, pinv, svd_split
-from .maps import StructureFamily, _min_factors, _outer_sum, _project, _require_structure, _sandwich
+from .maps import (
+    _REFLECTED,
+    StructureFamily,
+    _incompatible,
+    _min_factors,
+    _outer_sum,
+    _project,
+    _reflect,
+    _require_structure,
+    _sandwich,
+)
 
 __all__ = [
     "DsmProblem",
@@ -76,12 +90,8 @@ class DsmProblem:
     w2: np.ndarray
 
     def __post_init__(self) -> None:
-        self.x1 = as_complex(self.x1, "x1").reshape(-1)
-        self.x2 = as_complex(self.x2, "x2").reshape(-1)
-        self.y = as_complex(self.y, "y").reshape(-1)
-        self.z = as_complex(self.z, "z").reshape(-1)
-        self.w1 = as_complex(self.w1, "w1").reshape(-1)
-        self.w2 = as_complex(self.w2, "w2").reshape(-1)
+        for name in ("x1", "x2", "y", "z", "w1", "w2"):
+            setattr(self, name, as_complex(getattr(self, name), name).reshape(-1))
         n, m = self.n, self.m
         shapes = (self.x1.shape[0], self.y.shape[0], self.z.shape[0], self.w1.shape[0])
         if shapes != (n, n, n, n) or self.w2.shape[0] != m:
@@ -104,10 +114,6 @@ class DsmProblem:
     @property
     def w(self) -> np.ndarray:
         return np.concatenate([self.w1, self.w2])
-
-    def reflected(self) -> "DsmProblem":
-        """Sign reflection (x1 -> -x1, w1 -> -w1) used for the NSD variant."""
-        return DsmProblem(-self.x1, self.x2, self.y, self.z, -self.w1, self.w2)
 
 
 @dataclass
@@ -212,8 +218,8 @@ def _check_degenerate(family: StructureFamily, p: DsmProblem) -> None:
         raise DegenerateInputError("w1 must be nonzero")
     if fro(p.x2) == 0.0:
         raise DegenerateInputError("x2 must be nonzero (the column-block construction needs it)")
-    if family in (StructureFamily.PSD, StructureFamily.NSD) and fro(p.w2) == 0.0:
-        raise DegenerateInputError("w2 must be nonzero for the semidefinite families")
+    if family in (StructureFamily.PSD, StructureFamily.NSD, StructureFamily.DISSIPATIVE) and fro(p.w2) == 0.0:
+        raise DegenerateInputError("w2 must be nonzero for the semidefinite and dissipative families")
 
 
 def dsm_solve(
@@ -225,32 +231,25 @@ def dsm_solve(
 
     Feasibility is the family's iff-condition: compatibility x*w = y*z
     plus the structural condition on z*w1 (real / imaginary / positive /
-    z^T w1 = 0).  The NSD family is solved by reflecting (x1, w1) through
-    the PSD path and negating H1 on return.
+    z^T w1 = 0).  The NSD family is the PSD problem on (x, -y, z, -w),
+    negated (``maps._reflect``).
 
     Exactness fires when x1 is colinear with z (conjugated z for the
     bilinear families), or, for the PSD family only, when every
     eigenvalue of the rank-one diagnostic matrix
-    ``M = y x1* - (w1* x1 / z* w1) w1 x1*`` has nonpositive real part.
+    ``M = y x1* - (w1* x1 / z* w1) w1 x1* = a x1*`` has nonpositive real part;
+    ``diagnostics["left_spectrum_factors"]`` holds (a, x1).
     """
     family = StructureFamily(family)
     if family not in DSM_FAMILIES:
         raise ValueError(f"dsm_solve supports {[f.value for f in DSM_FAMILIES]}, got {family.value}")
     _check_degenerate(family, p)
 
-    if family is StructureFamily.NSD:
-        inner = dsm_solve(StructureFamily.PSD, p.reflected(), cfg)
-        inner.family = family
-        if inner.feasible:
-            inner.H1 *= -1.0
-        else:
-            inner.reason = inner.reason.replace("positive", "negative")
-        return inner
+    if family in _REFLECTED:
+        return _reflect(family, lambda base, **yw: dsm_solve(base, replace(p, **yw), cfg), y=p.y, w1=p.w1, w2=p.w2)
 
-    compat = np.vdot(p.x, p.w) - np.vdot(p.y, p.z)
-    cscale = max(fro(p.x) * fro(p.w), fro(p.y) * fro(p.z), 1e-300)
-    if abs(compat) > cfg.residual_tol * cscale:
-        return DsmSolution(family, False, reason=f"x*w != y*z (gap {abs(compat):.3e})")
+    if why := _incompatible(p.x, p.y, p.z, p.w, cfg):
+        return DsmSolution(family, False, reason=why)
     ok, why = _structural_condition(family, p, cfg)
     if not ok:
         return DsmSolution(family, False, reason=why)
@@ -275,9 +274,8 @@ def dsm_solve(
     if family is StructureFamily.PSD:
         zw1 = np.vdot(p.z, p.w1)
         a = p.y - (np.vdot(p.w1, p.x1) / zw1) * p.w1
-        mdiag = np.outer(a, p.x1.conj())
         rightmost, herm_right = _rank_one_rightmost(a, p.x1)
-        diagnostics["left_spectrum_matrix"] = mdiag
+        diagnostics["left_spectrum_factors"] = (a, p.x1)
         diagnostics["rightmost_real_part"] = rightmost
         floor = cfg.psd_tol * fro(a) * fro(p.x1)  # ||a x1*||_F, with no unit floor: the verdict is scale-free
         # The certifiable condition is the Hermitian part of the diagnostic
@@ -324,7 +322,9 @@ def dsm_characterize(
     The perturbation terms are ``H1~ = P K P`` and
     ``H2~ = P_z R P_x2 - (P K P) x1 x2+``, where P is the projector pair
     of the family (P_z on both sides for the sesquilinear families,
-    transposed conjugate projectors for the bilinear ones).
+    transposed conjugate projectors for the bilinear ones).  NSD is the PSD
+    evaluation on (x, -y, z, -w), negated; R is reflected with the data, so
+    it enters every family's set as ``P_z R P_x2``.
     """
     family = StructureFamily(family)
     K = as_complex(K, "K")
@@ -334,11 +334,12 @@ def dsm_characterize(
     if R.shape != (p.n, p.m):
         raise ConstraintViolationError("R_shape", f"R must be {p.n}x{p.m}, got {R.shape}")
 
-    if family is StructureFamily.NSD:
-        _require_structure(StructureFamily.PSD, "K", K, cfg)
-        refl = dsm_characterize(StructureFamily.PSD, p.reflected(), K, R, cfg)
-        refl[:, : p.n] *= -1.0
-        return refl
+    if family in _REFLECTED:
+        return _reflect(
+            family,
+            lambda base, R, **yw: dsm_characterize(base, replace(p, **yw), K, R, cfg),
+            y=p.y, w1=p.w1, w2=p.w2, R=R,
+        )
 
     _require_structure(family, "K", K, cfg)
     sol = dsm_solve(family, p, cfg)
@@ -369,14 +370,9 @@ class Type1Problem:
     W: np.ndarray
 
     def __post_init__(self) -> None:
-        def col(a, name):
-            a = as_complex(a, name)
-            return a[:, None] if a.ndim == 1 else a
-
-        self.X = col(self.X, "X")
-        self.Y = col(self.Y, "Y")
-        self.Z = col(self.Z, "Z")
-        self.W = col(self.W, "W")
+        for name in "XYZW":
+            a = as_complex(getattr(self, name), name)
+            setattr(self, name, a[:, None] if a.ndim == 1 else a)
         if self.X.ndim != 2 or {self.Y.shape, self.Z.shape, self.W.shape} != {self.X.shape}:
             raise DimensionMismatchError("X, Y, Z, W must all share one n x m shape")
 
@@ -413,16 +409,13 @@ def dsdm_type1(
     ``J = 1/2 A (U1* M U1)^+ A*`` with ``M = YX+ + (YX+)*`` and
     ``A = U2*(YX+ + WZ+)U1``; the minimizer is
     ``YX+ + (WZ+)* - (WZ+)* XX+ + P_Z U2 J U2* P_X``.
-    ``anti=True`` solves the reflected problem (Y, W) -> (-Y, -W) and
-    negates the minimizer, yielding Delta + Delta* <= 0.
+    ``anti=True`` asks for Delta + Delta* <= 0 through ``maps._reflect``.
     """
     if anti:
-        inner = dsdm_type1(Type1Problem(q.X, -q.Y, q.Z, -q.W), cfg)
-        if inner.feasible:
-            inner.minimizer = -inner.minimizer
-        return inner
+        return _reflect(
+            StructureFamily.ANTI_DISSIPATIVE, lambda _, **yw: dsdm_type1(replace(q, **yw), cfg), Y=q.Y, W=q.W
+        )
 
-    n = q.X.shape[0]
     sx = svd_split(q.X, cfg)
     sz = svd_split(q.Z, cfg)
     xd = pinv(q.X, cfg)
@@ -506,12 +499,17 @@ def dsdm_type1_vec(
     factor conj(alpha)/|alpha|^2 (= 1/alpha), which reproduces the matrix
     solver exactly; ``min_norm`` is always ||H||_F, computed from the
     assembled minimizer (the closed scalar expression is kept only as a
-    diagnostic, see ``diagnostics['scalar_display_sq']``).
+    diagnostic, see ``diagnostics['scalar_display_sq']``).  ``anti=True``
+    asks for Delta + Delta* <= 0 through ``maps._reflect``.
     """
     x = as_complex(x, "x").reshape(-1)
     y = as_complex(y, "y").reshape(-1)
     z = as_complex(z, "z").reshape(-1)
     w = as_complex(w, "w").reshape(-1)
+    if anti:
+        return _reflect(
+            StructureFamily.ANTI_DISSIPATIVE, lambda _, y, w: dsdm_type1_vec(x, y, z, w, cfg), y=y, w=w
+        )
     for name, v in (("x", x), ("y", y), ("w", w), ("z", z)):
         if fro(v) == 0.0:
             raise DegenerateInputError(f"{name} must be nonzero")
@@ -522,22 +520,13 @@ def dsdm_type1_vec(
             f"z is not colinear with x (residual {fro(z - alpha * x):.3e})"
         )
 
-    if anti:
-        inner = dsdm_type1_vec(x, -y, z, -w, cfg)
-        if inner.feasible:
-            inner.minimizer = -inner.minimizer
-        return inner
-
     s = np.vdot(x, y)
     scale = max(fro(x) * fro(y), 1e-300)
     if abs(s.real) <= cfg.residual_tol * scale:
         raise DegenerateInputError("Re(x*y) vanishes; the vector-case formulas are undefined")
 
     conditions = {"colinear": True, "re_xy_positive": s.real > 0}
-    gap = np.vdot(x, w) - np.vdot(y, z)
-    conditions["XW_eq_YZ"] = abs(gap) <= cfg.residual_tol * max(
-        fro(x) * fro(w), fro(y) * fro(z), 1e-300
-    )
+    conditions["XW_eq_YZ"] = not _incompatible(x, y, z, w, cfg)
     if not (conditions["re_xy_positive"] and conditions["XW_eq_YZ"]):
         bad = [k for k, v in conditions.items() if not v]
         return Type1Solution(False, reason=f"infeasible: {', '.join(bad)}", conditions=conditions)
@@ -590,29 +579,19 @@ def dsdm_type2(
     Feasible iff x*w = y*z and Re(z*w1) >= 0.  The returned feasible
     point is [H1^ H2^] with ``H1^ = (w1 z+)* - P_z w1 z+`` (always
     dissipative when Re(z*w1) >= 0).  Exactness fires when y is colinear
-    with z and z is orthogonal to x1.  ``anti=True`` reflects (y, w) and
-    negates the result.
+    with z and z is orthogonal to x1.  ``anti=True`` asks for
+    Delta1 + Delta1* <= 0 through ``maps._reflect``.
     """
-    if fro(p.z) == 0.0:
-        raise DegenerateInputError("z must be nonzero")
-    if fro(p.x2) == 0.0 or fro(p.w1) == 0.0 or fro(p.w2) == 0.0:
-        raise DegenerateInputError("x2, w1, w2 must all be nonzero")
-
+    _check_degenerate(StructureFamily.DISSIPATIVE, p)
     if anti:
-        refl = DsmProblem(p.x1, p.x2, -p.y, p.z, -p.w1, -p.w2)
-        inner = dsdm_type2(refl, cfg)
-        inner.family = StructureFamily.ANTI_DISSIPATIVE
-        if inner.feasible:
-            inner.H1 *= -1.0
-            inner.H2 *= -1.0
-        return inner
-
-    compat = np.vdot(p.x, p.w) - np.vdot(p.y, p.z)
-    cscale = max(fro(p.x) * fro(p.w), fro(p.y) * fro(p.z), 1e-300)
-    if abs(compat) > cfg.residual_tol * cscale:
-        return DsmSolution(
-            StructureFamily.DISSIPATIVE, False, reason=f"x*w != y*z (gap {abs(compat):.3e})"
+        return _reflect(
+            StructureFamily.ANTI_DISSIPATIVE,
+            lambda _, **yw: dsdm_type2(replace(p, **yw), cfg),
+            y=p.y, w1=p.w1, w2=p.w2,
         )
+
+    if why := _incompatible(p.x, p.y, p.z, p.w, cfg):
+        return DsmSolution(StructureFamily.DISSIPATIVE, False, reason=why)
     rew = np.vdot(p.z, p.w1).real
     sscale = max(fro(p.z) * fro(p.w1), 1e-300)
     if rew < -cfg.residual_tol * sscale:

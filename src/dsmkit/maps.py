@@ -12,6 +12,11 @@ vectors, so the solvers work on factors F, G of at most four columns and
 form the dense answer once, as ``F G^T``.  A projector acts as a vector
 update, ``P_v a = a - v (v+ a)``; no n x n projector and no product of two
 n x n matrices is formed, so building Delta costs O(n^2), its size.
+
+The negated families (nsd, anti-dissipative) follow one reflection rule,
+``_reflect``, here and in ``dsm`` and ``oracle``: Delta is in -S iff -Delta
+is in S, so the problem (x, y, z, w) in -S is the problem (x, -y, z, -w) in
+S with its result negated.  No solver codes a negated family itself.
 """
 
 from __future__ import annotations
@@ -73,11 +78,56 @@ def _nonzero_vec(v, name: str) -> np.ndarray:
     return v
 
 
-def _reflected(family: StructureFamily) -> StructureFamily:
-    return {
-        StructureFamily.NSD: StructureFamily.PSD,
-        StructureFamily.ANTI_DISSIPATIVE: StructureFamily.DISSIPATIVE,
-    }[family]
+#: the negated families and the family each is solved as
+_REFLECTED = {
+    StructureFamily.NSD: StructureFamily.PSD,
+    StructureFamily.ANTI_DISSIPATIVE: StructureFamily.DISSIPATIVE,
+}
+#: the sign conditions of the base families' reasons, as the negated family states them
+_REFLECTED_REASONS = {
+    "x*y not real positive": "x*y not real negative",
+    "Re(x*y) negative": "Re(x*y) positive",
+    "z*w1 not positive": "z*w1 not negative",
+    "Re(z*w1) negative": "Re(z*w1) positive",
+}
+
+
+def _reflected_reason(reason: str) -> str:
+    """A base family's reason as the negated family states it, at the caller's (negated) value."""
+    head, sep, value = reason.partition(" (")
+    if head not in _REFLECTED_REASONS:
+        return reason  # conditions that reflection leaves alone, e.g. the gap of x*w = y*z
+    number = value.rstrip(")")
+    # 0 - v, not -v: a part that cancels to zero is +0 for the caller's data as for the negated data
+    negated = 0.0 - (complex(number) if number.endswith("j") else float(number))
+    return f"{_REFLECTED_REASONS[head]}{sep}{negated:.3e})"
+
+
+def _reflect(family: StructureFamily, solve, **data):
+    """The one reflection rule: solve ``family`` in -S as its base family S, negated.
+
+    Delta x = y and Delta* z = w with Delta in -S hold iff (-Delta) x = -y and
+    (-Delta)* z = -w with -Delta in S.  ``solve(base, **negated)`` runs the
+    base family's solver with every array of ``data`` (the caller's y and w
+    parts, and a free block that must enter both sets alike) negated.  Its
+    result is negated: an array, the first entry of a
+    (Delta, norm) pair, or the blocks ``minimizer``/``H1``/``H2`` of a
+    solution, whose ``family`` becomes ``family``.  An infeasible solution's
+    reason states the negated family's condition at the caller's value.
+    """
+    out = solve(_REFLECTED[family], **{name: -v for name, v in data.items()})
+    if isinstance(out, np.ndarray):
+        return -out
+    if isinstance(out, tuple):
+        return (-out[0],) + out[1:]
+    if hasattr(out, "family"):
+        out.family = family
+    if not out.feasible:
+        out.reason = _reflected_reason(out.reason)
+    for name in ("minimizer", "H1", "H2"):
+        if getattr(out, name, None) is not None:
+            setattr(out, name, -getattr(out, name))
+    return out
 
 
 def _project(v: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -138,8 +188,8 @@ def map_min(
       psd             x*y real and positive
       dissipative     Re(x*y) >= 0 (boundary Re ~ 0 flagged: the returned
                       minimizer is feasible but minimality is not certified)
-    nsd / anti-dissipative solve the reflected problem on (x, -y) and
-    negate the result.
+    nsd / anti-dissipative go through ``_reflect``: the psd / dissipative
+    problem on (x, -y), negated.
     """
     family = StructureFamily(family)
     x = _nonzero_vec(x, "x")
@@ -147,14 +197,8 @@ def map_min(
     if x.shape != y.shape:
         raise DimensionMismatchError(f"x and y must share a dimension, got {x.shape} vs {y.shape}")
 
-    if family in (StructureFamily.NSD, StructureFamily.ANTI_DISSIPATIVE):
-        inner = map_min(_reflected(family), x, -y, cfg)
-        inner.family = family
-        if inner.feasible:
-            inner.minimizer *= -1.0
-        else:
-            inner.reason = inner.reason.replace("(x, -y)", "(x, y)")
-        return inner
+    if family in _REFLECTED:
+        return _reflect(family, lambda base, y: map_min(base, x, y, cfg), y=y)
 
     n = x.shape[0]
     s = np.vdot(x, y)  # x*y
@@ -198,6 +242,14 @@ def map_min(
     )
 
 
+def _incompatible(x, y, z, w, cfg: ToleranceConfig) -> str:
+    """Why x*w = y*z, which every problem with both Delta x = y and Delta* z = w needs, fails; "" if it holds."""
+    gap = np.vdot(x, w) - np.vdot(y, z)
+    if abs(gap) <= cfg.residual_tol * max(fro(x) * fro(w), fro(y) * fro(z), 1e-300):
+        return ""
+    return f"x*w != y*z (gap {abs(gap):.3e})"
+
+
 def map_two_sided(x, y, z, w, cfg: ToleranceConfig = DEFAULT_TOL) -> MapSolution:
     """Minimal-norm unstructured Delta with ``Delta x = y`` and ``Delta* z = w``.
 
@@ -215,12 +267,8 @@ def map_two_sided(x, y, z, w, cfg: ToleranceConfig = DEFAULT_TOL) -> MapSolution
             f"need x, w in C^m and y, z in C^n; got {x.shape}, {w.shape}, {y.shape}, {z.shape}"
         )
     n, m = y.shape[0], x.shape[0]
-    gap = np.vdot(x, w) - np.vdot(y, z)
-    scale = max(fro(x) * fro(w), fro(y) * fro(z), 1e-300)
-    if abs(gap) > cfg.residual_tol * scale:
-        return MapSolution(
-            StructureFamily.UNSTRUCTURED, False, reason=f"x*w != y*z (gap {abs(gap):.3e})"
-        )
+    if why := _incompatible(x, y, z, w, cfg):
+        return MapSolution(StructureFamily.UNSTRUCTURED, False, reason=why)
     # y x+ + (w z+)* P_x = y x+ + (z+)* (P_x w)*
     delta = _outer_sum([y, pinv(z, cfg).ravel().conj()], [pinv(x, cfg).ravel(), _project(x, w).conj()])
     return MapSolution(
@@ -237,6 +285,21 @@ def _require(cond: bool, name: str, message: str) -> None:
         raise ConstraintViolationError(name, message)
 
 
+def _deviation(family: StructureFamily, a: np.ndarray) -> float:
+    """||a -+ a*|| or ||a -+ a^T||, the distance of a square a from the family's symmetry.
+
+    psd and nsd have the Hermitian symmetry; unstructured and the dissipative
+    families have none, so their deviation is 0.
+    """
+    if family in (StructureFamily.PSD, StructureFamily.NSD):
+        family = StructureFamily.HERMITIAN
+    if family not in LINEAR_FAMILIES or family is StructureFamily.UNSTRUCTURED:
+        return 0.0
+    bilinear = family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC)
+    sign = 1.0 if family in (StructureFamily.HERMITIAN, StructureFamily.SYMMETRIC) else -1.0
+    return fro(a - sign * (a.T if bilinear else a.conj().T))
+
+
 def _require_structure(family: StructureFamily, name: str, a: np.ndarray, cfg: ToleranceConfig) -> None:
     """Raise ``ConstraintViolationError`` (e.g. ``K_skew_symmetric``) unless a is in the family.
 
@@ -246,9 +309,7 @@ def _require_structure(family: StructureFamily, name: str, a: np.ndarray, cfg: T
         ok = min_eig_herm(a) >= -cfg.psd_tol * max(1.0, fro(a))
         label = "positive semidefinite"
     else:
-        bilinear = family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC)
-        sign = 1.0 if family in (StructureFamily.HERMITIAN, StructureFamily.SYMMETRIC) else -1.0
-        ok = fro(a - sign * (a.T if bilinear else a.conj().T)) <= cfg.residual_tol * max(1.0, fro(a))
+        ok = _deviation(family, a) <= cfg.residual_tol * max(1.0, fro(a))
         label = family.value.replace("hermitian", "Hermitian")
     _require(ok, f"{name}_{family.value.replace('-', '_')}", f"{name} must be {label}")
 
@@ -271,8 +332,8 @@ def map_characterize(
     x = _nonzero_vec(x, "x")
     y = _nonzero_vec(y, "y")
 
-    if family in (StructureFamily.NSD, StructureFamily.ANTI_DISSIPATIVE):
-        return -map_characterize(_reflected(family), x, -y, params, cfg)
+    if family in _REFLECTED:
+        return _reflect(family, lambda base, y: map_characterize(base, x, y, params, cfg), y=y)
 
     base = map_min(family, x, y, cfg)
     if not base.feasible:

@@ -20,7 +20,7 @@ Two regimes, matching the geometry of the feasible sets:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .dsm import DsmProblem, Type1Problem
 from .errors import DegenerateInputError, InconsistentConstraintsError
 from .linalg import as_complex, fro, herm_skew_parts, null_projector, pinv, svd_split
-from .maps import LINEAR_FAMILIES, StructureFamily, _reflected
+from .maps import _REFLECTED, LINEAR_FAMILIES, StructureFamily, _deviation, _reflect
 from .pencil import EigenPair, PHPencil, PerturbationBlocks, _crandn, mapping_data, parse_blocks
 
 __all__ = [
@@ -266,7 +266,6 @@ def _oracle_dsm_psd(p: DsmProblem, budget: OracleBudget, cfg: ToleranceConfig):
 
 def _oracle_type1(q: Type1Problem, budget: OracleBudget, cfg: ToleranceConfig):
     """Descent over the free block of the square dissipative characterization."""
-    n = q.X.shape[0]
     sx = svd_split(q.X, cfg)
     u1, u2 = sx.U1, sx.U2
     xd = pinv(q.X, cfg)
@@ -310,10 +309,6 @@ def _oracle_type1(q: Type1Problem, budget: OracleBudget, cfg: ToleranceConfig):
     return delta, math.sqrt(best_v)
 
 
-def _skew(g: np.ndarray) -> np.ndarray:
-    return (g - g.conj().T) / 2.0
-
-
 def _oracle_type2(p: DsmProblem, budget: OracleBudget, cfg: ToleranceConfig):
     """L-BFGS over the rectangular dissipative characterization parameters.
 
@@ -347,7 +342,7 @@ def _oracle_type2(p: DsmProblem, budget: OracleBudget, cfg: ToleranceConfig):
         t = theta[:nt:2] + 1j * theta[1:nt:2]
         lg = (theta[nt : nt + ng : 2] + 1j * theta[nt + 1 : nt + ng : 2]).reshape(n, n)
         gf = (theta[nt + ng :: 2] + 1j * theta[nt + ng + 1 :: 2]).reshape(n, n)
-        return t, lg, _skew(gf)
+        return t, lg, (gf - gf.conj().T) / 2.0
 
     def assemble(theta):
         t, lg, gs = unpack(theta)
@@ -398,8 +393,8 @@ def oracle_min_structured(
     Linear families get the exact vectorized solve; semidefinite and
     dissipative families run seeded multi-restart descent over the
     characterization's free parameters.  NSD and anti-dissipative problems
-    are solved as the PSD and dissipative problems of the data
-    (x, -y, z, -w), whose minimizers are the negated ones.  A
+    go through the reflection rule ``maps._reflect``: the PSD and
+    dissipative problems of the data (x, -y, z, -w), negated.  A
     ``Type1Problem`` (square matrix data) gets the (anti-)dissipative
     oracle.  Returns (Delta, norm); for the descent families the norm is an
     upper bound on the true minimum.
@@ -407,13 +402,12 @@ def oracle_min_structured(
     if not isinstance(problem, (DsmProblem, Type1Problem)):
         raise TypeError("problem must be a DsmProblem or Type1Problem")
     family = StructureFamily(family)
-    if family in (StructureFamily.NSD, StructureFamily.ANTI_DISSIPATIVE):
-        if isinstance(problem, Type1Problem):
-            negated = Type1Problem(problem.X, -problem.Y, problem.Z, -problem.W)
-        else:
-            negated = DsmProblem(problem.x1, problem.x2, -problem.y, problem.z, -problem.w1, -problem.w2)
-        delta, norm = oracle_min_structured(negated, _reflected(family), budget, cfg)
-        return -delta, norm
+    if family in _REFLECTED:
+        names = ("Y", "W") if isinstance(problem, Type1Problem) else ("y", "w1", "w2")
+        return _reflect(
+            family, lambda base, **yw: oracle_min_structured(replace(problem, **yw), base, budget, cfg),
+            **{name: getattr(problem, name) for name in names},
+        )
     if isinstance(problem, Type1Problem):
         return _oracle_type1(problem, budget, cfg)
     p = problem
@@ -640,17 +634,13 @@ def verify_solution(
     z = w = None
     if isinstance(problem, DsmProblem):
         x, y, z, w = problem.x, problem.y, problem.z, problem.w
-        nsq = problem.n
     elif isinstance(problem, Type1Problem):
         x, y, z, w = problem.X, problem.Y, problem.Z, problem.W
-        nsq = problem.X.shape[0]
     elif len(problem) == 2:
         x, y = (as_complex(v) for v in problem)
-        nsq = delta.shape[0]
     else:
         x, y, z, w = (as_complex(v) for v in problem)
-        nsq = delta.shape[0]
-    d1 = delta[:, :nsq]
+    d1 = delta[:, : delta.shape[0]]  # the square block; Delta has n rows in every problem
 
     scale_x = max(1.0, fro(delta) * fro(x) + fro(y))
     r1 = fro(delta @ x - y) / scale_x
@@ -662,25 +652,11 @@ def verify_solution(
 
     min_eig: float | None = None
     sd = max(1.0, fro(d1))
-    if family is StructureFamily.HERMITIAN:
-        dev = fro(d1 - d1.conj().T) / sd
-    elif family is StructureFamily.SKEW_HERMITIAN:
-        dev = fro(d1 + d1.conj().T) / sd
-    elif family is StructureFamily.SYMMETRIC:
-        dev = fro(d1 - d1.T) / sd
-    elif family is StructureFamily.SKEW_SYMMETRIC:
-        dev = fro(d1 + d1.T) / sd
-    elif family in (StructureFamily.PSD, StructureFamily.NSD):
-        dev = fro(d1 - d1.conj().T) / sd
+    dev = _deviation(family, d1) / sd
+    if family not in LINEAR_FAMILIES:  # the cones: the extreme eigenvalue of the Hermitian part
         eigs = np.linalg.eigvalsh((d1 + d1.conj().T) / 2.0)
-        min_eig = float(eigs[0]) if family is StructureFamily.PSD else float(-eigs[-1])
-    elif family in (StructureFamily.DISSIPATIVE, StructureFamily.ANTI_DISSIPATIVE):
-        dev = 0.0
-        hh = (d1 + d1.conj().T) / 2.0
-        eigs = np.linalg.eigvalsh(hh)
-        min_eig = float(eigs[0]) if family is StructureFamily.DISSIPATIVE else float(-eigs[-1])
-    else:
-        dev = 0.0
+        positive = family in (StructureFamily.PSD, StructureFamily.DISSIPATIVE)
+        min_eig = float(eigs[0]) if positive else float(-eigs[-1])
 
     tol = cfg.residual_tol * 100
     ok = r1 <= tol and r2 <= tol and dev <= tol

@@ -492,18 +492,12 @@ def _solve(blocks: frozenset[str], variant: str, lam: complex, v: _Products, cfg
     return out, F, C
 
 
-_NOT_COVERED = {
-    "sd": "eta_sd({}) is not covered by this package",
-    "s": "eta_s({}) is classical prior work; not implemented",
-}
-
-
 def _formula_variant(blocks: frozenset[str], variant: str) -> str:
     """The formulas a selection uses: eta_sd delegates the selections without R to eta_s."""
     if variant == "sd" and blocks in _DELEGATED:
         return "s"
     if blocks not in (ETA_SD_COMBOS if variant == "sd" else ETA_S_COMBOS):
-        raise ValueError(_NOT_COVERED[variant].format(blocks_to_string(blocks)))
+        raise ValueError(f"eta_{variant}({blocks_to_string(blocks)}) is classical prior work; not implemented")
     return variant
 
 

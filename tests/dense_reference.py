@@ -13,6 +13,12 @@ fail at the data scales the comparison runs: the psd exactness floor takes
 at data x 1e100 and turned the floor into inf, and a floor of 1 passed every
 point as exact at data x 1e-100), and the type-1
 ``scalar_display_sq`` divides before squaring (it was 0/0 at data x 1e-100).
+
+The negated families keep their own reflection here, written out where it is
+used: nsd/anti-dissipative ``map_min`` on (x, -y), ``dsm_solve`` and
+``dsm_characterize`` nsd through the sign change (x1, w1) -> (-x1, -w1) with
+H1 negated, and ``dsdm_type2`` anti on (y, w) -> (-y, -w).  An infeasible
+negated problem states its own condition at the caller's value.
 """
 
 import numpy as np
@@ -27,22 +33,25 @@ from dsmkit.dsm import (
 from dsmkit.errors import ConstraintViolationError, DegenerateInputError, NotColinearError
 from dsmkit.linalg import as_complex, fro, min_eig_herm, null_projector, pinv
 from dsmkit.maps import StructureFamily as F
-from dsmkit.maps import _nonzero_vec, _reflected, _require, _require_structure
+from dsmkit.maps import _nonzero_vec, _require, _require_structure
 
 TOL = 1e-10  # residual_tol, psd_tol and colinearity_tol of the default configuration
+BASE = {F.NSD: F.PSD, F.ANTI_DISSIPATIVE: F.DISSIPATIVE}
 
 
 def map_min(family, x, y):
     family = F(family)
     x = _nonzero_vec(x, "x")
     y = _nonzero_vec(y, "y")
-    if family in (F.NSD, F.ANTI_DISSIPATIVE):
-        inner = map_min(_reflected(family), x, -y)
+    if family in BASE:
+        inner = map_min(BASE[family], x, -y)
         inner.family = family
         if inner.feasible:
             inner.minimizer = -inner.minimizer
         else:
-            inner.reason = inner.reason.replace("(x, -y)", "(x, y)")
+            s = np.vdot(x, y)
+            nsd = family is F.NSD
+            inner.reason = f"x*y not real negative ({s:.3e})" if nsd else f"Re(x*y) positive ({s.real:.3e})"
         return inner
     n = x.shape[0]
     s = np.vdot(x, y)
@@ -110,8 +119,8 @@ def map_characterize(family, x, y, params):
     family = F(family)
     x = _nonzero_vec(x, "x")
     y = _nonzero_vec(y, "y")
-    if family in (F.NSD, F.ANTI_DISSIPATIVE):
-        return -map_characterize(_reflected(family), x, -y, params)
+    if family in BASE:
+        return -map_characterize(BASE[family], x, -y, params)
     base = map_min(family, x, y)
     if not base.feasible:
         raise DegenerateInputError(f"infeasible problem: {base.reason}")
@@ -163,12 +172,12 @@ def dsm_solve(family, p):
     family = F(family)
     _check_degenerate(family, p)
     if family is F.NSD:
-        inner = dsm_solve(F.PSD, p.reflected())
+        inner = dsm_solve(F.PSD, DsmProblem(-p.x1, p.x2, p.y, p.z, -p.w1, p.w2))
         inner.family = family
         if inner.feasible:
             inner.H1 = -inner.H1
-        else:
-            inner.reason = inner.reason.replace("positive", "negative")
+        elif inner.reason.startswith("z*w1"):
+            inner.reason = f"z*w1 not negative ({np.vdot(p.z, p.w1):.3e})"
         return inner
     compat = np.vdot(p.x, p.w) - np.vdot(p.y, p.z)
     if abs(compat) > TOL * max(fro(p.x) * fro(p.w), fro(p.y) * fro(p.z), 1e-300):
@@ -186,11 +195,10 @@ def dsm_solve(family, p):
     diagnostics, warnings = {}, []
     if family is F.PSD:
         a = p.y - (np.vdot(p.w1, p.x1) / np.vdot(p.z, p.w1)) * p.w1
-        mdiag = np.outer(a, p.x1.conj())
         rightmost, herm_right = _rank_one_rightmost(a, p.x1)
-        diagnostics["left_spectrum_matrix"] = mdiag
+        diagnostics["left_spectrum_factors"] = (a, p.x1)
         diagnostics["rightmost_real_part"] = rightmost
-        # ||a|| ||x1||, not fro(mdiag): the entries of mdiag overflow when squared at 1e100 scale
+        # ||a|| ||x1||, not fro(a x1*): the entries of a x1* overflow when squared at 1e100 scale
         floor = TOL * fro(a) * fro(p.x1)
         diagnostics["rightmost_numerical_range"] = herm_right
         if not exact and herm_right <= floor:
@@ -210,7 +218,7 @@ def dsm_characterize(family, p, K, R):
     family = F(family)
     K, R = as_complex(K), as_complex(R)
     if family is F.NSD:
-        refl = dsm_characterize(F.PSD, p.reflected(), K, R)
+        refl = dsm_characterize(F.PSD, DsmProblem(-p.x1, p.x2, p.y, p.z, -p.w1, p.w2), K, R)
         return np.hstack([-refl[:, : p.n], refl[:, p.n:]])
     _require_structure(family, "K", K, DEFAULT_TOL)
     sol = dsm_solve(family, p)
@@ -289,6 +297,8 @@ def dsdm_type2(p, anti=False):
         inner.family = F.ANTI_DISSIPATIVE
         if inner.feasible:
             inner.H1, inner.H2 = -inner.H1, -inner.H2
+        elif inner.reason.startswith("Re(z*w1)"):
+            inner.reason = f"Re(z*w1) positive ({np.vdot(p.z, p.w1).real:.3e})"
         return inner
     compat = np.vdot(p.x, p.w) - np.vdot(p.y, p.z)
     if abs(compat) > TOL * max(fro(p.x) * fro(p.w), fro(p.y) * fro(p.z), 1e-300):

@@ -260,3 +260,21 @@ def test_import_leaves_scipy_unloaded():
     code = "import sys, dsmkit, dsmkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_bad_selection_or_field_is_one_error_line(capsys, tmp_path):
+    ppath = tmp_path / "P.json"
+    run(capsys, "pencil", "gen", "--n", "2", "--m", "1", "--seed", "3", "-o", str(ppath))
+    code, _, err = run(capsys, "backerr", "--pencil", str(ppath), "--lambda", "0.5i", "--blocks", "JQ")
+    assert code == 1 and err.startswith("error: invalid block selection 'JQ'") and err.count("\n") == 1
+    code, out, _ = run(capsys, "backerr", "--pencil", str(ppath), "--lambda", "0.5i", "--blocks", "JREB", "--seed", "7")
+    result = json.loads(out)
+    x = write_vec(tmp_path / "x.json", [1, 0])
+    y = write_vec(tmp_path / "y.json", [0, 2])
+    code, out, _ = run(capsys, "map", "solve", "--family", "hermitian", "--x", x, "--y", y)
+    for doc, field, value in ((result, "blocks", "JQ"), (json.loads(out), "family", "bogus")):
+        doc["problem"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", "--result", str(bad))
+        assert code == 1 and err.startswith("error: ") and repr(value) in err and err.count("\n") == 1

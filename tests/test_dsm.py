@@ -132,9 +132,10 @@ def test_psd_diagnostic_closed_forms_match_eigensolvers(n):
 def test_psd_diagnostics_keep_their_keys():
     rng = np.random.default_rng(23)
     sol = dsm_solve(F.PSD, dsm_instance_psd_spectrum(rng, 16, 3))
-    for key in ("left_spectrum_matrix", "rightmost_real_part", "rightmost_numerical_range"):
+    for key in ("left_spectrum_factors", "rightmost_real_part", "rightmost_numerical_range"):
         assert key in sol.diagnostics
-    m = sol.diagnostics["left_spectrum_matrix"]
+    a, x1 = sol.diagnostics["left_spectrum_factors"]
+    m = np.outer(a, x1.conj())
     assert sol.diagnostics["rightmost_numerical_range"] == pytest.approx(
         np.linalg.eigvalsh((m + m.conj().T) / 2)[-1], abs=1e-12 * np.linalg.norm(m)
     )

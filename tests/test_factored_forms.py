@@ -57,6 +57,8 @@ def _same_block(a, b, scale=None):
 def _same_value(a, b):
     if isinstance(b, np.ndarray):
         _same_block(a, b)
+    elif isinstance(b, tuple):  # factors (f, g) of the rank-one matrix f g*
+        _same_block(np.outer(a[0], a[1].conj()), np.outer(b[0], b[1].conj()))
     else:
         assert a == pytest.approx(b, rel=RTOL, abs=0.0)
 
@@ -319,7 +321,7 @@ def _large_calls():
     return {
         "dsm_solve psd": (
             lambda: dsm_solve(F.PSD, psd),
-            lambda s: [s.H1, s.H2, s.diagnostics["left_spectrum_matrix"]],
+            lambda s: [s.H1, s.H2, *s.diagnostics["left_spectrum_factors"]],
         ),
         "dsm_solve hermitian": (lambda: dsm_solve(F.HERMITIAN, herm), lambda s: [s.H1, s.H2]),
         "dsm_solve symmetric": (lambda: dsm_solve(F.SYMMETRIC, sym), lambda s: [s.H1, s.H2]),
