@@ -29,7 +29,6 @@ from .linalg import (
 )
 from .maps import MapSolution, StructureFamily, map_characterize, map_min, map_two_sided
 from .oracle import (
-    OracleBudget,
     OracleEtaResult,
     VerificationReport,
     oracle_eta,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -271,6 +272,13 @@ def _cmd_backerr(args, cfg: ToleranceConfig) -> int:
     return 0
 
 
+def _same_bound(value: float, stored: float, cfg: ToleranceConfig) -> bool:
+    """A recomputed bound equals the stored one to residual_tol relative; two infinite bounds are equal."""
+    if math.isinf(value) or math.isinf(stored):
+        return value == stored
+    return abs(value - stored) <= cfg.residual_tol * abs(stored)
+
+
 def _cmd_verify(args, cfg: ToleranceConfig) -> int:
     doc = io_mod.load_json(args.result)
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -299,14 +307,18 @@ def _cmd_verify(args, cfg: ToleranceConfig) -> int:
             report = oracle_mod.verify_solution(delta, data, family, cfg)
             ok = report.ok
             oracle_norm = None
-            if ok and doc.get("norms", {}).get("exact") and kind != "map-two-sided":
-                if kind != "map-min":
+            if ok and doc.get("norms", {}).get("exact"):
+                if kind == "map-two-sided":
+                    _, oracle_norm = oracle_mod.oracle_least_norm([("mul", x, y), ("adj", z, w)], cfg=cfg)
+                elif kind != "map-min":
                     _, oracle_norm = oracle_mod.oracle_min_structured(_problem(kind, *data), family, cfg=cfg)
                 elif family in oracle_mod.LINEAR_FAMILIES:
                     _, oracle_norm = oracle_mod.oracle_least_norm([("mul", x, y)], family, cfg=cfg)
             if oracle_norm is not None:
+                # the minimum lies within the oracle's certified gap below oracle_norm, and so must the claim
                 extra["oracle_norm"] = oracle_norm
-                ok = ok and oracle_norm >= float(doc["norms"]["upper"]) * (1 - 1e-6) - 1e-9
+                gap = oracle_mod.GAP_FACTOR * cfg.residual_tol * oracle_norm
+                ok = ok and abs(float(doc["norms"]["upper"]) - oracle_norm) <= gap
         elif kind == "backerr":
             p = io_mod.pencil_from_doc(problem["pencil"])
             uvec = io_mod.vector_from_doc(problem["u"], "u")
@@ -318,8 +330,9 @@ def _cmd_verify(args, cfg: ToleranceConfig) -> int:
             stored = doc["bounds"]
             ok = (
                 res.finite == stored["finite"]
-                and abs(res.eta_lower - stored["eta_lower"]) <= 1e-9 * max(1.0, abs(res.eta_lower))
-                and abs(res.eta_upper - stored["eta_upper"]) <= 1e-9 * max(1.0, abs(res.eta_upper))
+                and res.exact == stored["exact"]
+                and _same_bound(res.eta_lower, stored["eta_lower"], cfg)
+                and _same_bound(res.eta_upper, stored["eta_upper"], cfg)
             )
             if res.finite and ok:
                 pencil_mod.reconstruct_perturbation(p, ep, blocks, res, cfg)

@@ -52,6 +52,10 @@ class InconsistentConstraintsError(DsmkitError, ValueError):
     """A linear constraint system admits no solution."""
 
 
+class CertificationError(DsmkitError, RuntimeError):
+    """A convex oracle found no strictly feasible point or could not certify its duality gap."""
+
+
 class IoFormatError(DsmkitError, ValueError):
     """A serialized document is malformed.  Carries the offending field name."""
 

@@ -111,8 +111,8 @@ def _reflect(family: StructureFamily, solve, **data):
     base family's solver with every array of ``data`` (the caller's y and w
     parts, and a free block that must enter both sets alike) negated.  Its
     result is negated: an array, the first entry of a
-    (Delta, norm) pair, or the blocks ``minimizer``/``H1``/``H2`` of a
-    solution, whose ``family`` becomes ``family``.  An infeasible solution's
+    (Delta, norm) pair, or the blocks ``minimizer``/``gram``/``H1``/``H2`` of
+    a solution, whose ``family`` becomes ``family``.  An infeasible solution's
     reason states the negated family's condition at the caller's value.
     """
     out = solve(_REFLECTED[family], **{name: -v for name, v in data.items()})
@@ -124,7 +124,7 @@ def _reflect(family: StructureFamily, solve, **data):
         out.family = family
     if not out.feasible:
         out.reason = _reflected_reason(out.reason)
-    for name in ("minimizer", "H1", "H2"):
+    for name in ("minimizer", "gram", "H1", "H2"):
         if getattr(out, name, None) is not None:
             setattr(out, name, -getattr(out, name))
     return out

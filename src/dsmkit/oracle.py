@@ -1,20 +1,24 @@
 """Independent numerical ground truth for the mapping solvers.
 
-Two regimes, matching the geometry of the feasible sets:
+Every problem here is a least-norm problem over an affine set: expand the
+unknown over an orthonormal real basis of its structure class (each element
+has at most two nonzero entries and is kept as those entries,
+``family_basis``), so the Frobenius norm of Delta is the Euclidean norm of
+its coefficients theta and the interpolation constraints are real linear
+rows, filled by fancy indexing in time and memory of their own size.
 
-* linear-variety problems (no cone constraint) are solved exactly by
-  real-vectorization: expand the unknown over an orthonormal real basis
-  of the structure class and take the minimum-norm solution of the
-  stacked linear constraints.  The result is a true global minimum up to
-  solver precision.  Each basis element has at most two nonzero entries
-  and is kept as those entries (``family_basis``), so the constraint
-  matrix is filled by fancy indexing in time and memory of its own size.
-* cone-constrained problems (semidefinite or dissipative blocks) are
-  minimized by seeded multi-restart descent over the free parameters of
-  the solution-set characterization, with semidefinite parameters kept
-  feasible by eigenvalue clipping or Gram factorization.  Every iterate
-  is feasible, so the returned value is an upper bound on the true
-  minimum; test assertions are one-sided accordingly.
+* Linear-variety problems (no cone) are solved exactly by the minimum-norm
+  solution of the stacked rows.  The returned norm is the global minimum to
+  solver precision.
+* Cone problems add one Hermitian block that must be positive semidefinite:
+  Delta1 for psd, Delta1 + Delta1* for the dissipative problems, dR for the
+  semidefinite backward error.  They are convex, and one log-det barrier
+  method (``_barrier``; Boyd & Vandenberghe, *Convex Optimization*, 2004,
+  Sec. 11) solves them all: the equalities are eliminated exactly, Newton
+  steps follow the central path, and the method stops once a dual bound
+  certifies that the norm of the returned feasible point exceeds the
+  minimum by at most ``GAP_FACTOR * residual_tol`` relative.  Nothing is
+  started from, or parametrized by, the closed forms these problems check.
 """
 
 from __future__ import annotations
@@ -26,13 +30,20 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .dsm import DsmProblem, Type1Problem
-from .errors import DegenerateInputError, InconsistentConstraintsError
-from .linalg import as_complex, fro, herm_skew_parts, null_projector, pinv, svd_split
+from .errors import CertificationError, DegenerateInputError, InconsistentConstraintsError
+from .linalg import as_complex, fro
 from .maps import _REFLECTED, LINEAR_FAMILIES, StructureFamily, _deviation, _reflect
-from .pencil import EigenPair, PHPencil, PerturbationBlocks, _crandn, mapping_data, parse_blocks
+from .pencil import EigenPair, PHPencil, PerturbationBlocks, mapping_data, parse_blocks
+
+#: residuals up to this multiple of ``residual_tol`` (relative to the data's
+#: scale), and in ``verify_solution`` eigenvalues down to this multiple of
+#: ``-psd_tol`` times ||Delta1||, count as zero: a solution sums O(n) rounded
+#: terms per entry, and a check must pass every correct one while rejecting
+#: any error far above rounding
+_AUDIT_FACTOR = 100.0
 
 __all__ = [
-    "OracleBudget",
+    "GAP_FACTOR",
     "family_basis",
     "oracle_least_norm",
     "oracle_min_structured",
@@ -41,21 +52,6 @@ __all__ = [
     "VerificationReport",
     "verify_solution",
 ]
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_iterations: int = 400
-    step_tolerance: float = 1e-14
-    restarts: int = 3
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_iterations <= 0 or self.restarts <= 0 or self.step_tolerance <= 0:
-            raise ValueError("budget fields must be positive")
-
-
-DEFAULT_BUDGET = OracleBudget()
 
 
 # ---------------------------------------------------------------------------
@@ -198,206 +194,202 @@ def oracle_least_norm(
         basis = _stacked((family_basis(structure, rows), 0, 1.0), (_full_basis(rows, cols - blk), blk, 1.0))
 
     theta, resid = _least_norm(basis, constraints, shape)
-    if resid > cfg.residual_tol * max(1.0, fro(np.concatenate([r for *_, r in constraints]))) * 100:
+    if resid > _AUDIT_FACTOR * cfg.residual_tol * max(1.0, fro(np.concatenate([r for *_, r in constraints]))):
         raise InconsistentConstraintsError(f"constraints inconsistent (residual {resid:.3e})")
     return _assemble(basis, theta, shape), float(np.linalg.norm(theta))
 
 
 # ---------------------------------------------------------------------------
-# cone-constrained descent oracles
+# cone-constrained least-norm solves: one log-det barrier method
+
+#: the barrier method stops once its certified gap, ||theta||^2 minus a lower
+#: bound on the least ||theta||^2, is at most ``GAP_FACTOR * residual_tol`` of
+#: ||theta||^2: the true minimum then lies within ``GAP_FACTOR * residual_tol``
+#: (relative) below the norm it returns
+GAP_FACTOR = 100.0
+_T_GROWTH = 50.0  # factor of the barrier weight t once a point is centred
+_CENTRED = 0.1  # squared Newton decrement below which a point counts as centred
+_NEWTON_STEPS = 300  # Newton steps allowed to one barrier solve
+_SMALLEST_STEP = 1e-12  # a line search that must go below this step has stalled
+_PHASE_ONE_RADIUS = 1e6  # phase I searches phi within this multiple of ||theta0|| + ||C(0)||
 
 
-def _herm(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
+def _affine(basis, constraints, shape, cfg: ToleranceConfig):
+    """Least-norm coefficients theta0 meeting the constraints, the residual norm, and an
+    orthonormal basis N of the directions they leave free (theta0 is orthogonal to N)."""
+    a, b = _system(basis, constraints, shape)
+    u, s, vt = np.linalg.svd(a)
+    rank = int(np.count_nonzero(s > cfg.rank_tol * s[0]))
+    theta0 = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
+    return theta0, fro(a @ theta0 - b), vt[rank:].T
 
 
-def _psd_clip(a: np.ndarray) -> np.ndarray:
-    eigs, vecs = np.linalg.eigh(_herm(a))
-    return (vecs * np.maximum(eigs, 0.0)) @ vecs.conj().T
+def _hermitian_parts(basis, n: int) -> np.ndarray:
+    """(B_b + B_b*) / 2 for every element of a square n x n basis, shape (d, n, n)."""
+    r, k, c = basis
+    b = np.repeat(np.arange(c.shape[0])[:, None], 2, axis=1)
+    out = np.zeros((c.shape[0], n, n), dtype=complex)
+    np.add.at(out, (b, r, k), c / 2.0)
+    np.add.at(out, (b, k, r), c.conj() / 2.0)
+    return out
 
 
-def _oracle_dsm_psd(p: DsmProblem, budget: OracleBudget, cfg: ToleranceConfig):
-    """Projected gradient over the PSD free parameter K, R eliminated exactly."""
-    zd = pinv(p.z, cfg)
-    x2d = pinv(p.x2, cfg)
-    pz = null_projector(p.z, cfg)
-    px2 = null_projector(p.x2, cfg)
-    h1 = np.outer(p.w1, p.w1.conj()) / np.vdot(p.z, p.w1)
-    h2 = np.outer(p.y - h1 @ p.x1, x2d) + np.outer(p.w2, zd).conj().T @ px2
-    x1x2d = np.outer(p.x1, x2d)
-
-    def assemble(k):
-        pkp = pz @ k @ pz
-        d1 = h1 + pkp
-        c = h2 - pkp @ x1x2d
-        d2 = c - pz @ c @ px2  # optimal R folded in
-        return d1, d2
-
-    def value(k):
-        d1, d2 = assemble(k)
-        return fro(d1) ** 2 + fro(d2) ** 2
-
-    def grad(k):
-        d1, d2 = assemble(k)
-        g = 2.0 * (pz @ d1 @ pz) - 2.0 * (pz @ d2 @ x1x2d.conj().T @ pz)
-        return (g + g.conj().T) / 2.0
-
-    lip = 2.0 * (1.0 + fro(x1x2d) ** 2) + 1.0
-    step = 1.0 / lip
-    rng = np.random.default_rng(budget.seed)
-    best_k, best_v = None, math.inf
-    for restart in range(budget.restarts):
-        k = np.zeros((p.n, p.n), dtype=complex)
-        if restart > 0:
-            g0 = _crandn(rng, p.n, p.n)
-            k = g0 @ g0.conj().T / p.n
-        v_prev = value(k)
-        for _ in range(budget.max_iterations):
-            k = _psd_clip(k - step * grad(k))
-            v = value(k)
-            if abs(v_prev - v) <= budget.step_tolerance * max(1.0, v):
-                break
-            v_prev = v
-        if v_prev < best_v:
-            best_v, best_k = v_prev, k
-    d1, d2 = assemble(best_k)
-    return np.hstack([d1, d2]), math.sqrt(best_v)
+def _cholesky(c: np.ndarray) -> np.ndarray | None:
+    """The Cholesky factor of a Hermitian c, or None when c is not positive definite."""
+    try:
+        return np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        return None
 
 
-def _oracle_type1(q: Type1Problem, budget: OracleBudget, cfg: ToleranceConfig):
-    """Descent over the free block of the square dissipative characterization."""
-    sx = svd_split(q.X, cfg)
-    u1, u2 = sx.U1, sx.U2
-    xd = pinv(q.X, cfg)
-    zd = pinv(q.Z, cfg)
-    yxd = q.Y @ xd
-    wzd = q.W @ zd
-    a11 = u1.conj().T @ yxd @ u1
-    a12 = u1.conj().T @ wzd.conj().T @ u2
-    a21 = u2.conj().T @ yxd @ u1
-    m_h = yxd + yxd.conj().T
-    core = pinv(u1.conj().T @ m_h @ u1, cfg)
-    jgram = 0.5 * (u2.conj().T @ (yxd + wzd) @ u1) @ core @ (u2.conj().T @ (yxd + wzd) @ u1).conj().T
-    k = u2.shape[1]
-    const = fro(a11) ** 2 + fro(a12) ** 2 + fro(a21) ** 2
+def _central_path(c0, mats, x, t, done, radius=None):
+    """Newton steps along the central path of F(x) = t f(x) - logdet C(x), C(x) = c0 + sum_j x_j mats_j.
 
-    rng = np.random.default_rng(budget.seed)
-    best_p, best_fs, best_v = None, None, math.inf
-    for restart in range(budget.restarts):
-        pmat = np.zeros((k, k), dtype=complex)
-        fs = np.zeros((k, k), dtype=complex)
-        if restart > 0 and k > 0:
-            g0 = _crandn(rng, k, k)
-            pmat = g0 @ g0.conj().T / max(k, 1)
-            fs0 = _crandn(rng, k, k)
-            fs = (fs0 - fs0.conj().T) / 2.0
-        v_prev = const + fro(jgram + pmat) ** 2 + fro(fs) ** 2
-        for _ in range(budget.max_iterations):
-            pmat = _psd_clip(pmat - 0.25 * 2.0 * (jgram + pmat))
-            fs = fs - 0.25 * 2.0 * fs
-            v = const + fro(jgram + pmat) ** 2 + fro(fs) ** 2
-            if abs(v_prev - v) <= budget.step_tolerance * max(1.0, v):
-                break
-            v_prev = v
-        if v_prev < best_v:
-            best_v, best_p, best_fs = v_prev, pmat, fs
-    fblock = jgram + best_p + best_fs
-    u = np.hstack([u1, u2])
-    top = np.hstack([a11, a12])
-    bot = np.hstack([a21, fblock])
-    delta = u @ np.vstack([top, bot]) @ u.conj().T
-    return delta, math.sqrt(best_v)
-
-
-def _oracle_type2(p: DsmProblem, budget: OracleBudget, cfg: ToleranceConfig):
-    """L-BFGS over the rectangular dissipative characterization parameters.
-
-    Parameters: t = Z* z (complex n-vector), a Gram factor for the PSD
-    slack, and a skew generator; the arbitrary column parameter R is
-    eliminated exactly at every evaluation.
+    C must be positive definite at the start x, and stays so: each step is a
+    backtracking line search on F along the Newton direction.  Once the
+    squared Newton decrement is below ``_CENTRED``, t grows by ``_T_GROWTH``.
+    f(x) = ||x||^2; given a ``radius`` (phase I), f(x) is the last
+    coordinate s = x[-1] instead, and the barrier -log(radius^2 - ||p||^2)
+    of the ball around the origin for the other coordinates p joins F, so
+    the path stays bounded.  Before each step ``done(x, t, dx, li, w, gb, hb)``
+    is asked, with the Newton direction dx, li = L^-1 for the Cholesky factor
+    L of C(x), w_j = L^-1 M_j L^-*, and the gradient gb and Hessian hb of
+    -logdet C at x; the path returns x when it answers True and raises
+    ``CertificationError`` after ``_NEWTON_STEPS`` steps.
     """
-    n = p.n
-    rho = np.vdot(p.z, p.w1).real
-    if rho <= 0:
-        raise DegenerateInputError("descent oracle needs Re(z*w1) > 0")
-    zd = pinv(p.z, cfg)
-    x2d = pinv(p.x2, cfg)
-    pz = null_projector(p.z, cfg)
-    px2 = null_projector(p.x2, cfg)
-    w1zd = np.outer(p.w1, zd)
-    ztx1 = (zd @ p.x1).item()
-    h1 = w1zd.conj().T + pz @ w1zd
-    h2 = (
-        np.outer(p.y, x2d)
-        - w1zd.conj().T @ np.outer(p.x1, x2d)
-        - ztx1 * (pz @ np.outer(p.w1, x2d))
-        + np.outer(p.w2, zd).conj().T @ px2
-    )
-    x1x2d = np.outer(p.x1, x2d)
+    def value(x):
+        """F(x) and the Cholesky factor of C(x), or (inf, None) outside the domain."""
+        factor = _cholesky(c0 + np.tensordot(x, mats, 1))
+        room = math.inf if radius is None else radius**2 - float(x[:-1] @ x[:-1])
+        if factor is None or room <= 0.0:
+            return math.inf, None
+        f = t * float(x @ x) if radius is None else t * x[-1] - math.log(room)
+        return f - 2.0 * np.log(np.diagonal(factor).real).sum(), factor
 
-    nt = 2 * n
-    ng = 2 * n * n
-
-    def unpack(theta):
-        t = theta[:nt:2] + 1j * theta[1:nt:2]
-        lg = (theta[nt : nt + ng : 2] + 1j * theta[nt + 1 : nt + ng : 2]).reshape(n, n)
-        gf = (theta[nt + ng :: 2] + 1j * theta[nt + ng + 1 :: 2]).reshape(n, n)
-        return t, lg, (gf - gf.conj().T) / 2.0
-
-    def assemble(theta):
-        t, lg, gs = unpack(theta)
-        q = 2.0 * p.w1 + t
-        kmat = np.outer(q, q.conj()) / (4.0 * rho) + lg @ lg.conj().T
-        pkp = pz @ kmat @ pz
-        pgp = pz @ gs @ pz
-        tz = np.outer(pz @ t, zd)
-        d1 = h1 + tz + pkp - pgp
-        c = h2 - tz @ x1x2d - pkp @ x1x2d + pgp @ x1x2d
-        d2 = c - pz @ c @ px2  # optimal R folded in
-        return d1, d2
-
-    def fun(theta):
-        d1, d2 = assemble(theta)
-        return fro(d1) ** 2 + fro(d2) ** 2
-
-    rng = np.random.default_rng(budget.seed)
-    dim = nt + 2 * ng
-    starts = []
-    t0 = np.zeros(dim)
-    t0[:nt:2] = (-2.0 * p.w1).real
-    t0[1:nt:2] = (-2.0 * p.w1).imag
-    starts.append(t0)
-    for _ in range(budget.restarts - 1):
-        starts.append(rng.standard_normal(dim) * 0.5)
-    import scipy.optimize  # deferred: the import costs more than most CLI calls
-
-    best_theta, best_v = None, math.inf
-    for s in starts:
-        res = scipy.optimize.minimize(
-            fun, s, method="L-BFGS-B", options={"maxiter": budget.max_iterations}
-        )
-        if res.fun < best_v:
-            best_v, best_theta = float(res.fun), res.x
-    d1, d2 = assemble(best_theta)
-    return np.hstack([d1, d2]), math.sqrt(best_v)
+    fx, factor = value(x)
+    for _ in range(_NEWTON_STEPS):
+        li = np.linalg.inv(factor)
+        w = li @ mats @ li.conj().T  # L^-1 M_j L^-*: their traces and inner products are the barrier's derivatives
+        gb = -np.trace(w, axis1=1, axis2=2).real
+        wr = np.concatenate([w.real, w.imag], axis=1).reshape(x.size, -1)
+        hb = wr @ wr.T  # the Hessian of -logdet C
+        if radius is None:
+            grad = gb + 2.0 * t * x
+            hess = hb + 2.0 * t * np.eye(x.size)
+        else:
+            p = x[:-1]
+            room = radius**2 - float(p @ p)
+            grad = gb + np.append(2.0 * p / room, t)
+            hess = hb.copy()
+            hess[:-1, :-1] += 2.0 * np.eye(p.size) / room + 4.0 * np.outer(p, p) / room**2
+        dx = np.linalg.solve(hess, -grad)
+        if done(x, t, dx, li, w, gb, hb):
+            return x
+        decrement = float(-grad @ dx)
+        if decrement <= _CENTRED:
+            t *= _T_GROWTH
+            fx = value(x)[0]
+            continue
+        step = 1.0
+        while (new := value(x + step * dx))[0] > fx - 0.25 * step * decrement:
+            step /= 2.0
+            if step < _SMALLEST_STEP:
+                raise CertificationError("barrier line search stalled: the cone block is singular on the constraints")
+        x, (fx, factor) = x + step * dx, new
+    raise CertificationError(f"barrier method did not finish in {_NEWTON_STEPS} Newton steps")
 
 
-def oracle_min_structured(
-    problem,
-    family: StructureFamily,
-    budget: OracleBudget = DEFAULT_BUDGET,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-):
-    """Numerically minimize the Frobenius norm over the structured feasible set.
+def _barrier(theta0, null, cone, cfg: ToleranceConfig) -> np.ndarray:
+    """Minimize ||theta|| over theta = theta0 + N phi with one Hermitian block semidefinite.
 
-    Linear families get the exact vectorized solve; semidefinite and
-    dissipative families run seeded multi-restart descent over the
-    characterization's free parameters.  NSD and anti-dissipative problems
-    go through the reflection rule ``maps._reflect``: the PSD and
-    dissipative problems of the data (x, -y, z, -w), negated.  A
-    ``Type1Problem`` (square matrix data) gets the (anti-)dissipative
-    oracle.  Returns (Delta, norm); for the descent families the norm is an
-    upper bound on the true minimum.
+    ``cone`` is (first, basis): the elements first, first + 1, ... of theta
+    span a square block in ``basis``, and its Hermitian part
+    C(phi) = C0 + sum_j phi_j M_j must be positive semidefinite.  If C0 is
+    semidefinite, theta0 (the least-norm point of the whole affine set) is
+    the answer.  Otherwise the problem, scaled to ||theta0|| = 1, is solved
+    by ``_central_path`` in two phases:
+
+    * phase I minimizes s over (phi, s) with C(phi) + s I positive definite,
+      from phi = 0 and s = -2 lambda_min(C0), until s < 0; the point is then
+      pulled back along the ray to the origin, to twice the parameter where
+      the ray enters the cone, since phase I may run far out in directions
+      that raise every eigenvalue;
+    * phase II follows the central path of t ||phi||^2 - logdet C(phi).
+
+    The certificate is weak duality: for every Z >= 0,
+
+        min ||theta||^2 >= ||theta0||^2 - <Z, C0> - ||M*(Z)||^2 / 4,
+
+    M*(Z)_j = <Z, M_j>.  Z is a multiple, the best one in closed form, of the
+    dual point of the current Newton step dphi, C^-1 - C^-1 M(dphi) C^-1
+    (of C^-1 where that is not semidefinite).  The method stops once
+    ||theta||^2 minus this bound is at most ``GAP_FACTOR * residual_tol`` of
+    ||theta||^2 and returns the feasible theta.  No strictly feasible phi
+    (phase I's s stays >= 0 while its gap k / t falls below ``residual_tol``
+    of ||C0||), or no certified gap within ``_NEWTON_STEPS`` steps, raises
+    ``CertificationError``.
+    """
+    first, basis = cone
+    parts = _hermitian_parts(basis, int(basis[0].max()) + 1)
+    k, rows = parts.shape[1], slice(first, first + parts.shape[0])
+    c0 = np.tensordot(theta0[rows], parts, 1)
+    eig0 = float(np.linalg.eigvalsh(c0)[0])
+    if eig0 >= -cfg.psd_tol * fro(c0):  # theta0 minimizes over the whole affine set and is feasible
+        return theta0
+    unit = float(np.linalg.norm(theta0))  # the problem is homogeneous in (theta0, phi)
+    c0, eig0, scale = c0 / unit, eig0 / unit, fro(c0) / unit
+    mats = np.tensordot(null[rows].T, parts, 1)
+
+    def feasible(x, t, *_):
+        if x[-1] < 0.0:
+            return True
+        if k / t <= cfg.residual_tol * scale:
+            raise CertificationError("no strictly feasible point: the cone block is singular on the constraint set")
+        return False
+
+    ext = np.concatenate([mats, np.eye(k)[None]])
+    start = np.append(np.zeros(mats.shape[0]), -2.0 * eig0)
+    phi = _central_path(c0, ext, start, k / start[-1], feasible, _PHASE_ONE_RADIUS * (1.0 + scale))[:-1]
+    # C(lam phi) = (1 - lam) C0 + lam C(phi) is definite for lam > mu / (mu - 1), with mu < 0
+    # the least eigenvalue of L^-1 C0 L^-* and C(phi) = L L^*
+    li = np.linalg.inv(np.linalg.cholesky(c0 + np.tensordot(phi, mats, 1)))
+    mu = float(np.linalg.eigvalsh(li @ c0 @ li.conj().T)[0])
+    lam = min(1.0, 2.0 * mu / (mu - 1.0))
+    if _cholesky(c0 + lam * np.tensordot(phi, mats, 1)) is not None:
+        phi = lam * phi
+
+    def certified(x, t, dx, li, w, gb, hb):
+        shifted = np.eye(k) - np.tensordot(dx, w, 1)  # t L^* Z L, so that M*(Z) = 2 (x + dx)
+        m = -gb - hb @ dx  # t M*(Z)
+        if np.linalg.eigvalsh(shifted)[0] < 0.0:
+            shifted, m = np.eye(k), -gb
+        a = float(np.vdot(shifted, li @ c0 @ li.conj().T).real)  # t <Z, C0>
+        upper = 1.0 + float(x @ x)
+        lower = 1.0 + (a * a / float(m @ m) if a < 0.0 else 0.0)
+        return upper - lower <= GAP_FACTOR * cfg.residual_tol * upper
+
+    return theta0 + unit * (null @ _central_path(c0, mats, phi, k / (1.0 + float(phi @ phi)), certified))
+
+
+def oracle_min_structured(problem, family: StructureFamily, cfg: ToleranceConfig = DEFAULT_TOL):
+    """Minimum Frobenius norm over the structured feasible set, and a point attaining it.
+
+    Linear families get the exact vectorized solve (``oracle_least_norm``).
+    The cone families (psd, dissipative) minimize ||theta|| over the real
+    coefficients of the sparse basis of Delta subject to the constraint rows
+    and one semidefinite Hermitian block: Delta1 for psd, Delta1 + Delta1* for
+    dissipative (the whole square Delta of a ``Type1Problem``, one "mul" row
+    per column of X and one "adj" row per column of Z), by the log-det barrier
+    method ``_barrier``.  NSD and anti-dissipative problems go through the
+    reflection rule ``maps._reflect``: the PSD and dissipative problems of the
+    data (x, -y, z, -w), negated.
+
+    Returns (Delta, norm), norm = ||Delta||_F of the feasible Delta returned.
+    For the cone families the true minimum lies within ``GAP_FACTOR *
+    residual_tol`` (relative) below norm, certified by a dual bound; a
+    problem without a strictly feasible point, or whose gap cannot be
+    certified, raises ``CertificationError``.  Nothing is started from, or
+    parametrized by, the closed-form solutions it checks.
     """
     if not isinstance(problem, (DsmProblem, Type1Problem)):
         raise TypeError("problem must be a DsmProblem or Type1Problem")
@@ -405,20 +397,32 @@ def oracle_min_structured(
     if family in _REFLECTED:
         names = ("Y", "W") if isinstance(problem, Type1Problem) else ("y", "w1", "w2")
         return _reflect(
-            family, lambda base, **yw: oracle_min_structured(replace(problem, **yw), base, budget, cfg),
+            family, lambda base, **yw: oracle_min_structured(replace(problem, **yw), base, cfg),
             **{name: getattr(problem, name) for name in names},
         )
     if isinstance(problem, Type1Problem):
-        return _oracle_type1(problem, budget, cfg)
-    p = problem
-    if family in LINEAR_FAMILIES:
+        q = problem
+        n = q.X.shape[0]
+        cone = basis = _full_basis(n, n)
+        shape = (n, n)
+        constraints = [("mul", *c) for c in zip(q.X.T, q.Y.T)] + [("adj", *c) for c in zip(q.Z.T, q.W.T)]
+    else:
+        p = problem
         constraints = [("mul", p.x, p.y), ("adj", p.z, p.w)]
-        return oracle_least_norm(constraints, family, shape=(p.n, p.n + p.m), split=p.n, cfg=cfg)
-    if family is StructureFamily.PSD:
-        return _oracle_dsm_psd(p, budget, cfg)
-    if family is StructureFamily.DISSIPATIVE:
-        return _oracle_type2(p, budget, cfg)
-    raise ValueError(f"unsupported family {family}")
+        if family in LINEAR_FAMILIES:
+            return oracle_least_norm(constraints, family, shape=(p.n, p.n + p.m), split=p.n, cfg=cfg)
+        if family is StructureFamily.PSD:
+            cone = family_basis(StructureFamily.HERMITIAN, p.n)
+        elif family is StructureFamily.DISSIPATIVE:
+            cone = _full_basis(p.n, p.n)
+        else:
+            raise ValueError(f"unsupported family {family}")
+        basis, shape = _stacked((cone, 0, 1.0), (_full_basis(p.n, p.m), p.n, 1.0)), (p.n, p.n + p.m)
+    theta0, resid, null = _affine(basis, constraints, shape, cfg)
+    if resid > _AUDIT_FACTOR * cfg.residual_tol * fro(np.concatenate([r for *_, r in constraints])):
+        raise InconsistentConstraintsError(f"constraints inconsistent (residual {resid:.3e})")
+    theta = _barrier(theta0, null, (0, cone), cfg)
+    return _assemble(basis, theta, shape), float(np.linalg.norm(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +437,20 @@ class OracleEtaResult:
     constraint_residual: float
 
 
-def _eta_system(P: PHPencil, ep: EigenPair, y: np.ndarray, w: np.ndarray, blocks, linear_r: bool):
+def _eta_system(P: PHPencil, ep: EigenPair, y: np.ndarray, w: np.ndarray, blocks):
     """Sparse bases and constraints of the block equations of (L - dL)(lam) u = 0.
 
     The square blocks enter as D = dJ - dR + lam dE, so with the mapping data
     (x, y, z, w) of the eigenpair the equations read D u2 = y, D* u1 = w1 and,
     when B is selected, dB* u1 = w2: constraints on [D dB] with x = [u2; 0]
-    and z = u1.  Returns the basis of each block solved linearly (dR only
-    when ``linear_r``), their stacked basis, the constraints and the shape.
+    and z = u1.  Returns the basis of each selected block, their stacked
+    basis, the constraints and the shape.
     """
     n = P.n
     factor = {"J": 1.0, "R": -1.0, "E": ep.lam}
     bases = {}
     for name in "JRE":
-        if name in blocks and (name != "R" or linear_r):
+        if name in blocks:
             fam = StructureFamily.SKEW_HERMITIAN if name == "J" else StructureFamily.HERMITIAN
             bases[name] = family_basis(fam, n)
     parts = [(basis, 0, factor[name]) for name, basis in bases.items()]
@@ -465,20 +469,23 @@ def oracle_eta(
     ep: EigenPair,
     blocks,
     variant: str,
-    budget: OracleBudget = DEFAULT_BUDGET,
     cfg: ToleranceConfig = DEFAULT_TOL,
 ) -> OracleEtaResult:
     """Minimize the stacked-block perturbation norm over (L - dL)(lam) u = 0.
 
     The objective is ``sqrt(sum of ||d_block||_F^2)`` over the selected
-    blocks, the same size convention the backward-error formulas use.
-    Without an R perturbation (and for variant "s") the constraints are
-    linear in the structured blocks and the solve is exact.  For the
-    semidefinite variant the R block is parameterized as G G* and an
-    outer quasi-Newton search over G drives a penalty on the remaining
-    (linearly eliminated) constraint residual to zero.  The returned
-    value is an upper bound on the true backward error once
-    ``converged`` is set.
+    blocks, the same size convention the backward-error formulas use.  The
+    constraints are linear in the structured blocks.  Without an R block, and
+    for variant "s", the solve is exact (one least-norm solve).  For variant
+    "sd" with an R block, dR must also be positive semidefinite, and the
+    log-det barrier method ``_barrier`` minimizes over that cone.
+
+    ``value`` is the norm of the returned feasible perturbation; the true
+    backward error lies within ``GAP_FACTOR * residual_tol`` (relative) below
+    it, certified by a dual bound, and ``converged`` says so.  An
+    inadmissible eigenpair raises ``InconsistentConstraintsError``; an R
+    block that cannot be made positive definite on the constraint set, or a
+    gap that cannot be certified, raises ``CertificationError``.
     """
     blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
     n, m = P.n, P.m
@@ -490,106 +497,31 @@ def oracle_eta(
     bscale = math.hypot(rt2 * fro(P.J - P.R), rt2 * fro(P.B), fro(P.S)) * fro(ep.u)
     # rows of (L - dL)(lam) u = 0 that no selected block can influence are
     # pure data conditions; reject inadmissible eigenpairs loudly
-    if fro(ep.u3) > cfg.residual_tol * bscale * 100:
+    if fro(ep.u3) > _AUDIT_FACTOR * cfg.residual_tol * bscale:
         raise InconsistentConstraintsError("u3 != 0: backward error is infinite")
-    if "B" not in blocks and fro(w[n:]) > cfg.residual_tol * bscale * 100:
+    if "B" not in blocks and fro(w[n:]) > _AUDIT_FACTOR * cfg.residual_tol * bscale:
         raise InconsistentConstraintsError(
             f"B* u1 + S u3 != 0 with no B perturbation (residual {fro(w[n:]):.3e})"
         )
-    linear = variant == "s" or "R" not in blocks
-    bases, basis, constraints, shape = _eta_system(P, ep, y, w, blocks, linear)
-
-    def perturbation(theta, dR=None):
-        """The blocks of a coefficient vector; a given dR is not among them."""
-        out = {name: np.zeros((n, m if name == "B" else n), dtype=complex) for name in "JREB"}
-        if dR is not None:
-            out["R"] = dR
-        ends = np.cumsum([b[2].shape[0] for b in bases.values()])[:-1]
-        for (name, b), t in zip(bases.items(), np.split(theta, ends)):
-            out[name] = _assemble(b, t, out[name].shape)
-        return PerturbationBlocks(out["J"], out["R"], out["E"], out["B"])
-
-    if linear:
+    bases, basis, constraints, shape = _eta_system(P, ep, y, w, blocks)
+    cone = variant == "sd" and "R" in blocks
+    if cone:
+        theta, resid, null = _affine(basis, constraints, shape, cfg)
+    else:
         theta, resid = _least_norm(basis, constraints, shape)
-        if resid > cfg.residual_tol * bscale * 100:
-            raise InconsistentConstraintsError(
-                f"eigenpair not admissible for {''.join(sorted(blocks))} (residual {resid:.3e})"
-            )
-        pert = perturbation(theta)
-        return OracleEtaResult(pert.norm(), pert, True, float(resid))
-
-    # semidefinite variant with an R block: outer search over the Gram factor.
-    # f(G) = ||G G*||^2 + ||theta(G)||^2 + mu * ||(I - A A+) b(G)||^2 with the
-    # non-R blocks eliminated exactly through the precomputed pseudoinverse;
-    # the gradient is assembled analytically through W = G G*.
-    a, b0 = _system(basis, constraints, shape)
-    a_pinv = np.linalg.pinv(a) if a.shape[1] else a.T
-    proj_out = np.eye(a.shape[0]) - a @ a_pinv
-    kc = a.shape[0] // 2  # complex constraint rows
-    pad = np.zeros(kc - 2 * n, dtype=complex)
-
-    def rhs(dr: np.ndarray) -> np.ndarray:
-        """b(dR): the rows D u2 = y and D* u1 = w1 gain dR u2 and dR u1."""
-        return b0 + _real(np.concatenate([dr @ ep.u2, dr @ ep.u1, pad]))
-
-    def split_val(gvec):
-        g = (gvec[: 2 * n * n : 2] + 1j * gvec[1 : 2 * n * n : 2]).reshape(n, n)
-        dR = g @ g.conj().T
-        b = rhs(dR)
-        theta = a_pinv @ b
-        pen = fro(proj_out @ b)
-        return g, dR, theta, pen
-
-    def fun(gvec, mu):
-        g = (gvec[: 2 * n * n : 2] + 1j * gvec[1 : 2 * n * n : 2]).reshape(n, n)
-        dr = g @ g.conj().T
-        b = rhs(dr)
-        theta = a_pinv @ b
-        pvec = proj_out @ b
-        val = fro(dr) ** 2 + float(theta @ theta) + mu * float(pvec @ pvec)
-        g_b = 2.0 * (a_pinv.T @ theta) + 2.0 * mu * pvec
-        gc = g_b[:kc] + 1j * g_b[kc:]
-        grad_w = 2.0 * dr + _herm(np.outer(gc[:n], ep.u2.conj()) + np.outer(gc[n : 2 * n], ep.u1.conj()))
-        grad_g = 2.0 * (grad_w @ g)
-        out = np.empty_like(gvec)
-        out[0::2] = grad_g.real.reshape(-1)
-        out[1::2] = grad_g.imag.reshape(-1)
-        return val, out
-
-    rng = np.random.default_rng(budget.seed)
-    # warm start from the claimed solution when the caller has one: use the
-    # Hermitian part of the forced square block as a generic PSD seed
-    seed_dr = _psd_clip(
-        -(herm_skew_parts(np.outer(y, pinv(ep.u2, cfg)) + np.outer(w[:n], pinv(ep.u1, cfg)).conj().T @ null_projector(ep.u2, cfg))[0])
-    )
-    eigs, vecs = np.linalg.eigh((seed_dr + seed_dr.conj().T) / 2.0)
-    g_seed = (vecs * np.sqrt(np.maximum(eigs, 0.0))) @ vecs.conj().T
-    starts = [g_seed]
-    for _ in range(budget.restarts - 1):
-        starts.append(_crandn(rng, n, n) * 0.3)
-
-    import scipy.optimize  # deferred: the import costs more than most CLI calls
-
-    best = None
-    for g0 in starts:
-        gvec = np.empty(2 * n * n)
-        gvec[0::2] = g0.real.reshape(-1)
-        gvec[1::2] = g0.imag.reshape(-1)
-        for mu in (1e4, 1e6, 1e8, 1e10, 1e12, 1e14):
-            res = scipy.optimize.minimize(
-                fun, gvec, args=(mu,), method="L-BFGS-B", jac=True,
-                options={"maxiter": budget.max_iterations, "ftol": 1e-18, "gtol": 1e-14},
-            )
-            gvec = res.x
-        g, dR, theta, pen = split_val(gvec)
-        val = math.sqrt(fro(dR) ** 2 + float(theta @ theta))
-        if best is None or (pen, val) < (best[3], best[0]):
-            best = (val, gvec, theta, pen)
-    val, gvec, theta, pen = best
-    g, dR, theta, pen = split_val(gvec)
-    pert = perturbation(theta, dR)
-    converged = pen <= 1e-7 * bscale
-    return OracleEtaResult(pert.norm(), pert, bool(converged), float(pen))
+    if resid > _AUDIT_FACTOR * cfg.residual_tol * bscale:
+        raise InconsistentConstraintsError(
+            f"eigenpair not admissible for {''.join(sorted(blocks))} (residual {resid:.3e})"
+        )
+    if cone:  # dR follows dJ, when J is selected
+        first = bases["J"][2].shape[0] if "J" in bases else 0
+        theta = _barrier(theta, null, (first, bases["R"]), cfg)
+    out = {name: np.zeros((n, m if name == "B" else n), dtype=complex) for name in "JREB"}
+    ends = np.cumsum([b[2].shape[0] for b in bases.values()])[:-1]
+    for (name, b), t in zip(bases.items(), np.split(theta, ends)):
+        out[name] = _assemble(b, t, out[name].shape)
+    pert = PerturbationBlocks(out["J"], out["R"], out["E"], out["B"])
+    return OracleEtaResult(pert.norm(), pert, True, float(resid))
 
 
 # ---------------------------------------------------------------------------
@@ -642,24 +574,22 @@ def verify_solution(
         x, y, z, w = (as_complex(v) for v in problem)
     d1 = delta[:, : delta.shape[0]]  # the square block; Delta has n rows in every problem
 
-    scale_x = max(1.0, fro(delta) * fro(x) + fro(y))
-    r1 = fro(delta @ x - y) / scale_x
-    if z is not None:
-        scale_z = max(1.0, fro(delta) * fro(z) + fro(w))
-        r2 = fro(delta.conj().T @ z - w) / scale_z
-    else:
-        r2 = 0.0
+    # each residual relative to the data's own scale; ||Delta v - r|| <= ||Delta|| ||v|| + ||r||,
+    # so a zero scale means a zero residual
+    def relative(resid: float, scale: float) -> float:
+        return resid / scale if scale > 0.0 else 0.0
 
+    r1 = relative(fro(delta @ x - y), fro(delta) * fro(x) + fro(y))
+    r2 = 0.0 if z is None else relative(fro(delta.conj().T @ z - w), fro(delta) * fro(z) + fro(w))
+    sd = fro(d1)
+    dev = relative(_deviation(family, d1), sd)
     min_eig: float | None = None
-    sd = max(1.0, fro(d1))
-    dev = _deviation(family, d1) / sd
     if family not in LINEAR_FAMILIES:  # the cones: the extreme eigenvalue of the Hermitian part
         eigs = np.linalg.eigvalsh((d1 + d1.conj().T) / 2.0)
         positive = family in (StructureFamily.PSD, StructureFamily.DISSIPATIVE)
         min_eig = float(eigs[0]) if positive else float(-eigs[-1])
 
-    tol = cfg.residual_tol * 100
-    ok = r1 <= tol and r2 <= tol and dev <= tol
+    ok = max(r1, r2, dev) <= _AUDIT_FACTOR * cfg.residual_tol
     if min_eig is not None:
-        ok = ok and min_eig >= -cfg.psd_tol * sd * 100
+        ok = ok and min_eig >= -_AUDIT_FACTOR * cfg.psd_tol * sd
     return VerificationReport(r1, r2, dev, min_eig, bool(ok))

@@ -48,6 +48,7 @@ from .errors import (
     StructureError,
 )
 from .linalg import as_complex, fro, herm_skew_parts, min_eig_herm, null_projector, pinv, svd_split
+from .maps import StructureFamily, _deviation
 
 __all__ = [
     "PHPencil",
@@ -67,6 +68,26 @@ __all__ = [
     "experiment_table",
     "reconstruct_perturbation",
 ]
+
+
+def _in_family(family: StructureFamily, a: np.ndarray, cfg: ToleranceConfig) -> bool:
+    """a has the family's symmetry to ``residual_tol`` relative to its own norm."""
+    return _deviation(family, a) <= cfg.residual_tol * fro(a)
+
+
+def _layout(square: np.ndarray, e: np.ndarray, b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (2n+m)-square blocks M = [[0, A, B], [A*, 0, 0], [B*, 0, S]] and N = [[0, E, 0], [-E*, 0, 0], [0, 0, 0]]."""
+    n, m = b.shape
+    M = np.zeros((2 * n + m, 2 * n + m), dtype=complex)
+    M[:n, n : 2 * n] = square
+    M[n : 2 * n, :n] = square.conj().T
+    M[:n, 2 * n :] = b
+    M[2 * n :, :n] = b.conj().T
+    M[2 * n :, 2 * n :] = s
+    N = np.zeros_like(M)
+    N[:n, n : 2 * n] = e
+    N[n : 2 * n, :n] = -e.conj().T
+    return M, N
 
 
 @dataclass
@@ -111,14 +132,11 @@ class PHPencil:
 
     def validate(self, cfg: ToleranceConfig = DEFAULT_TOL) -> dict[str, bool]:
         """Per-invariant report, scale-free: J skew-Hermitian, R PSD, E Hermitian, S PD."""
-        def herm_dev(a):
-            return fro(a - a.conj().T) <= cfg.residual_tol * fro(a)
-
         rep = {
-            "J_skew_hermitian": fro(self.J + self.J.conj().T) <= cfg.residual_tol * fro(self.J),
-            "R_hermitian": herm_dev(self.R),
-            "E_hermitian": herm_dev(self.E),
-            "S_hermitian": herm_dev(self.S),
+            "J_skew_hermitian": _in_family(StructureFamily.SKEW_HERMITIAN, self.J, cfg),
+            "R_hermitian": _in_family(StructureFamily.HERMITIAN, self.R, cfg),
+            "E_hermitian": _in_family(StructureFamily.HERMITIAN, self.E, cfg),
+            "S_hermitian": _in_family(StructureFamily.HERMITIAN, self.S, cfg),
         }
         rep["R_psd"] = rep["R_hermitian"] and (
             min_eig_herm(self.R) >= -cfg.psd_tol * fro(self.R)
@@ -130,18 +148,7 @@ class PHPencil:
 
     def assemble(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (M, N) of the pencil L(z) = M + zN, size (2n+m)."""
-        n, m = self.n, self.m
-        jr = self.J - self.R
-        M = np.zeros((2 * n + m, 2 * n + m), dtype=complex)
-        M[:n, n : 2 * n] = jr
-        M[n : 2 * n, :n] = jr.conj().T
-        M[:n, 2 * n :] = self.B
-        M[2 * n :, :n] = self.B.conj().T
-        M[2 * n :, 2 * n :] = self.S
-        N = np.zeros_like(M)
-        N[:n, n : 2 * n] = self.E
-        N[n : 2 * n, :n] = -self.E.conj().T
-        return M, N
+        return _layout(self.J - self.R, self.E, self.B, self.S)
 
 
 @dataclass
@@ -231,16 +238,7 @@ class PerturbationBlocks:
 
     def delta_mn(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Assemble (dM, dN) in the pencil's block layout."""
-        d1 = self.dJ - self.dR
-        dM = np.zeros((2 * n + m, 2 * n + m), dtype=complex)
-        dM[:n, n : 2 * n] = d1
-        dM[n : 2 * n, :n] = d1.conj().T
-        dM[:n, 2 * n :] = self.dB
-        dM[2 * n :, :n] = self.dB.conj().T
-        dN = np.zeros_like(dM)
-        dN[:n, n : 2 * n] = self.dE
-        dN[n : 2 * n, :n] = -self.dE.conj().T
-        return dM, dN
+        return _layout(self.dJ - self.dR, self.dE, self.dB, np.zeros((m, m), dtype=complex))
 
 
 def mapping_data(P: PHPencil, ep: EigenPair):
@@ -870,9 +868,9 @@ def reconstruct_perturbation(
     out = PerturbationBlocks(dJ=dJ, dR=dR, dE=dE, dB=dB)
     # invariants
     checks = {
-        "dJ_skew": fro(dJ + dJ.conj().T) <= cfg.residual_tol * fro(dJ),
-        "dR_herm": fro(dR - dR.conj().T) <= cfg.residual_tol * fro(dR),
-        "dE_herm": fro(dE - dE.conj().T) <= cfg.residual_tol * fro(dE),
+        "dJ_skew": _in_family(StructureFamily.SKEW_HERMITIAN, dJ, cfg),
+        "dR_herm": _in_family(StructureFamily.HERMITIAN, dR, cfg),
+        "dE_herm": _in_family(StructureFamily.HERMITIAN, dE, cfg),
     }
     if solution.variant == "sd":
         checks["dR_psd"] = min_eig_herm(dR) >= -cfg.psd_tol * fro(dR)

@@ -243,7 +243,7 @@ def dsdm_type1_vec(x, y, z, w, anti=False):
     if anti:
         inner = dsdm_type1_vec(x, -y, z, -w)
         if inner.feasible:
-            inner.minimizer = -inner.minimizer
+            inner.minimizer, inner.gram = -inner.minimizer, -inner.gram
         return inner
     s = np.vdot(x, y)
     if abs(s.real) <= TOL * max(fro(x) * fro(y), 1e-300):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from dsmkit import gen_pencil
+from dsmkit.maps import StructureFamily as F
 from dsmkit.cli import main
 from dsmkit.io import load_json, pencil_to_doc, save_json, vector_to_doc
-from helpers import crandn, type2_instance
+from helpers import crandn, dsm_instance, two_sided_instance, type1_instance, type2_instance
 
 
 def write_vec(path, v):
@@ -256,9 +258,26 @@ def test_tolerance_overrides(capsys, tmp_path, herm_files):
 
 
 def test_import_leaves_scipy_unloaded():
-    # the oracles import scipy.optimize when they run, not when the CLI starts
-    code = "import sys, dsmkit, dsmkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
+    # dsmkit needs numpy alone: neither the import nor a run of every cone oracle loads scipy
+    code = """
+import sys
+import numpy as np
+sys.path.insert(0, "tests")
+import dsmkit, dsmkit.cli
+from dsmkit import gen_eigpair, gen_pencil, oracle_eta, oracle_min_structured
+from dsmkit.maps import StructureFamily as F
+from helpers import dsm_instance, type2_instance
+rng = np.random.default_rng(1)
+oracle_min_structured(dsm_instance(F.PSD, rng, 3, 1, exact=True), F.PSD)
+oracle_min_structured(type2_instance(rng, 3, 1), F.DISSIPATIVE)
+pencil = gen_pencil(3, 1, 2)
+assert oracle_eta(pencil, gen_eigpair(pencil, 3, "JREB"), "JREB", "sd").converged
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True,
+                         cwd=root, env=env)
     assert out.stdout.strip() == "[]"
 
 
@@ -278,3 +297,55 @@ def test_bad_selection_or_field_is_one_error_line(capsys, tmp_path):
         bad.write_text(json.dumps(doc))
         code, _, err = run(capsys, "verify", "--result", str(bad))
         assert code == 1 and err.startswith("error: ") and repr(value) in err and err.count("\n") == 1
+
+
+def _verify_doc(capsys, tmp_path, doc):
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--result", str(path))
+    return code, json.loads(out)
+
+
+def test_verify_compares_map_two_sided_with_its_oracle(capsys, tmp_path):
+    x, y, z, w = two_sided_instance(np.random.default_rng(21), 3, 2)
+    doc, code, out, _ = _solve_and_verify(capsys, tmp_path, "unstructured", x, y, z, w)
+    report = json.loads(out)
+    assert doc["kind"] == "map-two-sided" and code == 0 and report["ok"]
+    assert report["oracle_norm"] == pytest.approx(doc["norms"]["upper"], rel=1e-12)
+    doc["norms"]["upper"] *= 1.01
+    code, report = _verify_doc(capsys, tmp_path, doc)
+    assert code == 1 and not report["ok"]
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+@pytest.mark.parametrize("case", ["dsdm-type1", "dsm-psd"])
+def test_verify_rejects_a_claimed_minimum_off_on_either_side(capsys, tmp_path, case, factor):
+    # the residuals of the stored minimizer still pass; only the oracle can reject the number
+    rng = np.random.default_rng(22)
+    if case == "dsdm-type1":
+        q, _ = type1_instance(rng, 3, 1)
+        family, data = "dissipative", (q.X[:, 0], q.Y[:, 0], q.Z[:, 0], q.W[:, 0])
+    else:
+        p = dsm_instance(F.PSD, rng, 3, 2, exact=True)
+        family, data = "psd", (p.x, p.y, p.z, p.w)
+    doc, code, out, _ = _solve_and_verify(capsys, tmp_path, family, *data)
+    assert doc["kind"] == case.removesuffix("-psd") and code == 0 and json.loads(out)["ok"]
+    doc["norms"]["upper"] *= factor
+    code, report = _verify_doc(capsys, tmp_path, doc)
+    assert code == 1 and not report["ok"] and report["residuals"]["ok"]
+
+
+def test_verify_accepts_an_infinite_backward_error(capsys, tmp_path):
+    # a random u for RB and variant s: finite false and eta = inf, which verify must recompute as equal
+    ppath, upath = tmp_path / "P.json", tmp_path / "u.json"
+    run(capsys, "pencil", "gen", "--n", "3", "--m", "2", "--seed", "3", "-o", str(ppath))
+    write_vec(upath, np.concatenate([crandn(np.random.default_rng(23), 6), np.zeros(2)]))
+    code, out, _ = run(capsys, "backerr", "--pencil", str(ppath), "--lambda", "0.5i",
+                       "--blocks", "RB", "--variant", "s", "--u", str(upath))
+    doc = json.loads(out)
+    assert code == 0 and not doc["bounds"]["finite"] and doc["bounds"]["eta_upper"] == float("inf")
+    code, report = _verify_doc(capsys, tmp_path, doc)
+    assert code == 0 and report["ok"]
+    doc["bounds"]["finite"] = True
+    code, report = _verify_doc(capsys, tmp_path, doc)
+    assert code == 1 and not report["ok"]

@@ -4,7 +4,6 @@ import pytest
 from dsmkit import (
     DsmProblem,
     EigenPair,
-    OracleBudget,
     PHPencil,
     Type1Problem,
     dsdm_type1,
@@ -12,12 +11,13 @@ from dsmkit import (
     eta_sd,
     gen_eigpair,
     gen_pencil,
+    map_min,
     oracle_eta,
     oracle_least_norm,
     oracle_min_structured,
     verify_solution,
 )
-from dsmkit.errors import InconsistentConstraintsError
+from dsmkit.errors import CertificationError, InconsistentConstraintsError
 from dsmkit.maps import StructureFamily as F
 from helpers import crandn, dsm_instance, type1_instance
 
@@ -64,8 +64,7 @@ def test_min_structured_type1_and_budget():
     rng = np.random.default_rng(5)
     q, member = type1_instance(rng, 4, 2)
     sol = dsdm_type1(q)
-    budget = OracleBudget(max_iterations=200, restarts=2, seed=1)
-    delta, norm = oracle_min_structured(q, F.DISSIPATIVE, budget)
+    delta, norm = oracle_min_structured(q, F.DISSIPATIVE)
     assert norm == pytest.approx(sol.min_norm, rel=1e-8)
     assert np.linalg.norm(delta @ q.X - q.Y) <= 1e-8 * max(1.0, np.linalg.norm(q.Y))
 
@@ -128,3 +127,37 @@ def test_oracle_eta_rejects_an_inadmissible_pair_whatever_the_pencil_scale(block
     ep = EigenPair(1j, crandn(rng, 3), crandn(rng, 3), np.zeros(2))
     with pytest.raises(InconsistentConstraintsError):
         oracle_eta(ps, ep, blocks, "s")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+def test_verify_solution_rejects_a_wrong_minimizer_whatever_the_scale(scale):
+    # the unstructured minimizer times 1.5 misses y by half of y; no unit floor may hide that for small data
+    rng = np.random.default_rng(12)
+    x, y = crandn(rng, 4), scale * crandn(rng, 4)
+    sol = map_min(F.UNSTRUCTURED, x, y)
+    assert verify_solution(sol.minimizer, (x, y), F.UNSTRUCTURED).ok
+    rep = verify_solution(1.5 * sol.minimizer, (x, y), F.UNSTRUCTURED)
+    assert not rep.ok and rep.interp_resid == pytest.approx(0.5 / 2.5, rel=1e-9)
+
+
+def test_certified_oracle_rejects_a_claimed_minimum_one_percent_high():
+    # the barrier oracle starts from no closed form, so a minimum claimed 1 % too high fails criterion 3's check
+    rng = np.random.default_rng(31)
+    q, _ = type1_instance(rng, 4, 2)
+    p = dsm_instance(F.PSD, rng, 4, 2, exact=True)
+    for problem, family, claimed in ((q, F.DISSIPATIVE, dsdm_type1(q).min_norm),
+                                     (p, F.PSD, dsm_solve(F.PSD, p).norm_upper)):
+        _, onorm = oracle_min_structured(problem, family)
+        for factor, accepted in ((1.0, True), (1.01, False)):
+            assert (onorm * (1 - 1e-6) <= factor * claimed <= onorm * (1 + 1e-6)) is accepted
+
+
+@pytest.mark.parametrize("family", [F.PSD, F.DISSIPATIVE])
+def test_cone_oracle_raises_without_a_strictly_feasible_point(family):
+    # Delta1* z = w1 with z*w1 = 0 leaves no Delta1 whose Hermitian part is definite
+    rng = np.random.default_rng(41)
+    x1, x2, y, z, w1, w2 = crandn(rng, 3), crandn(rng, 1), crandn(rng, 3), crandn(rng, 3), crandn(rng, 3), crandn(rng, 1)
+    w1 -= np.vdot(z, w1) / np.vdot(z, z) * z
+    w2 += (np.vdot(y, z) - np.vdot(x1, w1) - np.vdot(x2, w2)) / np.vdot(x2, x2).real * x2  # x*w = y*z
+    with pytest.raises(CertificationError):
+        oracle_min_structured(DsmProblem(x1, x2, y, z, w1, w2), family)

@@ -131,6 +131,21 @@ def test_dissipative_solvers_with_anti_are_the_reflected_base():
                     _same_verdict(a.H, q, F.ANTI_DISSIPATIVE, b.H, _reflected(q), F.DISSIPATIVE)
 
 
+def test_anti_dissipative_gram_is_the_negated_base_gram():
+    # the anti-dissipative minimizer holds -P_Z U2 J U2* P_X with J >= 0 the base problem's gram
+    rng = np.random.default_rng(607)
+    q, _ = type1_instance(rng, 3, 1)
+    x, y, z, w = type1_vec_instance(rng, 3)
+    pairs = [
+        (dsdm_type1(Type1Problem(q.X, -q.Y, q.Z, -q.W), anti=True), dsdm_type1(q)),
+        (dsdm_type1_vec(x, -y, z, -w, anti=True), dsdm_type1_vec(x, y, z, w)),
+    ]
+    for neg, base in pairs:
+        _negated_equal(neg.gram, base.gram)
+        assert np.linalg.eigvalsh((base.gram + base.gram.conj().T) / 2)[0] >= -1e-12 * np.linalg.norm(base.gram)
+        assert np.linalg.norm(base.gram) > 0
+
+
 def test_oracle_is_the_reflected_base():
     rng = np.random.default_rng(605)
     p = dsm_instance(F.NSD, rng, 2, 1, exact=True)
