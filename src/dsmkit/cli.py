@@ -243,9 +243,8 @@ def _cmd_backerr(args, cfg: ToleranceConfig) -> int:
         lams = [io_mod.parse_imaginary(tok) for tok in args.lambdas.split(",") if tok.strip()]
         seed = args.seed if args.seed is not None else _env_seed()
         rows = pencil_mod.experiment_table(p, lams, seed, blocks, cfg, variant=args.variant)
-        csv_text = io_mod.sweep_rows_to_csv(rows)
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        with io_mod.open_output(args.csv) as fh:
+            fh.write(io_mod.sweep_rows_to_csv(rows))
         print(f"wrote {args.csv} ({len(rows)} rows)")
         return 0
 
@@ -371,7 +370,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, cfg)
         parser.error(f"unknown command {args.command}")
-    except (FileNotFoundError, DsmkitError, ValueError) as exc:  # bad input: one line, no traceback
+    except (OSError, DsmkitError, ValueError) as exc:  # bad input or path: one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

@@ -9,7 +9,7 @@ import pytest
 from dsmkit import gen_pencil
 from dsmkit.maps import StructureFamily as F
 from dsmkit.cli import main
-from dsmkit.io import load_json, pencil_to_doc, save_json, vector_to_doc
+from dsmkit.io import load_json, pencil_from_doc, pencil_to_doc, save_json, vector_to_doc
 from helpers import crandn, dsm_instance, two_sided_instance, type1_instance, type2_instance
 
 
@@ -240,6 +240,39 @@ def test_backerr_sweep_csv(capsys, tmp_path):
         cells = line.split(",")
         assert cells[3] == "true"
         assert float(cells[1]) <= float(cells[2]) + 1e-12
+
+
+def test_pencil_gen_rewrites_a_longer_file(capsys, tmp_path):
+    out_path = tmp_path / "P.json"
+    for n, m in ((4, 2), (2, 1)):
+        code, _, _ = run(capsys, "pencil", "gen", "--n", str(n), "--m", str(m), "--seed", "5",
+                         "-o", str(out_path))
+        assert code == 0
+    p, want = pencil_from_doc(load_json(str(out_path))), gen_pencil(2, 1, 5)
+    for blk in "JREBS":
+        assert np.array_equal(getattr(p, blk), getattr(want, blk))
+
+
+def test_backerr_sweep_rewrites_a_longer_csv(capsys, tmp_path):
+    ppath = tmp_path / "P.json"
+    run(capsys, "pencil", "gen", "--n", "3", "--m", "2", "--seed", "3", "-o", str(ppath))
+    csv_path = tmp_path / "sweep.csv"
+    for lams in ("0.2i,0.5i,0.9i,1.3i,1.7i", "0.4i,1.1i"):
+        code, _, _ = run(capsys, "backerr", "sweep", "--pencil", str(ppath), "--lambdas", lams,
+                         "--blocks", "JREB", "--seed", "7", "--csv", str(csv_path))
+        assert code == 0
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) == 3 and lines[1].startswith("0.4i,") and lines[2].startswith("1.1i,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pencil", "gen", "--n", "2", "--m", "1", "-o", "{dir}"],
+    ["pencil", "validate", "{dir}"],
+], ids=["gen", "validate"])
+def test_a_directory_path_is_one_error_line(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *[a.format(dir=tmp_path) for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "directory" in err and err.count("\n") == 1
 
 
 def test_usage_error_exit_1(capsys):

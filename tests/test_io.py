@@ -1,3 +1,8 @@
+import ast
+import json
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -5,11 +10,14 @@ from dsmkit import gen_pencil
 from dsmkit.errors import IoFormatError
 from dsmkit.io import (
     format_imaginary,
+    load_json,
+    open_output,
     matrix_from_doc,
     matrix_to_doc,
     parse_imaginary,
     pencil_from_doc,
     pencil_to_doc,
+    save_json,
     sweep_rows_to_csv,
     vector_from_doc,
     vector_to_doc,
@@ -90,3 +98,101 @@ def test_csv_round_trip_binary_equal():
     cells2 = lines[2].split(",")
     assert float(cells2[1]) == float("inf")
     assert ";" in cells2[4] and len(cells2) == 5  # commas sanitized away
+
+
+# ---------------------------------------------------------------------------
+# the output writer
+
+
+def _pinned(doc):
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("doc", [
+    pencil_to_doc(gen_pencil(3, 2, seed=6)),
+    vector_to_doc(crandn(np.random.default_rng(2), 4)),
+], ids=["pencil", "vector"])
+def test_save_json_bytes_are_the_pinned_format(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    save_json(str(path), doc)
+    assert path.read_bytes() == _pinned(doc)
+
+
+@pytest.mark.parametrize("old_size", [0, 10, 100_000], ids=["empty", "shorter", "longer"])
+def test_save_json_over_an_existing_file_leaves_exactly_the_new_bytes(tmp_path, old_size):
+    doc = vector_to_doc(crandn(np.random.default_rng(3), 6))
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"#" * old_size)
+    save_json(str(path), doc)
+    assert path.read_bytes() == _pinned(doc)
+    assert load_json(str(path)) == doc
+
+
+def test_save_json_writes_to_a_non_regular_file():
+    save_json(os.devnull, {"a": list(range(5000))})
+
+
+def test_an_encoder_error_leaves_no_old_tail(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"#" * 200_000)
+    doc = {"a": list(range(5000)), "z": object()}  # the encoder fails on the last key
+    with pytest.raises(TypeError):
+        save_json(str(path), doc)
+    data = path.read_bytes()
+    assert 0 < len(data) < 200_000 and b"#" not in data
+    assert _pinned(dict(doc, z=None)).startswith(data)  # only what was written before the error
+
+
+def test_a_new_file_gets_the_mode_of_open_w(tmp_path):
+    old = os.umask(0o027)
+    try:
+        with open_output(str(tmp_path / "new.txt")) as fh:
+            fh.write("x")
+        with open(tmp_path / "ref.txt", "w") as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "new.txt").stat().st_mode & 0o777
+    assert mode == 0o666 & ~0o027 == (tmp_path / "ref.txt").stat().st_mode & 0o777
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dsmkit"
+
+
+def _write_opens(tree):
+    """Line numbers of the calls in ``tree`` that open a file for writing outside ``open_output``."""
+    allowed = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "open_output" for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else ""
+        if name != "open":
+            continue
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "os":
+            lines.append(node.lineno)  # os.open takes flags: every call is a raw writer
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+"):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source, found", [
+    ('open(p, "w")', 1), ('open(p, mode="a", encoding="utf-8")', 1), ("io.open(p, 'x')", 1),
+    ("open(p, m)", 1), ("os.open(p, os.O_WRONLY)", 1), ("open(p, 'r+')", 1),
+    ("open(p)", 0), ('open(p, "r", encoding="utf-8")', 0), ("open(p, 'rb')", 0),
+    ("def open_output(p):\n    fd = os.open(p, 1)\n    return open(fd, 'w')", 0),
+])
+def test_write_open_scanner(source, found):
+    assert len(_write_opens(ast.parse(source))) == found
+
+
+def test_every_output_file_goes_through_open_output():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    offenders = [f"{f.name}:{line}" for f in files for line in _write_opens(ast.parse(f.read_text()))]
+    assert offenders == []
