@@ -144,6 +144,10 @@ def _run(call, a):
         return d.dsdm_type2(_problem(a), anti=a["anti"])
     if call == "jordan_lie_reduce":
         return d.jordan_lie_reduce(d.ScalarProduct(a["M"], a["form"], a["algebra"]), _problem(a))
+    if call == "gen_pencil":
+        return d.gen_pencil(a["n"], a["m"], a["seed"], r_rank=a["r_rank"], b_rank=a["b_rank"])
+    if call == "gen_eigpair":
+        return d.gen_eigpair(_pencil(a), a["seed"], a["blocks"], lam=a["lam"])
     if call in ("eta_s", "eta_sd"):
         ep = d.EigenPair(a["lam"], a["u1"], a["u2"], a["u3"])
         return getattr(d, call)(_pencil(a), ep, a["blocks"])
@@ -440,6 +444,28 @@ def _cases():
                 u1=ep.u1, u2=ep.u2, u3=ep.u3, **pdoc)
             add(f"{call}/{blocks}/{pname}/random", call, blocks=blocks, lam=-1.3j,
                 u1=crandn(rng, 4), u2=crandn(rng, 4), u3=np.zeros(2, complex), **pdoc)
+
+    # the generators: pencils of several ranks, and an eigenpair for every selection at a fixed and
+    # a drawn lambda (RB on two pencils and several seeds: each seed is one row of an RB sweep)
+    gens = {
+        "full": dict(n=4, m=2, seed=7014, r_rank=None, b_rank=None),
+        "low-rank": dict(n=4, m=2, seed=7015, r_rank=2, b_rank=1),
+        "wide-B": dict(n=3, m=4, seed=7016, r_rank=None, b_rank=None),
+        "n8": dict(n=8, m=3, seed=7017, r_rank=4, b_rank=None),
+    }
+    for pname, kw in gens.items():
+        add(f"gen_pencil/{pname}", "gen_pencil", **kw)
+    gpens = {pname: {k: getattr(gen_pencil(**kw), k) for k in "JREBS"} for pname, kw in gens.items()}
+    for blocks in ("JR", "JE", "JB", "RE", "RB", "EB", "JRE", "JRB", "REB", "JEB", "JREB"):
+        pname = "full" if blocks in ("RB", "JRB", "REB", "JREB", "JE") else "low-rank"
+        for ltag, lam in (("fixed", 0.7j), ("drawn", None)):
+            add(f"gen_eigpair/{blocks}/{pname}/{ltag}", "gen_eigpair", seed=12, blocks=blocks, lam=lam,
+                **gpens[pname])
+    for seed in (20, 21, 22):
+        for ltag, lam in (("fixed", -1.1j), ("drawn", None)):
+            add(f"gen_eigpair/RB/n8/{ltag}/seed{seed}", "gen_eigpair", seed=seed, blocks="RB", lam=lam, **gpens["n8"])
+    add("gen_eigpair/JB/full/nonsingular-R", "gen_eigpair", seed=12, blocks="JB", lam=None, **gpens["full"])
+    add("gen_eigpair/JR/wide-B/trivial-kernel", "gen_eigpair", seed=12, blocks="JR", lam=None, **gpens["wide-B"])
 
     # the CLI: map solve for every kind, feasible and infeasible; backerr; verify
     rng = np.random.default_rng(7012)
