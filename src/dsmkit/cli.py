@@ -53,7 +53,6 @@ def _build_parser() -> _Parser:
     top.add_argument("--tol-rank", type=float, default=None, help="relative SVD rank threshold")
     top.add_argument("--tol-psd", type=float, default=None, help="eigenvalue floor factor")
     top.add_argument("--tol-residual", type=float, default=None, help="relative residual tolerance")
-    top.add_argument("--tol-colinearity", type=float, default=None, help="colinearity band")
     sub = top.add_subparsers(dest="command", required=True)
 
     p_map = sub.add_parser("map", help="structured mapping solvers")
@@ -96,7 +95,7 @@ def _build_parser() -> _Parser:
 
 def _tol_from_args(args) -> ToleranceConfig:
     """--tol-NAME overrides the field NAME_tol of the default configuration."""
-    kw = {f"{name}_tol": getattr(args, f"tol_{name}") for name in ("rank", "psd", "residual", "colinearity")}
+    kw = {f"{name}_tol": getattr(args, f"tol_{name}") for name in ("rank", "psd", "residual")}
     kw = {key: value for key, value in kw.items() if value is not None}
     return ToleranceConfig(**kw) if kw else DEFAULT_TOL
 

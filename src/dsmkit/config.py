@@ -1,28 +1,40 @@
 """Tolerance settings shared by every solver and audit."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical tolerances.
+    """Numerical tolerances, and the one rule by which every verdict reads them.
 
-    rank_tol        relative singular-value truncation threshold
-    psd_tol         eigenvalue floor for semidefiniteness tests, applied
-                    as ``psd_tol * matrix_norm`` (absolute on eigenvalues)
-    residual_tol    relative tolerance on interpolation/identity residuals
-    colinearity_tol relative band accepted when detecting colinear vectors
+    A quantity counts as zero when it is at most ``tol * scale``, where
+    ``scale`` is the norms of the inputs that formed it, taken before any
+    cancellation: ||X|| ||Y|| for X*Y + Y*X, ||Y|| for Y X+ X - Y,
+    ||K|| + (2||w1|| + ||Z|| ||z||)^2 / (4 Re z*w1) for the shifted K of the
+    dissipative characterization.  There is no floor, so a zero scale
+    accepts only zero, and every verdict is the same for s * (data) as for
+    the data.
+
+    rank_tol      singular values below ``rank_tol * sigma_max`` count as zero
+                  (ranks, pseudoinverses, the eigenspaces of isotropic draws)
+    psd_tol       semidefiniteness: no eigenvalue of the Hermitian part below
+                  ``-psd_tol * scale`` (``linalg._semidefinite``), definiteness:
+                  every eigenvalue above ``psd_tol * scale``
+    residual_tol  every other zero test: interpolation and identity residuals,
+                  structure deviations (``maps._in_family``), colinearity
+                  (``linalg._colinear_coeff``), sign conditions such as x*y real
+                  or Re(z*w1) >= 0, and imaginary lambda; the oracle's audits
+                  and certified gaps read it times a named factor
     """
 
     rank_tol: float = 1e-12
     psd_tol: float = 1e-10
     residual_tol: float = 1e-10
-    colinearity_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("rank_tol", "psd_tol", "residual_tol", "colinearity_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise ValueError(f"{f.name} must be strictly positive")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -38,18 +38,9 @@ from .errors import (
     NotColinearError,
     StructureError,
 )
-from .linalg import as_complex, fro, min_eig_herm, null_projector, pinv, svd_split
-from .maps import (
-    _REFLECTED,
-    StructureFamily,
-    _incompatible,
-    _min_factors,
-    _outer_sum,
-    _project,
-    _reflect,
-    _require_structure,
-    _sandwich,
-)
+from .linalg import _colinear_coeff, _semidefinite, as_complex, fro, null_projector, pinv, svd_split
+from .maps import _REFLECTED, StructureFamily, _in_family, _incompatible, _min_factors, _outer_sum, _project
+from .maps import _reflect, _require, _require_structure, _sandwich, _shifted_psd
 
 __all__ = [
     "DsmProblem",
@@ -135,16 +126,6 @@ class DsmSolution:
         return np.hstack([self.H1, self.H2])
 
 
-def _colinear_coeff(target: np.ndarray, v: np.ndarray, cfg: ToleranceConfig):
-    """Return (alpha, is_colinear) with v ~ alpha * target."""
-    denom = np.vdot(target, target)
-    if denom == 0:
-        return 0j, False
-    alpha = np.vdot(target, v) / denom
-    ok = fro(v - alpha * target) <= cfg.colinearity_tol * max(fro(v), 1e-300)
-    return alpha, bool(ok)
-
-
 def _h1_factors(family: StructureFamily, z: np.ndarray, w1: np.ndarray, cfg: ToleranceConfig):
     """Factors of the structured minimal-norm Delta1 with ``Delta1* z = w1``.
 
@@ -171,8 +152,7 @@ def _apply(f: list[np.ndarray], g: list[np.ndarray], v: np.ndarray) -> np.ndarra
 
 def _structural_condition(family: StructureFamily, p: DsmProblem, cfg: ToleranceConfig):
     """Family condition on z*w1 (or z^T w1).  Returns (ok, reason)."""
-    scale = max(fro(p.z) * fro(p.w1), 1e-300)
-    tol = cfg.residual_tol * scale
+    tol = cfg.residual_tol * fro(p.z) * fro(p.w1)
     s = np.vdot(p.z, p.w1)
     if family is StructureFamily.HERMITIAN:
         return abs(s.imag) <= tol, f"z*w1 not real (Im = {s.imag:.3e})"
@@ -258,19 +238,11 @@ def dsm_solve(
     h1 = _outer_sum(f, g)
     h2 = _h2(p, _apply(f, g, p.x1), cfg)
 
-    colin_target = p.z if family in (
-        StructureFamily.HERMITIAN,
-        StructureFamily.SKEW_HERMITIAN,
-        StructureFamily.PSD,
-    ) else p.z.conj()
-    _, colinear = _colinear_coeff(colin_target, p.x1, cfg)
-
+    bilinear = family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC)
+    exact = _colinear_coeff(p.z.conj() if bilinear else p.z, p.x1, cfg)[1]
+    note = ("x1 colinear with conj(z)" if bilinear else "x1 colinear with z") if exact else "never"
     diagnostics: dict = {}
     warnings: list[str] = []
-    exact = colinear
-    note = "x1 colinear with z" if colinear else "never"
-    if family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC) and colinear:
-        note = "x1 colinear with conj(z)"
     if family is StructureFamily.PSD:
         zw1 = np.vdot(p.z, p.w1)
         a = p.y - (np.vdot(p.w1, p.x1) / zw1) * p.w1
@@ -429,25 +401,25 @@ def dsdm_type1(
     conditions: dict = {}
     conditions["equal_ranks"] = sx.rank == sz.rank
     range_gap = fro(xxd - q.Z @ zd)
-    conditions["aligned_ranges"] = range_gap <= cfg.residual_tol * max(1.0, fro(xxd))
+    conditions["aligned_ranges"] = range_gap <= cfg.residual_tol * fro(xxd)
     core = sx.U1.conj().T @ m_h @ sx.U1
     a = sx.U2.conj().T @ (yxd + wzd) @ sx.U1
     core_pinv = pinv(core, cfg)
     ker_proj = np.eye(sx.rank, dtype=complex) - core_pinv @ core
-    conditions["kernel_condition"] = fro(a @ ker_proj) <= cfg.residual_tol * max(1.0, fro(a))
+    # a may cancel to rounding, so its scale is that of the two terms it sums
+    conditions["kernel_condition"] = fro(a @ ker_proj) <= cfg.residual_tol * (fro(yxd) + fro(wzd))
     hypothesis_ok = all(conditions[k] for k in ("equal_ranks", "aligned_ranges", "kernel_condition"))
     if not hypothesis_ok:
         bad = [k for k in conditions if not conditions[k]]
         warnings.append(f"hypothesis violated ({', '.join(bad)}); result not certified")
 
     checks = {
-        "YXdX": fro(yxd @ q.X - q.Y) <= cfg.residual_tol * max(1.0, fro(q.Y)),
-        "WZdZ": fro(wzd @ q.Z - q.W) <= cfg.residual_tol * max(1.0, fro(q.W)),
+        "YXdX": fro(yxd @ q.X - q.Y) <= cfg.residual_tol * fro(q.Y),
+        "WZdZ": fro(wzd @ q.Z - q.W) <= cfg.residual_tol * fro(q.W),
         "XW_eq_YZ": fro(q.X.conj().T @ q.W - q.Y.conj().T @ q.Z)
-        <= cfg.residual_tol * max(1.0, fro(q.X) * fro(q.W), fro(q.Y) * fro(q.Z)),
+        <= cfg.residual_tol * max(fro(q.X) * fro(q.W), fro(q.Y) * fro(q.Z)),
+        "XY_plus_YX_psd": _semidefinite(q.X.conj().T @ q.Y + q.Y.conj().T @ q.X, fro(q.X) * fro(q.Y), cfg),
     }
-    gram_xy = q.X.conj().T @ q.Y + q.Y.conj().T @ q.X
-    checks["XY_plus_YX_psd"] = min_eig_herm(gram_xy) >= -cfg.psd_tol * max(1.0, fro(gram_xy))
     conditions.update(checks)
     if not all(checks.values()):
         bad = [k for k, v in checks.items() if not v]
@@ -514,15 +486,12 @@ def dsdm_type1_vec(
         if fro(v) == 0.0:
             raise DegenerateInputError(f"{name} must be nonzero")
 
-    alpha = np.vdot(x, z) / np.vdot(x, x)
-    if alpha == 0 or fro(z - alpha * x) > cfg.colinearity_tol * fro(z):
-        raise NotColinearError(
-            f"z is not colinear with x (residual {fro(z - alpha * x):.3e})"
-        )
+    alpha, colinear = _colinear_coeff(x, z, cfg)  # z is nonzero, so colinear implies alpha != 0
+    if not colinear:
+        raise NotColinearError(f"z is not colinear with x (residual {fro(z - alpha * x):.3e})")
 
     s = np.vdot(x, y)
-    scale = max(fro(x) * fro(y), 1e-300)
-    if abs(s.real) <= cfg.residual_tol * scale:
+    if abs(s.real) <= cfg.residual_tol * fro(x) * fro(y):
         raise DegenerateInputError("Re(x*y) vanishes; the vector-case formulas are undefined")
 
     conditions = {"colinear": True, "re_xy_positive": s.real > 0}
@@ -593,11 +562,9 @@ def dsdm_type2(
     if why := _incompatible(p.x, p.y, p.z, p.w, cfg):
         return DsmSolution(StructureFamily.DISSIPATIVE, False, reason=why)
     rew = np.vdot(p.z, p.w1).real
-    sscale = max(fro(p.z) * fro(p.w1), 1e-300)
+    sscale = fro(p.z) * fro(p.w1)
     if rew < -cfg.residual_tol * sscale:
-        return DsmSolution(
-            StructureFamily.DISSIPATIVE, False, reason=f"Re(z*w1) negative ({rew:.3e})"
-        )
+        return DsmSolution(StructureFamily.DISSIPATIVE, False, reason=f"Re(z*w1) negative ({rew:.3e})")
 
     h1_hat, h2_hat = _type2_pieces(p, -1.0, cfg)
     warnings = []
@@ -605,7 +572,7 @@ def dsdm_type2(
         warnings.append("Re(z*w1) ~ 0: boundary case, characterization unavailable")
 
     beta, y_colinear = _colinear_coeff(p.z, p.y, cfg)
-    orth = abs(np.vdot(p.z, p.x1)) <= cfg.colinearity_tol * max(fro(p.z) * fro(p.x1), 1e-300)
+    orth = abs(np.vdot(p.z, p.x1)) <= cfg.residual_tol * fro(p.z) * fro(p.x1)
     _, w1_colinear = _colinear_coeff(p.z, p.w1, cfg)
     # Exactness needs w1 colinear with z on top of the y/x1 conditions: the
     # square block's one-sided dissipative minimum is only pinned to the
@@ -618,9 +585,7 @@ def dsdm_type2(
             "of the returned point is not certified (w1 not colinear with z)"
         )
     upper = float(np.sqrt(fro(h1_hat) ** 2 + fro(h2_hat) ** 2))
-    lower = upper if exact else max(
-        fro(p.y) / max(fro(p.x), 1e-300), fro(p.w) / fro(p.z)
-    )
+    lower = upper if exact else max(fro(p.y) / fro(p.x), fro(p.w) / fro(p.z))  # x2 and z are nonzero
     return DsmSolution(
         StructureFamily.DISSIPATIVE,
         True,
@@ -660,20 +625,13 @@ def dsm_characterize_type2(
             raise ConstraintViolationError(f"{name}_shape", f"{name} must be {shape}, got {mat.shape}")
     _require_structure(StructureFamily.SKEW_HERMITIAN, "G", G, cfg)
     _require_structure(StructureFamily.PSD, "K", K, cfg)
-    rew = np.vdot(p.z, p.w1).real
-    if rew <= 0:
+    if np.vdot(p.z, p.w1).real <= 0:
         raise DegenerateInputError("characterization requires Re(z*w1) > 0")
-    zsz = (p.z.conj() @ Z).conj()  # Z* z
-    q = 2.0 * p.w1 + zsz
-    shifted = K - np.outer(q, q.conj()) / (4.0 * rew)
-    if min_eig_herm(shifted) < -cfg.psd_tol * max(1.0, fro(shifted)):
-        raise ConstraintViolationError(
-            "K_shifted_psd", "K - (2w1+Z*z)(2w1+Z*z)*/(4Re(z*w1)) must be PSD"
-        )
+    _require(_shifted_psd(K, Z, p.z, p.w1, cfg), "K_shifted_psd", "K - (2w1+Z*z)(2w1+Z*z)*/(4Re(z*w1)) must be PSD")
 
     h1, h2 = _type2_pieces(p, 1.0, cfg)
     # H1~ = P_z Z* z z+ + P_z (K - G) P_z, and H2~ = P_z R P_x2 - H1~ x1 x2+
-    h1t = np.outer(_project(p.z, zsz), pinv(p.z, cfg)) + _sandwich(p.z, K - G, p.z)
+    h1t = np.outer(_project(p.z, (p.z.conj() @ Z).conj()), pinv(p.z, cfg)) + _sandwich(p.z, K - G, p.z)
     return np.hstack([h1 + h1t, h2 + _h2_tilde(p, h1t, R, cfg)])
 
 
@@ -702,18 +660,20 @@ class ScalarProduct:
             raise ValueError("form must be 'bilinear' or 'sesquilinear'")
         if self.algebra not in ("jordan", "lie"):
             raise ValueError("algebra must be 'jordan' or 'lie'")
-        n = self.M.shape[0]
-        gap = fro(self.M.conj().T @ self.M - np.eye(n))
-        if gap > 1e-10 * max(1.0, n):
+        # ||M*M - I|| against ||M||^2, the scale of M*M (n when M is unitary)
+        gap = fro(self.M.conj().T @ self.M - np.eye(self.M.shape[0]))
+        if gap > DEFAULT_TOL.residual_tol * fro(self.M) ** 2:
             raise StructureError(f"M must be unitary (||M*M - I|| = {gap:.3e})")
-        mt = self.M.T if self.form == "bilinear" else self.M.conj().T
-        if fro(mt - self.M) <= 1e-10 * max(1.0, fro(self.M)):
+        plain, skew = (
+            (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC) if self.form == "bilinear"
+            else (StructureFamily.HERMITIAN, StructureFamily.SKEW_HERMITIAN)
+        )
+        if _in_family(plain, self.M, DEFAULT_TOL):
             self.sigma = 1
-        elif fro(mt + self.M) <= 1e-10 * max(1.0, fro(self.M)):
+        elif _in_family(skew, self.M, DEFAULT_TOL):
             self.sigma = -1
         else:
-            kind = "symmetric/skew-symmetric" if self.form == "bilinear" else "Hermitian/skew-Hermitian"
-            raise StructureError(f"M must be {kind}")
+            raise StructureError(f"M must be {plain.value}/{skew.value}".replace("hermitian", "Hermitian"))
 
     @property
     def epsilon(self) -> int:

@@ -111,11 +111,6 @@ class Definiteness(enum.Enum):
     INDEFINITE = "indefinite"
 
 
-def _eig_floor(eigs: np.ndarray, cfg: ToleranceConfig) -> float:
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return cfg.psd_tol * scale
-
-
 def is_psd(a, cfg: ToleranceConfig = DEFAULT_TOL) -> Definiteness:
     """Classify a Hermitian matrix by its smallest eigenvalue.
 
@@ -127,12 +122,12 @@ def is_psd(a, cfg: ToleranceConfig = DEFAULT_TOL) -> Definiteness:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"square matrix required, got shape {a.shape}")
     dev = fro(a - a.conj().T)
-    if dev > max(1.0, fro(a)) * cfg.residual_tol * 10:
+    if dev > cfg.residual_tol * fro(a):
         raise StructureError(f"matrix is not Hermitian (deviation {dev:.3e})")
     eigs = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     if eigs.size == 0:
         return Definiteness.POSITIVE_DEFINITE
-    floor = _eig_floor(eigs, cfg)
+    floor = cfg.psd_tol * float(np.max(np.abs(eigs)))  # psd_tol of ||a||_2
     lo = float(eigs[0])
     if lo > floor:
         return Definiteness.POSITIVE_DEFINITE
@@ -147,6 +142,28 @@ def min_eig_herm(a) -> float:
     if ah.shape[0] == 0:
         return 0.0
     return float(np.linalg.eigvalsh(ah)[0])
+
+
+def _semidefinite(a, scale: float, cfg: ToleranceConfig, definite: bool = False) -> bool:
+    """The Hermitian part of a is positive semidefinite: no eigenvalue below ``-psd_tol * scale``.
+
+    ``definite=True`` asks for every eigenvalue above ``psd_tol * scale``.
+    ``scale`` is the norms of the inputs that formed a (see ``ToleranceConfig``).
+    """
+    lo, bound = min_eig_herm(a), cfg.psd_tol * scale
+    return lo > bound if definite else lo >= -bound
+
+
+def _colinear_coeff(target: np.ndarray, v: np.ndarray, cfg: ToleranceConfig) -> tuple[complex, bool]:
+    """(alpha, colinear): the least-squares alpha of v ~ alpha target, and ||v - alpha target|| <= residual_tol ||v||.
+
+    A zero target gives (0, False); a zero v is colinear, with alpha = 0.
+    """
+    denom = np.vdot(target, target)
+    if denom == 0:
+        return 0j, False
+    alpha = np.vdot(target, v) / denom
+    return alpha, bool(fro(v - alpha * target) <= cfg.residual_tol * fro(v))
 
 
 @dataclass(frozen=True)
@@ -178,7 +195,7 @@ def block_psd_check(b, c, d, cfg: ToleranceConfig = DEFAULT_TOL) -> BlockPsdRepo
     bd = pinv(b, cfg)
     leading = is_psd(b, cfg) is not Definiteness.INDEFINITE
     ker_proj = np.eye(s, dtype=complex) - bd @ b
-    kernel_ok = fro(c @ ker_proj) <= cfg.residual_tol * max(1.0, fro(c))
+    kernel_ok = fro(c @ ker_proj) <= cfg.residual_tol * fro(c)
     schur = d - c @ bd @ c.conj().T
     schur_ok = is_psd((schur + schur.conj().T) / 2.0, cfg) is not Definiteness.INDEFINITE
     return BlockPsdReport(leading and kernel_ok and schur_ok, leading, kernel_ok, schur_ok)

@@ -32,7 +32,7 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
 )
-from .linalg import as_complex, fro, min_eig_herm, pinv
+from .linalg import _semidefinite, as_complex, fro, pinv
 
 __all__ = ["StructureFamily", "MapSolution", "map_min", "map_two_sided", "map_characterize"]
 
@@ -245,7 +245,7 @@ def map_min(
 def _incompatible(x, y, z, w, cfg: ToleranceConfig) -> str:
     """Why x*w = y*z, which every problem with both Delta x = y and Delta* z = w needs, fails; "" if it holds."""
     gap = np.vdot(x, w) - np.vdot(y, z)
-    if abs(gap) <= cfg.residual_tol * max(fro(x) * fro(w), fro(y) * fro(z), 1e-300):
+    if abs(gap) <= cfg.residual_tol * max(fro(x) * fro(w), fro(y) * fro(z)):
         return ""
     return f"x*w != y*z (gap {abs(gap):.3e})"
 
@@ -300,18 +300,31 @@ def _deviation(family: StructureFamily, a: np.ndarray) -> float:
     return fro(a - sign * (a.T if bilinear else a.conj().T))
 
 
-def _require_structure(family: StructureFamily, name: str, a: np.ndarray, cfg: ToleranceConfig) -> None:
-    """Raise ``ConstraintViolationError`` (e.g. ``K_skew_symmetric``) unless a is in the family.
+def _in_family(family: StructureFamily, a: np.ndarray, cfg: ToleranceConfig) -> bool:
+    """a is in the family: its symmetry to ``residual_tol``, and for psd its sign to ``psd_tol``, of ||a||.
 
     ``family`` is one of the four symmetry families or psd.
     """
     if family is StructureFamily.PSD:
-        ok = min_eig_herm(a) >= -cfg.psd_tol * max(1.0, fro(a))
-        label = "positive semidefinite"
-    else:
-        ok = _deviation(family, a) <= cfg.residual_tol * max(1.0, fro(a))
-        label = family.value.replace("hermitian", "Hermitian")
-    _require(ok, f"{name}_{family.value.replace('-', '_')}", f"{name} must be {label}")
+        return _semidefinite(a, fro(a), cfg)
+    return _deviation(family, a) <= cfg.residual_tol * fro(a)
+
+
+def _require_structure(family: StructureFamily, name: str, a: np.ndarray, cfg: ToleranceConfig) -> None:
+    """Raise ``ConstraintViolationError`` (e.g. ``K_skew_symmetric``) unless ``_in_family(family, a)``."""
+    label = "positive semidefinite" if family is StructureFamily.PSD else family.value.replace("hermitian", "Hermitian")
+    _require(_in_family(family, a, cfg), f"{name}_{family.value.replace('-', '_')}", f"{name} must be {label}")
+
+
+def _shifted_psd(k: np.ndarray, zmat: np.ndarray, v: np.ndarray, b: np.ndarray, cfg: ToleranceConfig) -> bool:
+    """K - q q* / (4 Re(v*b)) is semidefinite, for q = 2b + Z*v and Re(v*b) > 0.
+
+    The scale is taken before q cancels: ||K|| + (2||b|| + ||Z|| ||v||)^2 / (4 Re(v*b)).
+    """
+    re = np.vdot(v, b).real
+    q = 2.0 * b + (v.conj() @ zmat).conj()
+    scale = fro(k) + (2.0 * fro(b) + fro(zmat) * fro(v)) ** 2 / (4.0 * re)
+    return _semidefinite(k - np.outer(q, q.conj()) / (4.0 * re), scale, cfg)
 
 
 def map_characterize(
@@ -365,13 +378,7 @@ def map_characterize(
     z, k, g = param("Z"), param("K"), param("G")
     _require_structure(StructureFamily.SKEW_HERMITIAN, "G", g, cfg)
     _require_structure(StructureFamily.PSD, "K", k, cfg)
-    q = 2.0 * y + (x.conj() @ z).conj()  # 2y + Z*x
-    shifted = k - np.outer(q, q.conj()) / (4.0 * np.vdot(x, y).real)
-    _require(
-        min_eig_herm(shifted) >= -cfg.psd_tol * max(1.0, fro(shifted)),
-        "K_shifted_psd",
-        "K - (2y+Z*x)(2y+Z*x)*/(4Re(x*y)) must be PSD",
-    )
+    _require(_shifted_psd(k, z, x, y, cfg), "K_shifted_psd", "K - (2y+Z*x)(2y+Z*x)*/(4Re(x*y)) must be PSD")
     # y x+ + (y x+)* P_x + x x+ Z P_x + P_x (K + G) P_x, with (y x+)* P_x = (x+)* (P_x y)*
     xd = pinv(x, cfg).ravel()
     g_cols = [xd, _project(x, y).conj(), _project(x.conj(), xd @ z)]

@@ -151,6 +151,15 @@ def _assemble(basis, theta: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
+def _audit(resid: float, scale: float, what: str, cfg: ToleranceConfig) -> None:
+    """The one inconsistency audit: raise unless resid <= ``_AUDIT_FACTOR * residual_tol * scale``.
+
+    ``scale`` is the data's: ||(y, w)||, the right-hand sides of the rows, or ||L|| ||u|| for an eigenpair.
+    """
+    if resid > _AUDIT_FACTOR * cfg.residual_tol * scale:
+        raise InconsistentConstraintsError(f"{what} (residual {resid:.3e})")
+
+
 def _least_norm(basis, constraints, shape):
     """Least-norm real coefficients meeting the constraints, and the residual norm."""
     a, b = _system(basis, constraints, shape)
@@ -187,15 +196,14 @@ def oracle_least_norm(
     else:
         structure = StructureFamily(structure)
         if structure not in LINEAR_FAMILIES:
-            raise ValueError(f"{structure.value} is not a linear class; use the descent oracle")
+            raise ValueError(f"{structure.value} is not a linear class; use oracle_min_structured")
         blk = split if split is not None else cols
         if blk != rows:
             raise ValueError("the structured block must be square")
         basis = _stacked((family_basis(structure, rows), 0, 1.0), (_full_basis(rows, cols - blk), blk, 1.0))
 
     theta, resid = _least_norm(basis, constraints, shape)
-    if resid > _AUDIT_FACTOR * cfg.residual_tol * max(1.0, fro(np.concatenate([r for *_, r in constraints]))):
-        raise InconsistentConstraintsError(f"constraints inconsistent (residual {resid:.3e})")
+    _audit(resid, fro(np.concatenate([r for *_, r in constraints])), "constraints inconsistent", cfg)
     return _assemble(basis, theta, shape), float(np.linalg.norm(theta))
 
 
@@ -419,8 +427,7 @@ def oracle_min_structured(problem, family: StructureFamily, cfg: ToleranceConfig
             raise ValueError(f"unsupported family {family}")
         basis, shape = _stacked((cone, 0, 1.0), (_full_basis(p.n, p.m), p.n, 1.0)), (p.n, p.n + p.m)
     theta0, resid, null = _affine(basis, constraints, shape, cfg)
-    if resid > _AUDIT_FACTOR * cfg.residual_tol * fro(np.concatenate([r for *_, r in constraints])):
-        raise InconsistentConstraintsError(f"constraints inconsistent (residual {resid:.3e})")
+    _audit(resid, fro(np.concatenate([r for *_, r in constraints])), "constraints inconsistent", cfg)
     theta = _barrier(theta0, null, (0, cone), cfg)
     return _assemble(basis, theta, shape), float(np.linalg.norm(theta))
 
@@ -497,22 +504,16 @@ def oracle_eta(
     bscale = math.hypot(rt2 * fro(P.J - P.R), rt2 * fro(P.B), fro(P.S)) * fro(ep.u)
     # rows of (L - dL)(lam) u = 0 that no selected block can influence are
     # pure data conditions; reject inadmissible eigenpairs loudly
-    if fro(ep.u3) > _AUDIT_FACTOR * cfg.residual_tol * bscale:
-        raise InconsistentConstraintsError("u3 != 0: backward error is infinite")
-    if "B" not in blocks and fro(w[n:]) > _AUDIT_FACTOR * cfg.residual_tol * bscale:
-        raise InconsistentConstraintsError(
-            f"B* u1 + S u3 != 0 with no B perturbation (residual {fro(w[n:]):.3e})"
-        )
+    _audit(fro(ep.u3), bscale, "u3 != 0: backward error is infinite", cfg)
+    if "B" not in blocks:
+        _audit(fro(w[n:]), bscale, "B* u1 + S u3 != 0 with no B perturbation", cfg)
     bases, basis, constraints, shape = _eta_system(P, ep, y, w, blocks)
     cone = variant == "sd" and "R" in blocks
     if cone:
         theta, resid, null = _affine(basis, constraints, shape, cfg)
     else:
         theta, resid = _least_norm(basis, constraints, shape)
-    if resid > _AUDIT_FACTOR * cfg.residual_tol * bscale:
-        raise InconsistentConstraintsError(
-            f"eigenpair not admissible for {''.join(sorted(blocks))} (residual {resid:.3e})"
-        )
+    _audit(resid, bscale, f"eigenpair not admissible for {''.join(sorted(blocks))}", cfg)
     if cone:  # dR follows dJ, when J is selected
         first = bases["J"][2].shape[0] if "J" in bases else 0
         theta = _barrier(theta, null, (first, bases["R"]), cfg)

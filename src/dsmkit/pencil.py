@@ -47,8 +47,9 @@ from .errors import (
     ReconstructionError,
     StructureError,
 )
-from .linalg import as_complex, fro, herm_skew_parts, min_eig_herm, null_projector, pinv, svd_split
-from .maps import StructureFamily, _deviation
+from .linalg import _colinear_coeff, _semidefinite, as_complex, fro, herm_skew_parts, min_eig_herm
+from .linalg import null_projector, pinv, svd_split
+from .maps import StructureFamily, _in_family
 
 __all__ = [
     "PHPencil",
@@ -70,9 +71,16 @@ __all__ = [
 ]
 
 
-def _in_family(family: StructureFamily, a: np.ndarray, cfg: ToleranceConfig) -> bool:
-    """a has the family's symmetry to ``residual_tol`` relative to its own norm."""
-    return _deviation(family, a) <= cfg.residual_tol * fro(a)
+#: rejection margins of the eigenpair generators, not tolerances: a draw is kept only when
+#: R u1 (or R u2) exceeds ``_DRAW_NONZERO`` of ||R|| ||u||, and for RB when X*Y is Hermitian to
+#: ``_DRAW_NONZERO`` and -X*Y has its least eigenvalue above ``_DRAW_DEFINITE`` of ||X*Y||
+_DRAW_NONZERO = 1e-8
+_DRAW_DEFINITE = 5e-2
+
+
+def _is_imaginary(lam: complex, cfg: ToleranceConfig) -> bool:
+    """|Re(lambda)| <= residual_tol |lambda|: zero counts as imaginary."""
+    return abs(lam.real) <= cfg.residual_tol * abs(lam)
 
 
 def _layout(square: np.ndarray, e: np.ndarray, b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,12 +146,8 @@ class PHPencil:
             "E_hermitian": _in_family(StructureFamily.HERMITIAN, self.E, cfg),
             "S_hermitian": _in_family(StructureFamily.HERMITIAN, self.S, cfg),
         }
-        rep["R_psd"] = rep["R_hermitian"] and (
-            min_eig_herm(self.R) >= -cfg.psd_tol * fro(self.R)
-        )
-        rep["S_pd"] = rep["S_hermitian"] and (
-            min_eig_herm(self.S) > cfg.psd_tol * fro(self.S)
-        )
+        rep["R_psd"] = rep["R_hermitian"] and _semidefinite(self.R, fro(self.R), cfg)
+        rep["S_pd"] = rep["S_hermitian"] and _semidefinite(self.S, fro(self.S), cfg, definite=True)
         return rep
 
     def assemble(self) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +170,7 @@ class EigenPair:
 
     def __post_init__(self) -> None:
         lam = complex(self.lam)
-        if abs(lam) > 0 and abs(lam.real) > 1e-10 * abs(lam):
+        if not _is_imaginary(lam, DEFAULT_TOL):
             raise StructureError(f"lambda must be purely imaginary, got {lam}")
         self.lam = 1j * lam.imag
         self.u1 = as_complex(self.u1, "u1").reshape(-1)
@@ -280,6 +284,8 @@ class _Products:
     Eu2: np.ndarray
     Bu1: np.ndarray  # B* u1
     u3_zero: bool
+    alpha: complex  # u2 ~ alpha u1, and whether it holds with alpha != 0
+    colinear: bool
     nJ: float
     nR: float
     nE: float
@@ -301,6 +307,7 @@ def _products(P: PHPencil, ep: EigenPair, cfg: ToleranceConfig, norms=None) -> _
     s = 2.0 ** -math.frexp(unorm)[1]
     u1, u2 = s * ep.u1, s * ep.u2
     nJ, nR, nE, nB = norms or _block_norms(P)
+    alpha, colinear = _colinear_coeff(u1, u2, cfg)
     return _Products(
         u1=u1,
         u2=u2,
@@ -312,6 +319,8 @@ def _products(P: PHPencil, ep: EigenPair, cfg: ToleranceConfig, norms=None) -> _
         Eu2=P.E @ u2,
         Bu1=P.B.conj().T @ u1,
         u3_zero=fro(ep.u3) <= cfg.residual_tol * unorm,
+        alpha=alpha,
+        colinear=colinear and alpha != 0,
         nJ=nJ,
         nR=nR,
         nE=nE,
@@ -349,7 +358,7 @@ def _range_factors(X: np.ndarray, Y: np.ndarray, cfg: ToleranceConfig):
     return W[:, keep], V, (Y @ V) / sig[keep]
 
 
-def _anti_dissipative_h1(v: _Products, ty, w1, alpha, cfg, report: dict, warnings: list):
+def _anti_dissipative_h1(v: _Products, ty, w1, cfg, report: dict, warnings: list):
     """Factors (F, C), H1 = F C F*, of the square-block minimizer for the semidefinite variant.
 
     H1 = ty u2+ + (u1+)* (P_u2 w1)* + P_u2 g (P_u2 g)* / (4 Re(u2* ty)) with
@@ -363,7 +372,7 @@ def _anti_dissipative_h1(v: _Products, ty, w1, alpha, cfg, report: dict, warning
     u2 = v.u2
     n2 = fro(u2)
     report["R_u2_nonzero"] = fro(v.Ru2) > cfg.residual_tol * v.nR * n2
-    if abs(abs(alpha) - 1.0) > 1e-8 and report["u2_colinear_u1"]:
+    if abs(abs(v.alpha) - 1.0) > cfg.residual_tol and report["u2_colinear_u1"]:  # |alpha| against 1
         warnings.append(
             "colinearity factor is not unit-modulus; the Gram-vector weighting "
             "is only certified for |alpha| = 1"
@@ -376,7 +385,7 @@ def _anti_dissipative_h1(v: _Products, ty, w1, alpha, cfg, report: dict, warning
     left, right = [ty, _pinv_col(v.u1, cfg)], [_pinv_col(u2, cfg), proj(w1)]
     rexy = np.vdot(u2, ty).real
     if report["R_u2_nonzero"] and report["u2_colinear_u1"] and rexy < 0:
-        g = proj(ty + (alpha / abs(alpha) ** 2) * w1)
+        g = proj(ty + (v.alpha / abs(v.alpha) ** 2) * w1)
         left.append(g)
         right.append(g / (4.0 * rexy))
     elif not report["R_u2_nonzero"]:
@@ -419,7 +428,7 @@ def _solve(blocks: frozenset[str], variant: str, lam: complex, v: _Products, cfg
     selections that eta_sd delegates) and "sd" otherwise.
     """
     tol = cfg.residual_tol
-    n1, n2 = fro(v.u1), fro(v.u2)
+    n1 = fro(v.u1)
     rb = blocks == frozenset("RB")
     report: dict[str, bool] = {"u3_zero": v.u3_zero}
     if rb:
@@ -440,8 +449,7 @@ def _solve(blocks: frozenset[str], variant: str, lam: complex, v: _Products, cfg
     w1 = -(v.Ju1 + v.Ru1 + lam * v.Eu1)
     h2n = fro(v.Bu1) / n1 if "B" in blocks and n1 > 0 else 0.0
     warnings: list[str] = []
-    alpha = (np.vdot(v.u1, v.u2) / np.vdot(v.u1, v.u1)) if n1 > 0 else 0j
-    colinear = bool(alpha != 0 and fro(v.u2 - alpha * v.u1) <= cfg.colinearity_tol * n2)
+    alpha, colinear = v.alpha, v.colinear
 
     if variant == "s" or rb:
         X = np.column_stack([v.u2, v.u1])
@@ -452,15 +460,15 @@ def _solve(blocks: frozenset[str], variant: str, lam: complex, v: _Products, cfg
     if variant == "s":
         # H1 = Y X+ +- (Y X+)* - X X+ Y X+ = [U G] [[-U*G, +-I], [I, 0]] [U G]*
         sign = 1.0 if rb else -1.0
-        report["cross_gram"] = fro(xy - sign * xy.conj().T) <= tol * fro(xy)
+        report["cross_gram"] = _in_family(StructureFamily.HERMITIAN if rb else StructureFamily.SKEW_HERMITIAN,
+                                          xy, cfg)
         report["u2_colinear_u1"] = colinear
         eye = np.eye(U.shape[1])
         F = np.hstack([U, G])
         C = np.block([[-(U.conj().T @ G), sign * eye], [eye, np.zeros_like(eye)]])
         exact = report["interp_YXdX"] and report["cross_gram"]
     elif rb:
-        herm_ok = fro(xy - xy.conj().T) <= tol * fro(xy)
-        negdef = herm_ok and min_eig_herm(-xy) > cfg.psd_tol * fro(xy)
+        negdef = _in_family(StructureFamily.HERMITIAN, xy, cfg) and _semidefinite(-xy, fro(xy), cfg, definite=True)
         report["XY_negative_definite"] = bool(negdef)
         if not negdef:
             raise HypothesisViolationError(
@@ -471,7 +479,7 @@ def _solve(blocks: frozenset[str], variant: str, lam: complex, v: _Products, cfg
         alpha = None
     else:
         report["u2_colinear_u1"] = colinear
-        F, C = _anti_dissipative_h1(v, ty, w1, alpha, cfg, report, warnings)
+        F, C = _anti_dissipative_h1(v, ty, w1, cfg, report, warnings)
         exact = blocks in _EXACT_SD and colinear and report["R_u2_nonzero"]
 
     lo, up = _bounds(blocks, variant, lam, *_factored_norms(F, C), h2n)
@@ -639,11 +647,14 @@ def _probe_isotropic(P: PHPencil, lam: complex, rng: np.random.Generator) -> lis
     return out
 
 
-def _isotropic_vector(h: np.ndarray, eigs: np.ndarray, vecs: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
-    """Random u with u* h u = 0 for Hermitian h = vecs diag(eigs) vecs*, mixing +/- eigenspaces."""
-    scale = max(np.abs(eigs).max(), 1e-300)
-    pos = eigs > 1e-12 * scale
-    neg = eigs < -1e-12 * scale
+def _isotropic_vector(h: np.ndarray, eigs: np.ndarray, vecs: np.ndarray, rng: np.random.Generator,
+                      cfg: ToleranceConfig) -> np.ndarray | None:
+    """Random u with u* h u = 0 for Hermitian h = vecs diag(eigs) vecs*, mixing +/- eigenspaces.
+
+    Eigenvalues within ``rank_tol`` of ||h||_2 count as zero.
+    """
+    floor = cfg.rank_tol * np.abs(eigs).max()
+    pos, neg = eigs > floor, eigs < -floor
     if not (pos.any() and neg.any()):
         return None
     vp = vecs[:, pos] @ _crandn(rng, int(pos.sum()))
@@ -677,7 +688,7 @@ def _gen_rb(P: PHPencil, rng: np.random.Generator, cfg: ToleranceConfig, max_tri
             if spectrum is None:
                 h = (P.J + lt * P.E) / 1j
                 spectrum = (h, *np.linalg.eigh(h))
-            pair = (_isotropic_vector(*spectrum, rng), _isotropic_vector(*spectrum, rng))
+            pair = (_isotropic_vector(*spectrum, rng, cfg), _isotropic_vector(*spectrum, rng, cfg))
             if lam is None:
                 spectrum = None  # the next try draws another lambda
             if pair[0] is None:
@@ -689,10 +700,10 @@ def _gen_rb(P: PHPencil, rng: np.random.Generator, cfg: ToleranceConfig, max_tri
         hu1, hu2 = v.Ju1 + lt * v.Eu1, v.Ju2 + lt * v.Eu2  # i h u1, i h u2
         if any(abs(np.vdot(u, hu)) > cfg.residual_tol * fro(hu) * fro(u) for u, hu in ((v.u1, hu1), (v.u2, hu2))):
             continue
-        if fro(v.Ru1) <= 1e-8 * v.nR * fro(v.u1):
+        if fro(v.Ru1) <= _DRAW_NONZERO * v.nR * fro(v.u1):
             continue
         xy = np.column_stack([v.u2, v.u1]).conj().T @ np.column_stack([hu2 - v.Ru2, -(hu1 + v.Ru1)])
-        if fro(xy - xy.conj().T) > 1e-8 * fro(xy) or min_eig_herm(-xy) <= 5e-2 * fro(xy):
+        if fro(xy - xy.conj().T) > _DRAW_NONZERO * fro(xy) or min_eig_herm(-xy) <= _DRAW_DEFINITE * fro(xy):
             continue
         return ep, v
     raise GenerationError(f"no admissible eigenpair found in {max_tries} tries")
@@ -730,37 +741,28 @@ def gen_eigpair(
 
     kernel_B = blocks in _KERNEL_B
     kernel_R = blocks in _DELEGATED
-    needs_Ru2 = blocks in (
-        frozenset("JR"),
-        frozenset("RE"),
-        frozenset("JRE"),
-        frozenset("JRB"),
-        frozenset("REB"),
-        frozenset("JREB"),
-    )
+    needs_Ru2 = "R" in blocks  # RB has returned above
 
+    basis = None  # u1 is drawn in its range, or anywhere
     if kernel_B:
-        pk = null_projector(P.B, cfg)  # projector onto ker(B*)
-        if fro(pk) <= 1e-12:
+        basis = null_projector(P.B, cfg)  # projector onto ker(B*), zero to rank_tol of ||I|| = sqrt(n)
+        if fro(basis) <= cfg.rank_tol * math.sqrt(n):
             raise GenerationError("B* has trivial kernel; the selection's side condition is unsatisfiable")
     if kernel_R:
-        split = svd_split(P.R, cfg)
-        if split.U2.shape[1] == 0:
+        basis = svd_split(P.R, cfg).U2
+        if basis.shape[1] == 0:
             raise GenerationError("R is nonsingular; ker(R) is trivial for this selection")
+    nR = fro(P.R)
 
     for attempt in range(max_tries):
         lam_t = lam if lam is not None else _random_lam(rng)
-        if kernel_B:
-            u1 = pk @ _crandn(rng, n)
-        elif kernel_R:
-            u1 = split.U2 @ _crandn(rng, split.U2.shape[1])
-        else:
-            u1 = _crandn(rng, n)
-        if fro(u1) <= 1e-10:
+        g = _crandn(rng, n if basis is None else basis.shape[1])
+        u1 = g if basis is None else basis @ g
+        if fro(u1) <= cfg.residual_tol * fro(g):
             continue
         alpha = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         u2 = alpha * u1
-        if needs_Ru2 and fro(P.R @ u2) <= 1e-8 * max(1.0, fro(P.R) * fro(u2)):
+        if needs_Ru2 and fro(P.R @ u2) <= _DRAW_NONZERO * nR * fro(u2):
             continue
         return EigenPair(lam_t, u1, u2, u3)
     raise GenerationError(f"no admissible eigenpair found in {max_tries} tries")
@@ -800,7 +802,7 @@ def experiment_table(
         row: dict = {"lam": lam, "finite": False, "eta_lower": float("inf"),
                      "eta_upper": float("inf"), "conditions": "", "error": ""}
         try:
-            if lam == 0 or abs(lam.real) > 1e-10 * abs(lam):
+            if lam == 0 or not _is_imaginary(lam, cfg):
                 raise DegenerateInputError("lambda must be nonzero purely imaginary")
             if blocks == frozenset("RB"):
                 _, vec = _gen_rb(P, np.random.default_rng(ep_seed + i), cfg, _MAX_TRIES, lam, norms)
@@ -873,7 +875,7 @@ def reconstruct_perturbation(
         "dE_herm": _in_family(StructureFamily.HERMITIAN, dE, cfg),
     }
     if solution.variant == "sd":
-        checks["dR_psd"] = min_eig_herm(dR) >= -cfg.psd_tol * fro(dR)
+        checks["dR_psd"] = _semidefinite(dR, fro(dR), cfg)
     bad = [k for k, v in checks.items() if not v]
     if bad:
         raise ReconstructionError(f"perturbation invariants failed: {', '.join(bad)}")
@@ -889,7 +891,7 @@ def reconstruct_perturbation(
         )
     if solution.exact and solution.eta_upper > 0:
         gap = abs(out.norm() - solution.eta_upper) / solution.eta_upper
-        if gap > 1e-10:
+        if gap > cfg.residual_tol:
             raise ReconstructionError(
                 f"reconstructed norm {out.norm():.12e} != eta_upper {solution.eta_upper:.12e}"
             )

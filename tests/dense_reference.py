@@ -13,6 +13,8 @@ fail at the data scales the comparison runs: the psd exactness floor takes
 at data x 1e100 and turned the floor into inf, and a floor of 1 passed every
 point as exact at data x 1e-100), and the type-1
 ``scalar_display_sq`` divides before squaring (it was 0/0 at data x 1e-100).
+Every zero test takes the scale of ``ToleranceConfig``'s rule, with no unit
+floor and no underflow guard, as the solvers do.
 
 The negated families keep their own reflection here, written out where it is
 used: nsd/anti-dissipative ``map_min`` on (x, -y), ``dsm_solve`` and
@@ -24,18 +26,13 @@ negated problem states its own condition at the caller's value.
 import numpy as np
 
 from dsmkit import DEFAULT_TOL, DsmProblem, DsmSolution, MapSolution, Type1Solution
-from dsmkit.dsm import (
-    _check_degenerate,
-    _colinear_coeff,
-    _rank_one_rightmost,
-    _structural_condition,
-)
+from dsmkit.dsm import _check_degenerate, _rank_one_rightmost, _structural_condition
 from dsmkit.errors import ConstraintViolationError, DegenerateInputError, NotColinearError
-from dsmkit.linalg import as_complex, fro, min_eig_herm, null_projector, pinv
+from dsmkit.linalg import _colinear_coeff, as_complex, fro, min_eig_herm, null_projector, pinv
 from dsmkit.maps import StructureFamily as F
 from dsmkit.maps import _nonzero_vec, _require, _require_structure
 
-TOL = 1e-10  # residual_tol, psd_tol and colinearity_tol of the default configuration
+TOL = 1e-10  # residual_tol and psd_tol of the default configuration
 BASE = {F.NSD: F.PSD, F.ANTI_DISSIPATIVE: F.DISSIPATIVE}
 
 
@@ -104,7 +101,7 @@ def map_two_sided(x, y, z, w):
     x, y, z, w = (_nonzero_vec(v, name) for v, name in ((x, "x"), (y, "y"), (z, "z"), (w, "w")))
     n, m = y.shape[0], x.shape[0]
     gap = np.vdot(x, w) - np.vdot(y, z)
-    if abs(gap) > TOL * max(fro(x) * fro(w), fro(y) * fro(z), 1e-300):
+    if abs(gap) > TOL * max(fro(x) * fro(w), fro(y) * fro(z)):
         return MapSolution(F.UNSTRUCTURED, False, reason=f"x*w != y*z (gap {abs(gap):.3e})")
     xd = pinv(x)
     wzd = np.outer(w, pinv(z))
@@ -136,8 +133,10 @@ def map_characterize(family, x, y, params):
         return base.minimizer + px @ p["K"] @ px
     z, k, g = p["Z"], p["K"], p["G"]
     q = 2.0 * y + z.conj().T @ x
-    shifted = k - np.outer(q, q.conj()) / (4.0 * np.vdot(x, y).real)
-    _require(min_eig_herm(shifted) >= -TOL * max(1.0, fro(shifted)), "K_shifted_psd", "")
+    re = np.vdot(x, y).real
+    shifted = k - np.outer(q, q.conj()) / (4.0 * re)
+    scale = fro(k) + (2.0 * fro(y) + fro(z) * fro(x)) ** 2 / (4.0 * re)  # before q cancels
+    _require(min_eig_herm(shifted) >= -TOL * scale, "K_shifted_psd", "")
     xd = pinv(x)
     yxd = np.outer(y, xd)
     xxd = np.outer(x, xd)
@@ -180,7 +179,7 @@ def dsm_solve(family, p):
             inner.reason = f"z*w1 not negative ({np.vdot(p.z, p.w1):.3e})"
         return inner
     compat = np.vdot(p.x, p.w) - np.vdot(p.y, p.z)
-    if abs(compat) > TOL * max(fro(p.x) * fro(p.w), fro(p.y) * fro(p.z), 1e-300):
+    if abs(compat) > TOL * max(fro(p.x) * fro(p.w), fro(p.y) * fro(p.z)):
         return DsmSolution(family, False, reason=f"x*w != y*z (gap {abs(compat):.3e})")
     ok, why = _structural_condition(family, p, DEFAULT_TOL)
     if not ok:
@@ -246,11 +245,11 @@ def dsdm_type1_vec(x, y, z, w, anti=False):
             inner.minimizer, inner.gram = -inner.minimizer, -inner.gram
         return inner
     s = np.vdot(x, y)
-    if abs(s.real) <= TOL * max(fro(x) * fro(y), 1e-300):
+    if abs(s.real) <= TOL * fro(x) * fro(y):
         raise DegenerateInputError("Re(x*y) vanishes")
     conditions = {"colinear": True, "re_xy_positive": s.real > 0}
     gap = np.vdot(x, w) - np.vdot(y, z)
-    conditions["XW_eq_YZ"] = abs(gap) <= TOL * max(fro(x) * fro(w), fro(y) * fro(z), 1e-300)
+    conditions["XW_eq_YZ"] = abs(gap) <= TOL * max(fro(x) * fro(w), fro(y) * fro(z))
     if not (conditions["re_xy_positive"] and conditions["XW_eq_YZ"]):
         bad = [k for k, v in conditions.items() if not v]
         return Type1Solution(False, reason=f"infeasible: {', '.join(bad)}", conditions=conditions)
@@ -301,10 +300,10 @@ def dsdm_type2(p, anti=False):
             inner.reason = f"Re(z*w1) positive ({np.vdot(p.z, p.w1).real:.3e})"
         return inner
     compat = np.vdot(p.x, p.w) - np.vdot(p.y, p.z)
-    if abs(compat) > TOL * max(fro(p.x) * fro(p.w), fro(p.y) * fro(p.z), 1e-300):
+    if abs(compat) > TOL * max(fro(p.x) * fro(p.w), fro(p.y) * fro(p.z)):
         return DsmSolution(F.DISSIPATIVE, False, reason=f"x*w != y*z (gap {abs(compat):.3e})")
     rew = np.vdot(p.z, p.w1).real
-    sscale = max(fro(p.z) * fro(p.w1), 1e-300)
+    sscale = fro(p.z) * fro(p.w1)
     if rew < -TOL * sscale:
         return DsmSolution(F.DISSIPATIVE, False, reason=f"Re(z*w1) negative ({rew:.3e})")
     _, _, h1_hat, h2_hat = _type2_pieces(p)
@@ -312,7 +311,7 @@ def dsdm_type2(p, anti=False):
     if rew <= TOL * sscale:
         warnings.append("Re(z*w1) ~ 0: boundary case, characterization unavailable")
     beta, y_colinear = _colinear_coeff(p.z, p.y, DEFAULT_TOL)
-    orth = abs(np.vdot(p.z, p.x1)) <= TOL * max(fro(p.z) * fro(p.x1), 1e-300)
+    orth = abs(np.vdot(p.z, p.x1)) <= TOL * fro(p.z) * fro(p.x1)
     _, w1_colinear = _colinear_coeff(p.z, p.w1, DEFAULT_TOL)
     exact = y_colinear and orth and w1_colinear
     if y_colinear and orth and not w1_colinear:
@@ -321,7 +320,7 @@ def dsdm_type2(p, anti=False):
             "of the returned point is not certified (w1 not colinear with z)"
         )
     upper = float(np.sqrt(fro(h1_hat) ** 2 + fro(h2_hat) ** 2))
-    lower = upper if exact else max(fro(p.y) / max(fro(p.x), 1e-300), fro(p.w) / fro(p.z))
+    lower = upper if exact else max(fro(p.y) / fro(p.x), fro(p.w) / fro(p.z))
     note = "y, w1 colinear with z and z orthogonal to x1" if exact else "never"
     return DsmSolution(
         F.DISSIPATIVE, True, h1_hat, h2_hat, lower, upper, exact, note, "",
@@ -332,8 +331,9 @@ def dsdm_type2(p, anti=False):
 def dsm_characterize_type2(p, Z, K, G, R):
     Z, K, G, R = (as_complex(a) for a in (Z, K, G, R))
     q = 2.0 * p.w1 + Z.conj().T @ p.z
-    shifted = K - np.outer(q, q.conj()) / (4.0 * np.vdot(p.z, p.w1).real)
-    if min_eig_herm(shifted) < -TOL * max(1.0, fro(shifted)):
+    re = np.vdot(p.z, p.w1).real
+    shifted = K - np.outer(q, q.conj()) / (4.0 * re)
+    if min_eig_herm(shifted) < -TOL * (fro(K) + (2.0 * fro(p.w1) + fro(Z) * fro(p.z)) ** 2 / (4.0 * re)):
         raise ConstraintViolationError("K_shifted_psd", "")
     h1, h2, _, _ = _type2_pieces(p)
     zd = pinv(p.z)
