@@ -200,17 +200,17 @@ def _cmd_pencil_validate(args, cfg: ToleranceConfig) -> int:
     return 0 if all(rep.values()) else 1
 
 
-def _eigpair(p: pencil_mod.PHPencil, lam: complex, uvec: np.ndarray) -> pencil_mod.EigenPair:
+def _eigpair(p: pencil_mod.PHPencil, lam: complex, uvec: np.ndarray, cfg: ToleranceConfig) -> pencil_mod.EigenPair:
     """The eigenpair of a stacked vector u = [u1; u2; u3] of length 2n + m."""
     n, m = p.n, p.m
     if uvec.shape[0] != 2 * n + m:
         raise DsmkitError(f"u must have length 2n+m = {2 * n + m}, got {uvec.shape[0]}")
-    return pencil_mod.EigenPair(lam, uvec[:n], uvec[n : 2 * n], uvec[2 * n :])
+    return pencil_mod.EigenPair(lam, uvec[:n], uvec[n : 2 * n], uvec[2 * n :], cfg)
 
 
 def _load_eigpair(args, p: pencil_mod.PHPencil, lam: complex, blocks, cfg) -> pencil_mod.EigenPair:
     if args.u is not None:
-        return _eigpair(p, lam, io_mod.vector_from_doc(io_mod.load_json(args.u), "u"))
+        return _eigpair(p, lam, io_mod.vector_from_doc(io_mod.load_json(args.u), "u"), cfg)
     seed = args.seed if args.seed is not None else _env_seed()
     return pencil_mod.gen_eigpair(p, seed, blocks, cfg, lam=lam)
 
@@ -322,7 +322,7 @@ def _cmd_verify(args, cfg: ToleranceConfig) -> int:
             uvec = io_mod.vector_from_doc(problem["u"], "u")
             lam = io_mod.parse_imaginary(problem["lambda"])
             blocks = pencil_mod.parse_blocks(problem["blocks"])
-            ep = _eigpair(p, lam, uvec)
+            ep = _eigpair(p, lam, uvec, cfg)
             compute = pencil_mod.eta_sd if problem["variant"] == "sd" else pencil_mod.eta_s
             res = compute(p, ep, blocks, cfg)
             stored = doc["bounds"]

@@ -26,7 +26,7 @@ on (x, -y, z, -w) with the result negated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -645,14 +645,17 @@ class ScalarProduct:
 
     ``form`` is "bilinear" (adjoint M^-1 A^T M) or "sesquilinear"
     (adjoint M^-1 A* M); ``algebra`` selects the Jordan (+) or Lie (-)
-    algebra of matrices that are self- or skew-adjoint.
+    algebra of matrices that are self- or skew-adjoint.  M is tested for
+    unitarity and (skew-)symmetry under ``cfg``.
     """
 
     M: np.ndarray
     form: str
     algebra: str
+    cfg: InitVar[ToleranceConfig] = DEFAULT_TOL
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, cfg: ToleranceConfig) -> None:
+        self._cfg = cfg
         self.M = as_complex(self.M, "M")
         if self.M.ndim != 2 or self.M.shape[0] != self.M.shape[1]:
             raise DimensionMismatchError("M must be square")
@@ -662,15 +665,15 @@ class ScalarProduct:
             raise ValueError("algebra must be 'jordan' or 'lie'")
         # ||M*M - I|| against ||M||^2, the scale of M*M (n when M is unitary)
         gap = fro(self.M.conj().T @ self.M - np.eye(self.M.shape[0]))
-        if gap > DEFAULT_TOL.residual_tol * fro(self.M) ** 2:
+        if gap > cfg.residual_tol * fro(self.M) ** 2:
             raise StructureError(f"M must be unitary (||M*M - I|| = {gap:.3e})")
         plain, skew = (
             (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC) if self.form == "bilinear"
             else (StructureFamily.HERMITIAN, StructureFamily.SKEW_HERMITIAN)
         )
-        if _in_family(plain, self.M, DEFAULT_TOL):
+        if _in_family(plain, self.M, cfg):
             self.sigma = 1
-        elif _in_family(skew, self.M, DEFAULT_TOL):
+        elif _in_family(skew, self.M, cfg):
             self.sigma = -1
         else:
             raise StructureError(f"M must be {plain.value}/{skew.value}".replace("hermitian", "Hermitian"))
@@ -706,8 +709,11 @@ def jordan_lie_reduce(
     Multiplying by M turns the algebra constraint into one of the four
     base families, so the reduced problem with data (x, M y, M z, w) is
     solved there and the solution lifted back by M*.  Since M is unitary
-    the reported norms coincide with the reduced problem's norms.
+    the reported norms coincide with the reduced problem's norms.  M is
+    tested again under ``cfg`` when ``sp`` was built under another.
     """
+    if cfg != sp._cfg:  # the test costs a dense product M*M, so it runs once per tolerance
+        sp = replace(sp, cfg=cfg)
     family = sp.target_family()
     if sp.M.shape[0] != p.n:
         raise DimensionMismatchError(f"M is {sp.M.shape[0]}x{sp.M.shape[0]} but the problem has n = {p.n}")

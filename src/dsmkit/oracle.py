@@ -19,6 +19,33 @@ rows, filled by fancy indexing in time and memory of their own size.
   certifies that the norm of the returned feasible point exceeds the
   minimum by at most ``GAP_FACTOR * residual_tol`` relative.  Nothing is
   started from, or parametrized by, the closed forms these problems check.
+
+Every problem is solved on the span of its data (``_compress``), so a solve
+has a fixed small size whatever n is; after Mackey, Mackey and Tisseur
+(SIMAX 2008), whose minimal structured mappings are built from the data
+vectors alone.
+
+**Lemma.**  Write Delta = [Delta1 Delta2] with Delta1 square and structured,
+constrained by rows Delta v = r ("mul") and Delta* v = r ("adj").  Let V hold
+every vector that meets Delta1 from either side (the r of "mul" rows, the v
+of "adj" rows, and the leading parts of the other two), closed under
+conjugation for the symmetric and skew-symmetric classes, and let W hold the
+trailing parts of the v of "mul" rows and of the r of "adj" rows.  Let P and
+S be the orthogonal projectors onto V and W.  If Delta is feasible, so is
+(P Delta1 P, P Delta2 S), and its norm is no larger.
+
+*Proof.*  P fixes every vector of V and S every vector of W, so
+P Delta1 P v1 + P Delta2 S v2 = P (Delta1 v1 + Delta2 v2) = P r = r for a
+"mul" row, and (P Delta1 P)* v = P Delta1* v = P r1 = r1,
+(P Delta2 S)* v = S Delta2* v = S r2 = r2 for an "adj" row.  P is Hermitian,
+and real for the bilinear classes, so P Delta1 P keeps every linear class,
+and P C P is positive semidefinite when C is: the psd and dissipative cones
+are kept, as is dR >= 0, since dJ, dR and dE all act through D = dJ - dR +
+lam dE on the same vectors.  P and S are orthogonal projectors, so no
+Frobenius norm grows.  Hence the minimum is attained at Delta1 = Q A Q*,
+Delta2 = Q B S* for orthonormal bases Q of V and S of W: a problem in the
+coefficients of A and B, of order dim V <= 4 for one pair of mapping vectors
+(8 with conjugates, 4k for k columns), whatever n is.
 """
 
 from __future__ import annotations
@@ -34,6 +61,9 @@ from .errors import CertificationError, DegenerateInputError, InconsistentConstr
 from .linalg import as_complex, fro
 from .maps import _REFLECTED, LINEAR_FAMILIES, StructureFamily, _deviation, _reflect
 from .pencil import EigenPair, PHPencil, PerturbationBlocks, mapping_data, parse_blocks
+
+#: the classes whose members are (skew-)symmetric: compressed by a real basis
+_BILINEAR = frozenset({StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC})
 
 #: residuals up to this multiple of ``residual_tol`` (relative to the data's
 #: scale), and in ``verify_solution`` eigenvalues down to this multiple of
@@ -167,6 +197,73 @@ def _least_norm(basis, constraints, shape):
     return theta, fro(a @ theta - b)
 
 
+# ---------------------------------------------------------------------------
+# compression onto the span of the data (the lemma of the module docstring)
+
+
+def _compress(vectors, n: int, cfg: ToleranceConfig, real: bool = False) -> np.ndarray:
+    """Orthonormal columns Q, n rows, whose span holds every vector of ``vectors``.
+
+    Each nonzero vector is scaled to unit norm first, so that no vector is
+    lost to the scale of another, and a thin SVD keeps the singular values
+    above ``rank_tol`` times the largest.  With ``real`` the span is closed
+    under conjugation and Q is real.  Q is the identity when the span is all
+    of C^n, and one unit vector when every vector is zero: any Q whose span
+    holds the data will do.
+    """
+    cols = [v / size for v in vectors if (size := fro(v)) > 0.0]
+    if not cols:
+        return np.eye(n)[:, :1]
+    a = np.stack(cols, axis=1)
+    if real:
+        a = np.concatenate([a.real, a.imag], axis=1)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.count_nonzero(s > cfg.rank_tol * s[0]))
+    return np.eye(n) if rank == n else u[:, :rank]
+
+
+def _compressed(constraints, split: int, cfg: ToleranceConfig, real: bool = False):
+    """The constraints on [A1 A2] for Delta = [Q A1 Q*, Q A2 S*], Delta1 the leading ``split`` columns.
+
+    Q spans the vectors that meet Delta1 from either side and the row side
+    of Delta2 (closed under conjugation with ``real``); S spans the column
+    side of Delta2.  With ``split`` 0 the whole Delta is Q A2 S*.  Returns Q,
+    S, the compressed constraints and the norm of the parts of the
+    right-hand sides outside the spans, which the residual of every
+    compressed Delta misses: the residual of the lift is exactly the
+    compressed residual and this norm, added in quadrature.
+    """
+    rows = [r if kind == "mul" else v for kind, v, r in constraints]
+    cols = [v if kind == "mul" else r for kind, v, r in constraints]
+    q = _compress(rows + [c[:split] for c in cols], rows[0].shape[0], cfg, real)
+    s = _compress([c[split:] for c in cols], cols[0].shape[0] - split, cfg)
+
+    def coords(basis, v):
+        c = basis.conj().T @ v
+        return c, fro(v - basis @ c)
+
+    def column(v):
+        (a, out_a), (b, out_b) = coords(q, v[:split]) if split else (v[:0], 0.0), coords(s, v[split:])
+        return np.concatenate([a, b]), math.hypot(out_a, out_b)
+
+    reduced, outside = [], []
+    for kind, v, r in constraints:
+        (vc, _), (rc, out) = (column(v), coords(q, r)) if kind == "mul" else (coords(q, v), column(r))
+        reduced.append((kind, vc, rc))
+        outside.append(out)
+    return q, s, reduced, math.hypot(*outside)
+
+
+def _lift(q: np.ndarray, a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Q A S*: a compressed block in the full space."""
+    return (q @ a) @ s.conj().T
+
+
+def _lift_pair(q: np.ndarray, s: np.ndarray, a: np.ndarray, split: int) -> np.ndarray:
+    """[Q A1 Q*, Q A2 S*] from the compressed [A1 A2], A1 the leading ``split`` columns."""
+    return np.concatenate(([_lift(q, a[:, :split], q)] if split else []) + [_lift(q, a[:, split:], s)], axis=1)
+
+
 def oracle_least_norm(
     constraints,
     structure: StructureFamily | None = None,
@@ -183,7 +280,8 @@ def oracle_least_norm(
     constraints raise ``InconsistentConstraintsError``.
 
     Returns (Delta, norm); the norm is a global minimum to solver
-    precision since this is an exact vectorized least-norm solve.
+    precision since this is an exact vectorized least-norm solve, on the
+    span of the data (``_compressed``).
     """
     constraints = [(k, as_complex(v).reshape(-1), as_complex(r).reshape(-1)) for k, v, r in constraints]
     if shape is None:
@@ -192,7 +290,7 @@ def oracle_least_norm(
     rows, cols = shape
 
     if structure in (None, StructureFamily.UNSTRUCTURED) and split is None:
-        basis = _full_basis(rows, cols)
+        blk = 0
     else:
         structure = StructureFamily(structure)
         if structure not in LINEAR_FAMILIES:
@@ -200,11 +298,17 @@ def oracle_least_norm(
         blk = split if split is not None else cols
         if blk != rows:
             raise ValueError("the structured block must be square")
-        basis = _stacked((family_basis(structure, rows), 0, 1.0), (_full_basis(rows, cols - blk), blk, 1.0))
+    q, s, reduced, outside = _compressed(constraints, blk, cfg, real=structure in _BILINEAR)
+    r = q.shape[1] if blk else 0  # the order of the compressed structured block
+    basis = _full_basis(q.shape[1], s.shape[1])
+    if blk:
+        basis = _stacked((family_basis(structure, r), 0, 1.0), (basis, r, 1.0))
+    shape = (q.shape[1], r + s.shape[1])
 
-    theta, resid = _least_norm(basis, constraints, shape)
-    _audit(resid, fro(np.concatenate([r for *_, r in constraints])), "constraints inconsistent", cfg)
-    return _assemble(basis, theta, shape), float(np.linalg.norm(theta))
+    theta, resid = _least_norm(basis, reduced, shape)
+    _audit(math.hypot(resid, outside), fro(np.concatenate([rhs for *_, rhs in constraints])),
+           "constraints inconsistent", cfg)
+    return _lift_pair(q, s, _assemble(basis, theta, shape), r), float(np.linalg.norm(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +337,13 @@ def _affine(basis, constraints, shape, cfg: ToleranceConfig):
 
 
 def _hermitian_parts(basis, n: int) -> np.ndarray:
-    """(B_b + B_b*) / 2 for every element of a square n x n basis, shape (d, n, n)."""
+    """(B_b + B_b*) / 2 for every element of a square n x n basis, one row-major n^2 row each."""
     r, k, c = basis
     b = np.repeat(np.arange(c.shape[0])[:, None], 2, axis=1)
     out = np.zeros((c.shape[0], n, n), dtype=complex)
     np.add.at(out, (b, r, k), c / 2.0)
     np.add.at(out, (b, k, r), c.conj() / 2.0)
-    return out
+    return out.reshape(c.shape[0], n * n)
 
 
 def _cholesky(c: np.ndarray) -> np.ndarray | None:
@@ -250,56 +354,71 @@ def _cholesky(c: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _central_path(c0, mats, x, t, done, radius=None):
-    """Newton steps along the central path of F(x) = t f(x) - logdet C(x), C(x) = c0 + sum_j x_j mats_j.
+def _central_path(c0, flat, x, t, done, radius=None):
+    """Newton steps along the central path of F(x) = t f(x) - logdet C(x), C(x) = c0 + (x @ flat).reshape(k, k).
 
-    C must be positive definite at the start x, and stays so: each step is a
-    backtracking line search on F along the Newton direction.  Once the
-    squared Newton decrement is below ``_CENTRED``, t grows by ``_T_GROWTH``.
-    f(x) = ||x||^2; given a ``radius`` (phase I), f(x) is the last
-    coordinate s = x[-1] instead, and the barrier -log(radius^2 - ||p||^2)
+    Row j of ``flat`` is the k x k Hermitian M_j, row-major, so C is affine
+    in x.  C must be positive definite at the start x, and stays so: each
+    step is a backtracking line search on F along the Newton direction.
+    Once the squared Newton decrement is below ``_CENTRED``, t grows by
+    ``_T_GROWTH``.  f(x) = ||x||^2; given a ``radius`` (phase I), f(x) is the
+    last coordinate s = x[-1] instead, and the barrier -log(radius^2 - ||p||^2)
     of the ball around the origin for the other coordinates p joins F, so
-    the path stays bounded.  Before each step ``done(x, t, dx, li, w, gb, hb)``
-    is asked, with the Newton direction dx, li = L^-1 for the Cholesky factor
-    L of C(x), w_j = L^-1 M_j L^-*, and the gradient gb and Hessian hb of
-    -logdet C at x; the path returns x when it answers True and raises
+    the path stays bounded.
+
+    With L the Cholesky factor of C(x), kron = L^-1 (x) conj(L^-1) maps a
+    row-major M to L^-1 M L^-*, so the rows w_j = L^-1 M_j L^-* are
+    ``flat @ kron.T``; the gradient of -logdet C at x is gb_j = -tr w_j and
+    its Hessian hb = Re(w w*).  Before each step
+    ``done(x, t, dx, kron, dw, eigs, gb, hb)`` is asked, with the Newton
+    direction dx, dw = L^-1 M(dx) L^-* (row-major) and its eigenvalues eigs,
+    ascending; the path returns x when it answers True and raises
     ``CertificationError`` after ``_NEWTON_STEPS`` steps.
     """
+    k = c0.shape[0]
+
+    def objective(x):
+        return float(x @ x) if radius is None else x[-1]
+
     def value(x):
         """F(x) and the Cholesky factor of C(x), or (inf, None) outside the domain."""
-        factor = _cholesky(c0 + np.tensordot(x, mats, 1))
+        factor = _cholesky(c0 + (x @ flat).reshape(k, k))
         room = math.inf if radius is None else radius**2 - float(x[:-1] @ x[:-1])
         if factor is None or room <= 0.0:
             return math.inf, None
-        f = t * float(x @ x) if radius is None else t * x[-1] - math.log(room)
-        return f - 2.0 * np.log(np.diagonal(factor).real).sum(), factor
+        ball = 0.0 if radius is None else math.log(room)
+        return t * objective(x) - ball - 2.0 * np.log(np.diagonal(factor).real).sum(), factor
 
     fx, factor = value(x)
+    eye = np.eye(x.size if radius is None else x.size - 1)
     for _ in range(_NEWTON_STEPS):
         li = np.linalg.inv(factor)
-        w = li @ mats @ li.conj().T  # L^-1 M_j L^-*: their traces and inner products are the barrier's derivatives
-        gb = -np.trace(w, axis1=1, axis2=2).real
-        wr = np.concatenate([w.real, w.imag], axis=1).reshape(x.size, -1)
-        hb = wr @ wr.T  # the Hessian of -logdet C
+        kron = (li[:, None, :, None] * li.conj()[None, :, None, :]).reshape(k * k, k * k)
+        w = flat @ kron.T
+        gb = -w[:, :: k + 1].real.sum(axis=1)
+        wr = w.view(np.float64)  # Re(w w*) from the real view of the rows: the Hessian of -logdet C
+        hb = wr @ wr.T
         if radius is None:
             grad = gb + 2.0 * t * x
-            hess = hb + 2.0 * t * np.eye(x.size)
+            hess = hb + 2.0 * t * eye
         else:
             p = x[:-1]
             room = radius**2 - float(p @ p)
             grad = gb + np.append(2.0 * p / room, t)
             hess = hb.copy()
-            hess[:-1, :-1] += 2.0 * np.eye(p.size) / room + 4.0 * np.outer(p, p) / room**2
+            hess[:-1, :-1] += 2.0 * eye / room + 4.0 * np.outer(p, p) / room**2
         dx = np.linalg.solve(hess, -grad)
-        if done(x, t, dx, li, w, gb, hb):
+        dw = dx @ w  # C(x + s dx) = L (I + s D) L^*, D = L^-1 M(dx) L^-*
+        eigs = np.linalg.eigvalsh(dw.reshape(k, k))
+        if done(x, t, dx, kron, dw, eigs, gb, hb):
             return x
         decrement = float(-grad @ dx)
         if decrement <= _CENTRED:
+            fx += (_T_GROWTH - 1.0) * t * objective(x)  # F at the grown t, the same x
             t *= _T_GROWTH
-            fx = value(x)[0]
             continue
-        step = 1.0
-        while (new := value(x + step * dx))[0] > fx - 0.25 * step * decrement:
+        step = 1.0  # steps with 1 + s lambda_min(D) <= 0 leave the domain: no Cholesky needed to see it
+        while step * eigs[0] <= -1.0 or (new := value(x + step * dx))[0] > fx - 0.25 * step * decrement:
             step /= 2.0
             if step < _SMALLEST_STEP:
                 raise CertificationError("barrier line search stalled: the cone block is singular on the constraints")
@@ -307,7 +426,7 @@ def _central_path(c0, mats, x, t, done, radius=None):
     raise CertificationError(f"barrier method did not finish in {_NEWTON_STEPS} Newton steps")
 
 
-def _barrier(theta0, null, cone, cfg: ToleranceConfig) -> np.ndarray:
+def _barrier(theta0, null, cone, cfg: ToleranceConfig):
     """Minimize ||theta|| over theta = theta0 + N phi with one Hermitian block semidefinite.
 
     ``cone`` is (first, basis): the elements first, first + 1, ... of theta
@@ -332,21 +451,23 @@ def _barrier(theta0, null, cone, cfg: ToleranceConfig) -> np.ndarray:
     dual point of the current Newton step dphi, C^-1 - C^-1 M(dphi) C^-1
     (of C^-1 where that is not semidefinite).  The method stops once
     ||theta||^2 minus this bound is at most ``GAP_FACTOR * residual_tol`` of
-    ||theta||^2 and returns the feasible theta.  No strictly feasible phi
-    (phase I's s stays >= 0 while its gap k / t falls below ``residual_tol``
-    of ||C0||), or no certified gap within ``_NEWTON_STEPS`` steps, raises
-    ``CertificationError``.
+    ||theta||^2 and returns the feasible theta with the square root of the
+    bound, a lower bound on the least ||theta|| (||theta0|| when theta0 is
+    the answer).  No strictly feasible phi (phase I's s stays >= 0 while its
+    gap k / t falls below ``residual_tol`` of ||C0||), or no certified gap
+    within ``_NEWTON_STEPS`` steps, raises ``CertificationError``.
     """
     first, basis = cone
-    parts = _hermitian_parts(basis, int(basis[0].max()) + 1)
-    k, rows = parts.shape[1], slice(first, first + parts.shape[0])
-    c0 = np.tensordot(theta0[rows], parts, 1)
+    k = int(basis[0].max()) + 1
+    parts = _hermitian_parts(basis, k)
+    rows = slice(first, first + parts.shape[0])
+    c0 = (theta0[rows] @ parts).reshape(k, k)
     eig0 = float(np.linalg.eigvalsh(c0)[0])
-    if eig0 >= -cfg.psd_tol * fro(c0):  # theta0 minimizes over the whole affine set and is feasible
-        return theta0
     unit = float(np.linalg.norm(theta0))  # the problem is homogeneous in (theta0, phi)
+    if eig0 >= -cfg.psd_tol * fro(c0):  # theta0 minimizes over the whole affine set and is feasible
+        return theta0, unit
     c0, eig0, scale = c0 / unit, eig0 / unit, fro(c0) / unit
-    mats = np.tensordot(null[rows].T, parts, 1)
+    flat = null[rows].T @ parts
 
     def feasible(x, t, *_):
         if x[-1] < 0.0:
@@ -355,28 +476,31 @@ def _barrier(theta0, null, cone, cfg: ToleranceConfig) -> np.ndarray:
             raise CertificationError("no strictly feasible point: the cone block is singular on the constraint set")
         return False
 
-    ext = np.concatenate([mats, np.eye(k)[None]])
-    start = np.append(np.zeros(mats.shape[0]), -2.0 * eig0)
+    ext = np.concatenate([flat, np.eye(k).reshape(1, -1)])
+    start = np.append(np.zeros(flat.shape[0]), -2.0 * eig0)
     phi = _central_path(c0, ext, start, k / start[-1], feasible, _PHASE_ONE_RADIUS * (1.0 + scale))[:-1]
     # C(lam phi) = (1 - lam) C0 + lam C(phi) is definite for lam > mu / (mu - 1), with mu < 0
     # the least eigenvalue of L^-1 C0 L^-* and C(phi) = L L^*
-    li = np.linalg.inv(np.linalg.cholesky(c0 + np.tensordot(phi, mats, 1)))
+    li = np.linalg.inv(np.linalg.cholesky(c0 + (phi @ flat).reshape(k, k)))
     mu = float(np.linalg.eigvalsh(li @ c0 @ li.conj().T)[0])
     lam = min(1.0, 2.0 * mu / (mu - 1.0))
-    if _cholesky(c0 + lam * np.tensordot(phi, mats, 1)) is not None:
+    if _cholesky(c0 + lam * (phi @ flat).reshape(k, k)) is not None:
         phi = lam * phi
+    bound, ident = 1.0, np.eye(k).ravel()
 
-    def certified(x, t, dx, li, w, gb, hb):
-        shifted = np.eye(k) - np.tensordot(dx, w, 1)  # t L^* Z L, so that M*(Z) = 2 (x + dx)
+    def certified(x, t, dx, kron, dw, eigs, gb, hb):
+        nonlocal bound
+        shifted = ident - dw  # t L^* Z L, so that M*(Z) = 2 (x + dx)
         m = -gb - hb @ dx  # t M*(Z)
-        if np.linalg.eigvalsh(shifted)[0] < 0.0:
-            shifted, m = np.eye(k), -gb
-        a = float(np.vdot(shifted, li @ c0 @ li.conj().T).real)  # t <Z, C0>
+        if eigs[-1] > 1.0:  # I - D is not semidefinite
+            shifted, m = ident, -gb
+        a = float(np.vdot(shifted, kron @ c0.ravel()).real)  # t <Z, C0>
         upper = 1.0 + float(x @ x)
-        lower = 1.0 + (a * a / float(m @ m) if a < 0.0 else 0.0)
-        return upper - lower <= GAP_FACTOR * cfg.residual_tol * upper
+        bound = 1.0 + (a * a / float(m @ m) if a < 0.0 else 0.0)
+        return upper - bound <= GAP_FACTOR * cfg.residual_tol * upper
 
-    return theta0 + unit * (null @ _central_path(c0, mats, phi, k / (1.0 + float(phi @ phi)), certified))
+    phi = _central_path(c0, flat, phi, k / (1.0 + float(phi @ phi)), certified)
+    return theta0 + unit * (null @ phi), unit * math.sqrt(bound)
 
 
 def oracle_min_structured(problem, family: StructureFamily, cfg: ToleranceConfig = DEFAULT_TOL):
@@ -388,9 +512,10 @@ def oracle_min_structured(problem, family: StructureFamily, cfg: ToleranceConfig
     and one semidefinite Hermitian block: Delta1 for psd, Delta1 + Delta1* for
     dissipative (the whole square Delta of a ``Type1Problem``, one "mul" row
     per column of X and one "adj" row per column of Z), by the log-det barrier
-    method ``_barrier``.  NSD and anti-dissipative problems go through the
-    reflection rule ``maps._reflect``: the PSD and dissipative problems of the
-    data (x, -y, z, -w), negated.
+    method ``_barrier``, on the span of the data (``_compressed``).  NSD and
+    anti-dissipative problems go through the reflection rule
+    ``maps._reflect``: the PSD and dissipative problems of the data
+    (x, -y, z, -w), negated.
 
     Returns (Delta, norm), norm = ||Delta||_F of the feasible Delta returned.
     For the cone families the true minimum lies within ``GAP_FACTOR *
@@ -409,27 +534,26 @@ def oracle_min_structured(problem, family: StructureFamily, cfg: ToleranceConfig
             **{name: getattr(problem, name) for name in names},
         )
     if isinstance(problem, Type1Problem):
-        q = problem
-        n = q.X.shape[0]
-        cone = basis = _full_basis(n, n)
-        shape = (n, n)
-        constraints = [("mul", *c) for c in zip(q.X.T, q.Y.T)] + [("adj", *c) for c in zip(q.Z.T, q.W.T)]
+        t1 = problem
+        n, psd = t1.X.shape[0], False
+        constraints = [("mul", *c) for c in zip(t1.X.T, t1.Y.T)] + [("adj", *c) for c in zip(t1.Z.T, t1.W.T)]
     else:
         p = problem
+        n, psd = p.n, family is StructureFamily.PSD
         constraints = [("mul", p.x, p.y), ("adj", p.z, p.w)]
         if family in LINEAR_FAMILIES:
             return oracle_least_norm(constraints, family, shape=(p.n, p.n + p.m), split=p.n, cfg=cfg)
-        if family is StructureFamily.PSD:
-            cone = family_basis(StructureFamily.HERMITIAN, p.n)
-        elif family is StructureFamily.DISSIPATIVE:
-            cone = _full_basis(p.n, p.n)
-        else:
+        if not psd and family is not StructureFamily.DISSIPATIVE:
             raise ValueError(f"unsupported family {family}")
-        basis, shape = _stacked((cone, 0, 1.0), (_full_basis(p.n, p.m), p.n, 1.0)), (p.n, p.n + p.m)
-    theta0, resid, null = _affine(basis, constraints, shape, cfg)
-    _audit(resid, fro(np.concatenate([r for *_, r in constraints])), "constraints inconsistent", cfg)
-    theta = _barrier(theta0, null, (0, cone), cfg)
-    return _assemble(basis, theta, shape), float(np.linalg.norm(theta))
+    q, s, reduced, outside = _compressed(constraints, n, cfg)
+    r = q.shape[1]
+    cone = family_basis(StructureFamily.HERMITIAN, r) if psd else _full_basis(r, r)
+    basis, shape = _stacked((cone, 0, 1.0), (_full_basis(r, s.shape[1]), r, 1.0)), (r, r + s.shape[1])
+    theta0, resid, null = _affine(basis, reduced, shape, cfg)
+    _audit(math.hypot(resid, outside), fro(np.concatenate([rhs for *_, rhs in constraints])),
+           "constraints inconsistent", cfg)
+    theta, _ = _barrier(theta0, null, (0, cone), cfg)
+    return _lift_pair(q, s, _assemble(basis, theta, shape), r), float(np.linalg.norm(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -438,37 +562,13 @@ def oracle_min_structured(problem, family: StructureFamily, cfg: ToleranceConfig
 
 @dataclass
 class OracleEtaResult:
+    """``value`` is the norm of ``perturbation``; the backward error lies in [lower, value]."""
+
     value: float
     perturbation: PerturbationBlocks
     converged: bool
     constraint_residual: float
-
-
-def _eta_system(P: PHPencil, ep: EigenPair, y: np.ndarray, w: np.ndarray, blocks):
-    """Sparse bases and constraints of the block equations of (L - dL)(lam) u = 0.
-
-    The square blocks enter as D = dJ - dR + lam dE, so with the mapping data
-    (x, y, z, w) of the eigenpair the equations read D u2 = y, D* u1 = w1 and,
-    when B is selected, dB* u1 = w2: constraints on [D dB] with x = [u2; 0]
-    and z = u1.  Returns the basis of each selected block, their stacked
-    basis, the constraints and the shape.
-    """
-    n = P.n
-    factor = {"J": 1.0, "R": -1.0, "E": ep.lam}
-    bases = {}
-    for name in "JRE":
-        if name in blocks:
-            fam = StructureFamily.SKEW_HERMITIAN if name == "J" else StructureFamily.HERMITIAN
-            bases[name] = family_basis(fam, n)
-    parts = [(basis, 0, factor[name]) for name, basis in bases.items()]
-    cols = n
-    if "B" in blocks:
-        bases["B"] = _full_basis(n, P.m)
-        parts.append((bases["B"], n, 1.0))
-        cols += P.m
-    x = np.concatenate([ep.u2, np.zeros(cols - n, dtype=complex)])
-    constraints = [("mul", x, y), ("adj", ep.u1, w[:cols])]
-    return bases, _stacked(*parts), constraints, (n, cols)
+    lower: float
 
 
 def oracle_eta(
@@ -482,14 +582,19 @@ def oracle_eta(
 
     The objective is ``sqrt(sum of ||d_block||_F^2)`` over the selected
     blocks, the same size convention the backward-error formulas use.  The
-    constraints are linear in the structured blocks.  Without an R block, and
-    for variant "s", the solve is exact (one least-norm solve).  For variant
-    "sd" with an R block, dR must also be positive semidefinite, and the
-    log-det barrier method ``_barrier`` minimizes over that cone.
+    square blocks enter as D = dJ - dR + lam dE, so with the mapping data
+    (x, y, z, w) of the eigenpair the equations read D u2 = y, D* u1 = w1
+    and, when B is selected, dB* u1 = w2: constraints on [D dB] with
+    x = [u2; 0] and z = u1, solved on the span of the data
+    (``_compressed``).  Without an R block, and for variant "s", the solve
+    is exact (one least-norm solve).  For variant "sd" with an R block, dR
+    must also be positive semidefinite, and the log-det barrier method
+    ``_barrier`` minimizes over that cone.
 
-    ``value`` is the norm of the returned feasible perturbation; the true
-    backward error lies within ``GAP_FACTOR * residual_tol`` (relative) below
-    it, certified by a dual bound, and ``converged`` says so.  An
+    ``value`` is the norm of the returned feasible perturbation and
+    ``lower`` a dual bound below the true backward error, equal to
+    ``value`` on the exact path; ``value`` exceeds ``lower`` by at most
+    ``GAP_FACTOR * residual_tol`` (relative), and ``converged`` says so.  An
     inadmissible eigenpair raises ``InconsistentConstraintsError``; an R
     block that cannot be made positive definite on the constraint set, or a
     gap that cannot be certified, raises ``CertificationError``.
@@ -507,22 +612,39 @@ def oracle_eta(
     _audit(fro(ep.u3), bscale, "u3 != 0: backward error is infinite", cfg)
     if "B" not in blocks:
         _audit(fro(w[n:]), bscale, "B* u1 + S u3 != 0 with no B perturbation", cfg)
-    bases, basis, constraints, shape = _eta_system(P, ep, y, w, blocks)
+    cols = n + m if "B" in blocks else n
+    x = np.concatenate([ep.u2, np.zeros(cols - n, dtype=complex)])
+    q, s, reduced, outside = _compressed([("mul", x, y), ("adj", ep.u1, w[:cols])], n, cfg)
+    r = q.shape[1]
+    factor = {"J": 1.0, "R": -1.0, "E": ep.lam}
+    bases = {
+        name: family_basis(StructureFamily.SKEW_HERMITIAN if name == "J" else StructureFamily.HERMITIAN, r)
+        for name in "JRE" if name in blocks
+    }
+    parts = [(basis, 0, factor[name]) for name, basis in bases.items()]
+    if "B" in blocks:
+        bases["B"] = _full_basis(r, s.shape[1])
+        parts.append((bases["B"], r, 1.0))
+    basis, shape = _stacked(*parts), (r, r + s.shape[1])
     cone = variant == "sd" and "R" in blocks
     if cone:
-        theta, resid, null = _affine(basis, constraints, shape, cfg)
+        theta, resid, null = _affine(basis, reduced, shape, cfg)
     else:
-        theta, resid = _least_norm(basis, constraints, shape)
+        theta, resid = _least_norm(basis, reduced, shape)
+    resid = math.hypot(resid, outside)
     _audit(resid, bscale, f"eigenpair not admissible for {''.join(sorted(blocks))}", cfg)
+    lower = None
     if cone:  # dR follows dJ, when J is selected
         first = bases["J"][2].shape[0] if "J" in bases else 0
-        theta = _barrier(theta, null, (first, bases["R"]), cfg)
+        theta, lower = _barrier(theta, null, (first, bases["R"]), cfg)
     out = {name: np.zeros((n, m if name == "B" else n), dtype=complex) for name in "JREB"}
     ends = np.cumsum([b[2].shape[0] for b in bases.values()])[:-1]
     for (name, b), t in zip(bases.items(), np.split(theta, ends)):
-        out[name] = _assemble(b, t, out[name].shape)
+        right = s if name == "B" else q
+        out[name] = _lift(q, _assemble(b, t, (r, right.shape[1])), right)
     pert = PerturbationBlocks(out["J"], out["R"], out["E"], out["B"])
-    return OracleEtaResult(pert.norm(), pert, True, float(resid))
+    value = pert.norm()
+    return OracleEtaResult(value, pert, True, float(resid), value if lower is None else lower)
 
 
 # ---------------------------------------------------------------------------

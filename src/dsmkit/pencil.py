@@ -33,7 +33,7 @@ form the dense H1 and H2 in O(n^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -159,18 +159,19 @@ class PHPencil:
 class EigenPair:
     """Candidate eigenpair: purely imaginary lambda and u = [u1; u2; u3].
 
-    lambda is validated to satisfy |Re| <= tol * |lambda| and then
-    projected exactly onto the imaginary axis.
+    lambda is validated to satisfy |Re| <= residual_tol * |lambda| under
+    ``cfg`` and then projected exactly onto the imaginary axis.
     """
 
     lam: complex
     u1: np.ndarray
     u2: np.ndarray
     u3: np.ndarray
+    cfg: InitVar[ToleranceConfig] = DEFAULT_TOL
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, cfg: ToleranceConfig) -> None:
         lam = complex(self.lam)
-        if not _is_imaginary(lam, DEFAULT_TOL):
+        if not _is_imaginary(lam, cfg):
             raise StructureError(f"lambda must be purely imaginary, got {lam}")
         self.lam = 1j * lam.imag
         self.u1 = as_complex(self.u1, "u1").reshape(-1)
@@ -695,7 +696,7 @@ def _gen_rb(P: PHPencil, rng: np.random.Generator, cfg: ToleranceConfig, max_tri
                 if lam is not None:
                     raise GenerationError("(J + lam E)/i is semidefinite; no isotropic vectors exist")
                 continue  # another lambda may admit isotropic vectors
-        ep = EigenPair(lam_t, pair[0], pair[1], u3)
+        ep = EigenPair(lam_t, pair[0], pair[1], u3, cfg)
         v = _products(P, ep, cfg, norms)
         hu1, hu2 = v.Ju1 + lt * v.Eu1, v.Ju2 + lt * v.Eu2  # i h u1, i h u2
         if any(abs(np.vdot(u, hu)) > cfg.residual_tol * fro(hu) * fro(u) for u, hu in ((v.u1, hu1), (v.u2, hu2))):
@@ -764,7 +765,7 @@ def gen_eigpair(
         u2 = alpha * u1
         if needs_Ru2 and fro(P.R @ u2) <= _DRAW_NONZERO * nR * fro(u2):
             continue
-        return EigenPair(lam_t, u1, u2, u3)
+        return EigenPair(lam_t, u1, u2, u3, cfg)
     raise GenerationError(f"no admissible eigenpair found in {max_tries} tries")
 
 

@@ -368,6 +368,15 @@ def test_verify_rejects_a_claimed_minimum_off_on_either_side(capsys, tmp_path, c
     assert code == 1 and not report["ok"] and report["residuals"]["ok"]
 
 
+def test_verify_checks_a_psd_result_at_n_64_against_the_oracle(capsys, tmp_path):
+    # the certified oracle solves on the span of the data, so verify reaches n = 64
+    p = dsm_instance(F.PSD, np.random.default_rng(23), 64, 2, exact=True)
+    doc, code, out, _ = _solve_and_verify(capsys, tmp_path, "psd", p.x, p.y, p.z, p.w)
+    report = json.loads(out)
+    assert doc["kind"] == "dsm" and code == 0 and report["ok"]
+    assert report["oracle_norm"] == pytest.approx(doc["norms"]["upper"], rel=1e-8)
+
+
 def test_verify_accepts_an_infinite_backward_error(capsys, tmp_path):
     # a random u for RB and variant s: finite false and eta = inf, which verify must recompute as equal
     ppath, upath = tmp_path / "P.json", tmp_path / "u.json"

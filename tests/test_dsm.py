@@ -4,6 +4,7 @@ import pytest
 from dsmkit import (
     DsmProblem,
     ScalarProduct,
+    ToleranceConfig,
     Type1Problem,
     dsdm_type1,
     dsdm_type1_vec,
@@ -19,6 +20,7 @@ from dsmkit.errors import (
     ConstraintViolationError,
     DegenerateInputError,
     NotColinearError,
+    StructureError,
 )
 from dsmkit.maps import StructureFamily as F
 from helpers import (
@@ -397,6 +399,19 @@ def test_identity_sesquilinear_jordan_equals_hermitian():
     assert red.feasible and direct.feasible
     assert np.linalg.norm(red.H - direct.H) <= 1e-12 * max(1.0, direct.norm_upper)
     assert red.norm_upper == pytest.approx(direct.norm_upper, rel=1e-12)
+
+
+def test_scalar_product_tests_m_under_the_callers_tolerance():
+    # M*M - I of norm about 1e-9 * ||M||^2: unitary at residual_tol 1e-8, not at the default 1e-10
+    m_mat = np.eye(3) * (1.0 + 1.5e-9)
+    with pytest.raises(StructureError):
+        ScalarProduct(m_mat, "sesquilinear", "jordan")
+    loose = ToleranceConfig(residual_tol=1e-8)
+    sp = ScalarProduct(m_mat, "sesquilinear", "jordan", loose)
+    p = dsm_instance(F.HERMITIAN, np.random.default_rng(80), 3, 2, exact=True)
+    assert jordan_lie_reduce(sp, p, loose).feasible
+    with pytest.raises(StructureError):  # jordan_lie_reduce tests M again under its own cfg
+        jordan_lie_reduce(sp, p)
 
 
 def _consistent_problem_for_algebra(rng, sp, n, m):

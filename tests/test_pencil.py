@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dsmkit import (
     EigenPair,
     PHPencil,
+    ToleranceConfig,
     eta_s,
     eta_sd,
     experiment_table,
@@ -168,6 +171,15 @@ def test_eigenpair_validation():
     assert ep.lam == 2j
     with pytest.raises(DegenerateInputError):
         EigenPair(1j, [0], [0], [0])
+
+
+def test_eigenpair_tests_lambda_under_the_callers_tolerance():
+    # |Re lambda| / |lambda| = 1e-9: rejected at the default residual_tol 1e-10, accepted at 1e-8
+    with pytest.raises(StructureError):
+        EigenPair(1j + 1e-9, [1], [1], [0])
+    ep = EigenPair(1j + 1e-9, [1], [1], [0], ToleranceConfig(residual_tol=1e-8))
+    assert ep.lam == 1j
+    assert "cfg" not in {f.name for f in dataclasses.fields(ep)}  # the corpus encoding is unchanged
 
 
 @pytest.mark.parametrize("blocks", sorted(blocks_to_string(b) for b in ETA_SD_COMBOS | ETA_S_COMBOS))
