@@ -16,7 +16,8 @@ class ToleranceConfig:
     the data.
 
     rank_tol      singular values below ``rank_tol * sigma_max`` count as zero
-                  (ranks, pseudoinverses, the eigenspaces of isotropic draws)
+                  (ranks, pseudoinverses, the eigenspaces of isotropic draws),
+                  and so does a Cholesky pivot of a psd a up to ``rank_tol * ||a||``
     psd_tol       semidefiniteness: no eigenvalue of the Hermitian part below
                   ``-psd_tol * scale`` (``linalg._semidefinite``), definiteness:
                   every eigenvalue above ``psd_tol * scale``

@@ -6,6 +6,8 @@ The Moore-Penrose pseudoinverse of a column vector x is the row
 ``x* / ||x||^2``, so ``pinv`` covers both cases uniformly (vectors
 without an SVD).  ``null_projector`` forms I - x x+ densely, for matrix
 data; the mapping solvers keep vector data factored (see ``maps``).
+``psd_range`` spans the range of a psd matrix of rank r in O(n r^2) (a
+pivoted Cholesky and a thin QR), where ``svd_split`` takes a full SVD.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "block_psd_check",
     "SvdSplit",
     "svd_split",
+    "psd_range",
 ]
 
 
@@ -226,3 +229,26 @@ def svd_split(x, cfg: ToleranceConfig = DEFAULT_TOL) -> SvdSplit:
     else:
         r = 0
     return SvdSplit(U1=u[:, :r], U2=u[:, r:], S1=s[:r].copy(), V1=vh[:r].conj().T, rank=r)
+
+
+def psd_range(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (n x r) of range(a), a Hermitian psd of rank r, in O(n r^2).
+
+    A pivoted Cholesky a = L L* (Higham 2002, 10.3) stops once the largest
+    remaining diagonal is at most ``rank_tol * ||a||``, the scale of the a it
+    is formed from (``ToleranceConfig``); a thin QR of the n x r L follows.
+    """
+    a = as_complex(a)
+    n = a.shape[0]
+    floor = cfg.rank_tol * fro(a)
+    d = a.diagonal().real.copy()  # the diagonal of the Schur complement left after k steps
+    lt = np.empty((n, n), dtype=complex)  # row j is column j of L
+    k = 0
+    while k < n and d.max() > floor:
+        p = int(np.argmax(d))
+        row = (a[p].conj() - lt[:k, p].conj() @ lt[:k]) / math.sqrt(d[p])
+        lt[k] = row
+        d -= row.real ** 2 + row.imag ** 2
+        d[p] = 0.0  # eliminated; rounding must not make it a pivot again
+        k += 1
+    return np.linalg.qr(lt[:k].T)[0]

@@ -48,7 +48,7 @@ from .errors import (
     StructureError,
 )
 from .linalg import _colinear_coeff, _semidefinite, as_complex, fro, herm_skew_parts, min_eig_herm
-from .linalg import null_projector, pinv, svd_split
+from .linalg import pinv, psd_range
 from .maps import StructureFamily, _in_family
 
 __all__ = [
@@ -728,10 +728,12 @@ def gen_eigpair(
     decomposition, and the definiteness condition is enforced by rejection
     (see ``_gen_rb``).  A lambda where probing finds one sign only takes one
     ``eigh`` of (J + lam E)/i instead; a semidefinite one raises
-    ``GenerationError`` when ``lam`` is fixed.  Unsatisfiable constraints
-    (e.g. B with full row rank when the kernel of B* is needed, or R
-    nonsingular when ker R is needed) raise ``GenerationError`` after
-    ``max_tries``.
+    ``GenerationError`` when ``lam`` is fixed.  For ker B* (JR, RE, JRE)
+    and ker R (JB, EB, JEB), u1 = g - Q (Q* g) for a Gaussian g in C^n and
+    an orthonormal basis Q of range(B) (thin SVD, ``pinv``'s rank rule) or
+    of range(R) (``linalg.psd_range``): a standard Gaussian on the kernel,
+    for O(n m^2) + O(n r^2) once per call, so once per table.  A trivial
+    kernel raises ``GenerationError``, as do ``max_tries`` rejected draws.
     """
     blocks = parse_blocks(admissible_for) if isinstance(admissible_for, str) else frozenset(admissible_for)
     rng = np.random.default_rng(seed)
@@ -744,21 +746,22 @@ def gen_eigpair(
     kernel_R = blocks in _DELEGATED
     needs_Ru2 = "R" in blocks  # RB has returned above
 
-    basis = None  # u1 is drawn in its range, or anywhere
+    q = None  # an orthonormal basis of range(B) or range(R); u1 is drawn orthogonal to it, or anywhere
     if kernel_B:
-        basis = null_projector(P.B, cfg)  # projector onto ker(B*), zero to rank_tol of ||I|| = sqrt(n)
-        if fro(basis) <= cfg.rank_tol * math.sqrt(n):
+        ub, sb, _ = np.linalg.svd(P.B, full_matrices=False)
+        q = ub[:, sb > cfg.rank_tol * sb.max(initial=0.0)]  # the rank rule of pinv
+        if q.shape[1] == n:
             raise GenerationError("B* has trivial kernel; the selection's side condition is unsatisfiable")
     if kernel_R:
-        basis = svd_split(P.R, cfg).U2
-        if basis.shape[1] == 0:
+        q = psd_range(P.R, cfg)
+        if q.shape[1] == n:
             raise GenerationError("R is nonsingular; ker(R) is trivial for this selection")
     nR = fro(P.R)
 
     for attempt in range(max_tries):
         lam_t = lam if lam is not None else _random_lam(rng)
-        g = _crandn(rng, n if basis is None else basis.shape[1])
-        u1 = g if basis is None else basis @ g
+        g = _crandn(rng, n)
+        u1 = g if q is None else g - q @ (q.conj().T @ g)
         if fro(u1) <= cfg.residual_tol * fro(g):
             continue
         alpha = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))

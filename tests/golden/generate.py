@@ -15,7 +15,10 @@ Rewrite the corpus, after an intended change of output, with
 
 and say in CHANGES.md which records changed and why.  The inputs are drawn
 from seeded generators once and stored, so the corpus does not depend on
-later changes to the test helpers.
+later changes to the test helpers or to the generators of the package:
+a rewrite re-evaluates every stored case on its stored inputs, keeps its
+stored output unless that output has changed, prints the ids that changed,
+and draws fresh inputs only for ids that are not stored yet.
 """
 
 from __future__ import annotations
@@ -527,12 +530,27 @@ def _cases():
     return cases
 
 
-def build():
-    """The corpus: every case with its encoded inputs and the output they give now."""
-    return [
-        {"id": name, "call": call, "args": encode(args), "out": evaluate(call, encode(args))}
-        for name, call, args in _cases()
-    ]
+def build(stored=()):
+    """The corpus, and the ids of the stored cases whose output has changed.
+
+    A case already in ``stored`` keeps its stored inputs,
+    and its stored output unless ``mismatches`` finds a change; every other
+    case is encoded from the inputs ``_cases`` draws now.
+    """
+    old = {case["id"]: case for case in stored}
+    corpus, changed = [], []
+    for name, call, args in _cases():
+        case = old.get(name)
+        if case is None:
+            args = encode(args)
+            corpus.append({"id": name, "call": call, "args": args, "out": evaluate(call, args)})
+            continue
+        out = evaluate(call, case["args"])
+        if mismatches(out, case["out"]):
+            changed.append(name)
+            case = dict(case, out=out)
+        corpus.append(case)
+    return corpus, changed
 
 
 def load():
@@ -542,9 +560,15 @@ def load():
 
 if __name__ == "__main__":
     sys.path.insert(0, os.path.dirname(HERE))  # tests/, for helpers
-    corpus = build()
+    stored = load() if os.path.exists(CORPUS) else []
+    corpus, changed = build(stored)
     ids = [c["id"] for c in corpus]
     assert len(ids) == len(set(ids)), "case ids must be unique"
+    before = {c["id"] for c in stored}
+    for tag, names in (("changed", changed), ("new", [i for i in ids if i not in before]),
+                       ("dropped", sorted(before - set(ids)))):
+        for name in names:
+            print(f"{tag}: {name}")
     with open(CORPUS, "w", encoding="utf-8") as fh:
         json.dump(corpus, fh, indent=0)
         fh.write("\n")

@@ -391,3 +391,20 @@ def test_verify_accepts_an_infinite_backward_error(capsys, tmp_path):
     doc["bounds"]["finite"] = True
     code, report = _verify_doc(capsys, tmp_path, doc)
     assert code == 1 and not report["ok"]
+
+
+def test_backerr_draws_a_kernel_r_eigenpair_at_n_64_and_verify_accepts_it(capsys, tmp_path):
+    # JEB needs u1 in ker R: the draw goes through the range basis of R, then the CLI and verify
+    from dsmkit import eta_s, gen_eigpair
+
+    p = gen_pencil(64, 8, 31, r_rank=32)
+    ppath = tmp_path / "P.json"
+    save_json(str(ppath), pencil_to_doc(p))
+    code, out, _ = run(capsys, "backerr", "--pencil", str(ppath), "--lambda", "0.7i",
+                       "--blocks", "JEB", "--variant", "s", "--seed", "5")
+    doc = json.loads(out)
+    assert code == 0 and doc["bounds"]["finite"] and doc["bounds"]["exact"]
+    want = eta_s(p, gen_eigpair(p, 5, "JEB", lam=0.7j), "JEB")
+    assert doc["bounds"]["eta_upper"] == pytest.approx(want.eta_upper, rel=1e-12)
+    code, report = _verify_doc(capsys, tmp_path, doc)
+    assert code == 0 and report["ok"] is True

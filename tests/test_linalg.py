@@ -239,3 +239,33 @@ def test_fro_matches_numpy_on_views_and_strided_input():
         exact = math.sqrt(math.fsum(np.concatenate([flat.real**2, flat.imag**2])))
         assert abs(fro(a) - exact) <= 1e-15 * exact
     assert fro([1.0, 2.0, 2.0]) == 3.0
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 256])
+@pytest.mark.parametrize("rank", ["1", "half", "n-1", "full"])
+def test_psd_range_rank_matches_svd_split(n, rank):
+    from dsmkit import gen_pencil
+    from dsmkit.linalg import psd_range
+
+    r_rank = {"1": 1, "half": n // 2, "n-1": n - 1, "full": None}[rank]
+    p = gen_pencil(n, 2, seed=n + 3, r_rank=r_rank)
+    q = psd_range(p.R)
+    assert q.shape == (n, svd_split(p.R).rank)
+    assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12
+    # q spans range(R): R has no part outside it
+    assert np.linalg.norm(p.R - q @ (q.conj().T @ p.R)) <= 1e-12 * np.linalg.norm(p.R)
+
+
+def test_psd_range_of_zero_and_of_a_scaled_matrix():
+    from dsmkit.linalg import psd_range
+
+    for n in (0, 1, 5):
+        assert psd_range(np.zeros((n, n))).shape == (n, 0)
+    rng = np.random.default_rng(4)
+    g = crandn(rng, 7, 3)
+    r = g @ g.conj().T
+    ref = psd_range(r)
+    for s in (1e-75, 1e75):
+        q = psd_range(s * r)
+        assert q.shape == (7, 3)  # the stopping rule reads the scale of the data
+        assert np.linalg.norm(q @ q.conj().T - ref @ ref.conj().T) <= 1e-12

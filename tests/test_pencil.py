@@ -574,7 +574,7 @@ def test_eta_makes_no_projector_and_no_square_lapack_call(blocks, variant, monke
     def refuse(*args, **kwargs):
         raise AssertionError("null_projector called")
 
-    monkeypatch.setattr(pencil_mod, "null_projector", refuse)
+    monkeypatch.setattr(pencil_mod, "null_projector", refuse, raising=False)  # pencil no longer imports it
     monkeypatch.setattr(linalg_mod, "null_projector", refuse)
     seen = _watch_linalg(monkeypatch)
     res = (eta_sd if variant == "sd" else eta_s)(p, ep, blocks)
@@ -621,3 +621,83 @@ def test_reconstruction_rejects_a_wrong_block_whatever_the_pencil_scale():
         res.H1 = 1.5 * res.H1
         with pytest.raises(ReconstructionError, match="residual too large"):
             reconstruct_perturbation(ps, ep, "JREB", res)
+
+
+# ---------------------------------------------------------------------------
+# kernel-constrained draws: one range projection for ker R and ker B*
+
+KERNEL_R_SELECTIONS = ("JB", "EB", "JEB")
+KERNEL_B_SELECTIONS = ("JR", "RE", "JRE")
+
+
+def _first_gaussian(seed, n):
+    # with lambda fixed, the first draw of the generator's stream is g
+    return crandn(np.random.default_rng(seed), n)
+
+
+@pytest.mark.parametrize("blocks", KERNEL_R_SELECTIONS)
+def test_kernel_r_draw_of_a_zero_r_is_the_gaussian_itself(blocks):
+    base = gen_pencil(6, 2, seed=1)
+    p = PHPencil(base.J, np.zeros((6, 6)), base.E, base.B, base.S)
+    ep = gen_eigpair(p, 9, blocks, lam=0.7j)
+    assert np.array_equal(ep.u1, _first_gaussian(9, 6))
+
+
+@pytest.mark.parametrize("blocks", KERNEL_R_SELECTIONS)
+@pytest.mark.parametrize("n,r_rank", [(4, 1), (16, 8), (64, 63), (256, 128)])
+def test_kernel_r_draw_lies_in_ker_r(blocks, n, r_rank):
+    p = gen_pencil(n, 3, seed=n, r_rank=r_rank)
+    tol = ToleranceConfig().residual_tol
+    for seed in range(3):
+        ep = gen_eigpair(p, seed, blocks)
+        assert np.linalg.norm(p.R @ ep.u1) <= tol * np.linalg.norm(p.R) * np.linalg.norm(ep.u1)
+        assert np.linalg.norm(p.R @ ep.u2) <= tol * np.linalg.norm(p.R) * np.linalg.norm(ep.u2)
+        assert eta_s(p, ep, blocks).finite
+
+
+@pytest.mark.parametrize("blocks", KERNEL_R_SELECTIONS + KERNEL_B_SELECTIONS)
+def test_kernel_draw_does_not_depend_on_the_pencil_scale(blocks):
+    p = gen_pencil(12, 3, seed=6, r_rank=5)
+    ref = gen_eigpair(p, 4, blocks)
+    for s in (1e-75, 1e75):
+        ep = gen_eigpair(_scaled_pencil(p, s), 4, blocks)
+        assert ep.lam == ref.lam
+        assert np.linalg.norm(ep.u1 - ref.u1) <= 1e-12 * np.linalg.norm(ref.u1)
+        assert np.linalg.norm(ep.u2 - ref.u2) <= 1e-12 * np.linalg.norm(ref.u2)
+
+
+@pytest.mark.parametrize("blocks", KERNEL_B_SELECTIONS)
+@pytest.mark.parametrize("b_rank", [None, 1])
+def test_kernel_b_draw_is_the_projected_gaussian(blocks, b_rank):
+    # the same g as the dense projector I - B B+ took, so the draw is unchanged up to rounding
+    from dsmkit import null_projector
+
+    p = gen_pencil(10, 4, seed=3, b_rank=b_rank)
+    ep = gen_eigpair(p, 5, blocks, lam=-0.4j)
+    want = null_projector(p.B) @ _first_gaussian(5, 10)
+    assert np.linalg.norm(ep.u1 - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(p.B.conj().T @ ep.u1) <= 1e-12 * np.linalg.norm(p.B) * np.linalg.norm(ep.u1)
+
+
+@pytest.mark.parametrize("blocks", KERNEL_R_SELECTIONS + KERNEL_B_SELECTIONS)
+def test_gen_eigpair_raises_on_a_trivial_kernel_at_n_64(blocks):
+    p = gen_pencil(64, 80, seed=2)  # R nonsingular, B of full row rank
+    with pytest.raises(GenerationError, match="nonsingular" if blocks in KERNEL_R_SELECTIONS else "trivial kernel"):
+        gen_eigpair(p, 0, blocks)
+
+
+@pytest.mark.parametrize("blocks,variant", [c for c in ALL_SELECTIONS
+                                            if c[0] in KERNEL_R_SELECTIONS + KERNEL_B_SELECTIONS])
+def test_kernel_table_takes_no_square_decomposition(blocks, variant, monkeypatch):
+    import dsmkit.pencil as pencil_mod
+
+    assert not hasattr(pencil_mod, "null_projector") and not hasattr(pencil_mod, "svd_split")
+    n, m, r = 64, 16, 32
+    p = gen_pencil(n, m, seed=8, r_rank=r)
+    seen = _watch_linalg(monkeypatch)
+    rows = experiment_table(p, [0.45j, -1.2j, 0.9j, -0.35j, 1.7j], 5, blocks, variant=variant)
+    assert all(row["error"] == "" and row["finite"] for row in rows)
+    assert [c for c in seen if c[0] in ("svd", "eigh", "eigvalsh") and c[1][-2:] == (n, n)] == []
+    # one range basis per table: the thin SVD of B, or the QR of the n x r Cholesky factor
+    wide = [c for c in seen if min(c[1][-2:]) > 6]
+    assert wide == ([("qr", (n, r))] if blocks in KERNEL_R_SELECTIONS else [("svd", (n, m))])
