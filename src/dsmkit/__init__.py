@@ -19,13 +19,10 @@ from .dsm import (
 from .linalg import (
     BlockPsdReport,
     Definiteness,
-    SvdSplit,
     block_psd_check,
     herm_skew_parts,
     is_psd,
-    null_projector,
     pinv,
-    svd_split,
 )
 from .maps import MapSolution, StructureFamily, map_characterize, map_min, map_two_sided
 from .oracle import (

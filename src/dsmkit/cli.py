@@ -41,11 +41,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _env_seed() -> int:
+def _seed(args) -> int:
+    """--seed, else DSMKIT_SEED, else 0; a DSMKIT_SEED that is not an integer is an error."""
+    value = os.environ.get("DSMKIT_SEED", "0") if args.seed is None else args.seed
     try:
-        return int(os.environ.get("DSMKIT_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise ValueError(f"DSMKIT_SEED must be an integer, got {value!r}") from None
 
 
 def _build_parser() -> _Parser:
@@ -179,7 +181,7 @@ def _cmd_map_solve(args, cfg: ToleranceConfig) -> int:
 
 
 def _cmd_pencil_gen(args, cfg: ToleranceConfig) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _seed(args)
     p = pencil_mod.gen_pencil(args.n, args.m, seed)
     rep = p.validate(cfg)
     if not all(rep.values()):
@@ -208,13 +210,6 @@ def _eigpair(p: pencil_mod.PHPencil, lam: complex, uvec: np.ndarray, cfg: Tolera
     return pencil_mod.EigenPair(lam, uvec[:n], uvec[n : 2 * n], uvec[2 * n :], cfg)
 
 
-def _load_eigpair(args, p: pencil_mod.PHPencil, lam: complex, blocks, cfg) -> pencil_mod.EigenPair:
-    if args.u is not None:
-        return _eigpair(p, lam, io_mod.vector_from_doc(io_mod.load_json(args.u), "u"), cfg)
-    seed = args.seed if args.seed is not None else _env_seed()
-    return pencil_mod.gen_eigpair(p, seed, blocks, cfg, lam=lam)
-
-
 def _bounds_doc(res: pencil_mod.BackwardErrorBounds) -> dict:
     doc = {
         "finite": res.finite,
@@ -240,8 +235,7 @@ def _cmd_backerr(args, cfg: ToleranceConfig) -> int:
 
     if args.command == "backerr-sweep":
         lams = [io_mod.parse_imaginary(tok) for tok in args.lambdas.split(",") if tok.strip()]
-        seed = args.seed if args.seed is not None else _env_seed()
-        rows = pencil_mod.experiment_table(p, lams, seed, blocks, cfg, variant=args.variant)
+        rows = pencil_mod.experiment_table(p, lams, _seed(args), blocks, cfg, variant=args.variant)
         with io_mod.open_output(args.csv) as fh:
             fh.write(io_mod.sweep_rows_to_csv(rows))
         print(f"wrote {args.csv} ({len(rows)} rows)")
@@ -254,10 +248,14 @@ def _cmd_backerr(args, cfg: ToleranceConfig) -> int:
     if lam == 0:
         print("error: lambda must be nonzero", file=sys.stderr)
         return 1
-    ep = _load_eigpair(args, p, lam, blocks, cfg)
+    seed = None if args.u is not None else _seed(args)
+    if seed is None:
+        ep = _eigpair(p, lam, io_mod.vector_from_doc(io_mod.load_json(args.u), "u"), cfg)
+    else:
+        ep = pencil_mod.gen_eigpair(p, seed, blocks, cfg, lam=lam)
     compute = pencil_mod.eta_sd if args.variant == "sd" else pencil_mod.eta_s
     res = compute(p, ep, blocks, cfg)
-    doc = _doc_header("backerr", seed=None if args.u else (args.seed if args.seed is not None else _env_seed()))
+    doc = _doc_header("backerr", seed=seed)
     doc["problem"] = {
         "pencil": io_mod.pencil_to_doc(p),
         "u": io_mod.vector_to_doc(ep.u),

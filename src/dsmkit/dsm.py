@@ -16,7 +16,8 @@ minimum.
 The vector solvers build each block once from factors of at most three
 columns (H1 is map_min's Delta1 on (z, +-w1) or their conjugates; H2 is
 (y - H1 x1) x2+ + (z+)* (P_x2 w2)*), so they cost O(n(n + m)), the size of
-the output.  Only ``dsdm_type1`` takes SVDs, of its matrix data.
+the output.  Only ``dsdm_type1`` takes SVDs: thin ones of its n x m matrix
+data, for O(n^2 m) in all.
 
 The negated families go through the one reflection rule of ``maps``
 (``_reflect``): nsd is psd, and ``anti=True`` is the dissipative problem,
@@ -38,7 +39,7 @@ from .errors import (
     NotColinearError,
     StructureError,
 )
-from .linalg import _colinear_coeff, _semidefinite, as_complex, fro, null_projector, pinv, svd_split
+from .linalg import _colinear_coeff, _semidefinite, as_complex, fro, pinv, svd_range
 from .maps import _REFLECTED, StructureFamily, _in_family, _incompatible, _min_factors, _outer_sum, _project
 from .maps import _reflect, _require, _require_structure, _sandwich, _shifted_psd
 
@@ -377,10 +378,13 @@ def dsdm_type1(
     ``U2*(YX+ + WZ+)U1``.  Feasibility is the four-condition test
     YX+X = Y, WZ+Z = W, X*W = Y*Z, X*Y + Y*X >= 0.
 
-    The Gram block of the minimizer is
-    ``J = 1/2 A (U1* M U1)^+ A*`` with ``M = YX+ + (YX+)*`` and
-    ``A = U2*(YX+ + WZ+)U1``; the minimizer is
-    ``YX+ + (WZ+)* - (WZ+)* XX+ + P_Z U2 J U2* P_X``.
+    With U1, U2 orthonormal bases of range(X) and its complement, the
+    minimizer is ``YX+ + (WZ+)* - (WZ+)* XX+ + P_Z U2 J U2* P_X``, with
+    ``J = 1/2 A (U1* M U1)^+ A*``, ``M = YX+ + (YX+)*`` and
+    ``A = U2*(YX+ + WZ+)U1``.  U2 enters only through U2 U2* = I - XX+, so
+    ``gram`` is the n x n U2 J U2*, Hermitian psd and free of the choice of
+    U2, as ``dsdm_type1_vec`` returns it; it is formed from the thin bases of
+    range(X) and range(Z) (``linalg.svd_range``), in O(n^2 m).
     ``anti=True`` asks for Delta + Delta* <= 0 through ``maps._reflect``.
     """
     if anti:
@@ -388,24 +392,25 @@ def dsdm_type1(
             StructureFamily.ANTI_DISSIPATIVE, lambda _, **yw: dsdm_type1(replace(q, **yw), cfg), Y=q.Y, W=q.W
         )
 
-    sx = svd_split(q.X, cfg)
-    sz = svd_split(q.Z, cfg)
+    u1 = svd_range(q.X, cfg)
+    uz = svd_range(q.Z, cfg)
     xd = pinv(q.X, cfg)
     zd = pinv(q.Z, cfg)
     yxd = q.Y @ xd
     wzd = q.W @ zd
     xxd = q.X @ xd
-    m_h = yxd + yxd.conj().T
 
     warnings: list[str] = []
     conditions: dict = {}
-    conditions["equal_ranks"] = sx.rank == sz.rank
+    conditions["equal_ranks"] = u1.shape[1] == uz.shape[1]
     range_gap = fro(xxd - q.Z @ zd)
     conditions["aligned_ranges"] = range_gap <= cfg.residual_tol * fro(xxd)
-    core = sx.U1.conj().T @ m_h @ sx.U1
-    a = sx.U2.conj().T @ (yxd + wzd) @ sx.U1
+    c = u1.conj().T @ (yxd @ u1)
+    core = c + c.conj().T  # U1* M U1
+    tu1 = (yxd + wzd) @ u1
+    a = tu1 - u1 @ (u1.conj().T @ tu1)  # U2 U2* T U1
     core_pinv = pinv(core, cfg)
-    ker_proj = np.eye(sx.rank, dtype=complex) - core_pinv @ core
+    ker_proj = np.eye(u1.shape[1], dtype=complex) - core_pinv @ core
     # a may cancel to rounding, so its scale is that of the two terms it sums
     conditions["kernel_condition"] = fro(a @ ker_proj) <= cfg.residual_tol * (fro(yxd) + fro(wzd))
     hypothesis_ok = all(conditions[k] for k in ("equal_ranks", "aligned_ranges", "kernel_condition"))
@@ -432,15 +437,9 @@ def dsdm_type1(
         )
 
     gram = 0.5 * a @ core_pinv @ a.conj().T
-    pz = null_projector(q.Z, cfg)
-    px = null_projector(q.X, cfg)
-    mini = yxd + wzd.conj().T - wzd.conj().T @ xxd + pz @ sx.U2 @ gram @ sx.U2.conj().T @ px
-    norm_identity = (
-        fro(yxd) ** 2
-        + fro(wzd) ** 2
-        - float(np.trace(wzd @ wzd.conj().T @ xxd).real)
-        + fro(gram) ** 2
-    )
+    wzd_u1 = wzd.conj().T @ u1
+    mini = yxd + wzd.conj().T - wzd_u1 @ u1.conj().T + gram - uz @ (uz.conj().T @ gram)
+    norm_identity = fro(yxd) ** 2 + fro(wzd) ** 2 - fro(wzd_u1) ** 2 + fro(gram) ** 2
     return Type1Solution(
         True,
         minimizer=mini,
@@ -450,7 +449,7 @@ def dsdm_type1(
         hypothesis_ok=hypothesis_ok,
         conditions=conditions,
         warnings=warnings,
-        diagnostics={"norm_identity_sq": norm_identity, "rank": sx.rank},
+        diagnostics={"norm_identity_sq": norm_identity, "rank": u1.shape[1]},
     )
 
 

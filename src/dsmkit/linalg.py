@@ -4,10 +4,10 @@ All matrices are plain ``numpy`` arrays of dtype complex128.  Vectors are
 1-d arrays; a vector ``x`` used as a matrix is the column ``x[:, None]``.
 The Moore-Penrose pseudoinverse of a column vector x is the row
 ``x* / ||x||^2``, so ``pinv`` covers both cases uniformly (vectors
-without an SVD).  ``null_projector`` forms I - x x+ densely, for matrix
-data; the mapping solvers keep vector data factored (see ``maps``).
-``psd_range`` spans the range of a psd matrix of rank r in O(n r^2) (a
-pivoted Cholesky and a thin QR), where ``svd_split`` takes a full SVD.
+without an SVD); the mapping solvers keep vector data factored (see
+``maps``).  A range is spanned by a thin orthonormal basis, not an n x n
+projector: ``svd_range`` for an n x m matrix in O(n m^2), ``psd_range``
+for a psd matrix of rank r in O(n r^2) (pivoted Cholesky, thin QR).
 """
 
 from __future__ import annotations
@@ -25,15 +25,13 @@ __all__ = [
     "as_complex",
     "fro",
     "pinv",
-    "null_projector",
     "herm_skew_parts",
     "Definiteness",
     "is_psd",
     "min_eig_herm",
     "BlockPsdReport",
     "block_psd_check",
-    "SvdSplit",
-    "svd_split",
+    "svd_range",
     "psd_range",
 ]
 
@@ -82,17 +80,6 @@ def pinv(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if na == 0.0:
         return np.zeros(a.shape[::-1], dtype=complex)
     return (a / na).conj().T / na
-
-
-def null_projector(x, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the orthogonal complement of range(x).
-
-    Returns ``I - x @ pinv(x)``: Hermitian, idempotent, annihilates x.
-    For x = 0 this is the identity.
-    """
-    x = _as_column(as_complex(x))
-    n = x.shape[0]
-    return np.eye(n, dtype=complex) - x @ pinv(x, cfg)
 
 
 def herm_skew_parts(a) -> tuple[np.ndarray, np.ndarray]:
@@ -204,31 +191,14 @@ def block_psd_check(b, c, d, cfg: ToleranceConfig = DEFAULT_TOL) -> BlockPsdRepo
     return BlockPsdReport(leading and kernel_ok and schur_ok, leading, kernel_ok, schur_ok)
 
 
-@dataclass(frozen=True)
-class SvdSplit:
-    """Full SVD of X split at its numerical rank.
+def svd_range(x, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (n x r) of range(x), x an n x m matrix, from its thin SVD in O(n m^2).
 
-    U1 spans range(X), U2 its orthogonal complement; X = U1 diag(S1) V1*.
-    Any orthonormal completion U2 is admissible: downstream formulas only
-    use U2 through U2 @ U2*, which is invariant under U2 -> U2 @ Q.
+    r counts the singular values above ``rank_tol`` times the largest (``pinv``'s
+    rule), so the zero matrix has the empty n x 0 basis; a real x has a real basis.
     """
-
-    U1: np.ndarray
-    U2: np.ndarray
-    S1: np.ndarray
-    V1: np.ndarray
-    rank: int
-
-
-def svd_split(x, cfg: ToleranceConfig = DEFAULT_TOL) -> SvdSplit:
-    """Split the full SVD of ``x`` (n x m) at the numerical rank."""
-    x = _as_column(as_complex(x))
-    u, s, vh = np.linalg.svd(x, full_matrices=True)
-    if s.size and s[0] > 0.0:
-        r = int(np.sum(s > cfg.rank_tol * s[0]))
-    else:
-        r = 0
-    return SvdSplit(U1=u[:, :r], U2=u[:, r:], S1=s[:r].copy(), V1=vh[:r].conj().T, rank=r)
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    return u[:, s > cfg.rank_tol * s.max(initial=0.0)]
 
 
 def psd_range(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

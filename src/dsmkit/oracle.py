@@ -51,14 +51,14 @@ coefficients of A and B, of order dim V <= 4 for one pair of mapping vectors
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .dsm import DsmProblem, Type1Problem
 from .errors import CertificationError, DegenerateInputError, InconsistentConstraintsError
-from .linalg import as_complex, fro
+from .linalg import as_complex, fro, svd_range
 from .maps import _REFLECTED, LINEAR_FAMILIES, StructureFamily, _deviation, _reflect
 from .pencil import EigenPair, PHPencil, PerturbationBlocks, mapping_data, parse_blocks
 
@@ -190,13 +190,6 @@ def _audit(resid: float, scale: float, what: str, cfg: ToleranceConfig) -> None:
         raise InconsistentConstraintsError(f"{what} (residual {resid:.3e})")
 
 
-def _least_norm(basis, constraints, shape):
-    """Least-norm real coefficients meeting the constraints, and the residual norm."""
-    a, b = _system(basis, constraints, shape)
-    theta = np.linalg.lstsq(a, b, rcond=None)[0]
-    return theta, fro(a @ theta - b)
-
-
 # ---------------------------------------------------------------------------
 # compression onto the span of the data (the lemma of the module docstring)
 
@@ -217,9 +210,8 @@ def _compress(vectors, n: int, cfg: ToleranceConfig, real: bool = False) -> np.n
     a = np.stack(cols, axis=1)
     if real:
         a = np.concatenate([a.real, a.imag], axis=1)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.count_nonzero(s > cfg.rank_tol * s[0]))
-    return np.eye(n) if rank == n else u[:, :rank]
+    q = svd_range(a, cfg)
+    return np.eye(n) if q.shape[1] == n else q
 
 
 def _compressed(constraints, split: int, cfg: ToleranceConfig, real: bool = False):
@@ -305,7 +297,7 @@ def oracle_least_norm(
         basis = _stacked((family_basis(structure, r), 0, 1.0), (basis, r, 1.0))
     shape = (q.shape[1], r + s.shape[1])
 
-    theta, resid = _least_norm(basis, reduced, shape)
+    theta, resid, _ = _affine(basis, reduced, shape, cfg)
     _audit(math.hypot(resid, outside), fro(np.concatenate([rhs for *_, rhs in constraints])),
            "constraints inconsistent", cfg)
     return _lift_pair(q, s, _assemble(basis, theta, shape), r), float(np.linalg.norm(theta))
@@ -330,8 +322,8 @@ def _affine(basis, constraints, shape, cfg: ToleranceConfig):
     """Least-norm coefficients theta0 meeting the constraints, the residual norm, and an
     orthonormal basis N of the directions they leave free (theta0 is orthogonal to N)."""
     a, b = _system(basis, constraints, shape)
-    u, s, vt = np.linalg.svd(a)
-    rank = int(np.count_nonzero(s > cfg.rank_tol * s[0]))
+    u, s, vt = np.linalg.svd(a)  # full matrices: the trailing rows of V* span the free directions
+    rank = int(np.count_nonzero(s > cfg.rank_tol * s.max(initial=0.0)))
     theta0 = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
     return theta0, fro(a @ theta0 - b), vt[rank:].T
 
@@ -626,15 +618,11 @@ def oracle_eta(
         bases["B"] = _full_basis(r, s.shape[1])
         parts.append((bases["B"], r, 1.0))
     basis, shape = _stacked(*parts), (r, r + s.shape[1])
-    cone = variant == "sd" and "R" in blocks
-    if cone:
-        theta, resid, null = _affine(basis, reduced, shape, cfg)
-    else:
-        theta, resid = _least_norm(basis, reduced, shape)
+    theta, resid, null = _affine(basis, reduced, shape, cfg)
     resid = math.hypot(resid, outside)
     _audit(resid, bscale, f"eigenpair not admissible for {''.join(sorted(blocks))}", cfg)
     lower = None
-    if cone:  # dR follows dJ, when J is selected
+    if variant == "sd" and "R" in blocks:  # the cone; dR follows dJ, when J is selected
         first = bases["J"][2].shape[0] if "J" in bases else 0
         theta, lower = _barrier(theta, null, (first, bases["R"]), cfg)
     out = {name: np.zeros((n, m if name == "B" else n), dtype=complex) for name in "JREB"}
@@ -658,17 +646,9 @@ class VerificationReport:
     structure_dev: float
     min_eig: float | None
     ok: bool
-    details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "interp_resid": self.interp_resid,
-            "adjoint_resid": self.adjoint_resid,
-            "structure_dev": self.structure_dev,
-            "min_eig": self.min_eig,
-            "ok": self.ok,
-            **self.details,
-        }
+        return asdict(self)
 
 
 def verify_solution(

@@ -48,7 +48,7 @@ from .errors import (
     StructureError,
 )
 from .linalg import _colinear_coeff, _semidefinite, as_complex, fro, herm_skew_parts, min_eig_herm
-from .linalg import pinv, psd_range
+from .linalg import pinv, psd_range, svd_range
 from .maps import StructureFamily, _in_family
 
 __all__ = [
@@ -730,8 +730,8 @@ def gen_eigpair(
     ``eigh`` of (J + lam E)/i instead; a semidefinite one raises
     ``GenerationError`` when ``lam`` is fixed.  For ker B* (JR, RE, JRE)
     and ker R (JB, EB, JEB), u1 = g - Q (Q* g) for a Gaussian g in C^n and
-    an orthonormal basis Q of range(B) (thin SVD, ``pinv``'s rank rule) or
-    of range(R) (``linalg.psd_range``): a standard Gaussian on the kernel,
+    an orthonormal basis Q of range(B) (``linalg.svd_range``) or of range(R)
+    (``linalg.psd_range``): a standard Gaussian on the kernel,
     for O(n m^2) + O(n r^2) once per call, so once per table.  A trivial
     kernel raises ``GenerationError``, as do ``max_tries`` rejected draws.
     """
@@ -748,8 +748,7 @@ def gen_eigpair(
 
     q = None  # an orthonormal basis of range(B) or range(R); u1 is drawn orthogonal to it, or anywhere
     if kernel_B:
-        ub, sb, _ = np.linalg.svd(P.B, full_matrices=False)
-        q = ub[:, sb > cfg.rank_tol * sb.max(initial=0.0)]  # the rank rule of pinv
+        q = svd_range(P.B, cfg)
         if q.shape[1] == n:
             raise GenerationError("B* has trivial kernel; the selection's side condition is unsatisfiable")
     if kernel_R:

@@ -2,7 +2,7 @@
 
 Each function evaluates the same closed form as its namesake in ``dsmkit``,
 but the way the formulas read on paper: with n x n projectors
-``null_projector``, dense outer products and matrix products.  The feasibility
+``null_projector`` (below), dense outer products and matrix products.  The feasibility
 tests, exactness conditions and diagnostics are those of the solvers, so a
 solver and its reference must agree on every verdict, flag and message and on
 every block to rounding.  Test code only; the O(n^3) products make it slow.
@@ -28,12 +28,23 @@ import numpy as np
 from dsmkit import DEFAULT_TOL, DsmProblem, DsmSolution, MapSolution, Type1Solution
 from dsmkit.dsm import _check_degenerate, _rank_one_rightmost, _structural_condition
 from dsmkit.errors import ConstraintViolationError, DegenerateInputError, NotColinearError
-from dsmkit.linalg import _colinear_coeff, as_complex, fro, min_eig_herm, null_projector, pinv
+from dsmkit.linalg import _as_column, _colinear_coeff, as_complex, fro, min_eig_herm, pinv
 from dsmkit.maps import StructureFamily as F
 from dsmkit.maps import _nonzero_vec, _require, _require_structure
 
 TOL = 1e-10  # residual_tol and psd_tol of the default configuration
 BASE = {F.NSD: F.PSD, F.ANTI_DISSIPATIVE: F.DISSIPATIVE}
+
+
+def null_projector(x, cfg=DEFAULT_TOL):
+    """Orthogonal projector onto the orthogonal complement of range(x).
+
+    Returns ``I - x @ pinv(x)``: Hermitian, idempotent, annihilates x.
+    For x = 0 this is the identity.
+    """
+    x = _as_column(as_complex(x))
+    n = x.shape[0]
+    return np.eye(n, dtype=complex) - x @ pinv(x, cfg)
 
 
 def map_min(family, x, y):

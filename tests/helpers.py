@@ -8,7 +8,8 @@ colinearity for the exactness paths).
 
 import numpy as np
 
-from dsmkit import DsmProblem, Type1Problem, null_projector
+from dense_reference import null_projector
+from dsmkit import DsmProblem, Type1Problem
 from dsmkit.maps import StructureFamily as F
 
 
@@ -181,3 +182,26 @@ def map_instance(family, rng, n):
         if re > -0.3:
             y = y - (re + 0.5) / nx * x
     return x, y
+
+
+def watch_linalg(monkeypatch):
+    """Record (name, operand shape, full) of every np.linalg call but the norms.
+
+    Every LAPACK-backed entry point is watched; a norm is one pass over the
+    data, not a factorization.  ``full`` is true for an SVD with full
+    matrices (numpy's default), false for every other call.
+    """
+    seen = []
+
+    def watch(name, fn):
+        def wrapped(*args, **kwargs):
+            full = name == "svd" and kwargs.get("full_matrices", args[1] if len(args) > 1 else True)
+            seen.extend((name, a.shape, bool(full)) for a in args if getattr(a, "ndim", 0) >= 2)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type) and "norm" not in name:
+            monkeypatch.setattr(np.linalg, name, watch(name, fn))
+    return seen

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dsmkit import (
+    DEFAULT_TOL,
     DsmProblem,
     EigenPair,
     PHPencil,
@@ -30,7 +31,6 @@ from dsmkit import (
     oracle_min_structured,
     pinv,
     reconstruct_perturbation,
-    svd_split,
 )
 from dsmkit.io import sweep_rows_to_csv
 from dsmkit.linalg import Definiteness
@@ -309,15 +309,16 @@ def test_criterion_6_lemma_suite():
     for _ in range(50):
         n, m = 6, 3
         x = crandn(rng, n, m)
-        sp = svd_split(x)
-        d = np.diag(rng.uniform(0.5, 2.0, sp.rank))
-        q = np.linalg.qr(crandn(rng, m, sp.rank))[0]
-        z = sp.U1 @ d @ q.conj().T
+        u, sv, _ = np.linalg.svd(x)
+        rank = int(np.sum(sv > DEFAULT_TOL.rank_tol * sv[0]))
+        u1 = u[:, :rank]
+        d = np.diag(rng.uniform(0.5, 2.0, rank))
+        q = np.linalg.qr(crandn(rng, m, rank))[0]
+        z = u1 @ d @ q.conj().T
         y = crandn(rng, n, m)
         w = np.linalg.lstsq(x.conj().T, y.conj().T @ z, rcond=None)[0]
         yxd = y @ pinv(x)
         wzd = w @ pinv(z)
-        u1 = sp.U1
         for sign in (+1, -1):
             lhs = u1.conj().T @ (yxd + sign * yxd.conj().T) @ u1
             rhs = u1.conj().T @ (yxd + sign * wzd) @ u1

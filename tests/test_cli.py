@@ -177,6 +177,36 @@ def test_pencil_gen_validate_round_trip(capsys, tmp_path):
     assert out_path.read_bytes() == out2.read_bytes()
 
 
+def test_a_non_integer_dsmkit_seed_is_one_error_line_where_a_seed_is_needed(capsys, tmp_path, herm_files,
+                                                                          monkeypatch):
+    monkeypatch.setenv("DSMKIT_SEED", "abc")
+    code, out, err = run(capsys, "pencil", "gen", "--n", "3", "--m", "2", "-o", str(tmp_path / "P.json"))
+    assert code == 1 and out == "" and not (tmp_path / "P.json").exists()
+    assert err.splitlines() == ["error: DSMKIT_SEED must be an integer, got 'abc'"]
+    ppath = tmp_path / "Q.json"
+    save_json(str(ppath), pencil_to_doc(gen_pencil(3, 2, seed=3)))
+    code, _, err = run(capsys, "backerr", "--pencil", str(ppath), "--lambda", "0.5i", "--blocks", "JREB")
+    assert code == 1 and err.splitlines() == ["error: DSMKIT_SEED must be an integer, got 'abc'"]
+    # --seed wins over the environment, and a command without a seed never reads it
+    code, _, _ = run(capsys, "pencil", "gen", "--n", "3", "--m", "2", "--seed", "4", "-o", str(ppath))
+    assert code == 0
+    code, out, _ = run(capsys, "map", "solve", "--family", "hermitian", "--x", herm_files["x"],
+                       "--y", herm_files["y"], "--z", herm_files["z"], "--w", herm_files["w"])
+    assert code == 0 and json.loads(out)["feasible"]
+
+
+def test_dsmkit_seed_gives_the_output_of_the_same_seed_option(capsys, tmp_path, monkeypatch):
+    by_option, by_env = tmp_path / "option.json", tmp_path / "env.json"
+    backerr = ("backerr", "--pencil", str(by_option), "--lambda", "0.5i", "--blocks", "JREB")
+    run(capsys, "pencil", "gen", "--n", "4", "--m", "2", "--seed", "5", "-o", str(by_option))
+    _, want, _ = run(capsys, *backerr, "--seed", "5")
+    monkeypatch.setenv("DSMKIT_SEED", "5")
+    run(capsys, "pencil", "gen", "--n", "4", "--m", "2", "-o", str(by_env))
+    assert by_env.read_bytes() == by_option.read_bytes()
+    code, out, _ = run(capsys, *backerr)
+    assert code == 0 and out == want and json.loads(out)["seed"] == 5
+
+
 def test_pencil_validate_names_broken_block(capsys, tmp_path):
     p = gen_pencil(3, 2, seed=1)
     doc = pencil_to_doc(p)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from dense_reference import null_projector
 from dsmkit import (
+    DEFAULT_TOL,
     DsmProblem,
     ScalarProduct,
     ToleranceConfig,
@@ -13,7 +15,6 @@ from dsmkit import (
     dsm_characterize_type2,
     dsm_solve,
     jordan_lie_reduce,
-    null_projector,
     pinv,
 )
 from dsmkit.errors import (
@@ -30,6 +31,7 @@ from helpers import (
     type1_instance,
     type1_vec_instance,
     type2_instance,
+    watch_linalg,
 )
 
 ALL_DSM = [F.HERMITIAN, F.SKEW_HERMITIAN, F.SYMMETRIC, F.SKEW_SYMMETRIC, F.PSD, F.NSD]
@@ -292,6 +294,44 @@ def test_type1_vec_consistency_with_matrix_case():
         if vec.feasible:
             assert vec.min_norm == pytest.approx(mat.min_norm, rel=1e-10)
             assert np.linalg.norm(vec.minimizer - mat.minimizer) <= 1e-10 * max(1.0, vec.min_norm)
+
+
+@pytest.mark.parametrize("n", [3, 8, 32])
+@pytest.mark.parametrize("anti", [False, True])
+def test_type1_on_one_column_equals_the_vector_case(n, anti):
+    # the Gram block of the matrix solver is basis-free: P_x gram P_x, as the vector solver returns it
+    x, y, z, w = type1_vec_instance(np.random.default_rng(61 + n), n)
+    if anti:
+        y, w = -y, -w
+    vec = dsdm_type1_vec(x, y, z, w, anti=anti)
+    mat = dsdm_type1(Type1Problem(x, y, z, w), anti=anti)
+    assert vec.feasible and mat.feasible
+    assert mat.min_norm == pytest.approx(vec.min_norm, rel=1e-12)
+    for a, b in ((mat.minimizer, vec.minimizer), (mat.gram, vec.gram)):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n,m,definite", [(3, 1, True), (5, 2, True), (6, 3, False), (16, 4, True)])
+def test_type1_gram_is_a_psd_block_on_the_complement_of_range_x(n, m, definite):
+    q, _ = type1_instance(np.random.default_rng(67 + n), n, m, definite=definite)
+    sol = dsdm_type1(q)
+    gram, tol = sol.gram, DEFAULT_TOL.residual_tol
+    assert sol.feasible and gram.shape == (n, n)
+    scale = np.linalg.norm(gram)
+    assert np.linalg.norm(gram - gram.conj().T) <= tol * scale
+    assert np.linalg.eigvalsh((gram + gram.conj().T) / 2)[0] >= -tol * scale
+    assert np.linalg.norm(q.X.conj().T @ gram) <= tol * scale * np.linalg.norm(q.X)
+    assert np.linalg.norm(gram @ q.X) <= tol * scale * np.linalg.norm(q.X)
+
+
+def test_type1_takes_only_thin_decompositions(monkeypatch):
+    n, m = 64, 3
+    q, member = type1_instance(np.random.default_rng(71), n, m)
+    seen = watch_linalg(monkeypatch)
+    sol = dsdm_type1(q)
+    assert sol.feasible and sol.exact and sol.min_norm <= np.linalg.norm(member)
+    assert [c for c in seen if c[2]] == []  # no SVD with full matrices
+    assert [c for c in seen if min(c[1][-2:]) > m] == []  # nothing n x n
 
 
 def test_type1_vec_errors():

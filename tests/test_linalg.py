@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsmkit import (
+    DEFAULT_TOL,
     Definiteness,
     block_psd_check,
     herm_skew_parts,
     is_psd,
-    null_projector,
     pinv,
-    svd_split,
 )
 from dsmkit.errors import DimensionMismatchError, NonFiniteEntriesError, StructureError
 from helpers import crandn
@@ -59,21 +58,6 @@ def test_penrose_identities_random():
         assert np.linalg.norm(ad @ a @ ad - ad) <= 1e-10 * scale
         assert np.linalg.norm((a @ ad).conj().T - a @ ad) <= 1e-10
         assert np.linalg.norm((ad @ a).conj().T - ad @ a) <= 1e-10
-
-
-def test_null_projector_examples():
-    e1 = np.array([1.0, 0.0])
-    assert np.allclose(null_projector(e1), np.diag([0.0, 1.0]))
-    assert np.allclose(null_projector(np.zeros(2)), np.eye(2))
-
-
-def test_null_projector_identities():
-    rng = np.random.default_rng(7)
-    x = crandn(rng, 4)
-    p = null_projector(x)
-    assert np.linalg.norm(p @ p - p) <= 1e-12
-    assert np.linalg.norm(p - p.conj().T) <= 1e-12
-    assert np.linalg.norm(p @ x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_herm_skew_parts_examples():
@@ -133,52 +117,24 @@ def test_block_psd_matches_eigenvalue_test():
             assert rep.overall == full, (s, rep)
 
 
-def test_svd_split_examples():
-    e1 = np.array([1.0, 0.0])
-    sp = svd_split(e1)
-    assert sp.rank == 1
-    assert np.allclose(np.abs(sp.U1[:, 0]), [1, 0])
-    assert abs(abs(sp.U2[1, 0]) - 1) <= 1e-14
-    sp2 = svd_split(np.eye(2))
-    assert sp2.rank == 2 and sp2.U2.shape == (2, 0)
-    rng = np.random.default_rng(1)
-    a, b = crandn(rng, 5), crandn(rng, 3)
-    sp3 = svd_split(np.outer(a, b.conj()))
-    assert sp3.rank == 1
-
-
-def test_svd_split_invariants():
-    rng = np.random.default_rng(9)
-    x = crandn(rng, 5, 3)
-    sp = svd_split(x)
-    u = np.hstack([sp.U1, sp.U2])
-    assert np.linalg.norm(u.conj().T @ u - np.eye(5)) <= 1e-12
-    rebuilt = sp.U1 @ np.diag(sp.S1) @ sp.V1.conj().T
-    assert np.linalg.norm(rebuilt - x) <= 1e-12 * np.linalg.norm(x)
-    assert np.all(np.diff(sp.S1) <= 0) and np.all(sp.S1 > 0)
-    # downstream use of U2 only through U2 U2*, invariant under U2 -> U2 Q
-    q = np.linalg.qr(crandn(rng, 2, 2))[0]
-    u2q = sp.U2 @ q
-    assert np.linalg.norm(u2q @ u2q.conj().T - sp.U2 @ sp.U2.conj().T) <= 1e-12
-
-
 def test_shared_range_pinv_identity():
     # X, Z with a common left factor U1: U1*(YX+ +- (YX+)*)U1 == U1*(YX+ +- WZ+)U1
     rng = np.random.default_rng(11)
     for _ in range(50):
         n, m = 6, 3
         x = crandn(rng, n, m)
-        sp = svd_split(x)
-        d = np.diag(rng.uniform(0.5, 2.0, sp.rank))
-        q = np.linalg.qr(crandn(rng, m, sp.rank))[0]
-        z = sp.U1 @ d @ q.conj().T  # same left range as x
+        u, sv, _ = np.linalg.svd(x)
+        rank = int(np.sum(sv > DEFAULT_TOL.rank_tol * sv[0]))
+        u1 = u[:, :rank]
+        d = np.diag(rng.uniform(0.5, 2.0, rank))
+        q = np.linalg.qr(crandn(rng, m, rank))[0]
+        z = u1 @ d @ q.conj().T  # same left range as x
         y = crandn(rng, n, m)
         # choose W consistent with X*W = Y*Z
         w = np.linalg.lstsq(x.conj().T, y.conj().T @ z, rcond=None)[0]
         assert np.linalg.norm(x.conj().T @ w - y.conj().T @ z) <= 1e-8
         yxd = y @ pinv(x)
         wzd = w @ pinv(z)
-        u1 = sp.U1
         for sign in (+1, -1):
             lhs = u1.conj().T @ (yxd + sign * yxd.conj().T) @ u1
             rhs = u1.conj().T @ (yxd + sign * wzd) @ u1
@@ -250,10 +206,24 @@ def test_psd_range_rank_matches_svd_split(n, rank):
     r_rank = {"1": 1, "half": n // 2, "n-1": n - 1, "full": None}[rank]
     p = gen_pencil(n, 2, seed=n + 3, r_rank=r_rank)
     q = psd_range(p.R)
-    assert q.shape == (n, svd_split(p.R).rank)
+    sv = np.linalg.svd(p.R, compute_uv=False)
+    assert q.shape == (n, int(np.sum(sv > DEFAULT_TOL.rank_tol * sv[0])))
     assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12
     # q spans range(R): R has no part outside it
     assert np.linalg.norm(p.R - q @ (q.conj().T @ p.R)) <= 1e-12 * np.linalg.norm(p.R)
+
+
+@pytest.mark.parametrize("n,m,rank", [(6, 3, 1), (16, 8, 3), (64, 16, 5), (5, 5, 0)])
+def test_svd_range_rank_matches_matrix_rank(n, m, rank):
+    from dsmkit.linalg import svd_range
+
+    rng = np.random.default_rng(n + rank)
+    x = crandn(rng, n, rank) @ crandn(rng, rank, m)
+    q = svd_range(x)
+    assert q.shape == (n, np.linalg.matrix_rank(x))
+    assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12
+    assert np.linalg.norm(x - q @ (q.conj().T @ x)) <= 1e-12 * np.linalg.norm(x)
+    assert svd_range(crandn(rng, n, m) * 1e-150).shape == (n, min(n, m))  # the rank rule is relative
 
 
 def test_psd_range_of_zero_and_of_a_scaled_matrix():

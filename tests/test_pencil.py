@@ -24,7 +24,7 @@ from dsmkit.errors import (
     StructureError,
 )
 from dsmkit.pencil import ETA_S_COMBOS, ETA_SD_COMBOS, blocks_to_string
-from helpers import crandn
+from helpers import crandn, watch_linalg
 
 WORKED = PHPencil(J=[[1j]], R=[[1]], E=[[1]], B=[[1]], S=[[1]])
 EP = EigenPair(1j, [1], [1], [0])
@@ -464,30 +464,9 @@ def test_experiment_table_rejects_unsupported_selection():
         experiment_table(gen_pencil(4, 2, seed=3), [0.5j], 7, "JR", variant="s")
 
 
-def _watch_linalg(monkeypatch):
-    """Record (name, operand shape) of every np.linalg call but the norms.
-
-    Every LAPACK-backed entry point is watched; a norm is one pass over the
-    data, not a factorization.
-    """
-    seen = []
-
-    def watch(name, fn):
-        def wrapped(*args, **kwargs):
-            seen.extend((name, a.shape) for a in args if getattr(a, "ndim", 0) >= 2)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for name in np.linalg.__all__:
-        fn = getattr(np.linalg, name)
-        if callable(fn) and not isinstance(fn, type) and "norm" not in name:
-            monkeypatch.setattr(np.linalg, name, watch(name, fn))
-    return seen
-
-
 @pytest.mark.parametrize("variant", ["sd", "s"])
 def test_rb_table_takes_no_square_decomposition(variant, monkeypatch):
-    seen = _watch_linalg(monkeypatch)
+    seen = watch_linalg(monkeypatch)
     p = gen_pencil(24, 4, seed=8)
     lams = [0.45j, -1.2j, 0.9j, -0.35j, 1.7j, 0.6j]
     rows = experiment_table(p, lams, 5, "RB", variant=variant)
@@ -496,7 +475,7 @@ def test_rb_table_takes_no_square_decomposition(variant, monkeypatch):
     assert [c for c in seen if min(c[1][-2:]) > 6] == []
     assert [c for c in seen if c[0] == "svd" and min(c[1][-2:]) > 2] == []
     herm = [c for c in seen if c[0] in ("eigh", "eigvalsh")]
-    assert herm and all(shape == (2, 2) for _, shape in herm)  # min_eig_herm of X*Y
+    assert herm and all(shape == (2, 2) for _, shape, _ in herm)  # min_eig_herm of X*Y
 
 
 def _hermitian_form(p, lam):
@@ -540,9 +519,9 @@ def test_rb_generator_falls_back_to_one_eigh_on_lopsided_inertia(lam, monkeypatc
     e = (q * d) @ q.conj().T
     p = _pencil_with_e((e + e.conj().T) / 2)
     h = _hermitian_form(p, lam)
-    seen = _watch_linalg(monkeypatch)
+    seen = watch_linalg(monkeypatch)
     ep = gen_eigpair(p, 3, "RB", lam=lam)
-    assert [c for c in seen if c[0] == "eigh"] == [("eigh", (n, n))]
+    assert [c[:2] for c in seen if c[0] == "eigh"] == [("eigh", (n, n))]
     for u in (ep.u1, ep.u2):
         hu = h @ u
         assert abs(np.vdot(u, hu)) <= 1e-10 * np.linalg.norm(hu) * np.linalg.norm(u)
@@ -575,8 +554,8 @@ def test_eta_makes_no_projector_and_no_square_lapack_call(blocks, variant, monke
         raise AssertionError("null_projector called")
 
     monkeypatch.setattr(pencil_mod, "null_projector", refuse, raising=False)  # pencil no longer imports it
-    monkeypatch.setattr(linalg_mod, "null_projector", refuse)
-    seen = _watch_linalg(monkeypatch)
+    monkeypatch.setattr(linalg_mod, "null_projector", refuse, raising=False)
+    seen = watch_linalg(monkeypatch)
     res = (eta_sd if variant == "sd" else eta_s)(p, ep, blocks)
     assert res.finite
     assert [c for c in seen if min(c[1][-2:]) >= n] == []
@@ -670,7 +649,7 @@ def test_kernel_draw_does_not_depend_on_the_pencil_scale(blocks):
 @pytest.mark.parametrize("b_rank", [None, 1])
 def test_kernel_b_draw_is_the_projected_gaussian(blocks, b_rank):
     # the same g as the dense projector I - B B+ took, so the draw is unchanged up to rounding
-    from dsmkit import null_projector
+    from dense_reference import null_projector
 
     p = gen_pencil(10, 4, seed=3, b_rank=b_rank)
     ep = gen_eigpair(p, 5, blocks, lam=-0.4j)
@@ -694,10 +673,10 @@ def test_kernel_table_takes_no_square_decomposition(blocks, variant, monkeypatch
     assert not hasattr(pencil_mod, "null_projector") and not hasattr(pencil_mod, "svd_split")
     n, m, r = 64, 16, 32
     p = gen_pencil(n, m, seed=8, r_rank=r)
-    seen = _watch_linalg(monkeypatch)
+    seen = watch_linalg(monkeypatch)
     rows = experiment_table(p, [0.45j, -1.2j, 0.9j, -0.35j, 1.7j], 5, blocks, variant=variant)
     assert all(row["error"] == "" and row["finite"] for row in rows)
     assert [c for c in seen if c[0] in ("svd", "eigh", "eigvalsh") and c[1][-2:] == (n, n)] == []
     # one range basis per table: the thin SVD of B, or the QR of the n x r Cholesky factor
-    wide = [c for c in seen if min(c[1][-2:]) > 6]
+    wide = [c[:2] for c in seen if min(c[1][-2:]) > 6]
     assert wide == ([("qr", (n, r))] if blocks in KERNEL_R_SELECTIONS else [("svd", (n, m))])

@@ -18,7 +18,7 @@ from dsmkit.dsm import Type1Problem
 from dsmkit.linalg import as_complex
 from dsmkit.maps import _REFLECTED, LINEAR_FAMILIES, _reflect
 from dsmkit.maps import StructureFamily as F
-from dsmkit.oracle import _affine, _assemble, _barrier, _full_basis, _least_norm, _stacked, family_basis
+from dsmkit.oracle import _affine, _assemble, _barrier, _full_basis, _stacked, family_basis
 from dsmkit.pencil import PerturbationBlocks, mapping_data, parse_blocks
 
 
@@ -31,7 +31,7 @@ def least_norm(constraints, structure, shape, split=None):
     else:
         blk = split if split is not None else cols
         basis = _stacked((family_basis(structure, rows), 0, 1.0), (_full_basis(rows, cols - blk), blk, 1.0))
-    theta, _ = _least_norm(basis, constraints, shape)
+    theta, _, _ = _affine(basis, constraints, shape, DEFAULT_TOL)
     return _assemble(basis, theta, shape), float(np.linalg.norm(theta))
 
 
@@ -83,7 +83,7 @@ def eta(P, ep, blocks, variant, cfg=DEFAULT_TOL):
         first = bases["J"][2].shape[0] if "J" in bases else 0
         theta, lower = _barrier(theta0, null, (first, bases["R"]), cfg)
     else:
-        theta, _ = _least_norm(basis, constraints, shape)
+        theta, _, _ = _affine(basis, constraints, shape, cfg)
         lower = float(np.linalg.norm(theta))
     out = {name: np.zeros((n, m if name == "B" else n), dtype=complex) for name in "JREB"}
     ends = np.cumsum([b[2].shape[0] for b in bases.values()])[:-1]
