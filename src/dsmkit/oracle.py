@@ -46,10 +46,19 @@ Frobenius norm grows.  Hence the minimum is attained at Delta1 = Q A Q*,
 Delta2 = Q B S* for orthonormal bases Q of V and S of W: a problem in the
 coefficients of A and B, of order dim V <= 4 for one pair of mapping vectors
 (8 with conjugates, 4k for k columns), whatever n is.
+
+The cone problems then shrink once more, to the row space of the map from
+the free coefficients to the cone block.  The equalities leave theta =
+theta0 + N phi, N orthonormal and orthogonal to theta0, and the block is
+C(phi) = C0 + M(phi) with M linear; the minimum over phi is attained in
+(ker M)^perp.  *Proof.*  Split phi = phi1 + phi2 with phi2 in ker M: then
+C(phi) = C(phi1) and ||theta||^2 = ||theta0||^2 + ||phi1||^2 + ||phi2||^2,
+so phi2 = 0 keeps the point feasible and lowers its norm.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -101,10 +110,18 @@ def _elements(first, second, coefs):
     return r, k, c
 
 
+def _read_only(basis):
+    """The arrays of a sparse basis, made read-only so that a cached basis cannot be changed."""
+    for a in basis:
+        a.flags.writeable = False
+    return basis
+
+
+@functools.lru_cache(maxsize=64)
 def _full_basis(rows: int, cols: int):
-    """E_jk and i E_jk for every entry of C^{rows x cols}, row by row, in sparse form."""
+    """E_jk and i E_jk for every entry of C^{rows x cols}, row by row, in sparse form (cached, read-only)."""
     pos = np.divmod(np.arange(rows * cols), cols)
-    return _elements(pos, pos, [(1.0, 0.0), (1j, 0.0)])
+    return _read_only(_elements(pos, pos, [(1.0, 0.0), (1j, 0.0)]))
 
 
 def family_basis(family: StructureFamily, n: int):
@@ -118,9 +135,14 @@ def family_basis(family: StructureFamily, n: int):
     vector equals the Frobenius norm of the matrix it represents.  Order:
     every entry row by row (unstructured), or the diagonal, then the pairs
     (j, k), j < k, row by row; the real element of a position comes before
-    the imaginary one.
+    the imaginary one.  The arrays are read-only: one basis per (family, n)
+    is cached and shared by every caller.
     """
-    family = StructureFamily(family)
+    return _family_basis(StructureFamily(family), n)
+
+
+@functools.lru_cache(maxsize=64)
+def _family_basis(family: StructureFamily, n: int):
     if family is StructureFamily.UNSTRUCTURED:
         return _full_basis(n, n)
     s = 1.0 / math.sqrt(2.0)
@@ -136,7 +158,7 @@ def family_basis(family: StructureFamily, n: int):
     else:
         raise ValueError(f"{family.value} is not a linear class")
     r, k, c = (np.concatenate(a) for a in zip(*parts))
-    return r, k, 1j * c if family is StructureFamily.SKEW_HERMITIAN else c
+    return _read_only((r, k, 1j * c if family is StructureFamily.SKEW_HERMITIAN else c))
 
 
 def _stacked(*parts):
@@ -311,8 +333,11 @@ def oracle_least_norm(
 #: ||theta||^2: the true minimum then lies within ``GAP_FACTOR * residual_tol``
 #: (relative) below the norm it returns
 GAP_FACTOR = 100.0
-_T_GROWTH = 50.0  # factor of the barrier weight t once a point is centred
-_CENTRED = 0.1  # squared Newton decrement below which a point counts as centred
+# t's growth and the centring test, from a measured table (CHANGES.md): (200, 1.0) takes 11
+# Newton steps per path against 18 at (50, 0.1); larger pairs take fewer but fail some
+# solves, (500, 1.0) one in 16 800 certify operations and (200, 2.0) about 2 %
+_T_GROWTH = 200.0  # factor of the barrier weight t once a point is centred
+_CENTRED = 1.0  # squared Newton decrement below which a point counts as centred
 _NEWTON_STEPS = 300  # Newton steps allowed to one barrier solve
 _SMALLEST_STEP = 1e-12  # a line search that must go below this step has stalled
 _PHASE_ONE_RADIUS = 1e6  # phase I searches phi within this multiple of ||theta0|| + ||C(0)||
@@ -362,7 +387,7 @@ def _central_path(c0, flat, x, t, done, radius=None):
     row-major M to L^-1 M L^-*, so the rows w_j = L^-1 M_j L^-* are
     ``flat @ kron.T``; the gradient of -logdet C at x is gb_j = -tr w_j and
     its Hessian hb = Re(w w*).  Before each step
-    ``done(x, t, dx, kron, dw, eigs, gb, hb)`` is asked, with the Newton
+    ``done(x, t, dx, kron, w, dw, eigs)`` is asked, with the Newton
     direction dx, dw = L^-1 M(dx) L^-* (row-major) and its eigenvalues eigs,
     ascending; the path returns x when it answers True and raises
     ``CertificationError`` after ``_NEWTON_STEPS`` steps.
@@ -402,7 +427,7 @@ def _central_path(c0, flat, x, t, done, radius=None):
         dx = np.linalg.solve(hess, -grad)
         dw = dx @ w  # C(x + s dx) = L (I + s D) L^*, D = L^-1 M(dx) L^-*
         eigs = np.linalg.eigvalsh(dw.reshape(k, k))
-        if done(x, t, dx, kron, dw, eigs, gb, hb):
+        if done(x, t, dx, kron, w, dw, eigs):
             return x
         decrement = float(-grad @ dx)
         if decrement <= _CENTRED:
@@ -425,8 +450,15 @@ def _barrier(theta0, null, cone, cfg: ToleranceConfig):
     span a square block in ``basis``, and its Hermitian part
     C(phi) = C0 + sum_j phi_j M_j must be positive semidefinite.  If C0 is
     semidefinite, theta0 (the least-norm point of the whole affine set) is
-    the answer.  Otherwise the problem, scaled to ||theta0|| = 1, is solved
-    by ``_central_path`` in two phases:
+    the answer.  Otherwise phi is restricted to the row space of the cone
+    map phi -> M(phi) = sum_j phi_j M_j: with V an orthonormal basis of
+    (ker M)^perp (a thin SVD of the real view of the M_j), phi = V psi.
+    This is exact: theta0 is orthogonal to N, so ||theta||^2 = ||theta0||^2
+    + ||phi||^2, and a part of phi in ker M leaves C(phi) unchanged and only
+    adds to the norm.  Every direction left moves C, so the Newton systems
+    have barrier curvature in all of them.  The problem in psi (called phi
+    again below), scaled to ||theta0|| = 1, is solved by ``_central_path``
+    in two phases:
 
     * phase I minimizes s over (phi, s) with C(phi) + s I positive definite,
       from phi = 0 and s = -2 lambda_min(C0), until s < 0; the point is then
@@ -446,8 +478,10 @@ def _barrier(theta0, null, cone, cfg: ToleranceConfig):
     ||theta||^2 and returns the feasible theta with the square root of the
     bound, a lower bound on the least ||theta|| (||theta0|| when theta0 is
     the answer).  No strictly feasible phi (phase I's s stays >= 0 while its
-    gap k / t falls below ``residual_tol`` of ||C0||), or no certified gap
-    within ``_NEWTON_STEPS`` steps, raises ``CertificationError``.
+    gap k / t falls below ``residual_tol`` of ||C0||), no certified gap
+    within ``_NEWTON_STEPS`` steps, or a singular matrix in any step (the
+    Newton solve, the pull-back's Cholesky factor) raises
+    ``CertificationError``.
     """
     first, basis = cone
     k = int(basis[0].max()) + 1
@@ -460,6 +494,19 @@ def _barrier(theta0, null, cone, cfg: ToleranceConfig):
         return theta0, unit
     c0, eig0, scale = c0 / unit, eig0 / unit, fro(c0) / unit
     flat = null[rows].T @ parts
+    try:
+        v = svd_range(np.concatenate([flat.real, flat.imag], axis=1), cfg)
+        flat, null = v.T @ flat, null @ v
+        phi = _phase_one(c0, flat, eig0, scale, cfg)
+        bound, phi = _phase_two(c0, flat, phi, cfg)
+    except np.linalg.LinAlgError as err:
+        raise CertificationError(f"barrier step failed: {err}") from err
+    return theta0 + unit * (null @ phi), unit * math.sqrt(bound)
+
+
+def _phase_one(c0, flat, eig0: float, scale: float, cfg: ToleranceConfig) -> np.ndarray:
+    """A phi with C(phi) positive definite, pulled back towards the origin (``_barrier``)."""
+    k = c0.shape[0]
 
     def feasible(x, t, *_):
         if x[-1] < 0.0:
@@ -476,23 +523,28 @@ def _barrier(theta0, null, cone, cfg: ToleranceConfig):
     li = np.linalg.inv(np.linalg.cholesky(c0 + (phi @ flat).reshape(k, k)))
     mu = float(np.linalg.eigvalsh(li @ c0 @ li.conj().T)[0])
     lam = min(1.0, 2.0 * mu / (mu - 1.0))
-    if _cholesky(c0 + lam * (phi @ flat).reshape(k, k)) is not None:
-        phi = lam * phi
+    return lam * phi if _cholesky(c0 + lam * (phi @ flat).reshape(k, k)) is not None else phi
+
+
+def _phase_two(c0, flat, phi, cfg: ToleranceConfig):
+    """Phase II from a strictly feasible phi: a certified lower bound on min ||theta||^2 and the
+    feasible phi within the gap of it (``_barrier``)."""
+    k = c0.shape[0]
     bound, ident = 1.0, np.eye(k).ravel()
 
-    def certified(x, t, dx, kron, dw, eigs, gb, hb):
+    def certified(x, t, dx, kron, w, dw, eigs):
         nonlocal bound
-        shifted = ident - dw  # t L^* Z L, so that M*(Z) = 2 (x + dx)
-        m = -gb - hb @ dx  # t M*(Z)
-        if eigs[-1] > 1.0:  # I - D is not semidefinite
-            shifted, m = ident, -gb
+        shifted = ident if eigs[-1] > 1.0 else ident - dw  # t L^* Z L, I when I - D is not semidefinite
+        # t <Z, M_j> = <t L^* Z L, w_j>, from w: the equal -gb - hb dx cancels terms of
+        # size cond(C)^2 near the boundary
+        m = (w @ shifted.conj()).real  # t M*(Z)
         a = float(np.vdot(shifted, kron @ c0.ravel()).real)  # t <Z, C0>
         upper = 1.0 + float(x @ x)
         bound = 1.0 + (a * a / float(m @ m) if a < 0.0 else 0.0)
         return upper - bound <= GAP_FACTOR * cfg.residual_tol * upper
 
     phi = _central_path(c0, flat, phi, k / (1.0 + float(phi @ phi)), certified)
-    return theta0 + unit * (null @ phi), unit * math.sqrt(bound)
+    return bound, phi
 
 
 def oracle_min_structured(problem, family: StructureFamily, cfg: ToleranceConfig = DEFAULT_TOL):
