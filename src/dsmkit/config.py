@@ -17,7 +17,9 @@ class ToleranceConfig:
 
     rank_tol      singular values below ``rank_tol * sigma_max`` count as zero
                   (ranks, pseudoinverses, the eigenspaces of isotropic draws),
-                  and so does a Cholesky pivot of a psd a up to ``rank_tol * ||a||``
+                  and so do a Cholesky pivot of a psd a up to ``rank_tol * ||a||``
+                  and an eigenvalue of the type-1 core G*U1 + U1*G up to
+                  ``rank_tol * 2||G||``
     psd_tol       semidefiniteness: no eigenvalue of the Hermitian part below
                   ``-psd_tol * scale`` (``linalg._semidefinite``), definiteness:
                   every eigenvalue above ``psd_tol * scale``

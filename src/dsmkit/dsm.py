@@ -17,7 +17,7 @@ The vector solvers build each block once from factors of at most three
 columns (H1 is map_min's Delta1 on (z, +-w1) or their conjugates; H2 is
 (y - H1 x1) x2+ + (z+)* (P_x2 w2)*), so they cost O(n(n + m)), the size of
 the output.  Only ``dsdm_type1`` takes SVDs: thin ones of its n x m matrix
-data, for O(n^2 m) in all.
+data, for O(n m^2) plus its two n x n outputs.
 
 The negated families go through the one reflection rule of ``maps``
 (``_reflect``): nsd is psd, and ``anti=True`` is the dissipative problem,
@@ -39,7 +39,7 @@ from .errors import (
     NotColinearError,
     StructureError,
 )
-from .linalg import _colinear_coeff, _semidefinite, as_complex, fro, pinv, svd_range
+from .linalg import _colinear_coeff, _range_factors, _semidefinite, as_complex, fro, pinv
 from .maps import _REFLECTED, StructureFamily, _in_family, _incompatible, _min_factors, _outer_sum, _project
 from .maps import _reflect, _require, _require_structure, _sandwich, _shifted_psd
 
@@ -382,9 +382,12 @@ def dsdm_type1(
     minimizer is ``YX+ + (WZ+)* - (WZ+)* XX+ + P_Z U2 J U2* P_X``, with
     ``J = 1/2 A (U1* M U1)^+ A*``, ``M = YX+ + (YX+)*`` and
     ``A = U2*(YX+ + WZ+)U1``.  U2 enters only through U2 U2* = I - XX+, so
-    ``gram`` is the n x n U2 J U2*, Hermitian psd and free of the choice of
-    U2, as ``dsdm_type1_vec`` returns it; it is formed from the thin bases of
-    range(X) and range(Z) (``linalg.svd_range``), in O(n^2 m).
+    ``gram`` is the n x n U2 J U2*, Hermitian psd and free of the choice of U2.
+    Everything is formed from thin factors YX+ = G U1* and WZ+ = K Uz*
+    (``linalg._range_factors``); the core U1* M U1 has rank by its
+    eigenvalues above ``rank_tol * 2||G||``, the scale of the G it is formed
+    from.  The cost is O(n m^2) plus the two n x n outputs, ``minimizer``
+    (one product of an n x k and a k x n factor, k <= 3m) and ``gram``.
     ``anti=True`` asks for Delta + Delta* <= 0 through ``maps._reflect``.
     """
     if anti:
@@ -392,38 +395,40 @@ def dsdm_type1(
             StructureFamily.ANTI_DISSIPATIVE, lambda _, **yw: dsdm_type1(replace(q, **yw), cfg), Y=q.Y, W=q.W
         )
 
-    u1 = svd_range(q.X, cfg)
-    uz = svd_range(q.Z, cfg)
-    xd = pinv(q.X, cfg)
-    zd = pinv(q.Z, cfg)
-    yxd = q.Y @ xd
-    wzd = q.W @ zd
-    xxd = q.X @ xd
+    u1, v1, g = _range_factors(q.X, q.Y, cfg)
+    uz, vz, kz = _range_factors(q.Z, q.W, cfg)
+    u1h, uzh = u1.conj().T, uz.conj().T
+    uz_u1 = uzh @ u1
+    ng, nk = fro(g), fro(kz)
 
     warnings: list[str] = []
     conditions: dict = {}
     conditions["equal_ranks"] = u1.shape[1] == uz.shape[1]
-    range_gap = fro(xxd - q.Z @ zd)
-    conditions["aligned_ranges"] = range_gap <= cfg.residual_tol * fro(xxd)
-    c = u1.conj().T @ (yxd @ u1)
-    core = c + c.conj().T  # U1* M U1
-    tu1 = (yxd + wzd) @ u1
-    a = tu1 - u1 @ (u1.conj().T @ tu1)  # U2 U2* T U1
-    core_pinv = pinv(core, cfg)
-    ker_proj = np.eye(u1.shape[1], dtype=complex) - core_pinv @ core
+    # ||XX+ - ZZ+||^2 = ||(I - XX+) Uz||^2 + ||(I - ZZ+) U1||^2, with ||XX+|| = sqrt(rank X)
+    range_gap = math.hypot(fro(uz - u1 @ uz_u1.conj().T), fro(u1 - uz @ uz_u1))
+    conditions["aligned_ranges"] = range_gap <= cfg.residual_tol * math.sqrt(u1.shape[1])
+    c = u1h @ g
+    ev, vecs = np.linalg.eigh(c + c.conj().T)  # the core U1* M U1
+    kept = np.abs(ev) > cfg.rank_tol * 2.0 * ng
+    tu1 = g + kz @ uz_u1  # (YX+ + WZ+) U1
+    a = tu1 - u1 @ (u1h @ tu1)  # U2 U2* T U1
     # a may cancel to rounding, so its scale is that of the two terms it sums
-    conditions["kernel_condition"] = fro(a @ ker_proj) <= cfg.residual_tol * (fro(yxd) + fro(wzd))
+    conditions["kernel_condition"] = fro(a @ vecs[:, ~kept]) <= cfg.residual_tol * (ng + nk)
     hypothesis_ok = all(conditions[k] for k in ("equal_ranks", "aligned_ranges", "kernel_condition"))
     if not hypothesis_ok:
         bad = [k for k in conditions if not conditions[k]]
         warnings.append(f"hypothesis violated ({', '.join(bad)}); result not certified")
 
+    # the m x m products of the pairs (X, Y) and (Z, W), each scaled to norm 1, cannot overflow
+    nx, ny, nz, nw = fro(q.X), fro(q.Y), fro(q.Z), fro(q.W)
+    sx, sz = max(nx, ny) or 1.0, max(nz, nw) or 1.0
+    xh, yh, z, w = q.X.conj().T / sx, q.Y.conj().T / sx, q.Z / sz, q.W / sz
+    xy = xh @ yh.conj().T
     checks = {
-        "YXdX": fro(yxd @ q.X - q.Y) <= cfg.residual_tol * fro(q.Y),
-        "WZdZ": fro(wzd @ q.Z - q.W) <= cfg.residual_tol * fro(q.W),
-        "XW_eq_YZ": fro(q.X.conj().T @ q.W - q.Y.conj().T @ q.Z)
-        <= cfg.residual_tol * max(fro(q.X) * fro(q.W), fro(q.Y) * fro(q.Z)),
-        "XY_plus_YX_psd": _semidefinite(q.X.conj().T @ q.Y + q.Y.conj().T @ q.X, fro(q.X) * fro(q.Y), cfg),
+        "YXdX": fro(q.Y - (q.Y @ v1) @ v1.conj().T) <= cfg.residual_tol * ny,
+        "WZdZ": fro(q.W - (q.W @ vz) @ vz.conj().T) <= cfg.residual_tol * nw,
+        "XW_eq_YZ": fro(xh @ w - yh @ z) <= cfg.residual_tol * max((nx / sx) * (nw / sz), (ny / sx) * (nz / sz)),
+        "XY_plus_YX_psd": _semidefinite(xy + xy.conj().T, (nx / sx) * (ny / sx), cfg),
     }
     conditions.update(checks)
     if not all(checks.values()):
@@ -436,10 +441,14 @@ def dsdm_type1(
             warnings=warnings,
         )
 
-    gram = 0.5 * a @ core_pinv @ a.conj().T
-    wzd_u1 = wzd.conj().T @ u1
-    mini = yxd + wzd.conj().T - wzd_u1 @ u1.conj().T + gram - uz @ (uz.conj().T @ gram)
-    norm_identity = fro(yxd) ** 2 + fro(wzd) ** 2 - fro(wzd_u1) ** 2 + fro(gram) ** 2
+    b = a @ vecs[:, kept]
+    bh = b.conj().T
+    bd = b / (2.0 * ev[kept])  # gram = 1/2 A core+ A* = bd b*
+    gram = bd @ bh
+    k_u1 = kz.conj().T @ u1  # (WZ+)* U1 = Uz k_u1
+    # YX+ + (WZ+)* (I - XX+) + (I - ZZ+) gram = [G | Uz | bd] [U1*; K* - k_u1 U1* - Uz* bd b*; b*]
+    mini = np.hstack([g, uz, bd]) @ np.vstack([u1h, kz.conj().T - k_u1 @ u1h - (uzh @ bd) @ bh, bh])
+    norm_identity = ng**2 + nk**2 - fro(k_u1) ** 2 + fro(gram) ** 2
     return Type1Solution(
         True,
         minimizer=mini,
@@ -462,67 +471,31 @@ def dsdm_type1_vec(
     *,
     anti: bool = False,
 ) -> Type1Solution:
-    """Vector special case of the square dissipative mapping, z colinear with x.
+    """``dsdm_type1`` on the one-column data (x, y, z, w), with z colinear with x.
 
-    Requires z = alpha x (alpha recovered as x*z / ||x||^2, rejected via
-    ``NotColinearError`` otherwise) and Re(x*y) bounded away from zero.
-    Feasible iff x*w = y*z and Re(x*y) > 0.  The Gram vector uses the
-    factor conj(alpha)/|alpha|^2 (= 1/alpha), which reproduces the matrix
-    solver exactly; ``min_norm`` is always ||H||_F, computed from the
-    assembled minimizer (the closed scalar expression is kept only as a
-    diagnostic, see ``diagnostics['scalar_display_sq']``).  ``anti=True``
-    asks for Delta + Delta* <= 0 through ``maps._reflect``.
+    The input contract of the vector case: every input nonzero and Re(x*y)
+    bounded away from zero (``DegenerateInputError`` otherwise), and
+    z = alpha x (``NotColinearError`` otherwise).  The result is
+    ``dsdm_type1``'s, with ``conditions['colinear']`` and
+    ``diagnostics['alpha']`` added; on one column X*Y + Y*X = 2 Re(x*y), so
+    the solver is feasible iff x*w = y*z and Re(x*y) > 0.  ``anti=True``
+    asks for Delta + Delta* <= 0.
     """
-    x = as_complex(x, "x").reshape(-1)
-    y = as_complex(y, "y").reshape(-1)
-    z = as_complex(z, "z").reshape(-1)
-    w = as_complex(w, "w").reshape(-1)
-    if anti:
-        return _reflect(
-            StructureFamily.ANTI_DISSIPATIVE, lambda _, y, w: dsdm_type1_vec(x, y, z, w, cfg), y=y, w=w
-        )
+    q = Type1Problem(*(as_complex(v, name).reshape(-1) for v, name in ((x, "x"), (y, "y"), (z, "z"), (w, "w"))))
+    x, y, z, w = (a[:, 0] for a in (q.X, q.Y, q.Z, q.W))
     for name, v in (("x", x), ("y", y), ("w", w), ("z", z)):
         if fro(v) == 0.0:
             raise DegenerateInputError(f"{name} must be nonzero")
-
-    alpha, colinear = _colinear_coeff(x, z, cfg)  # z is nonzero, so colinear implies alpha != 0
+    alpha, colinear = _colinear_coeff(x, z, cfg)
     if not colinear:
         raise NotColinearError(f"z is not colinear with x (residual {fro(z - alpha * x):.3e})")
-
-    s = np.vdot(x, y)
-    if abs(s.real) <= cfg.residual_tol * fro(x) * fro(y):
+    if abs(np.vdot(x, y).real) <= cfg.residual_tol * fro(x) * fro(y):
         raise DegenerateInputError("Re(x*y) vanishes; the vector-case formulas are undefined")
 
-    conditions = {"colinear": True, "re_xy_positive": s.real > 0}
-    conditions["XW_eq_YZ"] = not _incompatible(x, y, z, w, cfg)
-    if not (conditions["re_xy_positive"] and conditions["XW_eq_YZ"]):
-        bad = [k for k, v in conditions.items() if not v]
-        return Type1Solution(False, reason=f"infeasible: {', '.join(bad)}", conditions=conditions)
-
-    # gram = v v* / (4 Re(x*y)); the minimizer y x+ + (w z+)* P_x + P_x gram P_x is
-    # y x+ + (z+)* (P_x w)* + (P_x v)(P_x v)* / (4 Re(x*y))
-    v = y + (alpha.conjugate() / abs(alpha) ** 2) * w
-    pv = _project(x, v)
-    pv_scaled = pv / (4.0 * s.real)
-    mini = _outer_sum(
-        [y, pinv(z, cfg).ravel().conj(), pv_scaled],
-        [pinv(x, cfg).ravel(), _project(x, w).conj(), pv.conj()],
-    )
-    scalar_display = (
-        (fro(y) / fro(x)) ** 2
-        - (fro(w) / fro(z)) ** 2
-        - (abs(np.vdot(w, x)) / (fro(x) * fro(z))) ** 2
-        + (fro(v) ** 2 / (4.0 * s.real)) ** 2  # ||gram||_F^2
-    )
-    return Type1Solution(
-        True,
-        minimizer=mini,
-        min_norm=fro(mini),
-        gram=np.outer(pv_scaled, pv.conj()),
-        exact=True,
-        conditions=conditions,
-        diagnostics={"alpha": alpha, "scalar_display_sq": scalar_display},
-    )
+    sol = dsdm_type1(q, cfg, anti=anti)
+    sol.conditions = {"colinear": True, **sol.conditions}
+    sol.diagnostics["alpha"] = alpha
+    return sol
 
 
 def _type2_pieces(p: DsmProblem, sign: float, cfg: ToleranceConfig):

@@ -7,7 +7,8 @@ The Moore-Penrose pseudoinverse of a column vector x is the row
 without an SVD); the mapping solvers keep vector data factored (see
 ``maps``).  A range is spanned by a thin orthonormal basis, not an n x n
 projector: ``svd_range`` for an n x m matrix in O(n m^2), ``psd_range``
-for a psd matrix of rank r in O(n r^2) (pivoted Cholesky, thin QR).
+for a psd matrix of rank r in O(n r^2) (pivoted Cholesky, thin QR), and
+``_range_factors`` for a map y x+ with the basis of range(x).
 """
 
 from __future__ import annotations
@@ -199,6 +200,18 @@ def svd_range(x, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """
     u, s, _ = np.linalg.svd(x, full_matrices=False)
     return u[:, s > cfg.rank_tol * s.max(initial=0.0)]
+
+
+def _range_factors(x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
+    """(U, V, G) with x = U S V* truncated by ``svd_range``'s rule and G = y V S^-1, in O(n m^2).
+
+    Then pinv(x) = V S^-1 U*, so y pinv(x) = G U* and x pinv(x) = U U*: the
+    map y x+ and the projector onto range(x) in thin factors.
+    """
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    keep = s > cfg.rank_tol * s.max(initial=0.0)
+    v = vh[keep].conj().T
+    return u[:, keep], v, (y @ v) / s[keep]
 
 
 def psd_range(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

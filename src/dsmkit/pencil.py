@@ -48,7 +48,7 @@ from .errors import (
     StructureError,
 )
 from .linalg import _colinear_coeff, _semidefinite, as_complex, fro, herm_skew_parts, min_eig_herm
-from .linalg import pinv, psd_range, svd_range
+from .linalg import _range_factors, pinv, psd_range, svd_range
 from .maps import StructureFamily, _in_family
 
 __all__ = [
@@ -345,18 +345,6 @@ def _factored_norms(F: np.ndarray, C: np.ndarray) -> tuple[float, float, float]:
     K = R @ C @ R.conj().T
     hh = (K + K.conj().T) / 2.0
     return fro(K), fro(hh), fro(K - hh)
-
-
-def _range_factors(X: np.ndarray, Y: np.ndarray, cfg: ToleranceConfig):
-    """(U, V, G) with X = U S V* truncated at ``rank_tol`` and G = Y V S^-1.
-
-    Then pinv(X) = V S^-1 U*, so Y pinv(X) = G U* and X pinv(X) = U U*.
-    X has two columns, so this costs O(n).
-    """
-    W, sig, Vh = np.linalg.svd(X, full_matrices=False)
-    keep = sig > cfg.rank_tol * sig[0]
-    V = Vh[keep].conj().T
-    return W[:, keep], V, (Y @ V) / sig[keep]
 
 
 def _anti_dissipative_h1(v: _Products, ty, w1, cfg, report: dict, warnings: list):

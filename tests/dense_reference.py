@@ -7,12 +7,13 @@ tests, exactness conditions and diagnostics are those of the solvers, so a
 solver and its reference must agree on every verdict, flag and message and on
 every block to rounding.  Test code only; the O(n^3) products make it slow.
 
-Two scalars are evaluated as the solvers now do, because the earlier forms
-fail at the data scales the comparison runs: the psd exactness floor takes
+One scalar is evaluated as the solvers now do, because the earlier form
+fails at the data scales the comparison runs: the psd exactness floor takes
 ||a|| ||x1|| with no unit floor (fro of the diagnostic matrix a x1* overflows
 at data x 1e100 and turned the floor into inf, and a floor of 1 passed every
-point as exact at data x 1e-100), and the type-1
-``scalar_display_sq`` divides before squaring (it was 0/0 at data x 1e-100).
+point as exact at data x 1e-100).  ``dsdm_type1_vec`` keeps the vector-case
+formula, which ``dsmkit`` now evaluates as ``dsdm_type1`` on one column; its
+conditions and reason are the formula's own, not the solver's.
 Every zero test takes the scale of ``ToleranceConfig``'s rule, with no unit
 floor and no underflow guard, as the solvers do.
 
@@ -263,21 +264,16 @@ def dsdm_type1_vec(x, y, z, w, anti=False):
     conditions["XW_eq_YZ"] = abs(gap) <= TOL * max(fro(x) * fro(w), fro(y) * fro(z))
     if not (conditions["re_xy_positive"] and conditions["XW_eq_YZ"]):
         bad = [k for k, v in conditions.items() if not v]
-        return Type1Solution(False, reason=f"infeasible: {', '.join(bad)}", conditions=conditions)
+        return Type1Solution(
+            False, reason=f"infeasible: {', '.join(bad)}", conditions=conditions, diagnostics={"alpha": alpha}
+        )
     px = null_projector(x)
     v = y + (alpha.conjugate() / abs(alpha) ** 2) * w
     gram = np.outer(v, v.conj()) / (4.0 * s.real)
     wzd = np.outer(w, pinv(z))
     mini = np.outer(y, pinv(x)) + wzd.conj().T @ px + px @ gram @ px
-    scalar_display = (
-        (fro(y) / fro(x)) ** 2
-        - (fro(w) / fro(z)) ** 2
-        - (abs(np.vdot(w, x)) / (fro(x) * fro(z))) ** 2
-        + fro(gram) ** 2
-    )
     return Type1Solution(
-        True, mini, fro(mini), px @ gram @ px, True, conditions=conditions,
-        diagnostics={"alpha": alpha, "scalar_display_sq": scalar_display},
+        True, mini, fro(mini), px @ gram @ px, True, conditions=conditions, diagnostics={"alpha": alpha}
     )
 
 

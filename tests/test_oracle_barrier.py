@@ -5,13 +5,15 @@ lambda = 1e-3i and 1e3i the free coefficients of the semidefinite backward
 error include directions that do not move dR; the barrier runs on the row
 space of its cone map, so those directions carry no Newton system.  Every
 solve here is checked against the closed-form bracket of ``eta_sd``, to
-the certified gap.
+the certified gap.  The symmetry-only selections of ``eta_s`` are exact
+over the same lambda range: the oracle's one least-norm solve matches
+``eta_upper`` to the certified gap.
 """
 
 import numpy as np
 import pytest
 
-from dsmkit import eta_sd, gen_eigpair, gen_pencil, oracle_eta
+from dsmkit import eta_s, eta_sd, gen_eigpair, gen_pencil, oracle_eta
 from dsmkit import oracle
 from dsmkit.config import DEFAULT_TOL
 from dsmkit.errors import CertificationError, GenerationError
@@ -20,7 +22,20 @@ from dsmkit.oracle import GAP_FACTOR
 GAP = GAP_FACTOR * DEFAULT_TOL.residual_tol
 
 SD_SELECTIONS = ("RE", "REB", "JRE", "JREB", "JR", "JRB", "RB")
+S_SELECTIONS = ("JB", "EB", "JEB")  # and RB, on the draws of the sd RB loop
 LAMBDAS = (1e-3j, 0.5j, 2j, 1e3j)
+
+
+def _draws(blocks, lam):
+    """The admissible eigenpairs drawn for ``blocks`` at ``lam``, 60 tries over n, the rank of B and seeds."""
+    for n in (3, 4, 8):
+        for b_rank in (None, 1):
+            for seed in range(10):
+                P = gen_pencil(n, 2, seed, r_rank=n // 2, b_rank=b_rank)
+                try:
+                    yield P, gen_eigpair(P, seed, blocks, lam=lam)
+                except GenerationError:  # no admissible eigenvector for this selection and lambda
+                    continue
 
 
 def _assert_certified(P, ep, blocks):
@@ -31,6 +46,13 @@ def _assert_certified(P, ep, blocks):
     assert res.lower <= closed.eta_upper * (1.0 + GAP)
     dr = res.perturbation.dR
     assert np.linalg.eigvalsh(dr)[0] >= -DEFAULT_TOL.psd_tol * np.linalg.norm(dr)
+
+
+def _assert_exact_s(P, ep, blocks):
+    closed = eta_s(P, ep, blocks)
+    res = oracle_eta(P, ep, blocks, "s")
+    assert closed.exact
+    assert abs(res.value - closed.eta_upper) <= GAP * closed.eta_upper
 
 
 @pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (8, 3), (8, 6), (8, 20), (8, 26)])
@@ -46,17 +68,22 @@ def test_sd_oracle_certifies_re_at_small_lambda(n, seed):
 @pytest.mark.parametrize("blocks", SD_SELECTIONS)
 def test_sd_oracle_brackets_over_the_lambda_range(blocks, lam):
     solves = 0
-    for n in (3, 4, 8):
-        for b_rank in (None, 1):
-            for seed in range(10):
-                P = gen_pencil(n, 2, seed, r_rank=n // 2, b_rank=b_rank)
-                try:
-                    ep = gen_eigpair(P, seed, blocks, lam=lam)
-                except GenerationError:  # no admissible eigenvector for this selection and lambda
-                    continue
-                _assert_certified(P, ep, blocks)
-                solves += 1
+    for P, ep in _draws(blocks, lam):
+        _assert_certified(P, ep, blocks)
+        if blocks == "RB":  # RB draws are slow at 1e3i, so eta_s(RB) is checked on these
+            _assert_exact_s(P, ep, blocks)
+        solves += 1
     assert solves  # RB at 1e3i admits 4 of its 60 draws
+
+
+@pytest.mark.parametrize("lam", LAMBDAS, ids=lambda lam: f"{lam.imag:g}i")
+@pytest.mark.parametrize("blocks", S_SELECTIONS)
+def test_s_oracle_matches_the_closed_form_over_the_lambda_range(blocks, lam):
+    solves = 0
+    for P, ep in _draws(blocks, lam):
+        _assert_exact_s(P, ep, blocks)
+        solves += 1
+    assert solves == 60  # a kernel-constrained u1 exists for every draw
 
 
 @pytest.mark.parametrize("name", ["solve", "inv"])

@@ -10,8 +10,9 @@ that makes this hold; the source scan at the end keeps unit floors,
 underflow guards and literal thresholds out of the package.
 
 The scales stop at 1e+-75: beyond about 1e+-100 the Frobenius norms of
-products such as X* W overflow or underflow, and ``dsdm_type1`` flips at 1e100.
-Normalising each data pair before the products would lift that limit.
+products such as X* W overflow or underflow.  ``dsdm_type1`` forms its
+products from the data pairs (X, Y) and (Z, W) scaled to norm 1, so its
+verdicts hold to 1e+-140.
 """
 
 import ast
@@ -233,6 +234,15 @@ def test_verdict_does_not_depend_on_the_scale_of_the_data(name):
     call = CASES[name]
     base = verdict(lambda: call(1.0, 1.0))
     for s in SCALES:
+        assert verdict(lambda: call(s, 1.0)) == base, f"s * data, s = {s:g}"
+        assert verdict(lambda: call(1.0, s)) == base, f"(x, s y, z, s w), s = {s:g}"
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("dsdm_type1")))
+def test_type1_verdict_holds_past_1e100(name):
+    call = CASES[name]
+    base = verdict(lambda: call(1.0, 1.0))
+    for s in (1e-140, 1e-100, 1e100, 1e140):
         assert verdict(lambda: call(s, 1.0)) == base, f"s * data, s = {s:g}"
         assert verdict(lambda: call(1.0, s)) == base, f"(x, s y, z, s w), s = {s:g}"
 
