@@ -382,7 +382,8 @@ def dsdm_type1(
     minimizer is ``YX+ + (WZ+)* - (WZ+)* XX+ + P_Z U2 J U2* P_X``, with
     ``J = 1/2 A (U1* M U1)^+ A*``, ``M = YX+ + (YX+)*`` and
     ``A = U2*(YX+ + WZ+)U1``.  U2 enters only through U2 U2* = I - XX+, so
-    ``gram`` is the n x n U2 J U2*, Hermitian psd and free of the choice of U2.
+    ``gram`` is the n x n U2 J U2*, Hermitian psd, free of the choice of U2
+    and exactly 0 when rank X = n.
     Everything is formed from thin factors YX+ = G U1* and WZ+ = K Uz*
     (``linalg._range_factors``); the core U1* M U1 has rank by its
     eigenvalues above ``rank_tol * 2||G||``, the scale of the G it is formed
@@ -411,7 +412,7 @@ def dsdm_type1(
     ev, vecs = np.linalg.eigh(c + c.conj().T)  # the core U1* M U1
     kept = np.abs(ev) > cfg.rank_tol * 2.0 * ng
     tu1 = g + kz @ uz_u1  # (YX+ + WZ+) U1
-    a = tu1 - u1 @ (u1h @ tu1)  # U2 U2* T U1
+    a = tu1 - u1 @ (u1h @ tu1) if u1.shape[1] < len(u1) else np.zeros_like(tu1)  # U2 U2* T U1; U2 may be empty
     # a may cancel to rounding, so its scale is that of the two terms it sums
     conditions["kernel_condition"] = fro(a @ vecs[:, ~kept]) <= cfg.residual_tol * (ng + nk)
     hypothesis_ok = all(conditions[k] for k in ("equal_ranks", "aligned_ranges", "kernel_condition"))

@@ -124,9 +124,9 @@ def _reflect(family: StructureFamily, solve, **data):
         out.family = family
     if not out.feasible:
         out.reason = _reflected_reason(out.reason)
-    for name in ("minimizer", "gram", "H1", "H2"):
+    for name in ("minimizer", "gram", "H1", "H2"):  # the base solver's own fresh arrays: negated in place
         if getattr(out, name, None) is not None:
-            setattr(out, name, -getattr(out, name))
+            np.negative(getattr(out, name), out=getattr(out, name))
     return out
 
 

@@ -18,6 +18,13 @@ symmetry structures (dJ skew-Hermitian, dR and dE Hermitian), variant
 "sd" additionally keeps dR positive semidefinite.  Combinations without
 an R perturbation make the variants coincide and "sd" delegates to "s".
 
+Every selection solves a square block H1 and a column block H2 = dB.  One
+rule splits H1: its Hermitian part Hh is -dR, and its skew part Hs (all
+of H1 without R) is dJ + lam dE at least cost, dJ = Hs/d and
+dE = conj(lam) Hs/d with d = [J] + [E] |lam|^2 (``_split``).
+``eta_upper`` = sqrt([R] ||Hh||^2 + ||Hs||^2/d + [B] ||H2||^2) is the norm
+of that perturbation, which ``reconstruct_perturbation`` builds and checks.
+
 Evaluation keeps the rank structure.  All mapping data are vectors, so
 the square block is H1 = F C F* with F of at most six columns (the
 rank-one factors of the formula; projectors act as vector updates
@@ -385,24 +392,25 @@ def _anti_dissipative_h1(v: _Products, ty, w1, cfg, report: dict, warnings: list
     return np.column_stack(left + right), C
 
 
+def _split(blocks: frozenset[str], lam: complex) -> tuple[float, complex, float]:
+    """(cJ, cE, d = [J] + [E] |lam|^2): dJ = cJ Hs, dE = cE Hs is dJ + lam dE = Hs at least cost ||Hs||^2/d."""
+    j, e = float("J" in blocks), float("E" in blocks)
+    d = j + e * abs(lam) ** 2
+    return (j / d, e * lam.conjugate() / d, d) if d else (0.0, 0j, 0.0)
+
+
 def _bounds(blocks: frozenset[str], variant: str, lam: complex, h1n, hhn, hsn, h2n) -> tuple[float, float]:
-    """Lower/upper bounds per selection from the norms of the square and column blocks."""
-    al2 = abs(lam) ** 2
-    if variant == "s" or blocks in _EXACT_SD:
-        weight = {frozenset("EB"): 1.0 / al2, frozenset("JEB"): 1.0 / (1.0 + al2)}.get(blocks, 1.0)
-        val = math.sqrt(h1n**2 * weight + h2n**2)
-        return val, val
-    if blocks == frozenset("RE"):
-        return h1n / max(1.0, abs(lam)), math.sqrt(hhn**2 + hsn**2 / al2)
-    if blocks == frozenset("JRE"):
-        return h1n / math.sqrt(1.0 + al2), math.sqrt(hhn**2 + hsn**2 / (1.0 + al2))
-    if blocks == frozenset("REB"):
-        lo = math.sqrt(h1n**2 / max(1.0, al2) + h2n**2)
-        return lo, math.sqrt(hhn**2 + hsn**2 / al2 + h2n**2)
-    if blocks == frozenset("JREB"):
-        lo = math.sqrt(h1n**2 / (1.0 + al2) + h2n**2)
-        return lo, math.sqrt(h1n**2 + h2n**2)
-    raise ValueError(f"no bound rule for {blocks_to_string(blocks)}")  # pragma: no cover
+    """Lower/upper bounds from the norms of H1, its parts and H2: one rule for every selection.
+
+    upper^2 = [R] ||Hh||^2 + ||Hs||^2/d + ||H2||^2 (all of H1 is Hs without R; d = 0 weighs Hs
+    by 1) and, for "sd", lower^2 = ||H1||^2 / max(1, d) + ||H2||^2; "s" is exact.
+    """
+    hh2, hs2 = (hhn**2, hsn**2) if "R" in blocks else (0.0, h1n**2)
+    d = _split(blocks, lam)[2]
+    up = math.sqrt(hh2 + hs2 / (d or 1.0) + h2n**2)
+    if variant == "s":
+        return up, up
+    return math.sqrt((hh2 + hs2) / max(1.0, d) + h2n**2), up
 
 
 def _solve(blocks: frozenset[str], variant: str, lam: complex, v: _Products, cfg: ToleranceConfig):
@@ -530,6 +538,8 @@ def eta_sd(
       JR, RE, JRE      u3 = 0 and B* u1 = 0
       RB               u3 = 0, u1*(J + lam E) u1 = 0, R u1 != 0
 
+    ``eta_upper`` is the norm of the perturbation of the module's one split
+    rule, and ``eta_lower`` = sqrt(||H1||^2 / max(1, d) + [B] ||H2||^2).
     Exact selections (lower = upper): JR, JRB, RB.  The others return a
     bracket.  Infinite cases come back with ``finite=False`` and +inf
     sentinels rather than raising, so sweeps never abort.
@@ -780,10 +790,11 @@ def experiment_table(
     ``_solve``).  The rows equal ``eta_sd``/``eta_s`` on the same eigenpair
     bit for bit.  Row-level failures (lambda = 0, infinite eta, generation
     failure or any other ``DsmkitError``) are recorded in the row, never
-    raised; an unsupported selection raises ``ValueError`` before the sweep.
+    raised; an unsupported selection or variant raises ``ValueError`` first.
     """
     blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
-    variant = variant if variant == "sd" else "s"
+    if variant not in ("s", "sd"):
+        raise ValueError(f"variant must be 's' or 'sd', got {variant!r}")
     formulas = _formula_variant(blocks, variant)
     norms = _block_norms(P)
     rows: list[dict] = []
@@ -821,12 +832,10 @@ def reconstruct_perturbation(
 ) -> PerturbationBlocks:
     """Split the solved square block into per-block perturbations and verify.
 
-    dR = -(herm part of H1); the skew part splits between dJ and lam dE
-    with weights minimizing ||dJ||^2 + ||dE||^2 (dJ gets 1/(1+|lam|^2),
-    dE gets conj(lam)/(1+|lam|^2)) when both are selected, and is forced
-    entirely onto the single selected one otherwise.  dB = H2 when B is
-    selected.  The result must annihilate (L - dL)(lam) u and reproduce
-    the claimed upper bound on exact selections; failures raise
+    dR = -(herm part Hh of H1) when R is selected (otherwise H1 must be
+    skew-Hermitian, all of it Hs), dJ + lam dE = Hs with the weights of
+    ``_split`` and dB = H2 when B is selected.  The result must annihilate
+    (L - dL)(lam) u and have the norm ``eta_upper``; failures raise
     ``ReconstructionError``.
     """
     blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
@@ -836,26 +845,15 @@ def reconstruct_perturbation(
     lam = ep.lam
     h1 = solution.H1
     hh, hs = herm_skew_parts(h1)
-    zero = np.zeros((n, n), dtype=complex)
-    dJ, dR, dE = zero, zero.copy(), zero.copy()
-    if "R" in blocks:
-        dR = -hh
-        skew = hs
-    else:
-        skew = h1  # square block is already skew-Hermitian (or lam * Hermitian)
+    if "R" not in blocks:
         if fro(hh) > cfg.residual_tol * fro(h1):
             raise ReconstructionError("square block has a Hermitian part but R is not selected")
-    have_j, have_e = "J" in blocks, "E" in blocks
-    if have_j and have_e:
-        wt = 1.0 / (1.0 + abs(lam) ** 2)
-        dJ = wt * skew
-        dE = lam.conjugate() * wt * skew
-    elif have_j:
-        dJ = skew
-    elif have_e:
-        dE = skew / lam
-    elif fro(skew) > cfg.residual_tol * fro(h1):
+        hh, hs = np.zeros((n, n), dtype=complex), h1
+    dR = -hh
+    cJ, cE, d = _split(blocks, lam)
+    if not d and fro(hs) > cfg.residual_tol * fro(h1):
         raise ReconstructionError("square block has a skew part but neither J nor E is selected")
+    dJ, dE = cJ * hs, cE * hs
     dB = solution.H2 if "B" in blocks else np.zeros((n, m), dtype=complex)
 
     out = PerturbationBlocks(dJ=dJ, dR=dR, dE=dE, dB=dB)
@@ -880,10 +878,6 @@ def reconstruct_perturbation(
         raise ReconstructionError(
             f"(L - dL)(lambda) u residual too large: {fro(resid):.3e} (scale {scale:.3e})"
         )
-    if solution.exact and solution.eta_upper > 0:
-        gap = abs(out.norm() - solution.eta_upper) / solution.eta_upper
-        if gap > cfg.residual_tol:
-            raise ReconstructionError(
-                f"reconstructed norm {out.norm():.12e} != eta_upper {solution.eta_upper:.12e}"
-            )
+    if abs(out.norm() - solution.eta_upper) > cfg.residual_tol * solution.eta_upper:
+        raise ReconstructionError(f"reconstructed norm {out.norm():.12e} != eta_upper {solution.eta_upper:.12e}")
     return out

@@ -93,7 +93,9 @@ def test_criterion_1_worked_examples():
     res = eta_sd(pencil, ep, "JREB")
     assert res.finite
     assert abs(res.eta_lower - np.sqrt(3.5)) <= tol
-    assert abs(res.eta_upper - np.sqrt(6)) <= tol
+    assert abs(res.eta_upper - 2.0) <= tol  # dR = 1, dJ = i, dE = 1, dB = 1
+    orc = oracle_eta(pencil, ep, "JREB", "sd")
+    assert abs(orc.value - 2.0) <= tol and orc.lower <= orc.value
 
     pencil0 = PHPencil(J=[[1j]], R=[[1]], E=[[1]], B=[[0]], S=[[1]])
     res = eta_sd(pencil0, ep, "JR")
@@ -260,8 +262,6 @@ def test_criterion_5_backward_error_sandwich():
         ("JRB", "sd"), ("REB", "sd"), ("JREB", "sd"),
         ("JB", "s"), ("RB", "s"), ("EB", "s"), ("JEB", "s"),
     ]
-    exact_combos = {("JR", "sd"), ("JRB", "sd"), ("RB", "sd"),
-                    ("JB", "s"), ("RB", "s"), ("EB", "s"), ("JEB", "s")}
     for blocks, variant in combos:
         compute = eta_sd if variant == "sd" else eta_s
         for i in range(50):
@@ -281,10 +281,7 @@ def test_criterion_5_backward_error_sandwich():
             resid = ((m_mat - dm) + ep.lam * (n_mat - dn)) @ ep.u
             scale = (np.linalg.norm(m_mat) + abs(ep.lam) * np.linalg.norm(n_mat)) * np.linalg.norm(ep.u)
             assert np.linalg.norm(resid) <= 1e-10 * scale
-            if (blocks, variant) in exact_combos:
-                assert pb.norm() == pytest.approx(res.eta_upper, rel=1e-10)
-            else:
-                assert res.eta_lower - 1e-10 <= pb.norm() <= res.eta_upper + 1e-10
+            assert pb.norm() == pytest.approx(res.eta_upper, rel=1e-10)  # every selection: one split rule
 
 
 @_report(6, "preliminary-lemma suite (block PSD, shared-range, trace sign, monotonicity)")

@@ -324,6 +324,23 @@ def test_type1_gram_is_a_psd_block_on_the_complement_of_range_x(n, m, definite):
     assert np.linalg.norm(gram @ q.X) <= tol * scale * np.linalg.norm(q.X)
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 3), (3, 5)])
+@pytest.mark.parametrize("anti", [False, True])
+def test_type1_gram_is_zero_when_x_has_full_row_rank(n, m, anti):
+    # range(X) is all of C^n, so U2 is empty: the Gram block is 0 exactly, not rounding
+    q, member = type1_instance(np.random.default_rng(73 + n + m), n, m)
+    sign = -1.0 if anti else 1.0
+    q = Type1Problem(q.X, sign * q.Y, q.Z, sign * q.W)
+    sol = dsdm_type1(q, anti=anti)
+    assert sol.feasible and sol.exact
+    assert sol.gram.shape == (n, n) and np.all(sol.gram == 0)
+    # Delta X = Y with X of full row rank has one solution
+    assert np.linalg.norm(sol.minimizer - sign * member) <= 1e-10 * np.linalg.norm(member)
+    if m == 1:
+        vec = dsdm_type1_vec(q.X[:, 0], q.Y[:, 0], q.Z[:, 0], q.W[:, 0], anti=anti)
+        assert vec.feasible and np.all(vec.gram == 0)
+
+
 def test_type1_takes_only_thin_decompositions(monkeypatch):
     n, m = 64, 3
     q, member = type1_instance(np.random.default_rng(71), n, m)

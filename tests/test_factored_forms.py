@@ -316,7 +316,10 @@ def test_type2_characterize_matches_dense_reference():
 
 
 def _large_calls():
-    """The five large solver calls, at n = 1024 and m = 8, with the arrays each one keeps."""
+    """The six large solver calls, at n = 1024 and m = 8, with the arrays each one keeps.
+
+    ``map_min nsd`` goes through ``maps._reflect``, which negates the base solver's result in place.
+    """
     n, m = 1024, 8
     rng = np.random.default_rng(409)
     psd = dsm_instance(F.PSD, rng, n, m)
@@ -324,6 +327,7 @@ def _large_calls():
     sym = dsm_instance(F.SYMMETRIC, rng, n, m)
     t2 = type2_instance(rng, n, m)
     xyzw = two_sided_instance(rng, n, n)
+    nsd = map_instance(F.NSD, rng, n)
     return {
         "dsm_solve psd": (
             lambda: dsm_solve(F.PSD, psd),
@@ -333,6 +337,7 @@ def _large_calls():
         "dsm_solve symmetric": (lambda: dsm_solve(F.SYMMETRIC, sym), lambda s: [s.H1, s.H2]),
         "dsdm_type2": (lambda: dsdm_type2(t2), lambda s: [s.H1, s.H2]),
         "map_two_sided": (lambda: map_two_sided(*xyzw), lambda s: [s.minimizer]),
+        "map_min nsd": (lambda: map_min(F.NSD, *nsd), lambda s: [s.minimizer]),
     }
 
 

@@ -7,13 +7,14 @@ space of its cone map, so those directions carry no Newton system.  Every
 solve here is checked against the closed-form bracket of ``eta_sd``, to
 the certified gap.  The symmetry-only selections of ``eta_s`` are exact
 over the same lambda range: the oracle's one least-norm solve matches
-``eta_upper`` to the certified gap.
+``eta_upper`` to the certified gap.  Every closed form is also rebuilt by
+``reconstruct_perturbation``, whose perturbation has the norm ``eta_upper``.
 """
 
 import numpy as np
 import pytest
 
-from dsmkit import eta_s, eta_sd, gen_eigpair, gen_pencil, oracle_eta
+from dsmkit import eta_s, eta_sd, gen_eigpair, gen_pencil, oracle_eta, reconstruct_perturbation
 from dsmkit import oracle
 from dsmkit.config import DEFAULT_TOL
 from dsmkit.errors import CertificationError, GenerationError
@@ -38,6 +39,11 @@ def _draws(blocks, lam):
                     continue
 
 
+def _assert_rebuilt(P, ep, blocks, closed):
+    norm = reconstruct_perturbation(P, ep, blocks, closed).norm()
+    assert abs(norm - closed.eta_upper) <= DEFAULT_TOL.residual_tol * closed.eta_upper
+
+
 def _assert_certified(P, ep, blocks):
     res = oracle_eta(P, ep, blocks, "sd")
     closed = eta_sd(P, ep, blocks)
@@ -46,6 +52,7 @@ def _assert_certified(P, ep, blocks):
     assert res.lower <= closed.eta_upper * (1.0 + GAP)
     dr = res.perturbation.dR
     assert np.linalg.eigvalsh(dr)[0] >= -DEFAULT_TOL.psd_tol * np.linalg.norm(dr)
+    _assert_rebuilt(P, ep, blocks, closed)
 
 
 def _assert_exact_s(P, ep, blocks):
@@ -53,6 +60,7 @@ def _assert_exact_s(P, ep, blocks):
     res = oracle_eta(P, ep, blocks, "s")
     assert closed.exact
     assert abs(res.value - closed.eta_upper) <= GAP * closed.eta_upper
+    _assert_rebuilt(P, ep, blocks, closed)
 
 
 @pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (8, 3), (8, 6), (8, 20), (8, 26)])

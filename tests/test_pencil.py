@@ -69,7 +69,8 @@ def test_eta_sd_jreb_worked_example():
     res = eta_sd(WORKED, EP, "JREB")
     assert res.finite
     assert res.eta_lower == pytest.approx(np.sqrt(3.5), abs=1e-12)
-    assert res.eta_upper == pytest.approx(np.sqrt(6), abs=1e-12)
+    # H1 = -1 + 2i: dR = 1, and the skew part 2i is dJ + i dE at dJ = i, dE = 1
+    assert res.eta_upper == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(res.H1, [[-1 + 2j]]) and np.allclose(res.H2, [[1]])
 
 
@@ -208,30 +209,22 @@ def test_reconstruction_worked_example():
     dm, dn = pb.delta_mn(1, 1)
     resid = ((m_mat - dm) + 1j * (n_mat - dn)) @ EP.u
     assert np.linalg.norm(resid) <= 1e-12
-    assert res.eta_lower - 1e-12 <= pb.norm() <= res.eta_upper + 1e-12
+    assert pb.norm() == pytest.approx(res.eta_upper, abs=1e-12)
 
 
-def test_reconstruction_exact_combos_hit_upper():
-    for blocks, variant in [("JR", "sd"), ("JRB", "sd"), ("RB", "sd"),
-                            ("JB", "s"), ("RB", "s"), ("EB", "s"), ("JEB", "s")]:
-        p = pencil_for(blocks, seed=11)
-        ep = gen_eigpair(p, 31, blocks)
-        res = (eta_sd if variant == "sd" else eta_s)(p, ep, blocks)
-        pb = reconstruct_perturbation(p, ep, blocks, res)
-        assert pb.norm() == pytest.approx(res.eta_upper, rel=1e-10)
-        if "B" not in blocks:
-            assert np.all(pb.dB == 0)
-        if "J" not in blocks:
-            assert np.all(pb.dJ == 0)
-
-
-def test_reconstruction_bracket_combos_land_inside():
-    for blocks in ("RE", "JRE", "REB", "JREB"):
-        p = pencil_for(blocks, seed=13)
-        ep = gen_eigpair(p, 33, blocks)
-        res = eta_sd(p, ep, blocks)
-        pb = reconstruct_perturbation(p, ep, blocks, res)
-        assert res.eta_lower - 1e-10 <= pb.norm() <= res.eta_upper + 1e-10
+def test_reconstruction_hits_upper_on_every_selection():
+    for blocks, variant in [("JR", "sd"), ("JRB", "sd"), ("RB", "sd"), ("RE", "sd"), ("JRE", "sd"),
+                            ("REB", "sd"), ("JREB", "sd"), ("JB", "s"), ("RB", "s"), ("EB", "s"), ("JEB", "s")]:
+        for seed, ep_seed in ((11, 31), (13, 33)):
+            p = pencil_for(blocks, seed=seed)
+            ep = gen_eigpair(p, ep_seed, blocks)
+            res = (eta_sd if variant == "sd" else eta_s)(p, ep, blocks)
+            pb = reconstruct_perturbation(p, ep, blocks, res)
+            assert res.eta_lower <= pb.norm() * (1 + 1e-12)
+            assert pb.norm() == pytest.approx(res.eta_upper, rel=1e-10)
+            for name in "JREB":
+                if name not in blocks:
+                    assert np.all(getattr(pb, "d" + name) == 0)
 
 
 def test_experiment_table_shapes():
@@ -244,6 +237,15 @@ def test_experiment_table_shapes():
     assert experiment_table(p, [], 7, "JREB") == []
     rows = experiment_table(p, [0.0], 7, "JREB")
     assert not rows[0]["finite"] and rows[0]["error"]
+
+
+def test_experiment_table_rejects_an_unknown_variant():
+    p = gen_pencil(6, 2, 3, r_rank=3)
+    for variant in ("SD", "S", "", "psd"):
+        with pytest.raises(ValueError, match="variant"):
+            experiment_table(p, [0.5j], 7, "RB", variant=variant)
+    rows = {v: experiment_table(p, [0.5j], 7, "RB", variant=v)[0] for v in ("s", "sd")}
+    assert rows["s"]["eta_upper"] != rows["sd"]["eta_upper"]
 
 
 def test_experiment_table_fixed_u_across_lambdas():
@@ -330,21 +332,25 @@ def _dense_reference(p, ep, blocks, variant, tol=1e-10, rank_tol=1e-12):
             v = ty + alpha / abs(alpha) ** 2 * w1
             h1 = h1 + pu2 @ np.outer(v, v.conj()) @ pu2 / (4 * rexy)
         exact = blocks in (parse_blocks("JR"), parse_blocks("JRB")) and colinear and report["R_u2_nonzero"]
+    # the upper bound is the norm of the perturbation, formed densely: dR = -herm(H1), and the skew
+    # part (all of H1 without R) is dJ + lam dE at the least ||dJ||^2 + ||dE||^2
     al2 = abs(lam) ** 2
-    hh = (h1 + h1.conj().T) / 2
-    h1n, hhn, hsn, h2n = fro(h1), fro(hh), fro(h1 - hh), fro(h2)
+    hh = (h1 + h1.conj().T) / 2 if "R" in blocks else np.zeros_like(h1)
+    hs = h1 - hh
+    if "J" in blocks and "E" in blocks:
+        dj, de = hs / (1 + al2), np.conj(lam) * hs / (1 + al2)
+    elif "E" in blocks:
+        dj, de = np.zeros_like(hs), hs / lam
+    else:  # J alone, or RB, whose H1 is Hermitian: its rounding-level skew part is counted as it is
+        dj, de = hs, np.zeros_like(hs)
+    up = np.sqrt(sum(fro(blk) ** 2 for blk in (hh, dj, de, h2)))
     name = blocks_to_string(blocks)
     if variant == "s" or name in ("JR", "JRB", "RB"):
-        w = {"EB": 1 / al2, "JEB": 1 / (1 + al2)}.get(name, 1.0)
-        lo = up = np.sqrt(h1n**2 * w + h2n**2)
-    elif name == "RE":
-        lo, up = h1n / max(1.0, abs(lam)), np.sqrt(hhn**2 + hsn**2 / al2)
-    elif name == "JRE":
-        lo, up = h1n / np.sqrt(1 + al2), np.sqrt(hhn**2 + hsn**2 / (1 + al2))
-    elif name == "REB":
-        lo, up = np.sqrt(h1n**2 / max(1.0, al2) + h2n**2), np.sqrt(hhn**2 + hsn**2 / al2 + h2n**2)
-    else:  # JREB
-        lo, up = np.sqrt(h1n**2 / (1 + al2) + h2n**2), np.sqrt(h1n**2 + h2n**2)
+        lo = up
+    elif name in ("RE", "REB"):
+        lo = np.sqrt(fro(h1) ** 2 / max(1.0, al2) + fro(h2) ** 2)
+    else:  # JRE, JREB
+        lo = np.sqrt(fro(h1) ** 2 / (1 + al2) + fro(h2) ** 2)
     return True, lo, up, h1, h2, report, exact
 
 
