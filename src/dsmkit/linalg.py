@@ -199,7 +199,12 @@ def svd_range(x, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     rule), so the zero matrix has the empty n x 0 basis; a real x has a real basis.
     """
     u, s, _ = np.linalg.svd(x, full_matrices=False)
-    return u[:, s > cfg.rank_tol * s.max(initial=0.0)]
+    return u[:, _kept(s, cfg)]
+
+
+def _kept(s: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """Which singular values count, along the last axis: those above ``rank_tol`` times the largest."""
+    return s > cfg.rank_tol * s.max(-1, initial=0.0, keepdims=True)
 
 
 def _range_factors(x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
@@ -209,7 +214,7 @@ def _range_factors(x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_
     map y x+ and the projector onto range(x) in thin factors.
     """
     u, s, vh = np.linalg.svd(x, full_matrices=False)
-    keep = s > cfg.rank_tol * s.max(initial=0.0)
+    keep = _kept(s, cfg)
     v = vh[keep].conj().T
     return u[:, keep], v, (y @ v) / s[keep]
 

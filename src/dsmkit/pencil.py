@@ -30,11 +30,13 @@ the square block is H1 = F C F* with F of at most six columns (the
 rank-one factors of the formula; projectors act as vector updates
 P_x v = v - x (x+ v)) and the column block is H2 = u1 (u1+ B).  Their
 norms come from a thin QR of F and a core of at most 6 x 6, without
-forming any n x n matrix.  The blocks are applied to an eigenvector
-once (J u1, R u1, E u1, J u2, R u2, E u2, B* u1); after that one lambda
-costs O(n), which is how ``experiment_table`` sweeps a fixed
-eigenvector.  ``eta_sd``/``eta_s`` go through the same core and then
-form the dense H1 and H2 in O(n^2).
+forming any n x n matrix.  One core, ``_solve``, takes a stack of rows
+(lambda, eigenvector): the blocks are applied to each eigenvector once
+(J u1, R u1, E u1, J u2, R u2, E u2, B* u1), then a few stacked numpy
+calls serve the whole stack.  A row has the same bits in any stack
+(last-axis sums and stacked LAPACK, no 2-D matrix-vector product), so
+``experiment_table``, in stacks of a fixed memory budget, equals
+``eta_sd``/``eta_s``, a stack of one that then forms H1 and H2 in O(n^2).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .errors import (
     StructureError,
 )
 from .linalg import _colinear_coeff, _semidefinite, as_complex, fro, herm_skew_parts, min_eig_herm
-from .linalg import _range_factors, pinv, psd_range, svd_range
+from .linalg import _kept, psd_range, svd_range
 from .maps import StructureFamily, _in_family
 
 __all__ = [
@@ -273,7 +275,7 @@ def mapping_data(P: PHPencil, ep: EigenPair):
 
 @dataclass
 class _Products:
-    """The pencil's blocks applied to one eigenvector: all that eta needs of u.
+    """The pencil's blocks applied to one eigenvector, or to a ``_stack`` of them: all that eta needs of u.
 
     u is scaled by a power of two to a norm in [0.5, 1).  That is exact in
     floating point and changes no result, because H1 and H2 are homogeneous
@@ -314,47 +316,61 @@ def _products(P: PHPencil, ep: EigenPair, cfg: ToleranceConfig, norms=None) -> _
     unorm = math.hypot(fro(ep.u1), fro(ep.u2), fro(ep.u3))
     s = 2.0 ** -math.frexp(unorm)[1]
     u1, u2 = s * ep.u1, s * ep.u2
-    nJ, nR, nE, nB = norms or _block_norms(P)
     alpha, colinear = _colinear_coeff(u1, u2, cfg)
-    return _Products(
-        u1=u1,
-        u2=u2,
-        Ju1=P.J @ u1,
-        Ru1=P.R @ u1,
-        Eu1=P.E @ u1,
-        Ju2=P.J @ u2,
-        Ru2=P.R @ u2,
-        Eu2=P.E @ u2,
-        Bu1=P.B.conj().T @ u1,
-        u3_zero=fro(ep.u3) <= cfg.residual_tol * unorm,
-        alpha=alpha,
-        colinear=colinear and alpha != 0,
-        nJ=nJ,
-        nR=nR,
-        nE=nE,
-        nB=nB,
-    )
+    return _Products(u1, u2, P.J @ u1, P.R @ u1, P.E @ u1, P.J @ u2, P.R @ u2, P.E @ u2, P.B.conj().T @ u1,
+                     fro(ep.u3) <= cfg.residual_tol * unorm, alpha, colinear and alpha != 0, *(norms or _block_norms(P)))
 
 
-def _pinv_col(x: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """The column (x+)* = x / ||x||^2 (zero for x = 0)."""
-    return pinv(x, cfg)[0].conj()
+def _stack(vs: list[_Products]) -> _Products:
+    """The products of several eigenvectors as one: every field gains a leading axis, a row per eigenvector."""
+    return _Products(*(np.array(col) for col in zip(*(vars(v).values() for v in vs))))
 
 
-def _factored_norms(F: np.ndarray, C: np.ndarray) -> tuple[float, float, float]:
-    """||K||, ||herm K||, ||skew K|| (Frobenius) of K = F C F*.
+def _ct(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of every matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _norm(a: np.ndarray, axes: int = 1) -> np.ndarray:
+    """Frobenius norms over the last ``axes`` axes, one per row of a stack: ``fro`` of each row.
+
+    Each row is one 1 x N by N x 1 product of a stack, so it has the bits it has alone;
+    the 2-D product (B, n) @ (n,) would change its last bits with B."""
+    x = np.ascontiguousarray(a).reshape(a.shape[: a.ndim - axes] + (1, -1)).view(np.float64)
+    return np.sqrt((x @ x.swapaxes(-1, -2))[..., 0, 0])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i* b_i for every row i of two stacks of vectors, as stacked products (see ``_norm``)."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _per_row(c, rows: int) -> list:
+    """``c`` (one value, or one per eigenvector or row of a stack) as a list of one entry per row."""
+    c = np.ravel(c).tolist()
+    return c * rows if len(c) == 1 else c
+
+
+def _pinv_cols(x: np.ndarray, nx: np.ndarray) -> np.ndarray:
+    """The columns (x+)* = x / ||x||^2 of a stack of vectors of norms ``nx`` (zero for x = 0), without squaring."""
+    nx = np.where(nx > 0, nx, 1.0)[:, None]
+    return x / nx / nx
+
+
+def _factored_norms(F: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """||K||, ||herm K||, ||skew K|| (Frobenius) of K = F C F*, for every row of a stack.
 
     With a thin QR F = QR, Q has orthonormal columns, so K and both its
     parts have the norms of R C R* and its parts: a core of at most 6 x 6.
     Unlike a difference of Gram traces this keeps a small part accurate.
     """
     R = np.linalg.qr(F, mode="r")
-    K = R @ C @ R.conj().T
-    hh = (K + K.conj().T) / 2.0
-    return fro(K), fro(hh), fro(K - hh)
+    K = R @ C @ _ct(R)
+    hh = (K + _ct(K)) / 2.0
+    return tuple(_norm(np.stack([K, hh, K - hh], axis=1), 2).T)
 
 
-def _anti_dissipative_h1(v: _Products, ty, w1, cfg, report: dict, warnings: list):
+def _anti_dissipative_h1(v: _Products, n1, ty, w1, cfg, report: dict, warnings: list):
     """Factors (F, C), H1 = F C F*, of the square-block minimizer for the semidefinite variant.
 
     H1 = ty u2+ + (u1+)* (P_u2 w1)* + P_u2 g (P_u2 g)* / (4 Re(u2* ty)) with
@@ -363,136 +379,143 @@ def _anti_dissipative_h1(v: _Products, ty, w1, cfg, report: dict, warnings: list
     most three left and three right rank-one factors and C = [[0, I], [0, 0]].
     The Gram term needs R u2 != 0 (otherwise the denominator vanishes); in
     that boundary case it is dropped, which keeps interpolation and
-    dissipativity but no longer certifies minimality.
+    dissipativity but no longer certifies minimality.  The rows share one
+    eigenvector; a row with Re(u2* ty) >= 0 gets zero Gram columns.
     """
-    u2 = v.u2
-    n2 = fro(u2)
-    report["R_u2_nonzero"] = fro(v.Ru2) > cfg.residual_tol * v.nR * n2
-    if abs(abs(v.alpha) - 1.0) > cfg.residual_tol and report["u2_colinear_u1"]:  # |alpha| against 1
-        warnings.append(
-            "colinearity factor is not unit-modulus; the Gram-vector weighting "
-            "is only certified for |alpha| = 1"
-        )
-    u2h = u2 / n2 if n2 > 0 else u2
+    u2, n2 = v.u2, _norm(v.u2)
+    report["R_u2_nonzero"] = _norm(v.Ru2) > cfg.residual_tol * v.nR * n2
+    if ((abs(abs(v.alpha) - 1.0) > cfg.residual_tol) & report["u2_colinear_u1"]).any():  # |alpha| against 1
+        warnings.append("colinearity factor is not unit-modulus; the Gram-vector weighting "
+                        "is only certified for |alpha| = 1")
+    u2h = u2 / np.where(n2 > 0, n2, 1.0)[:, None]
 
     def proj(w):
-        return w - u2h * np.vdot(u2h, w)
+        return w - u2h * _dot(u2h, w)[:, None]
 
-    left, right = [ty, _pinv_col(v.u1, cfg)], [_pinv_col(u2, cfg), proj(w1)]
-    rexy = np.vdot(u2, ty).real
-    if report["R_u2_nonzero"] and report["u2_colinear_u1"] and rexy < 0:
-        g = proj(ty + (v.alpha / abs(v.alpha) ** 2) * w1)
+    left, right = [ty, _pinv_cols(v.u1, n1)], [_pinv_cols(u2, n2), proj(w1)]
+    rexy = _dot(u2, ty).real[:, None]
+    if (report["R_u2_nonzero"] & report["u2_colinear_u1"]).all():
+        g = proj(ty + (v.alpha / abs(v.alpha) ** 2)[:, None] * w1) * (rexy < 0)
         left.append(g)
-        right.append(g / (4.0 * rexy))
-    elif not report["R_u2_nonzero"]:
+        right.append(g / (4.0 * np.where(rexy < 0, rexy, 1.0)))
+    elif not report["R_u2_nonzero"].all():
         warnings.append("R u2 = 0: Gram term dropped, minimality not certified")
     k = len(left)
     C = np.zeros((2 * k, 2 * k), dtype=complex)
     C[:k, k:] = np.eye(k)
-    return np.column_stack(left + right), C
+    F = np.empty(ty.shape + (2 * k,), dtype=complex)
+    for j, col in enumerate(left + right):
+        F[..., j] = col
+    return F, C[None]  # one core for every row
 
 
-def _split(blocks: frozenset[str], lam: complex) -> tuple[float, complex, float]:
-    """(cJ, cE, d = [J] + [E] |lam|^2): dJ = cJ Hs, dE = cE Hs is dJ + lam dE = Hs at least cost ||Hs||^2/d."""
+def _split(blocks: frozenset[str], lam) -> tuple:
+    """(cJ, cE, d = [J] + [E] |lam|^2): dJ = cJ Hs, dE = cE Hs is dJ + lam dE = Hs at least cost ||Hs||^2/d.
+
+    Elementwise for an array of lambda; d = 0 (neither J nor E) gives zero weights."""
     j, e = float("J" in blocks), float("E" in blocks)
-    d = j + e * abs(lam) ** 2
-    return (j / d, e * lam.conjugate() / d, d) if d else (0.0, 0j, 0.0)
+    d = j + e * np.abs(lam) ** 2
+    w = np.where(d > 0, d, np.inf)
+    return j / w, e * np.conj(lam) / w, d
 
 
-def _bounds(blocks: frozenset[str], variant: str, lam: complex, h1n, hhn, hsn, h2n) -> tuple[float, float]:
-    """Lower/upper bounds from the norms of H1, its parts and H2: one rule for every selection.
+def _bounds(blocks: frozenset[str], variant: str, lams, h1n, hhn, hsn, h2n) -> tuple[np.ndarray, np.ndarray]:
+    """Lower/upper bounds from the norms of H1, its parts and H2: one rule for every selection and row.
 
     upper^2 = [R] ||Hh||^2 + ||Hs||^2/d + ||H2||^2 (all of H1 is Hs without R; d = 0 weighs Hs
     by 1) and, for "sd", lower^2 = ||H1||^2 / max(1, d) + ||H2||^2; "s" is exact.
     """
     hh2, hs2 = (hhn**2, hsn**2) if "R" in blocks else (0.0, h1n**2)
-    d = _split(blocks, lam)[2]
-    up = math.sqrt(hh2 + hs2 / (d or 1.0) + h2n**2)
+    d = _split(blocks, lams)[2]
+    up = np.sqrt(hh2 + hs2 / np.where(d > 0, d, 1.0) + h2n**2)
     if variant == "s":
         return up, up
-    return math.sqrt((hh2 + hs2) / max(1.0, d) + h2n**2), up
+    return np.sqrt((hh2 + hs2) / np.maximum(1.0, d) + h2n**2), up
 
 
-def _solve(blocks: frozenset[str], variant: str, lam: complex, v: _Products, cfg: ToleranceConfig):
-    """Bounds, verdicts and the factors of H1 for one eigenvector at one lambda.
+def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products, cfg: ToleranceConfig):
+    """Bounds, verdicts and the factors of H1 for a stack of rows, each one eigenvector at one lambda.
 
-    Returns ``(bounds, F, C)``: ``bounds`` has every field but H1 and H2,
-    and the square block is H1 = F C F* (F has at most six columns; both
-    are None when eta is infinite).  ty = J u2 - R u2 + lam E u2 and
-    w1 = -(J u1 + R u1 + lam E u1) are affine in lambda, so given ``v``
-    this is O(n) work: vector updates, an SVD of n x 2 and a thin QR of F.
-    ``variant`` is "s" for the symmetry-only formulas (also for the
-    selections that eta_sd delegates) and "sd" otherwise.
+    ``lams`` holds the B imaginary lambda; ``v`` is the ``_stack`` of one eigenvector, which every row
+    shares, or of B, one per row.  Returns ``(results, F, C)``: ``results[i]`` is row i's
+    ``BackwardErrorBounds`` without H1 and H2 (an infinite row keeps only its side conditions) or its
+    ``DsmkitError``, and its H1 is F[i] C[i] F[i]* (C[0] when C holds one core for all rows), F of at
+    most six columns.  ty = J u2 - R u2 + lam E u2 and w1 = -(J u1 + R u1 + lam E u1) are affine in
+    lambda, so given ``v`` a row costs O(n): vector updates, an SVD of n x 2 per eigenvector and a thin
+    QR of F, all stacked (see ``_norm``).  F has one width in every row: a factor a row lacks (a
+    rank-one X, no Gram term) is a zero column.  ``variant`` is "s" for the symmetry-only formulas
+    (also for the selections that eta_sd delegates) and "sd" otherwise.
     """
     tol = cfg.residual_tol
-    n1 = fro(v.u1)
+    n1 = _norm(v.u1)
     rb = blocks == frozenset("RB")
-    report: dict[str, bool] = {"u3_zero": v.u3_zero}
+    report: dict = {"u3_zero": v.u3_zero}
     if rb:
-        iso = np.vdot(v.u1, v.Ju1) + lam * np.vdot(v.u1, v.Eu1)
-        report["u1_isotropic"] = abs(iso) <= tol * (v.nJ + abs(lam) * v.nE) * n1**2
+        iso = _dot(v.u1, v.Ju1) + lams * _dot(v.u1, v.Eu1)
+        report["u1_isotropic"] = abs(iso) <= tol * (v.nJ + abs(lams) * v.nE) * n1**2
         if variant == "sd":
-            report["R_u1_nonzero"] = fro(v.Ru1) > tol * v.nR * n1
+            report["R_u1_nonzero"] = _norm(v.Ru1) > tol * v.nR * n1
     elif variant == "s":
-        report["R_u1_zero"] = fro(v.Ru1) <= tol * v.nR * n1
+        report["R_u1_zero"] = _norm(v.Ru1) <= tol * v.nR * n1
     elif blocks in _KERNEL_B:
-        report["B_adj_u1_zero"] = fro(v.Bu1) <= tol * v.nB * n1
-    if not all(report.values()):
-        inf = float("inf")
-        return BackwardErrorBounds(False, inf, inf, conditions_report=report, variant=variant,
-                                   blocks=blocks, lam=lam), None, None
-
-    ty = v.Ju2 - v.Ru2 + lam * v.Eu2
-    w1 = -(v.Ju1 + v.Ru1 + lam * v.Eu1)
-    h2n = fro(v.Bu1) / n1 if "B" in blocks and n1 > 0 else 0.0
+        report["B_adj_u1_zero"] = _norm(v.Bu1) <= tol * v.nB * n1
+    pre = list(report)  # an infinite row reports these verdicts only
+    ty = v.Ju2 - v.Ru2 + lams[:, None] * v.Eu2
+    w1 = -(v.Ju1 + v.Ru1 + lams[:, None] * v.Eu1)
+    h2n = _norm(v.Bu1) / np.where(n1 > 0, n1, 1.0) if "B" in blocks else 0.0
     warnings: list[str] = []
-    alpha, colinear = v.alpha, v.colinear
+    alpha, refused = _per_row(v.alpha, len(lams)), np.zeros(lams.shape, dtype=bool)
 
     if variant == "s" or rb:
-        X = np.column_stack([v.u2, v.u1])
-        Y = np.column_stack([ty, w1 if rb else -w1])
-        U, V, G = _range_factors(X, Y, cfg)
-        report["interp_YXdX"] = fro(Y - (Y @ V) @ V.conj().T) <= tol * fro(Y)
-        xy = X.conj().T @ Y
+        X = np.stack([v.u2, v.u1], axis=-1)
+        Y = np.stack([ty, w1 if rb else -w1], axis=-1)
+        # the thin SVD of X by svd_range's rank rule; a dropped direction is a zero column, not cut
+        u, s, vh = np.linalg.svd(X, full_matrices=False)
+        keep = _kept(s, cfg)[..., None, :]
+        U, V = u * keep, _ct(vh) * keep
+        YV = Y @ V
+        G = YV / np.where(keep, s[..., None, :], 1.0)  # Y X+ = G U*
+        report["interp_YXdX"] = _norm(Y - YV @ _ct(V), 2) <= tol * _norm(Y, 2)
+        xy = _ct(X) @ Y
     if variant == "s":
         # H1 = Y X+ +- (Y X+)* - X X+ Y X+ = [U G] [[-U*G, +-I], [I, 0]] [U G]*
         sign = 1.0 if rb else -1.0
-        report["cross_gram"] = _in_family(StructureFamily.HERMITIAN if rb else StructureFamily.SKEW_HERMITIAN,
-                                          xy, cfg)
-        report["u2_colinear_u1"] = colinear
-        eye = np.eye(U.shape[1])
-        F = np.hstack([U, G])
-        C = np.block([[-(U.conj().T @ G), sign * eye], [eye, np.zeros_like(eye)]])
-        exact = report["interp_YXdX"] and report["cross_gram"]
+        report["cross_gram"] = _norm(xy - sign * _ct(xy), 2) <= tol * _norm(xy, 2)
+        report["u2_colinear_u1"] = v.colinear
+        F = np.concatenate([np.broadcast_to(U, G.shape), G], axis=-1)
+        r = G.shape[-1]  # min(n, 2)
+        C = np.zeros(lams.shape + (2 * r, 2 * r), dtype=complex)
+        C[:, :r, :r], C[:, :r, r:], C[:, r:, :r] = -(_ct(U) @ G), sign * np.eye(r), np.eye(r)
+        exact = report["interp_YXdX"] & report["cross_gram"]
     elif rb:
-        negdef = _in_family(StructureFamily.HERMITIAN, xy, cfg) and _semidefinite(-xy, fro(xy), cfg, definite=True)
-        report["XY_negative_definite"] = bool(negdef)
-        if not negdef:
-            raise HypothesisViolationError(
-                "X*Y must be Hermitian negative definite for the RB formula"
-            )
-        F, C = Y, np.linalg.inv(xy.conj().T)  # H1 = Y (Y*X)^-1 Y*
-        exact = report["interp_YXdX"]
-        alpha = None
+        nxy = _norm(xy, 2)
+        negdef = (_norm(xy - _ct(xy), 2) <= tol * nxy) & (
+            np.linalg.eigvalsh(-(xy + _ct(xy)) / 2.0)[:, 0] > cfg.psd_tol * nxy)
+        report["XY_negative_definite"] = negdef
+        refused = ~negdef
+        # H1 = Y (Y*X)^-1 Y*; a refused row inverts I instead, so that no row stops the stack
+        F, C = Y, np.linalg.inv(np.where(negdef[:, None, None], _ct(xy), np.eye(2)))
+        exact, alpha = report["interp_YXdX"], [None] * len(lams)
     else:
-        report["u2_colinear_u1"] = colinear
-        F, C = _anti_dissipative_h1(v, ty, w1, cfg, report, warnings)
-        exact = blocks in _EXACT_SD and colinear and report["R_u2_nonzero"]
+        report["u2_colinear_u1"] = v.colinear
+        F, C = _anti_dissipative_h1(v, n1, ty, w1, cfg, report, warnings)
+        exact = blocks in _EXACT_SD and report["u2_colinear_u1"] & report["R_u2_nonzero"]
 
-    lo, up = _bounds(blocks, variant, lam, *_factored_norms(F, C), h2n)
-    out = BackwardErrorBounds(
-        finite=True,
-        eta_lower=lo,
-        eta_upper=up,
-        alpha=alpha,
-        conditions_report=report,
-        exact=exact,
-        variant=variant,
-        blocks=blocks,
-        lam=lam,
-        warnings=warnings,
-    )
-    return out, F, C
+    lo, up = _bounds(blocks, variant, lams, *_factored_norms(F, C), h2n)
+    lo, up, exact = lo.tolist(), up.tolist(), _per_row(exact, len(lams))
+    cols = {k: _per_row(c, len(lams)) for k, c in report.items()}
+    results: list = []
+    for i, lam in enumerate(lams.tolist()):
+        if not all(cols[k][i] for k in pre):
+            results.append(BackwardErrorBounds(False, math.inf, math.inf, variant=variant, blocks=blocks, lam=lam,
+                                               conditions_report={k: cols[k][i] for k in pre}))
+        elif refused[i]:
+            results.append(HypothesisViolationError("X*Y must be Hermitian negative definite for the RB formula"))
+        else:
+            results.append(BackwardErrorBounds(True, lo[i], up[i], alpha=alpha[i], exact=exact[i], variant=variant,
+                                               conditions_report={k: c[i] for k, c in cols.items()}, blocks=blocks,
+                                               lam=lam, warnings=list(warnings)))
+    return results, F, C
 
 
 def _formula_variant(blocks: frozenset[str], variant: str) -> str:
@@ -505,20 +528,19 @@ def _formula_variant(blocks: frozenset[str], variant: str) -> str:
 
 
 def _eta(P: PHPencil, ep: EigenPair, blocks, variant: str, cfg: ToleranceConfig) -> BackwardErrorBounds:
-    """eta_s/eta_sd: the core's result plus the dense H1 and H2 (O(n^2) to form)."""
+    """eta_s/eta_sd: the core on a stack of one row, plus the dense H1 and H2 (O(n^2) to form)."""
     blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
     formulas = _formula_variant(blocks, variant)
     if ep.lam == 0:
         raise DegenerateInputError("lambda must be nonzero imaginary")
     v = _products(P, ep, cfg)
-    out, F, C = _solve(blocks, formulas, ep.lam, v, cfg)
+    (out,), F, C = _solve(blocks, formulas, np.array([ep.lam]), _stack([v]), cfg)
+    if isinstance(out, DsmkitError):
+        raise out
     out.variant = variant
     if out.finite:
-        out.H1 = F @ C @ F.conj().T
-        if "B" in blocks:
-            out.H2 = np.outer(_pinv_col(v.u1, cfg), v.Bu1.conj())  # u1 u1+ B
-        else:
-            out.H2 = np.zeros((P.n, P.m), dtype=complex)
+        out.H1 = F[0] @ C[0] @ _ct(F[0])
+        out.H2 = np.outer(_pinv_cols(v.u1[None], _norm(v.u1[None]))[0], v.Bu1.conj()) * ("B" in blocks)  # u1 u1+ B
     return out
 
 
@@ -609,6 +631,10 @@ def _random_lam(rng: np.random.Generator) -> complex:
     return 1j * rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])
 
 
+#: a table's rows go through the core in stacks of at most ``_STACK_BYTES``, at about ``_ROW_BYTES`` per
+#: row and unit of n (some 24 complex n-vectors: the products, ty, w1, the factors of H1 and temporaries)
+_STACK_BYTES = 4 << 20
+_ROW_BYTES = 24 * 16
 _PROBE_BLOCK = 8  # Gaussian probes drawn and applied to h together, as one matrix product
 _PROBES = 32  # probes at one lambda before the eigh fallback
 _MAX_TRIES = 500
@@ -779,47 +805,56 @@ def experiment_table(
 ) -> list[dict]:
     """Backward-error bounds over a sweep of imaginary lambda values.
 
-    Keeps one eigenvector fixed across the sweep when the selection's
-    side conditions do not depend on lambda; the RB selection draws a new
-    one per row (``gen_eigpair`` with seed ``ep_seed + i``), in O(n^2) with
-    no decomposition, and reuses the products its generator has formed.
-    The block norms are taken once per table.  For each eigenvector the
-    blocks are applied to it once (J u1, R u1, E u1, J u2, R u2, E u2,
-    B* u1), and each lambda then costs O(n): ty and w1 are affine in
-    lambda and the norms come from the rank-one factors of H1 (see
-    ``_solve``).  The rows equal ``eta_sd``/``eta_s`` on the same eigenpair
-    bit for bit.  Row-level failures (lambda = 0, infinite eta, generation
-    failure or any other ``DsmkitError``) are recorded in the row, never
-    raised; an unsupported selection or variant raises ``ValueError`` first.
+    Keeps one eigenvector fixed across the sweep when the selection's side
+    conditions do not depend on lambda; it is drawn once, at the first
+    admissible lambda, and a failed draw is the error of every such row.
+    The RB selection draws a new one per row (``gen_eigpair`` with seed
+    ``ep_seed + i``), in O(n^2) with no decomposition, and reuses the
+    products its generator has formed.  The block norms are taken once per
+    table, and the rows go through ``_solve`` in stacks of at most
+    ``_STACK_BYTES``, so the table's peak memory does not grow with the
+    number of lambda.  The rows equal ``eta_sd``/``eta_s`` on the same
+    eigenpair bit for bit.  Row-level failures (lambda = 0, infinite eta,
+    generation failure or any other ``DsmkitError``) are recorded in the
+    row, never raised; an unsupported selection or variant raises
+    ``ValueError`` first.
     """
     blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
     if variant not in ("s", "sd"):
         raise ValueError(f"variant must be 's' or 'sd', got {variant!r}")
     formulas = _formula_variant(blocks, variant)
     norms = _block_norms(P)
-    rows: list[dict] = []
-    fixed: _Products | None = None
-    for i, lam in enumerate(lambdas):
-        lam = complex(lam)
-        row: dict = {"lam": lam, "finite": False, "eta_lower": float("inf"),
-                     "eta_upper": float("inf"), "conditions": "", "error": ""}
+    rb = blocks == frozenset("RB")
+    rows = [{"lam": lam, "finite": False, "eta_lower": math.inf, "eta_upper": math.inf, "conditions": "",
+             "error": "" if lam != 0 and _is_imaginary(lam, cfg) else "lambda must be nonzero purely imaginary"}
+            for lam in map(complex, lambdas)]
+    todo = [i for i, row in enumerate(rows) if not row["error"]]
+    if todo and not rb:
         try:
-            if lam == 0 or not _is_imaginary(lam, cfg):
-                raise DegenerateInputError("lambda must be nonzero purely imaginary")
-            if blocks == frozenset("RB"):
-                _, vec = _gen_rb(P, np.random.default_rng(ep_seed + i), cfg, _MAX_TRIES, lam, norms)
+            fixed = _stack([_products(P, gen_eigpair(P, ep_seed, blocks, cfg, lam=rows[todo[0]]["lam"]), cfg, norms)])
+        except DsmkitError as exc:  # one draw: its failure is every row's
+            for i in todo:
+                rows[i]["error"] = str(exc)
+            todo = []
+    step = _STACK_BYTES // (_ROW_BYTES * P.n) or 1
+    for start in range(0, len(todo), step):
+        live, vecs = [], []
+        for i in todo[start : start + step]:
+            try:
+                if rb:
+                    vecs.append(_gen_rb(P, np.random.default_rng(ep_seed + i), cfg, _MAX_TRIES, rows[i]["lam"], norms)[1])
+                live.append(i)
+            except DsmkitError as exc:  # row-level failures are data, not aborts
+                rows[i]["error"] = str(exc)
+        if not live:
+            continue
+        lams = np.array([1j * rows[i]["lam"].imag for i in live])
+        for i, res in zip(live, _solve(blocks, formulas, lams, _stack(vecs) if rb else fixed, cfg)[0]):
+            if isinstance(res, DsmkitError):
+                rows[i]["error"] = str(res)
             else:
-                if fixed is None:
-                    fixed = _products(P, gen_eigpair(P, ep_seed, blocks, cfg, lam=lam), cfg, norms)
-                vec = fixed
-            res, _, _ = _solve(blocks, formulas, 1j * lam.imag, vec, cfg)
-            row["finite"] = res.finite
-            row["eta_lower"] = res.eta_lower
-            row["eta_upper"] = res.eta_upper
-            row["conditions"] = ";".join(f"{k}={v}" for k, v in res.conditions_report.items())
-        except DsmkitError as exc:  # row-level failures are data, not aborts
-            row["error"] = str(exc)
-        rows.append(row)
+                rows[i].update(finite=res.finite, eta_lower=res.eta_lower, eta_upper=res.eta_upper,
+                               conditions=";".join(f"{k}={c}" for k, c in res.conditions_report.items()))
     return rows
 
 

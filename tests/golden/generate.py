@@ -18,7 +18,9 @@ from seeded generators once and stored, so the corpus does not depend on
 later changes to the test helpers or to the generators of the package:
 a rewrite re-evaluates every stored case on its stored inputs, keeps its
 stored output unless that output has changed, prints the ids that changed,
-and draws fresh inputs only for ids that are not stored yet.
+and draws fresh inputs only for ids that are not stored yet.  The input of
+a ``cli/verify/*`` case is not drawn: it is the document its source case
+(``VERIFY_SOURCES``) prints in the rewritten corpus.
 """
 
 from __future__ import annotations
@@ -480,34 +482,32 @@ def _cases():
     def cli_solve(name, family, x, y, z=None, w=None):
         files = {"x": x, "y": y} if z is None else {"x": x, "y": y, "z": z, "w": w}
         add(name, "cli", argv=solve_argv(family, z is not None), files=files)
-        return _cli(solve_argv(family, z is not None), files)["doc"]
 
     def flat(p):
         return p.x, p.y, p.z, p.w
 
-    docs = {}
     x, y = map_instance(F.HERMITIAN, rng, 3)
-    docs["map-min"] = cli_solve("cli/map-min/hermitian", "hermitian", x, y)
+    cli_solve("cli/map-min/hermitian", "hermitian", x, y)
     x, y = map_instance(F.PSD, rng, 3)
     cli_solve("cli/map-min/psd", "psd", x, y)
     cli_solve("cli/map-min/nsd/infeasible", "nsd", x, y)
     x, y = map_instance(F.DISSIPATIVE, rng, 3)
     cli_solve("cli/map-min/anti-dissipative/infeasible", "anti-dissipative", x, y)
     x, y, z, w = two_sided_instance(rng, 3, 2)
-    docs["map-two-sided"] = cli_solve("cli/map-two-sided", "unstructured", x, y, z, w)
+    cli_solve("cli/map-two-sided", "unstructured", x, y, z, w)
     cli_solve("cli/map-two-sided/infeasible", "unstructured", x, y, z, w + crandn(rng, 2))
     x, y, z, w = type1_vec_instance(rng, 3)
-    docs["dsdm-type1"] = cli_solve("cli/dsdm-type1", "dissipative", x, y, z, w)
-    docs["dsdm-type1-anti"] = cli_solve("cli/dsdm-type1/anti", "anti-dissipative", x, -y, z, -w)
+    cli_solve("cli/dsdm-type1", "dissipative", x, y, z, w)
+    cli_solve("cli/dsdm-type1/anti", "anti-dissipative", x, -y, z, -w)
     cli_solve("cli/dsdm-type1/infeasible", "anti-dissipative", x, y, z, w)
     p = type2_instance(rng, 2, 1, exact=True)
-    docs["dsdm-type2"] = cli_solve("cli/dsdm-type2", "dissipative", *flat(p))
-    docs["dsdm-type2-anti"] = cli_solve("cli/dsdm-type2/anti", "anti-dissipative", p.x, -p.y, p.z, -p.w)
+    cli_solve("cli/dsdm-type2", "dissipative", *flat(p))
+    cli_solve("cli/dsdm-type2/anti", "anti-dissipative", p.x, -p.y, p.z, -p.w)
     cli_solve("cli/dsdm-type2/infeasible", "anti-dissipative", *flat(p))
     p = dsm_instance(F.HERMITIAN, rng, 3, 2, exact=True)
-    docs["dsm"] = cli_solve("cli/dsm/hermitian", "hermitian", *flat(p))
+    cli_solve("cli/dsm/hermitian", "hermitian", *flat(p))
     p = dsm_instance(F.PSD, rng, 2, 1, exact=True)
-    docs["dsm-psd"] = cli_solve("cli/dsm/psd", "psd", *flat(p))
+    cli_solve("cli/dsm/psd", "psd", *flat(p))
     cli_solve("cli/dsm/nsd/infeasible", "nsd", *flat(p))
     cli_solve("cli/dsm/psd/incompatible", "psd", p.x, p.y + crandn(rng, 2), p.z, p.w)
     cli_solve("cli/dsm/hermitian/square", "hermitian", crandn(rng, 2), crandn(rng, 2), crandn(rng, 2), crandn(rng, 2))
@@ -516,40 +516,66 @@ def _cases():
     pdoc = pencil_to_doc(pen)
     back = ["backerr", "--pencil", "@pencil", "--lambda", "0.5i", "--blocks", "JREB", "--variant", "sd"]
     add("cli/backerr/seeded", "cli", argv=back + ["--seed", "7"], files={"pencil": pdoc})
-    docs["backerr"] = _cli(back + ["--seed", "7"], {"pencil": pdoc})["doc"]
     u = np.concatenate([crandn(rng, 6), np.zeros(2, complex)])
     back_s = ["backerr", "--pencil", "@pencil", "--lambda=-1.1i", "--variant", "s"]
     add("cli/backerr/given-u", "cli", argv=back_s + ["--blocks", "RB", "--u", "@u"], files={"pencil": pdoc, "u": u})
     add("cli/backerr/prior-work", "cli", argv=back_s + ["--blocks", "JR", "--seed", "7"], files={"pencil": pdoc})
 
-    for kind, doc in docs.items():
-        add(f"cli/verify/{kind}", "cli", argv=["verify", "--result", "@result"], files={"result": doc})
-    tampered = json.loads(json.dumps(docs["dsm"]))
-    tampered["solution"]["H1"]["re"][0][0] += 0.25
-    add("cli/verify/tampered", "cli", argv=["verify", "--result", "@result"], files={"result": tampered})
+    for name in VERIFY_SOURCES:  # ``build`` gives each its input
+        add(name, "cli", argv=["verify", "--result", "@result"], files={"result": None})
     return cases
 
 
+#: the case whose printed document each ``cli/verify/*`` case re-checks (``tampered`` with one entry altered)
+VERIFY_SOURCES = {
+    "cli/verify/map-min": "cli/map-min/hermitian",
+    "cli/verify/map-two-sided": "cli/map-two-sided",
+    "cli/verify/dsdm-type1": "cli/dsdm-type1",
+    "cli/verify/dsdm-type1-anti": "cli/dsdm-type1/anti",
+    "cli/verify/dsdm-type2": "cli/dsdm-type2",
+    "cli/verify/dsdm-type2-anti": "cli/dsdm-type2/anti",
+    "cli/verify/dsm": "cli/dsm/hermitian",
+    "cli/verify/dsm-psd": "cli/dsm/psd",
+    "cli/verify/backerr": "cli/backerr/seeded",
+    "cli/verify/tampered": "cli/dsm/hermitian",
+}
+
+
+def verify_input(name, source_out):
+    """The document a ``cli/verify/*`` case re-checks: what its source case printed, as stored."""
+    doc = json.loads(json.dumps(source_out["doc"]))
+    if name == "cli/verify/tampered":
+        doc["solution"]["H1"]["re"][0][0] += 0.25
+    return doc
+
+
 def build(stored=()):
-    """The corpus, and the ids of the stored cases whose output has changed.
+    """The corpus, and the ids of the stored cases whose output (or ``verify`` input) has changed.
 
     A case already in ``stored`` keeps its stored inputs,
     and its stored output unless ``mismatches`` finds a change; every other
-    case is encoded from the inputs ``_cases`` draws now.
+    case is encoded from the inputs ``_cases`` draws now.  A ``cli/verify/*``
+    case takes its input from the output its source case has in the new
+    corpus (``VERIFY_SOURCES``), so it never re-checks a stale document.
     """
     old = {case["id"]: case for case in stored}
-    corpus, changed = [], []
+    corpus, changed, done = [], [], {}
     for name, call, args in _cases():
+        args = encode(args)
+        if name in VERIFY_SOURCES:
+            args["files"]["result"] = verify_input(name, done[VERIFY_SOURCES[name]]["out"])
         case = old.get(name)
         if case is None:
-            args = encode(args)
-            corpus.append({"id": name, "call": call, "args": args, "out": evaluate(call, args)})
-            continue
-        out = evaluate(call, case["args"])
-        if mismatches(out, case["out"]):
-            changed.append(name)
-            case = dict(case, out=out)
+            case = {"id": name, "call": call, "args": args, "out": evaluate(call, args)}
+        else:
+            if name in VERIFY_SOURCES:
+                case = dict(case, args=args)
+            out = evaluate(call, case["args"])
+            if case["args"] != old[name]["args"] or mismatches(out, case["out"]):
+                changed.append(name)
+                case = dict(case, out=out)
         corpus.append(case)
+        done[name] = case
     return corpus, changed
 
 

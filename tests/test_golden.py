@@ -8,6 +8,7 @@ messages and keys exactly.  An intended change rewrites the corpus and names
 the records it changed in CHANGES.md.
 """
 
+import json
 import os
 import sys
 
@@ -49,3 +50,23 @@ def test_comparison_rejects_a_changed_number_and_a_changed_reason():
     out = generate.evaluate(case["call"], case["args"])
     out["reason"] += " "
     assert generate.mismatches(out, case["out"])
+
+
+@pytest.mark.parametrize("case_id", list(generate.VERIFY_SOURCES))
+def test_verify_inputs_are_the_stored_outputs_of_their_sources(case_id):
+    # a verify case re-checks what its source case prints: a stale copy would re-check an old document
+    source = CASES[generate.VERIFY_SOURCES[case_id]]
+    assert source["args"]["argv"][0] in ("map", "backerr") and source["out"]["code"] == 0
+    assert CASES[case_id]["args"]["files"]["result"] == generate.verify_input(case_id, source["out"])
+
+
+def test_rewrite_takes_verify_inputs_from_their_sources_now():
+    # a stored verify input that is stale (printed by an older program) is replaced by what its source
+    # prints now, and the case is listed; kept, it would store verify's rejection as the expected output
+    stored = json.loads(json.dumps(generate.load()))
+    verify = next(case for case in stored if case["id"] == "cli/verify/backerr")
+    verify["args"]["files"]["result"]["bounds"]["eta_upper"] *= 1.1
+    assert generate.evaluate(verify["call"], verify["args"])["code"] != 0
+    corpus, changed = generate.build(stored)
+    assert changed == ["cli/verify/backerr"]
+    assert next(case for case in corpus if case["id"] == "cli/verify/backerr") == CASES["cli/verify/backerr"]

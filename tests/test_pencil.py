@@ -23,6 +23,7 @@ from dsmkit.errors import (
     ReconstructionError,
     StructureError,
 )
+from dsmkit.linalg import psd_range
 from dsmkit.pencil import ETA_S_COMBOS, ETA_SD_COMBOS, blocks_to_string
 from helpers import crandn, watch_linalg
 
@@ -414,37 +415,58 @@ def test_factored_eta_matches_dense_reference(blocks, variant, n):
     assert finite_seen >= (0 if (blocks, variant, n) == ("RB", "sd", 1) else 3)
 
 
+#: lambda from 1e-3 to 1e3 on both halves of the axis, with a zero and a non-imaginary row among them
+TABLE_LAMS = [1e-3j, -0.5j, 2j, -1e3j, 0.0, 0.3 + 1j, -1e-3j, 0.5j, -2j, 1e3j]
+INVALID_LAMBDA = "lambda must be nonzero purely imaginary"
+
+
 def _table_cases():
-    p = gen_pencil(16, 4, seed=8)
-    p_kernel_r = gen_pencil(16, 4, seed=8, r_rank=12)
-    p_kernel_b = gen_pencil(16, 4, seed=8, b_rank=2)
-    for blocks, variant in ALL_SELECTIONS:
-        if blocks in ("JB", "EB", "JEB"):
-            yield p_kernel_r, blocks, variant
-        elif blocks in ("JR", "RE", "JRE"):
-            yield p_kernel_b, blocks, variant
-        else:
-            yield p, blocks, variant
+    for n in (4, 64, 256):
+        m = 2 if n == 4 else 16
+        p = gen_pencil(n, m, seed=8 + n)
+        p_kernel_r = gen_pencil(n, m, seed=8 + n, r_rank=n // 2)
+        p_kernel_b = gen_pencil(n, m, seed=8 + n, b_rank=1)
+        for blocks, variant in ALL_SELECTIONS:
+            if blocks in ("JB", "EB", "JEB"):
+                yield p_kernel_r, blocks, variant
+            elif blocks in ("JR", "RE", "JRE"):
+                yield p_kernel_b, blocks, variant
+            else:
+                yield p, blocks, variant
 
 
-@pytest.mark.parametrize("case", list(_table_cases()), ids=lambda c: f"{c[1]}-{c[2]}")
+def _expected_row(p, blocks, variant, i, lam, first):
+    """What ``eta_*`` gives for row i of a table, or the error the row must carry."""
+    if lam == 0 or lam.real != 0:
+        return INVALID_LAMBDA
+    try:
+        ep = gen_eigpair(p, 17 + i, blocks, lam=lam) if blocks == "RB" else EigenPair(lam, first.u1, first.u2, first.u3)
+        return (eta_sd if variant == "sd" else eta_s)(p, ep, blocks)
+    except (GenerationError, HypothesisViolationError) as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", list(_table_cases()), ids=lambda c: f"n{c[0].n}-{c[1]}-{c[2]}")
 def test_experiment_table_rows_equal_eta(case):
+    # every row of one stack equals eta_* on its own eigenpair (a stack of one) under ==: a core that
+    # formed a row's inner products as one 2-D (B, n) @ (n,) product would change their last bits
     p, blocks, variant = case
-    lams = [0.45j, -1.2j, 0.9j, -0.35j, 1.7j]
-    rows = experiment_table(p, lams, 17, blocks, variant=variant)
-    compute = eta_sd if variant == "sd" else eta_s
-    first = None
-    for i, (lam, row) in enumerate(zip(lams, rows)):
+    rows = experiment_table(p, TABLE_LAMS, 17, blocks, variant=variant)
+    first = None if blocks == "RB" else gen_eigpair(p, 17, blocks, lam=TABLE_LAMS[0])
+    finite = 0
+    for i, (lam, row) in enumerate(zip(TABLE_LAMS, rows)):
+        want = _expected_row(p, blocks, variant, i, complex(lam), first)
+        if isinstance(want, str):
+            assert row["error"] == want and not row["finite"] and row["conditions"] == ""
+            assert row["eta_lower"] == row["eta_upper"] == np.inf
+            continue
         assert row["error"] == ""
-        if blocks == "RB":
-            ep = gen_eigpair(p, 17 + i, blocks, lam=lam)
-        else:
-            first = first or gen_eigpair(p, 17, blocks, lam=lams[0])
-            ep = EigenPair(lam, first.u1, first.u2, first.u3)
-        res = compute(p, ep, blocks)
-        assert row["finite"] == res.finite and res.finite
-        assert row["eta_lower"] == res.eta_lower and row["eta_upper"] == res.eta_upper
-        assert row["conditions"] == ";".join(f"{k}={v}" for k, v in res.conditions_report.items())
+        assert row["finite"] == want.finite
+        assert row["eta_lower"] == want.eta_lower and row["eta_upper"] == want.eta_upper
+        assert row["conditions"] == ";".join(f"{k}={v}" for k, v in want.conditions_report.items())
+        finite += want.finite
+    assert rows[4]["error"] == rows[5]["error"] == INVALID_LAMBDA
+    assert finite >= (4 if blocks == "RB" and p.n < 256 else 8)
 
 
 def test_experiment_table_raises_bugs_and_records_data_errors(monkeypatch):
@@ -481,7 +503,77 @@ def test_rb_table_takes_no_square_decomposition(variant, monkeypatch):
     assert [c for c in seen if min(c[1][-2:]) > 6] == []
     assert [c for c in seen if c[0] == "svd" and min(c[1][-2:]) > 2] == []
     herm = [c for c in seen if c[0] in ("eigh", "eigvalsh")]
-    assert herm and all(shape == (2, 2) for _, shape, _ in herm)  # min_eig_herm of X*Y
+    assert herm and all(shape[-2:] == (2, 2) for _, shape, _ in herm)  # min_eig_herm of X*Y, stacked in the core
+
+
+def _grid(k):
+    """k imaginary lambda alternating between +[0.3, 2]i and -[0.3, 2]i, as in the sweep benchmark."""
+    return [(-1) ** j * 1j * (0.3 + 1.7 * j / max(k - 1, 1)) for j in range(k)]
+
+
+def test_fixed_eigenvector_table_draws_once_when_the_draw_fails(monkeypatch):
+    import dsmkit.pencil as pencil_mod
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return psd_range(*args, **kwargs)
+
+    monkeypatch.setattr(pencil_mod, "psd_range", counted)
+    p = gen_pencil(256, 64, 5)  # R nonsingular: ker R is trivial
+    lams = _grid(25)
+    rows = experiment_table(p, lams[:3] + [0.0] + lams[3:], 7, "JEB", variant="s")
+    assert calls == [(256, 256)]  # one draw, not one per row
+    nonsingular = "R is nonsingular; ker(R) is trivial for this selection"
+    assert [row["error"] for row in rows] == 3 * [nonsingular] + [INVALID_LAMBDA] + 22 * [nonsingular]
+
+
+@pytest.mark.parametrize("blocks,variant", ALL_SELECTIONS)
+def test_table_core_calls_do_not_grow_with_the_rows(blocks, variant, monkeypatch):
+    # one stack of 5 rows and one of 50 take the same np.linalg calls in the core; outside it only the
+    # RB generator (one draw per row) and, for a fixed eigenvector, its one draw make any
+    import dsmkit.pencil as pencil_mod
+
+    seen = watch_linalg(monkeypatch)
+    inside = []
+    solve = pencil_mod._solve
+
+    def counted(*args, **kwargs):
+        before = len(seen)
+        out = solve(*args, **kwargs)
+        inside.append([c[0] for c in seen[before:]])
+        return out
+
+    monkeypatch.setattr(pencil_mod, "_solve", counted)
+    p = gen_pencil(24, 4, seed=8, r_rank=12)
+    outside = []
+    for k in (5, 50):
+        before = len(seen)
+        rows = experiment_table(p, _grid(k), 5, blocks, variant=variant)
+        assert sum(row["finite"] for row in rows) >= k - 2
+        outside.append(len(seen) - before - len(inside[-1]))
+    assert len(inside) == 2 and inside[0] == inside[1] and len(inside[0]) <= 5
+    assert outside[1] > outside[0] if blocks == "RB" else outside[0] == outside[1]
+
+
+def test_table_peak_memory_does_not_grow_with_the_number_of_lambda():
+    import tracemalloc
+
+    p = gen_pencil(512, 16, seed=2)
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            rows = experiment_table(p, _grid(k), 7, "JREB")
+            return tracemalloc.get_traced_memory()[1], rows
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(25)
+    big, rows = peak(1000)
+    assert len(rows) == 1000 and all(row["finite"] for row in rows)
+    assert big <= 2 * small, (big, small)
 
 
 def _hermitian_form(p, lam):
