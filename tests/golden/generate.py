@@ -156,6 +156,14 @@ def _run(call, a):
     if call in ("eta_s", "eta_sd"):
         ep = d.EigenPair(a["lam"], a["u1"], a["u2"], a["u3"])
         return getattr(d, call)(_pencil(a), ep, a["blocks"])
+    if call == "oracle_least_norm":
+        return d.oracle_least_norm([tuple(c) for c in a["constraints"]], a["structure"])
+    if call == "oracle_min_structured":
+        problem = d.Type1Problem(a["X"], a["Y"], a["Z"], a["W"]) if "X" in a else _problem(a)
+        return d.oracle_min_structured(problem, a["family"])
+    if call == "oracle_eta":
+        ep = d.EigenPair(a["lam"], a["u1"], a["u2"], a["u3"])
+        return d.oracle_eta(_pencil(a), ep, a["blocks"], a["variant"])
     if call == "cli":
         return _cli(a["argv"], a["files"])
     raise ValueError(f"unknown call {call!r}")
@@ -471,6 +479,64 @@ def _cases():
             add(f"gen_eigpair/RB/n8/{ltag}/seed{seed}", "gen_eigpair", seed=seed, blocks="RB", lam=lam, **gpens["n8"])
     add("gen_eigpair/JB/full/nonsingular-R", "gen_eigpair", seed=12, blocks="JB", lam=None, **gpens["full"])
     add("gen_eigpair/JR/wide-B/trivial-kernel", "gen_eigpair", seed=12, blocks="JR", lam=None, **gpens["wide-B"])
+
+    # the oracles: least-norm on one- and two-sided data, every family of oracle_min_structured, and
+    # oracle_eta on selections with and without R, exact and on the cone
+    rng = np.random.default_rng(7018)
+
+    def member(family, k):
+        h = crandn(rng, k, k)
+        return {F.HERMITIAN: h + h.conj().T, F.SKEW_HERMITIAN: h - h.conj().T,
+                F.SYMMETRIC: h + h.T, F.SKEW_SYMMETRIC: h - h.T}.get(family, h)
+
+    for family in (F.UNSTRUCTURED, F.HERMITIAN, F.SKEW_HERMITIAN, F.SYMMETRIC, F.SKEW_SYMMETRIC):
+        for n in (3, 8):
+            d0, x, z = member(family, n), crandn(rng, n), crandn(rng, n)
+            add(f"oracle_least_norm/{family.value}/n{n}", "oracle_least_norm", structure=family.value,
+                constraints=[("mul", x, d0 @ x), ("adj", z, d0.conj().T @ z)])
+    x, y, z, w = two_sided_instance(rng, 3, 2)
+    add("oracle_least_norm/two-sided", "oracle_least_norm", structure=None,
+        constraints=[("mul", x, y), ("adj", z, w)])
+    add("oracle_least_norm/two-sided/inconsistent", "oracle_least_norm", structure=None,
+        constraints=[("mul", x, y), ("adj", z, w + crandn(rng, 2))])
+    add("oracle_least_norm/hermitian/not-square", "oracle_least_norm", structure="hermitian",
+        constraints=[("mul", x, y), ("adj", z, w)])
+    x = crandn(rng, 4, 2)
+    add("oracle_least_norm/one-sided/two-columns", "oracle_least_norm", structure=None,
+        constraints=[("mul", x[:, 0], crandn(rng, 3)), ("mul", x[:, 1], crandn(rng, 3))])
+    for family in (F.HERMITIAN, F.SKEW_HERMITIAN, F.SYMMETRIC, F.SKEW_SYMMETRIC, F.PSD):
+        for n, m in ((3, 2), (8, 3)):
+            p = dsm_instance(family, rng, n, m)
+            add(f"oracle_min_structured/{family.value}/n{n}m{m}", "oracle_min_structured",
+                family=family.value, **dsm_args(p))
+    p = dsm_instance(F.PSD, rng, 3, 2)
+    add("oracle_min_structured/nsd/n3m2", "oracle_min_structured", family="nsd",
+        **dsm_args(DsmProblem(p.x1, p.x2, -p.y, p.z, -p.w1, -p.w2)))
+    for n, m in ((3, 2), (8, 3)):
+        p = type2_instance(rng, n, m)
+        add(f"oracle_min_structured/dissipative/n{n}m{m}", "oracle_min_structured", family="dissipative",
+            **dsm_args(p))
+        add(f"oracle_min_structured/anti-dissipative/n{n}m{m}", "oracle_min_structured",
+            family="anti-dissipative", **dsm_args(DsmProblem(p.x1, p.x2, -p.y, p.z, -p.w1, -p.w2)))
+    for n, m in ((4, 1), (6, 2)):
+        q, _ = type1_instance(rng, n, m)
+        add(f"oracle_min_structured/type1/dissipative/n{n}m{m}", "oracle_min_structured",
+            family="dissipative", X=q.X, Y=q.Y, Z=q.Z, W=q.W)
+        add(f"oracle_min_structured/type1/anti-dissipative/n{n}m{m}", "oracle_min_structured",
+            family="anti-dissipative", X=q.X, Y=-q.Y, Z=q.Z, W=-q.W)
+    opens = {"n4": gen_pencil(4, 2, 7019, r_rank=2, b_rank=1), "n8": gen_pencil(8, 3, 7020, r_rank=4, b_rank=2)}
+    for variant, names in (("sd", ("JR", "RE", "JRE", "JREB", "RB", "JB", "JEB")), ("s", ("JB", "EB", "JEB", "JR"))):
+        for pname, pen in opens.items():
+            pdoc = {k: getattr(pen, k) for k in "JREBS"}
+            for blocks in names:
+                ep = gen_eigpair(pen, 13, blocks, lam=0.7j)
+                add(f"oracle_eta/{variant}/{blocks}/{pname}", "oracle_eta", blocks=blocks, variant=variant,
+                    lam=ep.lam, u1=ep.u1, u2=ep.u2, u3=ep.u3, **pdoc)
+    pdoc = {k: getattr(opens["n4"], k) for k in "JREBS"}
+    add("oracle_eta/s/JEB/n4/inadmissible", "oracle_eta", blocks="JEB", variant="s", lam=0.7j,
+        u1=crandn(rng, 4), u2=crandn(rng, 4), u3=np.zeros(2, complex), **pdoc)
+    add("oracle_eta/sd/JREB/n4/u3-nonzero", "oracle_eta", blocks="JREB", variant="sd", lam=0.7j,
+        u1=crandn(rng, 4), u2=crandn(rng, 4), u3=crandn(rng, 2), **pdoc)
 
     # the CLI: map solve for every kind, feasible and infeasible; backerr; verify
     rng = np.random.default_rng(7012)

@@ -33,6 +33,7 @@ def test_corpus_covers_every_call():
         "map_min", "map_two_sided", "map_characterize", "dsm_solve", "dsm_characterize",
         "dsm_characterize_type2", "dsdm_type1", "dsdm_type1_vec", "dsdm_type2",
         "jordan_lie_reduce", "eta_s", "eta_sd", "gen_pencil", "gen_eigpair", "cli",
+        "oracle_least_norm", "oracle_min_structured", "oracle_eta",
     }
     cli = [case for case in CASES.values() if case["call"] == "cli"]
     assert {case["args"]["argv"][0] for case in cli} == {"map", "backerr", "verify"}
