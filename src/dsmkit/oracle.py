@@ -20,10 +20,11 @@ rows, filled by fancy indexing in time and memory of their own size.
   minimum by at most ``GAP_FACTOR * residual_tol`` relative.  Nothing is
   started from, or parametrized by, the closed forms these problems check.
 
-Every problem is solved on the span of its data (``_compress``), so a solve
-has a fixed small size whatever n is; after Mackey, Mackey and Tisseur
-(SIMAX 2008), whose minimal structured mappings are built from the data
-vectors alone.
+Every oracle is one call of one solve path, ``_solve_on_span``: compress to
+the span of the data (``_compressed``), one least-norm solve and audit, the
+barrier on a cone, and the lift back.  So a solve has a fixed small size
+whatever n is; after Mackey, Mackey and Tisseur (SIMAX 2008), whose minimal
+structured mappings are built from the data vectors alone.
 
 **Lemma.**  Write Delta = [Delta1 Delta2] with Delta1 square and structured,
 constrained by rows Delta v = r ("mul") and Delta* v = r ("adj").  Let V hold
@@ -268,61 +269,62 @@ def _compressed(constraints, split: int, cfg: ToleranceConfig, real: bool = Fals
     return q, s, reduced, math.hypot(*outside)
 
 
-def _lift(q: np.ndarray, a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Q A S*: a compressed block in the full space."""
-    return (q @ a) @ s.conj().T
+def _solve_on_span(constraints, split: int, parts, cone: int | None, cfg: ToleranceConfig, scale: float | None = None,
+                   what: str = "constraints inconsistent"):
+    """The one solve of every oracle: the least-norm Delta = [D1 D2] meeting ``constraints``.
+
+    The leading ``split`` columns D1 are sum_i f_i D1_i over ``parts``
+    (family_i, f_i), each D1_i in its linear family, and the Hermitian part
+    of D1_cone must be semidefinite when ``cone`` is not None; the trailing
+    block D2 is unstructured, and the norm is that of (D1_1, D1_2, ..., D2).
+    Compress to the span of the data (``_compressed``), solve (``_affine``),
+    audit against ``scale`` (by default the norm of the right-hand sides)
+    with the message ``what`` (``_audit``), run the barrier on a cone
+    (``_barrier``) and lift back.  Returns the D1_i, D2, the norm, a lower
+    bound on the least norm (the norm without a cone) and the residual of
+    the lift, compressed and outside parts in quadrature.
+    """
+    q, s, reduced, outside = _compressed(constraints, split, cfg, real=any(f in _BILINEAR for f, _ in parts))
+    r = q.shape[1] if split else 0  # the order of the compressed square block
+    bases = [family_basis(family, r) for family, _ in parts]
+    trailing = _full_basis(q.shape[1], s.shape[1])
+    basis = _stacked(*((b, 0, factor) for b, (_, factor) in zip(bases, parts)), (trailing, r, 1.0))
+    theta, resid, null = _affine(basis, reduced, (q.shape[1], r + s.shape[1]), cfg)
+    resid = math.hypot(resid, outside)
+    _audit(resid, fro(np.concatenate([rhs for *_, rhs in constraints])) if scale is None else scale, what, cfg)
+    sizes = [b[2].shape[0] for b in bases]
+    theta, lower = (theta, None) if cone is None else _barrier(theta, null, (sum(sizes[:cone]), bases[cone]), cfg)
+    *coefs, rest = np.split(theta, np.cumsum(sizes))
+    square = [q @ _assemble(b, t, (r, r)) @ q.conj().T for b, t in zip(bases, coefs)]
+    trailing = q @ _assemble(trailing, rest, (q.shape[1], s.shape[1])) @ s.conj().T
+    norm = float(np.linalg.norm(theta))
+    return square, trailing, norm, norm if lower is None else lower, resid
 
 
-def _lift_pair(q: np.ndarray, s: np.ndarray, a: np.ndarray, split: int) -> np.ndarray:
-    """[Q A1 Q*, Q A2 S*] from the compressed [A1 A2], A1 the leading ``split`` columns."""
-    return np.concatenate(([_lift(q, a[:, :split], q)] if split else []) + [_lift(q, a[:, split:], s)], axis=1)
-
-
-def oracle_least_norm(
-    constraints,
-    structure: StructureFamily | None = None,
-    shape: tuple[int, int] | None = None,
-    split: int | None = None,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-):
+def oracle_least_norm(constraints, structure: StructureFamily | None = None, cfg: ToleranceConfig = DEFAULT_TOL):
     """Exact minimum-Frobenius-norm solution of linear matrix constraints.
 
     ``constraints`` is a list of ("mul", x, y) for Delta x = y and
-    ("adj", z, w) for Delta* z = w.  ``structure`` restricts Delta (or,
-    when ``split`` is given, its leading ``split`` columns, the trailing
-    block staying unstructured) to a linear family.  Inconsistent
-    constraints raise ``InconsistentConstraintsError``.
+    ("adj", z, w) for Delta* z = w.  ``structure`` restricts Delta, which
+    must then be square, to a linear family.  Inconsistent constraints raise
+    ``InconsistentConstraintsError``.
 
     Returns (Delta, norm); the norm is a global minimum to solver
     precision since this is an exact vectorized least-norm solve, on the
-    span of the data (``_compressed``).
+    span of the data (``_solve_on_span``).
     """
     constraints = [(k, as_complex(v).reshape(-1), as_complex(r).reshape(-1)) for k, v, r in constraints]
-    if shape is None:
-        kind, v, r = constraints[0]
-        shape = (r.shape[0], v.shape[0]) if kind == "mul" else (v.shape[0], r.shape[0])
-    rows, cols = shape
-
-    if structure in (None, StructureFamily.UNSTRUCTURED) and split is None:
-        blk = 0
-    else:
+    parts, split = [], 0
+    if structure not in (None, StructureFamily.UNSTRUCTURED):
         structure = StructureFamily(structure)
         if structure not in LINEAR_FAMILIES:
             raise ValueError(f"{structure.value} is not a linear class; use oracle_min_structured")
-        blk = split if split is not None else cols
-        if blk != rows:
+        _, v, r = constraints[0]
+        if v.shape != r.shape:
             raise ValueError("the structured block must be square")
-    q, s, reduced, outside = _compressed(constraints, blk, cfg, real=structure in _BILINEAR)
-    r = q.shape[1] if blk else 0  # the order of the compressed structured block
-    basis = _full_basis(q.shape[1], s.shape[1])
-    if blk:
-        basis = _stacked((family_basis(structure, r), 0, 1.0), (basis, r, 1.0))
-    shape = (q.shape[1], r + s.shape[1])
-
-    theta, resid, _ = _affine(basis, reduced, shape, cfg)
-    _audit(math.hypot(resid, outside), fro(np.concatenate([rhs for *_, rhs in constraints])),
-           "constraints inconsistent", cfg)
-    return _lift_pair(q, s, _assemble(basis, theta, shape), r), float(np.linalg.norm(theta))
+        parts, split = [(structure, 1.0)], v.shape[0]
+    square, trailing, norm, _, _ = _solve_on_span(constraints, split, parts, None, cfg)
+    return square[0] if parts else trailing, norm
 
 
 # ---------------------------------------------------------------------------
@@ -550,16 +552,13 @@ def _phase_two(c0, flat, phi, cfg: ToleranceConfig):
 def oracle_min_structured(problem, family: StructureFamily, cfg: ToleranceConfig = DEFAULT_TOL):
     """Minimum Frobenius norm over the structured feasible set, and a point attaining it.
 
-    Linear families get the exact vectorized solve (``oracle_least_norm``).
-    The cone families (psd, dissipative) minimize ||theta|| over the real
-    coefficients of the sparse basis of Delta subject to the constraint rows
-    and one semidefinite Hermitian block: Delta1 for psd, Delta1 + Delta1* for
-    dissipative (the whole square Delta of a ``Type1Problem``, one "mul" row
-    per column of X and one "adj" row per column of Z), by the log-det barrier
-    method ``_barrier``, on the span of the data (``_compressed``).  NSD and
-    anti-dissipative problems go through the reflection rule
-    ``maps._reflect``: the PSD and dissipative problems of the data
-    (x, -y, z, -w), negated.
+    One call of ``_solve_on_span`` for every family: exact for the linear
+    families, and on a cone for psd (Delta1 semidefinite) and dissipative
+    (Delta1 + Delta1* semidefinite).  A ``Type1Problem`` is the whole square
+    Delta, one "mul" row per column of X and one "adj" row per column of Z,
+    and is dissipative or anti-dissipative only.  NSD and anti-dissipative
+    problems go through the reflection rule ``maps._reflect``: the PSD and
+    dissipative problems of the data (x, -y, z, -w), negated.
 
     Returns (Delta, norm), norm = ||Delta||_F of the feasible Delta returned.
     For the cone families the true minimum lies within ``GAP_FACTOR *
@@ -578,26 +577,19 @@ def oracle_min_structured(problem, family: StructureFamily, cfg: ToleranceConfig
             **{name: getattr(problem, name) for name in names},
         )
     if isinstance(problem, Type1Problem):
-        t1 = problem
-        n, psd = t1.X.shape[0], False
-        constraints = [("mul", *c) for c in zip(t1.X.T, t1.Y.T)] + [("adj", *c) for c in zip(t1.Z.T, t1.W.T)]
+        if family is not StructureFamily.DISSIPATIVE:  # anti-dissipative is reflected above
+            raise ValueError("a Type1Problem takes the dissipative and anti-dissipative families only")
+        n = problem.X.shape[0]
+        constraints = [("mul", *c) for c in zip(problem.X.T, problem.Y.T)]
+        constraints += [("adj", *c) for c in zip(problem.Z.T, problem.W.T)]
     else:
-        p = problem
-        n, psd = p.n, family is StructureFamily.PSD
-        constraints = [("mul", p.x, p.y), ("adj", p.z, p.w)]
-        if family in LINEAR_FAMILIES:
-            return oracle_least_norm(constraints, family, shape=(p.n, p.n + p.m), split=p.n, cfg=cfg)
-        if not psd and family is not StructureFamily.DISSIPATIVE:
-            raise ValueError(f"unsupported family {family}")
-    q, s, reduced, outside = _compressed(constraints, n, cfg)
-    r = q.shape[1]
-    cone = family_basis(StructureFamily.HERMITIAN, r) if psd else _full_basis(r, r)
-    basis, shape = _stacked((cone, 0, 1.0), (_full_basis(r, s.shape[1]), r, 1.0)), (r, r + s.shape[1])
-    theta0, resid, null = _affine(basis, reduced, shape, cfg)
-    _audit(math.hypot(resid, outside), fro(np.concatenate([rhs for *_, rhs in constraints])),
-           "constraints inconsistent", cfg)
-    theta, _ = _barrier(theta0, null, (0, cone), cfg)
-    return _lift_pair(q, s, _assemble(basis, theta, shape), r), float(np.linalg.norm(theta))
+        n = problem.n
+        constraints = [("mul", problem.x, problem.y), ("adj", problem.z, problem.w)]
+    # the cone block: Delta1 for psd, Delta1 + Delta1* for dissipative
+    part = {StructureFamily.PSD: StructureFamily.HERMITIAN, StructureFamily.DISSIPATIVE: StructureFamily.UNSTRUCTURED}
+    cone = None if family in LINEAR_FAMILIES else 0
+    (d1,), d2, norm, _, _ = _solve_on_span(constraints, n, [(part.get(family, family), 1.0)], cone, cfg)
+    return np.concatenate([d1, d2], axis=1), norm
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +621,9 @@ def oracle_eta(
     square blocks enter as D = dJ - dR + lam dE, so with the mapping data
     (x, y, z, w) of the eigenpair the equations read D u2 = y, D* u1 = w1
     and, when B is selected, dB* u1 = w2: constraints on [D dB] with
-    x = [u2; 0] and z = u1, solved on the span of the data
-    (``_compressed``).  Without an R block, and for variant "s", the solve
-    is exact (one least-norm solve).  For variant "sd" with an R block, dR
-    must also be positive semidefinite, and the log-det barrier method
-    ``_barrier`` minimizes over that cone.
+    x = [u2; 0] and z = u1, one call of ``_solve_on_span``.  It is exact
+    without an R block and for variant "s"; for variant "sd" dR must also
+    be positive semidefinite, a cone.
 
     ``value`` is the norm of the returned feasible perturbation and
     ``lower`` a dual bound below the true backward error, equal to
@@ -643,7 +633,7 @@ def oracle_eta(
     block that cannot be made positive definite on the constraint set, or a
     gap that cannot be certified, raises ``CertificationError``.
     """
-    blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
+    blocks = parse_blocks(blocks)
     n, m = P.n, P.m
     if ep.lam == 0:
         raise DegenerateInputError("lambda must be nonzero imaginary")
@@ -658,33 +648,18 @@ def oracle_eta(
         _audit(fro(w[n:]), bscale, "B* u1 + S u3 != 0 with no B perturbation", cfg)
     cols = n + m if "B" in blocks else n
     x = np.concatenate([ep.u2, np.zeros(cols - n, dtype=complex)])
-    q, s, reduced, outside = _compressed([("mul", x, y), ("adj", ep.u1, w[:cols])], n, cfg)
-    r = q.shape[1]
-    factor = {"J": 1.0, "R": -1.0, "E": ep.lam}
-    bases = {
-        name: family_basis(StructureFamily.SKEW_HERMITIAN if name == "J" else StructureFamily.HERMITIAN, r)
-        for name in "JRE" if name in blocks
-    }
-    parts = [(basis, 0, factor[name]) for name, basis in bases.items()]
-    if "B" in blocks:
-        bases["B"] = _full_basis(r, s.shape[1])
-        parts.append((bases["B"], r, 1.0))
-    basis, shape = _stacked(*parts), (r, r + s.shape[1])
-    theta, resid, null = _affine(basis, reduced, shape, cfg)
-    resid = math.hypot(resid, outside)
-    _audit(resid, bscale, f"eigenpair not admissible for {''.join(sorted(blocks))}", cfg)
-    lower = None
-    if variant == "sd" and "R" in blocks:  # the cone; dR follows dJ, when J is selected
-        first = bases["J"][2].shape[0] if "J" in bases else 0
-        theta, lower = _barrier(theta, null, (first, bases["R"]), cfg)
-    out = {name: np.zeros((n, m if name == "B" else n), dtype=complex) for name in "JREB"}
-    ends = np.cumsum([b[2].shape[0] for b in bases.values()])[:-1]
-    for (name, b), t in zip(bases.items(), np.split(theta, ends)):
-        right = s if name == "B" else q
-        out[name] = _lift(q, _assemble(b, t, (r, right.shape[1])), right)
-    pert = PerturbationBlocks(out["J"], out["R"], out["E"], out["B"])
+    parts = {"J": (StructureFamily.SKEW_HERMITIAN, 1.0), "R": (StructureFamily.HERMITIAN, -1.0),
+             "E": (StructureFamily.HERMITIAN, ep.lam)}
+    names = [name for name in "JRE" if name in blocks]
+    cone = names.index("R") if variant == "sd" and "R" in blocks else None  # the cone: dR >= 0
+    square, db, _, lower, resid = _solve_on_span(
+        [("mul", x, y), ("adj", ep.u1, w[:cols])], n, [parts[name] for name in names], cone, cfg,
+        bscale, f"eigenpair not admissible for {''.join(sorted(blocks))}",
+    )
+    out = dict(zip(names, square), B=db if "B" in blocks else np.zeros((n, m), dtype=complex))
+    pert = PerturbationBlocks(*(out.get(name, np.zeros((n, n), dtype=complex)) for name in "JREB"))
     value = pert.norm()
-    return OracleEtaResult(value, pert, True, float(resid), value if lower is None else lower)
+    return OracleEtaResult(value, pert, True, resid, value if cone is None else lower)
 
 
 # ---------------------------------------------------------------------------

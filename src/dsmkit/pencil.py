@@ -42,6 +42,7 @@ calls serve the whole stack.  A row has the same bits in any stack
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -210,12 +211,17 @@ _KERNEL_B = frozenset(frozenset(s) for s in ("JR", "RE", "JRE"))  # no B block: 
 _EXACT_SD = frozenset(frozenset(s) for s in ("JR", "JRB", "RB"))
 
 
-def parse_blocks(text: str) -> frozenset[str]:
-    blocks = frozenset(text.upper())
-    if not blocks or not blocks <= {"J", "R", "E", "B"} or blocks not in VALID_BLOCK_COMBOS:
+def parse_blocks(blocks: str | Iterable[str]) -> frozenset[str]:
+    """The selection named by a string such as "JREB", in any case, or by an iterable of its letters.
+
+    Raises ``ValueError`` unless it is one of ``VALID_BLOCK_COMBOS``.
+    """
+    letters = frozenset(str(b).upper() for b in blocks)
+    if letters not in VALID_BLOCK_COMBOS:
         valid = ", ".join(sorted(blocks_to_string(b) for b in VALID_BLOCK_COMBOS))
-        raise ValueError(f"invalid block selection {text!r}; valid: {valid}")
-    return blocks
+        shown = blocks if isinstance(blocks, str) else "".join(sorted(letters))
+        raise ValueError(f"invalid block selection {shown!r}; valid: {valid}")
+    return letters
 
 
 def blocks_to_string(blocks: frozenset[str]) -> str:
@@ -529,7 +535,7 @@ def _formula_variant(blocks: frozenset[str], variant: str) -> str:
 
 def _eta(P: PHPencil, ep: EigenPair, blocks, variant: str, cfg: ToleranceConfig) -> BackwardErrorBounds:
     """eta_s/eta_sd: the core on a stack of one row, plus the dense H1 and H2 (O(n^2) to form)."""
-    blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
+    blocks = parse_blocks(blocks)
     formulas = _formula_variant(blocks, variant)
     if ep.lam == 0:
         raise DegenerateInputError("lambda must be nonzero imaginary")
@@ -759,7 +765,7 @@ def gen_eigpair(
     for O(n m^2) + O(n r^2) once per call, so once per table.  A trivial
     kernel raises ``GenerationError``, as do ``max_tries`` rejected draws.
     """
-    blocks = parse_blocks(admissible_for) if isinstance(admissible_for, str) else frozenset(admissible_for)
+    blocks = parse_blocks(admissible_for)
     rng = np.random.default_rng(seed)
     if blocks == frozenset("RB"):
         return _gen_rb(P, rng, cfg, max_tries, lam, _block_norms(P))[0]
@@ -819,7 +825,7 @@ def experiment_table(
     row, never raised; an unsupported selection or variant raises
     ``ValueError`` first.
     """
-    blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
+    blocks = parse_blocks(blocks)
     if variant not in ("s", "sd"):
         raise ValueError(f"variant must be 's' or 'sd', got {variant!r}")
     formulas = _formula_variant(blocks, variant)
@@ -873,7 +879,7 @@ def reconstruct_perturbation(
     (L - dL)(lam) u and have the norm ``eta_upper``; failures raise
     ``ReconstructionError``.
     """
-    blocks = parse_blocks(blocks) if isinstance(blocks, str) else frozenset(blocks)
+    blocks = parse_blocks(blocks)
     if not solution.finite:
         raise ReconstructionError("cannot reconstruct from an infinite backward error")
     n, m = P.n, P.m

@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from dsmkit import (
     DsmProblem,
     EigenPair,
+    PerturbationBlocks,
     PHPencil,
     Type1Problem,
     dsdm_type1,
     dsm_solve,
     eta_sd,
+    mapping_data,
     gen_eigpair,
     gen_pencil,
     map_min,
@@ -17,6 +21,7 @@ from dsmkit import (
     oracle_min_structured,
     verify_solution,
 )
+from dsmkit import oracle
 from dsmkit.errors import CertificationError, InconsistentConstraintsError
 from dsmkit.maps import StructureFamily as F
 from helpers import crandn, dsm_instance, type1_instance
@@ -161,3 +166,92 @@ def test_cone_oracle_raises_without_a_strictly_feasible_point(family):
     w2 += (np.vdot(y, z) - np.vdot(x1, w1) - np.vdot(x2, w2)) / np.vdot(x2, x2).real * x2  # x*w = y*z
     with pytest.raises(CertificationError):
         oracle_min_structured(DsmProblem(x1, x2, y, z, w1, w2), family)
+
+
+def test_least_norm_rejects_a_structured_family_on_non_square_data():
+    rng = np.random.default_rng(51)
+    for constraint in (("mul", crandn(rng, 3), crandn(rng, 2)), ("adj", crandn(rng, 2), crandn(rng, 3))):
+        with pytest.raises(ValueError, match="the structured block must be square"):
+            oracle_least_norm([constraint], F.HERMITIAN)
+    delta, _ = oracle_least_norm([constraint], None)  # no structure: any shape
+    assert delta.shape == (2, 3)
+
+
+@pytest.mark.parametrize("family", [F.UNSTRUCTURED, F.HERMITIAN, F.SKEW_HERMITIAN, F.SYMMETRIC, F.PSD, F.NSD])
+def test_min_structured_takes_only_the_dissipative_families_of_a_type1_problem(family):
+    # D = A A* is Hermitian and dissipative, x*y = x* D x > 0: no skew-Hermitian Delta maps x to y, yet every
+    # family used to get the same dissipative solve, a Hermitian Delta
+    rng = np.random.default_rng(0)
+    a = crandn(rng, 4, 4)
+    d = a @ a.conj().T
+    x = crandn(rng, 4, 1)
+    q = Type1Problem(x, d @ x, x, d.conj().T @ x)
+    with pytest.raises(ValueError, match="dissipative and anti-dissipative families only"):
+        oracle_min_structured(q, family)
+    delta, norm = oracle_min_structured(q, F.DISSIPATIVE)
+    assert np.linalg.norm(delta @ x - d @ x) <= 1e-9 * np.linalg.norm(d @ x)
+    assert np.linalg.eigvalsh(delta + delta.conj().T)[0] >= -1e-9 * norm
+    neg, neg_norm = oracle_min_structured(Type1Problem(x, -d @ x, x, -d.conj().T @ x), F.ANTI_DISSIPATIVE)
+    assert neg_norm == norm and np.array_equal(neg, -delta)
+
+
+def test_oracle_eta_validates_a_selection_given_as_letters():
+    p = gen_pencil(4, 2, seed=4, r_rank=2)
+    ep = gen_eigpair(p, 1, "JEB")
+    with pytest.raises(ValueError, match="invalid block selection"):
+        oracle_eta(p, ep, frozenset("JEBX"), "s")
+    assert oracle_eta(p, ep, frozenset("JEB"), "s").value == oracle_eta(p, ep, "JEB", "s").value
+
+
+def test_oracle_eta_names_the_selection_of_an_inadmissible_pair():
+    p = gen_pencil(4, 2, seed=4, r_rank=2)
+    rng = np.random.default_rng(0)
+    ep = EigenPair(0.7j, crandn(rng, 4), crandn(rng, 4), np.zeros(2))
+    with pytest.raises(InconsistentConstraintsError, match=r"^eigenpair not admissible for BEJ \(residual "):
+        oracle_eta(p, ep, "JEB", "s")
+
+
+def _rows_residual(p, ep, pert: PerturbationBlocks, blocks):
+    """||(D u2 - y, D* u1 - w1, dB* u1 - w2)|| with D = dJ - dR + lam dE: the rows the oracle solves."""
+    _, y, _, w = mapping_data(p, ep)
+    d = pert.dJ - pert.dR + ep.lam * pert.dE
+    rows = [d @ ep.u2 - y, d.conj().T @ ep.u1 - w[: p.n]]
+    if "B" in blocks:
+        rows.append(pert.dB.conj().T @ ep.u1 - w[p.n:])
+    return np.linalg.norm(np.concatenate(rows))
+
+
+@pytest.mark.parametrize("blocks, variant", [("JEB", "s"), ("EB", "s"), ("RB", "s"), ("RB", "sd")])
+def test_constraint_residual_is_the_residual_of_the_returned_perturbation(blocks, variant):
+    # an eigenvector moved off by a small multiple of a random vector leaves data that the audit
+    # accepts and no perturbation meets: the reported residual is that of the perturbation returned,
+    # and grows with the distance
+    p = gen_pencil(5, 2, seed=8, r_rank=3, b_rank=1)
+    ep = gen_eigpair(p, 2, blocks, lam=0.7j)
+    rng = np.random.default_rng(3)
+    g1, g2 = crandn(rng, 5), crandn(rng, 5)
+    got = []
+    for eps in (1e-11, 1e-10):
+        moved = EigenPair(ep.lam, ep.u1 + eps * g1, ep.u2 + eps * g2, ep.u3)
+        res = oracle_eta(p, moved, blocks, variant)
+        direct = _rows_residual(p, moved, res.perturbation, blocks)
+        assert res.constraint_residual == pytest.approx(direct, rel=1e-3)
+        got.append(res.constraint_residual)
+    assert 5.0 < got[1] / got[0] < 20.0
+
+
+def test_constraint_residual_counts_the_data_outside_the_span(monkeypatch):
+    # the residual of the lift is the compressed residual and the part of the data outside the span,
+    # added in quadrature: a part the compression reports is in the audited residual
+    p = gen_pencil(4, 2, seed=4, r_rank=2)
+    ep = gen_eigpair(p, 1, "JEB")
+    base = oracle_eta(p, ep, "JEB", "s").constraint_residual
+    compressed = oracle._compressed
+    for outside in (1e-12, 3e-12):
+        def with_outside(*args, extra=outside, **kw):
+            q, s, reduced, out = compressed(*args, **kw)
+            return q, s, reduced, math.hypot(out, extra)
+
+        monkeypatch.setattr(oracle, "_compressed", with_outside)
+        res = oracle_eta(p, ep, "JEB", "s")
+        assert res.constraint_residual == pytest.approx(math.hypot(base, outside), rel=1e-6)

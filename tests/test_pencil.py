@@ -118,6 +118,22 @@ def test_eta_rejects_zero_lambda_and_prior_work():
         parse_blocks("JX")
 
 
+@pytest.mark.parametrize("bad", [frozenset("JX"), frozenset("JEBX"), {"J", "R", "Q"}, ["JR"], frozenset()])
+def test_a_selection_given_as_letters_is_validated_like_a_string(bad):
+    # a set of letters names the same selection as the string of them, and a bad one raises the same error
+    with pytest.raises(ValueError, match="invalid block selection"):
+        parse_blocks(bad)
+    assert parse_blocks(frozenset("JEB")) == parse_blocks(("B", "E", "J")) == parse_blocks("jeb") == frozenset("JEB")
+    p = pencil_for("JEB")
+    ep = gen_eigpair(p, 3, "JEB")
+    sol = eta_s(p, ep, "JEB")
+    with pytest.raises(ValueError, match="invalid block selection"):
+        gen_eigpair(p, 3, bad)
+    with pytest.raises(ValueError, match="invalid block selection"):
+        reconstruct_perturbation(p, ep, bad, sol)
+    assert reconstruct_perturbation(p, ep, frozenset("JEB"), sol).norm() == reconstruct_perturbation(p, ep, "JEB", sol).norm()
+
+
 def test_delegation_identity():
     for blocks in ("JB", "EB", "JEB"):
         p = pencil_for(blocks)
