@@ -623,7 +623,7 @@ def oracle_eta(
     and, when B is selected, dB* u1 = w2: constraints on [D dB] with
     x = [u2; 0] and z = u1, one call of ``_solve_on_span``.  It is exact
     without an R block and for variant "s"; for variant "sd" dR must also
-    be positive semidefinite, a cone.
+    be positive semidefinite, a cone; any other variant raises ``ValueError``.
 
     ``value`` is the norm of the returned feasible perturbation and
     ``lower`` a dual bound below the true backward error, equal to
@@ -634,6 +634,8 @@ def oracle_eta(
     gap that cannot be certified, raises ``CertificationError``.
     """
     blocks = parse_blocks(blocks)
+    if variant not in ("s", "sd"):
+        raise ValueError(f"variant must be 's' or 'sd', got {variant!r}")
     n, m = P.n, P.m
     if ep.lam == 0:
         raise DegenerateInputError("lambda must be nonzero imaginary")

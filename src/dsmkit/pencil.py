@@ -57,7 +57,7 @@ from .errors import (
     ReconstructionError,
     StructureError,
 )
-from .linalg import _colinear_coeff, _semidefinite, as_complex, fro, herm_skew_parts, min_eig_herm
+from .linalg import _semidefinite, as_complex, fro, herm_skew_parts
 from .linalg import _kept, psd_range, svd_range
 from .maps import StructureFamily, _in_family
 
@@ -281,13 +281,12 @@ def mapping_data(P: PHPencil, ep: EigenPair):
 
 @dataclass
 class _Products:
-    """The pencil's blocks applied to one eigenvector, or to a ``_stack`` of them: all that eta needs of u.
+    """The pencil's blocks applied to a stack of eigenvectors, a row each: all that eta needs of u.
 
-    u is scaled by a power of two to a norm in [0.5, 1).  That is exact in
-    floating point and changes no result, because H1 and H2 are homogeneous
-    of degree zero in u, and it keeps every inner product of two vectors
-    far from overflow and underflow.  Nothing here depends on lambda, so a
-    sweep with a fixed eigenvector computes it once.
+    Every field but the block norms has a row per eigenvector.  u is scaled by a power of two to a norm in
+    [0.5, 1).  That is exact in floating point and changes no result, because H1 and H2 are homogeneous of
+    degree zero in u, and it keeps every inner product of two vectors far from overflow and underflow.
+    Nothing here depends on lambda, so a sweep with a fixed eigenvector computes it once.
     """
 
     u1: np.ndarray
@@ -299,9 +298,9 @@ class _Products:
     Ru2: np.ndarray
     Eu2: np.ndarray
     Bu1: np.ndarray  # B* u1
-    u3_zero: bool
-    alpha: complex  # u2 ~ alpha u1, and whether it holds with alpha != 0
-    colinear: bool
+    u3_zero: np.ndarray
+    alpha: np.ndarray  # u2 ~ alpha u1, and whether it holds with alpha != 0
+    colinear: np.ndarray
     nJ: float
     nR: float
     nE: float
@@ -313,23 +312,33 @@ def _block_norms(P: PHPencil) -> tuple[float, float, float, float]:
     return fro(P.J), fro(P.R), fro(P.E), fro(P.B)
 
 
-def _products(P: PHPencil, ep: EigenPair, cfg: ToleranceConfig, norms=None) -> _Products:
-    """The products of one eigenvector; ``norms`` (from ``_block_norms``) saves four n^2 passes."""
-    if ep.u1.shape[0] != P.n or ep.u3.shape[0] != P.m:
+def _products(P: PHPencil, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray, cfg: ToleranceConfig,
+              norms=None) -> _Products:
+    """The products of the eigenvectors [u1; u2; u3], one per row; ``norms`` (``_block_norms``) saves four n^2 passes.
+
+    Each block is applied as M @ U[..., None], one matrix-vector product per row, so a row has the bits of
+    ``M @ u`` in any stack; 2-D products of n x 2 would change their last bits with the width."""
+    if u1.shape[-1] != P.n or u3.shape[-1] != P.m:
         raise DimensionMismatchError(
-            f"eigenpair dims ({ep.u1.shape[0]}, {ep.u3.shape[0]}) do not match pencil ({P.n}, {P.m})"
+            f"eigenpair dims ({u1.shape[-1]}, {u3.shape[-1]}) do not match pencil ({P.n}, {P.m})"
         )
-    unorm = math.hypot(fro(ep.u1), fro(ep.u2), fro(ep.u3))
-    s = 2.0 ** -math.frexp(unorm)[1]
-    u1, u2 = s * ep.u1, s * ep.u2
-    alpha, colinear = _colinear_coeff(u1, u2, cfg)
-    return _Products(u1, u2, P.J @ u1, P.R @ u1, P.E @ u1, P.J @ u2, P.R @ u2, P.E @ u2, P.B.conj().T @ u1,
-                     fro(ep.u3) <= cfg.residual_tol * unorm, alpha, colinear and alpha != 0, *(norms or _block_norms(P)))
+    n3 = _norm(u3)
+    unorm = np.hypot(np.hypot(_norm(u1), _norm(u2)), n3)
+    s = np.ldexp(1.0, -np.frexp(unorm)[1])[:, None]
+    u1, u2, k = s * u1, s * u2, len(u1)
+    u = np.concatenate([u1, u2])[..., None]
+    Ju, Ru, Eu = ((M @ u)[..., 0] for M in (P.J, P.R, P.E))
+    d = _dot(u1, u1)  # alpha by least squares, as ``linalg._colinear_coeff``: zero for u1 = 0
+    alpha = _dot(u1, u2) / np.where(d != 0, d, 1.0)
+    colinear = (d != 0) & (alpha != 0) & (_norm(u2 - alpha[:, None] * u1) <= cfg.residual_tol * _norm(u2))
+    return _Products(u1, u2, Ju[:k], Ru[:k], Eu[:k], Ju[k:], Ru[k:], Eu[k:], (P.B.conj().T @ u1[..., None])[..., 0],
+                     n3 <= cfg.residual_tol * unorm, alpha, colinear, *(norms or _block_norms(P)))
 
 
-def _stack(vs: list[_Products]) -> _Products:
-    """The products of several eigenvectors as one: every field gains a leading axis, a row per eigenvector."""
-    return _Products(*(np.array(col) for col in zip(*(vars(v).values() for v in vs))))
+def _select(vs: list[_Products], rows) -> _Products:
+    """The ``rows`` of several stacks of products laid end to end, as one stack."""
+    fields = zip(*(vars(v).values() for v in vs))
+    return _Products(*(np.concatenate(f)[rows] if np.ndim(f[0]) else f[0] for f in fields))
 
 
 def _ct(a: np.ndarray) -> np.ndarray:
@@ -442,8 +451,8 @@ def _bounds(blocks: frozenset[str], variant: str, lams, h1n, hhn, hsn, h2n) -> t
 def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products, cfg: ToleranceConfig):
     """Bounds, verdicts and the factors of H1 for a stack of rows, each one eigenvector at one lambda.
 
-    ``lams`` holds the B imaginary lambda; ``v`` is the ``_stack`` of one eigenvector, which every row
-    shares, or of B, one per row.  Returns ``(results, F, C)``: ``results[i]`` is row i's
+    ``lams`` holds the B imaginary lambda; ``v`` holds the products (``_products``) of one eigenvector,
+    which every row shares, or of B, one per row.  Returns ``(results, F, C)``: ``results[i]`` is row i's
     ``BackwardErrorBounds`` without H1 and H2 (an infinite row keeps only its side conditions) or its
     ``DsmkitError``, and its H1 is F[i] C[i] F[i]* (C[0] when C holds one core for all rows), F of at
     most six columns.  ty = J u2 - R u2 + lam E u2 and w1 = -(J u1 + R u1 + lam E u1) are affine in
@@ -539,14 +548,14 @@ def _eta(P: PHPencil, ep: EigenPair, blocks, variant: str, cfg: ToleranceConfig)
     formulas = _formula_variant(blocks, variant)
     if ep.lam == 0:
         raise DegenerateInputError("lambda must be nonzero imaginary")
-    v = _products(P, ep, cfg)
-    (out,), F, C = _solve(blocks, formulas, np.array([ep.lam]), _stack([v]), cfg)
+    v = _products(P, ep.u1[None], ep.u2[None], ep.u3[None], cfg)
+    (out,), F, C = _solve(blocks, formulas, np.array([ep.lam]), v, cfg)
     if isinstance(out, DsmkitError):
         raise out
     out.variant = variant
     if out.finite:
         out.H1 = F[0] @ C[0] @ _ct(F[0])
-        out.H2 = np.outer(_pinv_cols(v.u1[None], _norm(v.u1[None]))[0], v.Bu1.conj()) * ("B" in blocks)  # u1 u1+ B
+        out.H2 = np.outer(_pinv_cols(v.u1, _norm(v.u1))[0], v.Bu1[0].conj()) * ("B" in blocks)  # u1 u1+ B
     return out
 
 
@@ -597,7 +606,10 @@ def eta_s(
 
 
 def _crandn(rng: np.random.Generator, *shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """re + 1j im for Gaussian re, then im, filled in place: the bits of the sum, with no temporaries."""
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    return out
 
 
 def gen_pencil(
@@ -638,7 +650,8 @@ def _random_lam(rng: np.random.Generator) -> complex:
 
 
 #: a table's rows go through the core in stacks of at most ``_STACK_BYTES``, at about ``_ROW_BYTES`` per
-#: row and unit of n (some 24 complex n-vectors: the products, ty, w1, the factors of H1 and temporaries)
+#: row and unit of n (some 24 complex n-vectors: the products, ty, w1, the factors of H1 and temporaries;
+#: an RB probe pass holds as many, G, h G and one product of ``_PROBE_BLOCK`` columns each)
 _STACK_BYTES = 4 << 20
 _ROW_BYTES = 24 * 16
 _PROBE_BLOCK = 8  # Gaussian probes drawn and applied to h together, as one matrix product
@@ -646,36 +659,15 @@ _PROBES = 32  # probes at one lambda before the eigh fallback
 _MAX_TRIES = 500
 
 
-def _probe_isotropic(P: PHPencil, lam: complex, rng: np.random.Generator) -> list[np.ndarray] | None:
-    """Two independent random u with u* h u = 0 for h = (J + lam E)/i: O(n^2), no decomposition.
+def _probe(P: PHPencil, lams: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h G, q = g* h g) for probe blocks G (rows, n, probes), h = (J + lam E)/i at each row's lambda.
 
-    Gaussian probes g are drawn in blocks of ``_PROBE_BLOCK`` until
-    q(g) = g* h g has taken each sign twice.  For probes a and b with
-    q(a) > 0 > q(b), q(a + t b) = q(b) t^2 + 2 Re(a* h b) t + q(a) is a real
-    quadratic whose roots have opposite signs; one of them, picked at
-    random, makes a + t b isotropic.  The two vectors use disjoint probes.
-    Returns None when ``_PROBES`` probes give fewer than two of one sign:
-    h is semidefinite, or its inertia too lopsided for probing.
-    """
-    pos: list[tuple] = []
-    neg: list[tuple] = []
-    for _ in range(_PROBES // _PROBE_BLOCK):
-        g = _crandn(rng, P.n, _PROBE_BLOCK)
-        hg = (P.J @ g + lam * (P.E @ g)) / 1j
-        q = np.einsum("ij,ij->j", g.conj(), hg).real
-        for j in np.flatnonzero(q):
-            (pos if q[j] > 0.0 else neg).append((g[:, j], hg[:, j], q[j]))
-        if len(pos) >= 2 and len(neg) >= 2:
-            break
-    else:
-        return None
-    out = []
-    for (a, _, qa), (b, hb, qb) in zip(pos[:2], neg[:2]):
-        beta = np.vdot(a, hb).real
-        # the root of larger modulus, free of cancellation; the other is q(a) / (q(b) t)
-        big = -(beta + math.copysign(math.hypot(beta, math.sqrt(qa) * math.sqrt(-qb)), beta)) / qb
-        out.append(a + (big if rng.random() < 0.5 else qa / (qb * big)) * b)
-    return out
+    Each row is a slice of (n, n) @ (rows, n, probes) products, with the bits of its block alone."""
+    HG = P.E @ G
+    HG *= lams[:, None, None]
+    HG += P.J @ G
+    HG *= -1j  # the bits of division by 1j
+    return HG, np.einsum("kij,kij->kj", G.conj(), HG).real
 
 
 def _isotropic_vector(h: np.ndarray, eigs: np.ndarray, vecs: np.ndarray, rng: np.random.Generator,
@@ -695,49 +687,87 @@ def _isotropic_vector(h: np.ndarray, eigs: np.ndarray, vecs: np.ndarray, rng: np
     return vp * math.sqrt(-qn / qp) + vn
 
 
-def _gen_rb(P: PHPencil, rng: np.random.Generator, cfg: ToleranceConfig, max_tries: int,
-            lam: complex | None, norms) -> tuple[EigenPair, _Products]:
-    """An RB eigenpair and its products, O(n^2) per try while probing succeeds.
+def _gen_rb(P: PHPencil, rngs: list, lams: list, cfg: ToleranceConfig, max_tries: int,
+            norms) -> tuple[list, _Products | None]:
+    """RB eigenpairs and their products for a stack of rows: row i draws from ``rngs[i]`` at ``lams[i]`` (None: random).
 
-    u1 and u2 are drawn independently in the isotropic set of
-    h = (J + lam E)/i by ``_probe_isotropic``.  Only a lambda where probing
-    fails takes one ``eigh`` of h (``_isotropic_vector``), which the later
-    tries at a fixed lambda share.  A draw is kept when it is isotropic to
-    ``residual_tol`` (|u* h u| against ||h u|| ||u||), R u1 != 0, and X*Y,
-    with X = [u2 u1] and Y = [ty w1], is Hermitian and negative definite
-    with margin: the formula inverts X*Y, and near-singular instances have
-    near-infinite backward errors.  Every test reads the products that eta
-    takes (``_products``), so a sweep reuses them.
+    u1 and u2 are isotropic for h = (J + lam E)/i, each a + t b from Gaussian probes with q(a) > 0 > q(b),
+    q(g) = g* h g: the probes come in blocks of ``_PROBE_BLOCK`` until q has taken each sign twice, and
+    q(a + t b) = q(b) t^2 + 2 Re(a* h b) t + q(a) has roots of opposite signs, one of them picked at
+    random.  A row whose ``_PROBES`` probes give fewer than two of one sign (h semidefinite, or its
+    inertia too lopsided) takes one ``eigh`` of h (``_isotropic_vector``), which its later tries at a
+    fixed lambda share.  A draw is kept when it is isotropic to ``residual_tol`` (|u* h u| against
+    ||h u|| ||u||), R u1 != 0, and X*Y, with X = [u2 u1] and Y = [ty w1], is Hermitian and negative
+    definite with margin: the formula inverts X*Y, and near-singular instances have near-infinite errors.
+
+    The rows advance in lockstep rounds of one try each, and each phase of a round is one stacked pass
+    over the pending rows: each probe block (``_probe``), the products that eta takes (``_products``)
+    and the tests.  Row i consumes ``rngs[i]`` as it would alone (its lambda, probe blocks until both
+    signs are found, one ``random()`` per pair), and has the bits it has in a stack of one.  Returns
+    ``(out, v)``: ``out[i]`` is (lambda, u1, u2) or row i's ``GenerationError``; v stacks the products
+    of the drawn rows in row order.
     """
-    u3 = np.zeros(P.m, dtype=complex)
-    spectrum = None  # (h, eigs, vecs) of (J + lam E)/i once probing has failed at a fixed lam
-    for _ in range(max_tries):
-        lam_t = lam if lam is not None else _random_lam(rng)
-        lt = 1j * complex(lam_t).imag
-        pair = _probe_isotropic(P, lt, rng) if spectrum is None else None
-        if pair is None:
-            if spectrum is None:
-                h = (P.J + lt * P.E) / 1j
-                spectrum = (h, *np.linalg.eigh(h))
-            pair = (_isotropic_vector(*spectrum, rng, cfg), _isotropic_vector(*spectrum, rng, cfg))
-            if lam is None:
-                spectrum = None  # the next try draws another lambda
-            if pair[0] is None:
-                if lam is not None:
-                    raise GenerationError("(J + lam E)/i is semidefinite; no isotropic vectors exist")
-                continue  # another lambda may admit isotropic vectors
-        ep = EigenPair(lam_t, pair[0], pair[1], u3, cfg)
-        v = _products(P, ep, cfg, norms)
-        hu1, hu2 = v.Ju1 + lt * v.Eu1, v.Ju2 + lt * v.Eu2  # i h u1, i h u2
-        if any(abs(np.vdot(u, hu)) > cfg.residual_tol * fro(hu) * fro(u) for u, hu in ((v.u1, hu1), (v.u2, hu2))):
-            continue
-        if fro(v.Ru1) <= _DRAW_NONZERO * v.nR * fro(v.u1):
-            continue
-        xy = np.column_stack([v.u2, v.u1]).conj().T @ np.column_stack([hu2 - v.Ru2, -(hu1 + v.Ru1)])
-        if fro(xy - xy.conj().T) > _DRAW_NONZERO * fro(xy) or min_eig_herm(-xy) <= _DRAW_DEFINITE * fro(xy):
-            continue
-        return ep, v
-    raise GenerationError(f"no admissible eigenpair found in {max_tries} tries")
+    n, tol, out = P.n, cfg.residual_tol, [None] * len(rngs)
+    spectra = [None] * len(rngs)  # spectra[i]: (h, eigs, vecs) once probing has failed at a fixed lambda
+    chunks, drawn, seen, pending = [], {}, 0, list(range(len(rngs)))  # drawn[i]: row i's row in the chunks
+    for _ in range(max_tries):  # lockstep rounds: every pending row makes its next try
+        lam_t = {i: lams[i] if lams[i] is not None else _random_lam(rngs[i]) for i in pending}
+        lt = {i: 1j * complex(lam_t[i]).imag for i in pending}
+        probing = [i for i in pending if spectra[i] is None]
+        signs = {i: ([], []) for i in probing}  # the first two probes with q > 0, and with q < 0: (g, h g, q)
+        for _ in range(_PROBES // _PROBE_BLOCK):
+            if not probing:
+                break
+            G = np.stack([_crandn(rngs[i], n, _PROBE_BLOCK) for i in probing])
+            HG, q = _probe(P, np.array([lt[i] for i in probing]), G)
+            for r, i in enumerate(probing):
+                for j, qj in enumerate(q[r].tolist()):
+                    side = signs[i][qj < 0.0]
+                    if qj and len(side) < 2:
+                        side.append((G[r, :, j], HG[r, :, j], qj))
+            probing = [i for i in probing if min(map(len, signs[i])) < 2]
+        pairs = {}
+        for i in pending:
+            if i in signs and i not in probing:
+                pairs[i] = []
+                for (a, _, qa), (b, hb, qb) in zip(*signs[i]):
+                    beta = np.vdot(a, hb).real
+                    # the root of larger modulus, free of cancellation; the other is q(a) / (q(b) t)
+                    big = -(beta + math.copysign(math.hypot(beta, math.sqrt(qa) * math.sqrt(-qb)), beta)) / qb
+                    pairs[i].append(a + (big if rngs[i].random() < 0.5 else qa / (qb * big)) * b)
+                continue
+            if spectra[i] is None:
+                h = (P.J + lt[i] * P.E) / 1j
+                spectra[i] = (h, *np.linalg.eigh(h))
+            pair = [_isotropic_vector(*spectra[i], rngs[i], cfg) for _ in range(2)]
+            if lams[i] is None:
+                spectra[i] = None  # the next try draws another lambda
+            if pair[0] is not None:
+                pairs[i] = pair
+            elif lams[i] is not None:  # a random lambda tries another
+                out[i] = GenerationError("(J + lam E)/i is semidefinite; no isotropic vectors exist")
+        if pairs:
+            live = list(pairs)
+            u1, u2 = (np.array([pairs[i][j] for i in live]) for j in (0, 1))
+            v = _products(P, u1, u2, np.zeros((len(live), P.m), dtype=complex), cfg, norms)
+            lt_live = np.array([lt[i] for i in live])[:, None]
+            U, HU = np.stack([v.u1, v.u2]), np.stack([v.Ju1 + lt_live * v.Eu1, v.Ju2 + lt_live * v.Eu2])  # i h u
+            xy = _ct(np.stack([v.u2, v.u1], axis=-1)) @ np.stack([HU[1] - v.Ru2, -(HU[0] + v.Ru1)], axis=-1)
+            nxy = _norm(xy, 2)
+            ok = ((abs(_dot(U, HU)) <= tol * _norm(HU) * _norm(U)).all(0)
+                  & (_norm(v.Ru1) > _DRAW_NONZERO * v.nR * _norm(v.u1))
+                  & (_norm(xy - _ct(xy), 2) <= _DRAW_NONZERO * nxy)
+                  & (np.linalg.eigvalsh(-(xy + _ct(xy)) / 2.0)[:, 0] > _DRAW_DEFINITE * nxy))
+            for r in np.flatnonzero(ok):
+                out[live[r]], drawn[live[r]] = (lam_t[live[r]], u1[r], u2[r]), seen + r
+            chunks.append(v)
+            seen += len(live)
+        pending = [i for i in pending if out[i] is None]
+        if not pending:
+            break
+    for i in pending:
+        out[i] = GenerationError(f"no admissible eigenpair found in {max_tries} tries")
+    return out, _select(chunks, [drawn[i] for i in sorted(drawn)]) if chunks else None
 
 
 def gen_eigpair(
@@ -755,20 +785,25 @@ def gen_eigpair(
     unit-modulus random phase alpha, except for the RB selection, where u1
     and u2 are drawn independently in the isotropic set of (J + lam E)/i,
     each from two Gaussian probes of opposite sign in O(n^2) with no
-    decomposition, and the definiteness condition is enforced by rejection
-    (see ``_gen_rb``).  A lambda where probing finds one sign only takes one
-    ``eigh`` of (J + lam E)/i instead; a semidefinite one raises
-    ``GenerationError`` when ``lam`` is fixed.  For ker B* (JR, RE, JRE)
-    and ker R (JB, EB, JEB), u1 = g - Q (Q* g) for a Gaussian g in C^n and
-    an orthonormal basis Q of range(B) (``linalg.svd_range``) or of range(R)
-    (``linalg.psd_range``): a standard Gaussian on the kernel,
-    for O(n m^2) + O(n r^2) once per call, so once per table.  A trivial
-    kernel raises ``GenerationError``, as do ``max_tries`` rejected draws.
+    decomposition, and the definiteness condition is enforced by rejection:
+    the draw is a stack of one of the table's generator (``_gen_rb``), so it
+    equals the row its seed gives in any table.  A lambda where probing
+    finds one sign only takes one ``eigh`` of (J + lam E)/i instead; a
+    semidefinite one raises ``GenerationError`` when ``lam`` is fixed.  For
+    ker B* (JR, RE, JRE) and ker R (JB, EB, JEB), u1 = g - Q (Q* g) for a
+    Gaussian g in C^n and an orthonormal basis Q of range(B)
+    (``linalg.svd_range``) or of range(R) (``linalg.psd_range``): a standard
+    Gaussian on the kernel, for O(n m^2) + O(n r^2) once per call, so once
+    per table.  A trivial kernel raises ``GenerationError``, as do
+    ``max_tries`` rejected draws.
     """
     blocks = parse_blocks(admissible_for)
     rng = np.random.default_rng(seed)
     if blocks == frozenset("RB"):
-        return _gen_rb(P, rng, cfg, max_tries, lam, _block_norms(P))[0]
+        (drawn,), _ = _gen_rb(P, [rng], [lam], cfg, max_tries, _block_norms(P))
+        if isinstance(drawn, DsmkitError):
+            raise drawn
+        return EigenPair(*drawn, np.zeros(P.m, dtype=complex), cfg)
     n = P.n
     u3 = np.zeros(P.m, dtype=complex)
 
@@ -814,12 +849,13 @@ def experiment_table(
     Keeps one eigenvector fixed across the sweep when the selection's side
     conditions do not depend on lambda; it is drawn once, at the first
     admissible lambda, and a failed draw is the error of every such row.
-    The RB selection draws a new one per row (``gen_eigpair`` with seed
-    ``ep_seed + i``), in O(n^2) with no decomposition, and reuses the
-    products its generator has formed.  The block norms are taken once per
-    table, and the rows go through ``_solve`` in stacks of at most
-    ``_STACK_BYTES``, so the table's peak memory does not grow with the
-    number of lambda.  The rows equal ``eta_sd``/``eta_s`` on the same
+    The RB selection draws a new one per row, the one ``gen_eigpair`` draws
+    with seed ``ep_seed + i``, in O(n^2) with no decomposition: the rows of
+    a stack are drawn together (``_gen_rb``), each phase one stacked pass,
+    and ``_solve`` reuses the products the generator has formed.  The block
+    norms are taken once per table, and the rows go through the generator
+    and ``_solve`` in stacks of at most ``_STACK_BYTES``, so the table's
+    peak memory does not grow with the number of lambda.  The rows equal ``eta_sd``/``eta_s`` on the same
     eigenpair bit for bit.  Row-level failures (lambda = 0, infinite eta,
     generation failure or any other ``DsmkitError``) are recorded in the
     row, never raised; an unsupported selection or variant raises
@@ -834,28 +870,29 @@ def experiment_table(
     rows = [{"lam": lam, "finite": False, "eta_lower": math.inf, "eta_upper": math.inf, "conditions": "",
              "error": "" if lam != 0 and _is_imaginary(lam, cfg) else "lambda must be nonzero purely imaginary"}
             for lam in map(complex, lambdas)]
-    todo = [i for i, row in enumerate(rows) if not row["error"]]
+    todo, v = [i for i, row in enumerate(rows) if not row["error"]], None
     if todo and not rb:
         try:
-            fixed = _stack([_products(P, gen_eigpair(P, ep_seed, blocks, cfg, lam=rows[todo[0]]["lam"]), cfg, norms)])
+            ep = gen_eigpair(P, ep_seed, blocks, cfg, lam=rows[todo[0]]["lam"])
+            v = _products(P, ep.u1[None], ep.u2[None], ep.u3[None], cfg, norms)
         except DsmkitError as exc:  # one draw: its failure is every row's
             for i in todo:
                 rows[i]["error"] = str(exc)
             todo = []
     step = _STACK_BYTES // (_ROW_BYTES * P.n) or 1
     for start in range(0, len(todo), step):
-        live, vecs = [], []
-        for i in todo[start : start + step]:
-            try:
-                if rb:
-                    vecs.append(_gen_rb(P, np.random.default_rng(ep_seed + i), cfg, _MAX_TRIES, rows[i]["lam"], norms)[1])
-                live.append(i)
-            except DsmkitError as exc:  # row-level failures are data, not aborts
-                rows[i]["error"] = str(exc)
+        chunk = todo[start : start + step]
+        if rb:
+            drawn, v = _gen_rb(P, [np.random.default_rng(ep_seed + i) for i in chunk], [rows[i]["lam"] for i in chunk],
+                               cfg, _MAX_TRIES, norms)
+            for i, d in zip(chunk, drawn):
+                if isinstance(d, DsmkitError):  # row-level failures are data, not aborts
+                    rows[i]["error"] = str(d)
+        live = [i for i in chunk if not rows[i]["error"]]
         if not live:
             continue
         lams = np.array([1j * rows[i]["lam"].imag for i in live])
-        for i, res in zip(live, _solve(blocks, formulas, lams, _stack(vecs) if rb else fixed, cfg)[0]):
+        for i, res in zip(live, _solve(blocks, formulas, lams, v, cfg)[0]):
             if isinstance(res, DsmkitError):
                 rows[i]["error"] = str(res)
             else:

@@ -255,3 +255,14 @@ def test_constraint_residual_counts_the_data_outside_the_span(monkeypatch):
         monkeypatch.setattr(oracle, "_compressed", with_outside)
         res = oracle_eta(p, ep, "JEB", "s")
         assert res.constraint_residual == pytest.approx(math.hypot(base, outside), rel=1e-6)
+
+
+@pytest.mark.parametrize("variant", ["SD", "S", "bogus", ""])
+def test_oracle_eta_rejects_an_unknown_variant(variant):
+    # "SD" and "bogus" used to get the exact "s" solve (12.364) without an error
+    p = gen_pencil(4, 2, 3, r_rank=2)
+    ep = gen_eigpair(p, 1, "JR", lam=0.7j)
+    assert oracle_eta(p, ep, "JR", "sd").value == pytest.approx(13.3823, abs=1e-4)
+    assert oracle_eta(p, ep, "JR", "s").value == pytest.approx(12.3643, abs=1e-4)
+    with pytest.raises(ValueError, match="variant must be 's' or 'sd'"):
+        oracle_eta(p, ep, "JR", variant)

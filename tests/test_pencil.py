@@ -527,6 +527,75 @@ def _grid(k):
     return [(-1) ** j * 1j * (0.3 + 1.7 * j / max(k - 1, 1)) for j in range(k)]
 
 
+def _count_passes(monkeypatch, names=("_probe", "_products")):
+    """Record the rows of every call of the generator's stacked passes, by name (the second argument of
+    either has a row each: the lambdas of ``_probe``, the u1 of ``_products``)."""
+    import dsmkit.pencil as pencil_mod
+
+    calls = {name: [] for name in names}
+
+    def counted(name, fn):
+        def wrapped(P, rows, *args, **kwargs):
+            calls[name].append(len(rows))
+            return fn(P, rows, *args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(pencil_mod, name, counted(name, getattr(pencil_mod, name)))
+    return calls
+
+
+def test_rb_table_draws_its_rows_in_lockstep_rounds(monkeypatch):
+    # one stacked probe pass per probe block and one products pass per round, each over the pending rows;
+    # a generator that drew row by row would make one pass per draw
+    from dsmkit.pencil import _PROBE_BLOCK, _PROBES
+
+    calls = _count_passes(monkeypatch)
+    p = gen_pencil(24, 4, seed=8)
+    rows = experiment_table(p, [0.45j, -1.2j, 0.9j, -0.35j, 1.7j, 0.6j], 5, "RB")
+    assert all(r["error"] == "" and r["finite"] for r in rows)
+    products, probes = calls["_products"], calls["_probe"]
+    assert products[0] == 6 and products == sorted(products, reverse=True)  # the pending rows only shrink
+    assert 1 <= len(products) < sum(products)  # fewer passes than draws: a rejected draw waits for the next round
+    assert probes[0] == 6 and len(probes) <= len(products) * (_PROBES // _PROBE_BLOCK)
+
+
+def test_rb_table_rows_are_the_pairs_gen_eigpair_draws(monkeypatch):
+    # with E shifted towards definite, row 0 of this table has a rejected draw, row 1 needs a second
+    # probe block, and the rows at larger |lambda| find one sign only and fall back to an eigh each
+    import dsmkit.pencil as pencil_mod
+
+    base = gen_pencil(24, 4, seed=8)
+    p = PHPencil(base.J, base.R, base.E + 4.0 * np.eye(24), base.B, base.S)
+    lams = _grid(8)
+    tables = []
+    gen = pencil_mod._gen_rb
+
+    def recorded(*args, **kwargs):
+        tables.append(gen(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(pencil_mod, "_gen_rb", recorded)
+    rows = experiment_table(p, lams, 3, "RB")
+    (drawn, _), = tables
+    calls = _count_passes(monkeypatch)
+    seen = watch_linalg(monkeypatch)
+    paths = []
+    for i, lam in enumerate(lams):
+        before = len(seen)
+        ep = gen_eigpair(p, 3 + i, "RB", lam=lam)  # a stack of one
+        probes, products = len(calls["_probe"]), len(calls["_products"])
+        for c in calls.values():
+            c.clear()
+        paths.append((probes, products, [c[:2] for c in seen[before:] if c[0] == "eigh"]))
+        assert drawn[i][0] == lam and np.array_equal(drawn[i][1], ep.u1) and np.array_equal(drawn[i][2], ep.u2)
+        assert rows[i]["eta_upper"] == eta_sd(p, ep, "RB").eta_upper
+    assert any(products > 1 for _, products, _ in paths)  # a rejected draw
+    assert any(probes > products and not eighs for probes, products, eighs in paths)  # a second probe block
+    fallback = [eighs for _, _, eighs in paths if eighs]
+    assert fallback and all(eighs == [("eigh", (24, 24))] for eighs in fallback)  # one row alone, once
+
+
 def test_fixed_eigenvector_table_draws_once_when_the_draw_fails(monkeypatch):
     import dsmkit.pencil as pencil_mod
 
@@ -548,12 +617,13 @@ def test_fixed_eigenvector_table_draws_once_when_the_draw_fails(monkeypatch):
 @pytest.mark.parametrize("blocks,variant", ALL_SELECTIONS)
 def test_table_core_calls_do_not_grow_with_the_rows(blocks, variant, monkeypatch):
     # one stack of 5 rows and one of 50 take the same np.linalg calls in the core; outside it only the
-    # RB generator (one draw per row) and, for a fixed eigenvector, its one draw make any
+    # RB generator (one stacked 2 x 2 eigvalsh per lockstep round, whatever the rows) and, for a fixed
+    # eigenvector, its one draw make any
     import dsmkit.pencil as pencil_mod
 
     seen = watch_linalg(monkeypatch)
-    inside = []
-    solve = pencil_mod._solve
+    inside, rounds = [], []
+    solve, products = pencil_mod._solve, pencil_mod._products
 
     def counted(*args, **kwargs):
         before = len(seen)
@@ -561,16 +631,22 @@ def test_table_core_calls_do_not_grow_with_the_rows(blocks, variant, monkeypatch
         inside.append([c[0] for c in seen[before:]])
         return out
 
+    def products_counted(*args, **kwargs):
+        rounds[-1] += 1
+        return products(*args, **kwargs)
+
     monkeypatch.setattr(pencil_mod, "_solve", counted)
+    monkeypatch.setattr(pencil_mod, "_products", products_counted)
     p = gen_pencil(24, 4, seed=8, r_rank=12)
     outside = []
     for k in (5, 50):
         before = len(seen)
+        rounds.append(0)
         rows = experiment_table(p, _grid(k), 5, blocks, variant=variant)
         assert sum(row["finite"] for row in rows) >= k - 2
         outside.append(len(seen) - before - len(inside[-1]))
     assert len(inside) == 2 and inside[0] == inside[1] and len(inside[0]) <= 5
-    assert outside[1] > outside[0] if blocks == "RB" else outside[0] == outside[1]
+    assert outside == rounds if blocks == "RB" else outside[0] == outside[1]
 
 
 def test_table_peak_memory_does_not_grow_with_the_number_of_lambda():
@@ -590,6 +666,28 @@ def test_table_peak_memory_does_not_grow_with_the_number_of_lambda():
     big, rows = peak(1000)
     assert len(rows) == 1000 and all(row["finite"] for row in rows)
     assert big <= 2 * small, (big, small)
+
+
+@pytest.mark.parametrize("n", [4, 64, 256])
+def test_products_of_a_stack_are_its_stacks_of_one(n):
+    # M @ U[..., None] is one matrix-vector product per row: each row has the bits of M @ u alone,
+    # which eta_* (a stack of one) and the tables and the RB generator (stacks of many) all rely on
+    from dsmkit.config import DEFAULT_TOL
+    from dsmkit.pencil import _products
+
+    p = gen_pencil(n, 3, seed=n)
+    rng = np.random.default_rng(n)
+    u1, u2, u3 = crandn(rng, 6, n), crandn(rng, 6, n), crandn(rng, 6, 3)
+    u2[1] = np.exp(0.3j) * u1[1]  # colinear
+    u3[2:] = 0.0
+    v = _products(p, u1, u2, u3, DEFAULT_TOL)
+    for i in range(6):
+        one = _products(p, u1[i : i + 1], u2[i : i + 1], u3[i : i + 1], DEFAULT_TOL)
+        for name, field in vars(v).items():
+            assert np.array_equal(field[i : i + 1] if np.ndim(field) else field, getattr(one, name)), (i, name)
+        assert np.array_equal(v.Ju1[i], p.J @ v.u1[i]) and np.array_equal(v.Ru2[i], p.R @ v.u2[i])
+        assert np.array_equal(v.Bu1[i], p.B.conj().T @ v.u1[i])
+    assert v.colinear.tolist() == [False, True] + 4 * [False] and v.u3_zero.tolist() == 2 * [False] + 4 * [True]
 
 
 def _hermitian_form(p, lam):
