@@ -16,14 +16,7 @@ from .dsm import (
     dsm_solve,
     jordan_lie_reduce,
 )
-from .linalg import (
-    BlockPsdReport,
-    Definiteness,
-    block_psd_check,
-    herm_skew_parts,
-    is_psd,
-    pinv,
-)
+from .linalg import herm_skew_parts, pinv
 from .maps import MapSolution, StructureFamily, map_characterize, map_min, map_two_sided
 from .oracle import (
     OracleEtaResult,

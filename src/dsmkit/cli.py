@@ -30,7 +30,7 @@ from . import pencil as pencil_mod
 from .config import DEFAULT_TOL, ToleranceConfig
 from .dsm import DsmProblem, DsmSolution, Type1Problem, Type1Solution, dsdm_type1, dsdm_type2, dsm_solve
 from .errors import DsmkitError
-from .maps import StructureFamily, map_min, map_two_sided
+from .maps import FAMILIES, StructureFamily, map_min, map_two_sided
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,7 +140,7 @@ def _cmd_map_solve(args, cfg: ToleranceConfig) -> int:
         problem_echo["w"] = io_mod.vector_to_doc(w)
         data = (x, y, z, w)
         m = x.shape[0] - y.shape[0]
-        dissipative = family in (StructureFamily.DISSIPATIVE, StructureFamily.ANTI_DISSIPATIVE)
+        dissipative = FAMILIES[family].cone == "dissipative"
         if family is StructureFamily.UNSTRUCTURED:
             kind, sol = "map-two-sided", map_two_sided(x, y, z, w, cfg)
         elif m < 0 or (m == 0 and not dissipative):
@@ -150,7 +150,7 @@ def _cmd_map_solve(args, cfg: ToleranceConfig) -> int:
         elif dissipative:
             kind = "dsdm-type1" if m == 0 else "dsdm-type2"
             solve = dsdm_type1 if m == 0 else dsdm_type2
-            sol = solve(_problem(kind, *data), cfg, anti=family is StructureFamily.ANTI_DISSIPATIVE)
+            sol = solve(_problem(kind, *data), cfg, anti=FAMILIES[family].reflects is not None)
         else:
             kind, sol = "dsm", dsm_solve(family, _problem("dsm", *data), cfg)
 
@@ -308,7 +308,7 @@ def _cmd_verify(args, cfg: ToleranceConfig) -> int:
                     _, oracle_norm = oracle_mod.oracle_least_norm([("mul", x, y), ("adj", z, w)], cfg=cfg)
                 elif kind != "map-min":
                     _, oracle_norm = oracle_mod.oracle_min_structured(_problem(kind, *data), family, cfg=cfg)
-                elif family in oracle_mod.LINEAR_FAMILIES:
+                elif FAMILIES[family].cone is None:
                     _, oracle_norm = oracle_mod.oracle_least_norm([("mul", x, y)], family, cfg=cfg)
             if oracle_norm is not None:
                 # the minimum lies within the oracle's certified gap below oracle_norm, and so must the claim

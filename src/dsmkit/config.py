@@ -21,12 +21,12 @@ class ToleranceConfig:
                   and an eigenvalue of the type-1 core G*U1 + U1*G up to
                   ``rank_tol * 2||G||``
     psd_tol       semidefiniteness: no eigenvalue of the Hermitian part below
-                  ``-psd_tol * scale`` (``linalg._semidefinite``), definiteness:
-                  every eigenvalue above ``psd_tol * scale``
+                  ``-psd_tol * scale`` (``linalg._semidefinite``; a family's cone in
+                  ``maps._in_family``), definiteness: above ``psd_tol * scale``
     residual_tol  every other zero test: interpolation and identity residuals,
-                  structure deviations (``maps._in_family``), colinearity
-                  (``linalg._colinear_coeff``), sign conditions such as x*y real
-                  or Re(z*w1) >= 0, and imaginary lambda; the oracle's audits
+                  a family's symmetry (``maps._in_family``), colinearity
+                  (``linalg._colinear_coeff``), ``maps._violation``'s sign conditions
+                  such as x*y real, and imaginary lambda; the oracle's audits
                   and certified gaps read it times a named factor
     """
 

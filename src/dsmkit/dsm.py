@@ -40,8 +40,8 @@ from .errors import (
     StructureError,
 )
 from .linalg import _colinear_coeff, _range_factors, _semidefinite, as_complex, fro, pinv
-from .maps import _REFLECTED, StructureFamily, _in_family, _incompatible, _min_factors, _outer_sum, _project
-from .maps import _reflect, _require, _require_structure, _sandwich, _shifted_psd
+from .maps import FAMILIES, _LINEAR, StructureFamily, _in_family, _incompatible, _label, _min_factors
+from .maps import _outer_sum, _project, _reflect, _require, _require_structure, _sandwich, _shifted_psd, _violation
 
 __all__ = [
     "DsmProblem",
@@ -59,15 +59,8 @@ __all__ = [
     "jordan_lie_reduce",
 ]
 
-#: structure families accepted by dsm_solve
-DSM_FAMILIES = (
-    StructureFamily.HERMITIAN,
-    StructureFamily.SKEW_HERMITIAN,
-    StructureFamily.SYMMETRIC,
-    StructureFamily.SKEW_SYMMETRIC,
-    StructureFamily.PSD,
-    StructureFamily.NSD,
-)
+#: structure families accepted by dsm_solve: those with a form
+DSM_FAMILIES = tuple(family for family, spec in FAMILIES.items() if spec.form is not None)
 
 
 @dataclass
@@ -127,19 +120,6 @@ class DsmSolution:
         return np.hstack([self.H1, self.H2])
 
 
-def _h1_factors(family: StructureFamily, z: np.ndarray, w1: np.ndarray, cfg: ToleranceConfig):
-    """Factors of the structured minimal-norm Delta1 with ``Delta1* z = w1``.
-
-    That is map_min's Delta1 with Delta1 z = w1 (Hermitian, psd), Delta1 z = -w1
-    (skew-Hermitian), Delta1 conj(z) = conj(w1) (symmetric) or -conj(w1) (skew-symmetric).
-    """
-    if family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC):
-        z, w1 = z.conj(), w1.conj()
-    if family in (StructureFamily.SKEW_HERMITIAN, StructureFamily.SKEW_SYMMETRIC):
-        w1 = -w1
-    return _min_factors(family, z, w1, cfg)
-
-
 def _h2(p: DsmProblem, h1x1: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     """Column block H2 = (y - H1 x1) x2+ + (w2 z+)* P_x2 = (y - H1 x1) x2+ + (z+)* (P_x2 w2)*."""
     f = [p.y - h1x1, pinv(p.z, cfg).ravel().conj()]
@@ -149,24 +129,6 @@ def _h2(p: DsmProblem, h1x1: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
 def _apply(f: list[np.ndarray], g: list[np.ndarray], v: np.ndarray) -> np.ndarray:
     """``(sum_i f_i g_i^T) v`` from the factors, in O(n)."""
     return sum(fi * (gi @ v) for fi, gi in zip(f, g))
-
-
-def _structural_condition(family: StructureFamily, p: DsmProblem, cfg: ToleranceConfig):
-    """Family condition on z*w1 (or z^T w1).  Returns (ok, reason)."""
-    tol = cfg.residual_tol * fro(p.z) * fro(p.w1)
-    s = np.vdot(p.z, p.w1)
-    if family is StructureFamily.HERMITIAN:
-        return abs(s.imag) <= tol, f"z*w1 not real (Im = {s.imag:.3e})"
-    if family is StructureFamily.SKEW_HERMITIAN:
-        return abs(s.real) <= tol, f"z*w1 not imaginary (Re = {s.real:.3e})"
-    if family is StructureFamily.PSD:
-        return (abs(s.imag) <= tol and s.real > tol), f"z*w1 not positive ({s:.3e})"
-    if family is StructureFamily.SYMMETRIC:
-        return True, ""
-    if family is StructureFamily.SKEW_SYMMETRIC:
-        t = p.z @ p.w1
-        return abs(t) <= tol, f"z^T w1 != 0 ({t:.3e})"
-    raise ValueError(f"no condition for {family}")  # pragma: no cover
 
 
 def _rank_one_rightmost(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -199,7 +161,7 @@ def _check_degenerate(family: StructureFamily, p: DsmProblem) -> None:
         raise DegenerateInputError("w1 must be nonzero")
     if fro(p.x2) == 0.0:
         raise DegenerateInputError("x2 must be nonzero (the column-block construction needs it)")
-    if family in (StructureFamily.PSD, StructureFamily.NSD, StructureFamily.DISSIPATIVE) and fro(p.w2) == 0.0:
+    if FAMILIES[family].cone is not None and fro(p.w2) == 0.0:
         raise DegenerateInputError("w2 must be nonzero for the semidefinite and dissipative families")
 
 
@@ -222,29 +184,30 @@ def dsm_solve(
     ``diagnostics["left_spectrum_factors"]`` holds (a, x1).
     """
     family = StructureFamily(family)
-    if family not in DSM_FAMILIES:
+    spec = FAMILIES[family]
+    if spec.form is None:
         raise ValueError(f"dsm_solve supports {[f.value for f in DSM_FAMILIES]}, got {family.value}")
     _check_degenerate(family, p)
 
-    if family in _REFLECTED:
+    if spec.reflects is not None:
         return _reflect(family, lambda base, **yw: dsm_solve(base, replace(p, **yw), cfg), y=p.y, w1=p.w1, w2=p.w2)
 
     if why := _incompatible(p.x, p.y, p.z, p.w, cfg):
         return DsmSolution(family, False, reason=why)
-    ok, why = _structural_condition(family, p, cfg)
-    if not ok:
+    if why := _violation(spec, p.z, p.w1, cfg.residual_tol * fro(p.z) * fro(p.w1), ("z", "w1")):
         return DsmSolution(family, False, reason=why)
 
-    f, g = _h1_factors(family, p.z, p.w1, cfg)
+    # Delta1* = sign Delta1 (or Delta1^T = sign Delta1), so Delta1* z = w1 is map_min's Delta1 z = sign w1 (conjugated)
+    bilinear = spec.form == "bilinear"
+    z, w1 = (p.z.conj(), p.w1.conj()) if bilinear else (p.z, p.w1)
+    f, g = _min_factors(spec, z, spec.sign * w1, cfg)
     h1 = _outer_sum(f, g)
     h2 = _h2(p, _apply(f, g, p.x1), cfg)
-
-    bilinear = family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC)
-    exact = _colinear_coeff(p.z.conj() if bilinear else p.z, p.x1, cfg)[1]
+    exact = _colinear_coeff(z, p.x1, cfg)[1]
     note = ("x1 colinear with conj(z)" if bilinear else "x1 colinear with z") if exact else "never"
     diagnostics: dict = {}
     warnings: list[str] = []
-    if family is StructureFamily.PSD:
+    if spec.cone == "psd":
         zw1 = np.vdot(p.z, p.w1)
         a = p.y - (np.vdot(p.w1, p.x1) / zw1) * p.w1
         rightmost, herm_right = _rank_one_rightmost(a, p.x1)
@@ -307,7 +270,8 @@ def dsm_characterize(
     if R.shape != (p.n, p.m):
         raise ConstraintViolationError("R_shape", f"R must be {p.n}x{p.m}, got {R.shape}")
 
-    if family in _REFLECTED:
+    spec = FAMILIES[family]
+    if spec.reflects is not None:
         return _reflect(
             family,
             lambda base, R, **yw: dsm_characterize(base, replace(p, **yw), K, R, cfg),
@@ -319,8 +283,7 @@ def dsm_characterize(
     if not sol.feasible:
         raise DegenerateInputError(f"infeasible problem: {sol.reason}")
 
-    bilinear = family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC)
-    h1t = _sandwich(p.z, K, p.z.conj() if bilinear else p.z)  # P_conj(z)^T = P_z
+    h1t = _sandwich(p.z, K, p.z.conj() if spec.form == "bilinear" else p.z)  # P_conj(z)^T = P_z
     return np.hstack([sol.H1 + h1t, sol.H2 + _h2_tilde(p, h1t, R, cfg)])
 
 
@@ -534,14 +497,14 @@ def dsdm_type2(
 
     if why := _incompatible(p.x, p.y, p.z, p.w, cfg):
         return DsmSolution(StructureFamily.DISSIPATIVE, False, reason=why)
-    rew = np.vdot(p.z, p.w1).real
-    sscale = fro(p.z) * fro(p.w1)
-    if rew < -cfg.residual_tol * sscale:
-        return DsmSolution(StructureFamily.DISSIPATIVE, False, reason=f"Re(z*w1) negative ({rew:.3e})")
+    tol = cfg.residual_tol * (fro(p.z) * fro(p.w1))
+    if why := _violation(FAMILIES[StructureFamily.DISSIPATIVE], p.z, p.w1, tol, ("z", "w1")):
+        return DsmSolution(StructureFamily.DISSIPATIVE, False, reason=why)
 
     h1_hat, h2_hat = _type2_pieces(p, -1.0, cfg)
+    rew = np.vdot(p.z, p.w1).real
     warnings = []
-    if rew <= cfg.residual_tol * sscale:
+    if rew <= tol:
         warnings.append("Re(z*w1) ~ 0: boundary case, characterization unavailable")
 
     beta, y_colinear = _colinear_coeff(p.z, p.y, cfg)
@@ -640,16 +603,13 @@ class ScalarProduct:
         gap = fro(self.M.conj().T @ self.M - np.eye(self.M.shape[0]))
         if gap > cfg.residual_tol * fro(self.M) ** 2:
             raise StructureError(f"M must be unitary (||M*M - I|| = {gap:.3e})")
-        plain, skew = (
-            (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC) if self.form == "bilinear"
-            else (StructureFamily.HERMITIAN, StructureFamily.SKEW_HERMITIAN)
-        )
+        plain, skew = _LINEAR[self.form, 1], _LINEAR[self.form, -1]
         if _in_family(plain, self.M, cfg):
             self.sigma = 1
         elif _in_family(skew, self.M, cfg):
             self.sigma = -1
         else:
-            raise StructureError(f"M must be {plain.value}/{skew.value}".replace("hermitian", "Hermitian"))
+            raise StructureError(f"M must be {_label(plain)}/{_label(skew)}")
 
     @property
     def epsilon(self) -> int:
@@ -659,13 +619,9 @@ class ScalarProduct:
         """Base family that M * Delta1 lands in.
 
         For A in the algebra, (M A)^(*/T) = sigma * epsilon * (M A), so the
-        sign product selects the plain/skew variant of the Hermitian
-        (sesquilinear) or symmetric (bilinear) class.
+        sign product is the sign of the linear family of M's form.
         """
-        plain = self.sigma * self.epsilon == 1
-        if self.form == "sesquilinear":
-            return StructureFamily.HERMITIAN if plain else StructureFamily.SKEW_HERMITIAN
-        return StructureFamily.SYMMETRIC if plain else StructureFamily.SKEW_SYMMETRIC
+        return _LINEAR[self.form, self.sigma * self.epsilon]
 
     def adjoint(self, a: np.ndarray) -> np.ndarray:
         inner = a.T if self.form == "bilinear" else a.conj().T

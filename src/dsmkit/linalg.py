@@ -13,25 +13,19 @@ for a psd matrix of rank r in O(n r^2) (pivoted Cholesky, thin QR), and
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import DimensionMismatchError, NonFiniteEntriesError, StructureError
+from .errors import DimensionMismatchError, NonFiniteEntriesError
 
 __all__ = [
     "as_complex",
     "fro",
     "pinv",
     "herm_skew_parts",
-    "Definiteness",
-    "is_psd",
     "min_eig_herm",
-    "BlockPsdReport",
-    "block_psd_check",
     "svd_range",
     "psd_range",
 ]
@@ -96,37 +90,6 @@ def herm_skew_parts(a) -> tuple[np.ndarray, np.ndarray]:
     return ah, a - ah
 
 
-class Definiteness(enum.Enum):
-    POSITIVE_DEFINITE = "positive-definite"
-    POSITIVE_SEMIDEFINITE = "positive-semidefinite"
-    INDEFINITE = "indefinite"
-
-
-def is_psd(a, cfg: ToleranceConfig = DEFAULT_TOL) -> Definiteness:
-    """Classify a Hermitian matrix by its smallest eigenvalue.
-
-    The input is symmetrized before the eigendecomposition; asymmetry
-    beyond ``residual_tol`` (relative) is an error rather than a silent
-    repair.
-    """
-    a = as_complex(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"square matrix required, got shape {a.shape}")
-    dev = fro(a - a.conj().T)
-    if dev > cfg.residual_tol * fro(a):
-        raise StructureError(f"matrix is not Hermitian (deviation {dev:.3e})")
-    eigs = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    if eigs.size == 0:
-        return Definiteness.POSITIVE_DEFINITE
-    floor = cfg.psd_tol * float(np.max(np.abs(eigs)))  # psd_tol of ||a||_2
-    lo = float(eigs[0])
-    if lo > floor:
-        return Definiteness.POSITIVE_DEFINITE
-    if lo >= -floor:
-        return Definiteness.POSITIVE_SEMIDEFINITE
-    return Definiteness.INDEFINITE
-
-
 def min_eig_herm(a) -> float:
     """Smallest eigenvalue of the Hermitian part of a square matrix."""
     ah, _ = herm_skew_parts(a)
@@ -155,41 +118,6 @@ def _colinear_coeff(target: np.ndarray, v: np.ndarray, cfg: ToleranceConfig) -> 
         return 0j, False
     alpha = np.vdot(target, v) / denom
     return alpha, bool(fro(v - alpha * target) <= cfg.residual_tol * fro(v))
-
-
-@dataclass(frozen=True)
-class BlockPsdReport:
-    """Outcome of the three-condition block semidefiniteness test."""
-
-    overall: bool
-    leading_psd: bool
-    kernel_contained: bool
-    schur_psd: bool
-
-
-def block_psd_check(b, c, d, cfg: ToleranceConfig = DEFAULT_TOL) -> BlockPsdReport:
-    """Test positive semidefiniteness of ``[[B, C*], [C, D]]`` blockwise.
-
-    The three conditions are: B >= 0; ker(B) contained in ker(C), tested
-    through the projector ``I - pinv(B) B``; and the generalized Schur
-    complement ``D - C pinv(B) C*`` >= 0.  Their conjunction is equivalent
-    to the eigenvalue test on the assembled matrix.
-    """
-    b = as_complex(b, "B")
-    c = as_complex(c, "C")
-    d = as_complex(d, "D")
-    s = b.shape[0]
-    if b.shape != (s, s) or d.shape[0] != d.shape[1] or c.shape != (d.shape[0], s):
-        raise DimensionMismatchError(
-            f"incompatible block shapes B{b.shape} C{c.shape} D{d.shape}"
-        )
-    bd = pinv(b, cfg)
-    leading = is_psd(b, cfg) is not Definiteness.INDEFINITE
-    ker_proj = np.eye(s, dtype=complex) - bd @ b
-    kernel_ok = fro(c @ ker_proj) <= cfg.residual_tol * fro(c)
-    schur = d - c @ bd @ c.conj().T
-    schur_ok = is_psd((schur + schur.conj().T) / 2.0, cfg) is not Definiteness.INDEFINITE
-    return BlockPsdReport(leading and kernel_ok and schur_ok, leading, kernel_ok, schur_ok)
 
 
 def svd_range(x, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

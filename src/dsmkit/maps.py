@@ -17,12 +17,22 @@ The negated families (nsd, anti-dissipative) follow one reflection rule,
 ``_reflect``, here and in ``dsm`` and ``oracle``: Delta is in -S iff -Delta
 is in S, so the problem (x, y, z, w) in -S is the problem (x, -y, z, -w) in
 S with its result negated.  No solver codes a negated family itself.
+
+Every family is one row of ``FAMILIES``: the form its members are symmetric
+in (sesquilinear, Delta* = sign Delta; bilinear, Delta^T = sign Delta; or
+none), the sign, and an optional cone on the Hermitian part (psd, Delta >= 0;
+dissipative, Delta + Delta* >= 0), after the scalar-product view of Mackey,
+Mackey and Tisseur (SIMAX 2008).  A negated family records the family it
+reflects and shares that family's row.  Feasibility (``_violation``), the
+minimal factors, membership, the oracle's basis and the scalar-product
+reduction all read the row, so a new family is one row of the table.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,14 +59,34 @@ class StructureFamily(str, enum.Enum):
     ANTI_DISSIPATIVE = "anti-dissipative"
 
 
-#: families whose solution set is a (real-)linear variety
-LINEAR_FAMILIES = frozenset({
-    StructureFamily.UNSTRUCTURED,
-    StructureFamily.HERMITIAN,
-    StructureFamily.SKEW_HERMITIAN,
-    StructureFamily.SYMMETRIC,
-    StructureFamily.SKEW_SYMMETRIC,
+@dataclass(frozen=True)
+class FamilySpec:
+    """A structure family as (form, sign, cone), plus the family it reflects."""
+
+    form: str | None  # "sesquilinear": Delta* = sign Delta; "bilinear": Delta^T = sign Delta; None: no symmetry
+    sign: int
+    cone: str | None  # "psd": Delta >= 0; "dissipative": Delta + Delta* >= 0; None: no cone
+    reflects: StructureFamily | None = None  # Delta is in this family iff -Delta is in ``reflects``
+
+
+#: the one family table: every other family set and every per-family rule is read from it
+FAMILIES = MappingProxyType({
+    StructureFamily.UNSTRUCTURED: FamilySpec(None, 1, None),
+    StructureFamily.HERMITIAN: FamilySpec("sesquilinear", 1, None),
+    StructureFamily.SKEW_HERMITIAN: FamilySpec("sesquilinear", -1, None),
+    StructureFamily.SYMMETRIC: FamilySpec("bilinear", 1, None),
+    StructureFamily.SKEW_SYMMETRIC: FamilySpec("bilinear", -1, None),
+    StructureFamily.PSD: FamilySpec("sesquilinear", 1, "psd"),
+    StructureFamily.NSD: FamilySpec("sesquilinear", 1, "psd", reflects=StructureFamily.PSD),
+    StructureFamily.DISSIPATIVE: FamilySpec(None, 1, "dissipative"),
+    StructureFamily.ANTI_DISSIPATIVE: FamilySpec(None, 1, "dissipative", reflects=StructureFamily.DISSIPATIVE),
 })
+#: the linear family of each (form, sign); a cone family's members lie in the one of its row
+_LINEAR = {(spec.form, spec.sign): family for family, spec in FAMILIES.items() if spec.cone is None}
+#: families whose solution set is a (real-)linear variety
+LINEAR_FAMILIES = frozenset(_LINEAR.values())
+#: the negated families and the family each is solved as
+_REFLECTED = {family: spec.reflects for family, spec in FAMILIES.items() if spec.reflects is not None}
 
 
 @dataclass
@@ -78,11 +108,6 @@ def _nonzero_vec(v, name: str) -> np.ndarray:
     return v
 
 
-#: the negated families and the family each is solved as
-_REFLECTED = {
-    StructureFamily.NSD: StructureFamily.PSD,
-    StructureFamily.ANTI_DISSIPATIVE: StructureFamily.DISSIPATIVE,
-}
 #: the sign conditions of the base families' reasons, as the negated family states them
 _REFLECTED_REASONS = {
     "x*y not real positive": "x*y not real negative",
@@ -115,7 +140,7 @@ def _reflect(family: StructureFamily, solve, **data):
     a solution, whose ``family`` becomes ``family``.  An infeasible solution's
     reason states the negated family's condition at the caller's value.
     """
-    out = solve(_REFLECTED[family], **{name: -v for name, v in data.items()})
+    out = solve(FAMILIES[family].reflects, **{name: -v for name, v in data.items()})
     if isinstance(out, np.ndarray):
         return -out
     if isinstance(out, tuple):
@@ -150,25 +175,73 @@ def _outer_sum(f: list[np.ndarray], g: list[np.ndarray]) -> np.ndarray:
     return np.column_stack(f) @ np.column_stack(g).T
 
 
-def _min_factors(family: StructureFamily, x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig):
+def _min_factors(spec: FamilySpec, x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig):
     """Factors (F, G) of the minimal Delta with ``Delta x = y``: Delta = sum_i F_i G_i^T.
 
-    ``family`` is unstructured, one of the four symmetry families, psd or
-    dissipative; feasibility is the caller's to check.
+    ``spec`` is a base family's row (no reflection); feasibility is the caller's to check.
     """
     xd = pinv(x, cfg).ravel()  # the row x+ as a vector
-    if family is StructureFamily.UNSTRUCTURED:
-        return [y], [xd]
-    if family is StructureFamily.PSD:  # y y* / (x*y)
+    if spec.cone == "psd":  # y y* / (x*y)
         return [y], [y.conj() / np.vdot(x, y)]
-    if family is StructureFamily.DISSIPATIVE:  # y x+ - (y x+)* P_x
+    if spec.cone == "dissipative":  # y x+ - (y x+)* P_x
         return [y, -xd.conj()], [xd, _project(x, y).conj()]
-    sign = 1.0 if family in (StructureFamily.HERMITIAN, StructureFamily.SYMMETRIC) else -1.0
-    if family in (StructureFamily.HERMITIAN, StructureFamily.SKEW_HERMITIAN):
+    if spec.form is None:
+        return [y], [xd]
+    if spec.form == "sesquilinear":
         # y x+ +- (y x+)* - (x+ y) x x+ = (P_x y) x+ +- (x+)* y*
-        return [_project(x, y), sign * xd.conj()], [xd, y.conj()]
+        return [_project(x, y), spec.sign * xd.conj()], [xd, y.conj()]
     # y x+ +- (y x+)^T -+ (x^T y)(x+)^T x+ = (y -+ (x^T y)(x+)^T) x+ +- (x+)^T y^T
-    return [y - sign * (x @ y) * xd, sign * xd], [xd, y]
+    return [y - spec.sign * (x @ y) * xd, spec.sign * xd], [xd, y]
+
+
+def _violation(spec: FamilySpec, u: np.ndarray, v: np.ndarray, tol: float, names=("x", "y")) -> str:
+    """Why a base family's condition on s = u*v (u^T v for the bilinear form) fails; "" when it holds.
+
+    Delta u = v with Delta in the family needs s = u* Delta u real (sesquilinear,
+    sign +1) or imaginary (sign -1), u^T v = 0 (bilinear, sign -1), s real
+    and positive (psd) or Re(s) >= 0 (dissipative); ``tol`` is the zero of
+    ``ToleranceConfig``'s rule.  ``names`` are u and v as the reason states them.
+    """
+    a, b = names
+    if spec.form == "bilinear":  # u^T Delta u = sign u^T Delta u: 0 for the skew sign
+        t = u @ v
+        return f"{a}^T {b} != 0 ({t:.3e})" if spec.sign < 0 and abs(t) > tol else ""
+    if spec.form is None and spec.cone is None:
+        return ""
+    s = np.vdot(u, v)
+    if spec.cone == "psd":
+        if abs(s.imag) > tol or s.real <= tol:
+            # the one-sided and the doubly structured solvers word it apart; the golden corpus pins both
+            return f"{a}*{b} not {'real positive' if a == 'x' else 'positive'} ({s:.3e})"
+    elif spec.cone == "dissipative":
+        if s.real < -tol:
+            return f"Re({a}*{b}) negative ({s.real:.3e})"
+    elif spec.sign > 0:
+        if abs(s.imag) > tol:
+            return f"{a}*{b} not real (Im = {s.imag:.3e})"
+    elif abs(s.real) > tol:
+        return f"{a}*{b} not imaginary (Re = {s.real:.3e})"
+    return ""
+
+
+def _label(family: StructureFamily) -> str:
+    return family.value.replace("hermitian", "Hermitian")
+
+
+def _free_params(family: StructureFamily, n: int) -> dict[str, str]:
+    """The free matrices of a base family's solution set by name, as ``map_characterize`` takes them."""
+    spec = FAMILIES[family]
+    if spec.cone == "dissipative":
+        return {
+            "Z": f"any complex {n}x{n}",
+            "K": f"Hermitian PSD {n}x{n} with K - (2y+Z*x)(2y+Z*x)*/(4Re(x*y)) PSD",
+            "G": f"skew-Hermitian {n}x{n}",
+        }
+    if spec.cone == "psd":
+        return {"K": f"Hermitian PSD {n}x{n}"}
+    if spec.form is None:
+        return {"Z": f"any complex {n}x{n}"}
+    return {"H": f"{'complex ' if spec.form == 'bilinear' else ''}{_label(family)} {n}x{n}"}
 
 
 def map_min(
@@ -197,48 +270,18 @@ def map_min(
     if x.shape != y.shape:
         raise DimensionMismatchError(f"x and y must share a dimension, got {x.shape} vs {y.shape}")
 
-    if family in _REFLECTED:
+    spec = FAMILIES[family]
+    if spec.reflects is not None:
         return _reflect(family, lambda base, y: map_min(base, x, y, cfg), y=y)
 
-    n = x.shape[0]
-    s = np.vdot(x, y)  # x*y
     tol = cfg.residual_tol * (fro(x) * fro(y))
-
-    if family is StructureFamily.UNSTRUCTURED:
-        free = {"Z": f"any complex {n}x{n}"}
-    elif family is StructureFamily.HERMITIAN:
-        if abs(s.imag) > tol:
-            return MapSolution(family, False, reason=f"x*y not real (Im = {s.imag:.3e})")
-        free = {"H": f"Hermitian {n}x{n}"}
-    elif family is StructureFamily.SKEW_HERMITIAN:
-        if abs(s.real) > tol:
-            return MapSolution(family, False, reason=f"x*y not imaginary (Re = {s.real:.3e})")
-        free = {"H": f"skew-Hermitian {n}x{n}"}
-    elif family is StructureFamily.SYMMETRIC:
-        free = {"H": f"complex symmetric {n}x{n}"}
-    elif family is StructureFamily.SKEW_SYMMETRIC:
-        if abs(x @ y) > tol:
-            return MapSolution(family, False, reason=f"x^T y != 0 ({x @ y:.3e})")
-        free = {"H": f"complex skew-symmetric {n}x{n}"}
-    elif family is StructureFamily.PSD:
-        if abs(s.imag) > tol or s.real <= tol:
-            return MapSolution(family, False, reason=f"x*y not real positive ({s:.3e})")
-        free = {"K": f"Hermitian PSD {n}x{n}"}
-    elif family is StructureFamily.DISSIPATIVE:
-        if s.real < -tol:
-            return MapSolution(family, False, reason=f"Re(x*y) negative ({s.real:.3e})")
-        free = {
-            "Z": f"any complex {n}x{n}",
-            "K": f"Hermitian PSD {n}x{n} with K - (2y+Z*x)(2y+Z*x)*/(4Re(x*y)) PSD",
-            "G": f"skew-Hermitian {n}x{n}",
-        }
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unsupported family {family}")
-
-    delta = _outer_sum(*_min_factors(family, x, y, cfg))
-    boundary = family is StructureFamily.DISSIPATIVE and abs(s.real) <= tol
+    if why := _violation(spec, x, y, tol):
+        return MapSolution(family, False, reason=why)
+    delta = _outer_sum(*_min_factors(spec, x, y, cfg))
+    boundary = spec.cone == "dissipative" and abs(np.vdot(x, y).real) <= tol
     return MapSolution(
-        family, True, minimizer=delta, min_norm=fro(delta), free_param_shapes=free, boundary=boundary
+        family, True, minimizer=delta, min_norm=fro(delta), free_param_shapes=_free_params(family, x.shape[0]),
+        boundary=boundary,
     )
 
 
@@ -286,33 +329,27 @@ def _require(cond: bool, name: str, message: str) -> None:
 
 
 def _deviation(family: StructureFamily, a: np.ndarray) -> float:
-    """||a -+ a*|| or ||a -+ a^T||, the distance of a square a from the family's symmetry.
-
-    psd and nsd have the Hermitian symmetry; unstructured and the dissipative
-    families have none, so their deviation is 0.
-    """
-    if family in (StructureFamily.PSD, StructureFamily.NSD):
-        family = StructureFamily.HERMITIAN
-    if family not in LINEAR_FAMILIES or family is StructureFamily.UNSTRUCTURED:
+    """||a - sign a*|| or ||a - sign a^T||, the distance of a square a from the family's symmetry (0 with no form)."""
+    spec = FAMILIES[family]
+    if spec.form is None:
         return 0.0
-    bilinear = family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC)
-    sign = 1.0 if family in (StructureFamily.HERMITIAN, StructureFamily.SYMMETRIC) else -1.0
-    return fro(a - sign * (a.T if bilinear else a.conj().T))
+    return fro(a - spec.sign * (a.T if spec.form == "bilinear" else a.conj().T))
 
 
 def _in_family(family: StructureFamily, a: np.ndarray, cfg: ToleranceConfig) -> bool:
-    """a is in the family: its symmetry to ``residual_tol``, and for psd its sign to ``psd_tol``, of ||a||.
+    """a is in the family: its symmetry to ``residual_tol`` and its cone to ``psd_tol``, of ||a||.
 
-    ``family`` is one of the four symmetry families or psd.
+    The cone is read on the Hermitian part, of -a for a negated family.
     """
-    if family is StructureFamily.PSD:
-        return _semidefinite(a, fro(a), cfg)
-    return _deviation(family, a) <= cfg.residual_tol * fro(a)
+    spec, scale = FAMILIES[family], fro(a)
+    if _deviation(family, a) > cfg.residual_tol * scale:
+        return False
+    return spec.cone is None or _semidefinite(a if spec.reflects is None else -a, scale, cfg)
 
 
 def _require_structure(family: StructureFamily, name: str, a: np.ndarray, cfg: ToleranceConfig) -> None:
     """Raise ``ConstraintViolationError`` (e.g. ``K_skew_symmetric``) unless ``_in_family(family, a)``."""
-    label = "positive semidefinite" if family is StructureFamily.PSD else family.value.replace("hermitian", "Hermitian")
+    label = "positive semidefinite" if FAMILIES[family].cone == "psd" else _label(family)
     _require(_in_family(family, a, cfg), f"{name}_{family.value.replace('-', '_')}", f"{name} must be {label}")
 
 
@@ -345,13 +382,14 @@ def map_characterize(
     x = _nonzero_vec(x, "x")
     y = _nonzero_vec(y, "y")
 
-    if family in _REFLECTED:
+    spec = FAMILIES[family]
+    if spec.reflects is not None:
         return _reflect(family, lambda base, y: map_characterize(base, x, y, params, cfg), y=y)
 
     base = map_min(family, x, y, cfg)
     if not base.feasible:
         raise DegenerateInputError(f"infeasible problem: {base.reason}")
-    if family is StructureFamily.DISSIPATIVE and base.boundary:
+    if base.boundary:
         raise DegenerateInputError("characterization undefined on the boundary Re(x*y) ~ 0")
 
     n = x.shape[0]
@@ -364,17 +402,13 @@ def map_characterize(
             raise ConstraintViolationError(name, f"{name} must be {n}x{n}, got {p.shape}")
         return p
 
-    if family is StructureFamily.UNSTRUCTURED:
-        return base.minimizer + _sandwich(None, param("Z"), x)
-    if family is StructureFamily.PSD:
-        k = param("K")
-        _require_structure(family, "K", k, cfg)
-        return base.minimizer + _sandwich(x, k, x)
-    if family is not StructureFamily.DISSIPATIVE:  # the four symmetry families
-        h = param("H")
-        _require_structure(family, "H", h, cfg)
-        bilinear = family in (StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC)
-        return base.minimizer + _sandwich(x.conj() if bilinear else x, h, x)  # P_x^T = P_conj(x)
+    if spec.cone != "dissipative":
+        if spec.form is None:
+            return base.minimizer + _sandwich(None, param("Z"), x)
+        name = "H" if spec.cone is None else "K"  # a symmetry family's H, psd's K
+        h = param(name)
+        _require_structure(family, name, h, cfg)
+        return base.minimizer + _sandwich(x.conj() if spec.form == "bilinear" else x, h, x)  # P_x^T = P_conj(x)
     z, k, g = param("Z"), param("K"), param("G")
     _require_structure(StructureFamily.SKEW_HERMITIAN, "G", g, cfg)
     _require_structure(StructureFamily.PSD, "K", k, cfg)

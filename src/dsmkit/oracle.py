@@ -69,11 +69,8 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .dsm import DsmProblem, Type1Problem
 from .errors import CertificationError, DegenerateInputError, InconsistentConstraintsError
 from .linalg import as_complex, fro, svd_range
-from .maps import _REFLECTED, LINEAR_FAMILIES, StructureFamily, _deviation, _reflect
+from .maps import FAMILIES, _LINEAR, StructureFamily, _deviation, _reflect
 from .pencil import EigenPair, PHPencil, PerturbationBlocks, mapping_data, parse_blocks
-
-#: the classes whose members are (skew-)symmetric: compressed by a real basis
-_BILINEAR = frozenset({StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC})
 
 #: residuals up to this multiple of ``residual_tol`` (relative to the data's
 #: scale), and in ``verify_solution`` eigenvalues down to this multiple of
@@ -144,22 +141,22 @@ def family_basis(family: StructureFamily, n: int):
 
 @functools.lru_cache(maxsize=64)
 def _family_basis(family: StructureFamily, n: int):
-    if family is StructureFamily.UNSTRUCTURED:
+    spec = FAMILIES[family]
+    if spec.cone is not None:
+        raise ValueError(f"{family.value} is not a linear class")
+    if spec.form is None:
         return _full_basis(n, n)
     s = 1.0 / math.sqrt(2.0)
     diag = (np.arange(n), np.arange(n))
     upper = np.triu_indices(n, 1)
     lower = upper[::-1]
-    if family in (StructureFamily.HERMITIAN, StructureFamily.SKEW_HERMITIAN):
+    if spec.form == "sesquilinear":  # Hermitian; i times Hermitian for the skew sign
         parts = [_elements(diag, diag, [(1.0, 0.0)]), _elements(upper, lower, [(s, s), (1j * s, -1j * s)])]
-    elif family is StructureFamily.SYMMETRIC:
-        parts = [_elements(diag, diag, [(1.0, 0.0), (1j, 0.0)]), _elements(upper, lower, [(s, s), (1j * s, 1j * s)])]
-    elif family is StructureFamily.SKEW_SYMMETRIC:
-        parts = [_elements(upper, lower, [(s, -s), (1j * s, -1j * s)])]
-    else:
-        raise ValueError(f"{family.value} is not a linear class")
+    else:  # E_jk + sign E_kj, and a complex diagonal for the plain sign only
+        pairs = _elements(upper, lower, [(s, spec.sign * s), (1j * s, spec.sign * 1j * s)])
+        parts = [_elements(diag, diag, [(1.0, 0.0), (1j, 0.0)]), pairs] if spec.sign > 0 else [pairs]
     r, k, c = (np.concatenate(a) for a in zip(*parts))
-    return _read_only((r, k, 1j * c if family is StructureFamily.SKEW_HERMITIAN else c))
+    return _read_only((r, k, 1j * c if spec.form == "sesquilinear" and spec.sign < 0 else c))
 
 
 def _stacked(*parts):
@@ -284,7 +281,8 @@ def _solve_on_span(constraints, split: int, parts, cone: int | None, cfg: Tolera
     bound on the least norm (the norm without a cone) and the residual of
     the lift, compressed and outside parts in quadrature.
     """
-    q, s, reduced, outside = _compressed(constraints, split, cfg, real=any(f in _BILINEAR for f, _ in parts))
+    real = any(FAMILIES[family].form == "bilinear" for family, _ in parts)  # (skew-)symmetric: a real basis
+    q, s, reduced, outside = _compressed(constraints, split, cfg, real)
     r = q.shape[1] if split else 0  # the order of the compressed square block
     bases = [family_basis(family, r) for family, _ in parts]
     trailing = _full_basis(q.shape[1], s.shape[1])
@@ -315,10 +313,11 @@ def oracle_least_norm(constraints, structure: StructureFamily | None = None, cfg
     """
     constraints = [(k, as_complex(v).reshape(-1), as_complex(r).reshape(-1)) for k, v, r in constraints]
     parts, split = [], 0
-    if structure not in (None, StructureFamily.UNSTRUCTURED):
-        structure = StructureFamily(structure)
-        if structure not in LINEAR_FAMILIES:
-            raise ValueError(f"{structure.value} is not a linear class; use oracle_min_structured")
+    structure = StructureFamily(StructureFamily.UNSTRUCTURED if structure is None else structure)
+    spec = FAMILIES[structure]
+    if spec.cone is not None:
+        raise ValueError(f"{structure.value} is not a linear class; use oracle_min_structured")
+    if spec.form is not None:
         _, v, r = constraints[0]
         if v.shape != r.shape:
             raise ValueError("the structured block must be square")
@@ -570,14 +569,15 @@ def oracle_min_structured(problem, family: StructureFamily, cfg: ToleranceConfig
     if not isinstance(problem, (DsmProblem, Type1Problem)):
         raise TypeError("problem must be a DsmProblem or Type1Problem")
     family = StructureFamily(family)
-    if family in _REFLECTED:
+    spec = FAMILIES[family]
+    if spec.reflects is not None:
         names = ("Y", "W") if isinstance(problem, Type1Problem) else ("y", "w1", "w2")
         return _reflect(
             family, lambda base, **yw: oracle_min_structured(replace(problem, **yw), base, cfg),
             **{name: getattr(problem, name) for name in names},
         )
     if isinstance(problem, Type1Problem):
-        if family is not StructureFamily.DISSIPATIVE:  # anti-dissipative is reflected above
+        if spec.cone != "dissipative":  # anti-dissipative is reflected above
             raise ValueError("a Type1Problem takes the dissipative and anti-dissipative families only")
         n = problem.X.shape[0]
         constraints = [("mul", *c) for c in zip(problem.X.T, problem.Y.T)]
@@ -585,10 +585,9 @@ def oracle_min_structured(problem, family: StructureFamily, cfg: ToleranceConfig
     else:
         n = problem.n
         constraints = [("mul", problem.x, problem.y), ("adj", problem.z, problem.w)]
-    # the cone block: Delta1 for psd, Delta1 + Delta1* for dissipative
-    part = {StructureFamily.PSD: StructureFamily.HERMITIAN, StructureFamily.DISSIPATIVE: StructureFamily.UNSTRUCTURED}
-    cone = None if family in LINEAR_FAMILIES else 0
-    (d1,), d2, norm, _, _ = _solve_on_span(constraints, n, [(part.get(family, family), 1.0)], cone, cfg)
+    # Delta1 in the linear family of its row; the cone block: Delta1 for psd, Delta1 + Delta1* for dissipative
+    part = _LINEAR[spec.form, spec.sign]
+    (d1,), d2, norm, _, _ = _solve_on_span(constraints, n, [(part, 1.0)], None if spec.cone is None else 0, cfg)
     return np.concatenate([d1, d2], axis=1), norm
 
 
@@ -695,6 +694,7 @@ def verify_solution(
     """
     delta = as_complex(delta, "delta")
     family = StructureFamily(family)
+    spec = FAMILIES[family]
     z = w = None
     if isinstance(problem, DsmProblem):
         x, y, z, w = problem.x, problem.y, problem.z, problem.w
@@ -716,10 +716,9 @@ def verify_solution(
     sd = fro(d1)
     dev = relative(_deviation(family, d1), sd)
     min_eig: float | None = None
-    if family not in LINEAR_FAMILIES:  # the cones: the extreme eigenvalue of the Hermitian part
+    if spec.cone is not None:  # the extreme eigenvalue of the Hermitian part, the largest for a negated cone
         eigs = np.linalg.eigvalsh((d1 + d1.conj().T) / 2.0)
-        positive = family in (StructureFamily.PSD, StructureFamily.DISSIPATIVE)
-        min_eig = float(eigs[0]) if positive else float(-eigs[-1])
+        min_eig = float(eigs[0]) if spec.reflects is None else float(-eigs[-1])
 
     ok = max(r1, r2, dev) <= _AUDIT_FACTOR * cfg.residual_tol
     if min_eig is not None:

@@ -27,7 +27,7 @@ negated problem states its own condition at the caller's value.
 import numpy as np
 
 from dsmkit import DEFAULT_TOL, DsmProblem, DsmSolution, MapSolution, Type1Solution
-from dsmkit.dsm import _check_degenerate, _rank_one_rightmost, _structural_condition
+from dsmkit.dsm import _check_degenerate, _rank_one_rightmost
 from dsmkit.errors import ConstraintViolationError, DegenerateInputError, NotColinearError
 from dsmkit.linalg import _as_column, _colinear_coeff, as_complex, fro, min_eig_herm, pinv
 from dsmkit.maps import StructureFamily as F
@@ -193,7 +193,15 @@ def dsm_solve(family, p):
     compat = np.vdot(p.x, p.w) - np.vdot(p.y, p.z)
     if abs(compat) > TOL * max(fro(p.x) * fro(p.w), fro(p.y) * fro(p.z)):
         return DsmSolution(family, False, reason=f"x*w != y*z (gap {abs(compat):.3e})")
-    ok, why = _structural_condition(family, p, DEFAULT_TOL)
+    tol = TOL * fro(p.z) * fro(p.w1)
+    s, t = np.vdot(p.z, p.w1), p.z @ p.w1
+    ok, why = {
+        F.HERMITIAN: (abs(s.imag) <= tol, f"z*w1 not real (Im = {s.imag:.3e})"),
+        F.SKEW_HERMITIAN: (abs(s.real) <= tol, f"z*w1 not imaginary (Re = {s.real:.3e})"),
+        F.SYMMETRIC: (True, ""),
+        F.SKEW_SYMMETRIC: (abs(t) <= tol, f"z^T w1 != 0 ({t:.3e})"),
+        F.PSD: (abs(s.imag) <= tol and s.real > tol, f"z*w1 not positive ({s:.3e})"),
+    }[family]
     if not ok:
         return DsmSolution(family, False, reason=why)
     h1 = _base_h1(family, p.z, p.w1)

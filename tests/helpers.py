@@ -9,7 +9,7 @@ colinearity for the exactness paths).
 import numpy as np
 
 from dense_reference import null_projector
-from dsmkit import DsmProblem, Type1Problem
+from dsmkit import DsmProblem, Type1Problem, pinv
 from dsmkit.maps import StructureFamily as F
 
 
@@ -182,6 +182,24 @@ def map_instance(family, rng, n):
         if re > -0.3:
             y = y - (re + 0.5) / nx * x
     return x, y
+
+
+def semidefinite_by_eigs(a, tol=1e-10):
+    """A Hermitian a has no eigenvalue below -tol times its largest in modulus."""
+    eigs = np.linalg.eigvalsh(a)
+    return bool(eigs[0] >= -tol * np.abs(eigs).max())
+
+
+def block_semidefinite(b, c, d, tol=1e-10):
+    """[[B, C*], [C, D]] is semidefinite by the three conditions of the block lemma.
+
+    B is semidefinite; ker(B) lies in ker(C), tested through the projector
+    I - B+ B; and the generalized Schur complement D - C B+ C* is semidefinite.
+    """
+    bd = pinv(b)
+    kernel = np.linalg.norm(c @ (np.eye(b.shape[0]) - bd @ b)) <= tol * np.linalg.norm(c)
+    schur = d - c @ bd @ c.conj().T
+    return semidefinite_by_eigs(b, tol) and kernel and semidefinite_by_eigs((schur + schur.conj().T) / 2, tol)
 
 
 def watch_linalg(monkeypatch):

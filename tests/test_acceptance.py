@@ -14,7 +14,6 @@ from dsmkit import (
     EigenPair,
     PHPencil,
     Type1Problem,
-    block_psd_check,
     dsdm_type1,
     dsdm_type2,
     dsm_solve,
@@ -23,7 +22,6 @@ from dsmkit import (
     experiment_table,
     gen_eigpair,
     gen_pencil,
-    is_psd,
     map_min,
     map_two_sided,
     oracle_eta,
@@ -33,13 +31,14 @@ from dsmkit import (
     reconstruct_perturbation,
 )
 from dsmkit.io import sweep_rows_to_csv
-from dsmkit.linalg import Definiteness
 from dsmkit.maps import StructureFamily as F
 from helpers import (
+    block_semidefinite,
     crandn,
     dsm_instance,
     dsm_instance_psd_spectrum,
     map_instance,
+    semidefinite_by_eigs,
     two_sided_instance,
     type1_instance,
     type1_vec_instance,
@@ -295,10 +294,9 @@ def test_criterion_6_lemma_suite():
         if rng.uniform() < 0.4:
             r = r - np.eye(n) * rng.uniform(0.0, 2.0) * np.linalg.norm(r) / n
         r = (r + r.conj().T) / 2
-        full = is_psd(r) is not Definiteness.INDEFINITE
+        full = semidefinite_by_eigs(r)
         for s in range(1, n):
-            rep = block_psd_check(r[:s, :s], r[s:, :s], r[s:, s:])
-            assert rep.overall == full
+            assert block_semidefinite(r[:s, :s], r[s:, :s], r[s:, s:]) == full
 
     # shared-range pseudoinverse identity, 50 cases, 1e-10
     for _ in range(50):

@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsmkit import (
-    DEFAULT_TOL,
-    Definiteness,
-    block_psd_check,
-    herm_skew_parts,
-    is_psd,
-    pinv,
-)
-from dsmkit.errors import DimensionMismatchError, NonFiniteEntriesError, StructureError
+from dsmkit import DEFAULT_TOL, herm_skew_parts, pinv
+from dsmkit.errors import DimensionMismatchError, NonFiniteEntriesError
 from helpers import crandn
 
 
@@ -79,42 +72,6 @@ def test_herm_skew_pythagoras(seed):
     assert np.allclose(ah + asym, a)
     total = np.linalg.norm(ah) ** 2 + np.linalg.norm(asym) ** 2
     assert total == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-12)
-
-
-def test_is_psd_examples():
-    assert is_psd(np.diag([1.0, 0.0])) is Definiteness.POSITIVE_SEMIDEFINITE
-    assert is_psd(np.diag([1.0, -1.0])) is Definiteness.INDEFINITE
-    assert is_psd(np.eye(2)) is Definiteness.POSITIVE_DEFINITE
-    rng = np.random.default_rng(0)
-    b = crandn(rng, 4, 4)
-    assert is_psd(b @ b.conj().T) is not Definiteness.INDEFINITE
-
-
-def test_is_psd_rejects_non_hermitian():
-    with pytest.raises(StructureError):
-        is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_block_psd_examples():
-    rep = block_psd_check(np.array([[1.0]]), np.array([[0.0]]), np.array([[1.0]]))
-    assert rep.overall and rep.leading_psd and rep.kernel_contained and rep.schur_psd
-    rep = block_psd_check(np.array([[0.0]]), np.array([[1.0]]), np.array([[1.0]]))
-    assert not rep.kernel_contained and not rep.overall
-
-
-def test_block_psd_matches_eigenvalue_test():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        n = int(rng.integers(4, 9))
-        g = crandn(rng, n, n)
-        r = g @ g.conj().T
-        if rng.uniform() < 0.3:  # mix in some indefinite matrices
-            r = r - np.eye(n) * rng.uniform(0.0, 2.0) * np.linalg.norm(r) / n
-        r = (r + r.conj().T) / 2
-        full = is_psd(r) is not Definiteness.INDEFINITE
-        for s in range(1, n):
-            rep = block_psd_check(r[:s, :s], r[s:, :s], r[s:, s:])
-            assert rep.overall == full, (s, rep)
 
 
 def test_shared_range_pinv_identity():

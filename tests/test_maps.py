@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dsmkit import map_characterize, map_min, map_two_sided, oracle_least_norm
+from dsmkit import dsm_characterize, dsm_characterize_type2, map_characterize, map_min, map_two_sided, oracle_least_norm
 from dsmkit.errors import ConstraintViolationError, DegenerateInputError
 from dsmkit.maps import StructureFamily as F
-from helpers import crandn, map_instance, two_sided_instance
+from helpers import crandn, dsm_instance, map_instance, two_sided_instance, type2_instance
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -155,6 +155,28 @@ def test_characterize_constraint_violations():
             {"Z": np.zeros((3, 3)), "K": np.zeros((3, 3)), "G": np.zeros((3, 3))},
         )
     assert err.value.constraint == "K_shifted_psd"
+
+    # K = t I + (S - S*) has a semidefinite Hermitian part but is not Hermitian, so it is not psd;
+    # t clears the shifted condition of the dissipative characterizations (with Z = 0, q = 2y or 2w1)
+    skew = crandn(rng, 3, 3)
+    skew = skew - skew.conj().T
+
+    def not_hermitian(q=np.zeros(3), re=1.0):
+        return (1.0 + np.vdot(q, q).real / (4.0 * re)) * np.eye(3) + skew
+
+    zero = np.zeros((3, 3))
+    k = not_hermitian(2 * y, np.vdot(x, y).real)
+    calls = [(map_characterize, F.DISSIPATIVE, x, y, {"Z": zero, "K": k, "G": zero})]
+    for family in (F.PSD, F.NSD):
+        calls.append((map_characterize, family, *map_instance(family, rng, 3), {"K": not_hermitian()}))
+        calls.append((dsm_characterize, family, dsm_instance(family, rng, 3, 2), not_hermitian(), np.zeros((3, 2))))
+    p = type2_instance(rng, 3, 2)
+    k = not_hermitian(2 * p.w1, np.vdot(p.z, p.w1).real)
+    calls.append((dsm_characterize_type2, p, zero, k, zero, np.zeros((3, 2))))
+    for fn, *args in calls:
+        with pytest.raises(ConstraintViolationError) as err:
+            fn(*args)
+        assert (err.value.constraint, str(err.value)) == ("K_psd", "K must be positive semidefinite")
 
 
 def _admissible_params(family, rng, x, y, n):
