@@ -26,6 +26,7 @@ on (x, -y, z, -w) with the result negated.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import InitVar, dataclass, field, replace
 
@@ -39,8 +40,8 @@ from .errors import (
     NotColinearError,
     StructureError,
 )
-from .linalg import _colinear_coeff, _range_factors, _semidefinite, as_complex, fro, pinv
-from .maps import FAMILIES, _LINEAR, StructureFamily, _in_family, _incompatible, _label, _min_factors
+from .linalg import _colinear_coeff, _pinv_vec, _range_factors, _semidefinite, as_complex, fro
+from .maps import FAMILIES, _LINEAR, StructureFamily, _deviation, _incompatible, _label, _min_factors, _nonzero_vec
 from .maps import _outer_sum, _project, _reflect, _require, _require_structure, _sandwich, _shifted_psd, _violation
 
 __all__ = [
@@ -63,9 +64,9 @@ __all__ = [
 DSM_FAMILIES = tuple(family for family, spec in FAMILIES.items() if spec.form is not None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DsmProblem:
-    """Data (x, y, z, w) with x = [x1; x2] and w = [w1; w2] split at n."""
+    """Data (x, y, z, w), x = [x1; x2] and w = [w1; w2] split at n: validated once, frozen with n, m, x, w, _norms."""
 
     x1: np.ndarray
     x2: np.ndarray
@@ -75,30 +76,23 @@ class DsmProblem:
     w2: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("x1", "x2", "y", "z", "w1", "w2"):
-            setattr(self, name, as_complex(getattr(self, name), name).reshape(-1))
-        n, m = self.n, self.m
-        shapes = (self.x1.shape[0], self.y.shape[0], self.z.shape[0], self.w1.shape[0])
+        attrs = vars(self)  # frozen: set through the instance dict
+        attrs.update({name: as_complex(attrs[name], name).reshape(-1) for name in ("x1", "x2", "y", "z", "w1", "w2")})
+        n, m = self.x1.shape[0], self.x2.shape[0]
+        shapes = (n, self.y.shape[0], self.z.shape[0], self.w1.shape[0])
         if shapes != (n, n, n, n) or self.w2.shape[0] != m:
             raise DimensionMismatchError(
                 f"inconsistent dimensions: x1/y/z/w1 sizes {shapes}, x2 {m}, w2 {self.w2.shape[0]}"
             )
+        attrs.update(n=n, m=m, x=np.concatenate([self.x1, self.x2]), w=np.concatenate([self.w1, self.w2]))
+        attrs["_norms"] = {name: fro(attrs[name]) for name in ("x1", "x2", "y", "z", "w1", "x", "w")}
 
-    @property
-    def n(self) -> int:
-        return self.x1.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.x2.shape[0]
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.concatenate([self.x1, self.x2])
-
-    @property
-    def w(self) -> np.ndarray:
-        return np.concatenate([self.w1, self.w2])
+def _replaced(data, **arrays):
+    """``replace(data, **arrays)`` for arrays derived from data's, not validated again; ``_norms`` carries over."""
+    out = copy.copy(data)
+    vars(out).update(arrays)
+    return out
 
 
 @dataclass
@@ -120,10 +114,10 @@ class DsmSolution:
         return np.hstack([self.H1, self.H2])
 
 
-def _h2(p: DsmProblem, h1x1: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+def _h2(p: DsmProblem, h1x1: np.ndarray) -> np.ndarray:
     """Column block H2 = (y - H1 x1) x2+ + (w2 z+)* P_x2 = (y - H1 x1) x2+ + (z+)* (P_x2 w2)*."""
-    f = [p.y - h1x1, pinv(p.z, cfg).ravel().conj()]
-    return _outer_sum(f, [pinv(p.x2, cfg).ravel(), _project(p.x2, p.w2).conj()])
+    f = [p.y - h1x1, _pinv_vec(p.z, p._norms["z"]).conj()]
+    return _outer_sum(f, [_pinv_vec(p.x2, p._norms["x2"]), _project(p.x2, p._norms["x2"], p.w2).conj()])
 
 
 def _apply(f: list[np.ndarray], g: list[np.ndarray], v: np.ndarray) -> np.ndarray:
@@ -131,8 +125,8 @@ def _apply(f: list[np.ndarray], g: list[np.ndarray], v: np.ndarray) -> np.ndarra
     return sum(fi * (gi @ v) for fi, gi in zip(f, g))
 
 
-def _rank_one_rightmost(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Rightmost real part of the spectrum and of the numerical range of ``a x*``.
+def _rank_one_rightmost(a: np.ndarray, x: np.ndarray, na: float, nx: float) -> tuple[float, float]:
+    """Rightmost real part of the spectrum and of the numerical range of ``a x*``, for na = ||a||, nx = ||x||.
 
     The spectrum of the rank-one matrix is {x*a, 0, ..., 0}.  Its Hermitian
     part (a x* + x a*)/2 is zero off span{a, x} and acts on it as a 2 x 2
@@ -141,7 +135,6 @@ def _rank_one_rightmost(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     The vectors are normalised first and 1 - |cos|^2 is taken as a residual
     norm, so neither overflow nor cancellation enters.
     """
-    na, nx = fro(a), fro(x)
     if na == 0.0 or nx == 0.0:
         return 0.0, 0.0
     ah, xh = a / na, x / nx
@@ -155,11 +148,11 @@ def _rank_one_rightmost(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
 
 
 def _check_degenerate(family: StructureFamily, p: DsmProblem) -> None:
-    if fro(p.z) == 0.0:
+    if p._norms["z"] == 0.0:
         raise DegenerateInputError("z must be nonzero")
-    if fro(p.w1) == 0.0:
+    if p._norms["w1"] == 0.0:
         raise DegenerateInputError("w1 must be nonzero")
-    if fro(p.x2) == 0.0:
+    if p._norms["x2"] == 0.0:
         raise DegenerateInputError("x2 must be nonzero (the column-block construction needs it)")
     if FAMILIES[family].cone is not None and fro(p.w2) == 0.0:
         raise DegenerateInputError("w2 must be nonzero for the semidefinite and dissipative families")
@@ -184,36 +177,43 @@ def dsm_solve(
     ``diagnostics["left_spectrum_factors"]`` holds (a, x1).
     """
     family = StructureFamily(family)
-    spec = FAMILIES[family]
-    if spec.form is None:
+    if FAMILIES[family].form is None:
         raise ValueError(f"dsm_solve supports {[f.value for f in DSM_FAMILIES]}, got {family.value}")
+    return _dsm_solve(family, p, cfg)
+
+
+def _dsm_solve(family: StructureFamily, p: DsmProblem, cfg: ToleranceConfig) -> DsmSolution:
+    """The one solve of ``dsm_solve``, ``dsdm_type2`` (the family without a form) and ``jordan_lie_reduce``."""
+    spec, nrm = FAMILIES[family], p._norms
+    if spec.reflects is not None:  # on the negated data, not validated again
+        return _reflect(family, lambda base, **yw: _dsm_solve(base, _replaced(p, **yw), cfg),
+                        y=p.y, w=p.w, w1=p.w1, w2=p.w2)
     _check_degenerate(family, p)
-
-    if spec.reflects is not None:
-        return _reflect(family, lambda base, **yw: dsm_solve(base, replace(p, **yw), cfg), y=p.y, w1=p.w1, w2=p.w2)
-
-    if why := _incompatible(p.x, p.y, p.z, p.w, cfg):
+    if why := _incompatible(p.x, p.y, p.z, p.w, nrm, cfg):
         return DsmSolution(family, False, reason=why)
-    if why := _violation(spec, p.z, p.w1, cfg.residual_tol * fro(p.z) * fro(p.w1), ("z", "w1")):
+    if spec.form is None:
+        return _type2(p, cfg)
+    if why := _violation(spec, p.z, p.w1, cfg.residual_tol * nrm["z"] * nrm["w1"], ("z", "w1")):
         return DsmSolution(family, False, reason=why)
 
     # Delta1* = sign Delta1 (or Delta1^T = sign Delta1), so Delta1* z = w1 is map_min's Delta1 z = sign w1 (conjugated)
     bilinear = spec.form == "bilinear"
     z, w1 = (p.z.conj(), p.w1.conj()) if bilinear else (p.z, p.w1)
-    f, g = _min_factors(spec, z, spec.sign * w1, cfg)
+    f, g = _min_factors(spec, z, spec.sign * w1, nrm["z"])
     h1 = _outer_sum(f, g)
-    h2 = _h2(p, _apply(f, g, p.x1), cfg)
-    exact = _colinear_coeff(z, p.x1, cfg)[1]
+    h2 = _h2(p, _apply(f, g, p.x1))
+    exact = _colinear_coeff(z, p.x1, nrm["x1"], cfg)[1]
     note = ("x1 colinear with conj(z)" if bilinear else "x1 colinear with z") if exact else "never"
     diagnostics: dict = {}
     warnings: list[str] = []
     if spec.cone == "psd":
         zw1 = np.vdot(p.z, p.w1)
         a = p.y - (np.vdot(p.w1, p.x1) / zw1) * p.w1
-        rightmost, herm_right = _rank_one_rightmost(a, p.x1)
+        na = fro(a)
+        rightmost, herm_right = _rank_one_rightmost(a, p.x1, na, nrm["x1"])
         diagnostics["left_spectrum_factors"] = (a, p.x1)
         diagnostics["rightmost_real_part"] = rightmost
-        floor = cfg.psd_tol * fro(a) * fro(p.x1)  # ||a x1*||_F, with no unit floor: the verdict is scale-free
+        floor = cfg.psd_tol * na * nrm["x1"]  # ||a x1*||_F, with no unit floor: the verdict is scale-free
         # The certifiable condition is the Hermitian part of the diagnostic
         # matrix in the left half-plane (equivalently its numerical range):
         # the trace-sign argument needs it, the spectrum alone is not enough.
@@ -269,13 +269,17 @@ def dsm_characterize(
         raise ConstraintViolationError("K_shape", f"K must be {p.n}x{p.n}, got {K.shape}")
     if R.shape != (p.n, p.m):
         raise ConstraintViolationError("R_shape", f"R must be {p.n}x{p.m}, got {R.shape}")
+    return _dsm_characterize(family, p, K, R, cfg)
 
+
+def _dsm_characterize(family: StructureFamily, p: DsmProblem, K, R, cfg: ToleranceConfig) -> np.ndarray:
+    """``dsm_characterize`` on validated K, R: a negated family's reflection (R negated too) is not validated again."""
     spec = FAMILIES[family]
     if spec.reflects is not None:
         return _reflect(
             family,
-            lambda base, R, **yw: dsm_characterize(base, replace(p, **yw), K, R, cfg),
-            y=p.y, w1=p.w1, w2=p.w2, R=R,
+            lambda base, R, **yw: _dsm_characterize(base, _replaced(p, **yw), K, R, cfg),
+            y=p.y, w=p.w, w1=p.w1, w2=p.w2, R=R,
         )
 
     _require_structure(family, "K", K, cfg)
@@ -284,21 +288,21 @@ def dsm_characterize(
         raise DegenerateInputError(f"infeasible problem: {sol.reason}")
 
     h1t = _sandwich(p.z, K, p.z.conj() if spec.form == "bilinear" else p.z)  # P_conj(z)^T = P_z
-    return np.hstack([sol.H1 + h1t, sol.H2 + _h2_tilde(p, h1t, R, cfg)])
+    return np.hstack([sol.H1 + h1t, sol.H2 + _h2_tilde(p, h1t, R)])
 
 
-def _h2_tilde(p: DsmProblem, h1t: np.ndarray, R: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+def _h2_tilde(p: DsmProblem, h1t: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Column-block perturbation ``P_z R P_x2 - H1~ x1 x2+`` that keeps ``Delta x = y``."""
-    return _sandwich(p.z, R, p.x2) - np.outer(h1t @ p.x1, pinv(p.x2, cfg))
+    return _sandwich(p.z, R, p.x2) - np.outer(h1t @ p.x1, _pinv_vec(p.x2, p._norms["x2"]))
 
 
 # ---------------------------------------------------------------------------
 # dissipative mappings
 
 
-@dataclass
+@dataclass(frozen=True)
 class Type1Problem:
-    """Matrix data for the square dissipative two-sided problem."""
+    """Matrix data for the square dissipative two-sided problem; validated once, frozen with ``_norms``."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -306,11 +310,13 @@ class Type1Problem:
     W: np.ndarray
 
     def __post_init__(self) -> None:
+        attrs = vars(self)  # frozen: set through the instance dict
         for name in "XYZW":
-            a = as_complex(getattr(self, name), name)
-            setattr(self, name, a[:, None] if a.ndim == 1 else a)
+            a = as_complex(attrs[name], name)
+            attrs[name] = a[:, None] if a.ndim == 1 else a
         if self.X.ndim != 2 or {self.Y.shape, self.Z.shape, self.W.shape} != {self.X.shape}:
             raise DimensionMismatchError("X, Y, Z, W must all share one n x m shape")
+        attrs["_norms"] = {name: fro(attrs[name]) for name in "XYZW"}
 
 
 @dataclass
@@ -356,7 +362,7 @@ def dsdm_type1(
     """
     if anti:
         return _reflect(
-            StructureFamily.ANTI_DISSIPATIVE, lambda _, **yw: dsdm_type1(replace(q, **yw), cfg), Y=q.Y, W=q.W
+            StructureFamily.ANTI_DISSIPATIVE, lambda _, **yw: dsdm_type1(_replaced(q, **yw), cfg), Y=q.Y, W=q.W
         )
 
     u1, v1, g = _range_factors(q.X, q.Y, cfg)
@@ -384,7 +390,7 @@ def dsdm_type1(
         warnings.append(f"hypothesis violated ({', '.join(bad)}); result not certified")
 
     # the m x m products of the pairs (X, Y) and (Z, W), each scaled to norm 1, cannot overflow
-    nx, ny, nz, nw = fro(q.X), fro(q.Y), fro(q.Z), fro(q.W)
+    nx, ny, nz, nw = (q._norms[name] for name in "XYZW")
     sx, sz = max(nx, ny) or 1.0, max(nz, nw) or 1.0
     xh, yh, z, w = q.X.conj().T / sx, q.Y.conj().T / sx, q.Z / sz, q.W / sz
     xy = xh @ yh.conj().T
@@ -445,16 +451,14 @@ def dsdm_type1_vec(
     the solver is feasible iff x*w = y*z and Re(x*y) > 0.  ``anti=True``
     asks for Delta + Delta* <= 0.
     """
-    q = Type1Problem(*(as_complex(v, name).reshape(-1) for v, name in ((x, "x"), (y, "y"), (z, "z"), (w, "w"))))
-    x, y, z, w = (a[:, 0] for a in (q.X, q.Y, q.Z, q.W))
-    for name, v in (("x", x), ("y", y), ("w", w), ("z", z)):
-        if fro(v) == 0.0:
-            raise DegenerateInputError(f"{name} must be nonzero")
-    alpha, colinear = _colinear_coeff(x, z, cfg)
+    (x, nx), (y, ny), (w, nw), (z, nz) = (_nonzero_vec(v, name) for v, name in ((x, "x"), (y, "y"), (w, "w"), (z, "z")))
+    alpha, colinear = _colinear_coeff(x, z, nz, cfg)
     if not colinear:
         raise NotColinearError(f"z is not colinear with x (residual {fro(z - alpha * x):.3e})")
-    if abs(np.vdot(x, y).real) <= cfg.residual_tol * fro(x) * fro(y):
+    if abs(np.vdot(x, y).real) <= cfg.residual_tol * nx * ny:
         raise DegenerateInputError("Re(x*y) vanishes; the vector-case formulas are undefined")
+    cols = {"X": x[:, None], "Y": y[:, None], "Z": z[:, None], "W": w[:, None]}  # validated: a Type1Problem as is
+    q = _replaced(object.__new__(Type1Problem), **cols, _norms={"X": nx, "Y": ny, "Z": nz, "W": nw})
 
     sol = dsdm_type1(q, cfg, anti=anti)
     sol.conditions = {"colinear": True, **sol.conditions}
@@ -462,15 +466,15 @@ def dsdm_type1_vec(
     return sol
 
 
-def _type2_pieces(p: DsmProblem, sign: float, cfg: ToleranceConfig):
+def _type2_pieces(p: DsmProblem, sign: float):
     """The blocks (H1, H2) for sign = +1 and the feasible point (H1^, H2^) for sign = -1.
 
     H1 = (w1 z+)* + sign P_z w1 z+, and H2 is dsm_solve's column block
     (y - H1 x1) x2+ + (w2 z+)* P_x2.
     """
-    zd = pinv(p.z, cfg).ravel()
-    f, g = [zd.conj(), sign * _project(p.z, p.w1)], [p.w1.conj(), zd]
-    return _outer_sum(f, g), _h2(p, _apply(f, g, p.x1), cfg)
+    zd = _pinv_vec(p.z, p._norms["z"])
+    f, g = [zd.conj(), sign * _project(p.z, p._norms["z"], p.w1)], [p.w1.conj(), zd]
+    return _outer_sum(f, g), _h2(p, _apply(f, g, p.x1))
 
 
 def dsdm_type2(
@@ -487,29 +491,25 @@ def dsdm_type2(
     with z and z is orthogonal to x1.  ``anti=True`` asks for
     Delta1 + Delta1* <= 0 through ``maps._reflect``.
     """
-    _check_degenerate(StructureFamily.DISSIPATIVE, p)
-    if anti:
-        return _reflect(
-            StructureFamily.ANTI_DISSIPATIVE,
-            lambda _, **yw: dsdm_type2(replace(p, **yw), cfg),
-            y=p.y, w1=p.w1, w2=p.w2,
-        )
+    return _dsm_solve(StructureFamily.ANTI_DISSIPATIVE if anti else StructureFamily.DISSIPATIVE, p, cfg)
 
-    if why := _incompatible(p.x, p.y, p.z, p.w, cfg):
-        return DsmSolution(StructureFamily.DISSIPATIVE, False, reason=why)
-    tol = cfg.residual_tol * (fro(p.z) * fro(p.w1))
+
+def _type2(p: DsmProblem, cfg: ToleranceConfig) -> DsmSolution:
+    """``dsdm_type2`` past the test of x*w = y*z: the Re(z*w1) test, then the feasible point and its bracket."""
+    nrm = p._norms
+    tol = cfg.residual_tol * (nrm["z"] * nrm["w1"])
     if why := _violation(FAMILIES[StructureFamily.DISSIPATIVE], p.z, p.w1, tol, ("z", "w1")):
         return DsmSolution(StructureFamily.DISSIPATIVE, False, reason=why)
 
-    h1_hat, h2_hat = _type2_pieces(p, -1.0, cfg)
+    h1_hat, h2_hat = _type2_pieces(p, -1.0)
     rew = np.vdot(p.z, p.w1).real
     warnings = []
     if rew <= tol:
         warnings.append("Re(z*w1) ~ 0: boundary case, characterization unavailable")
 
-    beta, y_colinear = _colinear_coeff(p.z, p.y, cfg)
-    orth = abs(np.vdot(p.z, p.x1)) <= cfg.residual_tol * fro(p.z) * fro(p.x1)
-    _, w1_colinear = _colinear_coeff(p.z, p.w1, cfg)
+    beta, y_colinear = _colinear_coeff(p.z, p.y, nrm["y"], cfg)
+    orth = abs(np.vdot(p.z, p.x1)) <= cfg.residual_tol * nrm["z"] * nrm["x1"]
+    _, w1_colinear = _colinear_coeff(p.z, p.w1, nrm["w1"], cfg)
     # Exactness needs w1 colinear with z on top of the y/x1 conditions: the
     # square block's one-sided dissipative minimum is only pinned to the
     # closed form in that case (off the colinear case a coordinated choice
@@ -521,7 +521,7 @@ def dsdm_type2(
             "of the returned point is not certified (w1 not colinear with z)"
         )
     upper = float(np.sqrt(fro(h1_hat) ** 2 + fro(h2_hat) ** 2))
-    lower = upper if exact else max(fro(p.y) / fro(p.x), fro(p.w) / fro(p.z))  # x2 and z are nonzero
+    lower = upper if exact else max(nrm["y"] / nrm["x"], nrm["w"] / nrm["z"])  # x2 and z are nonzero
     return DsmSolution(
         StructureFamily.DISSIPATIVE,
         True,
@@ -565,10 +565,11 @@ def dsm_characterize_type2(
         raise DegenerateInputError("characterization requires Re(z*w1) > 0")
     _require(_shifted_psd(K, Z, p.z, p.w1, cfg), "K_shifted_psd", "K - (2w1+Z*z)(2w1+Z*z)*/(4Re(z*w1)) must be PSD")
 
-    h1, h2 = _type2_pieces(p, 1.0, cfg)
+    h1, h2 = _type2_pieces(p, 1.0)
     # H1~ = P_z Z* z z+ + P_z (K - G) P_z, and H2~ = P_z R P_x2 - H1~ x1 x2+
-    h1t = np.outer(_project(p.z, (p.z.conj() @ Z).conj()), pinv(p.z, cfg)) + _sandwich(p.z, K - G, p.z)
-    return np.hstack([h1 + h1t, h2 + _h2_tilde(p, h1t, R, cfg)])
+    zp = _project(p.z, p._norms["z"], (p.z.conj() @ Z).conj())
+    h1t = np.outer(zp, _pinv_vec(p.z, p._norms["z"])) + _sandwich(p.z, K - G, p.z)
+    return np.hstack([h1 + h1t, h2 + _h2_tilde(p, h1t, R)])
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +601,13 @@ class ScalarProduct:
         if self.algebra not in ("jordan", "lie"):
             raise ValueError("algebra must be 'jordan' or 'lie'")
         # ||M*M - I|| against ||M||^2, the scale of M*M (n when M is unitary)
-        gap = fro(self.M.conj().T @ self.M - np.eye(self.M.shape[0]))
-        if gap > cfg.residual_tol * fro(self.M) ** 2:
+        gap, nm = fro(self.M.conj().T @ self.M - np.eye(self.M.shape[0])), fro(self.M)
+        if gap > cfg.residual_tol * nm**2:
             raise StructureError(f"M must be unitary (||M*M - I|| = {gap:.3e})")
         plain, skew = _LINEAR[self.form, 1], _LINEAR[self.form, -1]
-        if _in_family(plain, self.M, cfg):
+        if _deviation(plain, self.M) <= cfg.residual_tol * nm:  # ``_in_family`` of a linear family, at ||M||
             self.sigma = 1
-        elif _in_family(skew, self.M, cfg):
+        elif _deviation(skew, self.M) <= cfg.residual_tol * nm:
             self.sigma = -1
         else:
             raise StructureError(f"M must be {_label(plain)}/{_label(skew)}")
@@ -646,8 +647,8 @@ def jordan_lie_reduce(
     family = sp.target_family()
     if sp.M.shape[0] != p.n:
         raise DimensionMismatchError(f"M is {sp.M.shape[0]}x{sp.M.shape[0]} but the problem has n = {p.n}")
-    reduced = DsmProblem(p.x1, p.x2, sp.M @ p.y, sp.M @ p.z, p.w1, p.w2)
-    sol = dsm_solve(family, reduced, cfg)
+    my, mz = as_complex(sp.M @ p.y, "M y"), as_complex(sp.M @ p.z, "M z")
+    sol = _dsm_solve(family, _replaced(p, y=my, z=mz, _norms={**p._norms, "y": fro(my), "z": fro(mz)}), cfg)
     if sol.feasible:
         lift = sp.M.conj().T
         sol.H1 = lift @ sol.H1

@@ -9,6 +9,10 @@ without an SVD); the mapping solvers keep vector data factored (see
 projector: ``svd_range`` for an n x m matrix in O(n m^2), ``psd_range``
 for a psd matrix of rank r in O(n r^2) (pivoted Cholesky, thin QR), and
 ``_range_factors`` for a map y x+ with the basis of range(x).
+Boundary rule: a caller's array is validated (``as_complex``) once, where it
+enters a public entry point, and not again once derived by an exact operation
+(negation, conjugation, slicing, reshape); a new product that can overflow
+(``jordan_lie_reduce``'s M y, M z) is.  Each data norm is taken once per call.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ __all__ = [
 
 
 def as_complex(a, name: str = "array") -> np.ndarray:
-    """Validate and convert input to a finite complex128 array."""
+    """Validate and convert input to a finite complex128 array in one pass: once per caller array (boundary rule)."""
     out = np.asarray(a, dtype=complex)
-    if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
+    if not np.isfinite(out).all():
         raise NonFiniteEntriesError(f"{name} contains NaN/Inf entries")
     return out
 
@@ -74,7 +78,12 @@ def pinv(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     na = fro(a)
     if na == 0.0:
         return np.zeros(a.shape[::-1], dtype=complex)
-    return (a / na).conj().T / na
+    return _pinv_vec(a, na).T
+
+
+def _pinv_vec(x: np.ndarray, nx: float) -> np.ndarray:
+    """``pinv`` of a nonzero vector x of norm ``nx`` as a vector, (x / ||x||)* / ||x||, without squaring ||x||."""
+    return (x / nx).conj() / nx
 
 
 def herm_skew_parts(a) -> tuple[np.ndarray, np.ndarray]:
@@ -104,20 +113,21 @@ def _semidefinite(a, scale: float, cfg: ToleranceConfig, definite: bool = False)
     ``definite=True`` asks for every eigenvalue above ``psd_tol * scale``.
     ``scale`` is the norms of the inputs that formed a (see ``ToleranceConfig``).
     """
-    lo, bound = min_eig_herm(a), cfg.psd_tol * scale
+    ah = (a + a.conj().T) / 2.0  # as ``min_eig_herm`` takes it, without validating the library's own a again
+    lo, bound = (float(np.linalg.eigvalsh(ah)[0]) if ah.shape[0] else 0.0), cfg.psd_tol * scale
     return lo > bound if definite else lo >= -bound
 
 
-def _colinear_coeff(target: np.ndarray, v: np.ndarray, cfg: ToleranceConfig) -> tuple[complex, bool]:
+def _colinear_coeff(target: np.ndarray, v: np.ndarray, nv: float, cfg: ToleranceConfig) -> tuple[complex, bool]:
     """(alpha, colinear): the least-squares alpha of v ~ alpha target, and ||v - alpha target|| <= residual_tol ||v||.
 
-    A zero target gives (0, False); a zero v is colinear, with alpha = 0.
+    ``nv`` is ||v||.  A zero target gives (0, False); a zero v is colinear, with alpha = 0.
     """
     denom = np.vdot(target, target)
     if denom == 0:
         return 0j, False
     alpha = np.vdot(target, v) / denom
-    return alpha, bool(fro(v - alpha * target) <= cfg.residual_tol * fro(v))
+    return alpha, bool(fro(v - alpha * target) <= cfg.residual_tol * nv)
 
 
 def svd_range(x, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -42,7 +42,7 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
 )
-from .linalg import _semidefinite, as_complex, fro, pinv
+from .linalg import _pinv_vec, _semidefinite, as_complex, fro
 
 __all__ = ["StructureFamily", "MapSolution", "map_min", "map_two_sided", "map_characterize"]
 
@@ -85,8 +85,6 @@ FAMILIES = MappingProxyType({
 _LINEAR = {(spec.form, spec.sign): family for family, spec in FAMILIES.items() if spec.cone is None}
 #: families whose solution set is a (real-)linear variety
 LINEAR_FAMILIES = frozenset(_LINEAR.values())
-#: the negated families and the family each is solved as
-_REFLECTED = {family: spec.reflects for family, spec in FAMILIES.items() if spec.reflects is not None}
 
 
 @dataclass
@@ -101,11 +99,12 @@ class MapSolution:
     boundary: bool = False
 
 
-def _nonzero_vec(v, name: str) -> np.ndarray:
+def _nonzero_vec(v, name: str) -> tuple[np.ndarray, float]:
     v = as_complex(v, name).reshape(-1)
-    if fro(v) == 0.0:
+    nv = fro(v)
+    if nv == 0.0:
         raise DegenerateInputError(f"{name} must be nonzero")
-    return v
+    return v, nv
 
 
 #: the sign conditions of the base families' reasons, as the negated family states them
@@ -155,41 +154,41 @@ def _reflect(family: StructureFamily, solve, **data):
     return out
 
 
-def _project(v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``P_v a = a - v (v+ a)`` for a nonzero vector v and a vector or matrix a, without P_v."""
-    vh = v / fro(v)
+def _project(v: np.ndarray, nv: float, a: np.ndarray) -> np.ndarray:
+    """``P_v a = a - v (v+ a)`` for a nonzero vector v of norm ``nv`` and a vector or matrix a, without P_v."""
+    vh = v / nv
     return a - np.multiply.outer(vh, vh.conj() @ a)
 
 
 def _sandwich(left: np.ndarray | None, k: np.ndarray, right: np.ndarray | None) -> np.ndarray:
     """``P_left K P_right`` as two rank-one updates of K; a side given as None is the identity."""
     if left is not None:
-        k = _project(left, k)
+        k = _project(left, fro(left), k)
     if right is not None:
-        k = _project(right.conj(), k.T).T  # K P_r = (P_r^T K^T)^T and P_r^T = P_conj(r)
+        k = _project(right.conj(), fro(right), k.T).T  # K P_r = (P_r^T K^T)^T and P_r^T = P_conj(r)
     return k
 
 
 def _outer_sum(f: list[np.ndarray], g: list[np.ndarray]) -> np.ndarray:
-    """The dense matrix ``sum_i f_i g_i^T``, formed in one product."""
-    return np.column_stack(f) @ np.column_stack(g).T
+    """The dense matrix ``sum_i f_i g_i^T``, formed in one product of the stacked (k, n) factors."""
+    return np.array(f).T @ np.array(g)
 
 
-def _min_factors(spec: FamilySpec, x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig):
-    """Factors (F, G) of the minimal Delta with ``Delta x = y``: Delta = sum_i F_i G_i^T.
+def _min_factors(spec: FamilySpec, x: np.ndarray, y: np.ndarray, nx: float):
+    """Factors (F, G) of the minimal Delta with ``Delta x = y``: Delta = sum_i F_i G_i^T, for ``nx`` = ||x||.
 
     ``spec`` is a base family's row (no reflection); feasibility is the caller's to check.
     """
-    xd = pinv(x, cfg).ravel()  # the row x+ as a vector
     if spec.cone == "psd":  # y y* / (x*y)
         return [y], [y.conj() / np.vdot(x, y)]
+    xd = _pinv_vec(x, nx)  # the row x+ as a vector
     if spec.cone == "dissipative":  # y x+ - (y x+)* P_x
-        return [y, -xd.conj()], [xd, _project(x, y).conj()]
+        return [y, -xd.conj()], [xd, _project(x, nx, y).conj()]
     if spec.form is None:
         return [y], [xd]
     if spec.form == "sesquilinear":
         # y x+ +- (y x+)* - (x+ y) x x+ = (P_x y) x+ +- (x+)* y*
-        return [_project(x, y), spec.sign * xd.conj()], [xd, y.conj()]
+        return [_project(x, nx, y), spec.sign * xd.conj()], [xd, y.conj()]
     # y x+ +- (y x+)^T -+ (x^T y)(x+)^T x+ = (y -+ (x^T y)(x+)^T) x+ +- (x+)^T y^T
     return [y - spec.sign * (x @ y) * xd, spec.sign * xd], [xd, y]
 
@@ -265,19 +264,22 @@ def map_min(
     problem on (x, -y), negated.
     """
     family = StructureFamily(family)
-    x = _nonzero_vec(x, "x")
-    y = _nonzero_vec(y, "y")
+    (x, nx), (y, ny) = _nonzero_vec(x, "x"), _nonzero_vec(y, "y")
     if x.shape != y.shape:
         raise DimensionMismatchError(f"x and y must share a dimension, got {x.shape} vs {y.shape}")
+    return _map_min(family, x, y, nx, ny, cfg)
 
+
+def _map_min(family: StructureFamily, x: np.ndarray, y: np.ndarray, nx: float, ny: float, cfg: ToleranceConfig):
+    """``map_min`` on validated x, y of norms nx, ny: a negated family's reflection solves on -y, not validated."""
     spec = FAMILIES[family]
     if spec.reflects is not None:
-        return _reflect(family, lambda base, y: map_min(base, x, y, cfg), y=y)
+        return _reflect(family, lambda base, y: _map_min(base, x, y, nx, ny, cfg), y=y)
 
-    tol = cfg.residual_tol * (fro(x) * fro(y))
+    tol = cfg.residual_tol * (nx * ny)
     if why := _violation(spec, x, y, tol):
         return MapSolution(family, False, reason=why)
-    delta = _outer_sum(*_min_factors(spec, x, y, cfg))
+    delta = _outer_sum(*_min_factors(spec, x, y, nx))
     boundary = spec.cone == "dissipative" and abs(np.vdot(x, y).real) <= tol
     return MapSolution(
         family, True, minimizer=delta, min_norm=fro(delta), free_param_shapes=_free_params(family, x.shape[0]),
@@ -285,10 +287,10 @@ def map_min(
     )
 
 
-def _incompatible(x, y, z, w, cfg: ToleranceConfig) -> str:
-    """Why x*w = y*z, which every problem with both Delta x = y and Delta* z = w needs, fails; "" if it holds."""
+def _incompatible(x, y, z, w, norms, cfg: ToleranceConfig) -> str:
+    """Why x*w = y*z, which Delta x = y and Delta* z = w need, fails, "" if it holds; ``norms`` by vector name."""
     gap = np.vdot(x, w) - np.vdot(y, z)
-    if abs(gap) <= cfg.residual_tol * max(fro(x) * fro(w), fro(y) * fro(z)):
+    if abs(gap) <= cfg.residual_tol * max(norms["x"] * norms["w"], norms["y"] * norms["z"]):
         return ""
     return f"x*w != y*z (gap {abs(gap):.3e})"
 
@@ -301,19 +303,16 @@ def map_two_sided(x, y, z, w, cfg: ToleranceConfig = DEFAULT_TOL) -> MapSolution
     ``y x+ + (w z+)* - (w z+)* x x+ = y x+ + (z+)* (P_x w)*`` and the solution set adds
     ``P_z R P_x`` over arbitrary R.
     """
-    x = _nonzero_vec(x, "x")
-    y = _nonzero_vec(y, "y")
-    z = _nonzero_vec(z, "z")
-    w = _nonzero_vec(w, "w")
+    (x, nx), (y, ny), (z, nz), (w, nw) = (_nonzero_vec(v, name) for v, name in ((x, "x"), (y, "y"), (z, "z"), (w, "w")))
     if x.shape != w.shape or y.shape != z.shape:
         raise DimensionMismatchError(
             f"need x, w in C^m and y, z in C^n; got {x.shape}, {w.shape}, {y.shape}, {z.shape}"
         )
     n, m = y.shape[0], x.shape[0]
-    if why := _incompatible(x, y, z, w, cfg):
+    if why := _incompatible(x, y, z, w, {"x": nx, "y": ny, "z": nz, "w": nw}, cfg):
         return MapSolution(StructureFamily.UNSTRUCTURED, False, reason=why)
     # y x+ + (w z+)* P_x = y x+ + (z+)* (P_x w)*
-    delta = _outer_sum([y, pinv(z, cfg).ravel().conj()], [pinv(x, cfg).ravel(), _project(x, w).conj()])
+    delta = _outer_sum([y, _pinv_vec(z, nz).conj()], [_pinv_vec(x, nx), _project(x, nx, w).conj()])
     return MapSolution(
         StructureFamily.UNSTRUCTURED,
         True,
@@ -379,14 +378,17 @@ def map_characterize(
     ``ConstraintViolationError`` naming the failing condition.
     """
     family = StructureFamily(family)
-    x = _nonzero_vec(x, "x")
-    y = _nonzero_vec(y, "y")
+    (x, nx), (y, ny) = _nonzero_vec(x, "x"), _nonzero_vec(y, "y")
+    return _map_characterize(family, x, y, nx, ny, params, cfg)
 
+
+def _map_characterize(family: StructureFamily, x, y, nx: float, ny: float, params, cfg: ToleranceConfig) -> np.ndarray:
+    """``map_characterize`` on validated x, y of norms nx, ny: a negated family's reflection is not validated again."""
     spec = FAMILIES[family]
     if spec.reflects is not None:
-        return _reflect(family, lambda base, y: map_characterize(base, x, y, params, cfg), y=y)
+        return _reflect(family, lambda base, y: _map_characterize(base, x, y, nx, ny, params, cfg), y=y)
 
-    base = map_min(family, x, y, cfg)
+    base = _map_min(family, x, y, nx, ny, cfg)
     if not base.feasible:
         raise DegenerateInputError(f"infeasible problem: {base.reason}")
     if base.boundary:
@@ -414,6 +416,6 @@ def map_characterize(
     _require_structure(StructureFamily.PSD, "K", k, cfg)
     _require(_shifted_psd(k, z, x, y, cfg), "K_shifted_psd", "K - (2y+Z*x)(2y+Z*x)*/(4Re(x*y)) must be PSD")
     # y x+ + (y x+)* P_x + x x+ Z P_x + P_x (K + G) P_x, with (y x+)* P_x = (x+)* (P_x y)*
-    xd = pinv(x, cfg).ravel()
-    g_cols = [xd, _project(x, y).conj(), _project(x.conj(), xd @ z)]
+    xd = _pinv_vec(x, nx)
+    g_cols = [xd, _project(x, nx, y).conj(), _project(x.conj(), nx, xd @ z)]
     return _outer_sum([y, xd.conj(), x], g_cols) + _sandwich(x, k + g, x)

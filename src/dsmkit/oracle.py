@@ -61,12 +61,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .dsm import DsmProblem, Type1Problem
+from .dsm import DsmProblem, Type1Problem, _replaced
 from .errors import CertificationError, DegenerateInputError, InconsistentConstraintsError
 from .linalg import as_complex, fro, svd_range
 from .maps import FAMILIES, _LINEAR, StructureFamily, _deviation, _reflect
@@ -311,7 +311,8 @@ def oracle_least_norm(constraints, structure: StructureFamily | None = None, cfg
     precision since this is an exact vectorized least-norm solve, on the
     span of the data (``_solve_on_span``).
     """
-    constraints = [(k, as_complex(v).reshape(-1), as_complex(r).reshape(-1)) for k, v, r in constraints]
+    constraints = [(k, as_complex(v, f"constraint {i}: v").reshape(-1), as_complex(r, f"constraint {i}: r").reshape(-1))
+                   for i, (k, v, r) in enumerate(constraints)]
     parts, split = [], 0
     structure = StructureFamily(StructureFamily.UNSTRUCTURED if structure is None else structure)
     spec = FAMILIES[structure]
@@ -571,9 +572,9 @@ def oracle_min_structured(problem, family: StructureFamily, cfg: ToleranceConfig
     family = StructureFamily(family)
     spec = FAMILIES[family]
     if spec.reflects is not None:
-        names = ("Y", "W") if isinstance(problem, Type1Problem) else ("y", "w1", "w2")
+        names = ("Y", "W") if isinstance(problem, Type1Problem) else ("y", "w", "w1", "w2")
         return _reflect(
-            family, lambda base, **yw: oracle_min_structured(replace(problem, **yw), base, cfg),
+            family, lambda base, **yw: oracle_min_structured(_replaced(problem, **yw), base, cfg),
             **{name: getattr(problem, name) for name in names},
         )
     if isinstance(problem, Type1Problem):

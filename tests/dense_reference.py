@@ -50,8 +50,8 @@ def null_projector(x, cfg=DEFAULT_TOL):
 
 def map_min(family, x, y):
     family = F(family)
-    x = _nonzero_vec(x, "x")
-    y = _nonzero_vec(y, "y")
+    x, _ = _nonzero_vec(x, "x")
+    y, _ = _nonzero_vec(y, "y")
     if family in BASE:
         inner = map_min(BASE[family], x, -y)
         inner.family = family
@@ -110,7 +110,7 @@ def map_min(family, x, y):
 
 
 def map_two_sided(x, y, z, w):
-    x, y, z, w = (_nonzero_vec(v, name) for v, name in ((x, "x"), (y, "y"), (z, "z"), (w, "w")))
+    x, y, z, w = (_nonzero_vec(v, name)[0] for v, name in ((x, "x"), (y, "y"), (z, "z"), (w, "w")))
     n, m = y.shape[0], x.shape[0]
     gap = np.vdot(x, w) - np.vdot(y, z)
     if abs(gap) > TOL * max(fro(x) * fro(w), fro(y) * fro(z)):
@@ -126,8 +126,8 @@ def map_two_sided(x, y, z, w):
 def map_characterize(family, x, y, params):
     """The solution-set formulas with projectors; parameter checks as in the solver."""
     family = F(family)
-    x = _nonzero_vec(x, "x")
-    y = _nonzero_vec(y, "y")
+    x, _ = _nonzero_vec(x, "x")
+    y, _ = _nonzero_vec(y, "y")
     if family in BASE:
         return -map_characterize(BASE[family], x, -y, params)
     base = map_min(family, x, y)
@@ -207,14 +207,14 @@ def dsm_solve(family, p):
     h1 = _base_h1(family, p.z, p.w1)
     h2 = _h2_from_h1(p, h1)
     target = p.z if family in (F.HERMITIAN, F.SKEW_HERMITIAN, F.PSD) else p.z.conj()
-    _, exact = _colinear_coeff(target, p.x1, DEFAULT_TOL)
+    _, exact = _colinear_coeff(target, p.x1, fro(p.x1), DEFAULT_TOL)
     note = "x1 colinear with z" if exact else "never"
     if family in (F.SYMMETRIC, F.SKEW_SYMMETRIC) and exact:
         note = "x1 colinear with conj(z)"
     diagnostics, warnings = {}, []
     if family is F.PSD:
         a = p.y - (np.vdot(p.w1, p.x1) / np.vdot(p.z, p.w1)) * p.w1
-        rightmost, herm_right = _rank_one_rightmost(a, p.x1)
+        rightmost, herm_right = _rank_one_rightmost(a, p.x1, fro(a), fro(p.x1))
         diagnostics["left_spectrum_factors"] = (a, p.x1)
         diagnostics["rightmost_real_part"] = rightmost
         # ||a|| ||x1||, not fro(a x1*): the entries of a x1* overflow when squared at 1e100 scale
@@ -325,9 +325,9 @@ def dsdm_type2(p, anti=False):
     warnings = []
     if rew <= TOL * sscale:
         warnings.append("Re(z*w1) ~ 0: boundary case, characterization unavailable")
-    beta, y_colinear = _colinear_coeff(p.z, p.y, DEFAULT_TOL)
+    beta, y_colinear = _colinear_coeff(p.z, p.y, fro(p.y), DEFAULT_TOL)
     orth = abs(np.vdot(p.z, p.x1)) <= TOL * fro(p.z) * fro(p.x1)
-    _, w1_colinear = _colinear_coeff(p.z, p.w1, DEFAULT_TOL)
+    _, w1_colinear = _colinear_coeff(p.z, p.w1, fro(p.w1), DEFAULT_TOL)
     exact = y_colinear and orth and w1_colinear
     if y_colinear and orth and not w1_colinear:
         warnings.append(

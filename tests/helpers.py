@@ -223,3 +223,24 @@ def watch_linalg(monkeypatch):
         if callable(fn) and not isinstance(fn, type) and "norm" not in name:
             monkeypatch.setattr(np.linalg, name, watch(name, fn))
     return seen
+
+
+def _spoil(a, value):
+    """A copy of the array a, in its own dtype, whose last entry is ``value``."""
+    a = np.array(a)
+    a.flat[-1] = value
+    return a
+
+
+#: every form in which a caller can pass a non-finite entry, each applied to a finite complex array
+NON_FINITE = {
+    "nan-real-part": lambda a: _spoil(a, complex(np.nan, 0.0)),
+    "nan-imag-part": lambda a: _spoil(a, complex(0.0, np.nan)),
+    "inf-real-part": lambda a: _spoil(a, complex(np.inf, 1.0)),
+    "-inf-real-part": lambda a: _spoil(a, complex(-np.inf, 1.0)),
+    "inf-imag-part": lambda a: _spoil(a, complex(1.0, np.inf)),
+    "-inf-imag-part": lambda a: _spoil(a, complex(1.0, -np.inf)),
+    "real-dtype-nan": lambda a: _spoil(a.real, np.nan),
+    "real-dtype-inf": lambda a: _spoil(a.real, -np.inf),
+    "python-list": lambda a: _spoil(a, complex(0.0, np.nan)).tolist(),
+}

@@ -1,3 +1,5 @@
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,16 +19,20 @@ from dsmkit import (
     dsm_characterize_type2,
     dsm_solve,
     jordan_lie_reduce,
+    map_characterize,
+    map_min,
     pinv,
 )
 from dsmkit.errors import (
     ConstraintViolationError,
     DegenerateInputError,
+    NonFiniteEntriesError,
     NotColinearError,
     StructureError,
 )
 from dsmkit.maps import StructureFamily as F
 from helpers import (
+    NON_FINITE,
     crandn,
     dsm_instance,
     dsm_instance_psd_spectrum,
@@ -129,7 +135,7 @@ def test_psd_diagnostic_closed_forms_match_eigensolvers(n):
     x = crandn(rng, n)
     for a in (crandn(rng, n), crandn(rng) * x, -x + 1e-9 * crandn(rng, n), np.zeros(n, complex)):
         m = np.outer(a, x.conj())
-        rightmost, herm_right = _rank_one_rightmost(a, x)
+        rightmost, herm_right = _rank_one_rightmost(a, x, np.linalg.norm(a), np.linalg.norm(x))
         scale = max(np.linalg.norm(a) * np.linalg.norm(x), 1e-300)
         assert abs(rightmost - np.max(np.linalg.eigvals(m).real)) <= 1e-12 * scale
         assert abs(herm_right - np.linalg.eigvalsh((m + m.conj().T) / 2)[-1]) <= 1e-12 * scale
@@ -566,3 +572,156 @@ def test_psd_exactness_verdict_independent_of_data_scale(scale):
         flips += (sol.exact, sol.sufficiency_note, sol.warnings) != (base.exact, base.sufficiency_note, base.warnings)
         assert sol.norm_upper == pytest.approx(base.norm_upper, rel=1e-12)  # H is homogeneous of degree 0
     assert flips == 0
+
+
+PROBLEM_ARRAYS = ("x1", "x2", "y", "z", "w1", "w2")
+
+
+@pytest.mark.parametrize("path", ["hermitian", "nsd", "anti-dissipative", "jordan"])
+@pytest.mark.parametrize("name", PROBLEM_ARRAYS)
+def test_every_solve_path_rejects_a_non_finite_array_by_name(path, name):
+    # the reflections and the Jordan/Lie reduction validate nothing of the caller's again, so the problem,
+    # built at the boundary, is what must reject every form of a non-finite entry
+    p = dsm_instance(F.HERMITIAN, np.random.default_rng(7), 4, 2)
+    sp = ScalarProduct(np.eye(4), "sesquilinear", "jordan")
+    solve = {
+        "hermitian": lambda q: dsm_solve(F.HERMITIAN, q),
+        "nsd": lambda q: dsm_solve(F.NSD, q),
+        "anti-dissipative": lambda q: dsdm_type2(q, anti=True),
+        "jordan": lambda q: jordan_lie_reduce(sp, q),
+    }[path]
+    for spoil in NON_FINITE.values():
+        data = {k: getattr(p, k) for k in PROBLEM_ARRAYS}
+        with pytest.raises(NonFiniteEntriesError, match=f"^{name} contains"):
+            solve(DsmProblem(**{**data, name: spoil(data[name])}))
+
+
+@pytest.mark.parametrize("kind", list(NON_FINITE))
+def test_the_type1_and_scalar_product_entry_points_name_a_non_finite_array(kind):
+    rng = np.random.default_rng(8)
+    spoil = NON_FINITE[kind]
+    q, _ = type1_instance(rng, 4, 2)
+    for name in "XYZW":
+        with pytest.raises(NonFiniteEntriesError, match=f"^{name} contains"):
+            dsdm_type1(Type1Problem(**{**{k: getattr(q, k) for k in "XYZW"}, name: spoil(getattr(q, name))}), anti=True)
+    vec = dict(zip("xyzw", type1_vec_instance(rng, 4)))
+    for name in vec:
+        with pytest.raises(NonFiniteEntriesError, match=f"^{name} contains"):
+            dsdm_type1_vec(**{**vec, name: spoil(vec[name])}, anti=True)
+    with pytest.raises(NonFiniteEntriesError, match="^M contains"):
+        ScalarProduct(spoil(np.eye(3, dtype=complex)), "bilinear", "lie")
+
+
+def test_jordan_lie_reduce_validates_the_products_it_forms():
+    # M and y are finite but M y overflows: the reduction validates M y and M z, the only arrays it forms
+    sp = ScalarProduct(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), "sesquilinear", "jordan")
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = DsmProblem(np.ones(2), np.ones(1), np.full(2, 1.5e308), np.ones(2), np.ones(2), np.ones(1))
+        with pytest.raises(NonFiniteEntriesError, match="^M y contains"):
+            jordan_lie_reduce(sp, p)
+
+
+def _count_validations_and_norms(monkeypatch):
+    """Count ``as_complex`` and ``fro`` wherever ``linalg``, ``maps`` and ``dsm`` look them up.
+
+    Returns the names ``as_complex`` was given and copies of the arrays ``fro`` was given, in call order.
+    """
+    import dsmkit.dsm as dsm_mod
+    import dsmkit.linalg as linalg_mod
+    import dsmkit.maps as maps_mod
+
+    validated, normed = [], []
+    as_complex, fro = linalg_mod.as_complex, linalg_mod.fro
+
+    def counted_as_complex(a, name="array"):
+        validated.append(name)
+        return as_complex(a, name)
+
+    def counted_fro(a):
+        normed.append(np.array(a))
+        return fro(a)
+
+    for mod in (linalg_mod, maps_mod, dsm_mod):
+        monkeypatch.setattr(mod, "as_complex", counted_as_complex)
+        monkeypatch.setattr(mod, "fro", counted_fro)
+    return validated, normed
+
+
+def _budget_case(call, rng):
+    """(the call, with its inputs built inside it; the names it validates; the most norms it may take)."""
+    n, m = 16, 4
+    if call == "map_min nsd":
+        x, y = crandn(rng, n), crandn(rng, n)
+        y = y - (np.vdot(x, y) / np.vdot(x, x) + 1.0) * x  # x*y = -||x||^2: nsd-feasible
+        # ||x||, ||y|| and ||Delta||
+        return (lambda: map_min(F.NSD, x, y)), ["x", "y"], 3
+    if call == "jordan_lie_reduce":
+        mm = np.linalg.qr(crandn(rng, n, n))[0]
+        mm = mm @ np.diag(np.sign(rng.standard_normal(n))) @ mm.conj().T  # Hermitian and unitary
+        p, _ = _consistent_problem_for_algebra(rng, ScalarProduct(mm, "sesquilinear", "jordan"), n, m)
+    elif call == "dsdm_type2 anti":
+        p = type2_instance(rng, n, m)
+    else:
+        p = dsm_instance(F.NSD if call == "dsm_solve nsd" else F.HERMITIAN, rng, n, m)
+    data = [getattr(p, k) for k in PROBLEM_ARRAYS]
+    if call == "dsdm_type2 anti":
+        data = [v if k in ("x1", "x2", "z") else -v for k, v in zip(PROBLEM_ARRAYS, data)]
+        # the eight data norms (x1, x2, y, z, w1, w2 and the stacked x, w), two colinearity residuals, ||H1||, ||H2||
+        return (lambda: dsdm_type2(DsmProblem(*data), anti=True)), list(PROBLEM_ARRAYS), 12
+    if call == "dsm_solve hermitian":
+        # seven data norms (||w2|| is read by the cone families only), one colinearity residual, ||H1||, ||H2||
+        return (lambda: dsm_solve(F.HERMITIAN, DsmProblem(*data))), list(PROBLEM_ARRAYS), 10
+    if call == "dsm_solve nsd":
+        # eight data norms, one colinearity residual, ||a|| and one residual of the rank-one diagnostic, two outputs
+        return (lambda: dsm_solve(F.NSD, DsmProblem(*data))), list(PROBLEM_ARRAYS), 13
+    # ||M*M - I||, ||M||, ||M - M*||; seven data norms and ||M y||, ||M z||; one residual; ||H1||, ||H2||
+    return (
+        lambda: jordan_lie_reduce(ScalarProduct(mm, "sesquilinear", "jordan"), DsmProblem(*data)),
+        ["M", *PROBLEM_ARRAYS, "M y", "M z"],
+        15,
+    )
+
+
+@pytest.mark.parametrize(
+    "call", ["dsm_solve hermitian", "dsm_solve nsd", "dsdm_type2 anti", "jordan_lie_reduce", "map_min nsd"]
+)
+def test_each_caller_array_is_validated_once_and_each_norm_taken_once(call, monkeypatch):
+    # a reflection or reduction that went back through a public entry point, or a helper that took a
+    # norm the call already has, shows up here as a second validation or a second norm of the same array
+    solve, names, most_norms = _budget_case(call, np.random.default_rng(11))
+    validated, normed = _count_validations_and_norms(monkeypatch)
+    sol = solve()
+    assert sol.feasible
+    assert validated == names
+    assert len(normed) <= most_norms
+    seen = [(a.shape, a.tobytes()) for a in normed]
+    assert len(set(seen)) == len(seen), "an array was normed twice"
+
+
+def test_the_characterizations_validate_once_when_they_reflect(monkeypatch):
+    # nsd evaluates the psd characterization on -y (and -R): the negated arrays are not validated again
+    rng = np.random.default_rng(12)
+    p = dsm_instance(F.NSD, rng, 4, 2)
+    x, y = crandn(rng, 4), crandn(rng, 4)
+    y = y - (np.vdot(x, y) / np.vdot(x, x) + 1.0) * x
+    validated, _ = _count_validations_and_norms(monkeypatch)
+    map_characterize(F.NSD, x, y, {"K": np.eye(4)})
+    assert validated == ["x", "y", "K"]
+    validated.clear()
+    dsm_characterize(F.NSD, p, np.zeros((4, 4)), np.zeros((4, 2)))
+    assert validated == ["K", "R"]
+
+
+@pytest.mark.xfail(strict=True, reason="x*w - y*z overflows at 1e160 (gap nan): ROADMAP item 1, after item 8")
+def test_dsm_solve_is_feasible_on_the_benchmarks_1e160_problem():
+    # the Hermitian problem (n = 16, m = 4) that perfbench's solve workload scales by 1e160
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    import workloads as wl
+
+    case = wl.huge_case(np.random.default_rng(wl.HUGE_SEED))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = dsm_solve(F.HERMITIAN, wl._problem(case))
+    assert sol.feasible, sol.reason
+    x, y = case["x"] / wl.HUGE_SCALE, case["y"] / wl.HUGE_SCALE
+    h = sol.H
+    assert np.linalg.norm(h @ x - y) <= 1e-10 * (np.linalg.norm(h) * np.linalg.norm(x) + np.linalg.norm(y))

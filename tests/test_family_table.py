@@ -67,14 +67,15 @@ def test_no_family_comparison_outside_the_table():
 
 
 def test_every_family_is_one_row_and_a_reflection_shares_its_base_row():
-    from dsmkit.maps import _REFLECTED, FAMILIES, LINEAR_FAMILIES
+    from dsmkit.maps import FAMILIES, LINEAR_FAMILIES
 
     assert set(FAMILIES) == set(StructureFamily)
     for family, spec in FAMILIES.items():
         if spec.reflects is not None:
             base = FAMILIES[spec.reflects]
             assert base.reflects is None and (spec.form, spec.sign, spec.cone) == (base.form, base.sign, base.cone)
-    assert _REFLECTED == {StructureFamily.NSD: StructureFamily.PSD,
-                          StructureFamily.ANTI_DISSIPATIVE: StructureFamily.DISSIPATIVE}
+    reflected = {family: spec.reflects for family, spec in FAMILIES.items() if spec.reflects is not None}
+    assert reflected == {StructureFamily.NSD: StructureFamily.PSD,
+                         StructureFamily.ANTI_DISSIPATIVE: StructureFamily.DISSIPATIVE}
     assert LINEAR_FAMILIES == {StructureFamily.UNSTRUCTURED, StructureFamily.HERMITIAN, StructureFamily.SKEW_HERMITIAN,
                                StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC}

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsmkit import DEFAULT_TOL, herm_skew_parts, pinv
+from dsmkit import DEFAULT_TOL, EigenPair, PHPencil, gen_pencil, herm_skew_parts, pinv
 from dsmkit.errors import DimensionMismatchError, NonFiniteEntriesError
-from helpers import crandn
+from dsmkit.linalg import as_complex
+from helpers import NON_FINITE, crandn
 
 
 def test_pinv_scalar():
@@ -37,6 +38,44 @@ def test_vector_pinv_matches_svd_at_extreme_scales(scale):
 def test_pinv_rejects_nan():
     with pytest.raises(NonFiniteEntriesError):
         pinv(np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("kind", list(NON_FINITE))
+@pytest.mark.parametrize("shape", [(5,), (3, 4)])
+def test_every_form_of_a_non_finite_entry_is_rejected_by_name(kind, shape):
+    # one pass over the complex array must see a NaN or an Inf in either part, whatever the caller passed
+    bad = NON_FINITE[kind](crandn(np.random.default_rng(1), *shape))
+    with pytest.raises(NonFiniteEntriesError, match="^data contains NaN/Inf entries$"):
+        as_complex(bad, "data")
+    with pytest.raises(NonFiniteEntriesError):
+        pinv(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf), np.float64(np.inf)])
+def test_a_non_finite_scalar_is_rejected(value):
+    with pytest.raises(NonFiniteEntriesError, match="^s contains"):
+        as_complex(value, "s")
+    with pytest.raises(NonFiniteEntriesError):
+        pinv(value)
+
+
+@pytest.mark.parametrize("empty", [np.zeros(0), [], np.zeros((0, 3), dtype=complex)])
+def test_an_empty_array_is_finite(empty):
+    out = as_complex(empty, "e")
+    assert out.dtype == complex and out.size == 0
+
+
+@pytest.mark.parametrize("kind", list(NON_FINITE))
+def test_the_pencil_entry_points_name_a_non_finite_array(kind):
+    P = gen_pencil(4, 2, seed=3)
+    blocks = {name: getattr(P, name) for name in "JREBS"}
+    for name in blocks:
+        with pytest.raises(NonFiniteEntriesError, match=f"^{name} contains"):
+            PHPencil(**{**blocks, name: NON_FINITE[kind](blocks[name])})
+    u = {name: crandn(np.random.default_rng(4), n) for name, n in (("u1", 4), ("u2", 4), ("u3", 2))}
+    for name in u:
+        with pytest.raises(NonFiniteEntriesError, match=f"^{name} contains"):
+            EigenPair(1j, **{**u, name: NON_FINITE[kind](u[name])})
 
 
 def test_penrose_identities_random():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dsmkit import dsm_characterize, dsm_characterize_type2, map_characterize, map_min, map_two_sided, oracle_least_norm
-from dsmkit.errors import ConstraintViolationError, DegenerateInputError
+from dsmkit.errors import ConstraintViolationError, DegenerateInputError, NonFiniteEntriesError
 from dsmkit.maps import StructureFamily as F
-from helpers import crandn, dsm_instance, map_instance, two_sided_instance, type2_instance
+from helpers import NON_FINITE, crandn, dsm_instance, map_instance, two_sided_instance, type2_instance
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -237,3 +237,39 @@ def test_characterize_membership_audit(family):
         # optimality certificate: samples never beat the reported minimum
         sol = map_min(family, x, y)
         assert np.linalg.norm(d) >= sol.min_norm - 1e-9
+
+
+@pytest.mark.parametrize("kind", list(NON_FINITE))
+@pytest.mark.parametrize("family", list(F))
+def test_map_min_rejects_a_non_finite_vector_by_name(family, kind):
+    # nsd and anti-dissipative reflect onto -y without validating again: map_min itself is the boundary
+    x, y = map_instance(family, np.random.default_rng(3), 5)
+    for name, args in (("x", (NON_FINITE[kind](x), y)), ("y", (x, NON_FINITE[kind](y)))):
+        with pytest.raises(NonFiniteEntriesError, match=f"^{name} contains"):
+            map_min(family, *args)
+
+
+@pytest.mark.parametrize("kind", list(NON_FINITE))
+def test_map_two_sided_and_the_least_norm_oracle_name_a_non_finite_vector(kind):
+    data = dict(zip("xyzw", two_sided_instance(np.random.default_rng(4), 4, 3)))
+    for name in data:
+        with pytest.raises(NonFiniteEntriesError, match=f"^{name} contains"):
+            map_two_sided(**{**data, name: NON_FINITE[kind](data[name])})
+    x, y = data["x"], crandn(np.random.default_rng(5), 3)
+    with pytest.raises(NonFiniteEntriesError, match="^constraint 1: v contains"):
+        oracle_least_norm([("mul", x, y), ("adj", NON_FINITE[kind](y), x)])
+    with pytest.raises(NonFiniteEntriesError, match="^constraint 0: r contains"):
+        oracle_least_norm([("mul", x, NON_FINITE[kind](y))])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf), np.float64(np.nan)])
+def test_map_min_rejects_a_non_finite_scalar(value):
+    with pytest.raises(NonFiniteEntriesError, match="^x contains"):
+        map_min(F.HERMITIAN, value, 1.0)
+    with pytest.raises(NonFiniteEntriesError, match="^y contains"):
+        map_min(F.NSD, 1.0, value)
+
+
+def test_map_min_takes_an_empty_vector_as_zero():
+    with pytest.raises(DegenerateInputError, match="^x must be nonzero"):
+        map_min(F.HERMITIAN, [], [])

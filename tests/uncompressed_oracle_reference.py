@@ -16,7 +16,7 @@ import numpy as np
 from dsmkit.config import DEFAULT_TOL
 from dsmkit.dsm import Type1Problem
 from dsmkit.linalg import as_complex
-from dsmkit.maps import _REFLECTED, LINEAR_FAMILIES, _reflect
+from dsmkit.maps import FAMILIES, LINEAR_FAMILIES, _reflect
 from dsmkit.maps import StructureFamily as F
 from dsmkit.oracle import _affine, _assemble, _barrier, _full_basis, _stacked, family_basis
 from dsmkit.pencil import PerturbationBlocks, mapping_data, parse_blocks
@@ -38,7 +38,7 @@ def least_norm(constraints, structure, shape, split=None):
 def min_structured(problem, family, cfg=DEFAULT_TOL):
     """``oracle_min_structured`` on the whole basis: (Delta, norm)."""
     family = F(family)
-    if family in _REFLECTED:
+    if FAMILIES[family].reflects is not None:
         names = ("Y", "W") if isinstance(problem, Type1Problem) else ("y", "w1", "w2")
         return _reflect(family, lambda base, **yw: min_structured(replace(problem, **yw), base, cfg),
                         **{name: getattr(problem, name) for name in names})
