@@ -13,11 +13,15 @@ Norm bracket convention: ``norm_lower`` is the provable lower bound
 point.  When an exactness condition fires both ends collapse to the true
 minimum.
 
-The vector solvers build each block once from factors of at most three
+The vector solvers return each block as a ``linalg.Factored`` of two
 columns (H1 is map_min's Delta1 on (z, +-w1) or their conjugates; H2 is
-(y - H1 x1) x2+ + (z+)* (P_x2 w2)*), so they cost O(n(n + m)), the size of
-the output.  Only ``dsdm_type1`` takes SVDs: thin ones of its n x m matrix
-data, for O(n m^2) plus its two n x n outputs.
+(y - H1 x1) x2+ + (z+)* (P_x2 w2)*) and take the bracket from its Gram
+cores, so a solve costs O(n + m) and forms no n x n array.  Reading H1, H2
+forms that block once, in O(n^2) (O(n m) for H2); H is [H1 H2], formed by one
+product of the stacked factors on each read.  ``jordan_lie_reduce`` lifts by
+applying M* to the left factors, O(n^2).  ``dsdm_type1`` takes thin SVDs of
+its n x m matrix data and returns ``minimizer`` and ``gram`` as factors of
+at most 3m columns, for O(n m^2) in all.
 
 The negated families go through the one reflection rule of ``maps``
 (``_reflect``): nsd is psd, and ``anti=True`` is the dissipative problem,
@@ -40,9 +44,9 @@ from .errors import (
     NotColinearError,
     StructureError,
 )
-from .linalg import _colinear_coeff, _pinv_vec, _range_factors, _semidefinite, as_complex, fro
+from .linalg import DenseOnRead, Factored, _colinear_coeff, _pinv_vec, _range_factors, _semidefinite, as_complex, fro
 from .maps import FAMILIES, _LINEAR, StructureFamily, _deviation, _incompatible, _label, _min_factors, _nonzero_vec
-from .maps import _outer_sum, _project, _reflect, _require, _require_structure, _sandwich, _shifted_psd, _violation
+from .maps import _project, _reflect, _require, _require_structure, _sandwich, _shifted_psd, _violation
 
 __all__ = [
     "DsmProblem",
@@ -97,10 +101,16 @@ def _replaced(data, **arrays):
 
 @dataclass
 class DsmSolution:
+    """A doubly structured solve: the blocks H1, H2 are held as ``Factored`` and formed on first read.
+
+    The bracket was taken from the factors, so a caller that reads only the
+    norms and verdicts never forms an n x n array.
+    """
+
     family: StructureFamily
     feasible: bool
-    H1: np.ndarray | None = None
-    H2: np.ndarray | None = None
+    H1: np.ndarray | None = DenseOnRead()
+    H2: np.ndarray | None = DenseOnRead()
     norm_lower: float = float("inf")
     norm_upper: float = float("inf")
     exact: bool = False
@@ -110,19 +120,20 @@ class DsmSolution:
     warnings: list[str] = field(default_factory=list)
 
     @property
-    def H(self) -> np.ndarray:
+    def H(self) -> np.ndarray | None:
+        """[H1 H2], None without a solution: a fresh array on each read, one product of the blocks' stacked factors."""
+        h1, h2 = vars(self)["H1"], vars(self)["H2"]
+        if h1 is None or h2 is None:
+            return None
+        if isinstance(h1, Factored) and isinstance(h2, Factored):
+            return h1.beside(h2).dense()
         return np.hstack([self.H1, self.H2])
 
 
-def _h2(p: DsmProblem, h1x1: np.ndarray) -> np.ndarray:
+def _h2(p: DsmProblem, h1x1: np.ndarray) -> Factored:
     """Column block H2 = (y - H1 x1) x2+ + (w2 z+)* P_x2 = (y - H1 x1) x2+ + (z+)* (P_x2 w2)*."""
     f = [p.y - h1x1, _pinv_vec(p.z, p._norms["z"]).conj()]
-    return _outer_sum(f, [_pinv_vec(p.x2, p._norms["x2"]), _project(p.x2, p._norms["x2"], p.w2).conj()])
-
-
-def _apply(f: list[np.ndarray], g: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-    """``(sum_i f_i g_i^T) v`` from the factors, in O(n)."""
-    return sum(fi * (gi @ v) for fi, gi in zip(f, g))
+    return Factored.outer_sum(f, [_pinv_vec(p.x2, p._norms["x2"]), _project(p.x2, p._norms["x2"], p.w2).conj()])
 
 
 def _rank_one_rightmost(a: np.ndarray, x: np.ndarray, na: float, nx: float) -> tuple[float, float]:
@@ -199,9 +210,8 @@ def _dsm_solve(family: StructureFamily, p: DsmProblem, cfg: ToleranceConfig) -> 
     # Delta1* = sign Delta1 (or Delta1^T = sign Delta1), so Delta1* z = w1 is map_min's Delta1 z = sign w1 (conjugated)
     bilinear = spec.form == "bilinear"
     z, w1 = (p.z.conj(), p.w1.conj()) if bilinear else (p.z, p.w1)
-    f, g = _min_factors(spec, z, spec.sign * w1, nrm["z"])
-    h1 = _outer_sum(f, g)
-    h2 = _h2(p, _apply(f, g, p.x1))
+    h1 = Factored.outer_sum(*_min_factors(spec, z, spec.sign * w1, nrm["z"]))
+    h2 = _h2(p, h1 @ p.x1)
     exact = _colinear_coeff(z, p.x1, nrm["x1"], cfg)[1]
     note = ("x1 colinear with conj(z)" if bilinear else "x1 colinear with z") if exact else "never"
     diagnostics: dict = {}
@@ -227,8 +237,8 @@ def _dsm_solve(family: StructureFamily, p: DsmProblem, cfg: ToleranceConfig) -> 
                 "minimality of the returned point is not certified"
             )
 
-    h1_norm = fro(h1)
-    upper = float(np.sqrt(h1_norm**2 + fro(h2) ** 2))
+    h1_norm = h1.norm()
+    upper = math.hypot(h1_norm, h2.norm())
     lower = upper if exact else h1_norm
     return DsmSolution(
         family,
@@ -321,10 +331,12 @@ class Type1Problem:
 
 @dataclass
 class Type1Solution:
+    """A square dissipative solve; ``minimizer`` and ``gram`` are held as ``Factored`` and formed on first read."""
+
     feasible: bool
-    minimizer: np.ndarray | None = None
+    minimizer: np.ndarray | None = DenseOnRead()
     min_norm: float = float("inf")
-    gram: np.ndarray | None = None
+    gram: np.ndarray | None = DenseOnRead()
     exact: bool = False
     hypothesis_ok: bool = True
     reason: str = ""
@@ -356,8 +368,9 @@ def dsdm_type1(
     Everything is formed from thin factors YX+ = G U1* and WZ+ = K Uz*
     (``linalg._range_factors``); the core U1* M U1 has rank by its
     eigenvalues above ``rank_tol * 2||G||``, the scale of the G it is formed
-    from.  The cost is O(n m^2) plus the two n x n outputs, ``minimizer``
-    (one product of an n x k and a k x n factor, k <= 3m) and ``gram``.
+    from.  ``minimizer`` (n x k times k x n, k <= 3m) and ``gram`` (k <= m)
+    are returned as ``Factored`` blocks with their norms taken from the
+    factors, so the cost is O(n m^2); reading one forms it, in O(n^2 m).
     ``anti=True`` asks for Delta + Delta* <= 0 through ``maps._reflect``.
     """
     if anti:
@@ -414,15 +427,15 @@ def dsdm_type1(
     b = a @ vecs[:, kept]
     bh = b.conj().T
     bd = b / (2.0 * ev[kept])  # gram = 1/2 A core+ A* = bd b*
-    gram = bd @ bh
+    gram = Factored(bd, b.conj())
     k_u1 = kz.conj().T @ u1  # (WZ+)* U1 = Uz k_u1
     # YX+ + (WZ+)* (I - XX+) + (I - ZZ+) gram = [G | Uz | bd] [U1*; K* - k_u1 U1* - Uz* bd b*; b*]
-    mini = np.hstack([g, uz, bd]) @ np.vstack([u1h, kz.conj().T - k_u1 @ u1h - (uzh @ bd) @ bh, bh])
-    norm_identity = ng**2 + nk**2 - fro(k_u1) ** 2 + fro(gram) ** 2
+    mini = Factored(np.hstack([g, uz, bd]), np.vstack([u1h, kz.conj().T - k_u1 @ u1h - (uzh @ bd) @ bh, bh]).T)
+    norm_identity = ng**2 + nk**2 - fro(k_u1) ** 2 + gram.norm() ** 2
     return Type1Solution(
         True,
         minimizer=mini,
-        min_norm=fro(mini),
+        min_norm=mini.norm(),
         gram=gram,
         exact=hypothesis_ok,
         hypothesis_ok=hypothesis_ok,
@@ -466,15 +479,15 @@ def dsdm_type1_vec(
     return sol
 
 
-def _type2_pieces(p: DsmProblem, sign: float):
-    """The blocks (H1, H2) for sign = +1 and the feasible point (H1^, H2^) for sign = -1.
+def _type2_pieces(p: DsmProblem, sign: float) -> tuple[Factored, Factored]:
+    """The blocks (H1, H2) for sign = +1 and the feasible point (H1^, H2^) for sign = -1, as factors.
 
     H1 = (w1 z+)* + sign P_z w1 z+, and H2 is dsm_solve's column block
     (y - H1 x1) x2+ + (w2 z+)* P_x2.
     """
     zd = _pinv_vec(p.z, p._norms["z"])
-    f, g = [zd.conj(), sign * _project(p.z, p._norms["z"], p.w1)], [p.w1.conj(), zd]
-    return _outer_sum(f, g), _h2(p, _apply(f, g, p.x1))
+    h1 = Factored.outer_sum([zd.conj(), sign * _project(p.z, p._norms["z"], p.w1)], [p.w1.conj(), zd])
+    return h1, _h2(p, h1 @ p.x1)
 
 
 def dsdm_type2(
@@ -520,7 +533,7 @@ def _type2(p: DsmProblem, cfg: ToleranceConfig) -> DsmSolution:
             "sufficient conditions hold only up to the square block: minimality "
             "of the returned point is not certified (w1 not colinear with z)"
         )
-    upper = float(np.sqrt(fro(h1_hat) ** 2 + fro(h2_hat) ** 2))
+    upper = math.hypot(h1_hat.norm(), h2_hat.norm())
     lower = upper if exact else max(nrm["y"] / nrm["x"], nrm["w"] / nrm["z"])  # x2 and z are nonzero
     return DsmSolution(
         StructureFamily.DISSIPATIVE,
@@ -569,7 +582,7 @@ def dsm_characterize_type2(
     # H1~ = P_z Z* z z+ + P_z (K - G) P_z, and H2~ = P_z R P_x2 - H1~ x1 x2+
     zp = _project(p.z, p._norms["z"], (p.z.conj() @ Z).conj())
     h1t = np.outer(zp, _pinv_vec(p.z, p._norms["z"])) + _sandwich(p.z, K - G, p.z)
-    return np.hstack([h1 + h1t, h2 + _h2_tilde(p, h1t, R)])
+    return np.hstack([h1.dense() + h1t, h2.dense() + _h2_tilde(p, h1t, R)])
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +651,10 @@ def jordan_lie_reduce(
 
     Multiplying by M turns the algebra constraint into one of the four
     base families, so the reduced problem with data (x, M y, M z, w) is
-    solved there and the solution lifted back by M*.  Since M is unitary
-    the reported norms coincide with the reduced problem's norms.  M is
-    tested again under ``cfg`` when ``sp`` was built under another.
+    solved there and the solution lifted back by M*, applied to the left
+    factors of H1 and H2 in O(n^2).  Since M is unitary the reported norms
+    coincide with the reduced problem's norms.  M is tested again under
+    ``cfg`` when ``sp`` was built under another.
     """
     if cfg != sp._cfg:  # the test costs a dense product M*M, so it runs once per tolerance
         sp = replace(sp, cfg=cfg)
@@ -650,9 +664,7 @@ def jordan_lie_reduce(
     my, mz = as_complex(sp.M @ p.y, "M y"), as_complex(sp.M @ p.z, "M z")
     sol = _dsm_solve(family, _replaced(p, y=my, z=mz, _norms={**p._norms, "y": fro(my), "z": fro(mz)}), cfg)
     if sol.feasible:
-        lift = sp.M.conj().T
-        sol.H1 = lift @ sol.H1
-        sol.H2 = lift @ sol.H2
+        sol.H1, sol.H2 = (vars(sol)[name].adjoint_lmul(sp.M) for name in ("H1", "H2"))
     sol.diagnostics["reduced_family"] = family.value
     sol.diagnostics["algebra"] = sp.algebra
     sol.diagnostics["form"] = sp.form

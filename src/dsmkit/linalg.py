@@ -4,7 +4,8 @@ All matrices are plain ``numpy`` arrays of dtype complex128.  Vectors are
 1-d arrays; a vector ``x`` used as a matrix is the column ``x[:, None]``.
 The Moore-Penrose pseudoinverse of a column vector x is the row
 ``x* / ||x||^2``, so ``pinv`` covers both cases uniformly (vectors
-without an SVD); the mapping solvers keep vector data factored (see
+without an SVD); the mapping solvers keep vector data factored and return
+``Factored`` blocks Delta = F C G^T, formed densely only when read (see
 ``maps``).  A range is spanned by a thin orthonormal basis, not an n x n
 projector: ``svd_range`` for an n x m matrix in O(n m^2), ``psd_range``
 for a psd matrix of rank r in O(n r^2) (pivoted Cholesky, thin QR), and
@@ -25,6 +26,8 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DimensionMismatchError, NonFiniteEntriesError
 
 __all__ = [
+    "Factored",
+    "DenseOnRead",
     "as_complex",
     "fro",
     "pinv",
@@ -178,3 +181,164 @@ def psd_range(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         d[p] = 0.0  # eliminated; rounding must not make it a pivot again
         k += 1
     return np.linalg.qr(lt[:k].T)[0]
+
+
+def _ct(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of every matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _norm(a: np.ndarray, axes: int = 1) -> np.ndarray:
+    """Frobenius norms over the last ``axes`` axes, one per row of a stack: ``fro`` of each row.
+
+    Each row is one 1 x N by N x 1 product of a stack, so it has the bits it has alone;
+    the 2-D product (B, n) @ (n,) would change its last bits with B."""
+    x = np.ascontiguousarray(a).reshape(a.shape[: a.ndim - axes] + (1, -1)).view(np.float64)
+    return np.sqrt((x @ x.swapaxes(-1, -2))[..., 0, 0])
+
+
+#: a Gram diagonal entry (a factor's squared norm) outside this range is taken again from scaled factors
+_GRAM_RANGE = (2.0**-968, 2.0**968)
+
+
+def _grams(f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """conj(F* F) and G* G, each one product of the (k, n) rows F^T with their conjugate transpose."""
+    rf, rg = f.T, g.T
+    return rf @ rf.conj().T, rg.conj() @ rg.T
+
+
+def _core_norm(fa: np.ndarray, b: np.ndarray, c: np.ndarray | None) -> float:
+    """||F C G^T|| from fa = conj(F* F) and b = G* G: the root of sum_ij (C* A C)_ij B_ij = vdot(conj(C* A C), B)."""
+    if c is not None:
+        fa = c.T @ fa @ c.conj()  # conj(C* A C)
+    return math.sqrt(max(np.vdot(fa, b).real, 0.0))
+
+
+def _unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a with every column scaled by a power of two to a largest |entry| in [0.5, 1), the exponents): exact.
+
+    The scale is applied in two halves, so that neither overflows for a subnormal column."""
+    e = np.frexp(np.abs(a).max(axis=0, initial=0.0))[1]
+    return a * np.ldexp(1.0, -(e // 2)) * np.ldexp(1.0, e // 2 - e), e
+
+
+class Factored:
+    """A low-rank block Delta = F C G^T held as thin factors, formed densely only on request.
+
+    F is n x k, G is m x l and the core C is k x l, or None for the identity
+    (k = l, Delta = sum_i f_i g_i^T).  Every minimal mapping of ``maps`` and
+    ``dsm`` is such a sum with k <= 4, and a square block of ``pencil`` is
+    F C F*, G = conj(F).  Negation and a left multiplication act on F alone,
+    ``@`` applies Delta to a vector in O((n + m) k), and ``dense()`` forms
+    Delta by one product on its first call and keeps it.
+
+    The Frobenius norm is taken in one of two ways, neither of which forms
+    an n x m array.  ``norm()`` takes it from the Gram cores A = F* F and
+    B = G* G, ||Delta||^2 = sum_ij (C* A C)_ij B_ij, in O((n + m) k^2) with no
+    LAPACK call: the terms of the mapping solvers' closed forms are
+    orthogonal in the Frobenius inner product, so that sum does not cancel.
+    ``part_norms`` takes the norms of a stack of F C F* and of their
+    Hermitian and skew parts from a QR core, which keeps a small part
+    accurate where a difference of Gram terms would not, at one QR per row
+    (at n = 16, k = 2, one thread: about 16 us against 3 us for one Gram
+    product).  A block
+    made with ``norm=``, a norm its maker took that way, reports that norm.
+    """
+
+    __slots__ = ("F", "G", "C", "_dense", "_norm")
+
+    def __init__(self, F: np.ndarray, G: np.ndarray, C: np.ndarray | None = None, norm: float | None = None) -> None:
+        self.F, self.G, self.C = F, G, C
+        self._dense: np.ndarray | None = None
+        self._norm = norm
+
+    @classmethod
+    def outer_sum(cls, f: list[np.ndarray], g: list[np.ndarray]) -> "Factored":
+        """``sum_i f_i g_i^T`` for two lists of vectors of equal length."""
+        return cls(np.array(f).T, np.array(g).T)
+
+    @staticmethod
+    def part_norms(F: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """||K||, ||herm K||, ||skew K|| (Frobenius) of K = F C F*, for every row of a stack.
+
+        With a thin QR F = QR, Q has orthonormal columns, so K and both its
+        parts have the norms of R C R* and its parts: a core of at most 6 x 6.
+        Unlike a difference of Gram traces this keeps a small part accurate.
+        """
+        R = np.linalg.qr(F, mode="r")
+        K = R @ C @ _ct(R)
+        hh = (K + _ct(K)) / 2.0
+        return tuple(_norm(np.stack([K, hh, K - hh], axis=1), 2).T)
+
+    def __neg__(self) -> "Factored":
+        return Factored(-self.F, self.G, self.C, self._norm)
+
+    def adjoint_lmul(self, m: np.ndarray) -> "Factored":
+        """``m* Delta`` for an n x n m, in O(n^2 k): m* F = conj(m^T conj(F)), without forming m*."""
+        return Factored((m.T @ self.F.conj()).conj(), self.G, self.C)
+
+    def beside(self, other: "Factored") -> "Factored":
+        """[Delta Other] as one block: [F C, F' C'] times the block diagonal [G 0; 0 G']^T, one product to form."""
+        g = np.zeros((self.G.shape[0] + other.G.shape[0], self.G.shape[1] + other.G.shape[1]), dtype=complex)
+        g[: self.G.shape[0], : self.G.shape[1]] = self.G
+        g[self.G.shape[0]:, self.G.shape[1]:] = other.G
+        return Factored(np.hstack([b.F if b.C is None else b.F @ b.C for b in (self, other)]), g)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """``Delta v`` for a vector v, in O((n + m) k)."""
+        t = self.G.T @ v
+        return self.F @ (t if self.C is None else self.C @ t)
+
+    def norm(self) -> float:
+        """||Delta||_F from the Gram cores, computed once.
+
+        A Gram core with a diagonal entry outside [2^-968, 2^968] (a factor
+        whose squared norm underflows or overflows though Delta's does not,
+        or a zero factor) is taken again from factors scaled exactly, column
+        by column, to a largest entry in [0.5, 1), the scales moved into C.
+        """
+        if self._norm is None:
+            fa, b = _grams(self.F, self.G)
+            d = fa.diagonal().real.tolist() + b.diagonal().real.tolist()  # the factors' squared norms
+            if d and min(d) >= _GRAM_RANGE[0] and max(d) <= _GRAM_RANGE[1]:
+                self._norm = _core_norm(fa, b, self.C)
+            else:
+                self._norm = self._rescaled_norm()
+        return self._norm
+
+    def _rescaled_norm(self) -> float:
+        f, ef = _unit_columns(self.F)
+        g, eg = _unit_columns(self.G)
+        shift = ef[:, None] + eg[None, :]  # F C G^T = f (2^ef_i C_ij 2^eg_j) g^T
+        c = np.eye(len(ef), dtype=complex) if self.C is None else self.C
+        live = (c != 0) & f.any(0)[:, None] & g.any(0)[None, :]  # a zero column has no scale
+        top = shift[live].max(initial=0)
+        with np.errstate(under="ignore"):  # a core entry far below the largest one counts as zero
+            core = _core_norm(*_grams(f, g), c * np.ldexp(1.0, shift - top))
+        return float(np.ldexp(core, top))
+
+    def dense(self) -> np.ndarray:
+        """Delta as an n x m array, formed by one product on the first call and kept."""
+        if self._dense is None:
+            self._dense = (self.F if self.C is None else self.F @ self.C) @ self.G.T
+        return self._dense
+
+
+class DenseOnRead:
+    """A dataclass field that holds a ``Factored`` or an array (or None) and reads as the array.
+
+    A ``Factored`` forms its dense matrix on the first read and returns the
+    same array on every later one.  ``vars(obj)[name]`` is the value as held.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        held = obj.__dict__[self.name]
+        return held.dense() if isinstance(held, Factored) else held
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value

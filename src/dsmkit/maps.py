@@ -8,10 +8,12 @@ route infeasible problems without exception handling; genuinely malformed
 input (zero vectors, shape clashes) raises.
 
 Every minimal mapping is a sum of at most a few outer products of the data
-vectors, so the solvers work on factors F, G of at most four columns and
-form the dense answer once, as ``F G^T``.  A projector acts as a vector
-update, ``P_v a = a - v (v+ a)``; no n x n projector and no product of two
-n x n matrices is formed, so building Delta costs O(n^2), its size.
+vectors, so the solvers return it as a ``linalg.Factored`` block F G^T with
+F, G of at most four columns, and take its norm from their Gram cores.  A
+projector acts as a vector update, ``P_v a = a - v (v+ a)``, so a solve
+costs O(n): no n x n array is formed until ``minimizer`` is read, which
+forms it once, in O(n^2).  The characterizations evaluate a dense free
+matrix and so work on dense blocks.
 
 The negated families (nsd, anti-dissipative) follow one reflection rule,
 ``_reflect``, here and in ``dsm`` and ``oracle``: Delta is in -S iff -Delta
@@ -42,7 +44,7 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
 )
-from .linalg import _pinv_vec, _semidefinite, as_complex, fro
+from .linalg import DenseOnRead, Factored, _pinv_vec, _semidefinite, as_complex, fro
 
 __all__ = ["StructureFamily", "MapSolution", "map_min", "map_two_sided", "map_characterize"]
 
@@ -89,9 +91,11 @@ LINEAR_FAMILIES = frozenset(_LINEAR.values())
 
 @dataclass
 class MapSolution:
+    """A one- or two-sided solve; ``minimizer`` is held as a ``Factored`` block and formed on first read."""
+
     family: StructureFamily
     feasible: bool
-    minimizer: np.ndarray | None = None
+    minimizer: np.ndarray | None = DenseOnRead()
     min_norm: float = float("inf")
     free_param_shapes: dict[str, str] = field(default_factory=dict)
     reason: str = ""
@@ -136,8 +140,9 @@ def _reflect(family: StructureFamily, solve, **data):
     parts, and a free block that must enter both sets alike) negated.  Its
     result is negated: an array, the first entry of a
     (Delta, norm) pair, or the blocks ``minimizer``/``gram``/``H1``/``H2`` of
-    a solution, whose ``family`` becomes ``family``.  An infeasible solution's
-    reason states the negated family's condition at the caller's value.
+    a solution, whose ``family`` becomes ``family``: a ``Factored`` block by
+    negating its left factor, O(n), an array in place.  An infeasible
+    solution's reason states the negated family's condition at the caller's value.
     """
     out = solve(FAMILIES[family].reflects, **{name: -v for name, v in data.items()})
     if isinstance(out, np.ndarray):
@@ -148,30 +153,30 @@ def _reflect(family: StructureFamily, solve, **data):
         out.family = family
     if not out.feasible:
         out.reason = _reflected_reason(out.reason)
-    for name in ("minimizer", "gram", "H1", "H2"):  # the base solver's own fresh arrays: negated in place
-        if getattr(out, name, None) is not None:
-            np.negative(getattr(out, name), out=getattr(out, name))
+    for name in ("minimizer", "gram", "H1", "H2"):  # the blocks as held: the base solver's own, fresh
+        held = vars(out).get(name)
+        if isinstance(held, Factored):
+            setattr(out, name, -held)
+        elif held is not None:
+            np.negative(held, out=held)
     return out
 
 
 def _project(v: np.ndarray, nv: float, a: np.ndarray) -> np.ndarray:
-    """``P_v a = a - v (v+ a)`` for a nonzero vector v of norm ``nv`` and a vector or matrix a, without P_v."""
+    """``P_v a = a - v (v+ a)`` for a nonzero vector v of norm ``nv`` and a vector or matrix a, without P_v.
+
+    O(n) for a vector a; a matrix a is the dense K of a characterization."""
     vh = v / nv
     return a - np.multiply.outer(vh, vh.conj() @ a)
 
 
 def _sandwich(left: np.ndarray | None, k: np.ndarray, right: np.ndarray | None) -> np.ndarray:
-    """``P_left K P_right`` as two rank-one updates of K; a side given as None is the identity."""
+    """``P_left K P_right`` for a dense K, as two rank-one updates; a side given as None is the identity."""
     if left is not None:
         k = _project(left, fro(left), k)
     if right is not None:
         k = _project(right.conj(), fro(right), k.T).T  # K P_r = (P_r^T K^T)^T and P_r^T = P_conj(r)
     return k
-
-
-def _outer_sum(f: list[np.ndarray], g: list[np.ndarray]) -> np.ndarray:
-    """The dense matrix ``sum_i f_i g_i^T``, formed in one product of the stacked (k, n) factors."""
-    return np.array(f).T @ np.array(g)
 
 
 def _min_factors(spec: FamilySpec, x: np.ndarray, y: np.ndarray, nx: float):
@@ -279,10 +284,10 @@ def _map_min(family: StructureFamily, x: np.ndarray, y: np.ndarray, nx: float, n
     tol = cfg.residual_tol * (nx * ny)
     if why := _violation(spec, x, y, tol):
         return MapSolution(family, False, reason=why)
-    delta = _outer_sum(*_min_factors(spec, x, y, nx))
+    delta = Factored.outer_sum(*_min_factors(spec, x, y, nx))
     boundary = spec.cone == "dissipative" and abs(np.vdot(x, y).real) <= tol
     return MapSolution(
-        family, True, minimizer=delta, min_norm=fro(delta), free_param_shapes=_free_params(family, x.shape[0]),
+        family, True, minimizer=delta, min_norm=delta.norm(), free_param_shapes=_free_params(family, x.shape[0]),
         boundary=boundary,
     )
 
@@ -312,12 +317,12 @@ def map_two_sided(x, y, z, w, cfg: ToleranceConfig = DEFAULT_TOL) -> MapSolution
     if why := _incompatible(x, y, z, w, {"x": nx, "y": ny, "z": nz, "w": nw}, cfg):
         return MapSolution(StructureFamily.UNSTRUCTURED, False, reason=why)
     # y x+ + (w z+)* P_x = y x+ + (z+)* (P_x w)*
-    delta = _outer_sum([y, _pinv_vec(z, nz).conj()], [_pinv_vec(x, nx), _project(x, nx, w).conj()])
+    delta = Factored.outer_sum([y, _pinv_vec(z, nz).conj()], [_pinv_vec(x, nx), _project(x, nx, w).conj()])
     return MapSolution(
         StructureFamily.UNSTRUCTURED,
         True,
         minimizer=delta,
-        min_norm=fro(delta),
+        min_norm=delta.norm(),
         free_param_shapes={"R": f"any complex {n}x{m}, entering as P_z R P_x"},
     )
 
@@ -418,4 +423,4 @@ def _map_characterize(family: StructureFamily, x, y, nx: float, ny: float, param
     # y x+ + (y x+)* P_x + x x+ Z P_x + P_x (K + G) P_x, with (y x+)* P_x = (x+)* (P_x y)*
     xd = _pinv_vec(x, nx)
     g_cols = [xd, _project(x, nx, y).conj(), _project(x.conj(), nx, xd @ z)]
-    return _outer_sum([y, xd.conj(), x], g_cols) + _sandwich(x, k + g, x)
+    return Factored.outer_sum([y, xd.conj(), x], g_cols).dense() + _sandwich(x, k + g, x)

@@ -29,14 +29,17 @@ Evaluation keeps the rank structure.  All mapping data are vectors, so
 the square block is H1 = F C F* with F of at most six columns (the
 rank-one factors of the formula; projectors act as vector updates
 P_x v = v - x (x+ v)) and the column block is H2 = u1 (u1+ B).  Their
-norms come from a thin QR of F and a core of at most 6 x 6, without
-forming any n x n matrix.  One core, ``_solve``, takes a stack of rows
-(lambda, eigenvector): the blocks are applied to each eigenvector once
-(J u1, R u1, E u1, J u2, R u2, E u2, B* u1), then a few stacked numpy
-calls serve the whole stack.  A row has the same bits in any stack
-(last-axis sums and stacked LAPACK, no 2-D matrix-vector product), so
-``experiment_table``, in stacks of a fixed memory budget, equals
-``eta_sd``/``eta_s``, a stack of one that then forms H1 and H2 in O(n^2).
+norms come from a thin QR of F and a core of at most 6 x 6
+(``linalg.Factored.part_norms``), without forming any n x n matrix, and
+the H1 that ``eta_*`` returns carries that norm.  One core, ``_solve``,
+takes a stack of rows (lambda, eigenvector): the blocks are applied to
+each eigenvector once (J u1, R u1, E u1, J u2, R u2, E u2, B* u1), then
+a few stacked numpy calls serve the whole stack.  A row has the same
+bits in any stack (last-axis sums and stacked LAPACK, no 2-D
+matrix-vector product), so ``experiment_table``, in stacks of a fixed
+memory budget, equals ``eta_sd``/``eta_s``, a stack of one that returns
+H1 = F C F* and H2 = u1 (u1+ B) as ``linalg.Factored`` blocks: O(n) per
+call after the block products, and O(n^2) only when H1 or H2 is read.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .errors import (
     ReconstructionError,
     StructureError,
 )
-from .linalg import _semidefinite, as_complex, fro, herm_skew_parts
+from .linalg import DenseOnRead, Factored, _ct, _norm, _semidefinite, as_complex, fro, herm_skew_parts
 from .linalg import _kept, psd_range, svd_range
 from .maps import StructureFamily, _in_family
 
@@ -230,11 +233,13 @@ def blocks_to_string(blocks: frozenset[str]) -> str:
 
 @dataclass
 class BackwardErrorBounds:
+    """Bounds on eta; the blocks H1, H2 are held as ``Factored`` and formed on first read."""
+
     finite: bool
     eta_lower: float
     eta_upper: float
-    H1: np.ndarray | None = None
-    H2: np.ndarray | None = None
+    H1: np.ndarray | None = DenseOnRead()
+    H2: np.ndarray | None = DenseOnRead()
     alpha: complex | None = None
     conditions_report: dict[str, bool] = field(default_factory=dict)
     exact: bool = False
@@ -341,20 +346,6 @@ def _select(vs: list[_Products], rows) -> _Products:
     return _Products(*(np.concatenate(f)[rows] if np.ndim(f[0]) else f[0] for f in fields))
 
 
-def _ct(a: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of every matrix of a stack."""
-    return a.conj().swapaxes(-1, -2)
-
-
-def _norm(a: np.ndarray, axes: int = 1) -> np.ndarray:
-    """Frobenius norms over the last ``axes`` axes, one per row of a stack: ``fro`` of each row.
-
-    Each row is one 1 x N by N x 1 product of a stack, so it has the bits it has alone;
-    the 2-D product (B, n) @ (n,) would change its last bits with B."""
-    x = np.ascontiguousarray(a).reshape(a.shape[: a.ndim - axes] + (1, -1)).view(np.float64)
-    return np.sqrt((x @ x.swapaxes(-1, -2))[..., 0, 0])
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i* b_i for every row i of two stacks of vectors, as stacked products (see ``_norm``)."""
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
@@ -370,19 +361,6 @@ def _pinv_cols(x: np.ndarray, nx: np.ndarray) -> np.ndarray:
     """The columns (x+)* = x / ||x||^2 of a stack of vectors of norms ``nx`` (zero for x = 0), without squaring."""
     nx = np.where(nx > 0, nx, 1.0)[:, None]
     return x / nx / nx
-
-
-def _factored_norms(F: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """||K||, ||herm K||, ||skew K|| (Frobenius) of K = F C F*, for every row of a stack.
-
-    With a thin QR F = QR, Q has orthonormal columns, so K and both its
-    parts have the norms of R C R* and its parts: a core of at most 6 x 6.
-    Unlike a difference of Gram traces this keeps a small part accurate.
-    """
-    R = np.linalg.qr(F, mode="r")
-    K = R @ C @ _ct(R)
-    hh = (K + _ct(K)) / 2.0
-    return tuple(_norm(np.stack([K, hh, K - hh], axis=1), 2).T)
 
 
 def _anti_dissipative_h1(v: _Products, n1, ty, w1, cfg, report: dict, warnings: list):
@@ -451,15 +429,15 @@ def _bounds(blocks: frozenset[str], variant: str, lams, h1n, hhn, hsn, h2n) -> t
 def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products, cfg: ToleranceConfig):
     """Bounds, verdicts and the factors of H1 for a stack of rows, each one eigenvector at one lambda.
 
-    ``lams`` holds the B imaginary lambda; ``v`` holds the products (``_products``) of one eigenvector,
-    which every row shares, or of B, one per row.  Returns ``(results, F, C)``: ``results[i]`` is row i's
+    ``lams`` holds the B imaginary lambda; ``v`` holds the products (``_products``) of one eigenvector, which
+    every row shares, or of B, one per row.  Returns ``(results, F, C, nK)``: ``results[i]`` is row i's
     ``BackwardErrorBounds`` without H1 and H2 (an infinite row keeps only its side conditions) or its
-    ``DsmkitError``, and its H1 is F[i] C[i] F[i]* (C[0] when C holds one core for all rows), F of at
-    most six columns.  ty = J u2 - R u2 + lam E u2 and w1 = -(J u1 + R u1 + lam E u1) are affine in
-    lambda, so given ``v`` a row costs O(n): vector updates, an SVD of n x 2 per eigenvector and a thin
-    QR of F, all stacked (see ``_norm``).  F has one width in every row: a factor a row lacks (a
-    rank-one X, no Gram term) is a zero column.  ``variant`` is "s" for the symmetry-only formulas
-    (also for the selections that eta_sd delegates) and "sd" otherwise.
+    ``DsmkitError``, its H1 is F[i] C[i] F[i]* (C[0] when C holds one core for all rows), F of at most six
+    columns, and nK[i] is ||H1|| as the bounds took it (``Factored.part_norms``).  ty = J u2 - R u2 + lam E u2
+    and w1 = -(J u1 + R u1 + lam E u1) are affine in lambda, so given ``v`` a row costs O(n): vector updates,
+    an SVD of n x 2 per eigenvector and a thin QR of F, all stacked (see ``linalg._norm``).  F has one width
+    in every row: a factor a row lacks (a rank-one X, no Gram term) is a zero column.  ``variant`` is "s" for
+    the symmetry-only formulas (also for the selections that eta_sd delegates) and "sd" otherwise.
     """
     tol = cfg.residual_tol
     n1 = _norm(v.u1)
@@ -516,7 +494,8 @@ def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products,
         F, C = _anti_dissipative_h1(v, n1, ty, w1, cfg, report, warnings)
         exact = blocks in _EXACT_SD and report["u2_colinear_u1"] & report["R_u2_nonzero"]
 
-    lo, up = _bounds(blocks, variant, lams, *_factored_norms(F, C), h2n)
+    norms = Factored.part_norms(F, C)
+    lo, up = _bounds(blocks, variant, lams, *norms, h2n)
     lo, up, exact = lo.tolist(), up.tolist(), _per_row(exact, len(lams))
     cols = {k: _per_row(c, len(lams)) for k, c in report.items()}
     results: list = []
@@ -530,7 +509,7 @@ def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products,
             results.append(BackwardErrorBounds(True, lo[i], up[i], alpha=alpha[i], exact=exact[i], variant=variant,
                                                conditions_report={k: c[i] for k, c in cols.items()}, blocks=blocks,
                                                lam=lam, warnings=list(warnings)))
-    return results, F, C
+    return results, F, C, norms[0]
 
 
 def _formula_variant(blocks: frozenset[str], variant: str) -> str:
@@ -543,19 +522,19 @@ def _formula_variant(blocks: frozenset[str], variant: str) -> str:
 
 
 def _eta(P: PHPencil, ep: EigenPair, blocks, variant: str, cfg: ToleranceConfig) -> BackwardErrorBounds:
-    """eta_s/eta_sd: the core on a stack of one row, plus the dense H1 and H2 (O(n^2) to form)."""
+    """eta_s/eta_sd: the core on a stack of one row, with H1 and H2 as factors (O(n^2) only when read)."""
     blocks = parse_blocks(blocks)
     formulas = _formula_variant(blocks, variant)
     if ep.lam == 0:
         raise DegenerateInputError("lambda must be nonzero imaginary")
     v = _products(P, ep.u1[None], ep.u2[None], ep.u3[None], cfg)
-    (out,), F, C = _solve(blocks, formulas, np.array([ep.lam]), v, cfg)
+    (out,), F, C, nk = _solve(blocks, formulas, np.array([ep.lam]), v, cfg)
     if isinstance(out, DsmkitError):
         raise out
     out.variant = variant
     if out.finite:
-        out.H1 = F[0] @ C[0] @ _ct(F[0])
-        out.H2 = np.outer(_pinv_cols(v.u1, _norm(v.u1))[0], v.Bu1[0].conj()) * ("B" in blocks)  # u1 u1+ B
+        out.H1 = Factored(F[0], F[0].conj(), C[0], norm=float(nk[0]))  # the norm its bounds were taken from
+        out.H2 = Factored(_pinv_cols(v.u1, _norm(v.u1)).T * float("B" in blocks), v.Bu1.conj().T)  # u1 u1+ B
     return out
 
 

@@ -1,10 +1,12 @@
 """The factored closed forms of ``maps`` and ``dsm`` against the dense reference.
 
-The solvers build every dense block once from vector factors; the reference
-in ``dense_reference.py`` writes the same closed forms with n x n projectors
-and matrix products.  They must agree on every verdict, flag, message and
-diagnostic key, and on blocks and norms to 1e-12 relative, over sizes,
-data scales and feasible, exact and infeasible data.
+The solvers return every block as vector factors (``linalg.Factored``) and
+form it densely only when it is read; the reference in ``dense_reference.py``
+writes the same closed forms with n x n projectors and matrix products.  They
+must agree on every verdict, flag, message and diagnostic key, and on blocks
+read densely and norms to 1e-12 relative, over sizes, data scales and
+feasible, exact and infeasible data.  A vector solver at n = 4096 traces no
+n x n array, and a block read twice is formed once.
 """
 
 import tracemalloc
@@ -15,11 +17,14 @@ import pytest
 import dense_reference as ref
 from dsmkit import (
     DsmProblem,
+    DsmSolution,
+    ScalarProduct,
     dsdm_type1_vec,
     dsdm_type2,
     dsm_characterize,
     dsm_characterize_type2,
     dsm_solve,
+    jordan_lie_reduce,
     map_characterize,
     map_min,
     map_two_sided,
@@ -312,47 +317,96 @@ def test_type2_characterize_matches_dense_reference():
 
 
 # ---------------------------------------------------------------------------
-# no n x n temporaries and no projector
+# no n x n array until a block is read, and no projector
+
+GUARD_N, GUARD_M = 4096, 8
 
 
-def _large_calls():
-    """The six large solver calls, at n = 1024 and m = 8, with the arrays each one keeps.
+def _vector_calls(n, m):
+    """Every vector solver at (n, m), reflected ones included, with the names of the dense blocks it can read.
 
-    ``map_min nsd`` goes through ``maps._reflect``, which negates the base solver's result in place.
+    ``jordan_lie_reduce`` is left out: its scalar product is an n x n input.
     """
-    n, m = 1024, 8
     rng = np.random.default_rng(409)
-    psd = dsm_instance(F.PSD, rng, n, m)
-    herm = dsm_instance(F.HERMITIAN, rng, n, m)
-    sym = dsm_instance(F.SYMMETRIC, rng, n, m)
-    t2 = type2_instance(rng, n, m)
+    calls = {}
+    for family in F:
+        x, y = map_instance(family, rng, n)
+        calls[f"map_min {family.value}"] = (lambda f=family, x=x, y=y: map_min(f, x, y), ["minimizer"])
     xyzw = two_sided_instance(rng, n, n)
-    nsd = map_instance(F.NSD, rng, n)
-    return {
-        "dsm_solve psd": (
-            lambda: dsm_solve(F.PSD, psd),
-            lambda s: [s.H1, s.H2, *s.diagnostics["left_spectrum_factors"]],
-        ),
-        "dsm_solve hermitian": (lambda: dsm_solve(F.HERMITIAN, herm), lambda s: [s.H1, s.H2]),
-        "dsm_solve symmetric": (lambda: dsm_solve(F.SYMMETRIC, sym), lambda s: [s.H1, s.H2]),
-        "dsdm_type2": (lambda: dsdm_type2(t2), lambda s: [s.H1, s.H2]),
-        "map_two_sided": (lambda: map_two_sided(*xyzw), lambda s: [s.minimizer]),
-        "map_min nsd": (lambda: map_min(F.NSD, *nsd), lambda s: [s.minimizer]),
-    }
+    calls["map_two_sided"] = (lambda: map_two_sided(*xyzw), ["minimizer"])
+    for family in DSM_FAMILIES:
+        p = dsm_instance(family, rng, n, m)
+        calls[f"dsm_solve {family.value}"] = (lambda f=family, p=p: dsm_solve(f, p), ["H", "H1", "H2"])
+    t2 = type2_instance(rng, n, m)
+    t2_anti = DsmProblem(t2.x1, t2.x2, -t2.y, t2.z, -t2.w1, -t2.w2)
+    calls["dsdm_type2"] = (lambda: dsdm_type2(t2), ["H1", "H2", "H"])
+    calls["dsdm_type2 anti"] = (lambda: dsdm_type2(t2_anti, anti=True), ["H", "H2", "H1"])
+    x, y, z, w = type1_vec_instance(rng, n)
+    calls["dsdm_type1_vec"] = (lambda: dsdm_type1_vec(x, y, z, w), ["minimizer", "gram"])
+    calls["dsdm_type1_vec anti"] = (lambda: dsdm_type1_vec(x, -y, z, -w, anti=True), ["gram", "minimizer"])
+    return calls
 
 
-@pytest.mark.parametrize("name", list(_large_calls()))
-def test_large_call_allocates_little_beyond_its_output(name):
-    call, kept = _large_calls()[name]
+def _traced_peak(call):
+    """(call's result, the peak of the memory it traced)."""
     tracemalloc.start()
     try:
-        sol = call()
+        out = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("name", list(_vector_calls(2, 1)))
+def test_vector_solver_traces_no_n_squared_array(name):
+    # 64 vectors of length n: one n x n array at n = 4096 would be 4096 vectors
+    sol, peak = _traced_peak(_vector_calls(GUARD_N, GUARD_M)[name][0])
     assert sol.feasible
-    out_bytes = sum(a.nbytes for a in kept(sol))
-    assert peak <= 1.25 * out_bytes, f"traced peak {peak / 2**20:.1f} MB, output {out_bytes / 2**20:.1f} MB"
+    assert peak <= 64 * GUARD_N * 16, f"traced peak {peak / 2**20:.1f} MiB at n = {GUARD_N}"
+
+
+def _read_calls(n, m):
+    """``_vector_calls`` and ``jordan_lie_reduce`` on a Jordan and a Lie algebra, whose blocks are lifted by M*."""
+    calls = _vector_calls(n, m)
+    rng = np.random.default_rng(412)
+    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0).astype(complex)  # M = diag(+-1): unitary, M^-1 = M
+    for form, algebra in (("sesquilinear", "jordan"), ("bilinear", "lie")):
+        sp = ScalarProduct(np.diag(signs), form, algebra)
+        base = dsm_instance(sp.target_family(), rng, n, m)  # the reduced problem (x, M y, M z, w)
+        p = DsmProblem(base.x1, base.x2, signs * base.y, signs * base.z, base.w1, base.w2)
+        calls[f"jordan_lie_reduce {form} {algebra}"] = (lambda sp=sp, p=p: jordan_lie_reduce(sp, p), ["H1", "H", "H2"])
+    return calls
+
+
+@pytest.mark.parametrize("name", list(_read_calls(2, 1)))
+def test_a_block_is_formed_on_its_first_read_and_only_then(name):
+    n, m = 64, 8
+    call, blocks = _read_calls(n, m)[name]
+    sol = call()
+    slack = 16 * (n + m) * 16  # 16 vectors: the factors a read may stack, never an n x n temporary
+    for block in blocks:
+        first, peak = _traced_peak(lambda: getattr(sol, block))
+        assert isinstance(first, np.ndarray)
+        assert first.nbytes <= peak <= 1.25 * first.nbytes + slack, f"the first read of {block} traced {peak} bytes"
+        again, peak = _traced_peak(lambda: getattr(sol, block))
+        if block == "H":  # [H1 H2] is formed again on each read, from the blocks as held
+            assert again is not first and np.array_equal(again, first)
+            assert first.nbytes <= peak <= 1.25 * first.nbytes + slack
+        else:
+            assert again is first and peak == 0, f"a second read of {block} allocated {peak} bytes"
+    if "H" in blocks:  # and it holds no view of them
+        h = sol.H
+        assert np.array_equal(h, np.hstack([sol.H1, sol.H2]))
+        assert not np.shares_memory(h, sol.H1) and not np.shares_memory(h, sol.H2)
+
+
+def test_an_infeasible_dsm_solution_has_no_blocks():
+    # H was np.hstack([None, None]), an object array, where H1 and H2 were None
+    p = dsm_instance(F.HERMITIAN, np.random.default_rng(411), 4, 2)
+    for sol in (DsmSolution(F.HERMITIAN, False), dsm_solve(F.HERMITIAN, _broken_dsm(F.HERMITIAN, p, False))):
+        assert not sol.feasible
+        assert sol.H1 is None and sol.H2 is None and sol.H is None
 
 
 def test_maps_and_dsm_form_no_projector(monkeypatch):
