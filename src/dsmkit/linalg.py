@@ -7,9 +7,13 @@ The Moore-Penrose pseudoinverse of a column vector x is the row
 without an SVD); the mapping solvers keep vector data factored and return
 ``Factored`` blocks Delta = F C G^T, formed densely only when read (see
 ``maps``).  A range is spanned by a thin orthonormal basis, not an n x n
-projector: ``svd_range`` for an n x m matrix in O(n m^2), ``psd_range``
-for a psd matrix of rank r in O(n r^2) (pivoted Cholesky, thin QR), and
-``_range_factors`` for a map y x+ with the basis of range(x).
+projector: ``svd_range`` for an n x m matrix in O(n m^2), and
+``_range_factors`` for a map y x+ with the basis of range(x).  The
+complement of a range is applied, not spanned: ``_complement_map`` takes
+one Householder factorization, O(n m^2) for an n x m matrix or O(n r^2)
+for the n x r pivoted Cholesky factor of a psd matrix of rank r
+(``_psd_factor``), forms no Q or U, and projects a vector through its
+reflectors in O(n m) or O(n r).
 Boundary rule: a caller's array is validated (``as_complex``) once, where it
 enters a public entry point, and not again once derived by an exact operation
 (negation, conjugation, slicing, reshape); a new product that can overflow
@@ -34,7 +38,6 @@ __all__ = [
     "herm_skew_parts",
     "min_eig_herm",
     "svd_range",
-    "psd_range",
 ]
 
 
@@ -160,27 +163,83 @@ def _range_factors(x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig = DEFAULT_
     return u[:, keep], v, (y @ v) / s[keep]
 
 
-def psd_range(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (n x r) of range(a), a Hermitian psd of rank r, in O(n r^2).
+def _psd_factor(a: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """An n x r factor L of full column rank with a ~ L L*, for a Hermitian psd a of numerical rank r, in O(n r^2).
 
-    A pivoted Cholesky a = L L* (Higham 2002, 10.3) stops once the largest
-    remaining diagonal is at most ``rank_tol * ||a||``, the scale of the a it
-    is formed from (``ToleranceConfig``); a thin QR of the n x r L follows.
+    A pivoted Cholesky (Higham 2002, 10.3) stops once the largest remaining
+    diagonal is at most ``rank_tol * ||a||``, the scale of the a it is formed
+    from (``ToleranceConfig``), so r is a's numerical rank and range(L) its range.
     """
-    a = as_complex(a)
     n = a.shape[0]
     floor = cfg.rank_tol * fro(a)
     d = a.diagonal().real.copy()  # the diagonal of the Schur complement left after k steps
-    lt = np.empty((n, n), dtype=complex)  # row j is column j of L
+    xt = np.empty((n, n), dtype=complex)  # row j is conj(column j of L), so that step k reads row p of a as it is
+    sq = np.empty(2 * n)
     k = 0
-    while k < n and d.max() > floor:
-        p = int(np.argmax(d))
-        row = (a[p].conj() - lt[:k, p].conj() @ lt[:k]) / math.sqrt(d[p])
-        lt[k] = row
-        d -= row.real ** 2 + row.imag ** 2
+    while k < n:
+        p = int(d.argmax())
+        if not d[p] > floor:
+            break
+        row = np.dot(xt[:k, p].conj(), xt[:k], out=xt[k])
+        np.subtract(a[p], row, out=row)
+        row /= math.sqrt(d[p])
+        np.square(row.view(np.float64), out=sq)  # |row|^2, as its real and imaginary parts
+        d -= sq[::2]
+        d -= sq[1::2]
         d[p] = 0.0  # eliminated; rounding must not make it a pivot again
         k += 1
-    return np.linalg.qr(lt[:k].T)[0]
+    return np.conjugate(xt[:k], out=xt[:k]).T
+
+
+def _complement_map(x: np.ndarray, cfg: ToleranceConfig | None = None):
+    """(r, project): the rank r of an n x m x and project(g) = g - Q Q* g for Q an orthonormal basis of range(x).
+
+    One Householder QR of x (geqrf, ``np.linalg.qr(mode="raw")``), k = min(n, m)
+    reflectors, in O(n m^2); project applies them to a vector, c = Q* g, then
+    Q to c with its part in range(x) removed, in O(n k), and no Q is formed.
+    With ``cfg``, r counts the singular values of the k x m triangle T (those
+    of x) above ``rank_tol`` times the largest, ``svd_range``'s rule, and a
+    dropped direction is kept out through T's left singular vectors, which
+    are computed only then: range(x) = Q_k range(T).  Without it, x has full
+    column rank, r = m, and a square x is not factored.  project is None
+    when range(x) is all of C^n, and the identity when r = 0.
+    """
+    n, m = x.shape
+    if cfg is None and m == n:
+        return n, None
+    h, tau = np.linalg.qr(x, mode="raw")  # h is the transposed LAPACK array: row i holds column i
+    k, u = len(tau), None
+    r = m
+    if cfg is not None:
+        t = np.triu(h[:, :k].T)
+        r = int(_kept(np.linalg.svd(t, compute_uv=False), cfg).sum())
+        if 0 < r < k:
+            u = np.linalg.svd(t, full_matrices=False)[0][:, :r]  # T's kept left singular vectors
+    if r == n:
+        return r, None
+    if r == 0:
+        return r, np.copy
+    v = np.ascontiguousarray(h[:k])  # row i from entry i on is reflector i: 1 (implicit in geqrf), then its tail
+    np.fill_diagonal(v, 1.0)
+    taus, conj = tau.tolist(), tau.conj().tolist()
+
+    def project(g: np.ndarray) -> np.ndarray:
+        c = _reflect(v, conj, g.copy(), range(k))  # Q* g = H_k* ... H_1* g
+        if u is None:
+            c[:k] = 0.0
+        else:
+            c[:k] -= u @ (u.conj().T @ c[:k])
+        return _reflect(v, taus, c, range(k - 1, -1, -1))
+
+    return r, project
+
+
+def _reflect(v: np.ndarray, taus: list, c: np.ndarray, order: range) -> np.ndarray:
+    """c with H_i = I - tau_i v_i v_i* applied in place for i in ``order``, v_i row i of v from entry i on."""
+    for i in order:
+        w, y = v[i, i:], c[i:]
+        y -= (taus[i] * np.vdot(w, y)) * w
+    return c
 
 
 def _ct(a: np.ndarray) -> np.ndarray:
@@ -202,9 +261,8 @@ _GRAM_RANGE = (2.0**-968, 2.0**968)
 
 
 def _grams(f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """conj(F* F) and G* G, each one product of the (k, n) rows F^T with their conjugate transpose."""
-    rf, rg = f.T, g.T
-    return rf @ rf.conj().T, rg.conj() @ rg.T
+    """conj(F* F) = F^T conj(F) and G* G, each one product (``np.dot``: the BLAS product of ``@``, called for less)."""
+    return np.dot(f.T, f.conj()), np.dot(g.conj().T, g)
 
 
 def _core_norm(fa: np.ndarray, b: np.ndarray, c: np.ndarray | None) -> float:
@@ -296,9 +354,13 @@ class Factored:
         whose squared norm underflows or overflows though Delta's does not,
         or a zero factor) is taken again from factors scaled exactly, column
         by column, to a largest entry in [0.5, 1), the scales moved into C.
+        The first Gram cores are formed with overflow ignored: a diagonal
+        entry is a sum of squares, so it overflows to inf, never to NaN,
+        and fails the range test without a warning.
         """
         if self._norm is None:
-            fa, b = _grams(self.F, self.G)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a diagonal of inf, tested below
+                fa, b = _grams(self.F, self.G)
             d = fa.diagonal().real.tolist() + b.diagonal().real.tolist()  # the factors' squared norms
             if d and min(d) >= _GRAM_RANGE[0] and max(d) <= _GRAM_RANGE[1]:
                 self._norm = _core_norm(fa, b, self.C)

@@ -61,7 +61,7 @@ from .errors import (
     StructureError,
 )
 from .linalg import DenseOnRead, Factored, _ct, _norm, _semidefinite, as_complex, fro, herm_skew_parts
-from .linalg import _kept, psd_range, svd_range
+from .linalg import _complement_map, _kept, _psd_factor
 from .maps import StructureFamily, _in_family
 
 __all__ = [
@@ -770,10 +770,13 @@ def gen_eigpair(
     finds one sign only takes one ``eigh`` of (J + lam E)/i instead; a
     semidefinite one raises ``GenerationError`` when ``lam`` is fixed.  For
     ker B* (JR, RE, JRE) and ker R (JB, EB, JEB), u1 = g - Q (Q* g) for a
-    Gaussian g in C^n and an orthonormal basis Q of range(B)
-    (``linalg.svd_range``) or of range(R) (``linalg.psd_range``): a standard
-    Gaussian on the kernel, for O(n m^2) + O(n r^2) once per call, so once
-    per table.  A trivial kernel raises ``GenerationError``, as do
+    Gaussian g in C^n and an orthonormal basis Q of range(B) or of range(R):
+    a standard Gaussian on the kernel.  Q is held as the Householder
+    reflectors of one factorization per call, so once per table
+    (``linalg._complement_map``): of B itself in O(n m^2), or of the n x r
+    pivoted Cholesky factor of R in O(n r^2) (``linalg._psd_factor``).  No Q
+    or U is formed, and each try projects g through the reflectors in O(n m)
+    or O(n r).  A trivial kernel raises ``GenerationError``, as do
     ``max_tries`` rejected draws.
     """
     blocks = parse_blocks(admissible_for)
@@ -790,21 +793,21 @@ def gen_eigpair(
     kernel_R = blocks in _DELEGATED
     needs_Ru2 = "R" in blocks  # RB has returned above
 
-    q = None  # an orthonormal basis of range(B) or range(R); u1 is drawn orthogonal to it, or anywhere
+    project = None  # g -> g - Q Q* g, Q an orthonormal basis of range(B) or range(R); None: u1 = g
     if kernel_B:
-        q = svd_range(P.B, cfg)
-        if q.shape[1] == n:
+        r, project = _complement_map(P.B, cfg)
+        if r == n:
             raise GenerationError("B* has trivial kernel; the selection's side condition is unsatisfiable")
     if kernel_R:
-        q = psd_range(P.R, cfg)
-        if q.shape[1] == n:
+        r, project = _complement_map(_psd_factor(P.R, cfg))
+        if r == n:
             raise GenerationError("R is nonsingular; ker(R) is trivial for this selection")
-    nR = fro(P.R)
+    nR = fro(P.R) if needs_Ru2 else 0.0
 
     for attempt in range(max_tries):
         lam_t = lam if lam is not None else _random_lam(rng)
         g = _crandn(rng, n)
-        u1 = g if q is None else g - q @ (q.conj().T @ g)
+        u1 = g if project is None else project(g)
         if fro(u1) <= cfg.residual_tol * fro(g):
             continue
         alpha = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))

@@ -202,19 +202,31 @@ def block_semidefinite(b, c, d, tol=1e-10):
     return semidefinite_by_eigs(b, tol) and kernel and semidefinite_by_eigs((schur + schur.conj().T) / 2, tol)
 
 
+def _arg(args, kwargs, i, name, default):
+    return kwargs.get(name, args[i] if len(args) > i else default)
+
+
 def watch_linalg(monkeypatch):
-    """Record (name, operand shape, full) of every np.linalg call but the norms.
+    """Record (name, operand shape, full, how) of every np.linalg call but the norms.
 
     Every LAPACK-backed entry point is watched; a norm is one pass over the
-    data, not a factorization.  ``full`` is true for an SVD with full
-    matrices (numpy's default), false for every other call.
+    data, not a factorization.  ``full`` is true for an SVD that forms full
+    U and V (numpy's default), false for every other call.  ``how`` is what
+    a factorization forms: a QR's mode ("reduced" forms Q, "raw" only the
+    reflectors), an SVD's ``compute_uv`` (False: singular values only), and
+    None for every other call.
     """
     seen = []
 
     def watch(name, fn):
         def wrapped(*args, **kwargs):
-            full = name == "svd" and kwargs.get("full_matrices", args[1] if len(args) > 1 else True)
-            seen.extend((name, a.shape, bool(full)) for a in args if getattr(a, "ndim", 0) >= 2)
+            how = None
+            if name == "qr":
+                how = _arg(args, kwargs, 1, "mode", "reduced")
+            elif name == "svd":
+                how = bool(_arg(args, kwargs, 2, "compute_uv", True))
+            full = name == "svd" and how and _arg(args, kwargs, 1, "full_matrices", True)
+            seen.extend((name, a.shape, bool(full), how) for a in args if getattr(a, "ndim", 0) >= 2)
             return fn(*args, **kwargs)
         return wrapped
 

@@ -193,20 +193,33 @@ def test_fro_matches_numpy_on_views_and_strided_input():
     assert fro([1.0, 2.0, 2.0]) == 3.0
 
 
+def _applied(project, a):
+    """project applied to every column of a."""
+    return np.stack([project(c) for c in a.T], axis=1)
+
+
 @pytest.mark.parametrize("n", [4, 16, 64, 256])
 @pytest.mark.parametrize("rank", ["1", "half", "n-1", "full"])
-def test_psd_range_rank_matches_svd_split(n, rank):
-    from dsmkit import gen_pencil
-    from dsmkit.linalg import psd_range
+def test_psd_factor_rank_matches_svd_split(n, rank):
+    from dsmkit.linalg import _complement_map, _psd_factor
 
     r_rank = {"1": 1, "half": n // 2, "n-1": n - 1, "full": None}[rank]
     p = gen_pencil(n, 2, seed=n + 3, r_rank=r_rank)
-    q = psd_range(p.R)
+    f = _psd_factor(p.R)
     sv = np.linalg.svd(p.R, compute_uv=False)
-    assert q.shape == (n, int(np.sum(sv > DEFAULT_TOL.rank_tol * sv[0])))
-    assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12
-    # q spans range(R): R has no part outside it
-    assert np.linalg.norm(p.R - q @ (q.conj().T @ p.R)) <= 1e-12 * np.linalg.norm(p.R)
+    r = int(np.sum(sv > DEFAULT_TOL.rank_tol * sv[0]))
+    assert f.shape == (n, r)
+    rank_out, project = _complement_map(f)
+    assert rank_out == r and (project is None) == (r == n)
+    if project is not None:
+        # range(R) has no part outside the factor's range, and the map is an orthogonal projector
+        rng = np.random.default_rng(n)
+        inside = p.R @ crandn(rng, n, 3)
+        assert np.linalg.norm(_applied(project, inside)) <= 1e-12 * np.linalg.norm(inside)
+        g, h = crandn(rng, n), crandn(rng, n)
+        pg = project(g)
+        assert np.linalg.norm(project(pg) - pg) <= 1e-12 * np.linalg.norm(g)
+        assert abs(np.vdot(pg, h) - np.vdot(g, project(h))) <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(h)
 
 
 @pytest.mark.parametrize("n,m,rank", [(6, 3, 1), (16, 8, 3), (64, 16, 5), (5, 5, 0)])
@@ -222,16 +235,40 @@ def test_svd_range_rank_matches_matrix_rank(n, m, rank):
     assert svd_range(crandn(rng, n, m) * 1e-150).shape == (n, min(n, m))  # the rank rule is relative
 
 
-def test_psd_range_of_zero_and_of_a_scaled_matrix():
-    from dsmkit.linalg import psd_range
+def test_psd_factor_of_zero_and_of_a_scaled_matrix():
+    from dsmkit.linalg import _complement_map, _psd_factor
 
-    for n in (0, 1, 5):
-        assert psd_range(np.zeros((n, n))).shape == (n, 0)
     rng = np.random.default_rng(4)
+    for n in (0, 1, 5):
+        f = _psd_factor(np.zeros((n, n)))
+        assert f.shape == (n, 0)
+        rank, project = _complement_map(f)
+        assert rank == 0 and (project is None) == (n == 0)
+        if n:
+            g = crandn(rng, n)
+            assert np.array_equal(project(g), g)  # nothing to remove: the identity, exactly
     g = crandn(rng, 7, 3)
     r = g @ g.conj().T
-    ref = psd_range(r)
+    x = crandn(rng, 7)
+    ref = _complement_map(_psd_factor(r))[1](x)
     for s in (1e-75, 1e75):
-        q = psd_range(s * r)
-        assert q.shape == (7, 3)  # the stopping rule reads the scale of the data
-        assert np.linalg.norm(q @ q.conj().T - ref @ ref.conj().T) <= 1e-12
+        f = _psd_factor(s * r)
+        assert f.shape == (7, 3)  # the stopping rule reads the scale of the data
+        assert np.linalg.norm(_complement_map(f)[1](x) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n,m,rank", [(6, 3, 1), (16, 8, 3), (64, 16, 5), (5, 5, 0), (6, 3, 3), (4, 9, 2), (4, 9, 4)])
+def test_complement_map_takes_svd_ranges_rank_rule(n, m, rank):
+    from dsmkit.linalg import _complement_map, svd_range
+
+    rng = np.random.default_rng(n + m + rank)
+    x = crandn(rng, n, rank) @ crandn(rng, rank, m)
+    q = svd_range(x)
+    r, project = _complement_map(x, DEFAULT_TOL)
+    assert r == q.shape[1] == np.linalg.matrix_rank(x)
+    assert (project is None) == (r == n)
+    if project is not None:
+        g = crandn(rng, n, 4)
+        want = g - q @ (q.conj().T @ g)
+        assert np.linalg.norm(_applied(project, g) - want) <= 1e-12 * np.linalg.norm(want)
+    assert _complement_map(crandn(rng, n, m) * 1e-150, DEFAULT_TOL)[0] == min(n, m)  # the rank rule is relative

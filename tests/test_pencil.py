@@ -23,7 +23,7 @@ from dsmkit.errors import (
     ReconstructionError,
     StructureError,
 )
-from dsmkit.linalg import psd_range
+from dsmkit.linalg import _complement_map
 from dsmkit.pencil import ETA_S_COMBOS, ETA_SD_COMBOS, blocks_to_string
 from helpers import crandn, watch_linalg
 
@@ -519,7 +519,7 @@ def test_rb_table_takes_no_square_decomposition(variant, monkeypatch):
     assert [c for c in seen if min(c[1][-2:]) > 6] == []
     assert [c for c in seen if c[0] == "svd" and min(c[1][-2:]) > 2] == []
     herm = [c for c in seen if c[0] in ("eigh", "eigvalsh")]
-    assert herm and all(shape[-2:] == (2, 2) for _, shape, _ in herm)  # min_eig_herm of X*Y, stacked in the core
+    assert herm and all(c[1][-2:] == (2, 2) for c in herm)  # min_eig_herm of X*Y, stacked in the core
 
 
 def _grid(k):
@@ -603,9 +603,9 @@ def test_fixed_eigenvector_table_draws_once_when_the_draw_fails(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
-        return psd_range(*args, **kwargs)
+        return _complement_map(*args, **kwargs)
 
-    monkeypatch.setattr(pencil_mod, "psd_range", counted)
+    monkeypatch.setattr(pencil_mod, "_complement_map", counted)
     p = gen_pencil(256, 64, 5)  # R nonsingular: ker R is trivial
     lams = _grid(25)
     rows = experiment_table(p, lams[:3] + [0.0] + lams[3:], 7, "JEB", variant="s")
@@ -870,6 +870,53 @@ def test_kernel_b_draw_is_the_projected_gaussian(blocks, b_rank):
     assert np.linalg.norm(p.B.conj().T @ ep.u1) <= 1e-12 * np.linalg.norm(p.B) * np.linalg.norm(ep.u1)
 
 
+TRIVIAL_KERNEL = {"B": "B* has trivial kernel; the selection's side condition is unsatisfiable",
+                  "R": "R is nonsingular; ker(R) is trivial for this selection"}
+
+
+def _check_kernel_draws(p, a, basis, selections, trivial):
+    """Each selection's draw is the first Gaussian projected by the dense I - basis basis+, and a* u1 = 0.
+
+    range(basis) = range(a); a kernel that the reference finds trivial must raise ``trivial``, word for word."""
+    n, cfg = p.n, ToleranceConfig()
+    ref = np.eye(n) - basis @ np.linalg.pinv(basis, rcond=cfg.rank_tol)
+    rank = np.linalg.matrix_rank(basis, rtol=cfg.rank_tol) if basis.size else 0
+    for blocks in selections:
+        if rank == n:
+            with pytest.raises(GenerationError) as exc:
+                gen_eigpair(p, 5, blocks, lam=-0.4j)
+            assert str(exc.value) == trivial
+            continue
+        ep = gen_eigpair(p, 5, blocks, lam=-0.4j)
+        want = ref @ _first_gaussian(5, n)
+        assert np.linalg.norm(ep.u1 - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(a.conj().T @ ep.u1) <= cfg.residual_tol * np.linalg.norm(a) * np.linalg.norm(ep.u1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 256])
+@pytest.mark.parametrize("rank", ["1", "half", "full", "wide", "wide-1"])
+def test_kernel_b_draw_matches_a_dense_reference(n, rank):
+    # m < n but at n = 1; a wide B (m > n) has a trivial kernel at full rank
+    m = {1: 1, 3: 2, 64: 16, 256: 64}[n] if not rank.startswith("wide") else n + 2
+    b_rank = {"1": 1, "half": max(1, m // 2), "wide-1": 1}.get(rank)
+    p = gen_pencil(n, m, seed=n + m, b_rank=b_rank)
+    _check_kernel_draws(p, p.B, p.B, KERNEL_B_SELECTIONS, TRIVIAL_KERNEL["B"])
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 256])
+@pytest.mark.parametrize("rank", ["1", "half", "n-1", "n"])
+def test_kernel_r_draw_matches_a_dense_reference(n, rank):
+    # R = A A* with A's singular values in [1, 2], so that ker R is fixed to rounding: with gen_pencil's
+    # R of rank n - 1 (condition about 1e6 on its range at n = 256) it moves by about 1e-10 under a
+    # perturbation of R of one rounding unit, for every method
+    r = {"1": 1, "half": n // 2, "n-1": n - 1, "n": n}[rank]
+    rng = np.random.default_rng(n + r)
+    a = (np.linalg.qr(crandn(rng, n, r))[0] if r else np.zeros((n, 0))) * np.linspace(1.0, 2.0, r)
+    base = gen_pencil(n, 2, seed=n + r)
+    p = PHPencil(base.J, a @ a.conj().T, base.E, base.B, base.S)
+    _check_kernel_draws(p, p.R, a, KERNEL_R_SELECTIONS, TRIVIAL_KERNEL["R"])
+
+
 @pytest.mark.parametrize("blocks", KERNEL_R_SELECTIONS + KERNEL_B_SELECTIONS)
 def test_gen_eigpair_raises_on_a_trivial_kernel_at_n_64(blocks):
     p = gen_pencil(64, 80, seed=2)  # R nonsingular, B of full row rank
@@ -889,6 +936,8 @@ def test_kernel_table_takes_no_square_decomposition(blocks, variant, monkeypatch
     rows = experiment_table(p, [0.45j, -1.2j, 0.9j, -0.35j, 1.7j], 5, blocks, variant=variant)
     assert all(row["error"] == "" and row["finite"] for row in rows)
     assert [c for c in seen if c[0] in ("svd", "eigh", "eigvalsh") and c[1][-2:] == (n, n)] == []
-    # one range basis per table: the thin SVD of B, or the QR of the n x r Cholesky factor
-    wide = [c[:2] for c in seen if min(c[1][-2:]) > 6]
-    assert wide == ([("qr", (n, r))] if blocks in KERNEL_R_SELECTIONS else [("svd", (n, m))])
+    # one Householder factorization per table, no Q and no U formed: the raw QR of B and the singular
+    # values of its m x m triangle, or the raw QR of the n x r Cholesky factor
+    wide = [c for c in seen if min(c[1][-2:]) > 6]
+    assert wide == ([("qr", (n, r), False, "raw")] if blocks in KERNEL_R_SELECTIONS
+                    else [("qr", (n, m), False, "raw"), ("svd", (m, m), False, False)])

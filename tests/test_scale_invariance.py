@@ -302,6 +302,32 @@ def test_eta_is_unchanged_by_u_scaling_and_scales_with_the_pencil(variant, block
         assert _same_bounds(_eta(variant, spen, ep, blocks), base, factor=s), f"pencil -> s pencil, s = {s:g}"
 
 
+KERNEL_SELECTIONS = ("JR", "RE", "JRE", "JB", "EB", "JEB")
+
+
+def _draw(pen, blocks):
+    try:
+        return gen_eigpair(pen, 12, blocks)
+    except DsmkitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("blocks", KERNEL_SELECTIONS)
+@pytest.mark.parametrize("pen", [gen_pencil(16, 4, 9105, r_rank=7), gen_pencil(16, 4, 9106, r_rank=7, b_rank=1),
+                                 gen_pencil(8, 10, 9107)], ids=["kernels", "b-rank-1", "trivial"])
+def test_kernel_draw_does_not_depend_on_the_pencil_scale_past_1e100(blocks, pen):
+    # the kernel's rank rules read the scale of B and of R; a trivial kernel raises the same error at every scale
+    ref = _draw(pen, blocks)
+    for s in (1e-100, 1e100):
+        got = _draw(PHPencil(s * pen.J, s * pen.R, s * pen.E, s * pen.B, s * pen.S), blocks)
+        if isinstance(ref, str):
+            assert got == ref
+            continue
+        assert got.lam == ref.lam
+        assert np.linalg.norm(got.u1 - ref.u1) <= 1e-12 * np.linalg.norm(ref.u1)
+        assert np.linalg.norm(got.u2 - ref.u2) <= 1e-12 * np.linalg.norm(ref.u2)
+
+
 # ---------------------------------------------------------------------------
 # verdicts that depended on the scale before every site took its data's scale
 
