@@ -12,6 +12,13 @@ Commands:
   dsmkit verify --result R.json
 
 The environment variable DSMKIT_SEED supplies the default seed.
+
+Each command imports only the modules it needs, so a process pays for no
+other: every command loads ``maps`` (the --family choices) and ``io``;
+``map solve`` adds ``dsm``; ``pencil`` and ``backerr`` add ``pencil``;
+``verify`` adds ``dsm`` for a mapping document, plus ``oracle`` when its
+norm is claimed exact, and ``pencil`` for a backerr document.  Every JSON
+document is printed on one line by ``json.dumps`` (see ``io``).
 """
 
 from __future__ import annotations
@@ -21,16 +28,17 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import io as io_mod
-from . import oracle as oracle_mod
-from . import pencil as pencil_mod
 from .config import DEFAULT_TOL, ToleranceConfig
-from .dsm import DsmProblem, DsmSolution, Type1Problem, Type1Solution, dsdm_type1, dsdm_type2, dsm_solve
 from .errors import DsmkitError
-from .maps import FAMILIES, StructureFamily, map_min, map_two_sided
+from .maps import FAMILIES, StructureFamily
+
+if TYPE_CHECKING:
+    from .pencil import BackwardErrorBounds, EigenPair, PHPencil
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,11 +118,13 @@ def _doc_header(kind: str, seed=None) -> dict:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(doc, sort_keys=True))
 
 
 def _problem(kind: str, x, y, z, w):
     """The problem of a two-sided result: square data for dsdm-type1, else x and w split at n = dim(y)."""
+    from .dsm import DsmProblem, Type1Problem
+
     if kind == "dsdm-type1":
         return Type1Problem(x, y, z, w)
     n = y.shape[0]
@@ -122,6 +132,9 @@ def _problem(kind: str, x, y, z, w):
 
 
 def _cmd_map_solve(args, cfg: ToleranceConfig) -> int:
+    from .dsm import DsmSolution, Type1Solution, dsdm_type1, dsdm_type2, dsm_solve, verify_solution
+    from .maps import map_min, map_two_sided
+
     family = StructureFamily(args.family)
     x = io_mod.vector_from_doc(io_mod.load_json(args.x), "x")
     y = io_mod.vector_from_doc(io_mod.load_json(args.y), "y")
@@ -175,12 +188,14 @@ def _cmd_map_solve(args, cfg: ToleranceConfig) -> int:
         doc["boundary"] = sol.boundary
     if hasattr(sol, "warnings"):
         doc["warnings"] = sol.warnings
-    doc["residuals"] = oracle_mod.verify_solution(delta, data, family, cfg).as_dict()
+    doc["residuals"] = verify_solution(delta, data, family, cfg).as_dict()
     _emit(doc)
     return 0
 
 
 def _cmd_pencil_gen(args, cfg: ToleranceConfig) -> int:
+    from . import pencil as pencil_mod
+
     seed = _seed(args)
     p = pencil_mod.gen_pencil(args.n, args.m, seed)
     rep = p.validate(cfg)
@@ -202,22 +217,26 @@ def _cmd_pencil_validate(args, cfg: ToleranceConfig) -> int:
     return 0 if all(rep.values()) else 1
 
 
-def _eigpair(p: pencil_mod.PHPencil, lam: complex, uvec: np.ndarray, cfg: ToleranceConfig) -> pencil_mod.EigenPair:
+def _eigpair(p: PHPencil, lam: complex, uvec: np.ndarray, cfg: ToleranceConfig) -> EigenPair:
     """The eigenpair of a stacked vector u = [u1; u2; u3] of length 2n + m."""
+    from .pencil import EigenPair
+
     n, m = p.n, p.m
     if uvec.shape[0] != 2 * n + m:
         raise DsmkitError(f"u must have length 2n+m = {2 * n + m}, got {uvec.shape[0]}")
-    return pencil_mod.EigenPair(lam, uvec[:n], uvec[n : 2 * n], uvec[2 * n :], cfg)
+    return EigenPair(lam, uvec[:n], uvec[n : 2 * n], uvec[2 * n :], cfg)
 
 
-def _bounds_doc(res: pencil_mod.BackwardErrorBounds) -> dict:
+def _bounds_doc(res: BackwardErrorBounds) -> dict:
+    from .pencil import blocks_to_string
+
     doc = {
         "finite": res.finite,
         "eta_lower": res.eta_lower,
         "eta_upper": res.eta_upper,
         "exact": res.exact,
         "variant": res.variant,
-        "blocks": pencil_mod.blocks_to_string(res.blocks),
+        "blocks": blocks_to_string(res.blocks),
         "lambda": io_mod.format_imaginary(res.lam),
         "conditions": {k: bool(v) for k, v in res.conditions_report.items()},
         "warnings": res.warnings,
@@ -229,6 +248,8 @@ def _bounds_doc(res: pencil_mod.BackwardErrorBounds) -> dict:
 
 
 def _cmd_backerr(args, cfg: ToleranceConfig) -> int:
+    from . import pencil as pencil_mod
+
     p = io_mod.pencil_from_doc(io_mod.load_json(args.pencil))
     blocks = pencil_mod.parse_blocks(args.blocks)
     pencil_mod._formula_variant(blocks, args.variant)  # an unsupported selection raises here
@@ -300,10 +321,14 @@ def _cmd_verify(args, cfg: ToleranceConfig) -> int:
                 z = io_mod.vector_from_doc(problem["z"], "z")
                 w = io_mod.vector_from_doc(problem["w"], "w")
                 data = (x, y, z, w)
-            report = oracle_mod.verify_solution(delta, data, family, cfg)
+            from .dsm import verify_solution
+
+            report = verify_solution(delta, data, family, cfg)
             ok = report.ok
             oracle_norm = None
             if ok and doc.get("norms", {}).get("exact"):
+                from . import oracle as oracle_mod  # only the exact-norm re-check needs an oracle
+
                 if kind == "map-two-sided":
                     _, oracle_norm = oracle_mod.oracle_least_norm([("mul", x, y), ("adj", z, w)], cfg=cfg)
                 elif kind != "map-min":
@@ -316,6 +341,8 @@ def _cmd_verify(args, cfg: ToleranceConfig) -> int:
                 gap = oracle_mod.GAP_FACTOR * cfg.residual_tol * oracle_norm
                 ok = ok and abs(float(doc["norms"]["upper"]) - oracle_norm) <= gap
         elif kind == "backerr":
+            from . import pencil as pencil_mod
+
             p = io_mod.pencil_from_doc(problem["pencil"])
             uvec = io_mod.vector_from_doc(problem["u"], "u")
             lam = io_mod.parse_imaginary(problem["lambda"])

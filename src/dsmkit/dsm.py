@@ -26,13 +26,18 @@ at most 3m columns, for O(n m^2) in all.
 The negated families go through the one reflection rule of ``maps``
 (``_reflect``): nsd is psd, and ``anti=True`` is the dissipative problem,
 on (x, -y, z, -w) with the result negated.
+
+``verify_solution`` audits a claimed solution against the data of these
+problems (residuals, structure deviation, the cone's extreme eigenvalue).
+It lives next to them so that a CLI solve can audit its result without
+loading the oracles.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -62,7 +67,16 @@ __all__ = [
     "dsm_characterize_type2",
     "ScalarProduct",
     "jordan_lie_reduce",
+    "VerificationReport",
+    "verify_solution",
 ]
+
+#: residuals up to this multiple of ``residual_tol`` (relative to the data's
+#: scale), and in ``verify_solution`` eigenvalues down to this multiple of
+#: ``-psd_tol`` times ||Delta1||, count as zero: a solution sums O(n) rounded
+#: terms per entry, and a check must pass every correct one while rejecting
+#: any error far above rounding
+_AUDIT_FACTOR = 100.0
 
 #: structure families accepted by dsm_solve: those with a form
 DSM_FAMILIES = tuple(family for family, spec in FAMILIES.items() if spec.form is not None)
@@ -669,3 +683,66 @@ def jordan_lie_reduce(
     sol.diagnostics["algebra"] = sp.algebra
     sol.diagnostics["form"] = sp.form
     return sol
+
+
+# ---------------------------------------------------------------------------
+# residual audits
+
+
+@dataclass
+class VerificationReport:
+    interp_resid: float
+    adjoint_resid: float
+    structure_dev: float
+    min_eig: float | None
+    ok: bool
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def verify_solution(
+    delta,
+    problem,
+    family: StructureFamily,
+    cfg: ToleranceConfig = DEFAULT_TOL,
+) -> VerificationReport:
+    """Residual audit of a claimed solution against its problem data.
+
+    Reports relative interpolation residuals for both constraints, the
+    structure deviation of the square block, and (for cone families) the
+    relevant extreme eigenvalue.  ``ok`` is the conjunction of all
+    per-item tolerance checks.
+    """
+    delta = as_complex(delta, "delta")
+    family = StructureFamily(family)
+    spec = FAMILIES[family]
+    z = w = None
+    if isinstance(problem, DsmProblem):
+        x, y, z, w = problem.x, problem.y, problem.z, problem.w
+    elif isinstance(problem, Type1Problem):
+        x, y, z, w = problem.X, problem.Y, problem.Z, problem.W
+    elif len(problem) == 2:
+        x, y = (as_complex(v) for v in problem)
+    else:
+        x, y, z, w = (as_complex(v) for v in problem)
+    d1 = delta[:, : delta.shape[0]]  # the square block; Delta has n rows in every problem
+
+    # each residual relative to the data's own scale; ||Delta v - r|| <= ||Delta|| ||v|| + ||r||,
+    # so a zero scale means a zero residual
+    def relative(resid: float, scale: float) -> float:
+        return resid / scale if scale > 0.0 else 0.0
+
+    r1 = relative(fro(delta @ x - y), fro(delta) * fro(x) + fro(y))
+    r2 = 0.0 if z is None else relative(fro(delta.conj().T @ z - w), fro(delta) * fro(z) + fro(w))
+    sd = fro(d1)
+    dev = relative(_deviation(family, d1), sd)
+    min_eig: float | None = None
+    if spec.cone is not None:  # the extreme eigenvalue of the Hermitian part, the largest for a negated cone
+        eigs = np.linalg.eigvalsh((d1 + d1.conj().T) / 2.0)
+        min_eig = float(eigs[0]) if spec.reflects is None else float(-eigs[-1])
+
+    ok = max(r1, r2, dev) <= _AUDIT_FACTOR * cfg.residual_tol
+    if min_eig is not None:
+        ok = ok and min_eig >= -_AUDIT_FACTOR * cfg.psd_tol * sd
+    return VerificationReport(r1, r2, dev, min_eig, bool(ok))

@@ -1,7 +1,13 @@
 """JSON/CSV serialization: matrix files, pencil files, result documents.
 
 Matrix documents keep real and imaginary parts as separate 2-d arrays
-("re"/"im"), which diffs cleanly and parses trivially from any language.
+("re"/"im"), which parses trivially from any language.  Every JSON
+document, printed or saved, is one line with sorted keys from
+``json.dumps(doc, sort_keys=True)``, which CPython serves with its C
+encoder.  An ``indent``, or ``json.dump`` to a file (it encodes
+incrementally), falls back to the pure-Python encoder, about twice as slow
+on a pencil document; so ``save_json`` encodes the whole document with
+``dumps`` and writes it once.
 CSV numeric fields use Python repr (shortest round-trip), so reparsing
 reproduces binary-equal doubles.
 Every output file is written through ``open_output``, which overwrites an
@@ -17,13 +23,15 @@ import json
 import os
 import re
 import stat
-from typing import Any, Iterator, TextIO
+from typing import TYPE_CHECKING, Any, Iterator, TextIO
 
 import numpy as np
 
 from . import __version__
 from .errors import IoFormatError
-from .pencil import PHPencil
+
+if TYPE_CHECKING:
+    from .pencil import PHPencil
 
 __all__ = [
     "matrix_to_doc",
@@ -102,6 +110,8 @@ def pencil_to_doc(p: PHPencil) -> dict:
 
 
 def pencil_from_doc(doc: Any) -> PHPencil:
+    from .pencil import PHPencil  # vector and matrix documents need no pencil layer
+
     if not isinstance(doc, dict):
         raise IoFormatError("pencil", "pencil document must be an object")
     for key in ("n", "m", "J", "R", "E", "B", "S"):
@@ -134,8 +144,7 @@ def open_output(path: str) -> Iterator[TextIO]:
 
 def save_json(path: str, doc: dict) -> None:
     with open_output(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_json(path: str) -> Any:

@@ -61,23 +61,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .dsm import DsmProblem, Type1Problem, _replaced
+from .dsm import _AUDIT_FACTOR, DsmProblem, Type1Problem, _replaced
 from .errors import CertificationError, DegenerateInputError, InconsistentConstraintsError
 from .linalg import as_complex, fro, svd_range
-from .maps import FAMILIES, _LINEAR, StructureFamily, _deviation, _reflect
-from .pencil import EigenPair, PHPencil, PerturbationBlocks, mapping_data, parse_blocks
+from .maps import FAMILIES, _LINEAR, StructureFamily, _reflect
 
-#: residuals up to this multiple of ``residual_tol`` (relative to the data's
-#: scale), and in ``verify_solution`` eigenvalues down to this multiple of
-#: ``-psd_tol`` times ||Delta1||, count as zero: a solution sums O(n) rounded
-#: terms per entry, and a check must pass every correct one while rejecting
-#: any error far above rounding
-_AUDIT_FACTOR = 100.0
+if TYPE_CHECKING:
+    from .pencil import EigenPair, PerturbationBlocks, PHPencil
 
 __all__ = [
     "GAP_FACTOR",
@@ -86,8 +82,6 @@ __all__ = [
     "oracle_min_structured",
     "OracleEtaResult",
     "oracle_eta",
-    "VerificationReport",
-    "verify_solution",
 ]
 
 
@@ -633,6 +627,8 @@ def oracle_eta(
     block that cannot be made positive definite on the constraint set, or a
     gap that cannot be certified, raises ``CertificationError``.
     """
+    from .pencil import PerturbationBlocks, mapping_data, parse_blocks  # only this oracle needs the pencil layer
+
     blocks = parse_blocks(blocks)
     if variant not in ("s", "sd"):
         raise ValueError(f"variant must be 's' or 'sd', got {variant!r}")
@@ -662,66 +658,3 @@ def oracle_eta(
     pert = PerturbationBlocks(*(out.get(name, np.zeros((n, n), dtype=complex)) for name in "JREB"))
     value = pert.norm()
     return OracleEtaResult(value, pert, True, resid, value if cone is None else lower)
-
-
-# ---------------------------------------------------------------------------
-# residual audits
-
-
-@dataclass
-class VerificationReport:
-    interp_resid: float
-    adjoint_resid: float
-    structure_dev: float
-    min_eig: float | None
-    ok: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def verify_solution(
-    delta,
-    problem,
-    family: StructureFamily,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-) -> VerificationReport:
-    """Residual audit of a claimed solution against its problem data.
-
-    Reports relative interpolation residuals for both constraints, the
-    structure deviation of the square block, and (for cone families) the
-    relevant extreme eigenvalue.  ``ok`` is the conjunction of all
-    per-item tolerance checks.
-    """
-    delta = as_complex(delta, "delta")
-    family = StructureFamily(family)
-    spec = FAMILIES[family]
-    z = w = None
-    if isinstance(problem, DsmProblem):
-        x, y, z, w = problem.x, problem.y, problem.z, problem.w
-    elif isinstance(problem, Type1Problem):
-        x, y, z, w = problem.X, problem.Y, problem.Z, problem.W
-    elif len(problem) == 2:
-        x, y = (as_complex(v) for v in problem)
-    else:
-        x, y, z, w = (as_complex(v) for v in problem)
-    d1 = delta[:, : delta.shape[0]]  # the square block; Delta has n rows in every problem
-
-    # each residual relative to the data's own scale; ||Delta v - r|| <= ||Delta|| ||v|| + ||r||,
-    # so a zero scale means a zero residual
-    def relative(resid: float, scale: float) -> float:
-        return resid / scale if scale > 0.0 else 0.0
-
-    r1 = relative(fro(delta @ x - y), fro(delta) * fro(x) + fro(y))
-    r2 = 0.0 if z is None else relative(fro(delta.conj().T @ z - w), fro(delta) * fro(z) + fro(w))
-    sd = fro(d1)
-    dev = relative(_deviation(family, d1), sd)
-    min_eig: float | None = None
-    if spec.cone is not None:  # the extreme eigenvalue of the Hermitian part, the largest for a negated cone
-        eigs = np.linalg.eigvalsh((d1 + d1.conj().T) / 2.0)
-        min_eig = float(eigs[0]) if spec.reflects is None else float(-eigs[-1])
-
-    ok = max(r1, r2, dev) <= _AUDIT_FACTOR * cfg.residual_tol
-    if min_eig is not None:
-        ok = ok and min_eig >= -_AUDIT_FACTOR * cfg.psd_tol * sd
-    return VerificationReport(r1, r2, dev, min_eig, bool(ok))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dsmkit import gen_pencil
+from dsmkit.cli import main as cli_main
 from dsmkit.errors import IoFormatError
 from dsmkit.io import (
     format_imaginary,
@@ -105,7 +106,7 @@ def test_csv_round_trip_binary_equal():
 
 
 def _pinned(doc):
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
 
 @pytest.mark.parametrize("doc", [
@@ -138,9 +139,7 @@ def test_an_encoder_error_leaves_no_old_tail(tmp_path):
     doc = {"a": list(range(5000)), "z": object()}  # the encoder fails on the last key
     with pytest.raises(TypeError):
         save_json(str(path), doc)
-    data = path.read_bytes()
-    assert 0 < len(data) < 200_000 and b"#" not in data
-    assert _pinned(dict(doc, z=None)).startswith(data)  # only what was written before the error
+    assert path.read_bytes() == b""  # the document is encoded in full before the first write
 
 
 def test_a_new_file_gets_the_mode_of_open_w(tmp_path):
@@ -196,3 +195,35 @@ def test_every_output_file_goes_through_open_output():
     assert files
     offenders = [f"{f.name}:{line}" for f in files for line in _write_opens(ast.parse(f.read_text()))]
     assert offenders == []
+
+
+def _verify(capsys, path):
+    code = cli_main(["verify", "--result", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", ["backerr", "map"])
+def test_verify_reads_a_document_in_the_old_indented_layout_alike(capsys, tmp_path, command):
+    # documents were once written with indent=2: only whitespace differs, so verify must agree on both
+    if command == "backerr":
+        path = str(tmp_path / "P.json")
+        save_json(path, pencil_to_doc(gen_pencil(4, 1, seed=3)))
+        argv = ["backerr", "--pencil", path, "--lambda", "0.5i", "--blocks", "JREB", "--seed", "1"]
+        claimed = ("bounds", "eta_upper")
+    else:
+        path = str(tmp_path / "x.json")  # y = x: the identity is a Hermitian solution
+        save_json(path, vector_to_doc(crandn(np.random.default_rng(5), 3)))
+        argv = ["map", "solve", "--family", "hermitian", "--x", path, "--y", path]
+        claimed = ("norms", "upper")
+    assert cli_main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    tampered = json.loads(json.dumps(doc))
+    tampered[claimed[0]][claimed[1]] *= 1.5
+    for claim, want in ((doc, 0), (tampered, 1)):
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        save_json(str(compact), claim)
+        indented.write_text(json.dumps(claim, indent=2, sort_keys=True) + "\n")
+        assert compact.read_text().count("\n") == 1 < indented.read_text().count("\n")
+        code, report = _verify(capsys, compact)
+        assert code == want and report["ok"] is (want == 0)
+        assert _verify(capsys, indented) == (code, report)
