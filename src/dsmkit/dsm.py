@@ -82,9 +82,27 @@ _AUDIT_FACTOR = 100.0
 DSM_FAMILIES = tuple(family for family, spec in FAMILIES.items() if spec.form is not None)
 
 
+class _Norms(dict):
+    """The norms of a problem's data ``arrays`` by name, each taken (``fro``) on its first read and kept.
+
+    It holds the arrays, not the problem, so that a problem and its norms form no reference cycle."""
+
+    __slots__ = ("_arrays",)
+
+    def __init__(self, arrays: dict, taken=()) -> None:
+        super().__init__(taken)
+        self._arrays = arrays
+
+    def __missing__(self, name: str) -> float:
+        self[name] = value = fro(self._arrays[name])
+        return value
+
+
 @dataclass(frozen=True)
 class DsmProblem:
-    """Data (x, y, z, w), x = [x1; x2] and w = [w1; w2] split at n: validated once, frozen with n, m, x, w, _norms."""
+    """Data (x, y, z, w), x = [x1; x2] and w = [w1; w2] split at n: validated once, frozen with n, m, x, w, _norms.
+
+    ``_norms`` takes each data norm on first read, so a norm no formula reads is never taken."""
 
     x1: np.ndarray
     x2: np.ndarray
@@ -103,7 +121,7 @@ class DsmProblem:
                 f"inconsistent dimensions: x1/y/z/w1 sizes {shapes}, x2 {m}, w2 {self.w2.shape[0]}"
             )
         attrs.update(n=n, m=m, x=np.concatenate([self.x1, self.x2]), w=np.concatenate([self.w1, self.w2]))
-        attrs["_norms"] = {name: fro(attrs[name]) for name in ("x1", "x2", "y", "z", "w1", "x", "w")}
+        attrs["_norms"] = _Norms({name: attrs[name] for name in ("x1", "x2", "y", "z", "w1", "x", "w")})
 
 
 def _replaced(data, **arrays):
@@ -676,7 +694,8 @@ def jordan_lie_reduce(
     if sp.M.shape[0] != p.n:
         raise DimensionMismatchError(f"M is {sp.M.shape[0]}x{sp.M.shape[0]} but the problem has n = {p.n}")
     my, mz = as_complex(sp.M @ p.y, "M y"), as_complex(sp.M @ p.z, "M z")
-    sol = _dsm_solve(family, _replaced(p, y=my, z=mz, _norms={**p._norms, "y": fro(my), "z": fro(mz)}), cfg)
+    norms = _Norms({**p._norms._arrays, "y": my, "z": mz}, {k: v for k, v in p._norms.items() if k not in ("y", "z")})
+    sol = _dsm_solve(family, _replaced(p, y=my, z=mz, _norms=norms), cfg)
     if sol.feasible:
         sol.H1, sol.H2 = (vars(sol)[name].adjoint_lmul(sp.M) for name in ("H1", "H2"))
     sol.diagnostics["reduced_family"] = family.value

@@ -256,6 +256,22 @@ def _norm(a: np.ndarray, axes: int = 1) -> np.ndarray:
     return np.sqrt((x @ x.swapaxes(-1, -2))[..., 0, 0])
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i* b_i for every row i of two stacks of vectors, as stacked products (see ``_norm``)."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _nonzero(x: np.ndarray) -> np.ndarray:
+    """x as a divisor: 1 where x = 0."""
+    return x + (x == 0)
+
+
+def _pinv_cols(x: np.ndarray, nx: np.ndarray) -> np.ndarray:
+    """The columns (x+)* = x / ||x||^2 of a stack of vectors of norms ``nx`` (zero for x = 0), without squaring."""
+    nx = _nonzero(nx)[:, None]
+    return x / nx / nx
+
+
 #: a Gram diagonal entry (a factor's squared norm) outside this range is taken again from scaled factors
 _GRAM_RANGE = (2.0**-968, 2.0**968)
 
@@ -296,11 +312,10 @@ class Factored:
     LAPACK call: the terms of the mapping solvers' closed forms are
     orthogonal in the Frobenius inner product, so that sum does not cancel.
     ``part_norms`` takes the norms of a stack of F C F* and of their
-    Hermitian and skew parts from a QR core, which keeps a small part
-    accurate where a difference of Gram terms would not, at one QR per row
-    (at n = 16, k = 2, one thread: about 16 us against 3 us for one Gram
-    product).  A block
-    made with ``norm=``, a norm its maker took that way, reports that norm.
+    Hermitian and skew parts for F given in coordinates of an orthonormal
+    basis, by forming the small F C F*, which keeps a small part accurate
+    where a difference of Gram terms would not.  A block made with
+    ``norm=``, a norm its maker took that way, reports that norm.
     """
 
     __slots__ = ("F", "G", "C", "_dense", "_norm")
@@ -317,16 +332,20 @@ class Factored:
 
     @staticmethod
     def part_norms(F: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """||K||, ||herm K||, ||skew K|| (Frobenius) of K = F C F*, for every row of a stack.
+        """||K||, ||herm K||, ||skew K|| (Frobenius) of K = F C F*, for every row of a stack of short F.
 
-        With a thin QR F = QR, Q has orthonormal columns, so K and both its
-        parts have the norms of R C R* and its parts: a core of at most 6 x 6.
-        Unlike a difference of Gram traces this keeps a small part accurate.
+        F is k x w with k small: the coordinates of a block's factor in an
+        orthonormal basis Q (``pencil``'s eight products, k <= 8), so Q K Q*
+        has the norms of K and of its parts.  K is formed, k x k, which
+        keeps a small part accurate where a difference of Gram terms would not.
         """
-        R = np.linalg.qr(F, mode="r")
-        K = R @ C @ _ct(R)
-        hh = (K + _ct(K)) / 2.0
-        return tuple(_norm(np.stack([K, hh, K - hh], axis=1), 2).T)
+        K = F @ C @ _ct(F)
+        hh = np.conjugate(K.swapaxes(-1, -2))
+        hh += K
+        hh /= 2.0
+        nk, nh = _norm(K, 2), _norm(hh, 2)
+        K -= hh
+        return nk, nh, _norm(K, 2)
 
     def __neg__(self) -> "Factored":
         return Factored(-self.F, self.G, self.C, self._norm)

@@ -28,23 +28,31 @@ of that perturbation, which ``reconstruct_perturbation`` builds and checks.
 Evaluation keeps the rank structure.  All mapping data are vectors, so
 the square block is H1 = F C F* with F of at most six columns (the
 rank-one factors of the formula; projectors act as vector updates
-P_x v = v - x (x+ v)) and the column block is H2 = u1 (u1+ B).  Their
-norms come from a thin QR of F and a core of at most 6 x 6
-(``linalg.Factored.part_norms``), without forming any n x n matrix, and
-the H1 that ``eta_*`` returns carries that norm.  One core, ``_solve``,
-takes a stack of rows (lambda, eigenvector): the blocks are applied to
-each eigenvector once (J u1, R u1, E u1, J u2, R u2, E u2, B* u1), then
-a few stacked numpy calls serve the whole stack.  A row has the same
-bits in any stack (last-axis sums and stacked LAPACK, no 2-D
-matrix-vector product), so ``experiment_table``, in stacks of a fixed
-memory budget, equals ``eta_sd``/``eta_s``, a stack of one that returns
-H1 = F C F* and H2 = u1 (u1+ B) as ``linalg.Factored`` blocks: O(n) per
-call after the block products, and O(n^2) only when H1 or H2 is read.
+P_x v = v - x (x+ v)) and the column block is H2 = u1 (u1+ B).  Every
+vector of the formulas is a combination of eight products of the
+eigenvector, V = [u1 u2 J u1 R u1 E u1 J u2 R u2 E u2], with weights
+affine in lambda (ty = J u2 - R u2 + lam E u2, w1 = -(J + R + lam E) u1)
+or taken from inner products of such vectors: minimal mappings are built
+from the data vectors alone.  So the blocks are applied to each
+eigenvector once, in O(n^2), and one Householder QR V = Q R_V, O(n 64),
+gives the coordinates R_V a of every combination V a in the orthonormal
+basis Q, min(n, 8) numbers with its norm and inner products.  One core,
+``_solve``, runs on coordinates only and takes a stack of rows (lambda,
+eigenvector): O(1) per row whatever n, a few stacked numpy calls for the
+whole stack, and the norms of H1 and its parts from the small F C F* of
+the coordinates (``linalg.Factored.part_norms``), without forming any
+n x n matrix.  A row has the same bits in any stack (last-axis sums and
+stacked LAPACK, no 2-D matrix-vector product), so ``experiment_table``
+equals ``eta_sd``/``eta_s``, a stack of one that returns H1 = Q F C F* Q*
+and H2 = u1 (u1+ B) as ``linalg.Factored`` blocks carrying the norms its
+bounds took: O(n) per call after the block products, and O(n^2) only
+when H1 or H2 is read.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
 
@@ -61,7 +69,7 @@ from .errors import (
     StructureError,
 )
 from .linalg import DenseOnRead, Factored, _ct, _norm, _semidefinite, as_complex, fro, herm_skew_parts
-from .linalg import _complement_map, _kept, _psd_factor
+from .linalg import _complement_map, _dot, _kept, _nonzero, _pinv_cols, _psd_factor
 from .maps import StructureFamily, _in_family
 
 __all__ = [
@@ -284,24 +292,29 @@ def mapping_data(P: PHPencil, ep: EigenPair):
     return x, y, z, w
 
 
+#: the eight vectors of an eigenvector that eta reads, in the order of ``_Products.vecs``
+_VECTORS = ("u1", "u2", "Ju1", "Ru1", "Eu1", "Ju2", "Ru2", "Eu2")
+
+
 @dataclass
 class _Products:
     """The pencil's blocks applied to a stack of eigenvectors, a row each: all that eta needs of u.
 
-    Every field but the block norms has a row per eigenvector.  u is scaled by a power of two to a norm in
+    ``vecs`` holds the eight n-vectors of ``_VECTORS`` of each eigenvector (``v.Ju1`` reads one) and
+    ``coords`` their coordinates: one Householder QR V = Q R_V of V = [u1 u2 J u1 R u1 E u1 J u2 R u2 E u2]
+    (n x 8) gives Q with orthonormal columns, so a combination V a has the norm and inner products of its
+    coordinates R_V a, k = min(n, 8) numbers; ``coords[:, j]`` is column j of R_V and ``norms[:, j]`` its
+    norm.  Every vector of eta is such a combination, so the core (``_solve``) reads coordinates only.  Every
+    field but the block norms has a row per eigenvector.  u is scaled by a power of two to a norm in
     [0.5, 1).  That is exact in floating point and changes no result, because H1 and H2 are homogeneous of
     degree zero in u, and it keeps every inner product of two vectors far from overflow and underflow.
     Nothing here depends on lambda, so a sweep with a fixed eigenvector computes it once.
     """
 
-    u1: np.ndarray
-    u2: np.ndarray
-    Ju1: np.ndarray
-    Ru1: np.ndarray
-    Eu1: np.ndarray
-    Ju2: np.ndarray
-    Ru2: np.ndarray
-    Eu2: np.ndarray
+    vecs: np.ndarray  # (rows, 8, n)
+    coords: np.ndarray  # (rows, 8, k)
+    norms: np.ndarray  # (rows, 8): ||u1||, ..., ||E u2|| from the coordinates
+    basis: np.ndarray | None  # Q, (rows, n, k), when asked for: a caller that forms H1 in C^n
     Bu1: np.ndarray  # B* u1
     u3_zero: np.ndarray
     alpha: np.ndarray  # u2 ~ alpha u1, and whether it holds with alpha != 0
@@ -311,33 +324,49 @@ class _Products:
     nE: float
     nB: float
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        """The n-vectors of ``_VECTORS`` by name, one row per eigenvector."""
+        if name in _VECTORS:
+            return self.vecs[:, _VECTORS.index(name)]
+        raise AttributeError(name)
 
-def _block_norms(P: PHPencil) -> tuple[float, float, float, float]:
-    """||J||, ||R||, ||E||, ||B||: what the predicates of eta take as the data's scale."""
-    return fro(P.J), fro(P.R), fro(P.E), fro(P.B)
+
+def _block_norms(P: PHPencil, blocks=None) -> tuple[float, float, float, float]:
+    """||J||, ||R||, ||E||, ||B||: what the predicates of eta take as the data's scale, for the selection ``blocks``.
+
+    Every selection reads ||R||, only RB ||J|| and ||E|| (isotropy) and only JR, RE, JRE ||B|| (ker B*): a norm
+    no predicate of ``blocks`` reads is not taken, and is nan.  ``blocks=None`` takes all four."""
+    rb, kb = blocks in (None, frozenset("RB")), blocks is None or blocks in _KERNEL_B
+    return fro(P.J) if rb else math.nan, fro(P.R), fro(P.E) if rb else math.nan, fro(P.B) if kb else math.nan
 
 
 def _products(P: PHPencil, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray, cfg: ToleranceConfig,
-              norms=None) -> _Products:
+              norms=None, basis: bool = False) -> _Products:
     """The products of the eigenvectors [u1; u2; u3], one per row; ``norms`` (``_block_norms``) saves four n^2 passes.
 
-    Each block is applied as M @ U[..., None], one matrix-vector product per row, so a row has the bits of
-    ``M @ u`` in any stack; 2-D products of n x 2 would change their last bits with the width."""
+    Each block is applied as M @ U[..., None], one matrix-vector product per row, and the QR of V is one
+    stacked LAPACK call, so a row has the bits of its stack of one; 2-D products of n x 2 would change their
+    last bits with the width.  ``basis`` asks for Q too: the same factorization, so R has the same bits."""
     if u1.shape[-1] != P.n or u3.shape[-1] != P.m:
         raise DimensionMismatchError(
             f"eigenpair dims ({u1.shape[-1]}, {u3.shape[-1]}) do not match pencil ({P.n}, {P.m})"
         )
-    n3 = _norm(u3)
-    unorm = np.hypot(np.hypot(_norm(u1), _norm(u2)), n3)
+    n3, unorm = _norm(u3), _norm(np.concatenate([u1, u2, u3], axis=-1))
     s = np.ldexp(1.0, -np.frexp(unorm)[1])[:, None]
-    u1, u2, k = s * u1, s * u2, len(u1)
-    u = np.concatenate([u1, u2])[..., None]
-    Ju, Ru, Eu = ((M @ u)[..., 0] for M in (P.J, P.R, P.E))
-    d = _dot(u1, u1)  # alpha by least squares, as ``linalg._colinear_coeff``: zero for u1 = 0
-    alpha = _dot(u1, u2) / np.where(d != 0, d, 1.0)
-    colinear = (d != 0) & (alpha != 0) & (_norm(u2 - alpha[:, None] * u1) <= cfg.residual_tol * _norm(u2))
-    return _Products(u1, u2, Ju[:k], Ru[:k], Eu[:k], Ju[k:], Ru[k:], Eu[k:], (P.B.conj().T @ u1[..., None])[..., 0],
-                     n3 <= cfg.residual_tol * unorm, alpha, colinear, *(norms or _block_norms(P)))
+    vecs = np.empty((len(u1), 8, P.n), dtype=complex)
+    vecs[:, 0], vecs[:, 1] = s * u1, s * u2
+    for j, M in ((2, P.J), (3, P.R), (4, P.E)):
+        vecs[:, j :: 3] = (M @ vecs[:, :2, :, None])[..., 0]  # M u1 and M u2
+    V = vecs.swapaxes(1, 2)
+    q, r = np.linalg.qr(V) if basis else (None, np.linalg.qr(V, mode="r"))
+    coords = np.ascontiguousarray(r.swapaxes(1, 2))
+    cu1, cu2, nrm = coords[:, 0], coords[:, 1], _norm(coords)
+    d = _dot(cu1, cu1)  # alpha by least squares, as ``linalg._colinear_coeff``: zero for u1 = 0
+    alpha = _dot(cu1, cu2) / _nonzero(d)
+    colinear = (d != 0) & (alpha != 0) & (_norm(cu2 - alpha[:, None] * cu1) <= cfg.residual_tol * nrm[:, 1])
+    Bu1 = (P.B.conj().T @ vecs[:, 0, :, None])[..., 0]
+    return _Products(vecs, coords, nrm, q, Bu1, n3 <= cfg.residual_tol * unorm, alpha, colinear,
+                     *(norms or _block_norms(P)))
 
 
 def _select(vs: list[_Products], rows) -> _Products:
@@ -346,24 +375,13 @@ def _select(vs: list[_Products], rows) -> _Products:
     return _Products(*(np.concatenate(f)[rows] if np.ndim(f[0]) else f[0] for f in fields))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_i* b_i for every row i of two stacks of vectors, as stacked products (see ``_norm``)."""
-    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _per_row(c, rows: int) -> list:
     """``c`` (one value, or one per eigenvector or row of a stack) as a list of one entry per row."""
-    c = np.ravel(c).tolist()
+    c = np.asarray(c).ravel().tolist()
     return c * rows if len(c) == 1 else c
 
 
-def _pinv_cols(x: np.ndarray, nx: np.ndarray) -> np.ndarray:
-    """The columns (x+)* = x / ||x||^2 of a stack of vectors of norms ``nx`` (zero for x = 0), without squaring."""
-    nx = np.where(nx > 0, nx, 1.0)[:, None]
-    return x / nx / nx
-
-
-def _anti_dissipative_h1(v: _Products, n1, ty, w1, cfg, report: dict, warnings: list):
+def _anti_dissipative_h1(u1, u2, n1, n2, alpha, ty, w1, report: dict, warnings: list):
     """Factors (F, C), H1 = F C F*, of the square-block minimizer for the semidefinite variant.
 
     H1 = ty u2+ + (u1+)* (P_u2 w1)* + P_u2 g (P_u2 g)* / (4 Re(u2* ty)) with
@@ -373,43 +391,40 @@ def _anti_dissipative_h1(v: _Products, n1, ty, w1, cfg, report: dict, warnings: 
     The Gram term needs R u2 != 0 (otherwise the denominator vanishes); in
     that boundary case it is dropped, which keeps interpolation and
     dissipativity but no longer certifies minimality.  The rows share one
-    eigenvector; a row with Re(u2* ty) >= 0 gets zero Gram columns.
+    eigenvector; a row with Re(u2* ty) >= 0 gets zero Gram columns.  Every
+    vector is given, and F returned, in the coordinates of ``_Products``.
     """
-    u2, n2 = v.u2, _norm(v.u2)
-    report["R_u2_nonzero"] = _norm(v.Ru2) > cfg.residual_tol * v.nR * n2
-    if ((abs(abs(v.alpha) - 1.0) > cfg.residual_tol) & report["u2_colinear_u1"]).any():  # |alpha| against 1
-        warnings.append("colinearity factor is not unit-modulus; the Gram-vector weighting "
-                        "is only certified for |alpha| = 1")
-    u2h = u2 / np.where(n2 > 0, n2, 1.0)[:, None]
+    u2h = u2 / _nonzero(n2)[:, None]
 
     def proj(w):
         return w - u2h * _dot(u2h, w)[:, None]
 
-    left, right = [ty, _pinv_cols(v.u1, n1)], [_pinv_cols(u2, n2), proj(w1)]
+    left, right = [ty, _pinv_cols(u1, n1)], [_pinv_cols(u2, n2), proj(w1)]
     rexy = _dot(u2, ty).real[:, None]
     if (report["R_u2_nonzero"] & report["u2_colinear_u1"]).all():
-        g = proj(ty + (v.alpha / abs(v.alpha) ** 2)[:, None] * w1) * (rexy < 0)
+        g = proj(ty + (alpha / abs(alpha) ** 2)[:, None] * w1) * (rexy < 0)
         left.append(g)
         right.append(g / (4.0 * np.where(rexy < 0, rexy, 1.0)))
     elif not report["R_u2_nonzero"].all():
         warnings.append("R u2 = 0: Gram term dropped, minimality not certified")
-    k = len(left)
-    C = np.zeros((2 * k, 2 * k), dtype=complex)
-    C[:k, k:] = np.eye(k)
-    F = np.empty(ty.shape + (2 * k,), dtype=complex)
+    F = np.empty(ty.shape + (2 * len(left),), dtype=complex)
     for j, col in enumerate(left + right):
         F[..., j] = col
-    return F, C[None]  # one core for every row
+    return F, np.eye(2 * len(left), k=len(left), dtype=complex)[None]  # one core for every row
+
+
+def _weight(blocks: frozenset[str], lam):
+    """d = [J] + [E] |lam|^2, elementwise for an array of lambda: the split rule (``_split``) costs ||Hs||^2/d."""
+    return float("J" in blocks) + float("E" in blocks) * np.abs(lam) ** 2
 
 
 def _split(blocks: frozenset[str], lam) -> tuple:
-    """(cJ, cE, d = [J] + [E] |lam|^2): dJ = cJ Hs, dE = cE Hs is dJ + lam dE = Hs at least cost ||Hs||^2/d.
+    """(cJ, cE, d = ``_weight``): dJ = cJ Hs, dE = cE Hs is dJ + lam dE = Hs at least cost ||Hs||^2/d.
 
-    Elementwise for an array of lambda; d = 0 (neither J nor E) gives zero weights."""
-    j, e = float("J" in blocks), float("E" in blocks)
-    d = j + e * np.abs(lam) ** 2
+    d = 0 (neither J nor E) gives zero weights."""
+    d = _weight(blocks, lam)
     w = np.where(d > 0, d, np.inf)
-    return j / w, e * np.conj(lam) / w, d
+    return float("J" in blocks) / w, float("E" in blocks) * np.conj(lam) / w, d
 
 
 def _bounds(blocks: frozenset[str], variant: str, lams, h1n, hhn, hsn, h2n) -> tuple[np.ndarray, np.ndarray]:
@@ -419,48 +434,62 @@ def _bounds(blocks: frozenset[str], variant: str, lams, h1n, hhn, hsn, h2n) -> t
     by 1) and, for "sd", lower^2 = ||H1||^2 / max(1, d) + ||H2||^2; "s" is exact.
     """
     hh2, hs2 = (hhn**2, hsn**2) if "R" in blocks else (0.0, h1n**2)
-    d = _split(blocks, lams)[2]
-    up = np.sqrt(hh2 + hs2 / np.where(d > 0, d, 1.0) + h2n**2)
+    d = _weight(blocks, lams)
+    up = np.sqrt(hh2 + hs2 / _nonzero(d) + h2n**2)
     if variant == "s":
         return up, up
     return np.sqrt((hh2 + hs2) / np.maximum(1.0, d) + h2n**2), up
 
 
-def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products, cfg: ToleranceConfig):
+_NOT_NEGATIVE_DEFINITE = "X*Y must be Hermitian negative definite for the RB formula"
+
+
+#: the core's results for a stack of rows (``_solve``), a list each but F, C and norm: ``side``, the names
+#: of the side conditions, all that an infinite row reports; ``report``, every verdict by name; ``finite``,
+#: the side conditions hold; ``refused``, RB "sd" rows that are finite but whose X*Y is not negative
+#: definite (their error); the bounds (of a finite row), ``exact``, ``alpha`` and ``warnings``;
+#: and H1 = Q F C F* Q* for the basis Q of the coordinates (C[0] for every row when C holds one core),
+#: with ``norm`` = ||H1|| as the bounds took it
+_Rows = namedtuple("_Rows", "side report finite refused lower upper exact alpha warnings F C norm")
+
+
+def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products, cfg: ToleranceConfig) -> _Rows:
     """Bounds, verdicts and the factors of H1 for a stack of rows, each one eigenvector at one lambda.
 
     ``lams`` holds the B imaginary lambda; ``v`` holds the products (``_products``) of one eigenvector, which
-    every row shares, or of B, one per row.  Returns ``(results, F, C, nK)``: ``results[i]`` is row i's
-    ``BackwardErrorBounds`` without H1 and H2 (an infinite row keeps only its side conditions) or its
-    ``DsmkitError``, its H1 is F[i] C[i] F[i]* (C[0] when C holds one core for all rows), F of at most six
-    columns, and nK[i] is ||H1|| as the bounds took it (``Factored.part_norms``).  ty = J u2 - R u2 + lam E u2
-    and w1 = -(J u1 + R u1 + lam E u1) are affine in lambda, so given ``v`` a row costs O(n): vector updates,
-    an SVD of n x 2 per eigenvector and a thin QR of F, all stacked (see ``linalg._norm``).  F has one width
-    in every row: a factor a row lacks (a rank-one X, no Gram term) is a zero column.  ``variant`` is "s" for
-    the symmetry-only formulas (also for the selections that eta_sd delegates) and "sd" otherwise.
+    every row shares, or of B, one per row.  Every vector the formulas use is a combination of the eight of
+    ``_VECTORS``, ty = J u2 - R u2 + lam E u2 and w1 = -(J u1 + R u1 + lam E u1) affine in lambda, so the core
+    runs on their coordinates (``_Products``), k = min(n, 8) numbers per vector: the SVD of the k x 2
+    coordinates of X = [u2 u1], and the norms of H1 and its parts from the k x k F C F*
+    (``Factored.part_norms``), all stacked (see ``linalg._norm``).  A row costs O(1) whatever n: all O(n)
+    work is the products, once per eigenvector.  H1 = Q F C F* Q* for the basis Q of the coordinates, F of
+    at most six columns, with one width in every row: a factor a row lacks (a rank-one X, no Gram term) is a
+    zero column.  ``variant`` is "s" for the symmetry-only formulas (also for the selections that eta_sd
+    delegates) and "sd" otherwise.
     """
-    tol = cfg.residual_tol
-    n1 = _norm(v.u1)
+    tol, rows = cfg.residual_tol, len(lams)
+    cu1, cu2, cJu1, cRu1, cEu1, cJu2, cRu2, cEu2 = v.coords.swapaxes(0, 1)
+    n1, n2, _, nRu1, _, _, nRu2, _ = v.norms.T
     rb = blocks == frozenset("RB")
     report: dict = {"u3_zero": v.u3_zero}
     if rb:
-        iso = _dot(v.u1, v.Ju1) + lams * _dot(v.u1, v.Eu1)
+        iso = _dot(cu1, cJu1) + lams * _dot(cu1, cEu1)
         report["u1_isotropic"] = abs(iso) <= tol * (v.nJ + abs(lams) * v.nE) * n1**2
         if variant == "sd":
-            report["R_u1_nonzero"] = _norm(v.Ru1) > tol * v.nR * n1
+            report["R_u1_nonzero"] = nRu1 > tol * v.nR * n1
     elif variant == "s":
-        report["R_u1_zero"] = _norm(v.Ru1) <= tol * v.nR * n1
+        report["R_u1_zero"] = nRu1 <= tol * v.nR * n1
     elif blocks in _KERNEL_B:
         report["B_adj_u1_zero"] = _norm(v.Bu1) <= tol * v.nB * n1
-    pre = list(report)  # an infinite row reports these verdicts only
-    ty = v.Ju2 - v.Ru2 + lams[:, None] * v.Eu2
-    w1 = -(v.Ju1 + v.Ru1 + lams[:, None] * v.Eu1)
-    h2n = _norm(v.Bu1) / np.where(n1 > 0, n1, 1.0) if "B" in blocks else 0.0
+    side = list(report)  # an infinite row reports these verdicts only
+    ty = cJu2 - cRu2 + lams[:, None] * cEu2
+    w1 = -(cJu1 + cRu1 + lams[:, None] * cEu1)
+    h2n = _norm(v.Bu1) / _nonzero(n1) if "B" in blocks else 0.0
     warnings: list[str] = []
-    alpha, refused = _per_row(v.alpha, len(lams)), np.zeros(lams.shape, dtype=bool)
+    alpha, refused = _per_row(v.alpha, rows), np.zeros(rows, dtype=bool)
 
     if variant == "s" or rb:
-        X = np.stack([v.u2, v.u1], axis=-1)
+        X = np.stack([cu2, cu1], axis=-1)
         Y = np.stack([ty, w1 if rb else -w1], axis=-1)
         # the thin SVD of X by svd_range's rank rule; a dropped direction is a zero column, not cut
         u, s, vh = np.linalg.svd(X, full_matrices=False)
@@ -477,7 +506,7 @@ def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products,
         report["u2_colinear_u1"] = v.colinear
         F = np.concatenate([np.broadcast_to(U, G.shape), G], axis=-1)
         r = G.shape[-1]  # min(n, 2)
-        C = np.zeros(lams.shape + (2 * r, 2 * r), dtype=complex)
+        C = np.zeros((rows, 2 * r, 2 * r), dtype=complex)
         C[:, :r, :r], C[:, :r, r:], C[:, r:, :r] = -(_ct(U) @ G), sign * np.eye(r), np.eye(r)
         exact = report["interp_YXdX"] & report["cross_gram"]
     elif rb:
@@ -488,28 +517,23 @@ def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products,
         refused = ~negdef
         # H1 = Y (Y*X)^-1 Y*; a refused row inverts I instead, so that no row stops the stack
         F, C = Y, np.linalg.inv(np.where(negdef[:, None, None], _ct(xy), np.eye(2)))
-        exact, alpha = report["interp_YXdX"], [None] * len(lams)
+        exact, alpha = report["interp_YXdX"], [None] * rows
     else:
         report["u2_colinear_u1"] = v.colinear
-        F, C = _anti_dissipative_h1(v, n1, ty, w1, cfg, report, warnings)
+        report["R_u2_nonzero"] = nRu2 > tol * v.nR * n2
+        if ((abs(abs(v.alpha) - 1.0) > tol) & v.colinear).any():  # |alpha| against 1
+            warnings.append("colinearity factor is not unit-modulus; the Gram-vector weighting "
+                            "is only certified for |alpha| = 1")
+        F, C = _anti_dissipative_h1(cu1, cu2, n1, n2, v.alpha, ty, w1, report, warnings)
         exact = blocks in _EXACT_SD and report["u2_colinear_u1"] & report["R_u2_nonzero"]
 
-    norms = Factored.part_norms(F, C)
-    lo, up = _bounds(blocks, variant, lams, *norms, h2n)
-    lo, up, exact = lo.tolist(), up.tolist(), _per_row(exact, len(lams))
-    cols = {k: _per_row(c, len(lams)) for k, c in report.items()}
-    results: list = []
-    for i, lam in enumerate(lams.tolist()):
-        if not all(cols[k][i] for k in pre):
-            results.append(BackwardErrorBounds(False, math.inf, math.inf, variant=variant, blocks=blocks, lam=lam,
-                                               conditions_report={k: cols[k][i] for k in pre}))
-        elif refused[i]:
-            results.append(HypothesisViolationError("X*Y must be Hermitian negative definite for the RB formula"))
-        else:
-            results.append(BackwardErrorBounds(True, lo[i], up[i], alpha=alpha[i], exact=exact[i], variant=variant,
-                                               conditions_report={k: c[i] for k, c in cols.items()}, blocks=blocks,
-                                               lam=lam, warnings=list(warnings)))
-    return results, F, C, norms[0]
+    norms, finite = Factored.part_norms(F, C), np.ones(rows, dtype=bool)
+    for name in side:
+        finite &= report[name]
+    lo, up = (b.tolist() for b in _bounds(blocks, variant, lams, *norms, h2n))
+    report = {name: _per_row(c, rows) for name, c in report.items()}
+    return _Rows(side, report, finite.tolist(), (refused & finite).tolist(), lo, up, _per_row(exact, rows), alpha,
+                 warnings, F, C, norms[0])
 
 
 def _formula_variant(blocks: frozenset[str], variant: str) -> str:
@@ -522,20 +546,26 @@ def _formula_variant(blocks: frozenset[str], variant: str) -> str:
 
 
 def _eta(P: PHPencil, ep: EigenPair, blocks, variant: str, cfg: ToleranceConfig) -> BackwardErrorBounds:
-    """eta_s/eta_sd: the core on a stack of one row, with H1 and H2 as factors (O(n^2) only when read)."""
+    """eta_s/eta_sd: the core on a stack of one row, with H1 and H2 as factors (O(n^2) only when read).
+
+    H1's left factor is Q F (n x 6), for the basis Q of the coordinates."""
     blocks = parse_blocks(blocks)
     formulas = _formula_variant(blocks, variant)
     if ep.lam == 0:
         raise DegenerateInputError("lambda must be nonzero imaginary")
-    v = _products(P, ep.u1[None], ep.u2[None], ep.u3[None], cfg)
-    (out,), F, C, nk = _solve(blocks, formulas, np.array([ep.lam]), v, cfg)
-    if isinstance(out, DsmkitError):
-        raise out
-    out.variant = variant
-    if out.finite:
-        out.H1 = Factored(F[0], F[0].conj(), C[0], norm=float(nk[0]))  # the norm its bounds were taken from
-        out.H2 = Factored(_pinv_cols(v.u1, _norm(v.u1)).T * float("B" in blocks), v.Bu1.conj().T)  # u1 u1+ B
-    return out
+    v = _products(P, ep.u1[None], ep.u2[None], ep.u3[None], cfg, _block_norms(P, blocks), basis=True)
+    out = _solve(blocks, formulas, np.array([ep.lam]), v, cfg)
+    if out.refused[0]:
+        raise HypothesisViolationError(_NOT_NEGATIVE_DEFINITE)
+    report = {name: c[0] for name, c in out.report.items() if out.finite[0] or name in out.side}
+    if not out.finite[0]:
+        return BackwardErrorBounds(False, math.inf, math.inf, conditions_report=report, variant=variant, blocks=blocks,
+                                   lam=ep.lam)
+    f = v.basis[0] @ out.F[0]
+    return BackwardErrorBounds(
+        True, out.lower[0], out.upper[0], Factored(f, f.conj(), out.C[0], norm=float(out.norm[0])),  # bounds' norm
+        Factored(_pinv_cols(v.vecs[:, 0], v.norms[:, 0]).T * float("B" in blocks), v.Bu1.conj().T),  # u1 u1+ B
+        out.alpha[0], report, out.exact[0], variant, blocks, ep.lam, out.warnings)
 
 
 def eta_sd(
@@ -628,9 +658,13 @@ def _random_lam(rng: np.random.Generator) -> complex:
     return 1j * rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])
 
 
-#: a table's rows go through the core in stacks of at most ``_STACK_BYTES``, at about ``_ROW_BYTES`` per
-#: row and unit of n (some 24 complex n-vectors: the products, ty, w1, the factors of H1 and temporaries;
-#: an RB probe pass holds as many, G, h G and one product of ``_PROBE_BLOCK`` columns each)
+#: a table's rows go through the core in stacks of ``_CORE_ROWS``: the core's numpy calls serve a stack
+#: together, at a few microseconds each whatever its rows, and it holds about 5 kB per row whatever n
+#: (coordinates, and the 8 x 8 F C F* of ``Factored.part_norms``), so about 256 kB a stack.  RB rows also
+#: go through the generator in stacks of at most ``_STACK_BYTES``, at about ``_ROW_BYTES`` per row and unit
+#: of n: some 24 complex n-vectors (the eight products and the QR's copy of them, or in a probe pass G, h G
+#: and one product of ``_PROBE_BLOCK`` columns)
+_CORE_ROWS = 50
 _STACK_BYTES = 4 << 20
 _ROW_BYTES = 24 * 16
 _PROBE_BLOCK = 8  # Gaussian probes drawn and applied to h together, as one matrix product
@@ -730,11 +764,12 @@ def _gen_rb(P: PHPencil, rngs: list, lams: list, cfg: ToleranceConfig, max_tries
             u1, u2 = (np.array([pairs[i][j] for i in live]) for j in (0, 1))
             v = _products(P, u1, u2, np.zeros((len(live), P.m), dtype=complex), cfg, norms)
             lt_live = np.array([lt[i] for i in live])[:, None]
-            U, HU = np.stack([v.u1, v.u2]), np.stack([v.Ju1 + lt_live * v.Eu1, v.Ju2 + lt_live * v.Eu2])  # i h u
-            xy = _ct(np.stack([v.u2, v.u1], axis=-1)) @ np.stack([HU[1] - v.Ru2, -(HU[0] + v.Ru1)], axis=-1)
+            cu1, cu2, cJu1, cRu1, cEu1, cJu2, cRu2, cEu2 = v.coords.swapaxes(0, 1)  # the tests read coordinates
+            U, HU = np.stack([cu1, cu2]), np.stack([cJu1 + lt_live * cEu1, cJu2 + lt_live * cEu2])  # i h u
+            xy = _ct(np.stack([cu2, cu1], axis=-1)) @ np.stack([HU[1] - cRu2, -(HU[0] + cRu1)], axis=-1)
             nxy = _norm(xy, 2)
             ok = ((abs(_dot(U, HU)) <= tol * _norm(HU) * _norm(U)).all(0)
-                  & (_norm(v.Ru1) > _DRAW_NONZERO * v.nR * _norm(v.u1))
+                  & (_norm(cRu1) > _DRAW_NONZERO * v.nR * _norm(cu1))
                   & (_norm(xy - _ct(xy), 2) <= _DRAW_NONZERO * nxy)
                   & (np.linalg.eigvalsh(-(xy + _ct(xy)) / 2.0)[:, 0] > _DRAW_DEFINITE * nxy))
             for r in np.flatnonzero(ok):
@@ -782,7 +817,7 @@ def gen_eigpair(
     blocks = parse_blocks(admissible_for)
     rng = np.random.default_rng(seed)
     if blocks == frozenset("RB"):
-        (drawn,), _ = _gen_rb(P, [rng], [lam], cfg, max_tries, _block_norms(P))
+        (drawn,), _ = _gen_rb(P, [rng], [lam], cfg, max_tries, _block_norms(P, blocks))
         if isinstance(drawn, DsmkitError):
             raise drawn
         return EigenPair(*drawn, np.zeros(P.m, dtype=complex), cfg)
@@ -831,56 +866,63 @@ def experiment_table(
     Keeps one eigenvector fixed across the sweep when the selection's side
     conditions do not depend on lambda; it is drawn once, at the first
     admissible lambda, and a failed draw is the error of every such row.
-    The RB selection draws a new one per row, the one ``gen_eigpair`` draws
-    with seed ``ep_seed + i``, in O(n^2) with no decomposition: the rows of
-    a stack are drawn together (``_gen_rb``), each phase one stacked pass,
+    Its products and their coordinates (``_products``) are taken once, in
+    O(n^2), and each row then costs O(1) in the core (``_solve``).  The RB
+    selection draws a new one per row, the one ``gen_eigpair`` draws with
+    seed ``ep_seed + i``, in O(n^2) with no decomposition: the rows of a
+    stack are drawn together (``_gen_rb``), each phase one stacked pass,
     and ``_solve`` reuses the products the generator has formed.  The block
-    norms are taken once per table, and the rows go through the generator
-    and ``_solve`` in stacks of at most ``_STACK_BYTES``, so the table's
-    peak memory does not grow with the number of lambda.  The rows equal ``eta_sd``/``eta_s`` on the same
-    eigenpair bit for bit.  Row-level failures (lambda = 0, infinite eta,
-    generation failure or any other ``DsmkitError``) are recorded in the
-    row, never raised; an unsupported selection or variant raises
-    ``ValueError`` first.
+    norms are taken once per table.  The rows go through the core in stacks
+    of ``_CORE_ROWS``, and RB rows through the generator in stacks of at
+    most ``_STACK_BYTES``; the core's results are kept as columns and made
+    rows at the end, so the table's peak memory is its output's and one
+    stack's.  The rows equal ``eta_sd``/``eta_s`` on the same eigenpair bit
+    for bit.  Row-level failures (lambda = 0, infinite eta, generation
+    failure or any other ``DsmkitError``) are recorded in the row, never
+    raised; an unsupported selection or variant raises ``ValueError`` first.
     """
     blocks = parse_blocks(blocks)
     if variant not in ("s", "sd"):
         raise ValueError(f"variant must be 's' or 'sd', got {variant!r}")
     formulas = _formula_variant(blocks, variant)
-    norms = _block_norms(P)
-    rb = blocks == frozenset("RB")
-    rows = [{"lam": lam, "finite": False, "eta_lower": math.inf, "eta_upper": math.inf, "conditions": "",
-             "error": "" if lam != 0 and _is_imaginary(lam, cfg) else "lambda must be nonzero purely imaginary"}
-            for lam in map(complex, lambdas)]
-    todo, v = [i for i, row in enumerate(rows) if not row["error"]], None
-    if todo and not rb:
+    norms, rb = _block_norms(P, blocks), blocks == frozenset("RB")
+    lams = [complex(lam) for lam in lambdas]
+    errors = ["" if lam != 0 and _is_imaginary(lam, cfg) else "lambda must be nonzero purely imaginary" for lam in lams]
+    v = None
+    if not rb and "" in errors:
         try:
-            ep = gen_eigpair(P, ep_seed, blocks, cfg, lam=rows[todo[0]]["lam"])
+            ep = gen_eigpair(P, ep_seed, blocks, cfg, lam=lams[errors.index("")])
             v = _products(P, ep.u1[None], ep.u2[None], ep.u3[None], cfg, norms)
+            v.vecs = ep = None  # the table keeps the coordinates only
         except DsmkitError as exc:  # one draw: its failure is every row's
-            for i in todo:
-                rows[i]["error"] = str(exc)
-            todo = []
-    step = _STACK_BYTES // (_ROW_BYTES * P.n) or 1
-    for start in range(0, len(todo), step):
-        chunk = todo[start : start + step]
-        if rb:
-            drawn, v = _gen_rb(P, [np.random.default_rng(ep_seed + i) for i in chunk], [rows[i]["lam"] for i in chunk],
+            errors = [error or str(exc) for error in errors]
+    # the core's results, a list each, made rows at the end: the table holds one stack of the core at a time
+    finite, lower, upper, conditions = ([value] * len(lams) for value in (False, math.inf, math.inf, ""))
+    texts = {}  # one conditions string per distinct set of verdicts
+    step = min(_CORE_ROWS, _STACK_BYTES // (_ROW_BYTES * P.n) or 1) if rb else _CORE_ROWS
+    for start in range(0, len(lams), step):
+        live = [i for i in range(start, min(start + step, len(lams))) if not errors[i]]
+        if rb and live:
+            drawn, v = _gen_rb(P, [np.random.default_rng(ep_seed + i) for i in live], [lams[i] for i in live],
                                cfg, _MAX_TRIES, norms)
-            for i, d in zip(chunk, drawn):
+            for i, d in zip(live, drawn):
                 if isinstance(d, DsmkitError):  # row-level failures are data, not aborts
-                    rows[i]["error"] = str(d)
-        live = [i for i in chunk if not rows[i]["error"]]
+                    errors[i] = str(d)
+            live = [i for i in live if not errors[i]]
         if not live:
             continue
-        lams = np.array([1j * rows[i]["lam"].imag for i in live])
-        for i, res in zip(live, _solve(blocks, formulas, lams, v, cfg)[0]):
-            if isinstance(res, DsmkitError):
-                rows[i]["error"] = str(res)
-            else:
-                rows[i].update(finite=res.finite, eta_lower=res.eta_lower, eta_upper=res.eta_upper,
-                               conditions=";".join(f"{k}={c}" for k, c in res.conditions_report.items()))
-    return rows
+        out = _solve(blocks, formulas, np.array([1j * lams[i].imag for i in live]), v, cfg)
+        for j, i in enumerate(live):
+            text = ";".join(f"{name}={c[j]}" for name, c in out.report.items() if out.finite[j] or name in out.side)
+            if out.refused[j]:
+                errors[i] = _NOT_NEGATIVE_DEFINITE
+                continue
+            conditions[i] = texts.setdefault(text, text)
+            if out.finite[j]:
+                finite[i], lower[i], upper[i] = True, out.lower[j], out.upper[j]
+        del out
+    return [{"lam": lam, "finite": f, "eta_lower": lo, "eta_upper": up, "conditions": c, "error": e}
+            for lam, f, lo, up, c, e in zip(lams, finite, lower, upper, conditions, errors)]
 
 
 def reconstruct_perturbation(

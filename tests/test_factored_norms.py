@@ -175,12 +175,19 @@ def test_a_block_whose_factors_leave_the_gram_range_keeps_its_norm():
 
 
 def test_an_eta_block_reports_the_norm_its_bounds_took():
-    # pencil takes ||H1|| from the QR core of its stack; the H1 that eta_* returns reports that value
+    # pencil takes ||H1|| from the small core F C F* of its stack, F the coordinates of H1's factor in the
+    # orthonormal basis Q of the eigenvector's products (H1 = Q F C F* Q*); the H1 that eta_* returns is
+    # that block and reports that value
     from dsmkit import eta_s, eta_sd, gen_eigpair, gen_pencil
+    from dsmkit.pencil import _products, _solve
 
     for blocks, variant in (("JR", eta_sd), ("JREB", eta_sd), ("RB", eta_sd), ("JB", eta_s), ("EB", eta_s)):
         p = gen_pencil(6, 2, seed=17, r_rank=5) if blocks in ("JB", "EB") else gen_pencil(6, 2, seed=17)
-        res = variant(p, gen_eigpair(p, 23, blocks), blocks)
+        ep = gen_eigpair(p, 23, blocks)
+        res = variant(p, ep, blocks)
+        v = _products(p, ep.u1[None], ep.u2[None], ep.u3[None], DEFAULT_TOL, basis=True)
+        core = _solve(frozenset(blocks), "s" if variant is eta_s else "sd", np.array([ep.lam]), v, DEFAULT_TOL)
         h1 = vars(res)["H1"]
-        assert h1.norm() == Factored.part_norms(h1.F[None], h1.C[None])[0][0]
+        assert h1.norm() == Factored.part_norms(core.F, core.C)[0][0]
+        assert np.array_equal(h1.F, v.basis[0] @ core.F[0])
         _close(h1.norm(), _fro(res.H1), f"eta H1 {blocks}")

@@ -374,9 +374,12 @@ def _dense_reference(p, ep, blocks, variant, tol=1e-10, rank_tol=1e-12):
 def _equivalence_cases(blocks, n):
     """(pencil, eigenpair, c) for one selection at size n: eta is evaluated at c u.
 
-    c is 1, 1e-100 and 1e100; the last case has u2 = 0.  Every output is
-    homogeneous of degree zero in u, so the reference is always evaluated
-    at u itself, where its squared norms cannot overflow.
+    c is 1, 1e-100 and 1e100; then u2 = 0 and, for n > 1, a generic u2:
+    nonzero and not colinear with u1, which no drawn pair but RB's has, and
+    the only u whose eight products (``pencil._Products``) span min(n, 8)
+    dimensions.  Every output is homogeneous of degree zero in u, so the
+    reference is always evaluated at u itself, where its squared norms
+    cannot overflow.
     """
     m = 2
     if blocks in ("JB", "EB", "JEB"):
@@ -392,6 +395,9 @@ def _equivalence_cases(blocks, n):
     cases = [(p, ep, 1.0), (p, ep, 1e-100), (p, ep, 1e100)]
     if np.linalg.norm(ep.u1) > 0:
         cases.append((p, EigenPair(ep.lam, ep.u1, np.zeros(n), ep.u3), 1.0))
+    if n > 1:
+        generic = EigenPair(ep.lam, ep.u1, crandn(np.random.default_rng(n), n), ep.u3)
+        cases += [(p, generic, 1.0), (p, generic, 1e-100)]
     return cases
 
 
@@ -515,11 +521,22 @@ def test_rb_table_takes_no_square_decomposition(variant, monkeypatch):
     lams = [0.45j, -1.2j, 0.9j, -0.35j, 1.7j, 0.6j]
     rows = experiment_table(p, lams, 5, "RB", variant=variant)
     assert all(r["error"] == "" and r["finite"] for r in rows)
-    # thin factorizations of n x 2 (SVD) and n x k, k <= 6 (QR of the factors of H1), 2 x 2 cores
-    assert [c for c in seen if min(c[1][-2:]) > 6] == []
-    assert [c for c in seen if c[0] == "svd" and min(c[1][-2:]) > 2] == []
-    herm = [c for c in seen if c[0] in ("eigh", "eigvalsh")]
-    assert herm and all(c[1][-2:] == (2, 2) for c in herm)  # min_eig_herm of X*Y, stacked in the core
+    # thin factorizations only: the n x 8 QR of each draw's products, then coordinates (_assert_core_shapes)
+    assert [c for c in seen if min(c[1][-2:]) > 8] == []
+    _assert_core_shapes(seen)
+    assert [c for c in seen if c[0] == "eigvalsh"]  # min_eig_herm of X*Y, stacked in the generator and the core
+
+
+def _assert_core_shapes(calls):
+    """Every QR has at most 8 columns (of the eight products, or of the coordinates of H1's factors), every
+    SVD is of at most 8 x 2 (the coordinates of X = [u2 u1]) and every other call is of 2 x 2 (X*Y)."""
+    for name, shape, *_ in calls:
+        if name == "qr":
+            assert shape[-1] <= 8, (name, shape)
+        elif name == "svd":
+            assert shape[-2] <= 8 and shape[-1] <= 2, (name, shape)
+        else:
+            assert shape[-2:] == (2, 2), (name, shape)
 
 
 def _grid(k):
@@ -617,8 +634,8 @@ def test_fixed_eigenvector_table_draws_once_when_the_draw_fails(monkeypatch):
 @pytest.mark.parametrize("blocks,variant", ALL_SELECTIONS)
 def test_table_core_calls_do_not_grow_with_the_rows(blocks, variant, monkeypatch):
     # one stack of 5 rows and one of 50 take the same np.linalg calls in the core; outside it only the
-    # RB generator (one stacked 2 x 2 eigvalsh per lockstep round, whatever the rows) and, for a fixed
-    # eigenvector, its one draw make any
+    # RB generator (per lockstep round, whatever the rows: one stacked QR of the products and one stacked
+    # 2 x 2 eigvalsh) and, for a fixed eigenvector, its one draw and one QR of its products make any
     import dsmkit.pencil as pencil_mod
 
     seen = watch_linalg(monkeypatch)
@@ -629,6 +646,7 @@ def test_table_core_calls_do_not_grow_with_the_rows(blocks, variant, monkeypatch
         before = len(seen)
         out = solve(*args, **kwargs)
         inside.append([c[0] for c in seen[before:]])
+        _assert_core_shapes(seen[before:])
         return out
 
     def products_counted(*args, **kwargs):
@@ -646,7 +664,7 @@ def test_table_core_calls_do_not_grow_with_the_rows(blocks, variant, monkeypatch
         assert sum(row["finite"] for row in rows) >= k - 2
         outside.append(len(seen) - before - len(inside[-1]))
     assert len(inside) == 2 and inside[0] == inside[1] and len(inside[0]) <= 5
-    assert outside == rounds if blocks == "RB" else outside[0] == outside[1]
+    assert outside == [2 * r for r in rounds] if blocks == "RB" else outside[0] == outside[1]
 
 
 def test_table_peak_memory_does_not_grow_with_the_number_of_lambda():
@@ -666,6 +684,37 @@ def test_table_peak_memory_does_not_grow_with_the_number_of_lambda():
     big, rows = peak(1000)
     assert len(rows) == 1000 and all(row["finite"] for row in rows)
     assert big <= 2 * small, (big, small)
+
+
+@pytest.mark.parametrize("blocks,variant", [("JREB", "sd"), ("JEB", "s")])
+def test_core_memory_per_lambda_does_not_grow_with_n(blocks, variant, monkeypatch):
+    # a fixed eigenvector's rows read coordinates only: at n = 4096 with 1000 lambda no call of the core
+    # holds as much as one (1000, n) complex array, the size of a single n-vector per row, nor indeed as
+    # much as eight n-vectors, whatever its rows
+    import tracemalloc
+
+    import dsmkit.pencil as pencil_mod
+
+    n, k = 4096, 1000
+    # np.zeros maps pages it never writes, so these blocks, zero but for a 2 x 2 corner, cost little memory
+    J, R, E = (np.zeros((n, n), dtype=complex) for _ in range(3))
+    J[:2, :2], R[:2, :2], E[:2, :2] = [[1j, 1.0], [-1.0, 2j]], [[2.0, 1.0], [1.0, 1.0]], [[1.0, 1j], [-1j, 3.0]]
+    p = PHPencil(J, R, E, crandn(np.random.default_rng(4), n, 2), np.eye(2))
+    peaks, solve = [], pencil_mod._solve
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(pencil_mod, "_solve", traced)
+    rows = experiment_table(p, _grid(k), 7, blocks, variant=variant)
+    assert len(rows) == k and all(row["finite"] for row in rows)
+    assert len(peaks) > 1 and max(peaks) < k * n * 16, (len(peaks), max(peaks))
+    assert max(peaks) < 8 * n * 16, (len(peaks), max(peaks))
 
 
 @pytest.mark.parametrize("n", [4, 64, 256])
@@ -771,6 +820,7 @@ def test_eta_makes_no_projector_and_no_square_lapack_call(blocks, variant, monke
     res = (eta_sd if variant == "sd" else eta_s)(p, ep, blocks)
     assert res.finite
     assert [c for c in seen if min(c[1][-2:]) >= n] == []
+    _assert_core_shapes(seen)
 
 
 def test_eta_s_rb_infinite_whatever_the_pencil_scale():
@@ -938,6 +988,7 @@ def test_kernel_table_takes_no_square_decomposition(blocks, variant, monkeypatch
     assert [c for c in seen if c[0] in ("svd", "eigh", "eigvalsh") and c[1][-2:] == (n, n)] == []
     # one Householder factorization per table, no Q and no U formed: the raw QR of B and the singular
     # values of its m x m triangle, or the raw QR of the n x r Cholesky factor
-    wide = [c for c in seen if min(c[1][-2:]) > 6]
+    wide = [c for c in seen if min(c[1][-2:]) > 8]
     assert wide == ([("qr", (n, r), False, "raw")] if blocks in KERNEL_R_SELECTIONS
                     else [("qr", (n, m), False, "raw"), ("svd", (m, m), False, False)])
+    _assert_core_shapes([c for c in seen if c not in wide])
