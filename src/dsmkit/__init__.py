@@ -28,7 +28,7 @@ _HOMES = {
         "jordan_lie_reduce",
         "verify_solution",
     ),
-    "linalg": ("herm_skew_parts", "pinv"),
+    "linalg": ("pinv",),
     "maps": ("MapSolution", "StructureFamily", "map_characterize", "map_min", "map_two_sided"),
     "oracle": ("OracleEtaResult", "oracle_eta", "oracle_least_norm", "oracle_min_structured"),
     "pencil": (

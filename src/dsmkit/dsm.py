@@ -2,8 +2,20 @@
 
 A doubly structured mapping problem asks for Delta = [Delta1  Delta2],
 with Delta1 square and constrained to a structure family, such that
-``Delta x = y`` and ``Delta* z = w``.  The solvers below return the
-structured base solution H = [H1  H2], a bracket on the minimal
+``Delta x = y`` and ``Delta* z = w``.  With x = [x1; x2] and w = [w1; w2]
+it splits in two, as in the construction from data vectors of Mackey,
+Mackey and Tisseur (SIMAX 2008), and each part is a problem of ``maps``:
+
+- Delta1* z = w1 is a one-sided structured mapping, since Delta1* is in
+  the family whenever Delta1 is, for every family here.  So Delta1 is the
+  adjoint of a member of ``maps``' solution set for (z, w1): H1 adjoins
+  its minimal map, a characterization adjoins its characterization.
+- Delta2 is then the unstructured two-sided mapping of
+  (x2, y - Delta1 x1, z, w2): H2 is its minimal map (``maps._two_sided``),
+  and a characterization adds P_z R P_x2.
+
+So the problem is feasible iff x*w = y*z and (z, w1) is feasible for the
+family.  The solvers return H = [H1  H2], a bracket on the minimal
 Frobenius norm, and an exactness flag raised when one of the sufficient
 conditions certifies that H itself is the minimizer.
 
@@ -14,14 +26,13 @@ point.  When an exactness condition fires both ends collapse to the true
 minimum.
 
 The vector solvers return each block as a ``linalg.Factored`` of two
-columns (H1 is map_min's Delta1 on (z, +-w1) or their conjugates; H2 is
-(y - H1 x1) x2+ + (z+)* (P_x2 w2)*) and take the bracket from its Gram
-cores, so a solve costs O(n + m) and forms no n x n array.  Reading H1, H2
-forms that block once, in O(n^2) (O(n m) for H2); H is [H1 H2], formed by one
-product of the stacked factors on each read.  ``jordan_lie_reduce`` lifts by
-applying M* to the left factors, O(n^2).  ``dsdm_type1`` takes thin SVDs of
-its n x m matrix data and returns ``minimizer`` and ``gram`` as factors of
-at most 3m columns, for O(n m^2) in all.
+columns and take the bracket from its Gram cores, so a solve costs
+O(n + m) and forms no n x n array.  Reading H1, H2 forms that block once,
+in O(n^2) (O(n m) for H2); H is [H1 H2], formed by one product of the
+stacked factors on each read.  ``jordan_lie_reduce`` lifts by applying M*
+to the left factors, O(n^2).  ``dsdm_type1`` takes thin SVDs of its n x m
+matrix data and returns ``minimizer`` and ``gram`` as factors of at most
+3m columns, for O(n m^2) in all.
 
 The negated families go through the one reflection rule of ``maps``
 (``_reflect``): nsd is psd, and ``anti=True`` is the dissipative problem,
@@ -49,9 +60,9 @@ from .errors import (
     NotColinearError,
     StructureError,
 )
-from .linalg import DenseOnRead, Factored, _colinear_coeff, _pinv_vec, _range_factors, _semidefinite, as_complex, fro
-from .maps import FAMILIES, _LINEAR, StructureFamily, _deviation, _incompatible, _label, _min_factors, _nonzero_vec
-from .maps import _project, _reflect, _require, _require_structure, _sandwich, _shifted_psd, _violation
+from .linalg import DenseOnRead, Factored, _colinear_coeff, _range_factors, _semidefinite, as_complex, fro
+from .maps import FAMILIES, _LINEAR, StructureFamily, _deviation, _incompatible, _label, _map_characterize, _min_factors
+from .maps import _nonzero_vec, _reflect, _sandwich, _two_sided, _violation
 
 __all__ = [
     "DsmProblem",
@@ -162,12 +173,6 @@ class DsmSolution:
         return np.hstack([self.H1, self.H2])
 
 
-def _h2(p: DsmProblem, h1x1: np.ndarray) -> Factored:
-    """Column block H2 = (y - H1 x1) x2+ + (w2 z+)* P_x2 = (y - H1 x1) x2+ + (z+)* (P_x2 w2)*."""
-    f = [p.y - h1x1, _pinv_vec(p.z, p._norms["z"]).conj()]
-    return Factored.outer_sum(f, [_pinv_vec(p.x2, p._norms["x2"]), _project(p.x2, p._norms["x2"], p.w2).conj()])
-
-
 def _rank_one_rightmost(a: np.ndarray, x: np.ndarray, na: float, nx: float) -> tuple[float, float]:
     """Rightmost real part of the spectrum and of the numerical range of ``a x*``, for na = ||a||, nx = ||x||.
 
@@ -201,6 +206,14 @@ def _check_degenerate(family: StructureFamily, p: DsmProblem) -> None:
         raise DegenerateInputError("w2 must be nonzero for the semidefinite and dissipative families")
 
 
+def _dsm_family(family) -> StructureFamily:
+    """``family`` as a ``StructureFamily`` that has a form, as ``dsm_solve`` and ``dsm_characterize`` take it."""
+    family = StructureFamily(family)
+    if FAMILIES[family].form is None:
+        raise ValueError(f"dsm_solve supports {[f.value for f in DSM_FAMILIES]}, got {family.value}")
+    return family
+
+
 def dsm_solve(
     family: StructureFamily,
     p: DsmProblem,
@@ -219,14 +232,16 @@ def dsm_solve(
     ``M = y x1* - (w1* x1 / z* w1) w1 x1* = a x1*`` has nonpositive real part;
     ``diagnostics["left_spectrum_factors"]`` holds (a, x1).
     """
-    family = StructureFamily(family)
-    if FAMILIES[family].form is None:
-        raise ValueError(f"dsm_solve supports {[f.value for f in DSM_FAMILIES]}, got {family.value}")
-    return _dsm_solve(family, p, cfg)
+    return _dsm_solve(_dsm_family(family), p, cfg)
 
 
 def _dsm_solve(family: StructureFamily, p: DsmProblem, cfg: ToleranceConfig) -> DsmSolution:
-    """The one solve of ``dsm_solve``, ``dsdm_type2`` (the family without a form) and ``jordan_lie_reduce``."""
+    """The one solve of ``dsm_solve``, ``dsdm_type2``, ``jordan_lie_reduce`` and both characterizations.
+
+    H1 is the adjoint of the family's minimal map of z to w1 (``maps._min_factors``) and H2 the
+    minimal two-sided map of (x2, y - H1 x1, z, w2); the families differ in their exactness rules
+    and lower bounds only.
+    """
     spec, nrm = FAMILIES[family], p._norms
     if spec.reflects is not None:  # on the negated data, not validated again
         return _reflect(family, lambda base, **yw: _dsm_solve(base, _replaced(p, **yw), cfg),
@@ -234,20 +249,38 @@ def _dsm_solve(family: StructureFamily, p: DsmProblem, cfg: ToleranceConfig) -> 
     _check_degenerate(family, p)
     if why := _incompatible(p.x, p.y, p.z, p.w, nrm, cfg):
         return DsmSolution(family, False, reason=why)
-    if spec.form is None:
-        return _type2(p, cfg)
-    if why := _violation(spec, p.z, p.w1, cfg.residual_tol * nrm["z"] * nrm["w1"], ("z", "w1")):
+    tol = cfg.residual_tol * (nrm["z"] * nrm["w1"])
+    if why := _violation(spec, p.z, p.w1, tol, ("z", "w1")):
         return DsmSolution(family, False, reason=why)
 
-    # Delta1* = sign Delta1 (or Delta1^T = sign Delta1), so Delta1* z = w1 is map_min's Delta1 z = sign w1 (conjugated)
-    bilinear = spec.form == "bilinear"
-    z, w1 = (p.z.conj(), p.w1.conj()) if bilinear else (p.z, p.w1)
-    h1 = Factored.outer_sum(*_min_factors(spec, z, spec.sign * w1, nrm["z"]))
-    h2 = _h2(p, h1 @ p.x1)
-    exact = _colinear_coeff(z, p.x1, nrm["x1"], cfg)[1]
-    note = ("x1 colinear with conj(z)" if bilinear else "x1 colinear with z") if exact else "never"
+    h1 = Factored.outer_sum(*_min_factors(spec, p.z, p.w1, nrm["z"])).adjoint()
+    h2 = _two_sided(p.x2, p.y - h1 @ p.x1, p.z, p.w2, nrm["x2"], nrm["z"])
     diagnostics: dict = {}
     warnings: list[str] = []
+    if spec.cone == "dissipative":
+        rew = np.vdot(p.z, p.w1).real
+        if rew <= tol:
+            warnings.append("Re(z*w1) ~ 0: boundary case, characterization unavailable")
+        beta, y_colinear = _colinear_coeff(p.z, p.y, nrm["y"], cfg)
+        orth = abs(np.vdot(p.z, p.x1)) <= cfg.residual_tol * nrm["z"] * nrm["x1"]
+        # Exactness needs w1 colinear with z on top of the y/x1 conditions: the
+        # square block's one-sided dissipative minimum is only pinned to the
+        # closed form in that case (off the colinear case a coordinated choice
+        # of the free parameters undercuts it; see the solver notes).
+        exact = y_colinear and orth and _colinear_coeff(p.z, p.w1, nrm["w1"], cfg)[1]
+        if y_colinear and orth and not exact:
+            warnings.append(
+                "sufficient conditions hold only up to the square block: minimality "
+                "of the returned point is not certified (w1 not colinear with z)"
+            )
+        note = "y, w1 colinear with z and z orthogonal to x1"
+        diagnostics = {"beta": beta, "re_zw1": rew}
+        lower = max(nrm["y"] / nrm["x"], nrm["w"] / nrm["z"])  # x2 and z are nonzero
+    else:
+        bilinear = spec.form == "bilinear"
+        exact = _colinear_coeff(p.z.conj() if bilinear else p.z, p.x1, nrm["x1"], cfg)[1]
+        note = "x1 colinear with conj(z)" if bilinear else "x1 colinear with z"
+        lower = h1.norm()
     if spec.cone == "psd":
         zw1 = np.vdot(p.z, p.w1)
         a = p.y - (np.vdot(p.w1, p.x1) / zw1) * p.w1
@@ -269,21 +302,30 @@ def _dsm_solve(family: StructureFamily, p: DsmProblem, cfg: ToleranceConfig) -> 
                 "minimality of the returned point is not certified"
             )
 
-    h1_norm = h1.norm()
-    upper = math.hypot(h1_norm, h2.norm())
-    lower = upper if exact else h1_norm
+    upper = math.hypot(h1.norm(), h2.norm())
     return DsmSolution(
         family,
         True,
         H1=h1,
         H2=h2,
-        norm_lower=lower,
+        norm_lower=upper if exact else lower,
         norm_upper=upper,
         exact=exact,
-        sufficiency_note=note,
+        sufficiency_note=note if exact else "never",
         diagnostics=diagnostics,
         warnings=warnings,
     )
+
+
+def _free_matrices(p: DsmProblem, **named) -> list[np.ndarray]:
+    """The free matrices of a characterization, each validated once where it enters: R n x m, the others n x n."""
+    out = []
+    for name, a in named.items():
+        a, shape = as_complex(a, name), (p.n, p.m if name == "R" else p.n)
+        if a.shape != shape:
+            raise ConstraintViolationError(f"{name}_shape", f"{name} must be {shape[0]}x{shape[1]}, got {a.shape}")
+        out.append(a)
+    return out
 
 
 def dsm_characterize(
@@ -297,45 +339,33 @@ def dsm_characterize(
 
     K carries the family structure (Hermitian / skew-Hermitian /
     symmetric / skew-symmetric / PSD) and R is an arbitrary n x m matrix.
-    The perturbation terms are ``H1~ = P K P`` and
-    ``H2~ = P_z R P_x2 - (P K P) x1 x2+``, where P is the projector pair
-    of the family (P_z on both sides for the sesquilinear families,
-    transposed conjugate projectors for the bilinear ones).  NSD is the PSD
-    evaluation on (x, -y, z, -w), negated; R is reflected with the data, so
-    it enters every family's set as ``P_z R P_x2``.
+    Delta1 is the adjoint of ``maps.map_characterize`` for (z, w1) at K*,
+    H1 + P K P with P the projector pair of the family (P_z on both sides
+    for the sesquilinear families, P_z K P_conj(z) for the bilinear ones),
+    and Delta2 is the two-sided map of (x2, y - Delta1 x1, z, w2) plus
+    P_z R P_x2.  NSD is the PSD evaluation on (x, -y, z, -w), negated, by
+    the reflections of the solve and of ``maps``.
     """
-    family = StructureFamily(family)
-    K = as_complex(K, "K")
-    R = as_complex(R, "R")
-    if K.shape != (p.n, p.n):
-        raise ConstraintViolationError("K_shape", f"K must be {p.n}x{p.n}, got {K.shape}")
-    if R.shape != (p.n, p.m):
-        raise ConstraintViolationError("R_shape", f"R must be {p.n}x{p.m}, got {R.shape}")
-    return _dsm_characterize(family, p, K, R, cfg)
+    family = _dsm_family(family)
+    K, R = _free_matrices(p, K=K, R=R)
+    return _dsm_characterize(family, p, {"K": K.conj().T}, R, cfg)  # Delta1* = D carries K as K*
 
 
-def _dsm_characterize(family: StructureFamily, p: DsmProblem, K, R, cfg: ToleranceConfig) -> np.ndarray:
-    """``dsm_characterize`` on validated K, R: a negated family's reflection (R negated too) is not validated again."""
-    spec = FAMILIES[family]
-    if spec.reflects is not None:
-        return _reflect(
-            family,
-            lambda base, R, **yw: _dsm_characterize(base, _replaced(p, **yw), K, R, cfg),
-            y=p.y, w=p.w, w1=p.w1, w2=p.w2, R=R,
-        )
+def _dsm_characterize(family: StructureFamily, p: DsmProblem, params: dict, R: np.ndarray,
+                      cfg: ToleranceConfig) -> np.ndarray:
+    """Both characterizations on validated free matrices: feasibility is the one solve's.
 
-    _require_structure(family, "K", K, cfg)
-    sol = dsm_solve(family, p, cfg)
+    Delta1 = D* for D ``maps``' characterization of (z, w1) at ``params``, which
+    checks the free matrices, reflects a negated family and refuses the
+    boundary; Delta2 = H2(Delta1) + P_z R P_x2.
+    """
+    sol = _dsm_solve(family, p, cfg)
     if not sol.feasible:
         raise DegenerateInputError(f"infeasible problem: {sol.reason}")
-
-    h1t = _sandwich(p.z, K, p.z.conj() if spec.form == "bilinear" else p.z)  # P_conj(z)^T = P_z
-    return np.hstack([sol.H1 + h1t, sol.H2 + _h2_tilde(p, h1t, R)])
-
-
-def _h2_tilde(p: DsmProblem, h1t: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Column-block perturbation ``P_z R P_x2 - H1~ x1 x2+`` that keeps ``Delta x = y``."""
-    return _sandwich(p.z, R, p.x2) - np.outer(h1t @ p.x1, _pinv_vec(p.x2, p._norms["x2"]))
+    nrm = p._norms
+    d1 = _map_characterize(family, p.z, p.w1, nrm["z"], nrm["w1"], params, cfg, ("z", "w1")).conj().T
+    d2 = _two_sided(p.x2, p.y - d1 @ p.x1, p.z, p.w2, nrm["x2"], nrm["z"]).dense() + _sandwich(p.z, R, p.x2)
+    return np.hstack([d1, d2])
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +541,6 @@ def dsdm_type1_vec(
     return sol
 
 
-def _type2_pieces(p: DsmProblem, sign: float) -> tuple[Factored, Factored]:
-    """The blocks (H1, H2) for sign = +1 and the feasible point (H1^, H2^) for sign = -1, as factors.
-
-    H1 = (w1 z+)* + sign P_z w1 z+, and H2 is dsm_solve's column block
-    (y - H1 x1) x2+ + (w2 z+)* P_x2.
-    """
-    zd = _pinv_vec(p.z, p._norms["z"])
-    h1 = Factored.outer_sum([zd.conj(), sign * _project(p.z, p._norms["z"], p.w1)], [p.w1.conj(), zd])
-    return h1, _h2(p, h1 @ p.x1)
-
-
 def dsdm_type2(
     p: DsmProblem,
     cfg: ToleranceConfig = DEFAULT_TOL,
@@ -531,56 +550,13 @@ def dsdm_type2(
     """Rectangular dissipative mapping: Delta1 + Delta1* >= 0 on the square block.
 
     Feasible iff x*w = y*z and Re(z*w1) >= 0.  The returned feasible
-    point is [H1^ H2^] with ``H1^ = (w1 z+)* - P_z w1 z+`` (always
-    dissipative when Re(z*w1) >= 0).  Exactness fires when y is colinear
-    with z and z is orthogonal to x1.  ``anti=True`` asks for
-    Delta1 + Delta1* <= 0 through ``maps._reflect``.
+    point is [H1^ H2^], with ``H1^ = (w1 z+)* - P_z w1 z+`` the adjoint of
+    ``maps``' minimal dissipative map of z to w1 (dissipative when
+    Re(z*w1) >= 0) and H2^ the two-sided map of what is left.  Exactness
+    fires when y and w1 are colinear with z and z is orthogonal to x1.
+    ``anti=True`` asks for Delta1 + Delta1* <= 0 through ``maps._reflect``.
     """
     return _dsm_solve(StructureFamily.ANTI_DISSIPATIVE if anti else StructureFamily.DISSIPATIVE, p, cfg)
-
-
-def _type2(p: DsmProblem, cfg: ToleranceConfig) -> DsmSolution:
-    """``dsdm_type2`` past the test of x*w = y*z: the Re(z*w1) test, then the feasible point and its bracket."""
-    nrm = p._norms
-    tol = cfg.residual_tol * (nrm["z"] * nrm["w1"])
-    if why := _violation(FAMILIES[StructureFamily.DISSIPATIVE], p.z, p.w1, tol, ("z", "w1")):
-        return DsmSolution(StructureFamily.DISSIPATIVE, False, reason=why)
-
-    h1_hat, h2_hat = _type2_pieces(p, -1.0)
-    rew = np.vdot(p.z, p.w1).real
-    warnings = []
-    if rew <= tol:
-        warnings.append("Re(z*w1) ~ 0: boundary case, characterization unavailable")
-
-    beta, y_colinear = _colinear_coeff(p.z, p.y, nrm["y"], cfg)
-    orth = abs(np.vdot(p.z, p.x1)) <= cfg.residual_tol * nrm["z"] * nrm["x1"]
-    _, w1_colinear = _colinear_coeff(p.z, p.w1, nrm["w1"], cfg)
-    # Exactness needs w1 colinear with z on top of the y/x1 conditions: the
-    # square block's one-sided dissipative minimum is only pinned to the
-    # closed form in that case (off the colinear case a coordinated choice
-    # of the free parameters undercuts it; see the solver notes).
-    exact = y_colinear and orth and w1_colinear
-    if y_colinear and orth and not w1_colinear:
-        warnings.append(
-            "sufficient conditions hold only up to the square block: minimality "
-            "of the returned point is not certified (w1 not colinear with z)"
-        )
-    upper = math.hypot(h1_hat.norm(), h2_hat.norm())
-    lower = upper if exact else max(nrm["y"] / nrm["x"], nrm["w"] / nrm["z"])  # x2 and z are nonzero
-    return DsmSolution(
-        StructureFamily.DISSIPATIVE,
-        True,
-        H1=h1_hat,
-        H2=h2_hat,
-        norm_lower=lower,
-        norm_upper=upper,
-        exact=exact,
-        sufficiency_note=(
-            "y, w1 colinear with z and z orthogonal to x1" if exact else "never"
-        ),
-        diagnostics={"beta": beta, "re_zw1": rew},
-        warnings=warnings,
-    )
 
 
 def dsm_characterize_type2(
@@ -593,28 +569,15 @@ def dsm_characterize_type2(
 ) -> np.ndarray:
     """Evaluate the rectangular dissipative characterization at (Z, K, G, R).
 
-    Constraints: G skew-Hermitian, K PSD, and
-    ``K - (2 w1 + Z* z)(2 w1 + Z* z)* / (4 Re(z*w1)) >= 0``.
+    Delta1 is the adjoint of ``maps.map_characterize``'s dissipative member
+    for (z, w1) at (Z, K, G): ``(w1 z+)* + P_z w1 z+ + P_z Z* z z+ +
+    P_z (K - G) P_z``.  Constraints: G skew-Hermitian, K PSD,
+    ``K - (2 w1 + Z* z)(2 w1 + Z* z)* / (4 Re(z*w1)) >= 0``, and Re(z*w1)
+    off the boundary, above ``residual_tol ||z|| ||w1||``.  Delta2 is as
+    in ``dsm_characterize``.
     """
-    Z = as_complex(Z, "Z")
-    K = as_complex(K, "K")
-    G = as_complex(G, "G")
-    R = as_complex(R, "R")
-    n, m = p.n, p.m
-    for name, mat, shape in (("Z", Z, (n, n)), ("K", K, (n, n)), ("G", G, (n, n)), ("R", R, (n, m))):
-        if mat.shape != shape:
-            raise ConstraintViolationError(f"{name}_shape", f"{name} must be {shape}, got {mat.shape}")
-    _require_structure(StructureFamily.SKEW_HERMITIAN, "G", G, cfg)
-    _require_structure(StructureFamily.PSD, "K", K, cfg)
-    if np.vdot(p.z, p.w1).real <= 0:
-        raise DegenerateInputError("characterization requires Re(z*w1) > 0")
-    _require(_shifted_psd(K, Z, p.z, p.w1, cfg), "K_shifted_psd", "K - (2w1+Z*z)(2w1+Z*z)*/(4Re(z*w1)) must be PSD")
-
-    h1, h2 = _type2_pieces(p, 1.0)
-    # H1~ = P_z Z* z z+ + P_z (K - G) P_z, and H2~ = P_z R P_x2 - H1~ x1 x2+
-    zp = _project(p.z, p._norms["z"], (p.z.conj() @ Z).conj())
-    h1t = np.outer(zp, _pinv_vec(p.z, p._norms["z"])) + _sandwich(p.z, K - G, p.z)
-    return np.hstack([h1.dense() + h1t, h2.dense() + _h2_tilde(p, h1t, R)])
+    Z, K, G, R = _free_matrices(p, Z=Z, K=K, G=G, R=R)
+    return _dsm_characterize(StructureFamily.DISSIPATIVE, p, {"Z": Z, "K": K, "G": G}, R, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +631,6 @@ class ScalarProduct:
         sign product is the sign of the linear family of M's form.
         """
         return _LINEAR[self.form, self.sigma * self.epsilon]
-
-    def adjoint(self, a: np.ndarray) -> np.ndarray:
-        inner = a.T if self.form == "bilinear" else a.conj().T
-        return self.M.conj().T @ inner @ self.M
 
 
 def jordan_lie_reduce(

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import DimensionMismatchError, NonFiniteEntriesError
+from .errors import NonFiniteEntriesError
 
 __all__ = [
     "Factored",
@@ -35,8 +35,6 @@ __all__ = [
     "as_complex",
     "fro",
     "pinv",
-    "herm_skew_parts",
-    "min_eig_herm",
     "svd_range",
 ]
 
@@ -92,34 +90,13 @@ def _pinv_vec(x: np.ndarray, nx: float) -> np.ndarray:
     return (x / nx).conj() / nx
 
 
-def herm_skew_parts(a) -> tuple[np.ndarray, np.ndarray]:
-    """Split a square matrix into Hermitian + skew-Hermitian parts.
-
-    The parts are orthogonal in the Frobenius inner product, so
-    ``||A||_F^2 = ||A_H||_F^2 + ||A_S||_F^2``.
-    """
-    a = as_complex(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"square matrix required, got shape {a.shape}")
-    ah = (a + a.conj().T) / 2.0
-    return ah, a - ah
-
-
-def min_eig_herm(a) -> float:
-    """Smallest eigenvalue of the Hermitian part of a square matrix."""
-    ah, _ = herm_skew_parts(a)
-    if ah.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(ah)[0])
-
-
 def _semidefinite(a, scale: float, cfg: ToleranceConfig, definite: bool = False) -> bool:
     """The Hermitian part of a is positive semidefinite: no eigenvalue below ``-psd_tol * scale``.
 
     ``definite=True`` asks for every eigenvalue above ``psd_tol * scale``.
     ``scale`` is the norms of the inputs that formed a (see ``ToleranceConfig``).
     """
-    ah = (a + a.conj().T) / 2.0  # as ``min_eig_herm`` takes it, without validating the library's own a again
+    ah = (a + a.conj().T) / 2.0
     lo, bound = (float(np.linalg.eigvalsh(ah)[0]) if ah.shape[0] else 0.0), cfg.psd_tol * scale
     return lo > bound if definite else lo >= -bound
 
@@ -353,6 +330,10 @@ class Factored:
     def adjoint_lmul(self, m: np.ndarray) -> "Factored":
         """``m* Delta`` for an n x n m, in O(n^2 k): m* F = conj(m^T conj(F)), without forming m*."""
         return Factored((m.T @ self.F.conj()).conj(), self.G, self.C)
+
+    def adjoint(self) -> "Factored":
+        """``Delta* = conj(G) C* F*``, in O((n + m) k): the factors conjugated and swapped, the norm kept."""
+        return Factored(self.G.conj(), self.F.conj(), None if self.C is None else self.C.conj().T, self._norm)
 
     def beside(self, other: "Factored") -> "Factored":
         """[Delta Other] as one block: [F C, F' C'] times the block diagonal [G 0; 0 G']^T, one product to form."""

@@ -28,6 +28,11 @@ Mackey and Tisseur (SIMAX 2008).  A negated family records the family it
 reflects and shares that family's row.  Feasibility (``_violation``), the
 minimal factors, membership, the oracle's basis and the scalar-product
 reduction all read the row, so a new family is one row of the table.
+
+``dsm`` builds the doubly structured problem from these solvers: its
+square block is the adjoint of this module's one-sided map of z to w1
+(``_min_factors`` for the minimal one, ``_map_characterize`` for the
+solution set), and its column block the two-sided map ``_two_sided``.
 """
 
 from __future__ import annotations
@@ -300,6 +305,14 @@ def _incompatible(x, y, z, w, norms, cfg: ToleranceConfig) -> str:
     return f"x*w != y*z (gap {abs(gap):.3e})"
 
 
+def _two_sided(x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, nx: float, nz: float) -> Factored:
+    """The minimal unstructured Delta with ``Delta x = y`` and ``Delta* z = w``, for nx = ||x||, nz = ||z||.
+
+    ``y x+ + (w z+)* P_x = y x+ + (z+)* (P_x w)*``; x*w = y*z is the caller's to check.
+    """
+    return Factored.outer_sum([y, _pinv_vec(z, nz).conj()], [_pinv_vec(x, nx), _project(x, nx, w).conj()])
+
+
 def map_two_sided(x, y, z, w, cfg: ToleranceConfig = DEFAULT_TOL) -> MapSolution:
     """Minimal-norm unstructured Delta with ``Delta x = y`` and ``Delta* z = w``.
 
@@ -316,8 +329,7 @@ def map_two_sided(x, y, z, w, cfg: ToleranceConfig = DEFAULT_TOL) -> MapSolution
     n, m = y.shape[0], x.shape[0]
     if why := _incompatible(x, y, z, w, {"x": nx, "y": ny, "z": nz, "w": nw}, cfg):
         return MapSolution(StructureFamily.UNSTRUCTURED, False, reason=why)
-    # y x+ + (w z+)* P_x = y x+ + (z+)* (P_x w)*
-    delta = Factored.outer_sum([y, _pinv_vec(z, nz).conj()], [_pinv_vec(x, nx), _project(x, nx, w).conj()])
+    delta = _two_sided(x, y, z, w, nx, nz)
     return MapSolution(
         StructureFamily.UNSTRUCTURED,
         True,
@@ -368,6 +380,16 @@ def _shifted_psd(k: np.ndarray, zmat: np.ndarray, v: np.ndarray, b: np.ndarray, 
     return _semidefinite(k - np.outer(q, q.conj()) / (4.0 * re), scale, cfg)
 
 
+def _param(params: dict, name: str, n: int) -> np.ndarray:
+    """The free matrix ``name`` of ``params``, validated once and n x n."""
+    if name not in params:
+        raise ConstraintViolationError(name, f"missing free parameter {name!r}")
+    p = as_complex(params[name], name)
+    if p.shape != (n, n):
+        raise ConstraintViolationError(name, f"{name} must be {n}x{n}, got {p.shape}")
+    return p
+
+
 def map_characterize(
     family: StructureFamily,
     x,
@@ -384,42 +406,41 @@ def map_characterize(
     """
     family = StructureFamily(family)
     (x, nx), (y, ny) = _nonzero_vec(x, "x"), _nonzero_vec(y, "y")
+    n = x.shape[0]
+    params = {name: _param(params, name, n) for name in _free_params(family, n)}
     return _map_characterize(family, x, y, nx, ny, params, cfg)
 
 
-def _map_characterize(family: StructureFamily, x, y, nx: float, ny: float, params, cfg: ToleranceConfig) -> np.ndarray:
-    """``map_characterize`` on validated x, y of norms nx, ny: a negated family's reflection is not validated again."""
+def _map_characterize(family: StructureFamily, x, y, nx: float, ny: float, params: dict, cfg: ToleranceConfig,
+                      names=("x", "y")) -> np.ndarray:
+    """``map_characterize`` on validated x, y of norms nx, ny and validated free matrices ``params``.
+
+    A negated family's reflection is not validated again.  ``names`` are x and
+    y as the messages state them; a symmetry or psd family's one free matrix
+    is named by its key in ``params``.  ``dsm`` evaluates its square block here.
+    """
     spec = FAMILIES[family]
     if spec.reflects is not None:
-        return _reflect(family, lambda base, y: _map_characterize(base, x, y, nx, ny, params, cfg), y=y)
+        return _reflect(family, lambda base, y: _map_characterize(base, x, y, nx, ny, params, cfg, names), y=y)
 
+    a, b = names
     base = _map_min(family, x, y, nx, ny, cfg)
     if not base.feasible:
         raise DegenerateInputError(f"infeasible problem: {base.reason}")
     if base.boundary:
-        raise DegenerateInputError("characterization undefined on the boundary Re(x*y) ~ 0")
-
-    n = x.shape[0]
-
-    def param(name: str) -> np.ndarray:
-        if name not in params:
-            raise ConstraintViolationError(name, f"missing free parameter {name!r}")
-        p = as_complex(params[name], name)
-        if p.shape != (n, n):
-            raise ConstraintViolationError(name, f"{name} must be {n}x{n}, got {p.shape}")
-        return p
+        raise DegenerateInputError(f"characterization undefined on the boundary Re({a}*{b}) ~ 0")
 
     if spec.cone != "dissipative":
+        [(name, h)] = params.items()  # Z, H or K
         if spec.form is None:
-            return base.minimizer + _sandwich(None, param("Z"), x)
-        name = "H" if spec.cone is None else "K"  # a symmetry family's H, psd's K
-        h = param(name)
+            return base.minimizer + _sandwich(None, h, x)
         _require_structure(family, name, h, cfg)
         return base.minimizer + _sandwich(x.conj() if spec.form == "bilinear" else x, h, x)  # P_x^T = P_conj(x)
-    z, k, g = param("Z"), param("K"), param("G")
+    z, k, g = params["Z"], params["K"], params["G"]
     _require_structure(StructureFamily.SKEW_HERMITIAN, "G", g, cfg)
     _require_structure(StructureFamily.PSD, "K", k, cfg)
-    _require(_shifted_psd(k, z, x, y, cfg), "K_shifted_psd", "K - (2y+Z*x)(2y+Z*x)*/(4Re(x*y)) must be PSD")
+    shifted = f"K - (2{b}+Z*{a})(2{b}+Z*{a})*/(4Re({a}*{b})) must be PSD"
+    _require(_shifted_psd(k, z, x, y, cfg), "K_shifted_psd", shifted)
     # y x+ + (y x+)* P_x + x x+ Z P_x + P_x (K + G) P_x, with (y x+)* P_x = (x+)* (P_x y)*
     xd = _pinv_vec(x, nx)
     g_cols = [xd, _project(x, nx, y).conj(), _project(x.conj(), nx, xd @ z)]

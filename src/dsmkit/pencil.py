@@ -68,7 +68,7 @@ from .errors import (
     ReconstructionError,
     StructureError,
 )
-from .linalg import DenseOnRead, Factored, _ct, _norm, _semidefinite, as_complex, fro, herm_skew_parts
+from .linalg import DenseOnRead, Factored, _ct, _norm, _semidefinite, as_complex, fro
 from .linalg import _complement_map, _dot, _kept, _nonzero, _pinv_cols, _psd_factor
 from .maps import StructureFamily, _in_family
 
@@ -946,7 +946,8 @@ def reconstruct_perturbation(
     n, m = P.n, P.m
     lam = ep.lam
     h1 = solution.H1
-    hh, hs = herm_skew_parts(h1)
+    hh = (h1 + h1.conj().T) / 2.0
+    hs = h1 - hh
     if "R" not in blocks:
         if fro(hh) > cfg.residual_tol * fro(h1):
             raise ReconstructionError("square block has a Hermitian part but R is not selected")

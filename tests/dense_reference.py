@@ -29,12 +29,17 @@ import numpy as np
 from dsmkit import DEFAULT_TOL, DsmProblem, DsmSolution, MapSolution, Type1Solution
 from dsmkit.dsm import _check_degenerate, _rank_one_rightmost
 from dsmkit.errors import ConstraintViolationError, DegenerateInputError, NotColinearError
-from dsmkit.linalg import _as_column, _colinear_coeff, as_complex, fro, min_eig_herm, pinv
+from dsmkit.linalg import _as_column, _colinear_coeff, as_complex, fro, pinv
 from dsmkit.maps import StructureFamily as F
 from dsmkit.maps import _nonzero_vec, _require, _require_structure
 
 TOL = 1e-10  # residual_tol and psd_tol of the default configuration
 BASE = {F.NSD: F.PSD, F.ANTI_DISSIPATIVE: F.DISSIPATIVE}
+
+
+def min_eig_herm(a):
+    """Smallest eigenvalue of the Hermitian part of a square matrix."""
+    return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
 
 
 def null_projector(x, cfg=DEFAULT_TOL):

@@ -476,6 +476,18 @@ def test_characterize_type2():
         assert np.linalg.norm(d) >= sol.norm_lower - 1e-9
 
 
+def test_characterize_type2_rejects_data_with_x_w_unequal_to_y_z():
+    # no Delta has Delta x = y and Delta* z = w unless x*w = y*z: at an admissible base point the
+    # evaluator once returned a Delta with Delta* z != w; it now refuses as dsm_characterize does
+    p = type2_instance(np.random.default_rng(3), 4, 2)
+    bad = DsmProblem(p.x1, p.x2, p.y, p.z, p.w1, p.w2 + 1)
+    assert dsdm_type2(bad).reason.startswith("x*w != y*z (gap ")
+    zpar = -2.0 * np.outer(bad.w1, pinv(bad.z)).conj().T  # q = 2 w1 + Z* z = 0: (Z, 0, 0) is admissible
+    zero = np.zeros((4, 4))
+    with pytest.raises(DegenerateInputError, match=r"^infeasible problem: x\*w != y\*z \(gap "):
+        dsm_characterize_type2(bad, zpar, zero, zero, np.zeros((4, 2)))
+
+
 # ---------------------------------------------------------------------------
 # scalar-product reduction
 
@@ -534,7 +546,7 @@ def test_bilinear_lie_adjoint_identity():
     p, member = _consistent_problem_for_algebra(rng, sp, 3, 2)
     sol = jordan_lie_reduce(sp, p)
     assert sol.feasible
-    adj = sp.adjoint(sol.H1)
+    adj = m_mat.conj().T @ sol.H1.T @ m_mat  # the bilinear adjoint M^-1 A^T M, M unitary
     assert np.linalg.norm(adj + sol.H1) <= 1e-9 * max(1.0, np.linalg.norm(sol.H1))
     assert np.linalg.norm(sol.H @ p.x - p.y) <= 1e-9 * max(1.0, np.linalg.norm(p.y))
 
@@ -547,7 +559,7 @@ def test_pseudo_hermitian_adjoint_identity_and_isometry():
     p, member = _consistent_problem_for_algebra(rng, sp, 3, 2)
     sol = jordan_lie_reduce(sp, p)
     assert sol.feasible
-    adj = sp.adjoint(sol.H1)
+    adj = m_mat.conj().T @ sol.H1.conj().T @ m_mat  # the sesquilinear adjoint M^-1 A* M, M unitary
     assert np.linalg.norm(adj - sol.H1) <= 1e-9 * max(1.0, np.linalg.norm(sol.H1))
     # lifted norm equals the reduced problem's norm (M unitary)
     reduced = DsmProblem(p.x1, p.x2, sp.M @ p.y, sp.M @ p.z, p.w1, p.w2)

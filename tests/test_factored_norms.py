@@ -174,6 +174,19 @@ def test_a_block_whose_factors_leave_the_gram_range_keeps_its_norm():
         _close(Factored(f, g, core).norm(), _fro(dense), "rescaled")
 
 
+def test_the_adjoint_of_a_block_is_its_conjugate_transpose_with_its_norm():
+    # dsm's H1 is the adjoint of maps' minimal map of z to w1: conjugated, swapped factors, the norm kept
+    rng = np.random.default_rng(6)
+    f, g = (rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)) for _ in range(2))
+    for core in (None, rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))):
+        block = Factored(f, g[:4], core)
+        norm = block.norm()
+        adj = block.adjoint()
+        assert adj.dense().shape == (4, 5)
+        assert np.linalg.norm(adj.dense() - block.dense().conj().T) <= 1e-14 * norm
+        assert adj.norm() == norm
+
+
 def test_an_eta_block_reports_the_norm_its_bounds_took():
     # pencil takes ||H1|| from the small core F C F* of its stack, F the coordinates of H1's factor in the
     # orthonormal basis Q of the eigenvector's products (H1 = Q F C F* Q*); the H1 that eta_* returns is

@@ -7,8 +7,9 @@ it is read.  The scan below keeps it that way: the old dense helpers
 modules calls ``np.outer`` (or ``np.multiply.outer``) or multiplies stacked
 factors (a product with an operand built by ``np.array``, ``np.stack``,
 ``np.hstack``, ``np.vstack``, ``np.column_stack`` or ``np.concatenate``),
-except the functions of ``EXEMPT``: the characterizations, which evaluate a
-dense free matrix K, and the small cores that are not blocks.
+except the functions of ``EXEMPT``: the characterizations of ``maps``, which
+evaluate a dense free matrix K (``dsm``'s are built from them and form no
+product of their own), and the small cores that are not blocks.
 """
 
 import ast
@@ -28,10 +29,7 @@ EXEMPT = {
         "_project": "P_v a: a rank-one update of a vector (O(n)) or of the dense K of a characterization",
         "_shifted_psd": "the shifted K of the dissipative characterization",
     },
-    "dsm.py": {
-        "_h2_tilde": "the column-block term of a characterization",
-        "dsm_characterize_type2": "evaluates the rectangular dissipative characterization",
-    },
+    "dsm.py": {},  # its characterizations evaluate the dense K through ``maps``
     "pencil.py": {
         "_gen_rb": "the 2 x 2 cores X*Y of the eigenvector draws, not a block",
     },

@@ -64,6 +64,7 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         dsmkit.no_such_name
     assert not hasattr(dsmkit, "oracle_no_such_name")
+    assert not hasattr(dsmkit, "herm_skew_parts")  # deleted with min_eig_herm: no module of the package called them
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from dsmkit import DEFAULT_TOL, EigenPair, PHPencil, gen_pencil, herm_skew_parts, pinv
-from dsmkit.errors import DimensionMismatchError, NonFiniteEntriesError
+from dsmkit import DEFAULT_TOL, EigenPair, PHPencil, gen_pencil, pinv
+from dsmkit.errors import NonFiniteEntriesError
 from dsmkit.linalg import as_complex
 from helpers import NON_FINITE, crandn
 
@@ -90,27 +88,6 @@ def test_penrose_identities_random():
         assert np.linalg.norm(ad @ a @ ad - ad) <= 1e-10 * scale
         assert np.linalg.norm((a @ ad).conj().T - a @ ad) <= 1e-10
         assert np.linalg.norm((ad @ a).conj().T - ad @ a) <= 1e-10
-
-
-def test_herm_skew_parts_examples():
-    ah, asym = herm_skew_parts(np.array([[1j]]))
-    assert np.allclose(ah, 0) and np.allclose(asym, [[1j]])
-    ah, asym = herm_skew_parts(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    assert np.allclose(ah, [[1, 1], [1, 1]])
-    assert np.allclose(asym, [[0, 1], [-1, 0]])
-    with pytest.raises(DimensionMismatchError):
-        herm_skew_parts(np.zeros((2, 3)))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_herm_skew_pythagoras(seed):
-    rng = np.random.default_rng(seed)
-    a = crandn(rng, 3, 3)
-    ah, asym = herm_skew_parts(a)
-    assert np.allclose(ah + asym, a)
-    total = np.linalg.norm(ah) ** 2 + np.linalg.norm(asym) ** 2
-    assert total == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-12)
 
 
 def test_shared_range_pinv_identity():
