@@ -10,10 +10,15 @@ without an SVD); the mapping solvers keep vector data factored and return
 projector: ``svd_range`` for an n x m matrix in O(n m^2), and
 ``_range_factors`` for a map y x+ with the basis of range(x).  The
 complement of a range is applied, not spanned: ``_complement_map`` takes
-one Householder factorization, O(n m^2) for an n x m matrix or O(n r^2)
-for the n x r pivoted Cholesky factor of a psd matrix of rank r
-(``_psd_factor``), forms no Q or U, and projects a vector through its
-reflectors in O(n m) or O(n r).
+an n x m matrix, or the n x r pivoted Cholesky factor of a psd matrix of
+rank r (``_psd_factor``), scales it by a power of two to unit norm and
+forms its m x m Gram matrix in O(n m^2).  One Cholesky of the Gram matrix
+less a small multiple of its trace certifies full column rank and a
+condition number below 1.4e4; a vector is then projected by the
+seminormal equations with one refinement step, two m x m solves.  Where
+the certificate fails, one Householder factorization is taken instead,
+and a vector is projected through its reflectors in O(n m).  No Q and
+no n-row U is formed on either path.
 Boundary rule: a caller's array is validated (``as_complex``) once, where it
 enters a public entry point, and not again once derived by an exact operation
 (negation, conjugation, slicing, reshape); a new product that can overflow
@@ -168,30 +173,44 @@ def _psd_factor(a: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     return np.conjugate(xt[:k], out=xt[:k]).T
 
 
+#: the Gram path's shift, relative to tr(G): a shifted Cholesky that succeeds certifies cond(x) <= 1.4e4
+_GRAM_SHIFT = 1e-8
+#: below this Frobenius norm, x's sum of squares may have lost digits to underflow: no Gram path
+_GRAM_TINY = 2.0**-500
+
+
 def _complement_map(x: np.ndarray, cfg: ToleranceConfig | None = None):
     """(r, project): the rank r of an n x m x and project(g) = g - Q Q* g for Q an orthonormal basis of range(x).
 
-    One Householder QR of x (geqrf, ``np.linalg.qr(mode="raw")``), k = min(n, m)
-    reflectors, in O(n m^2); project applies them to a vector, c = Q* g, then
-    Q to c with its part in range(x) removed, in O(n k), and no Q is formed.
-    With ``cfg``, r counts the singular values of the k x m triangle T (those
-    of x) above ``rank_tol`` times the largest, ``svd_range``'s rule, and a
-    dropped direction is kept out through T's left singular vectors, which
-    are computed only then: range(x) = Q_k range(T).  Without it, x has full
-    column rank, r = m, and a square x is not factored.  project is None
-    when range(x) is all of C^n, and the identity when r = 0.
+    Where 0 < m < n, x is first tried on the Gram path (``_gram_complement``):
+    one m x m Cholesky that certifies x well conditioned, after which r = m
+    with no SVD and project solves the seminormal equations, two m x m solves
+    per vector.  Where the certificate fails (x rank-deficient,
+    ill-conditioned, zero, square or wide), one Householder QR of x (geqrf,
+    ``np.linalg.qr(mode="raw")``), k = min(n, m) reflectors, in O(n m^2);
+    project applies them to a vector, c = Q* g, then Q to c with its part
+    in range(x) removed, in O(n k), and no Q is formed.  With ``cfg``, r
+    counts the singular values of the k x m triangle T (those of x) above
+    ``rank_tol`` times the largest, ``svd_range``'s rule, and a dropped
+    direction is kept out through T's left singular vectors, read from the
+    same SVD: range(x) = Q_k range(T).  Without it, x has full column rank,
+    r = m, and a square x is not factored.  project is None when range(x)
+    is all of C^n, and the identity when r = 0.
     """
     n, m = x.shape
     if cfg is None and m == n:
         return n, None
+    if 0 < m < n:
+        project = _gram_complement(x, cfg)
+        if project is not None:
+            return m, project
     h, tau = np.linalg.qr(x, mode="raw")  # h is the transposed LAPACK array: row i holds column i
     k, u = len(tau), None
     r = m
     if cfg is not None:
-        t = np.triu(h[:, :k].T)
-        r = int(_kept(np.linalg.svd(t, compute_uv=False), cfg).sum())
-        if 0 < r < k:
-            u = np.linalg.svd(t, full_matrices=False)[0][:, :r]  # T's kept left singular vectors
+        u, s, _ = np.linalg.svd(np.triu(h[:, :k].T), full_matrices=False)
+        r = int(_kept(s, cfg).sum())
+        u = u[:, :r] if 0 < r < k else None  # T's kept left singular vectors, where one is dropped
     if r == n:
         return r, None
     if r == 0:
@@ -209,6 +228,56 @@ def _complement_map(x: np.ndarray, cfg: ToleranceConfig | None = None):
         return _reflect(v, taus, c, range(k - 1, -1, -1))
 
     return r, project
+
+
+def _gram_complement(x: np.ndarray, cfg: ToleranceConfig | None):
+    """project(g) = g - x G^-1 x* g, G = x* x, for an n x m x (0 < m < n) that one Cholesky certifies; else None.
+
+    x is scaled by a power of two to x^ with ||x^|| in [0.5, 1), exactly, so
+    that G = x^* x^ neither overflows nor underflows for data up to 1e+-150.
+    The certificate is one Cholesky of G - d tr(G) I, d = ``_GRAM_SHIFT``.
+    G is formed with an error E1, ||E1|| <= gamma_n tr(G), and a Cholesky that
+    succeeds has factored that matrix up to a Hermitian E2 with ||E2|| <=
+    gamma_(m+1) tr(G) (Higham 2002, 10.1), so lambda_min(G) >= (d - gamma_(n+m+2))
+    tr(G), and with sigma_max(x)^2 <= tr(G):
+
+        sigma_min(x) / sigma_max(x) >= sqrt(d / 2) > rank_tol,
+
+    under the guards (n + m + 2) eps <= d / 4 and rank_tol^2 <= d / 2.  So
+    ``svd_range``'s rule keeps every direction, the rank is m with no SVD,
+    and cond(x) <= sqrt(2 / d) = 1.4e4.  project solves G c = x^* g by
+    ``np.linalg.solve`` and removes x^ c, then takes one step of the same
+    form on what is left (corrected seminormal equations, Bjorck 1996, 2.8):
+    the first step's relative error is about cond(x)^2 eps <= 2e-8, the
+    correction's about its square, so project agrees with a Householder
+    projector to about cond(x) eps.  d = 1e-8 keeps that margin while every
+    x of cond(x) up to about 1e4 / sqrt(m) takes this path.  A failed
+    Cholesky (x rank-deficient, ill-conditioned or zero), a norm out of
+    range or a failed guard returns None: the Householder path runs.
+    """
+    n, m = x.shape
+    if (n + m + 2) * np.finfo(float).eps > _GRAM_SHIFT / 4:
+        return None
+    if cfg is not None and cfg.rank_tol**2 > _GRAM_SHIFT / 2:
+        return None
+    nx = fro(x)
+    if not _GRAM_TINY < nx < math.inf:
+        return None
+    xh = x * math.ldexp(1.0, -math.frexp(nx)[1])
+    xs = xh.conj().T
+    gram = xs @ xh
+    shifted = gram.copy()
+    shifted.flat[:: m + 1] -= _GRAM_SHIFT * gram.trace().real
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return None
+
+    def project(g: np.ndarray) -> np.ndarray:
+        p = g - xh @ np.linalg.solve(gram, xs @ g)
+        return p - xh @ np.linalg.solve(gram, xs @ p)
+
+    return project
 
 
 def _reflect(v: np.ndarray, taus: list, c: np.ndarray, order: range) -> np.ndarray:

@@ -806,13 +806,18 @@ def gen_eigpair(
     semidefinite one raises ``GenerationError`` when ``lam`` is fixed.  For
     ker B* (JR, RE, JRE) and ker R (JB, EB, JEB), u1 = g - Q (Q* g) for a
     Gaussian g in C^n and an orthonormal basis Q of range(B) or of range(R):
-    a standard Gaussian on the kernel.  Q is held as the Householder
-    reflectors of one factorization per call, so once per table
-    (``linalg._complement_map``): of B itself in O(n m^2), or of the n x r
-    pivoted Cholesky factor of R in O(n r^2) (``linalg._psd_factor``).  No Q
-    or U is formed, and each try projects g through the reflectors in O(n m)
-    or O(n r).  A trivial kernel raises ``GenerationError``, as do
-    ``max_tries`` rejected draws.
+    a standard Gaussian on the kernel.  Q is not formed: one map per call,
+    so once per table (``linalg._complement_map``), takes B itself, or the
+    n x r pivoted Cholesky factor of R (``linalg._psd_factor``), scaled by a
+    power of two to unit norm, and forms its Gram matrix in O(n m^2) or
+    O(n r^2).  One Cholesky of the Gram matrix less a small multiple of
+    its trace certifies full column rank, and each try then removes g's
+    part in the range by the seminormal equations with one refinement
+    step: two m x m or r x r solves and four products in O(n m) or O(n r).
+    Where the certificate fails (a rank-deficient or ill-conditioned B or
+    factor), one Householder factorization is taken instead and g is
+    projected through its reflectors.  A trivial kernel raises
+    ``GenerationError``, as do ``max_tries`` rejected draws.
     """
     blocks = parse_blocks(admissible_for)
     rng = np.random.default_rng(seed)

@@ -4,7 +4,7 @@ import pytest
 from dsmkit import DEFAULT_TOL, EigenPair, PHPencil, gen_pencil, pinv
 from dsmkit.errors import NonFiniteEntriesError
 from dsmkit.linalg import as_complex
-from helpers import NON_FINITE, crandn
+from helpers import NON_FINITE, crandn, watch_linalg
 
 
 def test_pinv_scalar():
@@ -234,18 +234,46 @@ def test_psd_factor_of_zero_and_of_a_scaled_matrix():
         assert np.linalg.norm(_complement_map(f)[1](x) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("n,m,rank", [(6, 3, 1), (16, 8, 3), (64, 16, 5), (5, 5, 0), (6, 3, 3), (4, 9, 2), (4, 9, 4)])
-def test_complement_map_takes_svd_ranges_rank_rule(n, m, rank):
+COMPLEMENT_CASES = [
+    (6, 3, 1, None, 0), (16, 8, 3, None, 0), (64, 16, 5, None, 0), (5, 5, 0, None, 0), (6, 3, 3, None, 0),
+    (4, 9, 2, None, 0), (4, 9, 4, None, 0),
+    # full column rank of a set condition: certified on the Gram path up to 1e3, not from 1e5 on
+    (64, 16, 16, 1e2, 0), (64, 16, 16, 1e3, 0), (64, 16, 16, 1e5, 0), (64, 16, 16, 1e10, 0),
+    # scaled by 2^+-500: on either path nothing overflows or underflows
+    (64, 16, 16, 1e2, 500), (64, 16, 16, 1e2, -500), (64, 16, 5, None, 500), (64, 16, 5, None, -500),
+]
+
+
+@pytest.mark.parametrize("n,m,rank,cond,scale", COMPLEMENT_CASES,
+                         ids=[f"{n}-{m}-{rank}" + (f"-cond{c:g}" if c else "") + (f"-2^{s}" if s else "")
+                              for n, m, rank, c, s in COMPLEMENT_CASES])
+def test_complement_map_takes_svd_ranges_rank_rule(n, m, rank, cond, scale, monkeypatch):
+    import warnings
+
     from dsmkit.linalg import _complement_map, svd_range
 
     rng = np.random.default_rng(n + m + rank)
-    x = crandn(rng, n, rank) @ crandn(rng, rank, m)
-    q = svd_range(x)
-    r, project = _complement_map(x, DEFAULT_TOL)
-    assert r == q.shape[1] == np.linalg.matrix_rank(x)
+    if cond is None:
+        x = crandn(rng, n, rank) @ crandn(rng, rank, m)
+    else:
+        u, v = np.linalg.qr(crandn(rng, n, m))[0], np.linalg.qr(crandn(rng, m, m))[0]
+        x = (u * np.geomspace(1.0, 1.0 / cond, m)) @ v.conj().T
+    x *= 2.0**scale
+    q, rank_x = svd_range(x), np.linalg.matrix_rank(x)
+    g = crandn(rng, n, 4)
+    seen = watch_linalg(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, project = _complement_map(x, DEFAULT_TOL)
+        got = None if project is None else _applied(project, g)
+    assert r == q.shape[1] == rank_x
     assert (project is None) == (r == n)
     if project is not None:
-        g = crandn(rng, n, 4)
         want = g - q @ (q.conj().T @ g)
-        assert np.linalg.norm(_applied(project, g) - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # the Gram path is one Cholesky and no QR; it never runs where svd_range drops a direction
+    gram = [c[0] for c in seen if c[0] in ("cholesky", "qr")] == ["cholesky"]
+    assert not (gram and r < m)
+    if cond is not None:
+        assert gram == (cond < 1e4)
     assert _complement_map(crandn(rng, n, m) * 1e-150, DEFAULT_TOL)[0] == min(n, m)  # the rank rule is relative

@@ -974,21 +974,39 @@ def test_gen_eigpair_raises_on_a_trivial_kernel_at_n_64(blocks):
         gen_eigpair(p, 0, blocks)
 
 
-@pytest.mark.parametrize("blocks,variant", [c for c in ALL_SELECTIONS
-                                            if c[0] in KERNEL_R_SELECTIONS + KERNEL_B_SELECTIONS])
-def test_kernel_table_takes_no_square_decomposition(blocks, variant, monkeypatch):
+KERNEL_TABLES = [c for c in ALL_SELECTIONS if c[0] in KERNEL_R_SELECTIONS + KERNEL_B_SELECTIONS]
+
+
+@pytest.mark.parametrize("blocks,variant,certified",
+                         [pytest.param(b, v, True, id=f"{b}-{v}") for b, v in KERNEL_TABLES]
+                         + [pytest.param(b, v, False, id=f"{b}-{v}-householder") for b, v in KERNEL_TABLES])
+def test_kernel_table_takes_no_square_decomposition(blocks, variant, certified, monkeypatch):
     import dsmkit.pencil as pencil_mod
 
     assert not hasattr(pencil_mod, "null_projector") and not hasattr(pencil_mod, "svd_split")
     n, m, r = 64, 16, 32
-    p = gen_pencil(n, m, seed=8, r_rank=r)
+    kernel_r = blocks in KERNEL_R_SELECTIONS
+    p = gen_pencil(n, m, seed=8, r_rank=r, b_rank=None if certified or kernel_r else m // 2)
+    if kernel_r and not certified:
+        # R = A A* of rank n - 1 as ``_check_kernel_draws`` takes it, but with A's singular values spread over
+        # 1 .. 1e-5: its Cholesky factor has condition 1e5, which the Gram certificate must not pass
+        r = n - 1
+        a = np.linalg.qr(crandn(np.random.default_rng(r), n, r))[0] * np.geomspace(1.0, 1e-5, r)
+        p = PHPencil(p.J, a @ a.conj().T, p.E, p.B, p.S)
     seen = watch_linalg(monkeypatch)
     rows = experiment_table(p, [0.45j, -1.2j, 0.9j, -0.35j, 1.7j], 5, blocks, variant=variant)
     assert all(row["error"] == "" and row["finite"] for row in rows)
     assert [c for c in seen if c[0] in ("svd", "eigh", "eigvalsh") and c[1][-2:] == (n, n)] == []
-    # one Householder factorization per table, no Q and no U formed: the raw QR of B and the singular
-    # values of its m x m triangle, or the raw QR of the n x r Cholesky factor
+    # one map per table, no Q and no U formed, on B or on the n x k Cholesky factor of R (k = m or r): one
+    # Cholesky of the k x k Gram matrix, which certifies a full-rank B or factor, then two k x k solves for
+    # the one draw; where it fails, the raw QR of B and the SVD of its m x m triangle, or the raw QR of
+    # the factor
+    k = r if kernel_r else m
     wide = [c for c in seen if min(c[1][-2:]) > 8]
-    assert wide == ([("qr", (n, r), False, "raw")] if blocks in KERNEL_R_SELECTIONS
-                    else [("qr", (n, m), False, "raw"), ("svd", (m, m), False, False)])
+    if certified:
+        assert wide == [("cholesky", (k, k), False, None)] + 2 * [("solve", (k, k), False, None)]
+    else:
+        assert wide == [("cholesky", (k, k), False, None)] + ([("qr", (n, k), False, "raw")] if kernel_r
+                                                              else [("qr", (n, m), False, "raw"),
+                                                                    ("svd", (m, m), False, True)])
     _assert_core_shapes([c for c in seen if c not in wide])
