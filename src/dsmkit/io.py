@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import re
 import stat
@@ -161,12 +162,16 @@ _IMAG_RE = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i\s*$")
 def parse_imaginary(text: str) -> complex:
     """Parse ``<decimal>i`` into a purely imaginary complex number.
 
-    A bare decimal is rejected rather than reinterpreted.
+    A bare decimal is rejected rather than reinterpreted, and so is one
+    beyond the float range (``1e400i``).
     """
     m = _IMAG_RE.match(text)
     if not m:
         raise IoFormatError("lambda", f"expected '<decimal>i' (e.g. '0.5i'), got {text!r}")
-    return complex(0.0, float(m.group(1)))
+    im = float(m.group(1))
+    if not math.isfinite(im):
+        raise IoFormatError("lambda", f"lambda must be finite, got {text!r}")
+    return complex(0.0, im)
 
 
 def format_imaginary(lam: complex) -> str:

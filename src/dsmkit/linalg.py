@@ -15,10 +15,9 @@ rank r (``_psd_factor``), scales it by a power of two to unit norm and
 forms its m x m Gram matrix in O(n m^2).  One Cholesky of the Gram matrix
 less a small multiple of its trace certifies full column rank and a
 condition number below 1.4e4; a vector is then projected by the
-seminormal equations with one refinement step, two m x m solves.  Where
-the certificate fails, one Householder factorization is taken instead,
-and a vector is projected through its reflectors in O(n m).  No Q and
-no n-row U is formed on either path.
+seminormal equations with one refinement step, two m x m solves, and no
+basis is formed.  Where the certificate fails, one orthonormal basis Q
+of range(x) is formed, and a vector g is projected as g - Q (Q* g).
 Boundary rule: a caller's array is validated (``as_complex``) once, where it
 enters a public entry point, and not again once derived by an exact operation
 (negation, conjugation, slicing, reshape); a new product that can overflow
@@ -186,16 +185,11 @@ def _complement_map(x: np.ndarray, cfg: ToleranceConfig | None = None):
     one m x m Cholesky that certifies x well conditioned, after which r = m
     with no SVD and project solves the seminormal equations, two m x m solves
     per vector.  Where the certificate fails (x rank-deficient,
-    ill-conditioned, zero, square or wide), one Householder QR of x (geqrf,
-    ``np.linalg.qr(mode="raw")``), k = min(n, m) reflectors, in O(n m^2);
-    project applies them to a vector, c = Q* g, then Q to c with its part
-    in range(x) removed, in O(n k), and no Q is formed.  With ``cfg``, r
-    counts the singular values of the k x m triangle T (those of x) above
-    ``rank_tol`` times the largest, ``svd_range``'s rule, and a dropped
-    direction is kept out through T's left singular vectors, read from the
-    same SVD: range(x) = Q_k range(T).  Without it, x has full column rank,
-    r = m, and a square x is not factored.  project is None when range(x)
-    is all of C^n, and the identity when r = 0.
+    ill-conditioned, zero, square or wide), Q is formed in O(n m^2): with
+    ``cfg`` it is ``svd_range(x, cfg)``, so r counts the singular values
+    above ``rank_tol`` times the largest; without it, x has full column rank,
+    r = m, Q is that of one reduced QR of x, and a square x is not factored.
+    project is None when range(x) is all of C^n, and the identity when r = 0.
     """
     n, m = x.shape
     if cfg is None and m == n:
@@ -204,30 +198,14 @@ def _complement_map(x: np.ndarray, cfg: ToleranceConfig | None = None):
         project = _gram_complement(x, cfg)
         if project is not None:
             return m, project
-    h, tau = np.linalg.qr(x, mode="raw")  # h is the transposed LAPACK array: row i holds column i
-    k, u = len(tau), None
-    r = m
-    if cfg is not None:
-        u, s, _ = np.linalg.svd(np.triu(h[:, :k].T), full_matrices=False)
-        r = int(_kept(s, cfg).sum())
-        u = u[:, :r] if 0 < r < k else None  # T's kept left singular vectors, where one is dropped
+    q = np.linalg.qr(x)[0] if cfg is None else svd_range(x, cfg)
+    r = q.shape[1]
     if r == n:
         return r, None
     if r == 0:
         return r, np.copy
-    v = np.ascontiguousarray(h[:k])  # row i from entry i on is reflector i: 1 (implicit in geqrf), then its tail
-    np.fill_diagonal(v, 1.0)
-    taus, conj = tau.tolist(), tau.conj().tolist()
-
-    def project(g: np.ndarray) -> np.ndarray:
-        c = _reflect(v, conj, g.copy(), range(k))  # Q* g = H_k* ... H_1* g
-        if u is None:
-            c[:k] = 0.0
-        else:
-            c[:k] -= u @ (u.conj().T @ c[:k])
-        return _reflect(v, taus, c, range(k - 1, -1, -1))
-
-    return r, project
+    qh = q.conj().T
+    return r, lambda g: g - q @ (qh @ g)
 
 
 def _gram_complement(x: np.ndarray, cfg: ToleranceConfig | None):
@@ -249,11 +227,11 @@ def _gram_complement(x: np.ndarray, cfg: ToleranceConfig | None):
     ``np.linalg.solve`` and removes x^ c, then takes one step of the same
     form on what is left (corrected seminormal equations, Bjorck 1996, 2.8):
     the first step's relative error is about cond(x)^2 eps <= 2e-8, the
-    correction's about its square, so project agrees with a Householder
-    projector to about cond(x) eps.  d = 1e-8 keeps that margin while every
-    x of cond(x) up to about 1e4 / sqrt(m) takes this path.  A failed
-    Cholesky (x rank-deficient, ill-conditioned or zero), a norm out of
-    range or a failed guard returns None: the Householder path runs.
+    correction's about its square, so project agrees with the projector of
+    an orthonormal basis to about cond(x) eps.  d = 1e-8 keeps that margin
+    while every x of cond(x) up to about 1e4 / sqrt(m) takes this path.  A
+    failed Cholesky (x rank-deficient, ill-conditioned or zero), a norm out
+    of range or a failed guard returns None, and ``_complement_map`` forms Q.
     """
     n, m = x.shape
     if (n + m + 2) * np.finfo(float).eps > _GRAM_SHIFT / 4:
@@ -278,14 +256,6 @@ def _gram_complement(x: np.ndarray, cfg: ToleranceConfig | None):
         return p - xh @ np.linalg.solve(gram, xs @ p)
 
     return project
-
-
-def _reflect(v: np.ndarray, taus: list, c: np.ndarray, order: range) -> np.ndarray:
-    """c with H_i = I - tau_i v_i v_i* applied in place for i in ``order``, v_i row i of v from entry i on."""
-    for i in order:
-        w, y = v[i, i:], c[i:]
-        y -= (taus[i] * np.vdot(w, y)) * w
-    return c
 
 
 def _ct(a: np.ndarray) -> np.ndarray:

@@ -51,6 +51,7 @@ when H1 or H2 is read.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
 from collections.abc import Iterable
@@ -65,6 +66,7 @@ from .errors import (
     DimensionMismatchError,
     GenerationError,
     HypothesisViolationError,
+    NonFiniteEntriesError,
     ReconstructionError,
     StructureError,
 )
@@ -180,8 +182,8 @@ class PHPencil:
 class EigenPair:
     """Candidate eigenpair: purely imaginary lambda and u = [u1; u2; u3].
 
-    lambda is validated to satisfy |Re| <= residual_tol * |lambda| under
-    ``cfg`` and then projected exactly onto the imaginary axis.
+    lambda must be finite, is validated to satisfy |Re| <= residual_tol *
+    |lambda| under ``cfg`` and then projected exactly onto the imaginary axis.
     """
 
     lam: complex
@@ -192,6 +194,8 @@ class EigenPair:
 
     def __post_init__(self, cfg: ToleranceConfig) -> None:
         lam = complex(self.lam)
+        if not cmath.isfinite(lam):
+            raise NonFiniteEntriesError(f"lambda must be finite, got {lam}")
         if not _is_imaginary(lam, cfg):
             raise StructureError(f"lambda must be purely imaginary, got {lam}")
         self.lam = 1j * lam.imag
@@ -300,7 +304,7 @@ _VECTORS = ("u1", "u2", "Ju1", "Ru1", "Eu1", "Ju2", "Ru2", "Eu2")
 class _Products:
     """The pencil's blocks applied to a stack of eigenvectors, a row each: all that eta needs of u.
 
-    ``vecs`` holds the eight n-vectors of ``_VECTORS`` of each eigenvector (``v.Ju1`` reads one) and
+    ``vecs`` holds the eight n-vectors of ``_VECTORS`` of each eigenvector, in that order, and
     ``coords`` their coordinates: one Householder QR V = Q R_V of V = [u1 u2 J u1 R u1 E u1 J u2 R u2 E u2]
     (n x 8) gives Q with orthonormal columns, so a combination V a has the norm and inner products of its
     coordinates R_V a, k = min(n, 8) numbers; ``coords[:, j]`` is column j of R_V and ``norms[:, j]`` its
@@ -323,12 +327,6 @@ class _Products:
     nR: float
     nE: float
     nB: float
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        """The n-vectors of ``_VECTORS`` by name, one row per eigenvector."""
-        if name in _VECTORS:
-            return self.vecs[:, _VECTORS.index(name)]
-        raise AttributeError(name)
 
 
 def _block_norms(P: PHPencil, blocks=None) -> tuple[float, float, float, float]:
@@ -806,18 +804,18 @@ def gen_eigpair(
     semidefinite one raises ``GenerationError`` when ``lam`` is fixed.  For
     ker B* (JR, RE, JRE) and ker R (JB, EB, JEB), u1 = g - Q (Q* g) for a
     Gaussian g in C^n and an orthonormal basis Q of range(B) or of range(R):
-    a standard Gaussian on the kernel.  Q is not formed: one map per call,
-    so once per table (``linalg._complement_map``), takes B itself, or the
-    n x r pivoted Cholesky factor of R (``linalg._psd_factor``), scaled by a
-    power of two to unit norm, and forms its Gram matrix in O(n m^2) or
-    O(n r^2).  One Cholesky of the Gram matrix less a small multiple of
-    its trace certifies full column rank, and each try then removes g's
-    part in the range by the seminormal equations with one refinement
-    step: two m x m or r x r solves and four products in O(n m) or O(n r).
-    Where the certificate fails (a rank-deficient or ill-conditioned B or
-    factor), one Householder factorization is taken instead and g is
-    projected through its reflectors.  A trivial kernel raises
-    ``GenerationError``, as do ``max_tries`` rejected draws.
+    a standard Gaussian on the kernel.  One map per call, so once per table
+    (``linalg._complement_map``), takes B itself, or the n x r pivoted
+    Cholesky factor of R (``linalg._psd_factor``), scaled by a power of two
+    to unit norm, and forms its Gram matrix in O(n m^2) or O(n r^2).  One
+    Cholesky of the Gram matrix less a small multiple of its trace
+    certifies full column rank, and each try then removes g's part in the
+    range by the seminormal equations with one refinement step, with no Q
+    formed: two m x m or r x r solves and four products in O(n m) or
+    O(n r).  Where the certificate fails (a rank-deficient or
+    ill-conditioned B or factor), Q is formed: ``svd_range`` of B, or one
+    reduced QR of the factor.  A trivial kernel raises ``GenerationError``,
+    as do ``max_tries`` rejected draws.
     """
     blocks = parse_blocks(admissible_for)
     rng = np.random.default_rng(seed)
@@ -882,9 +880,10 @@ def experiment_table(
     most ``_STACK_BYTES``; the core's results are kept as columns and made
     rows at the end, so the table's peak memory is its output's and one
     stack's.  The rows equal ``eta_sd``/``eta_s`` on the same eigenpair bit
-    for bit.  Row-level failures (lambda = 0, infinite eta, generation
-    failure or any other ``DsmkitError``) are recorded in the row, never
-    raised; an unsupported selection or variant raises ``ValueError`` first.
+    for bit.  Row-level failures (lambda = 0 or not finite, infinite eta,
+    generation failure or any other ``DsmkitError``) are recorded in the
+    row, never raised; an unsupported selection or variant raises
+    ``ValueError`` first.
     """
     blocks = parse_blocks(blocks)
     if variant not in ("s", "sd"):
@@ -892,7 +891,8 @@ def experiment_table(
     formulas = _formula_variant(blocks, variant)
     norms, rb = _block_norms(P, blocks), blocks == frozenset("RB")
     lams = [complex(lam) for lam in lambdas]
-    errors = ["" if lam != 0 and _is_imaginary(lam, cfg) else "lambda must be nonzero purely imaginary" for lam in lams]
+    errors = ["lambda must be finite" if not cmath.isfinite(lam) else "" if lam != 0 and _is_imaginary(lam, cfg)
+              else "lambda must be nonzero purely imaginary" for lam in lams]
     v = None
     if not rb and "" in errors:
         try:

@@ -242,6 +242,20 @@ def test_backerr_rejects_real_lambda(capsys, tmp_path):
     assert code == 1 and "decimal" in err
 
 
+def test_backerr_rejects_a_lambda_beyond_the_float_range(capsys, tmp_path):
+    # 1e400i parses to inf i: it printed NaN entries under "finite": true, and a sweep row infi,nan,nan,true
+    ppath, csv_path = tmp_path / "P.json", tmp_path / "sweep.csv"
+    run(capsys, "pencil", "gen", "--n", "3", "--m", "2", "--seed", "3", "-o", str(ppath))
+    single = ["backerr", "--pencil", str(ppath), "--lambda", "1e400i", "--blocks", "JREB"]
+    sweep = ["backerr", "sweep", "--pencil", str(ppath), "--lambdas", "1e400i,0.5i", "--blocks", "JREB",
+             "--csv", str(csv_path)]
+    for argv in (single, sweep):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: lambda must be finite, got '1e400i'\n"
+    assert not csv_path.exists()
+
+
 def test_backerr_prior_work_exit_1(capsys, tmp_path):
     ppath = tmp_path / "P.json"
     run(capsys, "pencil", "gen", "--n", "2", "--m", "1", "--seed", "3", "-o", str(ppath))

@@ -242,12 +242,15 @@ COMPLEMENT_CASES = [
     # scaled by 2^+-500: on either path nothing overflows or underflows
     (64, 16, 16, 1e2, 500), (64, 16, 16, 1e2, -500), (64, 16, 5, None, 500), (64, 16, 5, None, -500),
 ]
+# a full-column-rank x is also taken without cfg, as a psd factor is: r = m, and one reduced QR where the
+# Gram path fails
+COMPLEMENT_CASES = [(*c, DEFAULT_TOL) for c in COMPLEMENT_CASES] + [(*c, None) for c in COMPLEMENT_CASES if c[3]]
 
 
-@pytest.mark.parametrize("n,m,rank,cond,scale", COMPLEMENT_CASES,
+@pytest.mark.parametrize("n,m,rank,cond,scale,cfg", COMPLEMENT_CASES,
                          ids=[f"{n}-{m}-{rank}" + (f"-cond{c:g}" if c else "") + (f"-2^{s}" if s else "")
-                              for n, m, rank, c, s in COMPLEMENT_CASES])
-def test_complement_map_takes_svd_ranges_rank_rule(n, m, rank, cond, scale, monkeypatch):
+                              + ("" if cfg is not None else "-nocfg") for n, m, rank, c, s, cfg in COMPLEMENT_CASES])
+def test_complement_map_takes_svd_ranges_rank_rule(n, m, rank, cond, scale, cfg, monkeypatch):
     import warnings
 
     from dsmkit.linalg import _complement_map, svd_range
@@ -264,16 +267,18 @@ def test_complement_map_takes_svd_ranges_rank_rule(n, m, rank, cond, scale, monk
     seen = watch_linalg(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r, project = _complement_map(x, DEFAULT_TOL)
+        r, project = _complement_map(x, cfg)
         got = None if project is None else _applied(project, g)
     assert r == q.shape[1] == rank_x
     assert (project is None) == (r == n)
     if project is not None:
         want = g - q @ (q.conj().T @ g)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    # the Gram path is one Cholesky and no QR; it never runs where svd_range drops a direction
-    gram = [c[0] for c in seen if c[0] in ("cholesky", "qr")] == ["cholesky"]
+    # the Gram path is one Cholesky and no QR or SVD; it never runs where svd_range drops a direction
+    gram = [c[0] for c in seen if c[0] in ("cholesky", "qr", "svd")] == ["cholesky"]
     assert not (gram and r < m)
     if cond is not None:
         assert gram == (cond < 1e4)
+    if cfg is None:  # untruncated: one reduced QR where the certificate fails, no SVD
+        assert [c[:1] + c[3:] for c in seen if c[0] in ("qr", "svd")] == ([] if gram else [("qr", "reduced")])
     assert _complement_map(crandn(rng, n, m) * 1e-150, DEFAULT_TOL)[0] == min(n, m)  # the rank rule is relative

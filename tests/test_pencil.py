@@ -18,6 +18,7 @@ from dsmkit import (
 )
 from dsmkit.errors import (
     DegenerateInputError,
+    DsmkitError,
     GenerationError,
     HypothesisViolationError,
     ReconstructionError,
@@ -198,6 +199,17 @@ def test_eigenpair_tests_lambda_under_the_callers_tolerance():
     ep = EigenPair(1j + 1e-9, [1], [1], [0], ToleranceConfig(residual_tol=1e-8))
     assert ep.lam == 1j
     assert "cfg" not in {f.name for f in dataclasses.fields(ep)}  # the corpus encoding is unchanged
+
+
+NON_FINITE_LAMS = {"inf": complex(np.inf, 0.0), "inf-i": complex(0.0, np.inf), "-inf-i": complex(0.0, -np.inf),
+                   "nan-i": complex(0.0, np.nan)}
+
+
+@pytest.mark.parametrize("lam", NON_FINITE_LAMS.values(), ids=NON_FINITE_LAMS.keys())
+def test_eigenpair_rejects_a_non_finite_lambda(lam):
+    # inf + 0i passed |Re| <= residual_tol |lambda| (inf <= inf) and was projected to lambda = 0
+    with pytest.raises(DsmkitError, match="lambda must be finite"):
+        EigenPair(lam, [1], [1], [0])
 
 
 @pytest.mark.parametrize("blocks", sorted(blocks_to_string(b) for b in ETA_SD_COMBOS | ETA_S_COMBOS))
@@ -491,6 +503,20 @@ def test_experiment_table_rows_equal_eta(case):
     assert finite >= (4 if blocks == "RB" and p.n < 256 else 8)
 
 
+@pytest.mark.parametrize("blocks", ["JREB", "RB", "JR"])
+def test_table_records_a_non_finite_lambda_as_a_row_error(blocks):
+    p = gen_pencil(4, 2, seed=12, b_rank=1)  # ker B* is nontrivial for JR
+    rows = experiment_table(p, [NON_FINITE_LAMS["inf-i"], 0.5j, NON_FINITE_LAMS["inf"], NON_FINITE_LAMS["nan-i"]],
+                            7, blocks)
+    for i in (0, 2, 3):
+        assert rows[i]["error"] == "lambda must be finite" and not rows[i]["finite"]
+        assert rows[i]["eta_lower"] == rows[i]["eta_upper"] == np.inf and rows[i]["conditions"] == ""
+    # the finite row is the one a table of it alone gives: RB draws row i with seed ep_seed + i, a fixed
+    # eigenvector is drawn at the first valid lambda
+    assert rows[1] == experiment_table(p, [0.5j], 8 if blocks == "RB" else 7, blocks)[0]
+    assert rows[1]["finite"]
+
+
 def test_experiment_table_raises_bugs_and_records_data_errors(monkeypatch):
     import dsmkit.pencil as pencil_mod
 
@@ -734,8 +760,9 @@ def test_products_of_a_stack_are_its_stacks_of_one(n):
         one = _products(p, u1[i : i + 1], u2[i : i + 1], u3[i : i + 1], DEFAULT_TOL)
         for name, field in vars(v).items():
             assert np.array_equal(field[i : i + 1] if np.ndim(field) else field, getattr(one, name)), (i, name)
-        assert np.array_equal(v.Ju1[i], p.J @ v.u1[i]) and np.array_equal(v.Ru2[i], p.R @ v.u2[i])
-        assert np.array_equal(v.Bu1[i], p.B.conj().T @ v.u1[i])
+        u1_i, u2_i, ju1, ru2 = v.vecs[i, 0], v.vecs[i, 1], v.vecs[i, 2], v.vecs[i, 6]  # in _VECTORS' order
+        assert np.array_equal(ju1, p.J @ u1_i) and np.array_equal(ru2, p.R @ u2_i)
+        assert np.array_equal(v.Bu1[i], p.B.conj().T @ u1_i)
     assert v.colinear.tolist() == [False, True] + 4 * [False] and v.u3_zero.tolist() == 2 * [False] + 4 * [True]
 
 
@@ -977,14 +1004,18 @@ def test_gen_eigpair_raises_on_a_trivial_kernel_at_n_64(blocks):
 KERNEL_TABLES = [c for c in ALL_SELECTIONS if c[0] in KERNEL_R_SELECTIONS + KERNEL_B_SELECTIONS]
 
 
-@pytest.mark.parametrize("blocks,variant,certified",
-                         [pytest.param(b, v, True, id=f"{b}-{v}") for b, v in KERNEL_TABLES]
-                         + [pytest.param(b, v, False, id=f"{b}-{v}-householder") for b, v in KERNEL_TABLES])
-def test_kernel_table_takes_no_square_decomposition(blocks, variant, certified, monkeypatch):
+#: (n, m, rank of R, certified) by id suffix: a full-rank pencil, one that fails the Gram certificate, and
+#: the sweep benchmark's shape, whose draws must stay on the Gram path
+KERNEL_INPUTS = {"": (64, 16, 32, True), "-fallback": (64, 16, 32, False), "-sweep": (256, 64, 128, True)}
+
+
+@pytest.mark.parametrize("blocks,variant,n,m,r,certified",
+                         [pytest.param(b, v, *shape, id=f"{b}-{v}{tag}")
+                          for tag, shape in KERNEL_INPUTS.items() for b, v in KERNEL_TABLES])
+def test_kernel_table_takes_no_square_decomposition(blocks, variant, n, m, r, certified, monkeypatch):
     import dsmkit.pencil as pencil_mod
 
     assert not hasattr(pencil_mod, "null_projector") and not hasattr(pencil_mod, "svd_split")
-    n, m, r = 64, 16, 32
     kernel_r = blocks in KERNEL_R_SELECTIONS
     p = gen_pencil(n, m, seed=8, r_rank=r, b_rank=None if certified or kernel_r else m // 2)
     if kernel_r and not certified:
@@ -997,16 +1028,14 @@ def test_kernel_table_takes_no_square_decomposition(blocks, variant, certified, 
     rows = experiment_table(p, [0.45j, -1.2j, 0.9j, -0.35j, 1.7j], 5, blocks, variant=variant)
     assert all(row["error"] == "" and row["finite"] for row in rows)
     assert [c for c in seen if c[0] in ("svd", "eigh", "eigvalsh") and c[1][-2:] == (n, n)] == []
-    # one map per table, no Q and no U formed, on B or on the n x k Cholesky factor of R (k = m or r): one
-    # Cholesky of the k x k Gram matrix, which certifies a full-rank B or factor, then two k x k solves for
-    # the one draw; where it fails, the raw QR of B and the SVD of its m x m triangle, or the raw QR of
-    # the factor
+    # one map per table, on B or on the n x k Cholesky factor of R (k = m or r): one Cholesky of the k x k
+    # Gram matrix, which certifies a full-rank B or factor, then two k x k solves for the one draw and no Q;
+    # where it fails, one orthonormal basis: the thin SVD of B (svd_range) or the reduced QR of the factor
     k = r if kernel_r else m
     wide = [c for c in seen if min(c[1][-2:]) > 8]
     if certified:
         assert wide == [("cholesky", (k, k), False, None)] + 2 * [("solve", (k, k), False, None)]
     else:
-        assert wide == [("cholesky", (k, k), False, None)] + ([("qr", (n, k), False, "raw")] if kernel_r
-                                                              else [("qr", (n, m), False, "raw"),
-                                                                    ("svd", (m, m), False, True)])
+        assert wide == [("cholesky", (k, k), False, None)] + ([("qr", (n, k), False, "reduced")] if kernel_r
+                                                              else [("svd", (n, m), False, True)])
     _assert_core_shapes([c for c in seen if c not in wide])
