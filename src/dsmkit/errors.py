@@ -52,6 +52,10 @@ class InconsistentConstraintsError(DsmkitError, ValueError):
     """A linear constraint system admits no solution."""
 
 
+class BoundsOverflowError(DsmkitError, OverflowError):
+    """A result of finite data lies beyond the floating-point range."""
+
+
 class CertificationError(DsmkitError, RuntimeError):
     """A convex oracle found no strictly feasible point or could not certify its duality gap."""
 

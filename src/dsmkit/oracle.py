@@ -17,7 +17,11 @@ rows, filled by fancy indexing in time and memory of their own size.
   Sec. 11) solves them all: the equalities are eliminated exactly, Newton
   steps follow the central path, and the method stops once a dual bound
   certifies that the norm of the returned feasible point exceeds the
-  minimum by at most ``GAP_FACTOR * residual_tol`` relative.  Nothing is
+  minimum by at most ``GAP_FACTOR * residual_tol`` relative.  Each step
+  minimizes the barrier function along its Newton direction in closed
+  form, from the eigenvalues the step already takes (Sec. 9.2), with one
+  Cholesky factorization at the point it accepts; when t grows at a
+  centred point, the next step reuses all that depends on the point.  Nothing is
   started from, or parametrized by, the closed forms these problems check.
 
 Every oracle is one call of one solve path, ``_solve_on_span``: compress to
@@ -69,7 +73,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .dsm import _AUDIT_FACTOR, DsmProblem, Type1Problem, _replaced
 from .errors import CertificationError, DegenerateInputError, InconsistentConstraintsError
-from .linalg import as_complex, fro, svd_range
+from .linalg import _kept, as_complex, fro, svd_range
 from .maps import FAMILIES, _LINEAR, StructureFamily, _reflect
 
 if TYPE_CHECKING:
@@ -329,13 +333,18 @@ def oracle_least_norm(constraints, structure: StructureFamily | None = None, cfg
 #: ||theta||^2: the true minimum then lies within ``GAP_FACTOR * residual_tol``
 #: (relative) below the norm it returns
 GAP_FACTOR = 100.0
-# t's growth and the centring test, from a measured table (CHANGES.md): (200, 1.0) takes 11
-# Newton steps per path against 18 at (50, 0.1); larger pairs take fewer but fail some
-# solves, (500, 1.0) one in 16 800 certify operations and (200, 2.0) about 2 %
+# t's growth and the centring test, from a table measured with a halving line search (CHANGES.md):
+# (200, 1.0) took 11 Newton steps per path against 18 at (50, 0.1); larger pairs took fewer but
+# failed some solves, (500, 1.0) one in 16 800 certify operations and (200, 2.0) about 2 %.  With
+# the closed-form line search an sd eta oracle call takes 15.4 steps (both phases) against 21.9,
+# over the certify rounds of seeds 1-60 (4200 operations, none failed); t's growth at 1000 takes
+# 12.4 but fails 2 of them, and at 5000 fails 45 (psd and type 1, ``CertificationError``)
 _T_GROWTH = 200.0  # factor of the barrier weight t once a point is centred
 _CENTRED = 1.0  # squared Newton decrement below which a point counts as centred
 _NEWTON_STEPS = 300  # Newton steps allowed to one barrier solve
 _SMALLEST_STEP = 1e-12  # a line search that must go below this step has stalled
+_LINE_STEPS = 60  # iterations of the closed-form line search (``_line_minimum``) in one Newton step
+_LINE_GAP = 1e-6  # the closed-form line search stops within about this much of F's minimum on the line
 _PHASE_ONE_RADIUS = 1e6  # phase I searches phi within this multiple of ||theta0|| + ||C(0)||
 
 
@@ -367,14 +376,60 @@ def _cholesky(c: np.ndarray) -> np.ndarray | None:
         return None
 
 
+def _line_minimum(eigs, slope: float, curve: float, ball=None) -> float:
+    """The minimizer over s > 0 of g(s) = slope s + curve s^2 / 2 - sum_i log(1 + s eigs_i) [- log room(s)].
+
+    g is F along a Newton direction (``_central_path``) less F(x): the barrier term is exact in the
+    eigenvalues of D, and ``ball`` = (q, e, room) adds the phase I ball, room(s) = room - 2 q s - e s^2.
+    g is convex on (0, s_max), s_max the first zero of 1 + s eigs_min or of room(s); a Newton iteration
+    on g' keeps a bracket [lo, hi] of the minimizer and bisects it (doubles s while hi is infinite) where
+    a Newton point falls outside.  It stops once g(s) is within about ``_LINE_GAP`` of the minimum,
+    g'^2 / g'' <= 2 ``_LINE_GAP``, and factors nothing.
+    """
+    lams = eigs.tolist()
+    hi = -1.0 / lams[0] if lams[0] < 0.0 else math.inf
+    if ball is not None:
+        q, e, room = ball
+        if e > 0.0:  # the positive root of e s^2 + 2 q s - room, in the form without cancellation
+            root = math.sqrt(q * q + e * room)
+            hi = min(hi, (root - q) / e if q < 0.0 else room / (root + q))
+    lo, s = 0.0, min(1.0, hi / 2.0)  # s = 1 is the Newton step of F
+    for _ in range(_LINE_STEPS):
+        d1, d2 = slope + curve * s, curve
+        for lam in lams:
+            r = lam / (1.0 + s * lam)
+            d1 -= r
+            d2 += r * r
+        if ball is not None:
+            left = room - s * (2.0 * q + e * s)
+            b = 2.0 * (q + e * s) / left
+            d1 += b
+            d2 += 2.0 * e / left + b * b
+        if d1 * d1 <= 2.0 * _LINE_GAP * d2:
+            break
+        lo, hi = (s, hi) if d1 < 0.0 else (lo, s)
+        s = s - d1 / d2 if d2 > 0.0 else math.inf
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+    return s
+
+
 def _central_path(c0, flat, x, t, done, radius=None):
     """Newton steps along the central path of F(x) = t f(x) - logdet C(x), C(x) = c0 + (x @ flat).reshape(k, k).
 
     Row j of ``flat`` is the k x k Hermitian M_j, row-major, so C is affine
-    in x.  C must be positive definite at the start x, and stays so: each
-    step is a backtracking line search on F along the Newton direction.
-    Once the squared Newton decrement is below ``_CENTRED``, t grows by
-    ``_T_GROWTH``.  f(x) = ||x||^2; given a ``radius`` (phase I), f(x) is the
+    in x.  C must be positive definite at the start x, and stays so.  Each
+    step minimizes F along the Newton direction dx in closed form: with
+    C(x + s dx) = L (I + s D) L^*, logdet C(x + s dx) = logdet C(x) +
+    sum_i log(1 + s lambda_i) over the eigenvalues lambda_i of D, which the
+    step has already taken, so F on the line is a scalar function of s
+    (``_line_minimum``), minimized with no factorization.  One Cholesky at
+    the chosen point then proves it strictly feasible and serves the next
+    step; a backtracking (Armijo) line search from the chosen s, halving,
+    is the guard.  Once the squared Newton decrement is below ``_CENTRED``,
+    t grows by ``_T_GROWTH`` and x stays: the next step reuses everything
+    that depends on x alone (L^-1, kron, w, the barrier's gradient and
+    Hessian).  f(x) = ||x||^2; given a ``radius`` (phase I), f(x) is the
     last coordinate s = x[-1] instead, and the barrier -log(radius^2 - ||p||^2)
     of the ball around the origin for the other coordinates p joins F, so
     the path stays bounded.
@@ -403,14 +458,18 @@ def _central_path(c0, flat, x, t, done, radius=None):
         return t * objective(x) - ball - 2.0 * np.log(np.diagonal(factor).real).sum(), factor
 
     fx, factor = value(x)
+    if factor is None:
+        raise CertificationError("the barrier's start is not strictly feasible: the cone block is ill-conditioned")
     eye = np.eye(x.size if radius is None else x.size - 1)
     for _ in range(_NEWTON_STEPS):
-        li = np.linalg.inv(factor)
-        kron = (li[:, None, :, None] * li.conj()[None, :, None, :]).reshape(k * k, k * k)
-        w = flat @ kron.T
-        gb = -w[:, :: k + 1].real.sum(axis=1)
-        wr = w.view(np.float64)  # Re(w w*) from the real view of the rows: the Hessian of -logdet C
-        hb = wr @ wr.T
+        if factor is not None:  # x has moved: what depends on x alone, kept while only t grows
+            li = np.linalg.inv(factor)
+            kron = (li[:, None, :, None] * li.conj()[None, :, None, :]).reshape(k * k, k * k)
+            w = flat @ kron.T
+            gb = -w[:, :: k + 1].real.sum(axis=1)
+            wr = w.view(np.float64)  # Re(w w*) from the real view of the rows: the Hessian of -logdet C
+            hb = wr @ wr.T
+            factor = None
         if radius is None:
             grad = gb + 2.0 * t * x
             hess = hb + 2.0 * t * eye
@@ -430,12 +489,18 @@ def _central_path(c0, flat, x, t, done, radius=None):
             fx += (_T_GROWTH - 1.0) * t * objective(x)  # F at the grown t, the same x
             t *= _T_GROWTH
             continue
-        step = 1.0  # steps with 1 + s lambda_min(D) <= 0 leave the domain: no Cholesky needed to see it
-        while step * eigs[0] <= -1.0 or (new := value(x + step * dx))[0] > fx - 0.25 * step * decrement:
+        if radius is None:
+            step = _line_minimum(eigs, 2.0 * t * float(x @ dx), 2.0 * t * float(dx @ dx))
+        else:
+            dp = dx[:-1]
+            step = _line_minimum(eigs, t * dx[-1], 0.0, (float(p @ dp), float(dp @ dp), room))
+        # the Armijo guard, halving from the line minimum; steps with 1 + s lambda_min(D) <= 0 leave the
+        # domain: no Cholesky needed to see it
+        while step * eigs[0] <= -1.0 or (new := value(y := x + step * dx))[0] > fx - 0.25 * step * decrement:
             step /= 2.0
             if step < _SMALLEST_STEP:
                 raise CertificationError("barrier line search stalled: the cone block is singular on the constraints")
-        x, (fx, factor) = x + step * dx, new
+        x, (fx, factor) = y, new
     raise CertificationError(f"barrier method did not finish in {_NEWTON_STEPS} Newton steps")
 
 
@@ -461,23 +526,44 @@ def _barrier(theta0, null, cone, cfg: ToleranceConfig):
       pulled back along the ray to the origin, to twice the parameter where
       the ray enters the cone, since phase I may run far out in directions
       that raise every eigenvalue;
-    * phase II follows the central path of t ||phi||^2 - logdet C(phi).
+    * phase II follows the central path of t ||phi||^2 - logdet S(phi) on
+      the Schur complement S of the directions of the block that no M_j
+      moves (``_schur_complement``): a block whose conditioning does not
+      collapse where the data fix a small corner of C, as the constraint
+      Delta x = y fixes x* C x = x* y.  S(phi) = T* C(phi) T for a fixed T,
+      so C(phi) >= 0 implies S(phi) >= 0 and S's dual bound bounds the
+      minimum over C.  The rank rule may drop directions that the M_j move
+      by rounding or by up to ``rank_tol`` of their norm: phase II stays on
+      C unless that move is negligible against the corner, and the returned
+      phi is checked on C itself.  Phase I stays on C: on the complement
+      the M_j may span the identity, whose direction then carries no
+      curvature in phase I's Newton systems.
+
+    Each Newton step of either phase minimizes the barrier function on its
+    line in closed form from the eigenvalues of the step (``_line_minimum``),
+    takes one Cholesky factorization at the point it accepts, which proves
+    that point strictly feasible and serves the next step, and keeps the
+    backtracking (Armijo) test, halving, as a guard; a step at a grown t
+    reuses the factorization and all that follows from it.
 
     The certificate is weak duality: for every Z >= 0,
 
         min ||theta||^2 >= ||theta0||^2 - <Z, C0> - ||M*(Z)||^2 / 4,
 
-    M*(Z)_j = <Z, M_j>.  Z is a multiple, the best one in closed form, of the
-    dual point of the current Newton step dphi, C^-1 - C^-1 M(dphi) C^-1
-    (of C^-1 where that is not semidefinite).  The method stops once
+    M*(Z)_j = <Z, M_j>, here for the block phase II runs on (for S, its S0
+    and T* M_j T: a Z_S >= 0 for S is the Z = T Z_S T* >= 0 for C, with the
+    same <Z, C0> and M*(Z)).  Z is a multiple, the best one in closed form,
+    of the dual point of the current Newton step dphi, C^-1 - C^-1 M(dphi)
+    C^-1 (of C^-1 where that is not semidefinite), C the block phase II
+    runs on.  The method stops once
     ||theta||^2 minus this bound is at most ``GAP_FACTOR * residual_tol`` of
     ||theta||^2 and returns the feasible theta with the square root of the
     bound, a lower bound on the least ||theta|| (||theta0|| when theta0 is
     the answer).  No strictly feasible phi (phase I's s stays >= 0 while its
-    gap k / t falls below ``residual_tol`` of ||C0||), no certified gap
-    within ``_NEWTON_STEPS`` steps, or a singular matrix in any step (the
-    Newton solve, the pull-back's Cholesky factor) raises
-    ``CertificationError``.
+    gap k / t falls below ``residual_tol`` of ||C0||), no certified gap within
+    ``_NEWTON_STEPS`` steps, a singular matrix in any step (the Newton
+    solve, the pull-back's Cholesky factor), or a returned C(phi) with an
+    eigenvalue below ``-psd_tol * ||C(phi)||`` raises ``CertificationError``.
     """
     first, basis = cone
     k = int(basis[0].max()) + 1
@@ -494,10 +580,44 @@ def _barrier(theta0, null, cone, cfg: ToleranceConfig):
         v = svd_range(np.concatenate([flat.real, flat.imag], axis=1), cfg)
         flat, null = v.T @ flat, null @ v
         phi = _phase_one(c0, flat, eig0, scale, cfg)
-        bound, phi = _phase_two(c0, flat, phi, cfg)
+        bound, phi = _phase_two(*_schur_complement(c0, flat, cfg), phi, cfg)
+        c = c0 + (phi @ flat).reshape(k, k)
+        if np.linalg.eigvalsh(c)[0] < -cfg.psd_tol * fro(c):
+            raise CertificationError("the barrier's point leaves the cone: a dropped direction moves the block")
     except np.linalg.LinAlgError as err:
         raise CertificationError(f"barrier step failed: {err}") from err
     return theta0 + unit * (null @ phi), unit * math.sqrt(bound)
+
+
+def _schur_complement(c0, flat, cfg: ToleranceConfig):
+    """The cone block on the complement of the directions that no M_j moves (``_barrier``).
+
+    U0 holds the right singular vectors of the stacked M_j that ``svd_range``'s rule drops, U1 the
+    rest.  In the basis [U1 U0] C0 is [[C11, B], [B*, A]], and S(phi) = T* C(phi) T with
+    T = U1 - U0 A^-1 B*: S0 = T* C0 T = C11 - B A^-1 B*, and the M_j become T* M_j T.  A
+    congruence keeps semidefiniteness, so C(phi) >= 0 implies S(phi) >= 0 for every phi: S's
+    feasible set holds C's, and a dual bound for S is one for C.  Where every M_j maps U0 to zero
+    exactly, T* M_j T = U1* M_j U1 and S(phi) is C(phi)'s Schur complement over its fixed corner A:
+    C(phi) is positive definite exactly when A and S(phi) are, and logdet C = logdet A + logdet S,
+    so the feasible set and the central path are C's.  S is far better conditioned than C where A
+    is small against the rest of the block.  The M_j move A by at most ||phi|| times the largest
+    dropped singular value, so the corner counts as fixed only where that value is below
+    ``residual_tol`` times A's least eigenvalue; ``_barrier`` checks the returned phi on C all the
+    same.  Returns S0 and the rows of the T* M_j T (row-major), or (c0, flat) when every direction
+    moves or the corner is not fixed (A not positive definite among them).
+    """
+    k = c0.shape[0]
+    _, sv, vh = np.linalg.svd(flat.reshape(-1, k))  # descending: the moved directions lead
+    r = int(np.count_nonzero(_kept(sv, cfg)))
+    c = vh @ c0 @ vh.conj().T  # [[C11, B], [B*, A]]
+    # the M_j move A by at most ||phi|| sv[r]: only where that is negligible against A is the corner fixed
+    if r == k or not sv[r] < cfg.residual_tol * np.linalg.eigvalsh(c[r:, r:])[0]:
+        return c0, flat
+    factor = np.linalg.cholesky(c[r:, r:])
+    g = np.linalg.solve(factor, c[r:, :r])  # L^-1 B*, so that B A^-1 B* = g* g
+    th = vh[:r] - np.linalg.solve(factor.conj().T, g).conj().T @ vh[r:]  # T* = U1* - B A^-1 U0*
+    kron = (th[:, None, :, None] * th.conj()[None, :, None, :]).reshape(r * r, k * k)  # M -> T* M T
+    return c[:r, :r] - g.conj().T @ g, flat @ kron.T
 
 
 def _phase_one(c0, flat, eig0: float, scale: float, cfg: ToleranceConfig) -> np.ndarray:

@@ -61,6 +61,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
+    BoundsOverflowError,
     DegenerateInputError,
     DsmkitError,
     DimensionMismatchError,
@@ -440,15 +441,17 @@ def _bounds(blocks: frozenset[str], variant: str, lams, h1n, hhn, hsn, h2n) -> t
 
 
 _NOT_NEGATIVE_DEFINITE = "X*Y must be Hermitian negative definite for the RB formula"
+_OVERFLOW = "backward-error bounds overflow the floating-point range (|lambda| = {:.3g})"
 
 
 #: the core's results for a stack of rows (``_solve``), a list each but F, C and norm: ``side``, the names
 #: of the side conditions, all that an infinite row reports; ``report``, every verdict by name; ``finite``,
-#: the side conditions hold; ``refused``, RB "sd" rows that are finite but whose X*Y is not negative
-#: definite (their error); the bounds (of a finite row), ``exact``, ``alpha`` and ``warnings``;
-#: and H1 = Q F C F* Q* for the basis Q of the coordinates (C[0] for every row when C holds one core),
-#: with ``norm`` = ||H1|| as the bounds took it
-_Rows = namedtuple("_Rows", "side report finite refused lower upper exact alpha warnings F C norm")
+#: the side conditions hold; ``failed``, None or the ``DsmkitError`` of a finite row that has no bounds (an
+#: RB "sd" row whose X*Y is not negative definite, or bounds that overflow: checked first, since an
+#: overflow can also fail the X*Y test); the bounds (of a finite row), ``exact``, ``alpha`` and
+#: ``warnings``; and H1 = Q F C F* Q* for the basis Q of the coordinates (C[0] for every row when C holds
+#: one core), with ``norm`` = ||H1|| as the bounds took it
+_Rows = namedtuple("_Rows", "side report finite failed lower upper exact alpha warnings F C norm")
 
 
 def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products, cfg: ToleranceConfig) -> _Rows:
@@ -528,9 +531,17 @@ def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products,
     norms, finite = Factored.part_norms(F, C), np.ones(rows, dtype=bool)
     for name in side:
         finite &= report[name]
-    lo, up = (b.tolist() for b in _bounds(blocks, variant, lams, *norms, h2n))
+    lo, up = _bounds(blocks, variant, lams, *norms, h2n)
+    # |lam|^2 or a sum of squares beyond the range: a refused row has no bounds, and its verdict rests on ||X*Y||
+    bounded = np.isfinite(lo) & np.isfinite(up)
+    overflow = finite & ~(np.where(refused, np.isfinite(nxy), bounded) if rb and variant == "sd" else bounded)
+    failed = [None] * rows
+    if overflow.any() or (refused & finite).any():
+        failed = [BoundsOverflowError(_OVERFLOW.format(abs(lam))) if o
+                  else HypothesisViolationError(_NOT_NEGATIVE_DEFINITE) if r and f else None
+                  for lam, o, r, f in zip(lams, overflow, refused, finite)]
     report = {name: _per_row(c, rows) for name, c in report.items()}
-    return _Rows(side, report, finite.tolist(), (refused & finite).tolist(), lo, up, _per_row(exact, rows), alpha,
+    return _Rows(side, report, finite.tolist(), failed, lo.tolist(), up.tolist(), _per_row(exact, rows), alpha,
                  warnings, F, C, norms[0])
 
 
@@ -553,8 +564,8 @@ def _eta(P: PHPencil, ep: EigenPair, blocks, variant: str, cfg: ToleranceConfig)
         raise DegenerateInputError("lambda must be nonzero imaginary")
     v = _products(P, ep.u1[None], ep.u2[None], ep.u3[None], cfg, _block_norms(P, blocks), basis=True)
     out = _solve(blocks, formulas, np.array([ep.lam]), v, cfg)
-    if out.refused[0]:
-        raise HypothesisViolationError(_NOT_NEGATIVE_DEFINITE)
+    if out.failed[0] is not None:
+        raise out.failed[0]
     report = {name: c[0] for name, c in out.report.items() if out.finite[0] or name in out.side}
     if not out.finite[0]:
         return BackwardErrorBounds(False, math.inf, math.inf, conditions_report=report, variant=variant, blocks=blocks,
@@ -919,8 +930,8 @@ def experiment_table(
         out = _solve(blocks, formulas, np.array([1j * lams[i].imag for i in live]), v, cfg)
         for j, i in enumerate(live):
             text = ";".join(f"{name}={c[j]}" for name, c in out.report.items() if out.finite[j] or name in out.side)
-            if out.refused[j]:
-                errors[i] = _NOT_NEGATIVE_DEFINITE
+            if out.failed[j] is not None:
+                errors[i] = str(out.failed[j])
                 continue
             conditions[i] = texts.setdefault(text, text)
             if out.finite[j]:

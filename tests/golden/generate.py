@@ -17,8 +17,9 @@ and say in CHANGES.md which records changed and why.  The inputs are drawn
 from seeded generators once and stored, so the corpus does not depend on
 later changes to the test helpers or to the generators of the package:
 a rewrite re-evaluates every stored case on its stored inputs, keeps its
-stored output unless that output has changed, prints the ids that changed,
-and draws fresh inputs only for ids that are not stored yet.  The input of
+stored output unless that output has changed, prints the ids that changed
+with every mismatch (path, new value, old value) under each, and draws fresh
+inputs only for ids that are not stored yet.  The input of
 a ``cli/verify/*`` case is not drawn: it is the document its source case
 (``VERIFY_SOURCES``) prints in the rewritten corpus.
 """
@@ -656,11 +657,16 @@ if __name__ == "__main__":
     corpus, changed = build(stored)
     ids = [c["id"] for c in corpus]
     assert len(ids) == len(set(ids)), "case ids must be unique"
-    before = {c["id"] for c in stored}
+    before = {c["id"]: c for c in stored}
+    after = dict(zip(ids, corpus))
     for tag, names in (("changed", changed), ("new", [i for i in ids if i not in before]),
-                       ("dropped", sorted(before - set(ids)))):
+                       ("dropped", sorted(set(before) - set(ids)))):
         for name in names:
             print(f"{tag}: {name}")
+            if tag == "changed":  # what moved: (path, new, old) of each number, flag or message
+                for path, now, was in mismatches(after[name]["out"], before[name]["out"]) or [(".args", "changed", "")]:
+                    moved = f"moved by {was:.3e}, norm-wise" if now == "array differs" else f"{now!r} (was {was!r})"
+                    print(f"    {path}: {moved}")
     with open(CORPUS, "w", encoding="utf-8") as fh:
         json.dump(corpus, fh, indent=0)
         fh.write("\n")

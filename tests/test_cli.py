@@ -452,3 +452,12 @@ def test_backerr_draws_a_kernel_r_eigenpair_at_n_64_and_verify_accepts_it(capsys
     assert doc["bounds"]["eta_upper"] == pytest.approx(want.eta_upper, rel=1e-12)
     code, report = _verify_doc(capsys, tmp_path, doc)
     assert code == 0 and report["ok"] is True
+
+
+def test_backerr_rejects_bounds_that_overflow(capsys, tmp_path):
+    # 1e160i is finite, but the bounds overflow: it printed NaN bounds under "finite": true
+    ppath = tmp_path / "P.json"
+    run(capsys, "pencil", "gen", "--n", "4", "--m", "2", "--seed", "3", "-o", str(ppath))
+    code, out, err = run(capsys, "backerr", "--pencil", str(ppath), "--lambda", "1e160i", "--blocks", "JREB")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: backward-error bounds overflow the floating-point range (|lambda| = 1e+160)"

@@ -113,15 +113,21 @@ def test_a_singular_barrier_step_raises_a_certification_error(monkeypatch, name)
     assert len(calls) > 1
 
 
-def test_sd_oracle_newton_steps_per_call(monkeypatch):
-    # 48 problems as the benchmark's certify round draws them: n = 3, m = 1,
-    # 16 each of JREB, JRB and JR; every call of ``done`` is one Newton step
+def _certify_problems():
+    """48 problems as the benchmark's certify round draws them: n = 3, m = 1, 16 each of JREB, JRB and JR."""
     rng = np.random.default_rng(0)
     problems = []
     for blocks in ("JREB", "JRB", "JR"):
         for _ in range(16):
             P = gen_pencil(3, 1, int(rng.integers(2**31)))
             problems.append((P, gen_eigpair(P, int(rng.integers(2**31)), blocks), blocks))
+    return problems
+
+
+def test_sd_oracle_newton_steps_per_call(monkeypatch):
+    # every call of ``done`` is one Newton step; the closed-form line search takes about 15.5 per call,
+    # backtracking from s = 1 took about 23
+    problems = _certify_problems()
     steps = []
     path = oracle._central_path
 
@@ -135,4 +141,193 @@ def test_sd_oracle_newton_steps_per_call(monkeypatch):
     monkeypatch.setattr(oracle, "_central_path", counted)
     for P, ep, blocks in problems:
         oracle_eta(P, ep, blocks, "sd")
-    assert len(steps) / len(problems) <= 24.0
+    assert len(steps) / len(problems) <= 17.0
+
+
+def test_sd_oracle_factors_once_per_accepted_point(monkeypatch):
+    # the line search factors nothing: a barrier solve takes one Cholesky per accepted point (about 14.5
+    # per call on these problems, with the pull-back's two and the Schur complement's one), not one per
+    # trial step (about 21 before); and a step at a grown t, x unchanged, reuses L^-1 and all after it
+    problems = _certify_problems()
+    log, in_barrier = [], []
+    barrier, path = oracle._barrier, oracle._central_path
+    cholesky, inv = np.linalg.cholesky, np.linalg.inv
+
+    def counted_barrier(*args, **kwargs):
+        in_barrier.append(True)
+        try:
+            return barrier(*args, **kwargs)
+        finally:
+            in_barrier.pop()
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            if in_barrier:
+                log.append(name)
+            return f(*args, **kwargs)
+
+        return call
+
+    def watched(c0, flat, x, t, done, *args, **kwargs):
+        def step(x, t, *a):
+            log.append(("done", t))
+            return done(x, t, *a)
+
+        log.append("path")
+        return path(c0, flat, x, t, step, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_barrier", counted_barrier)
+    monkeypatch.setattr(oracle, "_central_path", watched)
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
+    for P, ep, blocks in problems:
+        oracle_eta(P, ep, blocks, "sd")
+    assert log.count("cholesky") / len(problems) <= 15.0
+    grown, last = 0, None
+    for i, entry in enumerate(log):
+        if entry == "path":
+            last = None
+        elif isinstance(entry, tuple):
+            if last is not None and entry[1] > log[last][1]:
+                grown += 1
+                assert "inv" not in log[last + 1 : i]  # t grew at the same x: no new L^-1
+            last = i
+    assert grown >= 4 * len(problems)  # phase II grows t four times on each
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closed_form_line_search_finds_the_minimum_on_the_line(seed):
+    # g(s) = slope s + curve s^2 / 2 - sum log(1 + s eigs) [- log room(s)], minimized on a fine grid of its domain
+    rng = np.random.default_rng(seed)
+    eigs = np.sort(rng.standard_normal(3) * 3.0)
+    curve = 0.0 if seed % 2 else float(rng.uniform(0.1, 5.0))
+    ball = None  # (q, e, room): room(s) = room - 2 q s - e s^2
+    if seed % 2:
+        ball = (float(rng.standard_normal()), float(rng.uniform(0.5, 2.0)), float(rng.uniform(1.0, 4.0)))
+    slope = float(eigs.sum()) - 1.0 - (2.0 * ball[0] / ball[2] if ball else 0.0)  # g'(0) = -1: a descent direction
+
+    def g(s):
+        room = 1.0 if ball is None else ball[2] - s * (2.0 * ball[0] + ball[1] * s)
+        if np.any(1.0 + s * eigs <= 0.0) or room <= 0.0:
+            return np.inf
+        return slope * s + curve * s * s / 2.0 - np.log1p(s * eigs).sum() - np.log(room)
+
+    step = oracle._line_minimum(eigs, slope, curve, ball)
+    grid = np.linspace(0.0, 50.0, 200001)[1:]
+    best = min(g(s) for s in grid)
+    assert step > 0.0 and np.isfinite(g(step))
+    assert g(step) <= best + 1e-6
+
+
+def test_schur_complement_keeps_the_barrier_and_the_cone():
+    # a block with one direction u0 that no M_j moves: logdet C(phi) = logdet A + logdet S(phi), and
+    # C(phi) is definite exactly when S(phi) is (A > 0)
+    from dsmkit.config import DEFAULT_TOL
+
+    rng = np.random.default_rng(5)
+    k = 3
+    q = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+    u1 = q[:, :2]
+    ms = []
+    for _ in range(4):
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        ms.append(u1 @ (h + h.conj().T) @ u1.conj().T)
+    flat = np.array(ms).reshape(4, k * k)
+    a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    c0 = a @ a.conj().T * 0.1 - 0.5 * u1 @ u1.conj().T  # indefinite, with q[:, 2]* C0 q[:, 2] > 0
+    s0, reduced = oracle._schur_complement(c0, flat, DEFAULT_TOL)
+    assert s0.shape == (2, 2) and reduced.shape == (4, 4)
+    u0 = q[:, 2:]
+    logdet_a = np.log(np.linalg.eigvalsh(u0.conj().T @ c0 @ u0)).sum()
+    definite = 0
+    for _ in range(50):
+        phi = rng.standard_normal(4) * 2.0
+        c = c0 + (phi @ flat).reshape(k, k)
+        s = s0 + (phi @ reduced).reshape(2, 2)
+        ec, es = np.linalg.eigvalsh(c), np.linalg.eigvalsh(s)
+        assert (ec[0] > 0) == (es[0] > 0)
+        if ec[0] > 0:
+            definite += 1
+            assert abs(np.log(ec).sum() - logdet_a - np.log(es).sum()) <= 1e-10 * (1.0 + abs(np.log(ec).sum()))
+    assert 0 < definite < 50
+    every = np.concatenate([flat, np.eye(k).reshape(1, -1)])  # the identity moves every direction
+    same = oracle._schur_complement(c0, every, DEFAULT_TOL)
+    assert same[0] is c0 and same[1] is every
+    negative = c0 - 2.0 * np.exp(logdet_a) * u0 @ u0.conj().T  # A = u0* C0 u0 becomes -A: no fixed corner
+    same = oracle._schur_complement(negative, flat, DEFAULT_TOL)
+    assert same[0] is negative and same[1] is flat
+
+
+def _hermitian_coordinates(k):
+    """A cone basis (``oracle._hermitian_parts``) of the k x k Hermitian matrices, and the coordinates of one."""
+    rows, cols, coef = [], [], []
+    for i in range(k):
+        for j in range(i, k):
+            for z in (1.0,) if i == j else (1.0, 1j):
+                rows.append([i, i])
+                cols.append([j, j])
+                coef.append([z, 0.0])
+    basis = (np.array(rows), np.array(cols), np.array(coef, dtype=complex))
+
+    def coordinates(h):
+        out = []
+        for i in range(k):
+            for j in range(i, k):
+                out += [h[i, i].real] if i == j else [2.0 * h[i, j].real, -2.0 * h[i, j].imag]
+        return np.array(out)
+
+    return basis, coordinates
+
+
+def _leaky_barrier_problem(seed, leak):
+    """(theta0, N, cone) whose M_j move a direction u0 only by ``leak``: C0 is indefinite, u0* C0 u0 > 0."""
+    rng = np.random.default_rng(seed)
+    k = 3
+    basis, coordinates = _hermitian_coordinates(k)
+    q = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+    u1, u0 = q[:, :2], q[:, 2:]
+    ms = []
+    for _ in range(3):
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        v = rng.standard_normal((k, 1)) + 1j * rng.standard_normal((k, 1))
+        ms.append(coordinates(u1 @ (h + h.conj().T) @ u1.conj().T + leak * (u0 @ v.conj().T + v @ u0.conj().T)))
+    null = np.linalg.qr(np.array(ms).T)[0]
+    a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    theta = coordinates(a @ a.conj().T / 10.0 - 2.0 * u1 @ u1.conj().T + u0 @ u0.conj().T / 20.0)
+    return theta - null @ (null.T @ theta), null, (0, basis)
+
+
+def test_a_barrier_whose_rank_rule_drops_a_moving_direction_stays_certified(monkeypatch):
+    # the M_j move u0 by 1e-4 of their norm, which rank_tol = 1e-3 drops: phase II stays on C, as it does
+    # when rank_tol keeps u0; and where the reduction is forced, its bound still bounds the minimum on C
+    # (S is a congruence of C) and a point that leaves C's cone raises
+    import dataclasses
+
+    loose = dataclasses.replace(DEFAULT_TOL, rank_tol=1e-3)
+    schur = oracle._schur_complement
+    forced = lambda c0, flat, cfg: schur(c0, flat, dataclasses.replace(cfg, residual_tol=1.0))  # noqa: E731
+    solved = raised = 0
+    for seed in range(12):
+        theta0, null, cone = _leaky_barrier_problem(seed, 1e-4)
+        k = 3
+        try:
+            exact, _ = oracle._barrier(theta0, null, cone, DEFAULT_TOL)
+        except CertificationError:  # no strictly feasible point
+            continue
+        solved += 1
+        value = float(np.linalg.norm(exact))
+        for cfg, force in ((loose, False), (loose, True)):
+            monkeypatch.setattr(oracle, "_schur_complement", forced if force else schur)
+            try:
+                theta, lower = oracle._barrier(theta0, null, cone, cfg)
+            except CertificationError as err:
+                assert force and "leaves the cone" in str(err)
+                raised += 1
+                continue
+            c = (theta @ oracle._hermitian_parts(cone[1], k)).reshape(k, k)
+            assert np.linalg.eigvalsh(c)[0] >= -DEFAULT_TOL.psd_tol * np.linalg.norm(c)
+            assert lower <= value * (1.0 + 1e-12)  # the least norm over C is at most value
+            if not force:
+                assert abs(np.linalg.norm(theta) - value) <= GAP * value
+        monkeypatch.setattr(oracle, "_schur_complement", schur)
+    assert solved >= 8 and raised >= 1

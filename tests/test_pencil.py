@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -517,6 +518,93 @@ def test_table_records_a_non_finite_lambda_as_a_row_error(blocks):
     assert rows[1]["finite"]
 
 
+HUGE_LAMS = (1e160j, 1e200j, 1e300j)  # finite, but |lambda|^2 and the sums of squares of the bounds overflow
+
+
+def _overflow(lam):
+    return f"backward-error bounds overflow the floating-point range (|lambda| = {abs(lam):.3g})"
+
+#: every selection of eta_sd (with those it delegates to eta_s) and of eta_s
+SELECTION_VARIANTS = sorted((blocks_to_string(b), v) for v, combos in (("sd", ETA_SD_COMBOS | ETA_S_COMBOS),
+                                                                      ("s", ETA_S_COMBOS)) for b in combos)
+
+
+def _huge_lambda_case(blocks):
+    """A pencil and an eigenvector whose side conditions hold at every |lambda| >= 1e100.
+
+    The eigenvector is drawn at 0.5i (its kernel conditions do not depend on lambda); for RB, whose
+    isotropy u1*(J + lambda E) u1 = 0 does, u1 is E-isotropic for a diagonal indefinite E, so that
+    u1* J u1 is within the tolerance, which grows with |lambda|."""
+    if blocks == "RB":
+        p = gen_pencil(4, 2, seed=3)
+        p = PHPencil(p.J, p.R, np.diag([1.0, -1.0, 2.0, 3.0]), p.B, p.S)
+        return p, (np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0), np.array([0.3, -0.2j, 1.0, 0.5]), np.zeros(2))
+    p = pencil_for(blocks, seed=3, n=4)
+    ep = gen_eigpair(p, 5, blocks, lam=0.5j)
+    return p, (ep.u1, ep.u2, ep.u3)
+
+
+@pytest.mark.parametrize("blocks,variant", SELECTION_VARIANTS, ids=[f"{b}-{v}" for b, v in SELECTION_VARIANTS])
+def test_bounds_that_overflow_at_a_finite_lambda_raise(blocks, variant):
+    # at 1e160i and beyond every selection returned finite=True with eta_lower = eta_upper = nan
+    from dsmkit.errors import BoundsOverflowError
+
+    eta = eta_sd if variant == "sd" else eta_s
+    p, u = _huge_lambda_case(blocks)
+    for lam in HUGE_LAMS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BoundsOverflowError, match=re.escape(_overflow(lam))):
+                eta(p, EigenPair(lam, *u), blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            res = eta(p, EigenPair(1e100j, *u), blocks)
+        except HypothesisViolationError:  # RB's X*Y is not negative definite here: refused, as before
+            assert (blocks, variant) == ("RB", "sd")
+            return
+    assert res.finite and np.isfinite(res.eta_lower) and np.isfinite(res.eta_upper) and res.eta_lower <= res.eta_upper
+
+
+def test_bounds_that_overflow_for_a_scaled_pencil_raise():
+    # a moderate lambda: the pencil's scale, not |lambda|, overflows the sums of squares
+    from dsmkit.errors import BoundsOverflowError
+
+    p = gen_pencil(4, 2, 3)
+    ep = gen_eigpair(p, 5, "JREB", lam=0.5j)
+    big = PHPencil(*(getattr(p, name) * 1e160 for name in "JREBS"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BoundsOverflowError) as err:
+            eta_sd(big, ep, "JREB")
+    assert str(err.value) == "backward-error bounds overflow the floating-point range (|lambda| = 0.5)"
+
+
+def test_bounds_at_1e100i_keep_their_values():
+    p = gen_pencil(4, 2, 3)
+    res = eta_sd(p, gen_eigpair(p, 5, "JREB", lam=1e100j), "JREB")
+    assert res.finite
+    assert abs(res.eta_lower - 4.356552227156368) <= 1e-12 * 4.356552227156368
+    assert abs(res.eta_upper - 1.7122745627958586e+85) <= 1e-12 * 1.7122745627958586e+85
+
+
+@pytest.mark.parametrize("blocks,variant", [sv for sv in SELECTION_VARIANTS if sv[0] != "RB"],
+                         ids=[f"{b}-{v}" for b, v in SELECTION_VARIANTS if b != "RB"])
+def test_table_records_bounds_that_overflow_as_a_row_error(blocks, variant):
+    # RB draws each row's eigenvector at its lambda, and finds none at these; every other selection keeps
+    # the one drawn at the first lambda, 0.5i
+    eta = eta_sd if variant == "sd" else eta_s
+    p, _ = _huge_lambda_case(blocks)
+    lams = [0.5j, *HUGE_LAMS, 1e100j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = experiment_table(p, lams, 7, blocks, variant=variant)
+    for row, lam in zip(rows[1:4], HUGE_LAMS):
+        assert row["error"] == _overflow(lam)
+        assert not row["finite"] and row["eta_lower"] == row["eta_upper"] == np.inf and row["conditions"] == ""
+    ep = gen_eigpair(p, 7, blocks, lam=0.5j)
+    for row in (rows[0], rows[4]):
+        res = eta(p, EigenPair(row["lam"], ep.u1, ep.u2, ep.u3), blocks)
+        assert row["finite"] and row["error"] == ""
+        assert (row["eta_lower"], row["eta_upper"]) == (res.eta_lower, res.eta_upper)
+
+
 def test_experiment_table_raises_bugs_and_records_data_errors(monkeypatch):
     import dsmkit.pencil as pencil_mod
 
@@ -710,6 +798,37 @@ def test_table_peak_memory_does_not_grow_with_the_number_of_lambda():
     big, rows = peak(1000)
     assert len(rows) == 1000 and all(row["finite"] for row in rows)
     assert big <= 2 * small, (big, small)
+
+
+@pytest.mark.parametrize("blocks,variant", [("JREB", "sd"), ("JEB", "s")])
+def test_core_memory_per_row_is_bounded(blocks, variant, monkeypatch):
+    # a fixed eigenvector's row costs the core about 5-6 kB (coordinates and the 8 x 8 F C F*) whatever n
+    # and however many lambda: at n = 512 one complex n-vector per row alone would be 8 kB
+    import tracemalloc
+
+    import dsmkit.pencil as pencil_mod
+
+    p = gen_pencil(512, 16, seed=2, r_rank=256)
+    calls, solve = [], pencil_mod._solve
+
+    def traced(blocks, variant, lams, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return solve(blocks, variant, lams, *args, **kwargs)
+        finally:
+            calls.append((len(lams), tracemalloc.get_traced_memory()[1]))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(pencil_mod, "_solve", traced)
+    per_row = {}
+    for k in (25, 1000):
+        calls.clear()
+        rows = experiment_table(p, _grid(k), 7, blocks, variant=variant)
+        assert len(rows) == k and all(row["finite"] for row in rows)
+        assert sum(r for r, _ in calls) == k
+        per_row[k] = max(peak / r for r, peak in calls)
+        assert per_row[k] <= 8 * 1024, (k, per_row[k])
+    assert per_row[1000] <= 1.25 * per_row[25], per_row
 
 
 @pytest.mark.parametrize("blocks,variant", [("JREB", "sd"), ("JEB", "s")])
