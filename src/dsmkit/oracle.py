@@ -12,21 +12,26 @@ rows, filled by fancy indexing in time and memory of their own size.
   solver precision.
 * Cone problems add one Hermitian block that must be positive semidefinite:
   Delta1 for psd, Delta1 + Delta1* for the dissipative problems, dR for the
-  semidefinite backward error.  They are convex, and one log-det barrier
-  method (``_barrier``; Boyd & Vandenberghe, *Convex Optimization*, 2004,
-  Sec. 11) solves them all: the equalities are eliminated exactly, Newton
-  steps follow the central path, and the method stops once a dual bound
-  certifies that the norm of the returned feasible point exceeds the
-  minimum by at most ``GAP_FACTOR * residual_tol`` relative.  Each step
-  minimizes the barrier function along its Newton direction in closed
-  form, from the eigenvalues the step already takes (Sec. 9.2), with one
-  Cholesky factorization at the point it accepts; when t grows at a
-  centred point, the next step reuses all that depends on the point.  Nothing is
-  started from, or parametrized by, the closed forms these problems check.
+  semidefinite backward error.  They are convex (``_barrier``; Boyd &
+  Vandenberghe, *Convex Optimization*, 2004): the equalities are eliminated
+  exactly, and every answer comes with a dual bound that certifies that the
+  norm of the returned feasible point exceeds the minimum by at most
+  ``GAP_FACTOR * residual_tol`` relative.  Where the free directions move
+  the block (after its fixed corner is removed) in every Hermitian
+  direction and the minimum is the zero block, one linear solve gives the
+  point and a second its KKT multiplier, whose semidefinite part is the
+  certificate (Sec. 5.5.3): the semidefinite backward errors, whose minimal
+  dR has rank one, are solved so.  Every other cone problem runs a log-det
+  barrier method (Sec. 11): Newton steps follow the central path, each
+  minimizes the barrier function along its direction in closed form, from
+  the eigenvalues the step already takes (Sec. 9.2), with one Cholesky
+  factorization at the point it accepts; when t grows at a centred point,
+  the next step reuses all that depends on the point.  Nothing is started
+  from, or parametrized by, the closed forms these problems check.
 
 Every oracle is one call of one solve path, ``_solve_on_span``: compress to
 the span of the data (``_compressed``), one least-norm solve and audit, the
-barrier on a cone, and the lift back.  So a solve has a fixed small size
+cone solve (``_barrier``), and the lift back.  So a solve has a fixed small size
 whatever n is; after Mackey, Mackey and Tisseur (SIMAX 2008), whose minimal
 structured mappings are built from the data vectors alone.
 
@@ -194,8 +199,10 @@ def _system(basis, constraints, shape):
 def _assemble(basis, theta: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """The matrix sum_b theta_b B_b."""
     r, k, c = basis
-    out = np.zeros(shape, dtype=complex)
-    np.add.at(out, (r.ravel(), k.ravel()), (theta[:, None] * c).ravel())
+    at, size = np.ravel_multi_index((r.ravel(), k.ravel()), shape), shape[0] * shape[1]
+    v = (theta[:, None] * c).ravel()
+    out = np.empty(shape, dtype=complex)  # real and imaginary sums in np.add.at's order: the same bits
+    out.real, out.imag = (np.bincount(at, part, size).reshape(shape) for part in (v.real, v.imag))
     return out
 
 
@@ -274,7 +281,7 @@ def _solve_on_span(constraints, split: int, parts, cone: int | None, cfg: Tolera
     block D2 is unstructured, and the norm is that of (D1_1, D1_2, ..., D2).
     Compress to the span of the data (``_compressed``), solve (``_affine``),
     audit against ``scale`` (by default the norm of the right-hand sides)
-    with the message ``what`` (``_audit``), run the barrier on a cone
+    with the message ``what`` (``_audit``), solve on a cone
     (``_barrier``) and lift back.  Returns the D1_i, D2, the norm, a lower
     bound on the least norm (the norm without a cone) and the residual of
     the lift, compressed and outside parts in quadrature.
@@ -326,10 +333,10 @@ def oracle_least_norm(constraints, structure: StructureFamily | None = None, cfg
 
 
 # ---------------------------------------------------------------------------
-# cone-constrained least-norm solves: one log-det barrier method
+# cone-constrained least-norm solves: the zero block in closed form, or a log-det barrier method
 
-#: the barrier method stops once its certified gap, ||theta||^2 minus a lower
-#: bound on the least ||theta||^2, is at most ``GAP_FACTOR * residual_tol`` of
+#: a cone solve (closed form or barrier) ends once its certified gap, ||theta||^2 minus a
+#: lower bound on the least ||theta||^2, is at most ``GAP_FACTOR * residual_tol`` of
 #: ||theta||^2: the true minimum then lies within ``GAP_FACTOR * residual_tol``
 #: (relative) below the norm it returns
 GAP_FACTOR = 100.0
@@ -361,10 +368,11 @@ def _affine(basis, constraints, shape, cfg: ToleranceConfig):
 def _hermitian_parts(basis, n: int) -> np.ndarray:
     """(B_b + B_b*) / 2 for every element of a square n x n basis, one row-major n^2 row each."""
     r, k, c = basis
-    b = np.repeat(np.arange(c.shape[0])[:, None], 2, axis=1)
+    b = np.arange(c.shape[0])
     out = np.zeros((c.shape[0], n, n), dtype=complex)
-    np.add.at(out, (b, r, k), c / 2.0)
-    np.add.at(out, (b, k, r), c.conj() / 2.0)
+    for rows, cols, coef in ((r, k, c / 2.0), (k, r, c.conj() / 2.0)):
+        for e in range(2):  # one element per index: every index triple is unique within one +=
+            out[b, rows[:, e], cols[:, e]] += coef[:, e]
     return out.reshape(c.shape[0], n * n)
 
 
@@ -518,52 +526,60 @@ def _barrier(theta0, null, cone, cfg: ToleranceConfig):
     + ||phi||^2, and a part of phi in ker M leaves C(phi) unchanged and only
     adds to the norm.  Every direction left moves C, so the Newton systems
     have barrier curvature in all of them.  The problem in psi (called phi
-    again below), scaled to ||theta0|| = 1, is solved by ``_central_path``
-    in two phases:
+    again below) is scaled to ||theta0|| = 1 and solved on the Schur
+    complement S of the directions of the block that no M_j moves
+    (``_schur_complement``): a block whose conditioning does not collapse
+    where the data fix a small corner of C, as the constraint Delta x = y
+    fixes x* C x = x* y.  S(phi) = T* C(phi) T for a fixed T, so C(phi) >= 0
+    implies S(phi) >= 0 and a dual bound for S bounds the minimum over C.
+    The rank rule may drop directions that the M_j move by rounding or by
+    up to ``rank_tol`` of their norm: S is taken only where that move is
+    negligible against the corner, and the returned phi is checked on C.
 
-    * phase I minimizes s over (phi, s) with C(phi) + s I positive definite,
-      from phi = 0 and s = -2 lambda_min(C0), until s < 0; the point is then
-      pulled back along the ray to the origin, to twice the parameter where
-      the ray enters the cone, since phase I may run far out in directions
-      that raise every eigenvalue;
-    * phase II follows the central path of t ||phi||^2 - logdet S(phi) on
-      the Schur complement S of the directions of the block that no M_j
-      moves (``_schur_complement``): a block whose conditioning does not
-      collapse where the data fix a small corner of C, as the constraint
-      Delta x = y fixes x* C x = x* y.  S(phi) = T* C(phi) T for a fixed T,
-      so C(phi) >= 0 implies S(phi) >= 0 and S's dual bound bounds the
-      minimum over C.  The rank rule may drop directions that the M_j move
-      by rounding or by up to ``rank_tol`` of their norm: phase II stays on
-      C unless that move is negligible against the corner, and the returned
-      phi is checked on C itself.  Phase I stays on C: on the complement
-      the M_j may span the identity, whose direction then carries no
-      curvature in phase I's Newton systems.
-
-    Each Newton step of either phase minimizes the barrier function on its
-    line in closed form from the eigenvalues of the step (``_line_minimum``),
-    takes one Cholesky factorization at the point it accepts, which proves
-    that point strictly feasible and serves the next step, and keeps the
-    backtracking (Armijo) test, halving, as a guard; a step at a grown t
-    reuses the factorization and all that follows from it.
+    * Where the p directions move S, of order k, in every Hermitian
+      direction (p = k^2) and its minimum is the zero block S(phi) = 0, one
+      linear solve gives phi and a second the KKT multiplier Z
+      (``_zero_block``).  This is the semidefinite backward error's case:
+      its minimal dR has rank one (y y* / x*y), and the corner holds it.
+    * Otherwise, with fewer directions (the type-2 problems) or a minimum
+      of higher rank (a Z that is not semidefinite), ``_central_path`` runs
+      two phases.  Phase I minimizes s over (phi, s) with C(phi) + s I
+      positive definite, from phi = 0 and s = -2 lambda_min(C0), until
+      s < 0; the point is then pulled back along the ray to the origin, to
+      twice the parameter where the ray enters the cone, since phase I may
+      run far out in directions that raise every eigenvalue.  Phase I stays
+      on C: on S the M_j may span the identity, whose direction then
+      carries no curvature in phase I's Newton systems.  Phase II follows
+      the central path of t ||phi||^2 - logdet S(phi).  Each Newton step
+      minimizes the barrier function on its line in closed form from the
+      eigenvalues of the step (``_line_minimum``), takes one Cholesky
+      factorization at the point it accepts, which proves that point
+      strictly feasible and serves the next step, and keeps the
+      backtracking (Armijo) test, halving, as a guard; a step at a grown t
+      reuses the factorization and all that follows from it.
 
     The certificate is weak duality: for every Z >= 0,
 
         min ||theta||^2 >= ||theta0||^2 - <Z, C0> - ||M*(Z)||^2 / 4,
 
-    M*(Z)_j = <Z, M_j>, here for the block phase II runs on (for S, its S0
-    and T* M_j T: a Z_S >= 0 for S is the Z = T Z_S T* >= 0 for C, with the
-    same <Z, C0> and M*(Z)).  Z is a multiple, the best one in closed form,
-    of the dual point of the current Newton step dphi, C^-1 - C^-1 M(dphi)
-    C^-1 (of C^-1 where that is not semidefinite), C the block phase II
-    runs on.  The method stops once
-    ||theta||^2 minus this bound is at most ``GAP_FACTOR * residual_tol`` of
-    ||theta||^2 and returns the feasible theta with the square root of the
-    bound, a lower bound on the least ||theta|| (||theta0|| when theta0 is
-    the answer).  No strictly feasible phi (phase I's s stays >= 0 while its
-    gap k / t falls below ``residual_tol`` of ||C0||), no certified gap within
-    ``_NEWTON_STEPS`` steps, a singular matrix in any step (the Newton
-    solve, the pull-back's Cholesky factor), or a returned C(phi) with an
-    eigenvalue below ``-psd_tol * ||C(phi)||`` raises ``CertificationError``.
+    M*(Z)_j = <Z, M_j>, here for S (its S0 and T* M_j T: a Z_S >= 0 for S
+    is the Z = T Z_S T* >= 0 for C, with the same <Z, C0> and M*(Z)).  In
+    the closed form Z is the semidefinite part of the multiplier, and the
+    bound is ||theta||^2 when the multiplier is semidefinite.  In phase II
+    Z is a multiple, the best one in closed form, of the dual point of the
+    current Newton step dphi, S^-1 - S^-1 M(dphi) S^-1 (of S^-1 where that
+    is not semidefinite).  Either stops once ||theta||^2 minus its bound is
+    at most ``GAP_FACTOR * residual_tol`` of ||theta||^2, and returns the
+    feasible theta with the square root of the bound, a lower bound on the
+    least ||theta|| (||theta0|| when theta0 is the answer).  C(phi) must
+    have no eigenvalue below ``-psd_tol`` times the scale of its terms,
+    ||C0|| + ||M(phi)||, so that the zero block is in the cone: a closed-form
+    phi that fails this goes to the barrier.  No strictly feasible phi
+    (phase I's s stays >= 0 while its gap k / t falls below ``residual_tol``
+    of ||C0||), no certified gap within ``_NEWTON_STEPS`` steps, a singular
+    matrix in any barrier step (the Newton solve, the pull-back's Cholesky
+    factor), or a barrier point that fails the check on C raises
+    ``CertificationError``.
     """
     first, basis = cone
     k = int(basis[0].max()) + 1
@@ -576,16 +592,23 @@ def _barrier(theta0, null, cone, cfg: ToleranceConfig):
         return theta0, unit
     c0, eig0, scale = c0 / unit, eig0 / unit, fro(c0) / unit
     flat = null[rows].T @ parts
+
+    def in_cone(phi):  # the scale of C0 + M(phi) is that of its terms: the zero block is in the cone
+        move = (phi @ flat).reshape(k, k)
+        return np.linalg.eigvalsh(c0 + move)[0] >= -cfg.psd_tol * (fro(c0) + fro(move))
+
     try:
         v = svd_range(np.concatenate([flat.real, flat.imag], axis=1), cfg)
         flat, null = v.T @ flat, null @ v
-        phi = _phase_one(c0, flat, eig0, scale, cfg)
-        bound, phi = _phase_two(*_schur_complement(c0, flat, cfg), phi, cfg)
-        c = c0 + (phi @ flat).reshape(k, k)
-        if np.linalg.eigvalsh(c)[0] < -cfg.psd_tol * fro(c):
-            raise CertificationError("the barrier's point leaves the cone: a dropped direction moves the block")
+        block = _schur_complement(c0, flat, cfg)
+        found = _zero_block(*block, cfg)
+        if found is None or not in_cone(found[1]):
+            found = _phase_two(*block, _phase_one(c0, flat, eig0, scale, cfg), cfg)
+            if not in_cone(found[1]):
+                raise CertificationError("the barrier's point leaves the cone: a dropped direction moves the block")
     except np.linalg.LinAlgError as err:
         raise CertificationError(f"barrier step failed: {err}") from err
+    bound, phi = found
     return theta0 + unit * (null @ phi), unit * math.sqrt(bound)
 
 
@@ -618,6 +641,42 @@ def _schur_complement(c0, flat, cfg: ToleranceConfig):
     th = vh[:r] - np.linalg.solve(factor.conj().T, g).conj().T @ vh[r:]  # T* = U1* - B A^-1 U0*
     kron = (th[:, None, :, None] * th.conj()[None, :, None, :]).reshape(r * r, k * k)  # M -> T* M T
     return c[:r, :r] - g.conj().T @ g, flat @ kron.T
+
+
+def _zero_block(s0, flat, cfg: ToleranceConfig):
+    """The minimum where it is the zero block S(phi) = 0, certified: (bound, phi), or None (``_barrier``).
+
+    Only where the p directions span every Hermitian k x k matrix (p = k^2), so that M is invertible
+    in orthonormal real coordinates (<Z, M> is the dot product of the coordinates): phi solves
+    M(phi) = -S0 and the multiplier Z solves M*(Z) = 2 phi, the stationarity of the Lagrangian
+    ||phi||^2 - <Z, S(phi)>, with S(phi) Z = 0 (Boyd & Vandenberghe 2004, Sec. 5.5.3).  The psd part
+    Z+ of Z gives the weak-duality bound 1 - <Z+, S0> - ||M*(Z+)||^2 / 4, which is 1 + ||phi||^2
+    when Z >= 0; phi is returned when the bound is within ``GAP_FACTOR * residual_tol`` of it.
+    """
+    k = s0.shape[0]
+    if flat.shape[0] != k * k:
+        return None
+    i, j = np.triu_indices(k, 1)
+
+    def coords(rows):  # the diagonal, then sqrt(2) times the real and imaginary upper triangle
+        h = rows.reshape(-1, k, k)
+        off = math.sqrt(2.0) * h[:, i, j]
+        return np.concatenate([np.diagonal(h, axis1=1, axis2=2).real, off.real, off.imag], axis=1)
+
+    a, g0 = coords(flat).T, coords(s0)[0]  # column j of a holds M_j
+    try:
+        phi = np.linalg.solve(a, -g0)
+        z = np.linalg.solve(a.T, 2.0 * phi)
+    except np.linalg.LinAlgError:
+        return None
+    zm = np.diag(z[:k]).astype(complex)
+    zm[i, j] = (z[k : k + i.size] + 1j * z[k + i.size :]) / math.sqrt(2.0)
+    zm[j, i] = zm[i, j].conj()
+    eigs, u = np.linalg.eigh(zm)
+    zp = coords((u * np.maximum(eigs, 0.0)) @ u.conj().T)[0]
+    m = a.T @ zp  # M*(Z+)
+    bound, upper = 1.0 - float(zp @ g0) - float(m @ m) / 4.0, 1.0 + float(phi @ phi)
+    return (bound, phi) if upper - bound <= GAP_FACTOR * cfg.residual_tol * upper else None
 
 
 def _phase_one(c0, flat, eig0: float, scale: float, cfg: ToleranceConfig) -> np.ndarray:
@@ -741,11 +800,13 @@ def oracle_eta(
 
     ``value`` is the norm of the returned feasible perturbation and
     ``lower`` a dual bound below the true backward error, equal to
-    ``value`` on the exact path; ``value`` exceeds ``lower`` by at most
-    ``GAP_FACTOR * residual_tol`` (relative), and ``converged`` says so.  An
-    inadmissible eigenpair raises ``InconsistentConstraintsError``; an R
-    block that cannot be made positive definite on the constraint set, or a
-    gap that cannot be certified, raises ``CertificationError``.
+    ``value`` on the exact path and capped at it on the cone (a zero gap
+    can round the bound an ulp above ``value``); ``value`` exceeds ``lower``
+    by at most ``GAP_FACTOR * residual_tol`` (relative), and ``converged``
+    says so.  An inadmissible eigenpair raises
+    ``InconsistentConstraintsError``; an R block that cannot be made
+    positive definite on the constraint set, or a gap that cannot be
+    certified, raises ``CertificationError``.
     """
     from .pencil import PerturbationBlocks, mapping_data, parse_blocks  # only this oracle needs the pencil layer
 
@@ -777,4 +838,4 @@ def oracle_eta(
     out = dict(zip(names, square), B=db if "B" in blocks else np.zeros((n, m), dtype=complex))
     pert = PerturbationBlocks(*(out.get(name, np.zeros((n, n), dtype=complex)) for name in "JREB"))
     value = pert.norm()
-    return OracleEtaResult(value, pert, True, resid, value if cone is None else lower)
+    return OracleEtaResult(value, pert, True, resid, value if cone is None else min(lower, value))

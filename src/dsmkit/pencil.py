@@ -528,10 +528,12 @@ def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products,
         F, C = _anti_dissipative_h1(cu1, cu2, n1, n2, v.alpha, ty, w1, report, warnings)
         exact = blocks in _EXACT_SD and report["u2_colinear_u1"] & report["R_u2_nonzero"]
 
-    norms, finite = Factored.part_norms(F, C), np.ones(rows, dtype=bool)
+    finite = np.ones(rows, dtype=bool)
     for name in side:
         finite &= report[name]
-    lo, up = _bounds(blocks, variant, lams, *norms, h2n)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a bound of inf or nan, tested below
+        norms = Factored.part_norms(F, C)
+        lo, up = _bounds(blocks, variant, lams, *norms, h2n)
     # |lam|^2 or a sum of squares beyond the range: a refused row has no bounds, and its verdict rests on ||X*Y||
     bounded = np.isfinite(lo) & np.isfinite(up)
     overflow = finite & ~(np.where(refused, np.isfinite(nxy), bounded) if rb and variant == "sd" else bounded)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +459,9 @@ def test_backerr_rejects_bounds_that_overflow(capsys, tmp_path):
     # 1e160i is finite, but the bounds overflow: it printed NaN bounds under "finite": true
     ppath = tmp_path / "P.json"
     run(capsys, "pencil", "gen", "--n", "4", "--m", "2", "--seed", "3", "-o", str(ppath))
-    code, out, err = run(capsys, "backerr", "--pencil", str(ppath), "--lambda", "1e160i", "--blocks", "JREB")
-    assert code == 1 and out == ""
-    assert err.splitlines()[-1] == "error: backward-error bounds overflow the floating-point range (|lambda| = 1e+160)"
+    # and numpy's overflow warnings came before the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "backerr", "--pencil", str(ppath), "--lambda", "1e160i", "--blocks", "JREB")
+    assert code == 1 and out == "" and caught == []
+    assert err.splitlines() == ["error: backward-error bounds overflow the floating-point range (|lambda| = 1e+160)"]

@@ -1,9 +1,9 @@
-"""The certified barrier of ``dsmkit.oracle`` away from the generators' usual eigenvalues.
+"""The certified cone solves of ``dsmkit.oracle`` (closed form and barrier), also away from the usual lambda.
 
 ``gen_eigpair`` draws |lambda| in [0.3, 2] unless lambda is given.  At
 lambda = 1e-3i and 1e3i the free coefficients of the semidefinite backward
-error include directions that do not move dR; the barrier runs on the row
-space of its cone map, so those directions carry no Newton system.  Every
+error include directions that do not move dR; the cone solve runs on the
+row space of its cone map, so those directions carry no Newton system.  Every
 solve here is checked against the closed-form bracket of ``eta_sd``, to
 the certified gap.  The symmetry-only selections of ``eta_s`` are exact
 over the same lambda range: the oracle's one least-norm solve matches
@@ -11,13 +11,17 @@ over the same lambda range: the oracle's one least-norm solve matches
 ``reconstruct_perturbation``, whose perturbation has the norm ``eta_upper``.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
-from dsmkit import eta_s, eta_sd, gen_eigpair, gen_pencil, oracle_eta, reconstruct_perturbation
+from dsmkit import eta_s, eta_sd, gen_eigpair, gen_pencil, oracle_eta, oracle_min_structured, reconstruct_perturbation
 from dsmkit import oracle
 from dsmkit.config import DEFAULT_TOL
 from dsmkit.errors import CertificationError, GenerationError
+from dsmkit.maps import StructureFamily as F
 from dsmkit.oracle import GAP_FACTOR
 
 GAP = GAP_FACTOR * DEFAULT_TOL.residual_tol
@@ -96,8 +100,8 @@ def test_s_oracle_matches_the_closed_form_over_the_lambda_range(blocks, lam):
 
 @pytest.mark.parametrize("name", ["solve", "inv"])
 def test_a_singular_barrier_step_raises_a_certification_error(monkeypatch, name):
-    P = gen_pencil(3, 1, 11)
-    ep = gen_eigpair(P, 12, "JRB")
+    # certify's type-2 problem: its block of order 3 has 8 directions, so the barrier solves it
+    problem, family = _central_path_problems()[0]
     calls = []
     real = getattr(np.linalg, name)
 
@@ -109,7 +113,7 @@ def test_a_singular_barrier_step_raises_a_certification_error(monkeypatch, name)
 
     monkeypatch.setattr(np.linalg, name, singular)
     with pytest.raises(CertificationError):
-        oracle_eta(P, ep, "JRB", "sd")
+        oracle_min_structured(problem, family)
     assert len(calls) > 1
 
 
@@ -124,10 +128,25 @@ def _certify_problems():
     return problems
 
 
-def test_sd_oracle_newton_steps_per_call(monkeypatch):
-    # every call of ``done`` is one Newton step; the closed-form line search takes about 15.5 per call,
-    # backtracking from s = 1 took about 23
-    problems = _certify_problems()
+def _central_path_problems():
+    """Cone problems that the closed form does not solve, drawn by the benchmark's own generator.
+
+    Certify's two type-2 problems (dissipative, n = 3, m = 1: a block of order 3 moved in 8 directions),
+    then 8 psd problems at n = 4, m = 1 (a block of order 3 moved in 9 directions, whose minimum has rank
+    above the fixed corner's, so its multiplier is not semidefinite).
+    """
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads as wl
+
+    fixed, rng = np.random.default_rng(wl.TYPE2_SEED), np.random.default_rng(0)
+    draws = [(fixed, "dissipative", 3, F.DISSIPATIVE)] * wl.CERTIFY_TYPE2 + [(rng, "psd", 4, F.PSD)] * 8
+    return [(wl._problem(wl.two_block_case(r, name, n, 1)), family) for r, name, n, family in draws]
+
+
+def _counted_steps(monkeypatch):
+    """The Newton steps of every ``_central_path`` run, one entry per call of ``done``."""
     steps = []
     path = oracle._central_path
 
@@ -139,16 +158,50 @@ def test_sd_oracle_newton_steps_per_call(monkeypatch):
         return path(c0, flat, x, t, step, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_central_path", counted)
+    return steps
+
+
+def test_sd_oracle_newton_steps_per_call(monkeypatch):
+    # every call of ``done`` is one Newton step: the minimum of these blocks is the zero block, solved in
+    # closed form with none (the closed-form line search took about 15.4 per call, backtracking about 23)
+    problems = _certify_problems()
+    steps = _counted_steps(monkeypatch)
     for P, ep, blocks in problems:
         oracle_eta(P, ep, blocks, "sd")
-    assert len(steps) / len(problems) <= 17.0
+    assert len(steps) == 0
 
 
-def test_sd_oracle_factors_once_per_accepted_point(monkeypatch):
-    # the line search factors nothing: a barrier solve takes one Cholesky per accepted point (about 14.5
-    # per call on these problems, with the pull-back's two and the Schur complement's one), not one per
-    # trial step (about 21 before); and a step at a grown t, x unchanged, reuses L^-1 and all after it
-    problems = _certify_problems()
+@pytest.mark.parametrize("shape", ["certify-sd", "certify-type2"])
+def test_certify_cone_problems_keep_their_path(monkeypatch, shape):
+    # the benchmark's cone problems: every sd eta block in closed form, with no Newton step; the type-2
+    # blocks (8 directions on a block of order 3) on the barrier's central path
+    taken = []
+    zero_block = oracle._zero_block
+
+    def recorded(*args):
+        out = zero_block(*args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(oracle, "_zero_block", recorded)
+    steps = _counted_steps(monkeypatch)
+    if shape == "certify-sd":
+        for P, ep, blocks in _certify_problems():
+            oracle_eta(P, ep, blocks, "sd")
+        assert taken == [True] * 48 and steps == []
+    else:
+        for problem, family in _central_path_problems()[:2]:
+            before = len(steps)
+            oracle_min_structured(problem, family)
+            assert len(steps) > before
+        assert taken == [False, False]
+
+
+def test_cone_oracle_factors_once_per_accepted_point(monkeypatch):
+    # the line search factors nothing: a barrier solve takes one Cholesky per accepted point (at most the
+    # Newton steps less one per call on these problems, 29.2 per call, with the pull-back's two), not one
+    # per trial step; and a step at a grown t, x unchanged, reuses L^-1 and all after it
+    problems = _central_path_problems()
     log, in_barrier = [], []
     barrier, path = oracle._barrier, oracle._central_path
     cholesky, inv = np.linalg.cholesky, np.linalg.inv
@@ -180,9 +233,14 @@ def test_sd_oracle_factors_once_per_accepted_point(monkeypatch):
     monkeypatch.setattr(oracle, "_central_path", watched)
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
     monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
-    for P, ep, blocks in problems:
-        oracle_eta(P, ep, blocks, "sd")
-    assert log.count("cholesky") / len(problems) <= 15.0
+    calls = []
+    for problem, family in problems:
+        start = len(log)
+        oracle_min_structured(problem, family)
+        calls.append(log[start:])
+    for call in calls:
+        assert call.count("cholesky") <= sum(isinstance(entry, tuple) for entry in call) - 1
+    assert log.count("cholesky") / len(problems) <= 29.2
     grown, last = 0, None
     for i, entry in enumerate(log):
         if entry == "path":
@@ -331,3 +389,56 @@ def test_a_barrier_whose_rank_rule_drops_a_moving_direction_stays_certified(monk
                 assert abs(np.linalg.norm(theta) - value) <= GAP * value
         monkeypatch.setattr(oracle, "_schur_complement", schur)
     assert solved >= 8 and raised >= 1
+
+
+def _kkt_problem(seed, k, p, signs):
+    """(theta0, N, cone): a block of order k moved in p directions, whose point phi = M*(Z) / 2 for a Z with
+    eigenvalues of ``signs`` makes C(phi) the zero block, the KKT point when Z >= 0."""
+    rng = np.random.default_rng(seed)
+    basis, coordinates = _hermitian_coordinates(k)
+    null = np.linalg.qr(rng.standard_normal((2 * k * k, p)))[0]  # k^2 cone coefficients, k^2 others
+    flat = null[: k * k].T @ oracle._hermitian_parts(basis, k)
+    u = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+    z = u @ np.diag(np.array(signs) * rng.uniform(0.5, 2.0, k)) @ u.conj().T
+    phi = (flat.conj() @ z.ravel()).real / 2.0
+    c = coordinates(-(phi @ flat).reshape(k, k).conj())  # C0 = -M(phi): ``coordinates`` maps h to conj(h)
+    rest = np.linalg.lstsq(null[k * k :].T, -null[: k * k].T @ c, rcond=None)[0]  # theta0 orthogonal to N
+    return np.concatenate([c, rest]), null, (0, basis)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("case", ["zero-block", "indefinite-multiplier", "fewer-directions"])
+def test_closed_form_cone_minimum_against_the_forced_barrier(monkeypatch, k, case):
+    # a zero-block minimum with a definite multiplier takes the closed form; a multiplier that is not
+    # semidefinite, or p < k^2 directions, falls through to the barrier.  Either way the answer brackets
+    # the barrier's, forced, to the certified gap
+    zero_block = oracle._zero_block
+    signs = [1.0] + [-1.0 if case == "indefinite-multiplier" else 1.0] * (k - 1)
+    solved = 0
+    for seed in range(6):
+        theta0, null, cone = _kkt_problem(seed, k, k * k - (case == "fewer-directions"), signs)
+        taken = []
+
+        def recorded(*args):
+            out = zero_block(*args)
+            taken.append(out is not None)
+            return out
+
+        monkeypatch.setattr(oracle, "_zero_block", recorded)
+        theta, lower = oracle._barrier(theta0, null, cone, DEFAULT_TOL)
+        monkeypatch.setattr(oracle, "_zero_block", lambda *args: None)
+        forced, forced_lower = oracle._barrier(theta0, null, cone, DEFAULT_TOL)
+        if not taken:  # C0 is semidefinite: theta0 is the answer
+            continue
+        solved += 1
+        assert taken == [case == "zero-block"]
+        value, forced_value = np.linalg.norm(theta), np.linalg.norm(forced)
+        assert lower <= forced_value and value <= forced_lower * (1.0 + GAP)
+        # the bound may round an ulp above the value (``oracle_eta`` caps it there)
+        assert lower <= value * (1.0 + 4e-16) and value <= lower * (1.0 + GAP)
+        c = (theta[: k * k] @ oracle._hermitian_parts(cone[1], k)).reshape(k, k)
+        scale = np.linalg.norm((theta0[: k * k] @ oracle._hermitian_parts(cone[1], k))) + np.linalg.norm(c)
+        assert np.linalg.eigvalsh(c)[0] >= -DEFAULT_TOL.psd_tol * scale
+        if case == "zero-block":
+            assert np.linalg.norm(c) <= 1e-12 * scale
+    assert solved >= 5

@@ -45,6 +45,25 @@ def test_sparse_basis_equals_dense_loops(family, n):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_assembly_equals_the_add_at_sums(family, n):
+    # the fancy-indexed sums of _hermitian_parts and the bincount of _assemble add what np.add.at added, in
+    # its order: the same bits
+    from dsmkit.oracle import _assemble, _hermitian_parts
+
+    r, k, c = basis = family_basis(family, n)
+    b = np.repeat(np.arange(c.shape[0])[:, None], 2, axis=1)
+    parts = np.zeros((c.shape[0], n, n), dtype=complex)
+    np.add.at(parts, (b, r, k), c / 2.0)
+    np.add.at(parts, (b, k, r), c.conj() / 2.0)
+    assert np.array_equal(_hermitian_parts(basis, n), parts.reshape(c.shape[0], n * n))
+    theta = np.random.default_rng(n).standard_normal(c.shape[0]) * np.logspace(-20, 20, c.shape[0])
+    summed = np.zeros((n, n), dtype=complex)
+    np.add.at(summed, (r.ravel(), k.ravel()), (theta[:, None] * c).ravel())
+    assert np.array_equal(_assemble(basis, theta, (n, n)), summed)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_least_norm_matches_dense_basis(family):
     rng = np.random.default_rng(501)
     for n in (1, 2, 3, 5):

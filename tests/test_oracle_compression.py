@@ -178,17 +178,19 @@ def test_eta_oracle_at_n_256_takes_memory_of_its_output():
 
 
 def _barrier_sizes(monkeypatch, call):
+    # the directions, the block's order and that of the block solved (closed form or barrier) of each cone solve
     sizes = []
-    path = oracle._central_path
+    schur = oracle._schur_complement
 
-    def recorded(c0, flat, x, *args, **kwargs):
-        sizes.append((x.size, c0.shape[0]))
-        return path(c0, flat, x, *args, **kwargs)
+    def recorded(c0, flat, cfg):
+        out = schur(c0, flat, cfg)
+        sizes.append((flat.shape[0], c0.shape[0], out[0].shape[0]))
+        return out
 
-    monkeypatch.setattr(oracle, "_central_path", recorded)
+    monkeypatch.setattr(oracle, "_schur_complement", recorded)
     call()
-    monkeypatch.setattr(oracle, "_central_path", path)
-    assert sizes, "the barrier did not run"
+    monkeypatch.setattr(oracle, "_schur_complement", schur)
+    assert sizes, "no cone solve ran"
     return sizes
 
 

@@ -577,6 +577,28 @@ def test_bounds_that_overflow_for_a_scaled_pencil_raise():
     assert str(err.value) == "backward-error bounds overflow the floating-point range (|lambda| = 0.5)"
 
 
+@pytest.mark.parametrize("blocks", sorted(blocks_to_string(b) for b in ETA_SD_COMBOS if b != frozenset("RB")))
+def test_bounds_that_overflow_raise_with_no_warning(blocks):
+    # the bounds overflow inside np.errstate: the typed error, and no RuntimeWarning before it, is all a
+    # caller sees; the table's rows keep the values of eta_sd
+    import warnings
+
+    from dsmkit.errors import BoundsOverflowError
+
+    p, u = _huge_lambda_case(blocks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in HUGE_LAMS:
+            with pytest.raises(BoundsOverflowError, match=re.escape(_overflow(lam))):
+                eta_sd(p, EigenPair(lam, *u), blocks)
+        rows = experiment_table(p, [0.5j, *HUGE_LAMS, 1e100j], 7, blocks)
+    assert [row["error"] for row in rows[1:4]] == [_overflow(lam) for lam in HUGE_LAMS]
+    ep = gen_eigpair(p, 7, blocks, lam=0.5j)
+    for row in (rows[0], rows[4]):
+        res = eta_sd(p, EigenPair(row["lam"], ep.u1, ep.u2, ep.u3), blocks)
+        assert (row["eta_lower"], row["eta_upper"]) == (res.eta_lower, res.eta_upper)
+
+
 def test_bounds_at_1e100i_keep_their_values():
     p = gen_pencil(4, 2, 3)
     res = eta_sd(p, gen_eigpair(p, 5, "JREB", lam=1e100j), "JREB")
