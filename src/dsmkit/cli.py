@@ -296,6 +296,15 @@ def _same_bound(value: float, stored: float, cfg: ToleranceConfig) -> bool:
     return abs(value - stored) <= cfg.residual_tol * abs(stored)
 
 
+def _object(doc: dict, name: str) -> dict:
+    """The field ``name`` of a result document, which must be an object: missing, a ``KeyError``; of another
+    type, a ``ValueError``."""
+    value = doc[name]
+    if not isinstance(value, dict):
+        raise ValueError(f"result document field {name!r} is not an object")
+    return value
+
+
 def _cmd_verify(args, cfg: ToleranceConfig) -> int:
     doc = io_mod.load_json(args.result)
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -305,12 +314,12 @@ def _cmd_verify(args, cfg: ToleranceConfig) -> int:
     report = None
     extra: dict = {}
     try:
-        problem = doc["problem"]
+        problem = _object(doc, "problem")
         if kind in ("map-min", "map-two-sided", "dsdm-type1", "dsm", "dsdm-type2"):
             family = StructureFamily(problem["family"])
             x = io_mod.vector_from_doc(problem["x"], "x")
             y = io_mod.vector_from_doc(problem["y"], "y")
-            solution = doc["solution"]
+            solution = _object(doc, "solution")
             if "delta" in solution:
                 delta = io_mod.matrix_from_doc(solution["delta"], "delta")
             else:
@@ -326,7 +335,8 @@ def _cmd_verify(args, cfg: ToleranceConfig) -> int:
             report = verify_solution(delta, data, family, cfg)
             ok = report.ok
             oracle_norm = None
-            if ok and doc.get("norms", {}).get("exact"):
+            norms = _object(doc, "norms") if "norms" in doc else {}
+            if ok and norms.get("exact"):
                 from . import oracle as oracle_mod  # only the exact-norm re-check needs an oracle
 
                 if kind == "map-two-sided":
@@ -339,7 +349,7 @@ def _cmd_verify(args, cfg: ToleranceConfig) -> int:
                 # the minimum lies within the oracle's certified gap below oracle_norm, and so must the claim
                 extra["oracle_norm"] = oracle_norm
                 gap = oracle_mod.GAP_FACTOR * cfg.residual_tol * oracle_norm
-                ok = ok and abs(float(doc["norms"]["upper"]) - oracle_norm) <= gap
+                ok = ok and abs(float(norms["upper"]) - oracle_norm) <= gap
         elif kind == "backerr":
             from . import pencil as pencil_mod
 
@@ -350,7 +360,7 @@ def _cmd_verify(args, cfg: ToleranceConfig) -> int:
             ep = _eigpair(p, lam, uvec, cfg)
             compute = pencil_mod.eta_sd if problem["variant"] == "sd" else pencil_mod.eta_s
             res = compute(p, ep, blocks, cfg)
-            stored = doc["bounds"]
+            stored = _object(doc, "bounds")
             ok = (
                 res.finite == stored["finite"]
                 and res.exact == stored["exact"]

@@ -22,12 +22,10 @@ rows, filled by fancy indexing in time and memory of their own size.
   point and a second its KKT multiplier, whose semidefinite part is the
   certificate (Sec. 5.5.3): the semidefinite backward errors, whose minimal
   dR has rank one, are solved so.  Every other cone problem runs a log-det
-  barrier method (Sec. 11): Newton steps follow the central path, each
-  minimizes the barrier function along its direction in closed form, from
-  the eigenvalues the step already takes (Sec. 9.2), with one Cholesky
-  factorization at the point it accepts; when t grows at a centred point,
-  the next step reuses all that depends on the point.  Nothing is started
-  from, or parametrized by, the closed forms these problems check.
+  barrier method (Sec. 11): damped Newton steps with backtracking follow
+  the central path (Sec. 9.2); when t grows at a centred point, the next
+  step reuses all that depends on the point.  Nothing is started from, or
+  parametrized by, the closed forms these problems check.
 
 Every oracle is one call of one solve path, ``_solve_on_span``: compress to
 the span of the data (``_compressed``), one least-norm solve and audit, the
@@ -342,16 +340,11 @@ def oracle_least_norm(constraints, structure: StructureFamily | None = None, cfg
 GAP_FACTOR = 100.0
 # t's growth and the centring test, from a table measured with a halving line search (CHANGES.md):
 # (200, 1.0) took 11 Newton steps per path against 18 at (50, 0.1); larger pairs took fewer but
-# failed some solves, (500, 1.0) one in 16 800 certify operations and (200, 2.0) about 2 %.  With
-# the closed-form line search an sd eta oracle call takes 15.4 steps (both phases) against 21.9,
-# over the certify rounds of seeds 1-60 (4200 operations, none failed); t's growth at 1000 takes
-# 12.4 but fails 2 of them, and at 5000 fails 45 (psd and type 1, ``CertificationError``)
+# failed some solves, (500, 1.0) one in 16 800 certify operations and (200, 2.0) about 2 %
 _T_GROWTH = 200.0  # factor of the barrier weight t once a point is centred
 _CENTRED = 1.0  # squared Newton decrement below which a point counts as centred
 _NEWTON_STEPS = 300  # Newton steps allowed to one barrier solve
 _SMALLEST_STEP = 1e-12  # a line search that must go below this step has stalled
-_LINE_STEPS = 60  # iterations of the closed-form line search (``_line_minimum``) in one Newton step
-_LINE_GAP = 1e-6  # the closed-form line search stops within about this much of F's minimum on the line
 _PHASE_ONE_RADIUS = 1e6  # phase I searches phi within this multiple of ||theta0|| + ||C(0)||
 
 
@@ -384,63 +377,23 @@ def _cholesky(c: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _line_minimum(eigs, slope: float, curve: float, ball=None) -> float:
-    """The minimizer over s > 0 of g(s) = slope s + curve s^2 / 2 - sum_i log(1 + s eigs_i) [- log room(s)].
-
-    g is F along a Newton direction (``_central_path``) less F(x): the barrier term is exact in the
-    eigenvalues of D, and ``ball`` = (q, e, room) adds the phase I ball, room(s) = room - 2 q s - e s^2.
-    g is convex on (0, s_max), s_max the first zero of 1 + s eigs_min or of room(s); a Newton iteration
-    on g' keeps a bracket [lo, hi] of the minimizer and bisects it (doubles s while hi is infinite) where
-    a Newton point falls outside.  It stops once g(s) is within about ``_LINE_GAP`` of the minimum,
-    g'^2 / g'' <= 2 ``_LINE_GAP``, and factors nothing.
-    """
-    lams = eigs.tolist()
-    hi = -1.0 / lams[0] if lams[0] < 0.0 else math.inf
-    if ball is not None:
-        q, e, room = ball
-        if e > 0.0:  # the positive root of e s^2 + 2 q s - room, in the form without cancellation
-            root = math.sqrt(q * q + e * room)
-            hi = min(hi, (root - q) / e if q < 0.0 else room / (root + q))
-    lo, s = 0.0, min(1.0, hi / 2.0)  # s = 1 is the Newton step of F
-    for _ in range(_LINE_STEPS):
-        d1, d2 = slope + curve * s, curve
-        for lam in lams:
-            r = lam / (1.0 + s * lam)
-            d1 -= r
-            d2 += r * r
-        if ball is not None:
-            left = room - s * (2.0 * q + e * s)
-            b = 2.0 * (q + e * s) / left
-            d1 += b
-            d2 += 2.0 * e / left + b * b
-        if d1 * d1 <= 2.0 * _LINE_GAP * d2:
-            break
-        lo, hi = (s, hi) if d1 < 0.0 else (lo, s)
-        s = s - d1 / d2 if d2 > 0.0 else math.inf
-        if not lo < s < hi:
-            s = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
-    return s
-
-
 def _central_path(c0, flat, x, t, done, radius=None):
     """Newton steps along the central path of F(x) = t f(x) - logdet C(x), C(x) = c0 + (x @ flat).reshape(k, k).
 
     Row j of ``flat`` is the k x k Hermitian M_j, row-major, so C is affine
-    in x.  C must be positive definite at the start x, and stays so.  Each
-    step minimizes F along the Newton direction dx in closed form: with
-    C(x + s dx) = L (I + s D) L^*, logdet C(x + s dx) = logdet C(x) +
-    sum_i log(1 + s lambda_i) over the eigenvalues lambda_i of D, which the
-    step has already taken, so F on the line is a scalar function of s
-    (``_line_minimum``), minimized with no factorization.  One Cholesky at
-    the chosen point then proves it strictly feasible and serves the next
-    step; a backtracking (Armijo) line search from the chosen s, halving,
-    is the guard.  Once the squared Newton decrement is below ``_CENTRED``,
-    t grows by ``_T_GROWTH`` and x stays: the next step reuses everything
-    that depends on x alone (L^-1, kron, w, the barrier's gradient and
-    Hessian).  f(x) = ||x||^2; given a ``radius`` (phase I), f(x) is the
-    last coordinate s = x[-1] instead, and the barrier -log(radius^2 - ||p||^2)
-    of the ball around the origin for the other coordinates p joins F, so
-    the path stays bounded.
+    in x.  C must be positive definite at the start x, and stays so: each
+    step is a damped Newton step along the direction dx, a backtracking
+    (Armijo) line search on F from s = 1, halving (Sec. 9.2).  With
+    C(x + s dx) = L (I + s D) L^*, a step with 1 + s lambda_min(D) <= 0
+    leaves the domain, seen from the eigenvalues of D that the step has
+    already taken; the Cholesky factor at the point it accepts proves that
+    point strictly feasible and serves the next step.  Once the squared
+    Newton decrement is below ``_CENTRED``, t grows by ``_T_GROWTH`` and x
+    stays: the next step reuses everything that depends on x alone (L^-1,
+    kron, w, the barrier's gradient and Hessian).  f(x) = ||x||^2; given a
+    ``radius`` (phase I), f(x) is the last coordinate s = x[-1] instead,
+    and the barrier -log(radius^2 - ||p||^2) of the ball around the origin
+    for the other coordinates p joins F, so the path stays bounded.
 
     With L the Cholesky factor of C(x), kron = L^-1 (x) conj(L^-1) maps a
     row-major M to L^-1 M L^-*, so the rows w_j = L^-1 M_j L^-* are
@@ -497,13 +450,7 @@ def _central_path(c0, flat, x, t, done, radius=None):
             fx += (_T_GROWTH - 1.0) * t * objective(x)  # F at the grown t, the same x
             t *= _T_GROWTH
             continue
-        if radius is None:
-            step = _line_minimum(eigs, 2.0 * t * float(x @ dx), 2.0 * t * float(dx @ dx))
-        else:
-            dp = dx[:-1]
-            step = _line_minimum(eigs, t * dx[-1], 0.0, (float(p @ dp), float(dp @ dp), room))
-        # the Armijo guard, halving from the line minimum; steps with 1 + s lambda_min(D) <= 0 leave the
-        # domain: no Cholesky needed to see it
+        step = 1.0  # steps with 1 + s lambda_min(D) <= 0 leave the domain: no Cholesky needed to see it
         while step * eigs[0] <= -1.0 or (new := value(y := x + step * dx))[0] > fx - 0.25 * step * decrement:
             step /= 2.0
             if step < _SMALLEST_STEP:
@@ -550,13 +497,11 @@ def _barrier(theta0, null, cone, cfg: ToleranceConfig):
       run far out in directions that raise every eigenvalue.  Phase I stays
       on C: on S the M_j may span the identity, whose direction then
       carries no curvature in phase I's Newton systems.  Phase II follows
-      the central path of t ||phi||^2 - logdet S(phi).  Each Newton step
-      minimizes the barrier function on its line in closed form from the
-      eigenvalues of the step (``_line_minimum``), takes one Cholesky
-      factorization at the point it accepts, which proves that point
-      strictly feasible and serves the next step, and keeps the
-      backtracking (Armijo) test, halving, as a guard; a step at a grown t
-      reuses the factorization and all that follows from it.
+      the central path of t ||phi||^2 - logdet S(phi).  Each is a damped
+      Newton step with backtracking (Sec. 9.2): s = 1, halved until the
+      Armijo test holds; the Cholesky factor at the point it accepts proves
+      that point strictly feasible and serves the next step, and a step at
+      a grown t reuses the factorization and all that follows from it.
 
     The certificate is weak duality: for every Z >= 0,
 

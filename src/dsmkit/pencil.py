@@ -454,6 +454,7 @@ _OVERFLOW = "backward-error bounds overflow the floating-point range (|lambda| =
 _Rows = namedtuple("_Rows", "side report finite failed lower upper exact alpha warnings F C norm")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is a verdict or bound of inf or nan, tested below
 def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products, cfg: ToleranceConfig) -> _Rows:
     """Bounds, verdicts and the factors of H1 for a stack of rows, each one eigenvector at one lambda.
 
@@ -531,9 +532,8 @@ def _solve(blocks: frozenset[str], variant: str, lams: np.ndarray, v: _Products,
     finite = np.ones(rows, dtype=bool)
     for name in side:
         finite &= report[name]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a bound of inf or nan, tested below
-        norms = Factored.part_norms(F, C)
-        lo, up = _bounds(blocks, variant, lams, *norms, h2n)
+    norms = Factored.part_norms(F, C)
+    lo, up = _bounds(blocks, variant, lams, *norms, h2n)
     # |lam|^2 or a sum of squares beyond the range: a refused row has no bounds, and its verdict rests on ||X*Y||
     bounded = np.isfinite(lo) & np.isfinite(up)
     overflow = finite & ~(np.where(refused, np.isfinite(nxy), bounded) if rb and variant == "sd" else bounded)

@@ -377,6 +377,29 @@ def test_bad_selection_or_field_is_one_error_line(capsys, tmp_path):
         assert code == 1 and err.startswith("error: ") and repr(value) in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind,field,value", [
+    ("map-min", "problem", [1, 2]), ("map-min", "problem", "x"), ("map-min", "solution", 5), ("map-min", "norms", 5),
+    ("map-min", "norms", [1]), ("backerr", "problem", [1, 2]), ("backerr", "bounds", 5), ("backerr", "bounds", None),
+])
+def test_verify_a_field_that_is_not_an_object_is_one_error_line(capsys, tmp_path, kind, field, value):
+    # a field of another type is one error line, as a missing field is, not a TypeError or AttributeError traceback
+    if kind == "backerr":
+        ppath = tmp_path / "P.json"
+        run(capsys, "pencil", "gen", "--n", "2", "--m", "1", "--seed", "3", "-o", str(ppath))
+        _, out, _ = run(capsys, "backerr", "--pencil", str(ppath), "--lambda", "0.5i", "--blocks", "JREB", "--seed", "7")
+    else:
+        x, y = write_vec(tmp_path / "x.json", [1, 1]), write_vec(tmp_path / "y.json", [2, 1])
+        _, out, _ = run(capsys, "map", "solve", "--family", "hermitian", "--x", x, "--y", y)
+    doc = json.loads(out)
+    assert doc["kind"] == kind and field in doc
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--result", str(bad))
+    assert code == 1 and out == ""
+    assert err == f"error: result document field {field!r} is not an object\n"
+
+
 def _verify_doc(capsys, tmp_path, doc):
     path = tmp_path / "claim.json"
     path.write_text(json.dumps(doc))

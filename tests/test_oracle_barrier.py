@@ -17,12 +17,13 @@ import sys
 import numpy as np
 import pytest
 
-from dsmkit import eta_s, eta_sd, gen_eigpair, gen_pencil, oracle_eta, oracle_min_structured, reconstruct_perturbation
-from dsmkit import oracle
+from dsmkit import dsm_solve, eta_s, eta_sd, gen_eigpair, gen_pencil, oracle_eta, oracle_min_structured
+from dsmkit import oracle, reconstruct_perturbation
 from dsmkit.config import DEFAULT_TOL
 from dsmkit.errors import CertificationError, GenerationError
 from dsmkit.maps import StructureFamily as F
 from dsmkit.oracle import GAP_FACTOR
+from helpers import dsm_instance
 
 GAP = GAP_FACTOR * DEFAULT_TOL.residual_tol
 
@@ -163,7 +164,7 @@ def _counted_steps(monkeypatch):
 
 def test_sd_oracle_newton_steps_per_call(monkeypatch):
     # every call of ``done`` is one Newton step: the minimum of these blocks is the zero block, solved in
-    # closed form with none (the closed-form line search took about 15.4 per call, backtracking about 23)
+    # closed form with none
     problems = _certify_problems()
     steps = _counted_steps(monkeypatch)
     for P, ep, blocks in problems:
@@ -197,14 +198,13 @@ def test_certify_cone_problems_keep_their_path(monkeypatch, shape):
         assert taken == [False, False]
 
 
-def test_cone_oracle_factors_once_per_accepted_point(monkeypatch):
-    # the line search factors nothing: a barrier solve takes one Cholesky per accepted point (at most the
-    # Newton steps less one per call on these problems, 29.2 per call, with the pull-back's two), not one
-    # per trial step; and a step at a grown t, x unchanged, reuses L^-1 and all after it
+def test_cone_oracle_newton_steps_and_reuse_at_a_grown_t(monkeypatch):
+    # backtracking from s = 1 takes 30.6 Newton steps per call on these problems (both phases), 51 at most;
+    # and a step at a grown t, x unchanged, reuses L^-1 and all after it
     problems = _central_path_problems()
     log, in_barrier = [], []
     barrier, path = oracle._barrier, oracle._central_path
-    cholesky, inv = np.linalg.cholesky, np.linalg.inv
+    inv = np.linalg.inv
 
     def counted_barrier(*args, **kwargs):
         in_barrier.append(True)
@@ -213,13 +213,10 @@ def test_cone_oracle_factors_once_per_accepted_point(monkeypatch):
         finally:
             in_barrier.pop()
 
-    def counted(name, f):
-        def call(*args, **kwargs):
-            if in_barrier:
-                log.append(name)
-            return f(*args, **kwargs)
-
-        return call
+    def counted_inv(*args, **kwargs):
+        if in_barrier:
+            log.append("inv")
+        return inv(*args, **kwargs)
 
     def watched(c0, flat, x, t, done, *args, **kwargs):
         def step(x, t, *a):
@@ -231,16 +228,13 @@ def test_cone_oracle_factors_once_per_accepted_point(monkeypatch):
 
     monkeypatch.setattr(oracle, "_barrier", counted_barrier)
     monkeypatch.setattr(oracle, "_central_path", watched)
-    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
-    monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
-    calls = []
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    steps = []
     for problem, family in problems:
         start = len(log)
         oracle_min_structured(problem, family)
-        calls.append(log[start:])
-    for call in calls:
-        assert call.count("cholesky") <= sum(isinstance(entry, tuple) for entry in call) - 1
-    assert log.count("cholesky") / len(problems) <= 29.2
+        steps.append(sum(isinstance(entry, tuple) for entry in log[start:]))
+    assert sum(steps) / len(problems) <= 30.6 and max(steps) <= 51
     grown, last = 0, None
     for i, entry in enumerate(log):
         if entry == "path":
@@ -253,28 +247,19 @@ def test_cone_oracle_factors_once_per_accepted_point(monkeypatch):
     assert grown >= 4 * len(problems)  # phase II grows t four times on each
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_closed_form_line_search_finds_the_minimum_on_the_line(seed):
-    # g(s) = slope s + curve s^2 / 2 - sum log(1 + s eigs) [- log room(s)], minimized on a fine grid of its domain
-    rng = np.random.default_rng(seed)
-    eigs = np.sort(rng.standard_normal(3) * 3.0)
-    curve = 0.0 if seed % 2 else float(rng.uniform(0.1, 5.0))
-    ball = None  # (q, e, room): room(s) = room - 2 q s - e s^2
-    if seed % 2:
-        ball = (float(rng.standard_normal()), float(rng.uniform(0.5, 2.0)), float(rng.uniform(1.0, 4.0)))
-    slope = float(eigs.sum()) - 1.0 - (2.0 * ball[0] / ball[2] if ball else 0.0)  # g'(0) = -1: a descent direction
-
-    def g(s):
-        room = 1.0 if ball is None else ball[2] - s * (2.0 * ball[0] + ball[1] * s)
-        if np.any(1.0 + s * eigs <= 0.0) or room <= 0.0:
-            return np.inf
-        return slope * s + curve * s * s / 2.0 - np.log1p(s * eigs).sum() - np.log(room)
-
-    step = oracle._line_minimum(eigs, slope, curve, ball)
-    grid = np.linspace(0.0, 50.0, 200001)[1:]
-    best = min(g(s) for s in grid)
-    assert step > 0.0 and np.isfinite(g(step))
-    assert g(step) <= best + 1e-6
+def test_psd_barrier_certifies_130_problems_with_a_small_fixed_corner():
+    # every M_j of these problems fixes a direction u0 with u0* C0 u0 small against C's entries (1.1e-4
+    # against 1840 at n = 1024, seed 1600), so lambda_min(C) on the path sinks to rounding: phase II must
+    # run on the Schur complement to certify them all, each within the closed form's bracket
+    solved = 0
+    for n, seeds in ((16, 40), (64, 40), (256, 40), (1024, 10)):
+        for seed in range(1600, 1600 + seeds):
+            problem = dsm_instance(F.PSD, np.random.default_rng(seed), n, 2)
+            closed = dsm_solve(F.PSD, problem)
+            _, norm = oracle_min_structured(problem, F.PSD)
+            assert closed.norm_lower * (1.0 - GAP) <= norm <= closed.norm_upper * (1.0 + GAP), (n, seed)
+            solved += 1
+    assert solved == 130
 
 
 def test_schur_complement_keeps_the_barrier_and_the_cone():

@@ -577,25 +577,50 @@ def test_bounds_that_overflow_for_a_scaled_pencil_raise():
     assert str(err.value) == "backward-error bounds overflow the floating-point range (|lambda| = 0.5)"
 
 
-@pytest.mark.parametrize("blocks", sorted(blocks_to_string(b) for b in ETA_SD_COMBOS if b != frozenset("RB")))
-def test_bounds_that_overflow_raise_with_no_warning(blocks):
-    # the bounds overflow inside np.errstate: the typed error, and no RuntimeWarning before it, is all a
-    # caller sees; the table's rows keep the values of eta_sd
+@pytest.mark.parametrize("blocks,variant", SELECTION_VARIANTS, ids=[f"{b}-{v}" for b, v in SELECTION_VARIANTS])
+def test_bounds_that_overflow_raise_with_no_warning(blocks, variant, monkeypatch):
+    # the verdicts and the bounds are taken inside np.errstate: the typed error, and no RuntimeWarning before
+    # it, is all a caller sees.  Every row whose verdicts overflow (a norm of inf or nan: those of eta_s's
+    # formulas and RB's) raises it, so no verdict read from an overflow reaches a caller; a refused RB "sd"
+    # row is still judged by ||X*Y||, and the rows at 1e100i keep the values of eta_*
     import warnings
 
+    import dsmkit.pencil as pencil_mod
     from dsmkit.errors import BoundsOverflowError
 
+    eta = eta_sd if variant == "sd" else eta_s
     p, u = _huge_lambda_case(blocks)
+    norm, overflowed = pencil_mod._norm, []
+
+    def watched(*args):
+        out = norm(*args)
+        overflowed.append(not np.isfinite(out).all())
+        return out
+
+    monkeypatch.setattr(pencil_mod, "_norm", watched)
+    verdicts_overflow = variant == "s" or blocks in ("EB", "JB", "JEB", "RB")  # the formulas of eta_s, and RB's
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for lam in HUGE_LAMS:
+            overflowed.clear()
             with pytest.raises(BoundsOverflowError, match=re.escape(_overflow(lam))):
-                eta_sd(p, EigenPair(lam, *u), blocks)
-        rows = experiment_table(p, [0.5j, *HUGE_LAMS, 1e100j], 7, blocks)
+                eta(p, EigenPair(lam, *u), blocks)
+            assert any(overflowed) == verdicts_overflow
+        overflowed.clear()
+        try:
+            res = eta(p, EigenPair(1e100j, *u), blocks)
+        except HypothesisViolationError:  # RB's X*Y is not negative definite here: refused by ||X*Y||
+            assert (blocks, variant) == ("RB", "sd")
+        else:
+            assert res.finite
+        assert not any(overflowed)
+        if blocks == "RB":  # RB draws each row's eigenvector at its lambda (see the table test below)
+            return
+        rows = experiment_table(p, [0.5j, *HUGE_LAMS, 1e100j], 7, blocks, variant=variant)
     assert [row["error"] for row in rows[1:4]] == [_overflow(lam) for lam in HUGE_LAMS]
     ep = gen_eigpair(p, 7, blocks, lam=0.5j)
     for row in (rows[0], rows[4]):
-        res = eta_sd(p, EigenPair(row["lam"], ep.u1, ep.u2, ep.u3), blocks)
+        res = eta(p, EigenPair(row["lam"], ep.u1, ep.u2, ep.u3), blocks)
         assert (row["eta_lower"], row["eta_upper"]) == (res.eta_lower, res.eta_upper)
 
 
