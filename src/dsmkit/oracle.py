@@ -1,11 +1,10 @@
 """Independent numerical ground truth for the mapping solvers.
 
 Every problem here is a least-norm problem over an affine set: expand the
-unknown over an orthonormal real basis of its structure class (each element
-has at most two nonzero entries and is kept as those entries,
-``family_basis``), so the Frobenius norm of Delta is the Euclidean norm of
-its coefficients theta and the interpolation constraints are real linear
-rows, filled by fancy indexing in time and memory of their own size.
+unknown over an orthonormal real basis of its structure class
+(``family_basis``, one dense array), so the Frobenius norm of Delta is the
+Euclidean norm of its coefficients theta and the interpolation constraints
+are real linear rows, one array product each.
 
 * Linear-variety problems (no cone) are solved exactly by the minimum-norm
   solution of the stacked rows.  The returned norm is the global minimum to
@@ -75,8 +74,8 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .dsm import _AUDIT_FACTOR, DsmProblem, Type1Problem, _replaced
-from .errors import CertificationError, DegenerateInputError, InconsistentConstraintsError
-from .linalg import _kept, as_complex, fro, svd_range
+from .errors import CertificationError, DegenerateInputError, DimensionMismatchError, InconsistentConstraintsError
+from .linalg import _kept, _semidefinite, as_complex, fro, svd_range
 from .maps import FAMILIES, _LINEAR, StructureFamily, _reflect
 
 if TYPE_CHECKING:
@@ -96,112 +95,85 @@ __all__ = [
 # real-vectorized exact least-norm solves
 
 
-def _elements(first, second, coefs):
-    """Elements a E_first + b E_second, one per position pair and (a, b) in ``coefs``.
-
-    ``first`` and ``second`` are (row, column) index arrays; the elements of
-    one position pair are adjacent, in the order of ``coefs``.
-    """
-    nv = len(coefs)
-    r = np.repeat(np.stack([first[0], second[0]], axis=1), nv, axis=0)
-    k = np.repeat(np.stack([first[1], second[1]], axis=1), nv, axis=0)
-    c = np.tile(np.array(coefs, dtype=complex), (len(first[0]), 1))
-    return r, k, c
-
-
-def _read_only(basis):
-    """The arrays of a sparse basis, made read-only so that a cached basis cannot be changed."""
-    for a in basis:
-        a.flags.writeable = False
+def _read_only(basis: np.ndarray) -> np.ndarray:
+    """A basis made read-only, so that a cached basis cannot be changed."""
+    basis.flags.writeable = False
     return basis
 
 
 @functools.lru_cache(maxsize=64)
-def _full_basis(rows: int, cols: int):
-    """E_jk and i E_jk for every entry of C^{rows x cols}, row by row, in sparse form (cached, read-only)."""
-    pos = np.divmod(np.arange(rows * cols), cols)
-    return _read_only(_elements(pos, pos, [(1.0, 0.0), (1j, 0.0)]))
+def _full_basis(rows: int, cols: int) -> np.ndarray:
+    """E_jk and i E_jk for every entry of C^{rows x cols}, row by row (cached, read-only)."""
+    size = rows * cols
+    units = np.eye(size).reshape(size, 1, rows, cols) * np.array([1.0, 1j])[:, None, None]
+    return _read_only(units.reshape(2 * size, rows, cols))
 
 
-def family_basis(family: StructureFamily, n: int):
-    """Orthonormal real basis of the family subspace of C^{n x n}, in sparse form.
+def family_basis(family: StructureFamily, n: int) -> np.ndarray:
+    """Orthonormal real basis of the family subspace of C^{n x n}: a (d, n, n) array, element b at [b].
 
-    Every element has at most two nonzero entries, so the basis is returned
-    as index arrays and coefficients ``(r, k, c)``, each of shape (d, 2):
-    element b is ``c[b, 0] E_{r[b, 0] k[b, 0]} + c[b, 1] E_{r[b, 1] k[b, 1]}``,
-    with ``c[b, 1] = 0`` for a one-entry element.  Orthonormal under the real
-    inner product Re(trace(B* A)), so the Euclidean norm of a coefficient
-    vector equals the Frobenius norm of the matrix it represents.  Order:
-    every entry row by row (unstructured), or the diagonal, then the pairs
-    (j, k), j < k, row by row; the real element of a position comes before
-    the imaginary one.  The arrays are read-only: one basis per (family, n)
-    is cached and shared by every caller.
+    One rule reads the family's (form, sign) from ``maps.FAMILIES``: each
+    element is E + sign E^T (bilinear) or E + E* (sesquilinear, times i for
+    the skew sign), normalised, for E = E_jk and i E_jk with j <= k, and the
+    elements that cancel are dropped; no form gives every E_jk and i E_jk.
+    Orthonormal under the real inner product Re(trace(B* A)), so the
+    Euclidean norm of a coefficient vector equals the Frobenius norm of the
+    matrix it represents.  Order: every entry row by row (unstructured), or
+    the diagonal, then the pairs (j, k), j < k, row by row; the real element
+    of a position comes before the imaginary one.  Dense, since every oracle
+    solves on the span of its data, of order at most 8 per pair of mapping
+    vectors whatever n is (the lemma above).  The array is read-only: one
+    basis per (family, n) is cached and shared by every caller.
     """
     return _family_basis(StructureFamily(family), n)
 
 
 @functools.lru_cache(maxsize=64)
-def _family_basis(family: StructureFamily, n: int):
+def _family_basis(family: StructureFamily, n: int) -> np.ndarray:
     spec = FAMILIES[family]
     if spec.cone is not None:
         raise ValueError(f"{family.value} is not a linear class")
     if spec.form is None:
         return _full_basis(n, n)
-    s = 1.0 / math.sqrt(2.0)
-    diag = (np.arange(n), np.arange(n))
-    upper = np.triu_indices(n, 1)
-    lower = upper[::-1]
-    if spec.form == "sesquilinear":  # Hermitian; i times Hermitian for the skew sign
-        parts = [_elements(diag, diag, [(1.0, 0.0)]), _elements(upper, lower, [(s, s), (1j * s, -1j * s)])]
-    else:  # E_jk + sign E_kj, and a complex diagonal for the plain sign only
-        pairs = _elements(upper, lower, [(s, spec.sign * s), (1j * s, spec.sign * 1j * s)])
-        parts = [_elements(diag, diag, [(1.0, 0.0), (1j, 0.0)]), pairs] if spec.sign > 0 else [pairs]
-    r, k, c = (np.concatenate(a) for a in zip(*parts))
-    return _read_only((r, k, 1j * c if spec.form == "sesquilinear" and spec.sign < 0 else c))
+    rows, cols = (np.concatenate([np.arange(n), at]) for at in np.triu_indices(n, 1))  # diagonal, then j < k
+    e = _full_basis(n, n).reshape(n, n, 2, n, n)[rows, cols].reshape(2 * rows.size, n, n)
+    sesquilinear = spec.form == "sesquilinear"
+    b = e + (1 if sesquilinear else spec.sign) * (e.conj() if sesquilinear else e).swapaxes(1, 2)
+    size = np.linalg.norm(b.reshape(b.shape[0], n * n), axis=1)
+    b = b[size > 0.0] / size[size > 0.0, None, None]
+    return _read_only(1j * b if sesquilinear and spec.sign < 0 else b)
 
 
-def _stacked(*parts):
-    """One basis from parts (basis, first column, factor), in order."""
-    return tuple(
-        np.concatenate(a) for a in zip(*((r, k + col0, factor * c) for (r, k, c), col0, factor in parts))
-    )
+def _stacked(*parts) -> np.ndarray:
+    """One basis from parts (basis, first column, factor), in order, each placed from its first column."""
+    rows = parts[0][0].shape[1]
+    out = np.zeros((sum(b.shape[0] for b, *_ in parts), rows, max(col0 + b.shape[2] for b, col0, _ in parts)), complex)
+    at = 0
+    for b, col0, factor in parts:
+        out[at : at + b.shape[0], :, col0 : col0 + b.shape[2]] = factor * b
+        at += b.shape[0]
+    return out
 
 
 def _real(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a.real, a.imag])
 
 
-def _system(basis, constraints, shape):
+def _system(basis, constraints):
     """Real constraint matrix and right-hand side for sum_b theta_b B_b.
 
     The complex rows are those of the constraints in order: B_b v for
-    ("mul", v, r) and B_b* v for ("adj", v, r), built by fancy indexing from
-    the (at most two) entries of each element.  All real parts come before
+    ("mul", v, r) and B_b* v for ("adj", v, r).  All real parts come before
     all imaginary parts.
     """
-    r, k, c = basis
-    b = np.arange(c.shape[0])
-    if any(kind not in ("mul", "adj") for kind, *_ in constraints):
-        raise ValueError("constraint kinds are 'mul' and 'adj'")
-    sizes = [shape[0] if kind == "mul" else shape[1] for kind, *_ in constraints]
-    a = np.zeros((sum(sizes), b.shape[0]), dtype=complex)
-    row0 = 0
-    for (kind, v, _), size in zip(constraints, sizes):
-        out, at, coef = (r, k, c) if kind == "mul" else (k, r, c.conj())
-        a[row0 + out[:, 0], b] = coef[:, 0] * v[at[:, 0]]
-        a[row0 + out[:, 1], b] += coef[:, 1] * v[at[:, 1]]
-        row0 += size
-    return _real(a), _real(np.concatenate([rhs for *_, rhs in constraints]))
+    a = np.concatenate([basis @ v if kind == "mul" else v @ basis.conj() for kind, v, _ in constraints], axis=1)
+    return np.ascontiguousarray(_real(a.T)), _real(np.concatenate([rhs for *_, rhs in constraints]))
 
 
-def _assemble(basis, theta: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+def _assemble(basis, theta: np.ndarray) -> np.ndarray:
     """The matrix sum_b theta_b B_b."""
-    r, k, c = basis
-    at, size = np.ravel_multi_index((r.ravel(), k.ravel()), shape), shape[0] * shape[1]
-    v = (theta[:, None] * c).ravel()
-    out = np.empty(shape, dtype=complex)  # real and imaginary sums in np.add.at's order: the same bits
-    out.real, out.imag = (np.bincount(at, part, size).reshape(shape) for part in (v.real, v.imag))
-    return out
+    d, rows, cols = basis.shape
+    return (theta @ basis.reshape(d, rows * cols)).reshape(rows, cols)
 
 
 def _audit(resid: float, scale: float, what: str, cfg: ToleranceConfig) -> None:
@@ -290,14 +262,14 @@ def _solve_on_span(constraints, split: int, parts, cone: int | None, cfg: Tolera
     bases = [family_basis(family, r) for family, _ in parts]
     trailing = _full_basis(q.shape[1], s.shape[1])
     basis = _stacked(*((b, 0, factor) for b, (_, factor) in zip(bases, parts)), (trailing, r, 1.0))
-    theta, resid, null = _affine(basis, reduced, (q.shape[1], r + s.shape[1]), cfg)
+    theta, resid, null = _affine(basis, reduced, cfg)
     resid = math.hypot(resid, outside)
     _audit(resid, fro(np.concatenate([rhs for *_, rhs in constraints])) if scale is None else scale, what, cfg)
-    sizes = [b[2].shape[0] for b in bases]
+    sizes = [b.shape[0] for b in bases]
     theta, lower = (theta, None) if cone is None else _barrier(theta, null, (sum(sizes[:cone]), bases[cone]), cfg)
     *coefs, rest = np.split(theta, np.cumsum(sizes))
-    square = [q @ _assemble(b, t, (r, r)) @ q.conj().T for b, t in zip(bases, coefs)]
-    trailing = q @ _assemble(trailing, rest, (q.shape[1], s.shape[1])) @ s.conj().T
+    square = [q @ _assemble(b, t) @ q.conj().T for b, t in zip(bases, coefs)]
+    trailing = q @ _assemble(trailing, rest) @ s.conj().T
     norm = float(np.linalg.norm(theta))
     return square, trailing, norm, norm if lower is None else lower, resid
 
@@ -307,7 +279,10 @@ def oracle_least_norm(constraints, structure: StructureFamily | None = None, cfg
 
     ``constraints`` is a list of ("mul", x, y) for Delta x = y and
     ("adj", z, w) for Delta* z = w.  ``structure`` restricts Delta, which
-    must then be square, to a linear family.  Inconsistent constraints raise
+    must then be square, to a linear family.  No constraint, or one that
+    gives Delta other rows (the y of "mul", the z of "adj") or columns (the
+    x of "mul", the w of "adj") than constraint 0, raises
+    ``DimensionMismatchError``; inconsistent ones raise
     ``InconsistentConstraintsError``.
 
     Returns (Delta, norm); the norm is a global minimum to solver
@@ -316,16 +291,24 @@ def oracle_least_norm(constraints, structure: StructureFamily | None = None, cfg
     """
     constraints = [(k, as_complex(v, f"constraint {i}: v").reshape(-1), as_complex(r, f"constraint {i}: r").reshape(-1))
                    for i, (k, v, r) in enumerate(constraints)]
+    if not constraints:
+        raise DimensionMismatchError("at least one constraint is needed")
+    if any(kind not in ("mul", "adj") for kind, *_ in constraints):
+        raise ValueError("constraint kinds are 'mul' and 'adj'")
+    shapes = [(r.size, v.size) if kind == "mul" else (v.size, r.size) for kind, v, r in constraints]
+    rows, cols = shapes[0]
+    for i, (m, n) in enumerate(shapes):
+        if (m, n) != (rows, cols):
+            raise DimensionMismatchError(f"constraint {i} gives Delta {m} x {n}, constraint 0 {rows} x {cols}")
     parts, split = [], 0
     structure = StructureFamily(StructureFamily.UNSTRUCTURED if structure is None else structure)
     spec = FAMILIES[structure]
     if spec.cone is not None:
         raise ValueError(f"{structure.value} is not a linear class; use oracle_min_structured")
     if spec.form is not None:
-        _, v, r = constraints[0]
-        if v.shape != r.shape:
+        if rows != cols:
             raise ValueError("the structured block must be square")
-        parts, split = [(structure, 1.0)], v.shape[0]
+        parts, split = [(structure, 1.0)], cols
     square, trailing, norm, _, _ = _solve_on_span(constraints, split, parts, None, cfg)
     return square[0] if parts else trailing, norm
 
@@ -348,25 +331,20 @@ _SMALLEST_STEP = 1e-12  # a line search that must go below this step has stalled
 _PHASE_ONE_RADIUS = 1e6  # phase I searches phi within this multiple of ||theta0|| + ||C(0)||
 
 
-def _affine(basis, constraints, shape, cfg: ToleranceConfig):
+def _affine(basis, constraints, cfg: ToleranceConfig):
     """Least-norm coefficients theta0 meeting the constraints, the residual norm, and an
     orthonormal basis N of the directions they leave free (theta0 is orthogonal to N)."""
-    a, b = _system(basis, constraints, shape)
+    a, b = _system(basis, constraints)
     u, s, vt = np.linalg.svd(a)  # full matrices: the trailing rows of V* span the free directions
     rank = int(np.count_nonzero(s > cfg.rank_tol * s.max(initial=0.0)))
     theta0 = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
     return theta0, fro(a @ theta0 - b), vt[rank:].T
 
 
-def _hermitian_parts(basis, n: int) -> np.ndarray:
-    """(B_b + B_b*) / 2 for every element of a square n x n basis, one row-major n^2 row each."""
-    r, k, c = basis
-    b = np.arange(c.shape[0])
-    out = np.zeros((c.shape[0], n, n), dtype=complex)
-    for rows, cols, coef in ((r, k, c / 2.0), (k, r, c.conj() / 2.0)):
-        for e in range(2):  # one element per index: every index triple is unique within one +=
-            out[b, rows[:, e], cols[:, e]] += coef[:, e]
-    return out.reshape(c.shape[0], n * n)
+def _hermitian_parts(basis) -> np.ndarray:
+    """(B_b + B_b*) / 2 for every element of a square basis, one row-major k^2 row each."""
+    d, k, _ = basis.shape
+    return ((basis + basis.conj().swapaxes(1, 2)) / 2.0).reshape(d, k * k)
 
 
 def _cholesky(c: np.ndarray) -> np.ndarray | None:
@@ -527,8 +505,8 @@ def _barrier(theta0, null, cone, cfg: ToleranceConfig):
     ``CertificationError``.
     """
     first, basis = cone
-    k = int(basis[0].max()) + 1
-    parts = _hermitian_parts(basis, k)
+    k = basis.shape[1]
+    parts = _hermitian_parts(basis)
     rows = slice(first, first + parts.shape[0])
     c0 = (theta0[rows] @ parts).reshape(k, k)
     eig0 = float(np.linalg.eigvalsh(c0)[0])
@@ -540,7 +518,7 @@ def _barrier(theta0, null, cone, cfg: ToleranceConfig):
 
     def in_cone(phi):  # the scale of C0 + M(phi) is that of its terms: the zero block is in the cone
         move = (phi @ flat).reshape(k, k)
-        return np.linalg.eigvalsh(c0 + move)[0] >= -cfg.psd_tol * (fro(c0) + fro(move))
+        return _semidefinite(c0 + move, fro(c0) + fro(move), cfg)
 
     try:
         v = svd_range(np.concatenate([flat.real, flat.imag], axis=1), cfg)
@@ -592,21 +570,20 @@ def _zero_block(s0, flat, cfg: ToleranceConfig):
     """The minimum where it is the zero block S(phi) = 0, certified: (bound, phi), or None (``_barrier``).
 
     Only where the p directions span every Hermitian k x k matrix (p = k^2), so that M is invertible
-    in orthonormal real coordinates (<Z, M> is the dot product of the coordinates): phi solves
-    M(phi) = -S0 and the multiplier Z solves M*(Z) = 2 phi, the stationarity of the Lagrangian
-    ||phi||^2 - <Z, S(phi)>, with S(phi) Z = 0 (Boyd & Vandenberghe 2004, Sec. 5.5.3).  The psd part
-    Z+ of Z gives the weak-duality bound 1 - <Z+, S0> - ||M*(Z+)||^2 / 4, which is 1 + ||phi||^2
-    when Z >= 0; phi is returned when the bound is within ``GAP_FACTOR * residual_tol`` of it.
+    in the orthonormal real coordinates of ``family_basis(HERMITIAN, k)`` (<Z, M> is the dot product
+    of the coordinates): phi solves M(phi) = -S0 and the multiplier Z solves M*(Z) = 2 phi, the
+    stationarity of the Lagrangian ||phi||^2 - <Z, S(phi)>, with S(phi) Z = 0 (Boyd & Vandenberghe
+    2004, Sec. 5.5.3).  The psd part Z+ of Z gives the weak-duality bound 1 - <Z+, S0> -
+    ||M*(Z+)||^2 / 4, which is 1 + ||phi||^2 when Z >= 0; phi is returned when the bound is within
+    ``GAP_FACTOR * residual_tol`` of it.
     """
     k = s0.shape[0]
     if flat.shape[0] != k * k:
         return None
-    i, j = np.triu_indices(k, 1)
+    basis = family_basis(StructureFamily.HERMITIAN, k)
 
-    def coords(rows):  # the diagonal, then sqrt(2) times the real and imaginary upper triangle
-        h = rows.reshape(-1, k, k)
-        off = math.sqrt(2.0) * h[:, i, j]
-        return np.concatenate([np.diagonal(h, axis1=1, axis2=2).real, off.real, off.imag], axis=1)
+    def coords(rows):  # Re tr(B_b* H) for every element B_b, of every row-major H of ``rows``
+        return (rows.reshape(-1, k * k) @ basis.reshape(k * k, k * k).conj().T).real
 
     a, g0 = coords(flat).T, coords(s0)[0]  # column j of a holds M_j
     try:
@@ -614,10 +591,7 @@ def _zero_block(s0, flat, cfg: ToleranceConfig):
         z = np.linalg.solve(a.T, 2.0 * phi)
     except np.linalg.LinAlgError:
         return None
-    zm = np.diag(z[:k]).astype(complex)
-    zm[i, j] = (z[k : k + i.size] + 1j * z[k + i.size :]) / math.sqrt(2.0)
-    zm[j, i] = zm[i, j].conj()
-    eigs, u = np.linalg.eigh(zm)
+    eigs, u = np.linalg.eigh(_assemble(basis, z))
     zp = coords((u * np.maximum(eigs, 0.0)) @ u.conj().T)[0]
     m = a.T @ zp  # M*(Z+)
     bound, upper = 1.0 - float(zp @ g0) - float(m @ m) / 4.0, 1.0 + float(phi @ phi)

@@ -1,11 +1,11 @@
 """Dense reference for the oracle's linear layer: every basis element an n x n matrix.
 
 The exact oracles expand the unknown over a real basis of its structure class
-and take a least-norm solve.  ``dsmkit.oracle`` keeps each basis element as
-its (at most two) nonzero entries; here the same basis is a list of dense
-matrices, built by the loops that define it, and every constraint column is
-a dense product ``B v`` or ``B* v``.  The element order and values must match
-the sparse basis exactly, and the solves to rounding.  The eigenpair
+and take a least-norm solve.  ``dsmkit.oracle`` builds each basis by one rule
+from the family table (``family_basis``); here the same basis is a list of
+n x n matrices, built by the loops that define it, and every constraint
+column is a product ``B v`` or ``B* v``.  The element order and values must
+match ``family_basis`` exactly, and the solves to rounding.  The eigenpair
 constraints are written block by block, as ``oracle_eta`` wrote them before
 it took them from the mapping data.  Test code only: the basis takes O(n^4)
 memory.

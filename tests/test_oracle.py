@@ -22,7 +22,7 @@ from dsmkit import (
     verify_solution,
 )
 from dsmkit import oracle
-from dsmkit.errors import CertificationError, InconsistentConstraintsError
+from dsmkit.errors import CertificationError, DimensionMismatchError, InconsistentConstraintsError
 from dsmkit.maps import StructureFamily as F
 from helpers import crandn, dsm_instance, type1_instance
 
@@ -175,6 +175,22 @@ def test_least_norm_rejects_a_structured_family_on_non_square_data():
             oracle_least_norm([constraint], F.HERMITIAN)
     delta, _ = oracle_least_norm([constraint], None)  # no structure: any shape
     assert delta.shape == (2, 3)
+
+
+def test_least_norm_rejects_no_constraint():
+    with pytest.raises(DimensionMismatchError, match="at least one constraint"):
+        oracle_least_norm([])
+
+
+@pytest.mark.parametrize("family", [None, F.HERMITIAN])
+def test_least_norm_names_the_constraint_that_gives_delta_another_shape(family):
+    # Delta's rows are the y of "mul" and the z of "adj", its columns the x of "mul" and the w of "adj"; the
+    # last case is square in constraint 0, which the structured check once read alone
+    rng = np.random.default_rng(52)
+    x3, y3, v2 = crandn(rng, 3), crandn(rng, 3), crandn(rng, 2)
+    for second in (("mul", v2, y3), ("mul", x3, v2), ("adj", v2, x3), ("adj", y3, v2)):
+        with pytest.raises(DimensionMismatchError, match="constraint 1 gives Delta"):
+            oracle_least_norm([("mul", x3, y3), second], family)
 
 
 @pytest.mark.parametrize("family", [F.UNSTRUCTURED, F.HERMITIAN, F.SKEW_HERMITIAN, F.SYMMETRIC, F.PSD, F.NSD])

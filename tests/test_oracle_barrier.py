@@ -303,14 +303,13 @@ def test_schur_complement_keeps_the_barrier_and_the_cone():
 
 def _hermitian_coordinates(k):
     """A cone basis (``oracle._hermitian_parts``) of the k x k Hermitian matrices, and the coordinates of one."""
-    rows, cols, coef = [], [], []
+    elements = []
     for i in range(k):
         for j in range(i, k):
             for z in (1.0,) if i == j else (1.0, 1j):
-                rows.append([i, i])
-                cols.append([j, j])
-                coef.append([z, 0.0])
-    basis = (np.array(rows), np.array(cols), np.array(coef, dtype=complex))
+                elements.append(np.zeros((k, k), dtype=complex))
+                elements[-1][i, j] = z
+    basis = np.array(elements)
 
     def coordinates(h):
         out = []
@@ -367,7 +366,7 @@ def test_a_barrier_whose_rank_rule_drops_a_moving_direction_stays_certified(monk
                 assert force and "leaves the cone" in str(err)
                 raised += 1
                 continue
-            c = (theta @ oracle._hermitian_parts(cone[1], k)).reshape(k, k)
+            c = (theta @ oracle._hermitian_parts(cone[1])).reshape(k, k)
             assert np.linalg.eigvalsh(c)[0] >= -DEFAULT_TOL.psd_tol * np.linalg.norm(c)
             assert lower <= value * (1.0 + 1e-12)  # the least norm over C is at most value
             if not force:
@@ -382,7 +381,7 @@ def _kkt_problem(seed, k, p, signs):
     rng = np.random.default_rng(seed)
     basis, coordinates = _hermitian_coordinates(k)
     null = np.linalg.qr(rng.standard_normal((2 * k * k, p)))[0]  # k^2 cone coefficients, k^2 others
-    flat = null[: k * k].T @ oracle._hermitian_parts(basis, k)
+    flat = null[: k * k].T @ oracle._hermitian_parts(basis)
     u = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
     z = u @ np.diag(np.array(signs) * rng.uniform(0.5, 2.0, k)) @ u.conj().T
     phi = (flat.conj() @ z.ravel()).real / 2.0
@@ -421,8 +420,8 @@ def test_closed_form_cone_minimum_against_the_forced_barrier(monkeypatch, k, cas
         assert lower <= forced_value and value <= forced_lower * (1.0 + GAP)
         # the bound may round an ulp above the value (``oracle_eta`` caps it there)
         assert lower <= value * (1.0 + 4e-16) and value <= lower * (1.0 + GAP)
-        c = (theta[: k * k] @ oracle._hermitian_parts(cone[1], k)).reshape(k, k)
-        scale = np.linalg.norm((theta0[: k * k] @ oracle._hermitian_parts(cone[1], k))) + np.linalg.norm(c)
+        c = (theta[: k * k] @ oracle._hermitian_parts(cone[1])).reshape(k, k)
+        scale = np.linalg.norm((theta0[: k * k] @ oracle._hermitian_parts(cone[1]))) + np.linalg.norm(c)
         assert np.linalg.eigvalsh(c)[0] >= -DEFAULT_TOL.psd_tol * scale
         if case == "zero-block":
             assert np.linalg.norm(c) <= 1e-12 * scale

@@ -1,9 +1,10 @@
-"""The oracle's sparse linear layer against the dense basis it replaced.
+"""The oracle's linear layer against the loops that define its basis.
 
-``family_basis`` returns each element as its (at most two) nonzero entries;
-``dense_oracle_reference.py`` builds the same basis as a list of n x n
-matrices.  The elements must be identical in order and value, and the
-least-norm solves built on either must agree to 1e-12 relative.
+``family_basis`` builds the basis of each linear family by one rule from its
+row of ``maps.FAMILIES``; ``dense_oracle_reference.py`` builds it by the
+loops that define it, one n x n matrix per element.  The elements must be
+identical in order and value, and the least-norm solves built on either
+must agree to 1e-12 relative.
 """
 
 import tracemalloc
@@ -13,20 +14,15 @@ import pytest
 
 import dense_oracle_reference as ref
 from dsmkit import gen_eigpair, gen_pencil, oracle_eta, oracle_least_norm, oracle_min_structured
-from dsmkit.maps import LINEAR_FAMILIES, map_min
+from dsmkit.config import DEFAULT_TOL
+from dsmkit.maps import FAMILIES as ROWS
+from dsmkit.maps import LINEAR_FAMILIES, _in_family, map_min
 from dsmkit.maps import StructureFamily as F
 from dsmkit.oracle import family_basis
 from helpers import dsm_instance, map_instance
 
 RTOL = 1e-12
 FAMILIES = sorted(LINEAR_FAMILIES, key=lambda f: f.value)
-
-
-def _dense(r, k, c, n):
-    out = np.zeros((n, n), dtype=complex)
-    out[r[0], k[0]] += c[0]
-    out[r[1], k[1]] += c[1]
-    return out
 
 
 def _close(a, b):
@@ -37,30 +33,23 @@ def _close(a, b):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_sparse_basis_equals_dense_loops(family, n):
-    r, k, c = family_basis(family, n)
+    basis = family_basis(family, n)
     dense = ref.family_basis(family, n)
-    assert r.shape == k.shape == c.shape == (len(dense), 2)
-    for b, expect in enumerate(dense):
-        assert np.array_equal(_dense(r[b], k[b], c[b], n), expect), (family, n, b)
+    assert isinstance(basis, np.ndarray) and not basis.flags.writeable
+    assert np.array_equal(basis, np.array(dense, dtype=complex).reshape(len(dense), n, n)), (family, n)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family", sorted((f for f, row in ROWS.items() if row.cone is None), key=lambda f: f.value))
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_assembly_equals_the_add_at_sums(family, n):
-    # the fancy-indexed sums of _hermitian_parts and the bincount of _assemble add what np.add.at added, in
-    # its order: the same bits
-    from dsmkit.oracle import _assemble, _hermitian_parts
-
-    r, k, c = basis = family_basis(family, n)
-    b = np.repeat(np.arange(c.shape[0])[:, None], 2, axis=1)
-    parts = np.zeros((c.shape[0], n, n), dtype=complex)
-    np.add.at(parts, (b, r, k), c / 2.0)
-    np.add.at(parts, (b, k, r), c.conj() / 2.0)
-    assert np.array_equal(_hermitian_parts(basis, n), parts.reshape(c.shape[0], n * n))
-    theta = np.random.default_rng(n).standard_normal(c.shape[0]) * np.logspace(-20, 20, c.shape[0])
-    summed = np.zeros((n, n), dtype=complex)
-    np.add.at(summed, (r.ravel(), k.ravel()), (theta[:, None] * c).ravel())
-    assert np.array_equal(_assemble(basis, theta, (n, n)), summed)
+def test_family_basis_is_an_orthonormal_basis_of_the_family(family, n):
+    # every linear row of the family table, by the one rule: a new row is covered with no new case
+    basis = family_basis(family, n)
+    flat = basis.reshape(basis.shape[0], n * n)
+    assert np.abs((flat.conj() @ flat.T).real - np.eye(basis.shape[0])).max(initial=0.0) <= 1e-15  # Re tr(B* A)
+    assert all(_in_family(family, b, DEFAULT_TOL) for b in basis)
+    spec = ROWS[family]
+    size = 2 * n * n if spec.form is None else n * n if spec.form == "sesquilinear" else n * (n + spec.sign)
+    assert basis.shape == (size, n, n)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -103,16 +92,17 @@ def test_oracle_eta_matches_dense_basis(blocks, variant):
 
 
 def test_least_norm_memory_is_one_constraint_matrix():
-    # Hermitian map at n = 48: the real constraint matrix is 2n x n^2 float64
-    n = 48
+    # every linear family at n = 1024: the solve is on the span of the data, so the n x n Delta it returns
+    # is the one large array
+    n = 1024
     rng = np.random.default_rng(502)
-    x, y = map_instance(F.HERMITIAN, rng, n)
-    tracemalloc.start()
-    try:
-        delta, _ = oracle_least_norm([("mul", x, y)], F.HERMITIAN)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    matrix_bytes = 2 * n * n * n * 8
-    assert peak <= 4 * matrix_bytes, f"traced peak {peak / 2**20:.1f} MB, matrix {matrix_bytes / 2**20:.2f} MB"
-    assert np.linalg.norm(delta @ x - y) <= 1e-10 * np.linalg.norm(y)
+    for family in FAMILIES:
+        x, y = map_instance(family, rng, n)
+        tracemalloc.start()
+        try:
+            delta, _ = oracle_least_norm([("mul", x, y)], family)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * delta.nbytes, f"{family.value}: traced peak {peak / 2**20:.1f} MB, Delta 16 MB"
+        assert np.linalg.norm(delta @ x - y) <= 1e-10 * np.linalg.norm(y)

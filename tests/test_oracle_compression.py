@@ -177,32 +177,45 @@ def test_eta_oracle_at_n_256_takes_memory_of_its_output():
     assert res.lower <= res.value <= res.lower * (1.0 + GAP)
 
 
-def _barrier_sizes(monkeypatch, call):
-    # the directions, the block's order and that of the block solved (closed form or barrier) of each cone solve
+def _solve_sizes(monkeypatch, call):
+    # the shape of the stacked basis of each least-norm solve, and the directions, the block's order and that of
+    # the block solved (closed form or barrier) of each cone solve
     sizes = []
-    schur = oracle._schur_complement
+    affine, schur = oracle._affine, oracle._schur_complement
 
-    def recorded(c0, flat, cfg):
+    def recorded_affine(basis, *args):
+        sizes.append(basis.shape)
+        return affine(basis, *args)
+
+    def recorded_schur(c0, flat, cfg):
         out = schur(c0, flat, cfg)
         sizes.append((flat.shape[0], c0.shape[0], out[0].shape[0]))
         return out
 
-    monkeypatch.setattr(oracle, "_schur_complement", recorded)
+    monkeypatch.setattr(oracle, "_affine", recorded_affine)
+    monkeypatch.setattr(oracle, "_schur_complement", recorded_schur)
     call()
+    monkeypatch.setattr(oracle, "_affine", affine)
     monkeypatch.setattr(oracle, "_schur_complement", schur)
-    assert sizes, "no cone solve ran"
+    assert sizes, "no solve ran"
     return sizes
 
 
 def test_barrier_size_does_not_grow_with_n(monkeypatch):
+    # the dense basis is sized by the span of the data alone
+    def least_norm(n):
+        x, y = map_instance(F.HERMITIAN, np.random.default_rng(1600), n)
+        return _solve_sizes(monkeypatch, lambda: oracle_least_norm([("mul", x, y)], F.HERMITIAN))
+
     def psd(n):
         p = dsm_instance(F.PSD, np.random.default_rng(1600), n, 2)
-        return _barrier_sizes(monkeypatch, lambda: oracle_min_structured(p, F.PSD))
+        return _solve_sizes(monkeypatch, lambda: oracle_min_structured(p, F.PSD))
 
     def eta(n):
         P = gen_pencil(n, 2, seed=9, r_rank=n // 2)
         ep = gen_eigpair(P, 10, "JREB")
-        return _barrier_sizes(monkeypatch, lambda: oracle_eta(P, ep, "JREB", "sd"))
+        return _solve_sizes(monkeypatch, lambda: oracle_eta(P, ep, "JREB", "sd"))
 
-    assert psd(16) == psd(1024)
-    assert eta(16) == eta(256)
+    for sizes in (least_norm, psd, eta):
+        small = sizes(16)
+        assert len(small[0]) == 3 and small == sizes(1024), sizes.__name__

@@ -2,7 +2,7 @@
 
 ``dsmkit.oracle`` solves each problem on the span of its data (the lemma of
 its module docstring), so a solve has a fixed small size.  Here the same
-problems are solved over the sparse basis of the whole unknown, n x n or
+problems are solved over the basis of the whole unknown, n x n or
 n x (n + m), with the oracle's own least-norm solve and barrier method, as
 the oracles did before the compression.  The two must agree within the
 certified gap ``GAP_FACTOR * residual_tol``.  Test code only: one barrier
@@ -31,8 +31,8 @@ def least_norm(constraints, structure, shape, split=None):
     else:
         blk = split if split is not None else cols
         basis = _stacked((family_basis(structure, rows), 0, 1.0), (_full_basis(rows, cols - blk), blk, 1.0))
-    theta, _, _ = _affine(basis, constraints, shape, DEFAULT_TOL)
-    return _assemble(basis, theta, shape), float(np.linalg.norm(theta))
+    theta, _, _ = _affine(basis, constraints, DEFAULT_TOL)
+    return _assemble(basis, theta), float(np.linalg.norm(theta))
 
 
 def min_structured(problem, family, cfg=DEFAULT_TOL):
@@ -45,20 +45,18 @@ def min_structured(problem, family, cfg=DEFAULT_TOL):
     if isinstance(problem, Type1Problem):
         n = problem.X.shape[0]
         cone = basis = _full_basis(n, n)
-        shape = (n, n)
         constraints = ([("mul", *c) for c in zip(problem.X.T, problem.Y.T)]
                        + [("adj", *c) for c in zip(problem.Z.T, problem.W.T)])
     else:
         p = problem
         constraints = [("mul", p.x, p.y), ("adj", p.z, p.w)]
-        shape = (p.n, p.n + p.m)
         if family in LINEAR_FAMILIES:
-            return least_norm(constraints, family, shape, split=p.n)
+            return least_norm(constraints, family, (p.n, p.n + p.m), split=p.n)
         cone = family_basis(F.HERMITIAN, p.n) if family is F.PSD else _full_basis(p.n, p.n)
         basis = _stacked((cone, 0, 1.0), (_full_basis(p.n, p.m), p.n, 1.0))
-    theta0, _, null = _affine(basis, constraints, shape, cfg)
+    theta0, _, null = _affine(basis, constraints, cfg)
     theta, _ = _barrier(theta0, null, (0, cone), cfg)
-    return _assemble(basis, theta, shape), float(np.linalg.norm(theta))
+    return _assemble(basis, theta), float(np.linalg.norm(theta))
 
 
 def eta(P, ep, blocks, variant, cfg=DEFAULT_TOL):
@@ -75,19 +73,19 @@ def eta(P, ep, blocks, variant, cfg=DEFAULT_TOL):
         bases["B"] = _full_basis(n, m)
         parts.append((bases["B"], n, 1.0))
         cols += m
-    basis, shape = _stacked(*parts), (n, cols)
+    basis = _stacked(*parts)
     x = np.concatenate([ep.u2, np.zeros(cols - n, dtype=complex)])
     constraints = [("mul", x, y), ("adj", ep.u1, w[:cols])]
     if variant == "sd" and "R" in blocks:
-        theta0, _, null = _affine(basis, constraints, shape, cfg)
-        first = bases["J"][2].shape[0] if "J" in bases else 0
+        theta0, _, null = _affine(basis, constraints, cfg)
+        first = bases["J"].shape[0] if "J" in bases else 0
         theta, lower = _barrier(theta0, null, (first, bases["R"]), cfg)
     else:
-        theta, _, _ = _affine(basis, constraints, shape, cfg)
+        theta, _, _ = _affine(basis, constraints, cfg)
         lower = float(np.linalg.norm(theta))
     out = {name: np.zeros((n, m if name == "B" else n), dtype=complex) for name in "JREB"}
-    ends = np.cumsum([b[2].shape[0] for b in bases.values()])[:-1]
+    ends = np.cumsum([b.shape[0] for b in bases.values()])[:-1]
     for (name, b), t in zip(bases.items(), np.split(theta, ends)):
-        out[name] = _assemble(b, t, out[name].shape)
+        out[name] = _assemble(b, t)
     pert = PerturbationBlocks(out["J"], out["R"], out["E"], out["B"])
     return pert.norm(), lower, pert
