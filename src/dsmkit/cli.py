@@ -152,9 +152,9 @@ def _cmd_map_solve(args, cfg: ToleranceConfig) -> int:
         problem_echo["z"] = io_mod.vector_to_doc(z)
         problem_echo["w"] = io_mod.vector_to_doc(w)
         data = (x, y, z, w)
-        m = x.shape[0] - y.shape[0]
-        dissipative = FAMILIES[family].cone == "dissipative"
-        if family is StructureFamily.UNSTRUCTURED:
+        m, spec = x.shape[0] - y.shape[0], FAMILIES[family]
+        dissipative = spec.cone == "dissipative"
+        if spec.form is None and spec.cone is None:  # no symmetry and no cone: the two-sided map
             kind, sol = "map-two-sided", map_two_sided(x, y, z, w, cfg)
         elif m < 0 or (m == 0 and not dissipative):
             need = "dim(x) must be >= dim(y)" if dissipative else "the doubly structured families need dim(x) > dim(y)"
@@ -163,7 +163,7 @@ def _cmd_map_solve(args, cfg: ToleranceConfig) -> int:
         elif dissipative:
             kind = "dsdm-type1" if m == 0 else "dsdm-type2"
             solve = dsdm_type1 if m == 0 else dsdm_type2
-            sol = solve(_problem(kind, *data), cfg, anti=FAMILIES[family].reflects is not None)
+            sol = solve(_problem(kind, *data), cfg, anti=spec.reflects is not None)
         else:
             kind, sol = "dsm", dsm_solve(family, _problem("dsm", *data), cfg)
 

@@ -36,7 +36,8 @@ matrix data and returns ``minimizer`` and ``gram`` as factors of at most
 
 The negated families go through the one reflection rule of ``maps``
 (``_reflect``): nsd is psd, and ``anti=True`` is the dissipative problem,
-on (x, -y, z, -w) with the result negated.
+on (x, -y, z, -w) with the result negated, once the caller's data meet the
+negated family's own condition.
 
 ``verify_solution`` audits a claimed solution against the data of these
 problems (residuals, structure deviation, the cone's extreme eigenvalue).
@@ -132,7 +133,7 @@ class DsmProblem:
                 f"inconsistent dimensions: x1/y/z/w1 sizes {shapes}, x2 {m}, w2 {self.w2.shape[0]}"
             )
         attrs.update(n=n, m=m, x=np.concatenate([self.x1, self.x2]), w=np.concatenate([self.w1, self.w2]))
-        attrs["_norms"] = _Norms({name: attrs[name] for name in ("x1", "x2", "y", "z", "w1", "x", "w")})
+        attrs["_norms"] = _Norms({name: attrs[name] for name in ("x1", "x2", "y", "z", "w1", "w2", "x", "w")})
 
 
 def _replaced(data, **arrays):
@@ -166,11 +167,7 @@ class DsmSolution:
     def H(self) -> np.ndarray | None:
         """[H1 H2], None without a solution: a fresh array on each read, one product of the blocks' stacked factors."""
         h1, h2 = vars(self)["H1"], vars(self)["H2"]
-        if h1 is None or h2 is None:
-            return None
-        if isinstance(h1, Factored) and isinstance(h2, Factored):
-            return h1.beside(h2).dense()
-        return np.hstack([self.H1, self.H2])
+        return None if h1 is None or h2 is None else h1.beside(h2).dense()
 
 
 def _rank_one_rightmost(a: np.ndarray, x: np.ndarray, na: float, nx: float) -> tuple[float, float]:
@@ -202,7 +199,7 @@ def _check_degenerate(family: StructureFamily, p: DsmProblem) -> None:
         raise DegenerateInputError("w1 must be nonzero")
     if p._norms["x2"] == 0.0:
         raise DegenerateInputError("x2 must be nonzero (the column-block construction needs it)")
-    if FAMILIES[family].cone is not None and fro(p.w2) == 0.0:
+    if FAMILIES[family].cone is not None and p._norms["w2"] == 0.0:
         raise DegenerateInputError("w2 must be nonzero for the semidefinite and dissipative families")
 
 
@@ -243,15 +240,15 @@ def _dsm_solve(family: StructureFamily, p: DsmProblem, cfg: ToleranceConfig) -> 
     and lower bounds only.
     """
     spec, nrm = FAMILIES[family], p._norms
-    if spec.reflects is not None:  # on the negated data, not validated again
-        return _reflect(family, lambda base, **yw: _dsm_solve(base, _replaced(p, **yw), cfg),
-                        y=p.y, w=p.w, w1=p.w1, w2=p.w2)
     _check_degenerate(family, p)
     if why := _incompatible(p.x, p.y, p.z, p.w, nrm, cfg):
         return DsmSolution(family, False, reason=why)
     tol = cfg.residual_tol * (nrm["z"] * nrm["w1"])
     if why := _violation(spec, p.z, p.w1, tol, ("z", "w1")):
         return DsmSolution(family, False, reason=why)
+    if spec.reflects is not None:  # checked on the caller's data; the negated data are not validated again
+        return _reflect(family, lambda base, **yw: _dsm_solve(base, _replaced(p, **yw), cfg),
+                        y=p.y, w=p.w, w1=p.w1, w2=p.w2)
 
     h1 = Factored.outer_sum(*_min_factors(spec, p.z, p.w1, nrm["z"])).adjoint()
     h2 = _two_sided(p.x2, p.y - h1 @ p.x1, p.z, p.w2, nrm["x2"], nrm["z"])

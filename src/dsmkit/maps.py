@@ -18,7 +18,10 @@ matrix and so work on dense blocks.
 The negated families (nsd, anti-dissipative) follow one reflection rule,
 ``_reflect``, here and in ``dsm`` and ``oracle``: Delta is in -S iff -Delta
 is in S, so the problem (x, y, z, w) in -S is the problem (x, -y, z, -w) in
-S with its result negated.  No solver codes a negated family itself.
+S with its result negated.  A solver tests the caller's data against the
+negated family's own condition (``_violation`` states every row's) before
+it reflects, so ``_reflect`` negates data and results and nothing else, and
+no solver codes a negated family itself.
 
 Every family is one row of ``FAMILIES``: the form its members are symmetric
 in (sesquilinear, Delta* = sign Delta; bilinear, Delta^T = sign Delta; or
@@ -116,26 +119,6 @@ def _nonzero_vec(v, name: str) -> tuple[np.ndarray, float]:
     return v, nv
 
 
-#: the sign conditions of the base families' reasons, as the negated family states them
-_REFLECTED_REASONS = {
-    "x*y not real positive": "x*y not real negative",
-    "Re(x*y) negative": "Re(x*y) positive",
-    "z*w1 not positive": "z*w1 not negative",
-    "Re(z*w1) negative": "Re(z*w1) positive",
-}
-
-
-def _reflected_reason(reason: str) -> str:
-    """A base family's reason as the negated family states it, at the caller's (negated) value."""
-    head, sep, value = reason.partition(" (")
-    if head not in _REFLECTED_REASONS:
-        return reason  # conditions that reflection leaves alone, e.g. the gap of x*w = y*z
-    number = value.rstrip(")")
-    # 0 - v, not -v: a part that cancels to zero is +0 for the caller's data as for the negated data
-    negated = 0.0 - (complex(number) if number.endswith("j") else float(number))
-    return f"{_REFLECTED_REASONS[head]}{sep}{negated:.3e})"
-
-
 def _reflect(family: StructureFamily, solve, **data):
     """The one reflection rule: solve ``family`` in -S as its base family S, negated.
 
@@ -143,11 +126,12 @@ def _reflect(family: StructureFamily, solve, **data):
     (-Delta)* z = -w with -Delta in S.  ``solve(base, **negated)`` runs the
     base family's solver with every array of ``data`` (the caller's y and w
     parts, and a free block that must enter both sets alike) negated.  Its
-    result is negated: an array, the first entry of a
-    (Delta, norm) pair, or the blocks ``minimizer``/``gram``/``H1``/``H2`` of
-    a solution, whose ``family`` becomes ``family``: a ``Factored`` block by
-    negating its left factor, O(n), an array in place.  An infeasible
-    solution's reason states the negated family's condition at the caller's value.
+    result is negated: an array, the first entry of a (Delta, norm) pair, or
+    the ``Factored`` blocks ``minimizer``/``gram``/``H1``/``H2`` of a
+    solution, by a new block with its left factor negated, O(n); a
+    solution's ``family`` becomes ``family``.  It reads no reason and negates
+    no array in place: the caller has stated an infeasible problem's reason
+    on its own data before it reflects.
     """
     out = solve(FAMILIES[family].reflects, **{name: -v for name, v in data.items()})
     if isinstance(out, np.ndarray):
@@ -156,14 +140,9 @@ def _reflect(family: StructureFamily, solve, **data):
         return (-out[0],) + out[1:]
     if hasattr(out, "family"):
         out.family = family
-    if not out.feasible:
-        out.reason = _reflected_reason(out.reason)
     for name in ("minimizer", "gram", "H1", "H2"):  # the blocks as held: the base solver's own, fresh
-        held = vars(out).get(name)
-        if isinstance(held, Factored):
+        if (held := vars(out).get(name)) is not None:
             setattr(out, name, -held)
-        elif held is not None:
-            np.negative(held, out=held)
     return out
 
 
@@ -204,12 +183,15 @@ def _min_factors(spec: FamilySpec, x: np.ndarray, y: np.ndarray, nx: float):
 
 
 def _violation(spec: FamilySpec, u: np.ndarray, v: np.ndarray, tol: float, names=("x", "y")) -> str:
-    """Why a base family's condition on s = u*v (u^T v for the bilinear form) fails; "" when it holds.
+    """Why a family's condition on s = u*v (u^T v for the bilinear form) fails; "" when it holds.
 
     Delta u = v with Delta in the family needs s = u* Delta u real (sesquilinear,
     sign +1) or imaginary (sign -1), u^T v = 0 (bilinear, sign -1), s real
     and positive (psd) or Re(s) >= 0 (dissipative); ``tol`` is the zero of
-    ``ToleranceConfig``'s rule.  ``names`` are u and v as the reason states them.
+    ``ToleranceConfig``'s rule.  A negated row (nsd, anti-dissipative) tests
+    its base row's condition on -s, which its base solve meets, and states
+    its own (s real and negative, Re(s) <= 0) at the caller's s, a zero part
+    as +0.  ``names`` are u and v as the reason states them.
     """
     a, b = names
     if spec.form == "bilinear":  # u^T Delta u = sign u^T Delta u: 0 for the skew sign
@@ -217,14 +199,17 @@ def _violation(spec: FamilySpec, u: np.ndarray, v: np.ndarray, tol: float, names
         return f"{a}^T {b} != 0 ({t:.3e})" if spec.sign < 0 and abs(t) > tol else ""
     if spec.form is None and spec.cone is None:
         return ""
-    s = np.vdot(u, v)
+    s = t = np.vdot(u, v)  # t: the base row's value
+    up, down = "positive", "negative"
+    if spec.reflects is not None:
+        s, t, up, down = s + 0.0, -s, down, up
     if spec.cone == "psd":
-        if abs(s.imag) > tol or s.real <= tol:
+        if abs(t.imag) > tol or t.real <= tol:
             # the one-sided and the doubly structured solvers word it apart; the golden corpus pins both
-            return f"{a}*{b} not {'real positive' if a == 'x' else 'positive'} ({s:.3e})"
+            return f"{a}*{b} not {'real ' if a == 'x' else ''}{up} ({s:.3e})"
     elif spec.cone == "dissipative":
-        if s.real < -tol:
-            return f"Re({a}*{b}) negative ({s.real:.3e})"
+        if t.real < -tol:
+            return f"Re({a}*{b}) {down} ({s.real:.3e})"
     elif spec.sign > 0:
         if abs(s.imag) > tol:
             return f"{a}*{b} not real (Im = {s.imag:.3e})"
@@ -281,14 +266,13 @@ def map_min(
 
 
 def _map_min(family: StructureFamily, x: np.ndarray, y: np.ndarray, nx: float, ny: float, cfg: ToleranceConfig):
-    """``map_min`` on validated x, y of norms nx, ny: a negated family's reflection solves on -y, not validated."""
+    """``map_min`` on validated x, y of norms nx, ny: a negated family is checked here, then solved on -y."""
     spec = FAMILIES[family]
-    if spec.reflects is not None:
-        return _reflect(family, lambda base, y: _map_min(base, x, y, nx, ny, cfg), y=y)
-
     tol = cfg.residual_tol * (nx * ny)
     if why := _violation(spec, x, y, tol):
         return MapSolution(family, False, reason=why)
+    if spec.reflects is not None:
+        return _reflect(family, lambda base, y: _map_min(base, x, y, nx, ny, cfg), y=y)
     delta = Factored.outer_sum(*_min_factors(spec, x, y, nx))
     boundary = spec.cone == "dissipative" and abs(np.vdot(x, y).real) <= tol
     return MapSolution(
@@ -415,20 +399,18 @@ def _map_characterize(family: StructureFamily, x, y, nx: float, ny: float, param
                       names=("x", "y")) -> np.ndarray:
     """``map_characterize`` on validated x, y of norms nx, ny and validated free matrices ``params``.
 
-    A negated family's reflection is not validated again.  ``names`` are x and
-    y as the messages state them; a symmetry or psd family's one free matrix
-    is named by its key in ``params``.  ``dsm`` evaluates its square block here.
+    A negated family is checked on x, y, then reflected, not validated again.
+    ``names`` are x and y as the messages state them; a symmetry or psd family's
+    one free matrix is named by its key in ``params``.  ``dsm`` evaluates its square block here.
     """
-    spec = FAMILIES[family]
-    if spec.reflects is not None:
-        return _reflect(family, lambda base, y: _map_characterize(base, x, y, nx, ny, params, cfg, names), y=y)
-
-    a, b = names
+    spec, (a, b) = FAMILIES[family], names
     base = _map_min(family, x, y, nx, ny, cfg)
     if not base.feasible:
         raise DegenerateInputError(f"infeasible problem: {base.reason}")
     if base.boundary:
         raise DegenerateInputError(f"characterization undefined on the boundary Re({a}*{b}) ~ 0")
+    if spec.reflects is not None:
+        return _reflect(family, lambda base, y: _map_characterize(base, x, y, nx, ny, params, cfg, names), y=y)
 
     if spec.cone != "dissipative":
         [(name, h)] = params.items()  # Z, H or K

@@ -279,10 +279,10 @@ def oracle_least_norm(constraints, structure: StructureFamily | None = None, cfg
 
     ``constraints`` is a list of ("mul", x, y) for Delta x = y and
     ("adj", z, w) for Delta* z = w.  ``structure`` restricts Delta, which
-    must then be square, to a linear family.  No constraint, or one that
+    must then be square, to a linear family.  No constraint, one that
     gives Delta other rows (the y of "mul", the z of "adj") or columns (the
-    x of "mul", the w of "adj") than constraint 0, raises
-    ``DimensionMismatchError``; inconsistent ones raise
+    x of "mul", the w of "adj") than constraint 0, or a structured Delta
+    that is not square raises ``DimensionMismatchError``; inconsistent ones raise
     ``InconsistentConstraintsError``.
 
     Returns (Delta, norm); the norm is a global minimum to solver
@@ -307,7 +307,7 @@ def oracle_least_norm(constraints, structure: StructureFamily | None = None, cfg
         raise ValueError(f"{structure.value} is not a linear class; use oracle_min_structured")
     if spec.form is not None:
         if rows != cols:
-            raise ValueError("the structured block must be square")
+            raise DimensionMismatchError(f"the structured block must be square, got Delta {rows} x {cols}")
         parts, split = [(structure, 1.0)], cols
     square, trailing, norm, _, _ = _solve_on_span(constraints, split, parts, None, cfg)
     return square[0] if parts else trailing, norm

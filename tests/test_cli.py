@@ -488,3 +488,30 @@ def test_backerr_rejects_bounds_that_overflow(capsys, tmp_path):
         code, out, err = run(capsys, "backerr", "--pencil", str(ppath), "--lambda", "1e160i", "--blocks", "JREB")
     assert code == 1 and out == "" and caught == []
     assert err.splitlines() == ["error: backward-error bounds overflow the floating-point range (|lambda| = 1e+160)"]
+
+
+#: usage error: (argv after the files are named, the one error line); {x}, {y}, {z}, {pencil} and {doc} are files
+_USAGE_ERRORS = {
+    "z-without-w": (["map", "solve", "--family", "hermitian", "--x", "{x}", "--y", "{y}", "--z", "{z}"],
+                    "error: --z and --w must be given together"),
+    "backerr-without-lambda": (["backerr", "--pencil", "{pencil}", "--blocks", "JREB"],
+                               "error: --lambda is required for a single evaluation"),
+    "backerr-zero-lambda": (["backerr", "--pencil", "{pencil}", "--blocks", "JREB", "--lambda", "0i"],
+                            "error: lambda must be nonzero"),
+    "verify-no-kind": (["verify", "--result", "{doc}"], "error: result document missing 'kind'"),
+    "verify-unknown-kind": (["verify", "--result", "{doc}"], "error: unknown result kind 'eigen'"),
+    "verify-no-problem-field": (["verify", "--result", "{doc}"], "error: result document missing field 'family'"),
+}
+_USAGE_DOCS = {"verify-no-kind": {"problem": {}}, "verify-unknown-kind": {"kind": "eigen", "problem": {}},
+               "verify-no-problem-field": {"kind": "map-min", "problem": {}}}
+
+
+@pytest.mark.parametrize("case", list(_USAGE_ERRORS))
+def test_a_usage_error_is_one_error_line_and_exit_1(capsys, tmp_path, herm_files, case):
+    argv, line = _USAGE_ERRORS[case]
+    ppath, doc = tmp_path / "P.json", tmp_path / "R.json"
+    save_json(str(ppath), pencil_to_doc(gen_pencil(3, 2, seed=3)))
+    doc.write_text(json.dumps(_USAGE_DOCS.get(case, {})))
+    files = {**herm_files, "pencil": str(ppath), "doc": str(doc)}
+    code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+    assert (code, out, err.splitlines()) == (1, "", [line])

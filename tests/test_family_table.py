@@ -2,9 +2,9 @@
 
 ``maps.FAMILIES`` gives every family as (form, sign, cone) plus the family
 it reflects; the solvers, evaluators and oracles read its fields.  The scan
-below keeps it that way: no comparison in ``maps``, ``dsm`` or ``oracle``
-may name a ``StructureFamily`` member, or a module-level set written out of
-members, outside the table.
+below keeps it that way: no comparison in any module of ``dsmkit`` may name
+a ``StructureFamily`` member, or a module-level set written out of members,
+outside the table.
 """
 
 import ast
@@ -60,7 +60,8 @@ def test_family_compare_scanner(source, found):
 
 
 def test_no_family_comparison_outside_the_table():
-    trees = {name: ast.parse((SRC / name).read_text()) for name in ("maps.py", "dsm.py", "oracle.py")}
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {"maps.py", "dsm.py", "oracle.py", "cli.py", "pencil.py"} <= set(trees)
     sets = _family_sets(trees.values())
     offenders = [f"{name}:{line}" for name, tree in trees.items() for line in _family_compares(tree, sets)]
     assert offenders == []

@@ -171,7 +171,8 @@ def test_cone_oracle_raises_without_a_strictly_feasible_point(family):
 def test_least_norm_rejects_a_structured_family_on_non_square_data():
     rng = np.random.default_rng(51)
     for constraint in (("mul", crandn(rng, 3), crandn(rng, 2)), ("adj", crandn(rng, 2), crandn(rng, 3))):
-        with pytest.raises(ValueError, match="the structured block must be square"):
+        # a shape fault like every other: still a ValueError, and the message names the shape
+        with pytest.raises(DimensionMismatchError, match="^the structured block must be square, got Delta 2 x 3$"):
             oracle_least_norm([constraint], F.HERMITIAN)
     delta, _ = oracle_least_norm([constraint], None)  # no structure: any shape
     assert delta.shape == (2, 3)

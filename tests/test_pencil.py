@@ -1205,3 +1205,46 @@ def test_kernel_table_takes_no_square_decomposition(blocks, variant, n, m, r, ce
         assert wide == [("cholesky", (k, k), False, None)] + ([("qr", (n, k), False, "reduced")] if kernel_r
                                                               else [("svd", (n, m), False, True)])
     _assert_core_shapes([c for c in seen if c not in wide])
+
+
+#: fault: (selection, the fields of its eta result to replace, the error that result must raise)
+_RECONSTRUCTION_FAULTS = {
+    "not-finite": ("JREB", lambda res, n: {"finite": False}, "cannot reconstruct from an infinite backward error$"),
+    "hermitian-part-without-R": ("JB", lambda res, n: {"H1": res.H1 + np.eye(n)},  # H1 was skew-Hermitian
+                                 "square block has a Hermitian part but R is not selected$"),
+    "skew-part-without-J-or-E": ("RB", lambda res, n: {"H1": res.H1 + 1j * np.eye(n)},  # H1 was Hermitian
+                                 "square block has a skew part but neither J nor E is selected$"),
+    # -(Hermitian part) stays Hermitian but is no longer semidefinite
+    "dR-not-psd": ("JREB", lambda res, n: {"H1": res.H1 + 10.0 * np.linalg.norm(res.H1) * np.eye(n)},
+                   "perturbation invariants failed: dR_psd$"),
+    "norm-not-eta-upper": ("JREB", lambda res, n: {"eta_upper": 2.0 * res.eta_upper},
+                           "reconstructed norm .* != eta_upper "),
+}
+
+
+@pytest.mark.parametrize("fault", list(_RECONSTRUCTION_FAULTS))
+def test_reconstruction_refuses_an_altered_result(fault):
+    blocks, alter, message = _RECONSTRUCTION_FAULTS[fault]
+    p = pencil_for(blocks)
+    ep = gen_eigpair(p, 21, blocks)
+    res = (eta_s if blocks == "JB" else eta_sd)(p, ep, blocks)
+    reconstruct_perturbation(p, ep, blocks, res)  # the result as computed passes
+    with pytest.raises(ReconstructionError, match=f"^{message}"):
+        reconstruct_perturbation(p, ep, blocks, dataclasses.replace(res, **alter(res, p.n)))
+
+
+def test_eta_sd_warns_on_a_colinearity_factor_that_is_not_unit_modulus():
+    p = pencil_for("JREB")
+    u1 = crandn(np.random.default_rng(8), p.n)
+    res = eta_sd(p, EigenPair(0.7j, u1, 2.0 * u1, np.zeros(p.m)), "JREB")
+    assert res.finite and res.conditions_report["u2_colinear_u1"]
+    assert res.warnings == ["colinearity factor is not unit-modulus; the Gram-vector weighting "
+                            "is only certified for |alpha| = 1"]
+
+
+def test_gen_eigpair_raises_after_max_tries_when_r_is_zero():
+    # JREB needs R u2 != 0: with R = 0 every draw is rejected
+    p = gen_pencil(3, 2, seed=0, r_rank=0)
+    assert not p.R.any()
+    with pytest.raises(GenerationError, match="^no admissible eigenpair found in 5 tries$"):
+        gen_eigpair(p, 0, "JREB", max_tries=5)

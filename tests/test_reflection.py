@@ -23,7 +23,8 @@ from dsmkit import (
     oracle_min_structured,
     verify_solution,
 )
-from dsmkit.maps import StructureFamily as F
+from dsmkit.errors import DegenerateInputError
+from dsmkit.maps import FAMILIES, StructureFamily as F
 from helpers import (
     crandn,
     dsm_instance,
@@ -185,3 +186,49 @@ def test_nsd_and_anti_reasons_state_the_callers_value():
     # the compatibility gap does not change sign under reflection
     broken = DsmProblem(p.x1, p.x2, p.y + crandn(rng, 3), p.z, p.w1, p.w2)
     assert dsdm_type2(broken, anti=True).reason == dsdm_type2(broken).reason
+
+
+def _cone_draw(rng, i):
+    """One seeded (x, y) for the cone rows: every third real, and y on the real or imaginary line through x,
+    of either sign, or anywhere, so that each cone row is met, missed and met on its boundary."""
+    n, real = int(rng.integers(1, 6)), i % 3 == 0
+    x = rng.standard_normal(n) if real else crandn(rng, n)
+    shape = i % 4
+    if shape == 0:
+        y = rng.standard_normal(n) if real else crandn(rng, n)
+    elif shape == 1:
+        y = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0) * x
+    elif shape == 2:
+        y = (rng.standard_normal() + 1j * rng.choice([-1.0, 1.0])) * x
+    else:
+        y = 1j * x  # x*y imaginary: Re(x*y) exactly 0 for real data
+    return x, y
+
+
+#: each cone row's reason, at the value it prints
+CONE_REASONS = {F.PSD: "x*y not real positive ({})", F.NSD: "x*y not real negative ({})",
+                F.DISSIPATIVE: "Re(x*y) negative ({})", F.ANTI_DISSIPATIVE: "Re(x*y) positive ({})"}
+
+
+@pytest.mark.parametrize("family", list(CONE_REASONS))
+def test_each_cone_row_states_its_condition_once(family):
+    # map_characterize refuses infeasible data with map_min's reason, and a negated row words its own
+    # condition at the caller's x*y (a zero part printed as +0), not its base row's at -x*y
+    rng = np.random.default_rng(608)
+    spec, refused = FAMILIES[family], 0
+    for i in range(1000):
+        x, y = _cone_draw(rng, i)
+        n, s = x.shape[0], np.vdot(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+        reason = map_min(family, x, y).reason
+        if not reason:
+            continue
+        refused += 1
+        shown = f"{s:.3e}" if spec.cone == "psd" else f"{s.real:.3e}"
+        if spec.reflects is not None:
+            shown = shown.replace("-0.000e+00", "0.000e+00")
+        assert reason == CONE_REASONS[family].format(shown)
+        params = {"K": np.eye(n)} if spec.cone == "psd" else {"Z": np.eye(n), "K": np.eye(n), "G": np.eye(n)}
+        with pytest.raises(DegenerateInputError) as info:
+            map_characterize(family, x, y, params)
+        assert str(info.value) == f"infeasible problem: {reason}"
+    assert 100 <= refused <= 900  # both verdicts are drawn
