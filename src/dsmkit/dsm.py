@@ -34,10 +34,10 @@ to the left factors, O(n^2).  ``dsdm_type1`` takes thin SVDs of its n x m
 matrix data and returns ``minimizer`` and ``gram`` as factors of at most
 3m columns, for O(n m^2) in all.
 
-The negated families go through the one reflection rule of ``maps``
-(``_reflect``): nsd is psd, and ``anti=True`` is the dissipative problem,
-on (x, -y, z, -w) with the result negated, once the caller's data meet the
-negated family's own condition.
+Every solver and characterization here checks the caller's data once
+(``_refusal``), reflects once by the rule of ``maps`` (``_reflect``: nsd is
+psd, and ``anti=True`` the dissipative problem, on (x, -y, z, -w) with the
+result negated), then builds on the base family with no second check.
 
 ``verify_solution`` audits a claimed solution against the data of these
 problems (residuals, structure deviation, the cone's extreme eigenvalue).
@@ -47,7 +47,6 @@ loading the oracles.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import InitVar, asdict, dataclass, field, replace
 
@@ -62,8 +61,8 @@ from .errors import (
     StructureError,
 )
 from .linalg import DenseOnRead, Factored, _colinear_coeff, _range_factors, _semidefinite, as_complex, fro
-from .maps import FAMILIES, _LINEAR, StructureFamily, _deviation, _incompatible, _label, _map_characterize, _min_factors
-from .maps import _nonzero_vec, _reflect, _sandwich, _two_sided, _violation
+from .maps import FAMILIES, _LINEAR, StructureFamily, _deviation, _incompatible, _label, _member, _min_factors
+from .maps import _nonzero_vecs, _reflect, _sandwich, _two_sided, _violation
 
 __all__ = [
     "DsmProblem",
@@ -138,8 +137,8 @@ class DsmProblem:
 
 def _replaced(data, **arrays):
     """``replace(data, **arrays)`` for arrays derived from data's, not validated again; ``_norms`` carries over."""
-    out = copy.copy(data)
-    vars(out).update(arrays)
+    out = object.__new__(type(data))
+    vars(out).update(vars(data), **arrays)
     return out
 
 
@@ -232,31 +231,36 @@ def dsm_solve(
     return _dsm_solve(_dsm_family(family), p, cfg)
 
 
+def _refusal(family: StructureFamily, p: DsmProblem, cfg: ToleranceConfig) -> str:
+    """The one check of the solve and the characterizations: raise if degenerate, else why infeasible, or ""."""
+    _check_degenerate(family, p)
+    nrm = p._norms
+    return _incompatible(p.x, p.y, p.z, p.w, nrm, cfg) or _violation(
+        FAMILIES[family], p.z, p.w1, cfg.residual_tol * (nrm["z"] * nrm["w1"]), ("z", "w1"))
+
+
 def _dsm_solve(family: StructureFamily, p: DsmProblem, cfg: ToleranceConfig) -> DsmSolution:
-    """The one solve of ``dsm_solve``, ``dsdm_type2``, ``jordan_lie_reduce`` and both characterizations.
+    """The one solve of ``dsm_solve``, ``dsdm_type2`` and ``jordan_lie_reduce``: checked, reflected, built.
 
     H1 is the adjoint of the family's minimal map of z to w1 (``maps._min_factors``) and H2 the
     minimal two-sided map of (x2, y - H1 x1, z, w2); the families differ in their exactness rules
     and lower bounds only.
     """
-    spec, nrm = FAMILIES[family], p._norms
-    _check_degenerate(family, p)
-    if why := _incompatible(p.x, p.y, p.z, p.w, nrm, cfg):
+    if why := _refusal(family, p, cfg):
         return DsmSolution(family, False, reason=why)
-    tol = cfg.residual_tol * (nrm["z"] * nrm["w1"])
-    if why := _violation(spec, p.z, p.w1, tol, ("z", "w1")):
-        return DsmSolution(family, False, reason=why)
-    if spec.reflects is not None:  # checked on the caller's data; the negated data are not validated again
-        return _reflect(family, lambda base, **yw: _dsm_solve(base, _replaced(p, **yw), cfg),
-                        y=p.y, w=p.w, w1=p.w1, w2=p.w2)
+    return _reflect(family, lambda base, **yw: _built(base, _replaced(p, **yw), cfg), y=p.y, w=p.w, w1=p.w1, w2=p.w2)
 
+
+def _built(family: StructureFamily, p: DsmProblem, cfg: ToleranceConfig) -> DsmSolution:
+    """``_dsm_solve``'s solution on feasible data of a base family, checked by the caller."""
+    spec, nrm = FAMILIES[family], p._norms
     h1 = Factored.outer_sum(*_min_factors(spec, p.z, p.w1, nrm["z"])).adjoint()
     h2 = _two_sided(p.x2, p.y - h1 @ p.x1, p.z, p.w2, nrm["x2"], nrm["z"])
     diagnostics: dict = {}
     warnings: list[str] = []
     if spec.cone == "dissipative":
         rew = np.vdot(p.z, p.w1).real
-        if rew <= tol:
+        if rew <= cfg.residual_tol * (nrm["z"] * nrm["w1"]):
             warnings.append("Re(z*w1) ~ 0: boundary case, characterization unavailable")
         beta, y_colinear = _colinear_coeff(p.z, p.y, nrm["y"], cfg)
         orth = abs(np.vdot(p.z, p.x1)) <= cfg.residual_tol * nrm["z"] * nrm["x1"]
@@ -340,8 +344,8 @@ def dsm_characterize(
     H1 + P K P with P the projector pair of the family (P_z on both sides
     for the sesquilinear families, P_z K P_conj(z) for the bilinear ones),
     and Delta2 is the two-sided map of (x2, y - Delta1 x1, z, w2) plus
-    P_z R P_x2.  NSD is the PSD evaluation on (x, -y, z, -w), negated, by
-    the reflections of the solve and of ``maps``.
+    P_z R P_x2.  The data are checked once, as ``dsm_solve`` checks them;
+    NSD's Delta1 is the PSD one of (z, -w1), negated.
     """
     family = _dsm_family(family)
     K, R = _free_matrices(p, K=K, R=R)
@@ -350,17 +354,17 @@ def dsm_characterize(
 
 def _dsm_characterize(family: StructureFamily, p: DsmProblem, params: dict, R: np.ndarray,
                       cfg: ToleranceConfig) -> np.ndarray:
-    """Both characterizations on validated free matrices: feasibility is the one solve's.
+    """Both characterizations on validated free matrices, checked once (``_refusal``).
 
-    Delta1 = D* for D ``maps``' characterization of (z, w1) at ``params``, which
-    checks the free matrices, reflects a negated family and refuses the
-    boundary; Delta2 = H2(Delta1) + P_z R P_x2.
+    Delta1 = D* for D the member of ``maps``' solution set for (z, w1) at
+    ``params`` (``maps._member``, which checks the free matrices and refuses
+    the dissipative boundary), reflected once; Delta2 = H2(Delta1) + P_z R P_x2.
     """
-    sol = _dsm_solve(family, p, cfg)
-    if not sol.feasible:
-        raise DegenerateInputError(f"infeasible problem: {sol.reason}")
+    if why := _refusal(family, p, cfg):
+        raise DegenerateInputError(f"infeasible problem: {why}")
     nrm = p._norms
-    d1 = _map_characterize(family, p.z, p.w1, nrm["z"], nrm["w1"], params, cfg, ("z", "w1")).conj().T
+    d1 = _reflect(family, lambda base, w1: _member(base, p.z, w1, nrm["z"], nrm["w1"], params, cfg, ("z", "w1")),
+                  w1=p.w1).conj().T
     d2 = _two_sided(p.x2, p.y - d1 @ p.x1, p.z, p.w2, nrm["x2"], nrm["z"]).dense() + _sandwich(p.z, R, p.x2)
     return np.hstack([d1, d2])
 
@@ -515,15 +519,15 @@ def dsdm_type1_vec(
 ) -> Type1Solution:
     """``dsdm_type1`` on the one-column data (x, y, z, w), with z colinear with x.
 
-    The input contract of the vector case: every input nonzero and Re(x*y)
-    bounded away from zero (``DegenerateInputError`` otherwise), and
-    z = alpha x (``NotColinearError`` otherwise).  The result is
-    ``dsdm_type1``'s, with ``conditions['colinear']`` and
+    The input contract of the vector case: inputs of one length
+    (``DimensionMismatchError``), nonzero and with Re(x*y) bounded away from
+    zero (``DegenerateInputError``), and z = alpha x (``NotColinearError``).
+    The result is ``dsdm_type1``'s, with ``conditions['colinear']`` and
     ``diagnostics['alpha']`` added; on one column X*Y + Y*X = 2 Re(x*y), so
     the solver is feasible iff x*w = y*z and Re(x*y) > 0.  ``anti=True``
     asks for Delta + Delta* <= 0.
     """
-    (x, nx), (y, ny), (w, nw), (z, nz) = (_nonzero_vec(v, name) for v, name in ((x, "x"), (y, "y"), (w, "w"), (z, "z")))
+    (x, nx), (y, ny), (w, nw), (z, nz) = _nonzero_vecs(x=x, y=y, w=w, z=z)
     alpha, colinear = _colinear_coeff(x, z, nz, cfg)
     if not colinear:
         raise NotColinearError(f"z is not colinear with x (residual {fro(z - alpha * x):.3e})")

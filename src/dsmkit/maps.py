@@ -18,10 +18,10 @@ matrix and so work on dense blocks.
 The negated families (nsd, anti-dissipative) follow one reflection rule,
 ``_reflect``, here and in ``dsm`` and ``oracle``: Delta is in -S iff -Delta
 is in S, so the problem (x, y, z, w) in -S is the problem (x, -y, z, -w) in
-S with its result negated.  A solver tests the caller's data against the
-negated family's own condition (``_violation`` states every row's) before
-it reflects, so ``_reflect`` negates data and results and nothing else, and
-no solver codes a negated family itself.
+S with its result negated.  Every solver and characterization checks the
+caller's data once (``_violation`` states every row's condition), reflects
+once (a family that reflects nothing passes through) and builds on the base
+family with no second check, so no solver codes a negated family itself.
 
 Every family is one row of ``FAMILIES``: the form its members are symmetric
 in (sesquilinear, Delta* = sign Delta; bilinear, Delta^T = sign Delta; or
@@ -34,8 +34,8 @@ reduction all read the row, so a new family is one row of the table.
 
 ``dsm`` builds the doubly structured problem from these solvers: its
 square block is the adjoint of this module's one-sided map of z to w1
-(``_min_factors`` for the minimal one, ``_map_characterize`` for the
-solution set), and its column block the two-sided map ``_two_sided``.
+(``_min_factors`` for the minimal one, ``_member`` for the solution
+set), and its column block the two-sided map ``_two_sided``.
 """
 
 from __future__ import annotations
@@ -119,22 +119,31 @@ def _nonzero_vec(v, name: str) -> tuple[np.ndarray, float]:
     return v, nv
 
 
+def _nonzero_vecs(**named) -> list[tuple[np.ndarray, float]]:
+    """``_nonzero_vec`` of each named vector, in order; all must share one dimension."""
+    out = [_nonzero_vec(v, name) for name, v in named.items()]
+    if len({v.shape for v, _ in out}) > 1:
+        *rest, last = named
+        shapes = " vs ".join(str(v.shape) for v, _ in out)
+        raise DimensionMismatchError(f"{', '.join(rest)} and {last} must share a dimension, got {shapes}")
+    return out
+
+
 def _reflect(family: StructureFamily, solve, **data):
-    """The one reflection rule: solve ``family`` in -S as its base family S, negated.
+    """The one reflection rule: ``family`` in -S is its base family S, negated; any other family is itself.
 
     Delta x = y and Delta* z = w with Delta in -S hold iff (-Delta) x = -y and
-    (-Delta)* z = -w with -Delta in S.  ``solve(base, **negated)`` runs the
-    base family's solver with every array of ``data`` (the caller's y and w
-    parts, and a free block that must enter both sets alike) negated.  Its
-    result is negated: an array, the first entry of a (Delta, norm) pair, or
-    the ``Factored`` blocks ``minimizer``/``gram``/``H1``/``H2`` of a
-    solution, by a new block with its left factor negated, O(n); a
-    solution's ``family`` becomes ``family``.  It reads no reason and negates
-    no array in place: the caller has stated an infeasible problem's reason
-    on its own data before it reflects.
+    (-Delta)* z = -w with -Delta in S.  ``solve(base, **negated)`` builds on
+    S with every array of ``data`` (the caller's y and w parts) negated, and
+    its result is negated: an array, a ``Factored`` block (its left factor,
+    O(n)), the first entry of a (Delta, norm) pair, or the blocks
+    ``minimizer``/``gram``/``H1``/``H2`` of a solution, whose ``family``
+    becomes ``family``.  It checks nothing and negates nothing in place.
     """
-    out = solve(FAMILIES[family].reflects, **{name: -v for name, v in data.items()})
-    if isinstance(out, np.ndarray):
+    if (base := FAMILIES[family].reflects) is None:
+        return solve(family, **data)
+    out = solve(base, **{name: -v for name, v in data.items()})
+    if isinstance(out, (np.ndarray, Factored)):
         return -out
     if isinstance(out, tuple):
         return (-out[0],) + out[1:]
@@ -255,29 +264,18 @@ def map_min(
       psd             x*y real and positive
       dissipative     Re(x*y) >= 0 (boundary Re ~ 0 flagged: the returned
                       minimizer is feasible but minimality is not certified)
-    nsd / anti-dissipative go through ``_reflect``: the psd / dissipative
-    problem on (x, -y), negated.
+    nsd / anti-dissipative are checked on (x, y), then go through
+    ``_reflect``: the psd / dissipative minimum on (x, -y), negated.
     """
     family = StructureFamily(family)
-    (x, nx), (y, ny) = _nonzero_vec(x, "x"), _nonzero_vec(y, "y")
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"x and y must share a dimension, got {x.shape} vs {y.shape}")
-    return _map_min(family, x, y, nx, ny, cfg)
-
-
-def _map_min(family: StructureFamily, x: np.ndarray, y: np.ndarray, nx: float, ny: float, cfg: ToleranceConfig):
-    """``map_min`` on validated x, y of norms nx, ny: a negated family is checked here, then solved on -y."""
-    spec = FAMILIES[family]
-    tol = cfg.residual_tol * (nx * ny)
+    (x, nx), (y, ny) = _nonzero_vecs(x=x, y=y)
+    spec, tol = FAMILIES[family], cfg.residual_tol * (nx * ny)
     if why := _violation(spec, x, y, tol):
         return MapSolution(family, False, reason=why)
-    if spec.reflects is not None:
-        return _reflect(family, lambda base, y: _map_min(base, x, y, nx, ny, cfg), y=y)
-    delta = Factored.outer_sum(*_min_factors(spec, x, y, nx))
-    boundary = spec.cone == "dissipative" and abs(np.vdot(x, y).real) <= tol
+    delta = _reflect(family, lambda base, y: Factored.outer_sum(*_min_factors(FAMILIES[base], x, y, nx)), y=y)
     return MapSolution(
         family, True, minimizer=delta, min_norm=delta.norm(), free_param_shapes=_free_params(family, x.shape[0]),
-        boundary=boundary,
+        boundary=spec.cone == "dissipative" and abs(np.vdot(x, y).real) <= tol,
     )
 
 
@@ -386,38 +384,35 @@ def map_characterize(
     ``params`` supplies the free matrices by name: H for the four
     symmetry families, Z for unstructured, K for psd/nsd, and (Z, K, G)
     for the dissipative families.  Constraint violations raise
-    ``ConstraintViolationError`` naming the failing condition.
+    ``ConstraintViolationError`` naming the failing condition.  The data
+    are checked and reflected as ``map_min`` does.
     """
     family = StructureFamily(family)
-    (x, nx), (y, ny) = _nonzero_vec(x, "x"), _nonzero_vec(y, "y")
+    (x, nx), (y, ny) = _nonzero_vecs(x=x, y=y)
     n = x.shape[0]
     params = {name: _param(params, name, n) for name in _free_params(family, n)}
-    return _map_characterize(family, x, y, nx, ny, params, cfg)
+    if why := _violation(FAMILIES[family], x, y, cfg.residual_tol * (nx * ny)):
+        raise DegenerateInputError(f"infeasible problem: {why}")
+    return _reflect(family, lambda base, y: _member(base, x, y, nx, ny, params, cfg), y=y)
 
 
-def _map_characterize(family: StructureFamily, x, y, nx: float, ny: float, params: dict, cfg: ToleranceConfig,
-                      names=("x", "y")) -> np.ndarray:
-    """``map_characterize`` on validated x, y of norms nx, ny and validated free matrices ``params``.
+def _member(family: StructureFamily, x, y, nx: float, ny: float, params: dict, cfg: ToleranceConfig,
+            names=("x", "y")) -> np.ndarray:
+    """The base family's solution set at validated free matrices ``params``: its minimal map plus the free part.
 
-    A negated family is checked on x, y, then reflected, not validated again.
-    ``names`` are x and y as the messages state them; a symmetry or psd family's
-    one free matrix is named by its key in ``params``.  ``dsm`` evaluates its square block here.
+    x, y of norms nx, ny meet the family's condition, checked by the caller; a dissipative member refuses
+    the boundary Re(x*y) ~ 0.  ``names`` are x and y as the messages state them; a symmetry or psd
+    family's one free matrix is named by its key in ``params``.  ``dsm`` evaluates its square block here.
     """
     spec, (a, b) = FAMILIES[family], names
-    base = _map_min(family, x, y, nx, ny, cfg)
-    if not base.feasible:
-        raise DegenerateInputError(f"infeasible problem: {base.reason}")
-    if base.boundary:
-        raise DegenerateInputError(f"characterization undefined on the boundary Re({a}*{b}) ~ 0")
-    if spec.reflects is not None:
-        return _reflect(family, lambda base, y: _map_characterize(base, x, y, nx, ny, params, cfg, names), y=y)
-
     if spec.cone != "dissipative":
         [(name, h)] = params.items()  # Z, H or K
-        if spec.form is None:
-            return base.minimizer + _sandwich(None, h, x)
-        _require_structure(family, name, h, cfg)
-        return base.minimizer + _sandwich(x.conj() if spec.form == "bilinear" else x, h, x)  # P_x^T = P_conj(x)
+        if spec.form is not None:
+            _require_structure(family, name, h, cfg)
+        left = None if spec.form is None else x.conj() if spec.form == "bilinear" else x  # P_x^T = P_conj(x)
+        return Factored.outer_sum(*_min_factors(spec, x, y, nx)).dense() + _sandwich(left, h, x)
+    if abs(np.vdot(x, y).real) <= cfg.residual_tol * (nx * ny):
+        raise DegenerateInputError(f"characterization undefined on the boundary Re({a}*{b}) ~ 0")
     z, k, g = params["Z"], params["K"], params["G"]
     _require_structure(StructureFamily.SKEW_HERMITIAN, "G", g, cfg)
     _require_structure(StructureFamily.PSD, "K", k, cfg)

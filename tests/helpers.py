@@ -184,6 +184,34 @@ def map_instance(family, rng, n):
     return x, y
 
 
+def map_params(family, rng, x, y, n):
+    """Admissible free matrices of map_characterize for the family at feasible data x, y of length n."""
+    if family is F.UNSTRUCTURED:
+        return {"Z": crandn(rng, n, n)}
+    if family in (F.HERMITIAN, F.SKEW_HERMITIAN, F.SYMMETRIC, F.SKEW_SYMMETRIC):
+        h = crandn(rng, n, n)
+        if family is F.HERMITIAN:
+            h = h + h.conj().T
+        elif family is F.SKEW_HERMITIAN:
+            h = h - h.conj().T
+        elif family is F.SYMMETRIC:
+            h = h + h.T
+        else:
+            h = h - h.T
+        return {"H": h}
+    if family in (F.PSD, F.NSD):
+        g = crandn(rng, n, n)
+        return {"K": g @ g.conj().T}
+    z = crandn(rng, n, n)
+    g = crandn(rng, n, n)
+    g = g - g.conj().T
+    l = crandn(rng, n, n)
+    sgn = -1.0 if family is F.ANTI_DISSIPATIVE else 1.0
+    q = 2 * (sgn * y) + z.conj().T @ x
+    k = np.outer(q, q.conj()) / (4 * abs(np.vdot(x, y).real)) + l @ l.conj().T
+    return {"Z": z, "K": k, "G": g}
+
+
 def semidefinite_by_eigs(a, tol=1e-10):
     """A Hermitian a has no eigenvalue below -tol times its largest in modulus."""
     eigs = np.linalg.eigvalsh(a)

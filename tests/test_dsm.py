@@ -26,6 +26,7 @@ from dsmkit import (
 from dsmkit.errors import (
     ConstraintViolationError,
     DegenerateInputError,
+    DimensionMismatchError,
     NonFiniteEntriesError,
     NotColinearError,
     StructureError,
@@ -391,6 +392,17 @@ def test_type1_vec_errors():
         dsdm_type1_vec(e1, e1, e2, e1)
     sol = dsdm_type1_vec(e1, -e1, e1, -e1)
     assert not sol.feasible and "XY_plus_YX_psd" in sol.reason
+
+
+@pytest.mark.parametrize("name, length", [("w", 6), ("w", 1), ("z", 6), ("y", 1)])
+def test_type1_vec_names_the_shapes_of_vectors_of_unequal_length(name, length):
+    # a Type1Problem of these columns would refuse them; w of length n + 2 or 1 once raised numpy's own ValueError
+    data = dict(zip("xyzw", type1_vec_instance(np.random.default_rng(13), 4)))
+    data[name] = crandn(np.random.default_rng(14), length)
+    shapes = " vs ".join(str(data[k].shape) for k in "xywz")
+    with pytest.raises(DimensionMismatchError) as err:
+        dsdm_type1_vec(**data)
+    assert str(err.value) == f"x, y, w and z must share a dimension, got {shapes}"
 
 
 def test_type2_worked_example():

@@ -80,3 +80,42 @@ def test_every_family_is_one_row_and_a_reflection_shares_its_base_row():
                          StructureFamily.ANTI_DISSIPATIVE: StructureFamily.DISSIPATIVE}
     assert LINEAR_FAMILIES == {StructureFamily.UNSTRUCTURED, StructureFamily.HERMITIAN, StructureFamily.SKEW_HERMITIAN,
                                StructureFamily.SYMMETRIC, StructureFamily.SKEW_SYMMETRIC}
+
+
+#: where ``FamilySpec.reflects`` may be read: the reflection rule, the conditions and membership it words on the
+#: caller's data, the audit of a claimed solution, the oracle, and the CLI's choice of ``anti``; every solver and
+#: characterization checks, then reflects through ``maps._reflect``, with no branch of its own
+REFLECTS_READERS = {"_reflect", "_violation", "_in_family", "verify_solution", "oracle_min_structured"}
+
+
+def _reflects_reads(tree) -> list[int]:
+    """Line numbers of the reads of ``.reflects`` in ``tree`` outside the functions named in ``REFLECTS_READERS``."""
+    lines = []
+
+    def visit(node, allowed):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "reflects" and not allowed:
+                lines.append(child.lineno)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and child.name in REFLECTS_READERS
+            visit(child, allowed or named)
+
+    visit(tree, False)
+    return lines
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def _map_min(f):\n    if FAMILIES[f].reflects is not None:\n        pass", 1),
+    ("def _dsm_solve(f, p):\n    return (lambda: FAMILIES[f].reflects)()", 1),
+    ("def _reflect(f, solve):\n    return solve(FAMILIES[f].reflects)", 0),
+    ("def verify_solution(f):\n    def inner():\n        return spec.reflects\n    return inner", 0),
+    ("FamilySpec('sesquilinear', 1, 'psd', reflects=StructureFamily.PSD)", 0),
+])
+def test_reflects_read_scanner(source, found):
+    assert len(_reflects_reads(ast.parse(source))) == found
+
+
+def test_only_the_reflection_rule_and_its_readers_branch_on_a_reflection():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"}
+    assert {"maps.py", "dsm.py", "oracle.py", "pencil.py"} <= set(trees)
+    offenders = [f"{name}:{line}" for name, tree in trees.items() for line in _reflects_reads(tree)]
+    assert offenders == []

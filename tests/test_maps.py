@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dsmkit import dsm_characterize, dsm_characterize_type2, map_characterize, map_min, map_two_sided, oracle_least_norm
-from dsmkit.errors import ConstraintViolationError, DegenerateInputError, NonFiniteEntriesError
+from dsmkit.errors import ConstraintViolationError, DegenerateInputError, DimensionMismatchError, NonFiniteEntriesError
 from dsmkit.maps import StructureFamily as F
-from helpers import NON_FINITE, crandn, dsm_instance, map_instance, two_sided_instance, type2_instance
+from helpers import NON_FINITE, crandn, dsm_instance, map_instance, map_params, two_sided_instance, type2_instance
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -179,43 +179,14 @@ def test_characterize_constraint_violations():
         assert (err.value.constraint, str(err.value)) == ("K_psd", "K must be positive semidefinite")
 
 
-def _admissible_params(family, rng, x, y, n):
-    if family in (F.HERMITIAN, F.SKEW_HERMITIAN, F.SYMMETRIC, F.SKEW_SYMMETRIC):
-        h = crandn(rng, n, n)
-        if family is F.HERMITIAN:
-            h = h + h.conj().T
-        elif family is F.SKEW_HERMITIAN:
-            h = h - h.conj().T
-        elif family is F.SYMMETRIC:
-            h = h + h.T
-        else:
-            h = h - h.T
-        return {"H": h}
-    if family in (F.PSD, F.NSD):
-        g = crandn(rng, n, n)
-        return {"K": g @ g.conj().T}
-    z = crandn(rng, n, n)
-    g = crandn(rng, n, n)
-    g = g - g.conj().T
-    l = crandn(rng, n, n)
-    sgn = -1.0 if family is F.ANTI_DISSIPATIVE else 1.0
-    q = 2 * (sgn * y) + z.conj().T @ x
-    k = np.outer(q, q.conj()) / (4 * abs(np.vdot(x, y).real)) + l @ l.conj().T
-    return {"Z": z, "K": k, "G": g}
-
-
 @pytest.mark.parametrize("family", list(F))
 def test_characterize_membership_audit(family):
-    if family is F.UNSTRUCTURED:
-        params = lambda rng, x, y, n: {"Z": crandn(rng, n, n)}
-    else:
-        params = lambda rng, x, y, n: _admissible_params(family, rng, x, y, n)
     rng = np.random.default_rng(hash(family.value) % 2**31)
     base = None
     for _ in range(50):
         n = int(rng.integers(2, 6))
         x, y = map_instance(family, rng, n)
-        d = map_characterize(family, x, y, params(rng, x, y, n))
+        d = map_characterize(family, x, y, map_params(family, rng, x, y, n))
         assert np.linalg.norm(d @ x - y) <= 1e-9 * max(1.0, np.linalg.norm(d) * np.linalg.norm(x))
         d1 = d
         if family is F.HERMITIAN:
@@ -237,6 +208,20 @@ def test_characterize_membership_audit(family):
         # optimality certificate: samples never beat the reported minimum
         sol = map_min(family, x, y)
         assert np.linalg.norm(d) >= sol.min_norm - 1e-9
+
+
+@pytest.mark.parametrize("family", list(F))
+def test_map_characterize_refuses_unequal_lengths_as_map_min_does(family):
+    # unstructured once broadcast x of length 3 and y of length 1 into a 3 x 3 matrix, and the
+    # symmetric and Hermitian families raised numpy's own ValueError
+    rng = np.random.default_rng(15)
+    params = {name: np.zeros((3, 3)) for name in "ZHKG"}  # the right shape for x, every family's names
+    for x, y in ((crandn(rng, 3), crandn(rng, 1)), (crandn(rng, 1), crandn(rng, 3))):
+        with pytest.raises(DimensionMismatchError) as expected:
+            map_min(family, x, y)
+        with pytest.raises(DimensionMismatchError) as err:
+            map_characterize(family, x, y, {name: a[:len(x), :len(x)] for name, a in params.items()})
+        assert str(err.value) == str(expected.value) == f"x and y must share a dimension, got {x.shape} vs {y.shape}"
 
 
 @pytest.mark.parametrize("kind", list(NON_FINITE))

@@ -1248,3 +1248,21 @@ def test_gen_eigpair_raises_after_max_tries_when_r_is_zero():
     assert not p.R.any()
     with pytest.raises(GenerationError, match="^no admissible eigenpair found in 5 tries$"):
         gen_eigpair(p, 0, "JREB", max_tries=5)
+
+
+@pytest.mark.xfail(strict=True, raises=ReconstructionError,
+                   reason="eta_sd off the colinear branch returns a dR that is not semidefinite, finite and "
+                          "unwarned: ROADMAP item 25, whose fix removes this marker")
+@pytest.mark.parametrize("blocks", ["JR", "JRB", "JRE", "JREB", "RE", "REB"])
+def test_eta_sd_with_a_generic_u2_is_reconstructible_unless_flagged(blocks):
+    # gen_eigpair draws u2 colinear with u1; a generic u2 leaves that branch, which no other test reaches
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        n = int(rng.choice([3, 4, 6, 8]))
+        p = gen_pencil(n, 2, seed=int(rng.integers(2**31)), r_rank=int(rng.integers(1, n + 1)))
+        lam = 1j * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+        ep = gen_eigpair(p, int(rng.integers(2**31)), blocks, lam=lam)
+        ep = EigenPair(ep.lam, ep.u1, crandn(rng, n), ep.u3)
+        res = eta_sd(p, ep, blocks)
+        if res.finite and not res.warnings:
+            reconstruct_perturbation(p, ep, blocks, res)
